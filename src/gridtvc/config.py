@@ -1,0 +1,35 @@
+"""JSON form of the frozen configuration dataclasses, derived from their fields."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+
+def config_to_json(cfg) -> dict:
+    """Every field of ``cfg``; nested configs become objects, tuples lists."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
+def config_from_json(cls, doc: dict):
+    """Inverse of :func:`config_to_json`; absent fields keep their defaults.
+
+    JSON arrays become tuples, the only sequence type the configs hold.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - names)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in doc:
+            continue
+        value = doc[f.name]
+        default = f.default if f.default_factory is dataclasses.MISSING \
+            else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            value = config_from_json(type(default), value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)

@@ -13,11 +13,12 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import config_from_json, config_to_json
 from .h2mg import ABSENT, H2MGContext, H2MGError, HyperEdge, SCHEMA, validate_context
 from .powerflow import SolverOptions, solve_ac
 
@@ -70,16 +71,11 @@ class GridFamilySpec:
             raise ValueError("not enough generators for the SVR zones plus a slack")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return config_to_json(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "GridFamilySpec":
-        kwargs = dict(doc)
-        for key in ("voltage_levels", "load_scale_range", "lv_load_range",
-                    "hv_load_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return config_from_json(cls, doc)
 
 
 def _absent_features(class_name: str) -> dict[str, None]:

@@ -6,7 +6,17 @@ sums of per-(class, port) messages; per-controller decoders read out the
 surrogate decision.  Integration is fixed-step explicit Euler, and the
 backward sweep recomputes segments between checkpoints instead of storing
 every step.
-"""
+
+Parameters stay one flat dict with one MLP per (class, port), but the Euler
+step runs on a stacked per-class layout.  A class's P message MLPs are
+stacked on a port axis, so layer 0 is one matmul over the gathered port
+latents and every later layer is one batched matmul.  Layer 0's
+encoder-context term does not change over the integration and is computed
+once per call.  All classes write their messages into one slot buffer (one
+row per edge and port), which a single scatter per step sums into the
+addresses.  The VJP runs each step's backward pass in the same layout and
+still accumulates weight gradients once per step, newest step first, so
+its result does not depend on the checkpoint interval."""
 
 from __future__ import annotations
 
@@ -16,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import config_from_json, config_to_json
 from .gridgen import Normalizer
 from .h2mg import CONTROLLER_CLASSES, H2MGContext, SCHEMA, SurrogateDecision, schema_hash
 
@@ -45,34 +56,21 @@ class ModelConfig:
     leaky_slope: float = 0.01
     checkpoint_every: int = 20
 
+    def __post_init__(self):
+        # the leaky ReLU is evaluated as max(z, slope * z)
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError("leaky_slope must lie in [0, 1]")
+
     @property
     def steps(self) -> int:
         return round(1.0 / self.dt)
 
     def to_json(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "encoder_out": self.encoder_out,
-            "encoder_hidden": list(self.encoder_hidden),
-            "message_hidden": list(self.message_hidden),
-            "decoder_hidden": list(self.decoder_hidden),
-            "dt": self.dt,
-            "leaky_slope": self.leaky_slope,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return config_to_json(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
-        return cls(
-            latent_dim=int(doc["latent_dim"]),
-            encoder_out=int(doc["encoder_out"]),
-            encoder_hidden=tuple(doc["encoder_hidden"]),
-            message_hidden=tuple(doc["message_hidden"]),
-            decoder_hidden=tuple(doc["decoder_hidden"]),
-            dt=float(doc["dt"]),
-            leaky_slope=float(doc["leaky_slope"]),
-            checkpoint_every=int(doc["checkpoint_every"]),
-        )
+        return config_from_json(cls, doc)
 
 
 def _mlp_specs(cfg: ModelConfig) -> dict[str, MLPSpec]:
@@ -196,8 +194,137 @@ def _gather(h: np.ndarray, ports: np.ndarray) -> np.ndarray:
     return h[ports.reshape(-1)].reshape(n_e, n_p * h.shape[1])
 
 
+def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
+    """Leaky ReLU in place; equals ``where(z > 0, z, slope * z)`` for slope in [0, 1]."""
+    return np.maximum(z, slope * z, out=z)
+
+
+def _leaky_grad(dz: np.ndarray, act: np.ndarray, slope: float) -> np.ndarray:
+    """Scale a cotangent in place by the leaky-ReLU slope, read off its output.
+
+    For slope in [0, 1] an output is positive exactly where its input is.
+    The factor is looked up rather than masked: a ``where=`` ufunc is
+    several times slower at these sizes.
+    """
+    dz *= np.array([slope, 1.0]).take((act > 0).view(np.int8))
+    return dz
+
+
+class _MessageBlock:
+    """The per-port message MLPs of one class, run side by side on a port axis.
+
+    Activations are laid out ``(n_e, P, width)``, edge-major, so the block's
+    rows of the engine's slot buffers follow ``ports.reshape(-1)``.  Every
+    port's layer 0 reads the same gathered port latents ``(n_e, P*d)``; the
+    encoder-context part of its input and its bias do not change over the
+    integration and are added as the constant ``const0``.  Matmuls that read
+    weights run per port on views of the parameter arrays: a stacked copy
+    would cost as much memory as the message parameters themselves.  The
+    VJP's weight gradients are stacked ``(P, out, in)`` arrays instead, so
+    each layer's weight gradient is one batched matmul per step.
+    """
+
+    def __init__(self, params: ModelParams, cname: str, ports: np.ndarray,
+                 xt: np.ndarray, rows: slice):
+        cfg = params.config
+        self.cname, self.rows, self.xt = cname, rows, xt
+        self.n_e, self.n_p = ports.shape
+        self.keys = [f"message.{cname}.{p}" for p in SCHEMA[cname].port_names]
+        self.depth = len(cfg.message_hidden) + 1
+        self.slope = cfg.leaky_slope
+        self.split = self.n_p * cfg.latent_dim
+        v = params.values
+        w0 = [v[f"{k}.layer0.weight"] for k in self.keys]
+        self.w0x = [w[:, self.split:] for w in w0]
+        # per layer, per port: (out, in) weight views; layer 0's latent part
+        self.w = [[w[:, :self.split] for w in w0]] + [
+            [v[f"{k}.layer{i}.weight"] for k in self.keys]
+            for i in range(1, self.depth)]
+        self.b = [np.stack([v[f"{k}.layer{i}.bias"] for k in self.keys])
+                  for i in range(self.depth)]
+        self.const0 = np.empty((self.n_e, self.n_p, self.w[0][0].shape[0]))
+        for k, wx in enumerate(self.w0x):
+            np.matmul(xt, wx.T, out=self.const0[:, k])
+        self.const0 += self.b[0]
+
+    def forward(self, g: np.ndarray, out: np.ndarray) -> list[np.ndarray]:
+        """Messages of gathered latents ``g`` into ``out``; returns hidden activations."""
+        n_e, n_p = self.n_e, self.n_p
+        g = g.reshape(n_e, self.split)
+        acts: list[np.ndarray] = []
+        for i, ws in enumerate(self.w):
+            last = i == self.depth - 1
+            z = out.reshape(n_e, n_p, -1) if last \
+                else np.empty((n_e, n_p, ws[0].shape[0]))
+            for k, w in enumerate(ws):
+                np.matmul(g if i == 0 else acts[-1][:, k], w.T, out=z[:, k])
+            z += self.const0 if i == 0 else self.b[i]
+            if not last:
+                acts.append(_leaky(z, self.slope))
+        return acts
+
+    def start_grads(self) -> dict[str, np.ndarray]:
+        """Zero gradients stacked on the port axis; returns their per-port slices."""
+        n_p, h0 = self.n_p, self.const0.shape[2]
+        self.gw = [np.zeros((n_p, h0, self.split + self.w0x[0].shape[1]))] + [
+            np.zeros((n_p, *ws[0].shape)) for ws in self.w[1:]]
+        self.gb = [np.zeros_like(b) for b in self.b]
+        # latent part of layer 0, ports stacked row-wise: one matmul per step
+        self.gw0h = self.gw[0][:, :, :self.split].reshape(n_p * h0, self.split)
+        self.dz0_sum = np.zeros_like(self.const0)
+        return {f"{key}.layer{i}.{kind}": stack[k]
+                for k, key in enumerate(self.keys)
+                for i in range(self.depth)
+                for kind, stack in (("weight", self.gw[i]), ("bias", self.gb[i]))}
+
+    def backward(self, g: np.ndarray, acts: list[np.ndarray], mbar: np.ndarray,
+                 dg: np.ndarray, tmp: np.ndarray) -> None:
+        """One step's backward pass: accumulate weight grads, write the latent cotangent."""
+        n_e, n_p = self.n_e, self.n_p
+        dz = mbar.reshape(n_e, n_p, -1)
+        for i in range(self.depth - 1, 0, -1):
+            a, gw = acts[i - 1], self.gw[i]
+            gw += np.matmul(dz.transpose(1, 2, 0), a.transpose(1, 0, 2),
+                            out=tmp[:gw.size].reshape(gw.shape))
+            self.gb[i] += dz.sum(axis=0)
+            da = np.empty_like(a)
+            for k, w in enumerate(self.w[i]):
+                np.matmul(dz[:, k], w, out=da[:, k])
+            dz = _leaky_grad(da, a, self.slope)
+        g = g.reshape(n_e, self.split)
+        dz0 = dz.reshape(n_e, -1)
+        self.gw0h += np.matmul(dz0.T, g, out=tmp[:self.gw0h.size].reshape(
+            self.gw0h.shape))
+        self.dz0_sum += dz
+        dg = dg.reshape(n_e, self.split)
+        np.matmul(dz[:, 0], self.w[0][0], out=dg)
+        for k in range(1, n_p):
+            dg += np.matmul(dz[:, k], self.w[0][k],
+                            out=tmp[:dg.size].reshape(dg.shape))
+
+    def finish_grads(self) -> np.ndarray:
+        """Context part of the layer-0 gradients, from the summed cotangent.
+
+        Returns the cotangent of the class's encoder output.
+        """
+        dz0 = self.dz0_sum
+        np.matmul(dz0.transpose(1, 2, 0), self.xt, out=self.gw[0][:, :, self.split:])
+        dz0.sum(axis=0, out=self.gb[0])
+        xbar = np.zeros_like(self.xt)
+        for k, wx in enumerate(self.w0x):
+            xbar += dz0[:, k] @ wx
+        return xbar
+
+
 class _Engine:
-    """Shared forward machinery for plain evaluation and the VJP sweep."""
+    """Shared forward machinery for plain evaluation and the VJP sweep.
+
+    Every (edge, port) pair of the context owns one row ("slot") of the
+    step's slot buffers, class by class, edge-major.  A step gathers the
+    slots' address latents, lets each class's :class:`_MessageBlock` write
+    its messages into its rows, and sums all rows into their addresses with
+    one ``np.bincount`` on a flat index built here.
+    """
 
     def __init__(self, params: ModelParams, x: H2MGContext):
         self.params = params
@@ -206,41 +333,70 @@ class _Engine:
         specs = _mlp_specs(self.cfg)
         self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
                     for c, _, _, _ in self.prep.classes}
-        self.msg = {}
-        for cname, _, _, _ in self.prep.classes:
-            for pname in SCHEMA[cname].port_names:
-                key = f"message.{cname}.{pname}"
-                self.msg[(cname, pname)] = _MLP(params, key, specs[key])
         self.dec = {c: _MLP(params, f"decoder.{c}", specs[f"decoder.{c}"])
                     for c, _, _, _ in self.prep.classes
                     if SCHEMA[c].is_controller}
-        self.dyn = _MLP(params, "dynamics", specs["dynamics"])
+        self.dyn_w = params.values["dynamics.layer0.weight"]
+        self.dyn_b = params.values["dynamics.layer0.bias"]
         self.xt: dict[str, np.ndarray] = {}
-        for cname, _, feats, _ in self.prep.classes:
+        self.blocks: list[_MessageBlock] = []
+        start = 0
+        for cname, _, feats, ports in self.prep.classes:
             self.xt[cname] = self.enc[cname].forward(feats)
+            rows = slice(start, start + ports.size)
+            self.blocks.append(_MessageBlock(params, cname, ports,
+                                             self.xt[cname], rows))
+            start = rows.stop
+        d = self.cfg.latent_dim
+        self.slot_addr = np.concatenate(
+            [ports.reshape(-1) for _, _, _, ports in self.prep.classes]
+            or [np.zeros(0, dtype=int)])
+        self._flat = (self.slot_addr[:, None] * d + np.arange(d)).reshape(-1)
+
+    def _scatter(self, rows: np.ndarray) -> np.ndarray:
+        """Sum slot rows into their addresses (in slot order)."""
+        n, d = self.prep.n_addr, self.cfg.latent_dim
+        return np.bincount(self._flat, weights=rows.reshape(-1),
+                           minlength=n * d).reshape(n, d)
 
     def step(self, h: np.ndarray, keep: bool = False):
-        """One Euler step; optionally keep every intermediate for backprop."""
+        """One Euler step; optionally keep what the backward pass reads.
+
+        The kept internals are ``(mt, (g, acts), (hm, drive))``: the squashed
+        message sums, the gathered latents with every block's hidden
+        activations, and the dynamics input ``[h | mt]`` with its output.
+        """
         d = self.cfg.latent_dim
-        s = np.zeros((self.prep.n_addr, d))
-        cls_cache = {}
-        for cname, _, _, ports in self.prep.classes:
-            u = np.concatenate([_gather(h, ports), self.xt[cname]], axis=1)
-            stack = np.empty((ports.shape[0], ports.shape[1], d))
-            caches = []
-            for k, pname in enumerate(SCHEMA[cname].port_names):
-                out, cache = self.msg[(cname, pname)].forward_cached(u, keep=keep)
-                stack[:, k, :] = out
-                caches.append(cache)
-            # accumulation order: class name, then edge id, then port name
-            np.add.at(s, ports.reshape(-1), stack.reshape(-1, d))
-            if keep:
-                cls_cache[cname] = (u, caches)
-        mt = np.tanh(s)
-        drive, dyn_cache = self.dyn.forward_cached(
-            np.concatenate([h, mt], axis=1), keep=keep)
+        g = h[self.slot_addr]
+        m = np.empty_like(g)
+        acts = []
+        for blk in self.blocks:
+            blk_acts = blk.forward(g[blk.rows], m[blk.rows])
+            if keep:  # a plain step frees each block's activations at once
+                acts.append(blk_acts)
+        hm = np.empty((h.shape[0], 2 * d))
+        hm[:, :d] = h
+        mt = np.tanh(self._scatter(m), out=hm[:, d:])
+        drive = _leaky(hm @ self.dyn_w.T + self.dyn_b, self.cfg.leaky_slope)
         h_next = h + self.cfg.dt * drive
-        return h_next, (mt, cls_cache, dyn_cache)
+        return h_next, (mt, (g, acts) if keep else None, (hm, drive))
+
+    def step_backward(self, hbar: np.ndarray, internals, grads, tmp):
+        """Pull ``hbar`` back through one kept step; returns the earlier ``hbar``."""
+        d = self.cfg.latent_dim
+        mt, (g, acts), (hm, drive) = internals
+        d_pre = _leaky_grad(self.cfg.dt * hbar, drive, self.cfg.leaky_slope)
+        grads["dynamics.layer0.weight"] += d_pre.T @ hm
+        grads["dynamics.layer0.bias"] += d_pre.sum(axis=0)
+        du = d_pre @ self.dyn_w
+        hbar_k = hbar + du[:, :d]
+        mbar = (du[:, d:] * (1.0 - mt * mt))[self.slot_addr]
+        dg = np.empty_like(mbar)
+        for blk, blk_acts in zip(self.blocks, acts):
+            blk.backward(g[blk.rows], blk_acts, mbar[blk.rows], dg[blk.rows],
+                         tmp)
+        hbar_k += self._scatter(dg)
+        return hbar_k
 
     def integrate(self, collect_every: int | None = None):
         """Run all Euler steps; return final latents and optional checkpoints."""
@@ -276,14 +432,18 @@ def vjp(params: ModelParams, x: H2MGContext,
 
     Reverse accumulation runs through the decoders, every Euler step, and
     the encoders.  Memory stays bounded by re-integrating each checkpoint
-    segment during the sweep.
+    segment during the sweep.  Weight gradients are accumulated once per
+    step, newest first, so the result does not depend on the checkpoint
+    interval.
     """
     eng = _Engine(params, x)
     cfg = params.config
     every = max(1, min(cfg.checkpoint_every, cfg.steps))
     h_final, checkpoints = eng.integrate(collect_every=every)
 
-    grads = params.zeros_like().values
+    stacked = {k: a for blk in eng.blocks for k, a in blk.start_grads().items()}
+    grads = {k: stacked[k] if k in stacked else np.zeros_like(v)
+             for k, v in params.values.items()}
     xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
     hbar = np.zeros_like(h_final)
 
@@ -303,38 +463,24 @@ def vjp(params: ModelParams, x: H2MGContext,
         np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
 
     # Euler steps, newest segment first
-    starts = sorted(checkpoints, reverse=True)
-    for seg_start in starts:
+    # one buffer for every block's per-step matmul results, before they are added
+    tmp = np.empty(max([a.size for blk in eng.blocks for a in blk.gw]
+                           + [blk.n_e * blk.split for blk in eng.blocks] + [0]))
+    for seg_start in sorted(checkpoints, reverse=True):
         seg_end = min(seg_start + every, cfg.steps)
         if seg_start == cfg.steps:
             continue
         h = checkpoints[seg_start]
         trail = []
         for _ in range(seg_start, seg_end):
-            h_next, internals = eng.step(h, keep=True)
+            h, internals = eng.step(h, keep=True)
             trail.append(internals)
-            h = h_next
-        for mt, cls_cache, dyn_cache in reversed(trail):
-            d_pre = cfg.dt * hbar
-            du = eng.dyn.backward(dyn_cache, d_pre, grads)
-            d = cfg.latent_dim
-            hbar_k = hbar + du[:, :d]
-            sbar = du[:, d:] * (1.0 - mt * mt)
-            for cname, _, _, ports in eng.prep.classes:
-                u, caches = cls_cache[cname]
-                mbar = sbar[ports.reshape(-1)].reshape(
-                    ports.shape[0], ports.shape[1], d)
-                du_cls = np.zeros_like(u)
-                for kp, pname in enumerate(SCHEMA[cname].port_names):
-                    du_cls += eng.msg[(cname, pname)].backward(
-                        caches[kp], mbar[:, kp, :], grads)
-                split = ports.shape[1] * d
-                dh_e = du_cls[:, :split].reshape(-1, d)
-                np.add.at(hbar_k, ports.reshape(-1), dh_e)
-                xbar[cname] += du_cls[:, split:]
-            hbar = hbar_k
+        for internals in reversed(trail):
+            hbar = eng.step_backward(hbar, internals, grads, tmp)
 
-    # Encoders
+    # Context part of the message layer 0, then the encoders
+    for blk in eng.blocks:
+        xbar[blk.cname] += blk.finish_grads()
     for cname, _, feats, _ in eng.prep.classes:
         _, cache = eng.enc[cname].forward_cached(feats)
         eng.enc[cname].backward(cache, xbar[cname], grads)

@@ -21,6 +21,7 @@ import numpy as np
 from . import policy as policy_mod
 from . import rng as grng
 from .baseline import init_baseline, tune_baseline_offset
+from .config import config_from_json, config_to_json
 from .estimator import EstimatorConfig, GradEstimate, estimate_gradient
 from .gridgen import Normalizer, fit_normalizer, load_dataset, load_manifest, normalize
 from .h2mg import CONTROLLER_CLASSES, Decision, H2MGContext, H2MGError
@@ -70,48 +71,11 @@ class TrainConfig:
             raise ValueError("minibatch must be at least 1")
 
     def to_json(self) -> dict:
-        doc = {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "minibatch": self.minibatch, "iterations": self.iterations,
-            "eval_every": self.eval_every, "eval_limit": self.eval_limit,
-            "seed": self.seed, "workers": self.workers,
-            "train_dir": self.train_dir, "val_dir": self.val_dir,
-            "out_dir": self.out_dir, "normalizer_path": self.normalizer_path,
-            "estimator": {"beta": self.estimator.beta, "tau": self.estimator.tau,
-                          "samples": dict(self.estimator.samples),
-                          "prohibitive_cost": self.estimator.prohibitive_cost},
-            "policy": {"sigma": self.policy.sigma,
-                       "binary_offset": self.policy.binary_offset,
-                       "rtc_offset_scale": self.policy.rtc_offset_scale,
-                       "svr_offset": self.policy.svr_offset},
-            "solver": {"tolerance": self.solver.tolerance,
-                       "max_inner": self.solver.max_inner,
-                       "max_outer": self.solver.max_outer,
-                       "rtc_deadband": self.solver.rtc_deadband,
-                       "svr_deadband": self.solver.svr_deadband,
-                       "lambda_v": self.solver.lambda_v,
-                       "lambda_i": self.solver.lambda_i,
-                       "lambda_j": self.solver.lambda_j,
-                       "eps_v": self.solver.eps_v, "eps_i": self.solver.eps_i,
-                       "prohibitive_cost": self.solver.prohibitive_cost},
-            "model": self.model.to_json(),
-        }
-        return doc
+        return config_to_json(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
-        kwargs = {k: v for k, v in doc.items()
-                  if k not in ("estimator", "policy", "solver", "model")}
-        if "estimator" in doc:
-            kwargs["estimator"] = EstimatorConfig(**doc["estimator"])
-        if "policy" in doc:
-            kwargs["policy"] = PolicyConfig(**doc["policy"])
-        if "solver" in doc:
-            kwargs["solver"] = SolverOptions(**doc["solver"])
-        if "model" in doc:
-            kwargs["model"] = ModelConfig.from_json(doc["model"])
-        return cls(**kwargs)
+        return config_from_json(cls, doc)
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainConfig":
@@ -374,8 +338,6 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
         "rtc_category_shares": (rtc_counts / total_rtc).tolist()
         if total_rtc else [0.0] * 4,
         "per_lever_usage": usage,
-        "svr_setpoints": svr_setpoints,
-        "rtc_category_counts": rtc_counts.tolist(),
     }
 
 
@@ -388,53 +350,25 @@ def evaluate(params: ModelParams, dataset: list[H2MGContext], norm: Normalizer,
     Per context both the network's most-probable decision and the baseline
     decision go through the oracle; non-convergent contexts are excluded
     from the means and show up in the convergence rates.  With ``out_dir``
-    set, histogram data files and rendered figures are written next to the
-    report.
+    set, the report is also written there as ``report.json``.
     """
-    gnn_records, init_records = [], []
-    gnn_decisions, init_decisions = [], []
-    gnn_counts, init_counts = [], []
-    gnn_voltages, init_voltages = [], []
+    records = {"gnn": [], "init": []}
+    decisions = {"gnn": [], "init": []}
     for x in dataset:
         xn = normalize(x, norm)
         z = policy_mod.apply_offsets(forward(params, xn), x, pol_cfg)
-        y_gnn = policy_mod.most_probable(z)
-        y_init = init_baseline(x, pol_cfg.svr_offset)
-        m_gnn = count_metrics(x, y_gnn, solver)
-        m_init = count_metrics(x, y_init, solver)
-        gnn_records.append((True, m_gnn))
-        init_records.append((True, m_init))
-        gnn_decisions.append(y_gnn)
-        init_decisions.append(y_init)
-        if m_gnn.valid:
-            gnn_counts.append(m_gnn.violations)
-            gnn_voltages.extend(m_gnn.normalized_voltages.tolist())
-        if m_init.valid:
-            init_counts.append(m_init.violations)
-            init_voltages.extend(m_init.normalized_voltages.tolist())
+        for name, y in (("gnn", policy_mod.most_probable(z)),
+                        ("init", init_baseline(x, pol_cfg.svr_offset))):
+            records[name].append(count_metrics(x, y, solver))
+            decisions[name].append(y)
 
-    report = {
-        "gnn": {**_policy_metrics(gnn_records),
-                **{k: v for k, v in _lever_usage(gnn_decisions, dataset).items()
-                   if k not in ("svr_setpoints", "rtc_category_counts")}},
-        "init": {**_policy_metrics(init_records),
-                 **{k: v for k, v in _lever_usage(init_decisions, dataset).items()
-                    if k not in ("svr_setpoints", "rtc_category_counts")}},
-    }
+    report = {name: {**_policy_metrics(records[name]),
+                     **_lever_usage(decisions[name], dataset)}
+              for name in ("gnn", "init")}
     if out_dir is not None:
-        from . import report as report_mod
-        gnn_usage = _lever_usage(gnn_decisions, dataset)
-        init_usage = _lever_usage(init_decisions, dataset)
-        report_mod.write_report(
-            Path(out_dir), report,
-            violation_counts={"init": init_counts, "gnn": gnn_counts},
-            voltages={"init": init_voltages, "gnn": gnn_voltages},
-            lever_usage={"init": init_usage["per_lever_usage"],
-                         "gnn": gnn_usage["per_lever_usage"]},
-            setpoints={"init": {"svr": init_usage["svr_setpoints"],
-                                "rtc": init_usage["rtc_category_counts"]},
-                       "gnn": {"svr": gnn_usage["svr_setpoints"],
-                               "rtc": gnn_usage["rtc_category_counts"]}})
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))
     return report
 
 

@@ -1,0 +1,145 @@
+"""The per-port graph-ODE loop, kept as the reference for the fused model.
+
+This is the straightforward form of ``gridtvc.model``'s Euler step: one
+message MLP call per (class, port) and one ``np.add.at`` scatter per class,
+with the same checkpointed-recompute VJP.  ``tests/test_model_reference.py``
+checks the fused engine against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gridtvc.h2mg import SCHEMA, H2MGContext, SurrogateDecision
+from gridtvc.model import ModelParams, _MLP, _Prepared, _gather, _mlp_specs
+
+
+class ReferenceEngine:
+    """Per-port forward machinery for plain evaluation and the VJP sweep."""
+
+    def __init__(self, params: ModelParams, x: H2MGContext):
+        self.params = params
+        self.cfg = params.config
+        self.prep = _Prepared(x)
+        specs = _mlp_specs(self.cfg)
+        self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
+                    for c, _, _, _ in self.prep.classes}
+        self.msg = {}
+        for cname, _, _, _ in self.prep.classes:
+            for pname in SCHEMA[cname].port_names:
+                key = f"message.{cname}.{pname}"
+                self.msg[(cname, pname)] = _MLP(params, key, specs[key])
+        self.dec = {c: _MLP(params, f"decoder.{c}", specs[f"decoder.{c}"])
+                    for c, _, _, _ in self.prep.classes
+                    if SCHEMA[c].is_controller}
+        self.dyn = _MLP(params, "dynamics", specs["dynamics"])
+        self.xt: dict[str, np.ndarray] = {}
+        for cname, _, feats, _ in self.prep.classes:
+            self.xt[cname] = self.enc[cname].forward(feats)
+
+    def step(self, h: np.ndarray, keep: bool = False):
+        d = self.cfg.latent_dim
+        s = np.zeros((self.prep.n_addr, d))
+        cls_cache = {}
+        for cname, _, _, ports in self.prep.classes:
+            u = np.concatenate([_gather(h, ports), self.xt[cname]], axis=1)
+            stack = np.empty((ports.shape[0], ports.shape[1], d))
+            caches = []
+            for k, pname in enumerate(SCHEMA[cname].port_names):
+                out, cache = self.msg[(cname, pname)].forward_cached(u, keep=keep)
+                stack[:, k, :] = out
+                caches.append(cache)
+            np.add.at(s, ports.reshape(-1), stack.reshape(-1, d))
+            if keep:
+                cls_cache[cname] = (u, caches)
+        mt = np.tanh(s)
+        drive, dyn_cache = self.dyn.forward_cached(
+            np.concatenate([h, mt], axis=1), keep=keep)
+        h_next = h + self.cfg.dt * drive
+        return h_next, (mt, cls_cache, dyn_cache)
+
+    def integrate(self, collect_every: int | None = None):
+        h = np.zeros((self.prep.n_addr, self.cfg.latent_dim))
+        checkpoints = {0: h.copy()} if collect_every else None
+        for k in range(self.cfg.steps):
+            h, _ = self.step(h)
+            if collect_every and (k + 1) % collect_every == 0:
+                checkpoints[k + 1] = h.copy()
+        return h, checkpoints
+
+    def decode(self, h: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+        out: dict[str, dict[str, np.ndarray]] = {}
+        for cname, ids, _, ports in self.prep.classes:
+            if cname not in self.dec:
+                continue
+            u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
+            z = self.dec[cname].forward(u)
+            out[cname] = {eid: z[i].copy() for i, eid in enumerate(ids)}
+        return out
+
+
+def reference_forward(params: ModelParams, x: H2MGContext) -> SurrogateDecision:
+    eng = ReferenceEngine(params, x)
+    h, _ = eng.integrate()
+    return SurrogateDecision(eng.decode(h))
+
+
+def reference_vjp(params: ModelParams, x: H2MGContext,
+                  cotangent: dict[str, dict[str, np.ndarray]]) -> ModelParams:
+    eng = ReferenceEngine(params, x)
+    cfg = params.config
+    every = max(1, min(cfg.checkpoint_every, cfg.steps))
+    h_final, checkpoints = eng.integrate(collect_every=every)
+
+    grads = params.zeros_like().values
+    xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
+    hbar = np.zeros_like(h_final)
+
+    for cname, ids, _, ports in eng.prep.classes:
+        if cname not in eng.dec:
+            continue
+        d_out = np.array([np.asarray(cotangent.get(cname, {}).get(
+            eid, np.zeros(SCHEMA[cname].decision_dim)), dtype=float)
+            for eid in ids])
+        u = np.concatenate([eng.xt[cname], _gather(h_final, ports)], axis=1)
+        _, cache = eng.dec[cname].forward_cached(u)
+        du = eng.dec[cname].backward(cache, d_out, grads)
+        e = cfg.encoder_out
+        xbar[cname] += du[:, :e]
+        dh = du[:, e:].reshape(len(ids), -1, cfg.latent_dim)
+        np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
+
+    for seg_start in sorted(checkpoints, reverse=True):
+        seg_end = min(seg_start + every, cfg.steps)
+        if seg_start == cfg.steps:
+            continue
+        h = checkpoints[seg_start]
+        trail = []
+        for _ in range(seg_start, seg_end):
+            h_next, internals = eng.step(h, keep=True)
+            trail.append(internals)
+            h = h_next
+        for mt, cls_cache, dyn_cache in reversed(trail):
+            du = eng.dyn.backward(dyn_cache, cfg.dt * hbar, grads)
+            d = cfg.latent_dim
+            hbar_k = hbar + du[:, :d]
+            sbar = du[:, d:] * (1.0 - mt * mt)
+            for cname, _, _, ports in eng.prep.classes:
+                u, caches = cls_cache[cname]
+                mbar = sbar[ports.reshape(-1)].reshape(
+                    ports.shape[0], ports.shape[1], d)
+                du_cls = np.zeros_like(u)
+                for kp, pname in enumerate(SCHEMA[cname].port_names):
+                    du_cls += eng.msg[(cname, pname)].backward(
+                        caches[kp], mbar[:, kp, :], grads)
+                split = ports.shape[1] * d
+                np.add.at(hbar_k, ports.reshape(-1),
+                          du_cls[:, :split].reshape(-1, d))
+                xbar[cname] += du_cls[:, split:]
+            hbar = hbar_k
+
+    for cname, _, feats, _ in eng.prep.classes:
+        _, cache = eng.enc[cname].forward_cached(feats)
+        eng.enc[cname].backward(cache, xbar[cname], grads)
+
+    return ModelParams(cfg, grads)

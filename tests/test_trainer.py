@@ -1,0 +1,111 @@
+import json
+import math
+
+import pytest
+
+from gridtvc import rng as grng
+from gridtvc.estimator import EstimatorConfig
+from gridtvc.gridgen import GridFamilySpec, Normalizer, generate_context, load_dataset, write_dataset
+from gridtvc.model import ModelConfig, load_checkpoint
+from gridtvc.policy import PolicyConfig
+from gridtvc.powerflow import SolverOptions
+from gridtvc.trainer import TrainConfig, evaluate, evaluate_checkpoint, train
+
+SMALL = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(8,),
+                    message_hidden=(8,), decoder_hidden=(8,), dt=0.1,
+                    checkpoint_every=4)
+SPEC = GridFamilySpec(bus_count_min=16, bus_count_max=16, twt_count=6,
+                      rtc_count=4, rtc_controller_count=3, shunt_count=4,
+                      shunt_controller_count=3, generator_count=6,
+                      svr_zone_count=2, svr_units_per_zone=2,
+                      svr_controller_count=2, line_controller_count=2,
+                      controllable_line_count=2)
+
+
+def leaves(doc, prefix=""):
+    for k, v in doc.items():
+        if isinstance(v, dict) and k != "samples":
+            yield from leaves(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}", v
+
+
+def test_config_round_trip_changes_every_field():
+    cfg = TrainConfig(
+        learning_rate=2e-3, beta1=0.8, beta2=0.99, eps=1e-6, minibatch=3,
+        iterations=7, eval_every=2, eval_limit=5, seed=11, workers=2,
+        train_dir="a", val_dir="b", out_dir="c", normalizer_path="n.json",
+        estimator=EstimatorConfig(beta=1e-3, tau=0.2, samples={"line_controller": 2},
+                                  prohibitive_cost=50.0),
+        policy=PolicyConfig(sigma=0.01, binary_offset=-1.0, rtc_offset_scale=1.0,
+                            svr_offset=0.01, printed_rtc_entropy_grad=True),
+        solver=SolverOptions(tolerance=1e-7, max_inner=20, max_outer=50,
+                             rtc_deadband=0.01, svr_deadband=1e-4, lambda_v=2.0,
+                             lambda_i=3.0, lambda_j=0.2, eps_v=0.1, eps_i=0.2,
+                             prohibitive_cost=10.0, target_clamp=(0.5, 2.0)),
+        model=ModelConfig(latent_dim=4, encoder_out=5, encoder_hidden=(6,),
+                          message_hidden=(7, 3), decoder_hidden=(), dt=0.25,
+                          leaky_slope=0.2, checkpoint_every=3))
+    doc = cfg.to_json()
+    default = dict(leaves(TrainConfig().to_json()))
+    changed = dict(leaves(doc))
+    assert changed.keys() == default.keys()
+    assert [k for k in default if changed[k] == default[k]] == []
+    back = TrainConfig.from_json(json.loads(json.dumps(doc)))
+    assert back == cfg
+    assert back.solver.target_clamp == (0.5, 2.0)
+    assert back.policy.printed_rtc_entropy_grad is True
+
+
+def test_config_from_json_rejects_unknown_field():
+    with pytest.raises(ValueError):
+        TrainConfig.from_json({"model": {"latent": 3}})
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train")
+    contexts = {tag: [generate_context(SPEC, grng.stream(0, tag, i),
+                                       origin=f"{tag}-{i:03d}")
+                      for i in range(n)]
+                for tag, n in (("train", 4), ("val", 2))}
+    for tag, xs in contexts.items():
+        write_dataset(root / tag, xs, SPEC, 0)
+    cfg = TrainConfig(minibatch=2, iterations=3, eval_every=3, eval_limit=1,
+                      seed=5, train_dir=str(root / "train"),
+                      val_dir=str(root / "val"), out_dir=str(root / "run"),
+                      model=SMALL)
+    return cfg, train(cfg), root
+
+
+def test_train_logs_finite_fields_and_writes_loadable_checkpoints(run):
+    cfg, summary, _ = run
+    lines = [json.loads(line) for line in open(summary["log"])]
+    steps = [r for r in lines if "event" not in r]
+    evals = [r for r in lines if r.get("event") == "eval"]
+    assert [r["iteration"] for r in steps] == [0, 1, 2]
+    for r in steps:
+        values = [r["mean_f_ref"], r["convergence_rate"], r["param_grad_norm"],
+                  *r["grad_norm"].values()]
+        assert all(math.isfinite(v) for v in values)
+    assert len(evals) == 1 and math.isfinite(evals[0]["val_mean_objective"])
+    params, meta = load_checkpoint(summary["final_checkpoint"])
+    assert params.config == SMALL
+    assert meta["iteration"] == cfg.iterations
+    best, _ = load_checkpoint(summary["best_checkpoint"])
+    assert best.values.keys() == params.values.keys()
+
+
+def test_evaluate_and_evaluate_checkpoint_on_validation_split(run):
+    cfg, summary, root = run
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    norm = Normalizer.load(root / "run" / "normalizer.json")
+    val = load_dataset(cfg.val_dir)
+    report = evaluate(params, val, norm, out_dir=root / "report")
+    for name in ("gnn", "init"):
+        assert report[name]["contexts"] == len(val)
+        assert 0.0 <= report[name]["convergence_rate"] <= 1.0
+    assert json.loads((root / "report" / "report.json").read_text()) == report
+    again = evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
+    assert again == report
+
