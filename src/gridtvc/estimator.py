@@ -103,15 +103,11 @@ def _score(oracle: Oracle, x: H2MGContext, y: Decision, prohibitive: float) -> f
 
 def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig,
                       oracle: Oracle, rng: np.random.Generator,
-                      policy_cfg: PolicyConfig = PolicyConfig(),
-                      map_fn: Callable = map) -> GradEstimate:
+                      policy_cfg: PolicyConfig = PolicyConfig()) -> GradEstimate:
     """Adjusted Monte-Carlo estimate of the surrogate objective gradient.
 
     When the mode decision itself does not converge no improvement
     direction is defined and the estimate is exactly zero, flagged.
-
-    ``map_fn`` evaluates the per-sample oracle calls; any order-preserving
-    map (e.g. an executor's) is valid since scores reduce in sample order.
     """
     y_mp = policy.most_probable(z)
     try:
@@ -153,8 +149,7 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
         plan.append((cname, decisions))
 
     flat = [y_i for _, decisions in plan for y_i in decisions]
-    scores = list(map_fn(
-        lambda y_i: _score(oracle, x, y_i, cfg.prohibitive_cost), flat))
+    scores = [_score(oracle, x, y_i, cfg.prohibitive_cost) for y_i in flat]
 
     grads = _zero_grads(z)
     pos = 0

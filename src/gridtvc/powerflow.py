@@ -3,7 +3,24 @@
 The solver is a dense polar Newton-Raphson with three outer control loops
 (discrete transformer tap stepping, secondary-voltage-regulation reactive
 dispatch, generator Q-limit switching).  Non-convergence is always a value,
-never an exception, and maps to a fixed prohibitive objective cost.
+never an exception, and maps to a fixed prohibitive objective cost; every
+solve reports how it ended as one of :data:`SOLVE_STATUSES`.
+
+The inner loop is array-native:
+
+* The Jacobian uses the broadcasting form of MATPOWER's ``dSbus_dV``
+  (Zimmerman et al., IEEE TPWRS 2011): ``dS/dVa = j·v·conj(diag(i) − Y·v)``
+  and ``dS/dVm = v·conj(Y·v/|v|) + diag(conj(i)·v/|v|)`` as row/column
+  scalings of Ybus, with no diagonal matrices and no matrix products.  Its
+  four real blocks are gathered through one flat index, built once per
+  Newton call because the PV/PQ split is fixed within a call.
+* Ybus is assembled once per model and reused by the Newton loop, the
+  Q-limit check and the generator outputs.  It is rebuilt only when a tap
+  changer moves, the one change to branch admittances during a solve.
+* The SVR dispatch gets the voltage sensitivities of every zone outside
+  its deadband from one multi-right-hand-side solve of ``J^T`` per round.
+  The zones are still dispatched one at a time, in order, from those
+  sensitivities.
 """
 
 from __future__ import annotations
@@ -19,6 +36,7 @@ from .h2mg import (
     H2MGContext,
     H2MGError,
     INERT_CLASSES,
+    _check_paired,
 )
 
 #: Allowed regulated-bus setpoints for tap-changer controllers, as a
@@ -28,6 +46,12 @@ RTC_SETPOINT_LADDER = (1.00, 1.02, 1.05, 1.07)
 #: Discrete physical tap ladder: 21 multipliers of the nominal ratio.
 TAP_MULTIPLIERS = np.round(np.linspace(0.9, 1.1, 21), 10)
 TAP_STEP = 0.01
+
+#: How a solve ends: every control loop settled; Newton diverged, went
+#: non-finite, drove a voltage to zero or hit its iteration cap; a Newton
+#: step met a singular Jacobian; or the control loops were still moving
+#: after ``max_outer`` rounds.
+SOLVE_STATUSES = ("converged", "newton_failed", "singular_jacobian", "outer_cap")
 
 _warned_inert = False
 
@@ -73,6 +97,7 @@ class PowerFlowSolution:
     rtc_ratio: dict[str, float]
     inner_iterations: int
     outer_iterations: int
+    status: str             # one of SOLVE_STATUSES
 
 
 @dataclass(frozen=True)
@@ -117,11 +142,7 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     shunt.  SVR controllers shift the zone target; RTC controllers pick a
     regulated-bus setpoint from the discrete ladder.
     """
-    expected = x.controller_ids()
-    got = {c: sorted(v) for c, v in y.values.items() if v}
-    if got != {c: sorted(v) for c, v in expected.items()}:
-        raise H2MGError("decision is not paired with this context")
-
+    _check_paired("Decision", y.values, x)
     updates: dict[tuple[str, str], dict] = {}
     for e in x.edges_of("line_controller"):
         if y.get("line_controller", e.id) == 1:
@@ -250,6 +271,32 @@ class _GridModel:
             else 0.0
             for i in range(len(gens))])
         self.svr_q = np.clip(self.svr_q, self.gen_qmin, self.gen_qmax)
+        # Zones the dispatch can act on, with each unit's share of the
+        # zone's reactive range.
+        self.dispatch_zones = []
+        for z in self.zones:
+            units = z["units"]
+            ranges = np.maximum(self.gen_qmax[units] - self.gen_qmin[units], 0.0)
+            ranges = np.where(np.isfinite(ranges), ranges, 1.0)
+            if z["target"] is None or len(units) == 0 or ranges.sum() <= 0:
+                continue
+            self.dispatch_zones.append({**z, "shares": ranges / ranges.sum(),
+                                        "unit_bus": self.gen_bus[units],
+                                        "ranges": ranges.tolist(),
+                                        "qmin": self.gen_qmin[units].tolist(),
+                                        "qmax": self.gen_qmax[units].tolist()})
+
+        # Per-bus reactive bookkeeping for the Q-limit loop: the summed
+        # limits of the regulating (non-SVR) generators, and the fixed
+        # reactive injection of loads and non-regulating generators.
+        reg = self.gen_regulating & ~self.svr_gen
+        nonreg = ~self.gen_regulating & ~self.svr_gen
+        self.reg_qmin = np.bincount(self.gen_bus[reg], self.gen_qmin[reg], n)
+        self.reg_qmax = np.bincount(self.gen_bus[reg], self.gen_qmax[reg], n)
+        self.has_reg = np.bincount(self.gen_bus[reg], minlength=n) > 0
+        self.has_reg[self.slack_bus] = False
+        self.q_base = self.q_fixed + np.bincount(
+            self.gen_bus[nonreg], self.gen_qset[nonreg], n)
 
         # Branches: lines with status 1, then all twts
         fb, tb, ys, ysh, ratio, shift = [], [], [], [], [], []
@@ -309,6 +356,7 @@ class _GridModel:
                 "last_dir": 0,   # anti-hunting memory
                 "locked": False,
             })
+        self.rebuild_ybus()
 
     def _bus(self, addr: int, edge) -> int:
         try:
@@ -345,7 +393,7 @@ class _GridModel:
         ytf = -self.ys / tau
         return yff, yft, ytf, ytt
 
-    def ybus(self) -> np.ndarray:
+    def assemble_ybus(self) -> np.ndarray:
         n = self.n
         y = np.zeros((n, n), dtype=complex)
         yff, yft, ytf, ytt = self.branch_admittances()
@@ -355,6 +403,14 @@ class _GridModel:
         np.add.at(y, (self.tb, self.tb), ytt)
         y[np.arange(n), np.arange(n)] += self.y_shunt_bus
         return y
+
+    def rebuild_ybus(self) -> None:
+        """Re-assemble the cached Ybus; call after changing a branch ratio."""
+        self._ybus = self.assemble_ybus()
+
+    def ybus(self) -> np.ndarray:
+        """The bus admittance matrix at the current tap positions (cached)."""
+        return self._ybus
 
 
 class _State:
@@ -383,20 +439,54 @@ class _State:
 
 
 def _q_spec(m: _GridModel, st: _State) -> np.ndarray:
-    q = m.q_fixed.copy()
-    nonreg = ~m.gen_regulating & ~m.svr_gen
-    np.add.at(q, m.gen_bus[nonreg], m.gen_qset[nonreg])
-    np.add.at(q, m.gen_bus[m.svr_gen], st.svr_q[m.svr_gen])
-    return q
+    """Specified reactive injection per bus, regulating generators excluded."""
+    return m.q_base + np.bincount(m.gen_bus[m.svr_gen], st.svr_q[m.svr_gen], m.n)
+
+
+def _jacobian_index(n: int, pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Flat positions of the Jacobian's entries in ``_jacobian``'s layout.
+
+    The derivatives are stacked as ``[dS/dVa, dS/dVm]`` (shape ``(2, n, n)``,
+    complex) and read as floats, so entry ``(k, a, b)`` has its real part at
+    ``(k·n + a)·2n + 2b`` and its imaginary part one further.  Rows are the
+    P equations of ``pvpq`` (real part) then the Q equations of ``pq``
+    (imaginary part); columns are the angles of ``pvpq`` (k = 0) then the
+    magnitudes of ``pq`` (k = 1).
+    """
+    buses = np.concatenate([pvpq, pq])
+    second = np.repeat([0, 1], [len(pvpq), len(pq)])
+    return ((second[None, :] * n + buses[:, None]) * 2 * n
+            + 2 * buses[None, :] + second[:, None])
+
+
+def _jacobian(ybus, v, ibus, index):
+    """Newton Jacobian of the power mismatch, gathered through ``index``."""
+    n = len(v)
+    vnorm = v / np.abs(v)
+    ds = np.empty((2, n, n), dtype=complex)
+    ds[0] = -1j * v[:, None] * np.conj(ybus * v)      # dS/dVa off the diagonal
+    ds[1] = v[:, None] * np.conj(ybus * vnorm)        # dS/dVm off the diagonal
+    diag = np.arange(n)
+    conj_i = np.conj(ibus)
+    ds[0, diag, diag] += 1j * v * conj_i
+    ds[1, diag, diag] += vnorm * conj_i
+    return ds.view(float).ravel()[index]
 
 
 def _newton(m: _GridModel, st: _State, opts: SolverOptions):
-    """Inner Newton loop; returns (ok, iterations). Mutates st.vm/st.va."""
+    """Inner Newton loop; returns (failure, iterations). Mutates st.vm/st.va.
+
+    ``failure`` is None on success, else the status saying why it stopped.
+    """
     ybus = m.ybus()
     slack = m.slack_bus
     pv = np.flatnonzero(st.is_pv & (st.pinned == 0))
-    pq = np.array(sorted(set(range(m.n)) - set(pv.tolist()) - {slack}), dtype=int)
-    pvpq = np.concatenate([pv, pq]).astype(int)
+    is_pq = np.ones(m.n, dtype=bool)
+    is_pq[pv] = False
+    is_pq[slack] = False
+    pq = np.flatnonzero(is_pq)
+    pvpq = np.concatenate([pv, pq])
+    index = _jacobian_index(m.n, pvpq, pq)
 
     st.vm[slack] = st.vset[slack]
     st.va[slack] = 0.0
@@ -406,7 +496,7 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
     q_spec = _q_spec(m, st)
     q_spec[st.pinned != 0] += st.pinned_q[st.pinned != 0]
 
-    npv, npq = len(pv), len(pq)
+    npvpq = len(pvpq)
     for it in range(opts.max_inner + 1):
         v = st.vm * np.exp(1j * st.va)
         ibus = ybus @ v
@@ -416,51 +506,37 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
         mis = np.concatenate([dp, dq])
         if mis.size == 0:
             st.jac, st.jac_index = None, (pv, pq, pvpq)
-            return True, it
-        norm = np.max(np.abs(mis))
+            return None, it
+        norm = np.abs(mis).max()
         if not np.isfinite(norm):
-            return False, it
+            return "newton_failed", it
         if norm <= opts.tolerance:
             st.jac_index = (pv, pq, pvpq)
-            st.jac = _jacobian(ybus, v, ibus, pvpq, pq)
-            return True, it
+            st.jac = _jacobian(ybus, v, ibus, index)
+            return None, it
         if it == opts.max_inner:
-            return False, it
-        jac = _jacobian(ybus, v, ibus, pvpq, pq)
+            return "newton_failed", it
+        jac = _jacobian(ybus, v, ibus, index)
         try:
             dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
-            return False, it
-        st.va[pvpq] += dx[:npv + npq]
-        st.vm[pq] += dx[npv + npq:]
-        if np.any(st.vm <= 0) or not np.all(np.isfinite(st.vm)):
-            return False, it
-    return False, opts.max_inner
-
-
-def _jacobian(ybus, v, ibus, pvpq, pq):
-    vnorm = v / np.abs(v)
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_vn = np.diag(vnorm)
-    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-    ds_dvm = diag_vn @ np.conj(diag_i) + diag_v @ np.conj(ybus @ diag_vn)
-    j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-    j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-    j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-    j22 = ds_dvm.imag[np.ix_(pq, pq)]
-    return np.block([[j11, j12], [j21, j22]])
+            return "singular_jacobian", it
+        st.va[pvpq] += dx[:npvpq]
+        st.vm[pq] += dx[npvpq:]
+        if (st.vm <= 0).any() or not np.isfinite(st.vm).all():
+            return "newton_failed", it
+    return "newton_failed", opts.max_inner
 
 
 def _newton_restarting(m: _GridModel, st: _State, opts: SolverOptions):
     """Newton with one flat-start retry, so a poor warm start is not fatal."""
-    ok, it = _newton(m, st, opts)
-    if ok:
-        return ok, it
+    failure, it = _newton(m, st, opts)
+    if failure is None:
+        return failure, it
     st.vm = m.v_nom.copy()
     st.va = np.zeros(m.n)
-    ok2, it2 = _newton(m, st, opts)
-    return ok2, it + it2
+    failure2, it2 = _newton(m, st, opts)
+    return failure2, it + it2
 
 
 def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
@@ -468,7 +544,7 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
 
     A tap asked to reverse direction within one solve is hunting between
     two adjacent positions; it locks where it stands for the rest of the
-    solve.
+    solve.  The cached Ybus is rebuilt when any tap moved.
     """
     changed = False
     for r in m.rtcs:
@@ -492,105 +568,101 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
             r["last_dir"] = step
             m.ratio[bi] = r["tau_nom"] * TAP_MULTIPLIERS[new_tap]
             changed = True
+    if changed:
+        m.rebuild_ybus()
     return changed
 
 
-def _svr_sensitivity(m: _GridModel, st: _State, zone) -> np.ndarray | None:
-    """dV(regulated bus)/dQ(injection at each unit bus) from the last Jacobian."""
-    if st.jac is None or st.jac_index is None:
-        return None
-    pv, pq, pvpq = st.jac_index
-    bus = zone["bus"]
-    pq_pos = {b: k for k, b in enumerate(pq)}
-    if bus not in pq_pos:
-        return None
-    row = len(pvpq) + pq_pos[bus]
-    e = np.zeros(st.jac.shape[0])
-    e[row] = 1.0
+def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
+    """dV(bus)/dQ(injection at every PQ bus) from the last Jacobian.
+
+    Column k is ``J^-T e_k`` restricted to the Q-injection rows, where
+    ``e_k`` selects the voltage-magnitude unknown of ``buses[k]``: one
+    solve for all the regulated buses of a round.  Every bus must be PQ.
+    Returns None when the Jacobian is singular.
+    """
+    _, pq, pvpq = st.jac_index
+    rows = len(pvpq) + np.searchsorted(pq, buses)
+    rhs = np.zeros((st.jac.shape[0], len(buses)))
+    rhs[rows, np.arange(len(buses))] = 1.0
     try:
-        w = np.linalg.solve(st.jac.T, e)
+        w = np.linalg.solve(st.jac.T, rhs)
     except np.linalg.LinAlgError:
         return None
-    sens = np.zeros(len(zone["units"]))
-    for k, gi in enumerate(zone["units"]):
-        b = m.gen_bus[gi]
-        if b in pq_pos:
-            sens[k] = w[len(pvpq) + pq_pos[b]]
-    return sens
+    return w[len(pvpq):]
 
 
 def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
-    changed = False
-    for zone in m.zones:
-        if zone["target"] is None or len(zone["units"]) == 0:
-            continue
+    if st.jac is None or not m.dispatch_zones:
+        return False
+    pq = st.jac_index[1]
+    pq_pos = np.full(m.n, -1)
+    pq_pos[pq] = np.arange(len(pq))
+    moving = []
+    for zone in m.dispatch_zones:
         err = zone["target"] - st.vm[zone["bus"]]
-        if abs(err) <= opts.svr_deadband:
-            continue
-        units = zone["units"]
-        sens = _svr_sensitivity(m, st, zone)
-        if sens is None:
-            continue
-        ranges = np.maximum(m.gen_qmax[units] - m.gen_qmin[units], 0.0)
-        ranges = np.where(np.isfinite(ranges), ranges, 1.0)
-        if ranges.sum() <= 0:
-            continue
-        shares = ranges / ranges.sum()
-        denom = float(sens @ shares)
+        if abs(err) > opts.svr_deadband and pq_pos[zone["bus"]] >= 0:
+            moving.append((zone, err))
+    if not moving:
+        return False
+    # The sensitivities read only st.jac and st.vm, which the zone loop
+    # below leaves alone, so one solve serves every zone of the round.
+    w = _svr_sensitivities(st, np.array([z["bus"] for z, _ in moving]))
+    if w is None:
+        return False
+    changed = False
+    for k, (zone, err) in enumerate(moving):
+        units, ranges = zone["units"], zone["ranges"]
+        qmin, qmax = zone["qmin"], zone["qmax"]
+        unit_pos = pq_pos[zone["unit_bus"]]
+        sens = np.where(unit_pos >= 0, w[unit_pos, k], 0.0)
+        denom = float(sens @ zone["shares"])
         if denom <= 1e-12:
             continue
         # Rate-limit each round so a weak sensitivity estimate cannot command
         # a reactive step large enough to break the next Newton solve.
         remaining = float(np.clip(err / denom, -0.5, 0.5))
         # Proportional split with limit waterfall: saturated units freeze and
-        # the remainder redistributes among the others.
+        # the remainder redistributes among the others.  A zone has a few
+        # units, so this runs on Python floats.
+        q = st.svr_q[units].tolist()
         for _ in range(4):
             if abs(remaining) < 1e-14:
                 break
-            q_now = st.svr_q[units]
-            head = np.where(remaining > 0,
-                            m.gen_qmax[units] - q_now,
-                            q_now - m.gen_qmin[units])
-            active = head > 1e-12
-            if not np.any(active):
+            if remaining > 0:
+                wt = [r if hi - qj > 1e-12 else 0.0
+                      for r, qj, hi in zip(ranges, q, qmax)]
+            else:
+                wt = [r if qj - lo > 1e-12 else 0.0
+                      for r, qj, lo in zip(ranges, q, qmin)]
+            if not any(wt):
                 break
-            w = np.where(active, ranges, 0.0)
-            w = w / w.sum()
-            dq = w * remaining
-            new_q = np.clip(q_now + dq, m.gen_qmin[units], m.gen_qmax[units])
-            applied = new_q - q_now
-            st.svr_q[units] = new_q
-            if np.max(np.abs(applied)) > 1e-12:
+            total = sum(wt)
+            applied = []
+            for j, (wj, lo, hi) in enumerate(zip(wt, qmin, qmax)):
+                new = min(max(q[j] + wj / total * remaining, lo), hi)
+                applied.append(new - q[j])
+                q[j] = new
+            if max(map(abs, applied)) > 1e-12:
                 changed = True
-            remaining -= applied.sum()
+            remaining -= sum(applied)
+        st.svr_q[units] = q
     return changed
 
 
 def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Pin PV buses whose regulating generators exceed reactive limits."""
     v = st.vm * np.exp(1j * st.va)
-    s = v * np.conj(m.ybus() @ v)
+    q_reg = (v * np.conj(m.ybus() @ v)).imag - _q_spec(m, st)
     changed = False
-    for b in range(m.n):
-        if b == m.slack_bus or not st.is_pv[b] or st.switch_budget[b] <= 0:
-            continue
-        reg = m.gen_regulating & ~m.svr_gen & (m.gen_bus == b)
-        if not np.any(reg):
-            continue
-        qmin = m.gen_qmin[reg].sum()
-        qmax = m.gen_qmax[reg].sum()
+    for b in np.flatnonzero(st.is_pv & m.has_reg & (st.switch_budget > 0)).tolist():
         if st.pinned[b] == 0:
-            q_other = m.q_fixed[b]
-            nonreg = (~m.gen_regulating & ~m.svr_gen) & (m.gen_bus == b)
-            q_other += m.gen_qset[nonreg].sum()
-            q_other += st.svr_q[m.svr_gen & (m.gen_bus == b)].sum()
-            q_reg = s.imag[b] - q_other
-            if q_reg > qmax + 1e-9:
-                st.pinned[b], st.pinned_q[b] = +1, qmax
+            if q_reg[b] > m.reg_qmax[b] + 1e-9:
+                st.pinned[b], st.pinned_q[b] = +1, m.reg_qmax[b]
                 st.switch_budget[b] -= 1
                 changed = True
-            elif q_reg < qmin - 1e-9:
-                st.pinned[b], st.pinned_q[b] = -1, qmin
+            elif q_reg[b] < m.reg_qmin[b] - 1e-9:
+                st.pinned[b], st.pinned_q[b] = -1, m.reg_qmin[b]
                 st.switch_budget[b] -= 1
                 changed = True
         else:
@@ -607,15 +679,16 @@ def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
 
 
 class _RawSolution:
-    def __init__(self, m: _GridModel, st: _State, converged, inner, outer):
+    def __init__(self, m: _GridModel, st: _State, status: str, inner, outer):
         self.model = m
-        self.converged = converged
+        self.status = status
+        self.converged = status == "converged"
         self.inner = inner
         self.outer = outer
         self.vm = st.vm
         self.va = st.va
         self.state = st
-        if converged and len(m.fb):
+        if self.converged and len(m.fb):
             v = st.vm * np.exp(1j * st.va)
             yff, yft, ytf, ytt = m.branch_admittances()
             vf, vt = v[m.fb], v[m.tb]
@@ -629,11 +702,15 @@ class _RawSolution:
             z = np.zeros(len(m.fb))
             self.p1 = self.q1 = self.i1 = self.p2 = self.q2 = self.i2 = z
 
+    def _injection(self) -> np.ndarray:
+        v = self.vm * np.exp(1j * self.va)
+        return v * np.conj(self.model.ybus() @ v)
+
     def gen_reactive(self) -> np.ndarray:
         """Per-generator reactive output implied by the solved state."""
         m, st = self.model, self.state
-        v = st.vm * np.exp(1j * st.va)
-        s = v * np.conj(m.ybus() @ v)
+        s = self._injection()
+        q_other = _q_spec(m, st)
         q = np.zeros(len(m.gen_ids))
         nonreg = ~m.gen_regulating & ~m.svr_gen
         q[nonreg] = m.gen_qset[nonreg]
@@ -647,11 +724,7 @@ class _RawSolution:
             idx = np.flatnonzero(m.gen_regulating & ~m.svr_gen & (m.gen_bus == b))
             if len(idx) == 0:
                 continue
-            q_other = m.q_fixed[b]
-            nonreg_here = (~m.gen_regulating & ~m.svr_gen) & (m.gen_bus == b)
-            q_other += m.gen_qset[nonreg_here].sum()
-            q_other += st.svr_q[m.svr_gen & (m.gen_bus == b)].sum()
-            need = s.imag[b] - q_other
+            need = s.imag[b] - q_other[b]
             ranges = np.maximum(m.gen_qmax[idx] - m.gen_qmin[idx], 0.0)
             ranges = np.where(np.isfinite(ranges) & (ranges > 0), ranges, 1.0)
             q[idx] = need * ranges / ranges.sum()
@@ -659,38 +732,32 @@ class _RawSolution:
 
     def gen_active(self) -> np.ndarray:
         """Per-generator active output; the slack machine takes the residual."""
-        m, st = self.model, self.state
+        m = self.model
         p = m.gen_p.copy()
-        v = st.vm * np.exp(1j * st.va)
-        s = v * np.conj(m.ybus() @ v)
         b = m.slack_bus
-        p[m.slack_gen] = s.real[b] - m.p_spec[b]
+        p[m.slack_gen] = self._injection().real[b] - m.p_spec[b]
         return p
 
 
 def _solve_raw(x: H2MGContext, opts: SolverOptions) -> _RawSolution:
     m = _GridModel(x, opts)
     st = _State(m)
-    total_inner = 0
-    ok, it = _newton_restarting(m, st, opts)
-    total_inner += it
-    if not ok:
-        return _RawSolution(m, st, False, total_inner, 0)
+    failure, total_inner = _newton_restarting(m, st, opts)
+    if failure is not None:
+        return _RawSolution(m, st, failure, total_inner, 0)
     outer = 0
-    converged = False
     while outer < opts.max_outer:
         outer += 1
         changed = _rtc_step(m, st, opts)
         changed |= _svr_dispatch(m, st, opts)
         changed |= _q_limit_switch(m, st, opts)
         if not changed:
-            converged = True
-            break
-        ok, it = _newton_restarting(m, st, opts)
+            return _RawSolution(m, st, "converged", total_inner, outer)
+        failure, it = _newton_restarting(m, st, opts)
         total_inner += it
-        if not ok:
-            return _RawSolution(m, st, False, total_inner, outer)
-    return _RawSolution(m, st, converged, total_inner, outer)
+        if failure is not None:
+            return _RawSolution(m, st, failure, total_inner, outer)
+    return _RawSolution(m, st, "outer_cap", total_inner, outer)
 
 
 def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerFlowSolution:
@@ -716,6 +783,7 @@ def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerF
         rtc_ratio={r["id"]: float(m.ratio[r["branch"]]) for r in m.rtcs},
         inner_iterations=raw.inner,
         outer_iterations=raw.outer,
+        status=raw.status,
     )
 
 

@@ -263,7 +263,8 @@ def train(cfg: TrainConfig) -> dict:
                     ckpt = out / f"ckpt_{it + 1:06d}.npz"
                     save_checkpoint(ckpt, params, norm, cfg.seed,
                                     {"iteration": it + 1,
-                                     "val_mean_objective": val_obj})
+                                     "val_mean_objective": val_obj,
+                                     "svr_offset": cfg.policy.svr_offset})
                     log.write(json.dumps({
                         "iteration": it, "event": "eval",
                         "val_mean_objective": val_obj,
@@ -277,7 +278,8 @@ def train(cfg: TrainConfig) -> dict:
             pool.shutdown()
 
     save_checkpoint(out / "ckpt_final.npz", params, norm, cfg.seed,
-                    {"iteration": cfg.iterations})
+                    {"iteration": cfg.iterations,
+                     "svr_offset": cfg.policy.svr_offset})
     if best[1] < 0:
         shutil.copyfile(out / "ckpt_final.npz", out / "ckpt_best.npz")
     summary["best_val_objective"] = best[0] if best[1] >= 0 else None

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gridtvc.baseline import init_baseline
+from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.h2mg import Decision, H2MGContext, H2MGError
 from gridtvc.powerflow import (
     RTC_SETPOINT_LADDER,
@@ -10,6 +12,7 @@ from gridtvc.powerflow import (
     evaluate_objective,
     solve_ac,
 )
+from gridtvc.rng import stream
 
 from gridfixtures import (
     binary_controller_grid,
@@ -369,3 +372,33 @@ def test_gen_q_limit_switching():
     assert abs(sol.bus_v["bus_1"] - 1.06) > 1e-4
     loose = solve_ac(x)
     assert abs(loose.bus_v["bus_1"] - 1.06) < 1e-12
+
+
+# -- solve status -------------------------------------------------------------
+
+def test_status_converged_on_flat_grid():
+    sol = solve_ac(two_bus_noload(r=0.0, x=0.1))
+    assert sol.converged and sol.status == "converged"
+
+
+def test_status_newton_failed_past_the_nose_point():
+    sol = solve_ac(two_bus(20.0, 8.0, 0.01, 0.1))
+    assert not sol.converged and sol.status == "newton_failed"
+    assert sol.outer_iterations == 0
+
+
+def test_status_singular_jacobian_on_islanded_load():
+    severed = two_bus().replace_features({("line", "line_0"): {"status": 0.0}})
+    sol = solve_ac(severed)
+    assert not sol.converged and sol.status == "singular_jacobian"
+
+
+def test_status_outer_cap_on_pinned_generated_context():
+    # The baseline decision on this context drives the SVR dispatch into a
+    # limit cycle across zones; in the last rounds only it still moves.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
+    opts = SolverOptions()
+    sol = solve_ac(apply_decision(x, init_baseline(x, 0.0)), opts)
+    assert not sol.converged and sol.status == "outer_cap"
+    assert sol.outer_iterations == opts.max_outer
+    assert solve_ac(x, opts).status == "converged"  # the base case solves

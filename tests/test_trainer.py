@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -109,3 +110,27 @@ def test_evaluate_and_evaluate_checkpoint_on_validation_split(run):
     again = evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
     assert again == report
 
+
+
+@pytest.fixture(scope="module")
+def offset_run(run):
+    cfg, _, root = run
+    cfg = replace(cfg, iterations=2, eval_every=1, out_dir=str(root / "offset"),
+                  policy=PolicyConfig(svr_offset=0.01))
+    return cfg, train(cfg), root
+
+
+def test_checkpoints_carry_the_svr_offset(offset_run):
+    cfg, summary, root = offset_run
+    for name in ("ckpt_000001.npz", "ckpt_000002.npz", "ckpt_best.npz",
+                 "ckpt_final.npz"):
+        _, meta = load_checkpoint(root / "offset" / name)
+        assert meta["svr_offset"] == 0.01
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    norm = Normalizer.load(root / "offset" / "normalizer.json")
+    val = load_dataset(cfg.val_dir)
+    with_offset = evaluate(params, val, norm, cfg.policy)
+    assert evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir) == with_offset
+    without = evaluate(params, val, norm)
+    assert with_offset["init"]["svr_setpoint_mean"] == pytest.approx(
+        without["init"]["svr_setpoint_mean"] + 0.01)
