@@ -28,6 +28,7 @@ from .h2mg import (
 )
 from . import policy
 from .policy import PolicyConfig
+from .powerflow import SOLVE_STATUSES
 
 DEFAULT_SAMPLES: dict[str, int] = {
     "line_controller": 8,
@@ -36,8 +37,14 @@ DEFAULT_SAMPLES: dict[str, int] = {
     "svr_controller": 16,
 }
 
-#: An oracle maps (context, decision) to an object with .total and .converged.
+#: An oracle maps (context, decision) to an object with .total and .converged;
+#: :func:`estimate_gradient` also reads .status (one of ``SOLVE_STATUSES``)
+#: from the mode decision's result.
 Oracle = Callable[[H2MGContext, Decision], object]
+
+#: How a mode decision's oracle call ended: a solve status, or "error" when
+#: the oracle raised.
+ESTIMATE_STATUSES = (*SOLVE_STATUSES, "error")
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ class GradEstimate:
     grads: dict[str, dict[str, np.ndarray]]
     f_ref: float
     converged: bool
+    status: str             # the mode decision's, one of ESTIMATE_STATUSES
 
     def norm(self, class_name: str) -> float:
         per_edge = self.grads.get(class_name, {})
@@ -71,7 +79,7 @@ class GradEstimate:
         return GradEstimate(
             {c: {e: np.zeros_like(g) for e, g in per.items()}
              for c, per in self.grads.items()},
-            self.f_ref, self.converged)
+            self.f_ref, self.converged, self.status)
 
 
 def clip_score(f_i: float, f_ref: float, tau: float) -> float:
@@ -116,9 +124,10 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     except H2MGError:
         raise
     except Exception:
-        ref_converged, f_ref = False, cfg.prohibitive_cost
+        ref, ref_converged, f_ref = None, False, cfg.prohibitive_cost
+    status = "error" if ref is None else ref.status
     if not ref_converged:
-        return GradEstimate(_zero_grads(z), f_ref, False)
+        return GradEstimate(_zero_grads(z), f_ref, False, status)
 
     # Draw every sample decision first, in canonical class order, so the
     # stream consumption is independent of oracle behavior.
@@ -166,7 +175,7 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
                     cname, y_i.get(cname, eid), z_e, policy_cfg)
             grads[cname][eid] = (-policy.entropy_grad(cname, z_e, policy_cfg)
                                  + cfg.beta / n * acc)
-    return GradEstimate(grads, f_ref, True)
+    return GradEstimate(grads, f_ref, True, status)
 
 
 def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,

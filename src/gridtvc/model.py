@@ -16,13 +16,24 @@ once per call.  All classes write their messages into one slot buffer (one
 row per edge and port), which a single scatter per step sums into the
 addresses.  The VJP runs each step's backward pass in the same layout and
 still accumulates weight gradients once per step, newest step first, so
-its result does not depend on the checkpoint interval."""
+its result does not depend on the checkpoint interval.
+
+Several contexts run as one engine over their disjoint union: each class
+lists its edges context by context, and every context's ports are offset
+by the address count of the contexts before it.  No message crosses
+between contexts, so the union is exact up to BLAS rounding, and the
+decoders' rows split back into one decision per context.  A batch
+``forward`` keeps its checkpoints in an :class:`Integration`; ``vjp`` on
+that integration sweeps back from them over the contexts that have a
+cotangent, without integrating again, and returns their summed parameter
+cotangent.  A single context is a batch of one on the same path."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -189,6 +200,34 @@ class _Prepared:
             self.classes.append((cname, ids, feats, ports))
 
 
+class _Union:
+    """The disjoint union of prepared contexts, laid out like one context.
+
+    ``classes`` has the shape of :attr:`_Prepared.classes`: each class's
+    edges context by context, ports offset by the address count of the
+    contexts before.  ``spans`` holds each context's address rows and
+    ``counts`` its edge count per class, which split outputs back.
+    """
+
+    def __init__(self, parts: Sequence[_Prepared]):
+        self.parts = list(parts)
+        bounds = np.cumsum([0] + [p.n_addr for p in self.parts])
+        self.n_addr = int(bounds[-1])
+        self.spans = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        by_class = [{c[0]: c for c in p.classes} for p in self.parts]
+        self.classes: list[tuple[str, list[str], np.ndarray, np.ndarray]] = []
+        self.counts: dict[str, list[int]] = {}
+        for cname in sorted({c for cls in by_class for c in cls}):
+            members = [(cls[cname], off) for cls, off in zip(by_class, bounds)
+                       if cname in cls]
+            self.classes.append((
+                cname, [eid for (_, ids, _, _), _ in members for eid in ids],
+                np.concatenate([feats for (_, _, feats, _), _ in members]),
+                np.concatenate([ports + off for (_, _, _, ports), off in members])))
+            self.counts[cname] = [len(cls[cname][1]) if cname in cls else 0
+                                  for cls in by_class]
+
+
 def _gather(h: np.ndarray, ports: np.ndarray) -> np.ndarray:
     n_e, n_p = ports.shape
     return h[ports.reshape(-1)].reshape(n_e, n_p * h.shape[1])
@@ -319,17 +358,22 @@ class _MessageBlock:
 class _Engine:
     """Shared forward machinery for plain evaluation and the VJP sweep.
 
-    Every (edge, port) pair of the context owns one row ("slot") of the
-    step's slot buffers, class by class, edge-major.  A step gathers the
-    slots' address latents, lets each class's :class:`_MessageBlock` write
-    its messages into its rows, and sums all rows into their addresses with
-    one ``np.bincount`` on a flat index built here.
+    ``x`` is one context, a sequence of contexts or a :class:`_Union`; the
+    engine always runs the union.  Every (edge, port) pair owns one row
+    ("slot") of the step's slot buffers, class by class, edge-major.  A
+    step gathers the slots' address latents, lets each class's
+    :class:`_MessageBlock` write its messages into its rows, and sums all
+    rows into their addresses with one ``np.bincount`` on a flat index
+    built here.
     """
 
-    def __init__(self, params: ModelParams, x: H2MGContext):
+    def __init__(self, params: ModelParams,
+                 x: H2MGContext | Sequence[H2MGContext] | _Union):
         self.params = params
         self.cfg = params.config
-        self.prep = _Prepared(x)
+        if isinstance(x, H2MGContext):
+            x = [x]
+        self.prep = x if isinstance(x, _Union) else _Union([_Prepared(c) for c in x])
         specs = _mlp_specs(self.cfg)
         self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
                     for c, _, _, _ in self.prep.classes}
@@ -408,27 +452,82 @@ class _Engine:
                 checkpoints[k + 1] = h.copy()
         return h, checkpoints
 
-    def decode(self, h: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-        out: dict[str, dict[str, np.ndarray]] = {}
+    def decode(self, h: np.ndarray) -> list[dict[str, dict[str, np.ndarray]]]:
+        """Decoder outputs per context, keyed by class and edge id."""
+        out: list[dict[str, dict[str, np.ndarray]]] = [{} for _ in self.prep.parts]
         for cname, ids, _, ports in self.prep.classes:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
             z = self.dec[cname].forward(u)
-            out[cname] = {eid: z[i].copy() for i, eid in enumerate(ids)}
+            start = 0
+            for per_context, n in zip(out, self.prep.counts[cname]):
+                if n:
+                    per_context[cname] = {eid: z[start + i].copy()
+                                          for i, eid in enumerate(ids[start:start + n])}
+                start += n
         return out
 
 
-def forward(params: ModelParams, x: H2MGContext) -> SurrogateDecision:
-    """Raw surrogate decision for a normalized context (offsets not applied)."""
-    eng = _Engine(params, x)
-    h, _ = eng.integrate()
-    return SurrogateDecision(eng.decode(h))
+def _checkpoint_every(cfg: ModelConfig) -> int:
+    return max(1, min(cfg.checkpoint_every, cfg.steps))
 
 
-def vjp(params: ModelParams, x: H2MGContext,
-        cotangent: dict[str, dict[str, np.ndarray]]) -> ModelParams:
+@dataclass
+class Integration:
+    """A batch forward's engine, final latents and checkpoints, kept for ``vjp``.
+
+    ``checkpoints`` maps a step count to the union's latents after it,
+    every ``checkpoint_every`` steps from 0.
+    """
+
+    engine: _Engine
+    h_final: np.ndarray
+    checkpoints: dict[int, np.ndarray]
+
+    def restrict(self, keep: list[int]) -> "Integration":
+        """The same integration over the contexts ``keep`` only.
+
+        The sub-union reuses those contexts' prepared arrays and the rows
+        of every checkpoint that belong to them.
+        """
+        prep = self.engine.prep
+        if keep == list(range(len(prep.parts))):
+            return self
+        rows = np.concatenate([prep.spans[i] for i in keep] or [np.zeros(0, int)])
+        return Integration(
+            _Engine(self.engine.params, _Union([prep.parts[i] for i in keep])),
+            self.h_final[rows], {k: h[rows] for k, h in self.checkpoints.items()})
+
+
+def _integrate(params: ModelParams, xs: Sequence[H2MGContext]) -> Integration:
+    eng = _Engine(params, xs)
+    h, checkpoints = eng.integrate(collect_every=_checkpoint_every(params.config))
+    return Integration(eng, h, checkpoints)
+
+
+def forward(params: ModelParams, x: H2MGContext | Sequence[H2MGContext]):
+    """Raw surrogate decision for a normalized context (offsets not applied).
+
+    A sequence of contexts runs as one integration over their disjoint
+    union and returns the per-context decisions together with the
+    :class:`Integration`, checkpoints included, that :func:`vjp` takes.
+    """
+    if isinstance(x, H2MGContext):
+        eng = _Engine(params, x)
+        h, _ = eng.integrate()
+        return SurrogateDecision(eng.decode(h)[0])
+    run = _integrate(params, x)
+    return [SurrogateDecision(z) for z in run.engine.decode(run.h_final)], run
+
+
+def vjp(params: ModelParams, x: H2MGContext | Integration, cotangent) -> ModelParams:
     """Parameter cotangent of ``forward`` for a given output cotangent.
+
+    For an :class:`Integration` from a batch ``forward``, ``cotangent``
+    holds one output cotangent per context, or None for a context to leave
+    out.  The sweep runs over the other contexts only, from the forward's
+    checkpoints, and returns the sum of their parameter cotangents.
 
     Reverse accumulation runs through the decoders, every Euler step, and
     the encoders.  Memory stays bounded by re-integrating each checkpoint
@@ -436,25 +535,37 @@ def vjp(params: ModelParams, x: H2MGContext,
     step, newest first, so the result does not depend on the checkpoint
     interval.
     """
-    eng = _Engine(params, x)
-    cfg = params.config
-    every = max(1, min(cfg.checkpoint_every, cfg.steps))
-    h_final, checkpoints = eng.integrate(collect_every=every)
+    if isinstance(x, H2MGContext):
+        x, cotangent = _integrate(params, [x]), [cotangent]
+    if x.engine.params is not params:
+        raise ValueError("the integration ran with other parameters")
+    if len(cotangent) != len(x.engine.prep.parts):
+        raise ValueError(f"{len(cotangent)} cotangents for "
+                         f"{len(x.engine.prep.parts)} contexts")
+    keep = [i for i, cot in enumerate(cotangent) if cot is not None]
+    return _sweep(x.restrict(keep), [cotangent[i] for i in keep])
 
+
+def _sweep(run: Integration, cotangents: list[dict]) -> ModelParams:
+    """The reverse sweep over every context of ``run``."""
+    eng, params = run.engine, run.engine.params
+    cfg = params.config
     stacked = {k: a for blk in eng.blocks for k, a in blk.start_grads().items()}
     grads = {k: stacked[k] if k in stacked else np.zeros_like(v)
              for k, v in params.values.items()}
     xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
-    hbar = np.zeros_like(h_final)
+    hbar = np.zeros_like(run.h_final)
 
     # Decoders
     for cname, ids, _, ports in eng.prep.classes:
         if cname not in eng.dec:
             continue
-        d_out = np.array([np.asarray(cotangent.get(cname, {}).get(
-            eid, np.zeros(SCHEMA[cname].decision_dim)), dtype=float)
-            for eid in ids])
-        u = np.concatenate([eng.xt[cname], _gather(h_final, ports)], axis=1)
+        zero = np.zeros(SCHEMA[cname].decision_dim)
+        owners = [cot.get(cname, {}) for cot, n in zip(cotangents, eng.prep.counts[cname])
+                  for _ in range(n)]
+        d_out = np.array([np.asarray(per_edge.get(eid, zero), dtype=float)
+                          for per_edge, eid in zip(owners, ids)])
+        u = np.concatenate([eng.xt[cname], _gather(run.h_final, ports)], axis=1)
         _, cache = eng.dec[cname].forward_cached(u)
         du = eng.dec[cname].backward(cache, d_out, grads)
         e = cfg.encoder_out
@@ -466,11 +577,9 @@ def vjp(params: ModelParams, x: H2MGContext,
     # one buffer for every block's per-step matmul results, before they are added
     tmp = np.empty(max([a.size for blk in eng.blocks for a in blk.gw]
                            + [blk.n_e * blk.split for blk in eng.blocks] + [0]))
-    for seg_start in sorted(checkpoints, reverse=True):
-        seg_end = min(seg_start + every, cfg.steps)
-        if seg_start == cfg.steps:
-            continue
-        h = checkpoints[seg_start]
+    starts = sorted(run.checkpoints)
+    for seg_start, seg_end in reversed(list(zip(starts, starts[1:] + [cfg.steps]))):
+        h = run.checkpoints[seg_start]
         trail = []
         for _ in range(seg_start, seg_end):
             h, internals = eng.step(h, keep=True)

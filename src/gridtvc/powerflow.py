@@ -107,6 +107,7 @@ class ObjectiveBreakdown:
     f_j: float
     total: float
     converged: bool
+    status: str             # one of SOLVE_STATUSES
 
 
 @dataclass(frozen=True)
@@ -816,7 +817,8 @@ def evaluate_objective(x: H2MGContext, y: Decision,
     """Apply ``y``, solve, and score voltage/current violations plus losses."""
     raw = _solve_raw(apply_decision(x, y), opts)
     if not raw.converged:
-        return ObjectiveBreakdown(0.0, 0.0, 0.0, opts.prohibitive_cost, False)
+        return ObjectiveBreakdown(0.0, 0.0, 0.0, opts.prohibitive_cost, False,
+                                  raw.status)
     m = raw.model
     ve = _normalized_voltages(raw)
     pen_v = np.maximum(0.0, np.maximum(opts.eps_v - ve, ve - 1.0 + opts.eps_v))
@@ -826,7 +828,7 @@ def evaluate_objective(x: H2MGContext, y: Decision,
     f_i = opts.lambda_i * float(np.sum(pen_i ** 2))
     opt_branch = m.branch_opt > 0.5
     f_j = opts.lambda_j * float(np.sum(np.abs(raw.p1 + raw.p2)[opt_branch]))
-    return ObjectiveBreakdown(f_v, f_i, f_j, f_v + f_i + f_j, True)
+    return ObjectiveBreakdown(f_v, f_i, f_j, f_v + f_i + f_j, True, raw.status)
 
 
 def count_metrics(x: H2MGContext, y: Decision,

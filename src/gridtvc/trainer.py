@@ -1,17 +1,24 @@
 """Training loop, Adam, evaluation metrics, and configuration plumbing.
 
 One iteration samples a minibatch of contexts (epoch-shuffled, without
-replacement), runs the network forward, estimates the surrogate gradient
-against the power-flow oracle, pulls it back through the network, and
-averages the per-context parameter gradients into one Adam step.
+replacement) and runs three phases.  The network integrates the
+minibatch's normalized contexts once, as one disjoint-union graph, and
+keeps that integration's checkpoints.  Each context's surrogate gradient
+is then estimated against the power-flow oracle, in-process or in a
+worker pool that receives no parameters.  Last, one VJP over the
+contexts whose mode decision converged sweeps back from the forward's
+checkpoints and returns their summed parameter gradient, which divided by
+the minibatch size makes one Adam step.  Each ``train_log.jsonl`` record
+carries the seconds of every phase, the oracle call count and the mode
+decisions' solve statuses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import shutil
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,7 +29,7 @@ from . import policy as policy_mod
 from . import rng as grng
 from .baseline import init_baseline, tune_baseline_offset
 from .config import config_from_json, config_to_json
-from .estimator import EstimatorConfig, GradEstimate, estimate_gradient
+from .estimator import ESTIMATE_STATUSES, EstimatorConfig, GradEstimate, estimate_gradient
 from .gridgen import Normalizer, fit_normalizer, load_dataset, load_manifest, normalize
 from .h2mg import CONTROLLER_CLASSES, Decision, H2MGContext, H2MGError
 from .model import (
@@ -118,33 +125,24 @@ def adam_step(params: ModelParams, grad: ModelParams, state: AdamState,
 
 
 # ---------------------------------------------------------------------------
-# Per-context work unit (runs in-process or in a worker process)
+# Per-context gradient estimate (runs in-process or in a worker process)
 
-def _context_pass(params: ModelParams, x: H2MGContext, xn: H2MGContext,
-                  est_cfg: EstimatorConfig, pol_cfg: PolicyConfig,
-                  solver: SolverOptions, rng_key: tuple) -> dict:
+def _pool_task(payload) -> tuple[GradEstimate, int]:
+    """One context's gradient estimate and the number of oracle calls it made.
+
+    The payload is ``(x, z, est_cfg, pol_cfg, solver, rng_key)``: the raw
+    context, its offset surrogate decision and the estimator's settings.
+    """
+    x, z, est_cfg, pol_cfg, solver, rng_key = payload
+    calls = 0
+
     def oracle(xc, y):
+        nonlocal calls
+        calls += 1
         return evaluate_objective(xc, y, solver)
 
-    z_raw = forward(params, xn)
-    z = policy_mod.apply_offsets(z_raw, x, pol_cfg)
     est = estimate_gradient(x, z, est_cfg, oracle, grng.stream(*rng_key), pol_cfg)
-    if est.converged:
-        grad = vjp(params, xn, est.grads)
-    else:
-        grad = params.zeros_like()
-    return {
-        "grad": grad.values,
-        "f_ref": est.f_ref,
-        "converged": est.converged,
-        "class_norms": {c: est.norm(c) for c in CONTROLLER_CLASSES},
-    }
-
-
-def _pool_task(payload):
-    (values, cfg_json, x, xn, est_cfg, pol_cfg, solver, rng_key) = payload
-    params = ModelParams(ModelConfig.from_json(cfg_json), values)
-    return _context_pass(params, x, xn, est_cfg, pol_cfg, solver, rng_key)
+    return est, calls
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +164,21 @@ def _epoch_order(n: int, seed: int, needed: int) -> list[int]:
     return order[:needed]
 
 
-def _validation_objective(params, val_pairs, pol_cfg, solver, limit=0):
+def _validation_objective(params, val_pairs, pol_cfg, solver, chunk, limit=0):
+    """Mean objective and convergence rate of the policy's modes.
+
+    The network decides on ``chunk`` contexts per batch forward.
+    """
     totals, converged = [], 0
     subset = val_pairs if limit <= 0 else val_pairs[:limit]
-    for x, xn in subset:
-        z = policy_mod.apply_offsets(forward(params, xn), x, pol_cfg)
-        y = policy_mod.most_probable(z)
-        res = evaluate_objective(x, y, solver)
-        totals.append(res.total)
-        converged += res.converged
+    for start in range(0, len(subset), chunk):
+        pairs = subset[start:start + chunk]
+        z_raw, _ = forward(params, [xn for _, xn in pairs])
+        for (x, _), z in zip(pairs, z_raw):
+            y = policy_mod.most_probable(policy_mod.apply_offsets(z, x, pol_cfg))
+            res = evaluate_objective(x, y, solver)
+            totals.append(res.total)
+            converged += res.converged
     n = len(totals)
     return float(np.mean(totals)), converged / n if n else 0.0
 
@@ -219,39 +223,45 @@ def train(cfg: TrainConfig) -> dict:
                 batch = order[it * cfg.minibatch:(it + 1) * cfg.minibatch]
                 keys = [(cfg.seed, "est", it, train_set[i].metadata["origin"])
                         for i in batch]
-                if pool is not None:
-                    payloads = [(params.values, cfg.model.to_json(),
-                                 train_pairs[i][0], train_pairs[i][1],
-                                 cfg.estimator, cfg.policy, cfg.solver, key)
-                                for i, key in zip(batch, keys)]
-                    results = list(pool.map(_pool_task, payloads))
+                xs = [train_pairs[i][0] for i in batch]
+                t_forward = time.perf_counter()
+                z_raw, run = forward(params, [train_pairs[i][1] for i in batch])
+                t_estimate = time.perf_counter()
+                payloads = [(x, policy_mod.apply_offsets(z, x, cfg.policy),
+                             cfg.estimator, cfg.policy, cfg.solver, key)
+                            for x, z, key in zip(xs, z_raw, keys)]
+                results = list((map if pool is None else pool.map)(_pool_task, payloads))
+                ests = [est for est, _ in results]
+                t_vjp = time.perf_counter()
+                cotangents = [est.grads if est.converged else None for est in ests]
+                if any(cot is not None for cot in cotangents):
+                    grad = vjp(params, run, cotangents)
+                    t_adam = time.perf_counter()
                 else:
-                    results = [_context_pass(params, train_pairs[i][0],
-                                             train_pairs[i][1], cfg.estimator,
-                                             cfg.policy, cfg.solver, key)
-                               for i, key in zip(batch, keys)]
-
-                mean_grad = params.zeros_like()
-                for res in results:
-                    for k, g in res["grad"].items():
-                        mean_grad.values[k] += g
-                for k in mean_grad.values:
-                    mean_grad.values[k] /= len(results)
-                params, adam, ok = adam_step(params, mean_grad, adam, cfg)
+                    grad, t_adam = params.zeros_like(), t_vjp
+                del run  # free the union's engine and checkpoints before Adam allocates
+                for g in grad.values.values():
+                    g /= cfg.minibatch
+                params, adam, ok = adam_step(params, grad, adam, cfg)
+                t_end = time.perf_counter()
                 if not ok:
                     summary["rejected_steps"] += 1
 
+                statuses = [est.status for est in ests]
                 record = {
                     "iteration": it,
-                    "mean_f_ref": float(np.mean([r["f_ref"] for r in results])),
-                    "convergence_rate": float(np.mean(
-                        [r["converged"] for r in results])),
+                    "mean_f_ref": float(np.mean([est.f_ref for est in ests])),
+                    "convergence_rate": float(np.mean([est.converged for est in ests])),
+                    "mode_status": {s: statuses.count(s) for s in ESTIMATE_STATUSES},
+                    "oracle_calls": sum(calls for _, calls in results),
+                    "phase_s": {"forward": t_estimate - t_forward,
+                                "estimate": t_vjp - t_estimate,
+                                "vjp": t_adam - t_vjp, "adam": t_end - t_adam},
                     "grad_norm": {
-                        c: float(np.mean([r["class_norms"][c] for r in results]))
+                        c: float(np.mean([est.norm(c) for est in ests]))
                         for c in CONTROLLER_CLASSES},
                     "param_grad_norm": float(math.sqrt(sum(
-                        float((g * g).sum())
-                        for g in mean_grad.values.values()))),
+                        float((g * g).sum()) for g in grad.values.values()))),
                     "step_rejected": not ok,
                 }
                 log.write(json.dumps(record, sort_keys=True) + "\n")
@@ -259,7 +269,7 @@ def train(cfg: TrainConfig) -> dict:
                 if cfg.eval_every and (it + 1) % cfg.eval_every == 0 and val_pairs:
                     val_obj, val_rate = _validation_objective(
                         params, val_pairs, cfg.policy, cfg.solver,
-                        cfg.eval_limit)
+                        cfg.minibatch, cfg.eval_limit)
                     ckpt = out / f"ckpt_{it + 1:06d}.npz"
                     save_checkpoint(ckpt, params, norm, cfg.seed,
                                     {"iteration": it + 1,

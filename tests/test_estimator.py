@@ -13,7 +13,8 @@ from gridtvc.estimator import (
     exact_gradient_oracle,
     raw_gradient_estimate,
 )
-from gridtvc.h2mg import Decision, SurrogateDecision
+from gridtvc.gridgen import GridFamilySpec, generate_context
+from gridtvc.h2mg import SCHEMA, Decision, SurrogateDecision
 from gridtvc.policy import PolicyConfig
 from gridtvc.powerflow import SolverOptions, evaluate_objective
 
@@ -278,3 +279,28 @@ def test_raw_estimator_consistent_with_oracle_small():
         diff = np.abs(grads["shunt_controller"][i]
                       - exact.grads["shunt_controller"][i])
         assert np.all(diff <= 3 * stderr["shunt_controller"][i] + 1e-12)
+
+
+# -- mode status --------------------------------------------------------------
+
+def test_estimate_reports_the_mode_decision_status():
+    # A zero network output makes the baseline decision the mode; on this
+    # context it hits the outer-loop cap.
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 2), origin="val-002")
+    z = policy.apply_offsets(SurrogateDecision(
+        {c: {eid: np.zeros(SCHEMA[c].decision_dim) for eid in ids}
+         for c, ids in x.controller_ids().items()}), x, PCFG)
+    assert oracle(x, policy.most_probable(z)).status == "outer_cap"
+    est = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(6), PCFG)
+    assert not est.converged and est.status == "outer_cap"
+    assert est.zero_like().status == "outer_cap"
+
+    def broken(xc, y):
+        raise RuntimeError("solver crashed")
+
+    est = estimate_gradient(x, z, EstimatorConfig(), broken, grng.stream(6), PCFG)
+    assert not est.converged and est.status == "error"
+    ok = shunt_overvoltage_grid()
+    z_ok = surrogate(ok, {"shunt_controller": {"sc_0": np.zeros(1)}})
+    est = estimate_gradient(ok, z_ok, EstimatorConfig(), oracle, grng.stream(6), PCFG)
+    assert est.converged and est.status == "converged"

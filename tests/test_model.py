@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,118 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["schema_hash"]
     for k in params.values:
         assert np.array_equal(back.values[k], params.values[k])
+
+
+# -- batches ------------------------------------------------------------------
+
+SMALL_SPEC = GridFamilySpec(bus_count_min=12, bus_count_max=12, twt_count=4,
+                            rtc_count=3, rtc_controller_count=2, shunt_count=3,
+                            shunt_controller_count=2, generator_count=5,
+                            svr_zone_count=2, svr_units_per_zone=2,
+                            svr_controller_count=2, line_controller_count=2,
+                            controllable_line_count=2)
+BATCH_TOL = 1e-12
+
+
+def tiny_batch():
+    """Three contexts; the first has no line, rtc or svr controllers."""
+    xs = [generate_context(SMALL_SPEC, grng.stream("batch", i)) for i in range(2)]
+    return ([norm_context(five_address_context())]
+            + [norm_context(x) for x in xs],
+            jitter_biases(init_params(TINY, np.random.default_rng(31))))
+
+
+def default_pair():
+    xs = [generate_context(GridFamilySpec(), grng.stream(0, "train", i))
+          for i in range(2)]
+    return [norm_context(x) for x in xs], init_params(ModelConfig(),
+                                                      np.random.default_rng(32))
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b), initial=0.0)) / max(
+        float(np.max(np.abs(b), initial=0.0)), 1e-300)
+
+
+def assert_decisions_close(zs, zs_ref):
+    assert len(zs) == len(zs_ref)
+    for z, z_ref in zip(zs, zs_ref):
+        assert z.values.keys() == z_ref.values.keys()
+        for cname, per in z_ref.values.items():
+            assert z.values[cname].keys() == per.keys()
+            for eid, v in per.items():
+                assert rel_err(z.values[cname][eid], v) <= BATCH_TOL
+
+
+def assert_grads_close(g, g_ref):
+    assert list(g.values) == list(g_ref.values)
+    for k, ref in g_ref.values.items():
+        assert g.values[k].shape == ref.shape, k
+        assert rel_err(g.values[k], ref) <= BATCH_TOL, k
+
+
+def summed(grads):
+    return ModelParams(grads[0].config, {k: sum(g.values[k] for g in grads)
+                                         for k in grads[0].values})
+
+
+@pytest.mark.parametrize("make", [tiny_batch, default_pair])
+def test_batch_forward_and_vjp_match_per_context_calls(make):
+    xs, params = make()
+    zs, run = forward(params, xs)
+    assert_decisions_close(zs, [forward(params, x) for x in xs])
+    cots = [random_cotangent(z, 40 + i) for i, z in enumerate(zs)]
+    assert_grads_close(vjp(params, run, cots),
+                       summed([vjp(params, x, c) for x, c in zip(xs, cots)]))
+
+
+@pytest.mark.parametrize("make", [tiny_batch, default_pair])
+def test_subset_vjp_reuses_the_batch_checkpoints(make):
+    xs, params = make()
+    zs, run = forward(params, xs)
+    cots = [random_cotangent(z, 50 + i) for i, z in enumerate(zs)]
+    keep = [len(xs) - 1]
+    if len(xs) > 2:
+        keep = [0, len(xs) - 1]
+    masked = [c if i in keep else None for i, c in enumerate(cots)]
+    _, fresh = forward(params, [xs[i] for i in keep])
+    assert_grads_close(vjp(params, run, masked),
+                       vjp(params, fresh, [cots[i] for i in keep]))
+
+
+def test_batch_order_changes_nothing():
+    xs, params = tiny_batch()
+    zs, run = forward(params, xs)
+    cots = [random_cotangent(z, 60 + i) for i, z in enumerate(zs)]
+    order = [2, 0, 1]
+    zs_perm, run_perm = forward(params, [xs[i] for i in order])
+    assert_decisions_close(zs_perm, [zs[i] for i in order])
+    assert_grads_close(vjp(params, run_perm, [cots[i] for i in order]),
+                       vjp(params, run, cots))
+
+
+def test_batch_vjp_invariant_to_checkpoint_interval():
+    xs, params = tiny_batch()
+    zs, _ = forward(params, xs)
+    cots = [random_cotangent(z, 70 + i) for i, z in enumerate(zs)]
+    cots[1] = None
+    grads = []
+    for every in (1, 7, 20):
+        p = ModelParams(replace(TINY, checkpoint_every=every), params.values)
+        _, run = forward(p, xs)
+        assert sorted(run.checkpoints) == list(range(0, TINY.steps + 1, every))
+        grads.append(vjp(p, run, cots))
+    for k in grads[0].values:
+        assert np.array_equal(grads[0].values[k], grads[1].values[k])
+        assert np.array_equal(grads[0].values[k], grads[2].values[k])
+
+
+def test_batch_vjp_rejects_a_mismatched_integration():
+    xs, params = tiny_batch()
+    zs, run = forward(params, xs)
+    cots = [random_cotangent(z) for z in zs]
+    with pytest.raises(ValueError):
+        vjp(params, run, cots[:2])
+    other = ModelParams(params.config, dict(params.values))
+    with pytest.raises(ValueError):
+        vjp(other, run, cots)

@@ -2,15 +2,19 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridtvc import rng as grng
-from gridtvc.estimator import EstimatorConfig
-from gridtvc.gridgen import GridFamilySpec, Normalizer, generate_context, load_dataset, write_dataset
-from gridtvc.model import ModelConfig, load_checkpoint
-from gridtvc.policy import PolicyConfig
-from gridtvc.powerflow import SolverOptions
-from gridtvc.trainer import TrainConfig, evaluate, evaluate_checkpoint, train
+from gridtvc import trainer
+from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
+from gridtvc.gridgen import (
+    GridFamilySpec, Normalizer, generate_context, load_dataset, normalize, write_dataset)
+from gridtvc.model import ModelConfig, forward, init_params, load_checkpoint
+from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
+from gridtvc.powerflow import SolverOptions, evaluate_objective
+from gridtvc.trainer import (
+    TrainConfig, _validation_objective, evaluate, evaluate_checkpoint, train)
 
 SMALL = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(8,),
                     message_hidden=(8,), decoder_hidden=(8,), dt=0.1,
@@ -134,3 +138,77 @@ def test_checkpoints_carry_the_svr_offset(offset_run):
     without = evaluate(params, val, norm)
     assert with_offset["init"]["svr_setpoint_mean"] == pytest.approx(
         without["init"]["svr_setpoint_mean"] + 0.01)
+
+
+def log_records(path):
+    return [r for r in map(json.loads, open(path)) if "event" not in r]
+
+
+def test_train_log_carries_phases_oracle_calls_and_mode_status(run):
+    cfg, summary, _ = run
+    for r in log_records(summary["log"]):
+        assert set(r["phase_s"]) == {"forward", "estimate", "vjp", "adam"}
+        assert all(t >= 0.0 for t in r["phase_s"].values())
+        assert r["mode_status"].keys() == set(ESTIMATE_STATUSES)
+        assert sum(r["mode_status"].values()) == cfg.minibatch
+        assert r["mode_status"]["converged"] == round(
+            r["convergence_rate"] * cfg.minibatch)
+        assert r["oracle_calls"] >= cfg.minibatch
+        if r["mode_status"]["converged"] == 0:
+            assert r["phase_s"]["vjp"] == 0.0
+
+
+def test_train_log_names_the_outer_cap_of_a_pinned_context(tmp_path, monkeypatch):
+    # With zero parameters the policy's mode is the baseline decision, which
+    # hits the outer-loop cap on this context.
+    spec = GridFamilySpec()
+    for tag, i in (("train", 2), ("val", 0)):
+        x = generate_context(spec, grng.stream(0, "val", i), origin=f"val-{i:03d}")
+        write_dataset(tmp_path / tag, [x], spec, 0)
+    monkeypatch.setattr(trainer, "init_params",
+                        lambda config, rng: init_params(config, rng, zero=True))
+    cfg = TrainConfig(minibatch=1, iterations=1, eval_every=0,
+                      train_dir=str(tmp_path / "train"), val_dir=str(tmp_path / "val"),
+                      out_dir=str(tmp_path / "run"), model=SMALL)
+    [record] = log_records(train(cfg)["log"])
+    assert record["convergence_rate"] == 0.0
+    assert record["mode_status"] == {**{s: 0 for s in ESTIMATE_STATUSES},
+                                     "outer_cap": 1}
+    assert record["oracle_calls"] == 1
+    assert record["phase_s"]["vjp"] == 0.0
+    assert all(t >= 0.0 for t in record["phase_s"].values())
+
+
+def test_worker_pool_trains_exactly_like_in_process(run):
+    cfg, _, root = run
+    logs, finals = [], []
+    for workers in (0, 2):
+        c = replace(cfg, iterations=2, eval_every=0, workers=workers,
+                    out_dir=str(root / f"workers{workers}"))
+        summary = train(c)
+        logs.append([{k: v for k, v in r.items() if k != "phase_s"}
+                     for r in log_records(summary["log"])])
+        finals.append(load_checkpoint(summary["final_checkpoint"])[0])
+    assert logs[0] == logs[1]
+    assert finals[0].values.keys() == finals[1].values.keys()
+    for k, v in finals[0].values.items():
+        assert np.array_equal(v, finals[1].values[k]), k
+
+
+def test_validation_objective_matches_per_context_decisions(run):
+    cfg, summary, root = run
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    norm = Normalizer.load(root / "run" / "normalizer.json")
+    xs = load_dataset(cfg.val_dir) + load_dataset(cfg.train_dir)[:1]
+    pairs = [(x, normalize(x, norm)) for x in xs]
+    totals, converged = [], 0
+    for x, xn in pairs:
+        z = apply_offsets(forward(params, xn), x, cfg.policy)
+        res = evaluate_objective(x, most_probable(z), cfg.solver)
+        totals.append(res.total)
+        converged += res.converged
+    for chunk in (1, 2, 3):
+        value, rate = _validation_objective(params, pairs, cfg.policy, cfg.solver,
+                                            chunk=chunk)
+        assert value == pytest.approx(float(np.mean(totals)), rel=1e-12, abs=0.0)
+        assert rate == converged / len(pairs)
