@@ -60,7 +60,13 @@ def tune_baseline_offset(dataset: list[H2MGContext],
 
     Non-convergent evaluations score the prohibitive cost; ties between
     offsets resolve toward the smaller magnitude (then toward the positive
-    one, for determinism).
+    one, for determinism), and a later offset replaces the best one only
+    when its mean is lower by more than 1e-12.  Offsets are evaluated in
+    that order.  Objective costs are non-negative, so once some evaluation
+    has converged and an offset's running cost sum exceeds the best mean
+    times the dataset size by a relative 1e-9, far above the rounding of
+    either sum, that offset cannot win and its remaining contexts are not
+    solved.  The result is the offset the exhaustive search picks.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -71,13 +77,19 @@ def tune_baseline_offset(dataset: list[H2MGContext],
     any_converged = False
     for offset in order:
         costs = []
+        bound = None if best_cost is None else len(dataset) * best_cost * (1 + 1e-9)
+        running = 0.0
         for x in dataset:
             res = evaluate_objective(x, init_baseline(x, offset), opts)
             any_converged |= res.converged
             costs.append(res.total)
-        mean_cost = float(np.mean(costs))
-        if best_cost is None or mean_cost < best_cost - 1e-12:
-            best_offset, best_cost = offset, mean_cost
+            running += res.total
+            if bound is not None and any_converged and running > bound:
+                break
+        else:
+            mean_cost = float(np.mean(costs))
+            if best_cost is None or mean_cost < best_cost - 1e-12:
+                best_offset, best_cost = offset, mean_cost
     if not any_converged:
         raise H2MGError("baseline evaluation never converged; cannot tune offset")
     return float(best_offset)

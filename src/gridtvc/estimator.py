@@ -39,7 +39,9 @@ DEFAULT_SAMPLES: dict[str, int] = {
 
 #: An oracle maps (context, decision) to an object with .total and .converged;
 #: :func:`estimate_gradient` also reads .status (one of ``SOLVE_STATUSES``)
-#: from the mode decision's result.
+#: from the mode decision's result.  An oracle must be a pure function of
+#: (context, decision), raising or not alike on every call:
+#: :func:`estimate_gradient` scores a sample decision drawn twice once.
 Oracle = Callable[[H2MGContext, Decision], object]
 
 #: How a mode decision's oracle call ended: a solve status, or "error" when
@@ -130,8 +132,11 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
         return GradEstimate(_zero_grads(z), f_ref, False, status)
 
     # Draw every sample decision first, in canonical class order, so the
-    # stream consumption is independent of oracle behavior.
+    # stream consumption is independent of oracle behavior.  A discrete
+    # sample is keyed by the one controller it changes and the value it
+    # takes; continuous samples are all distinct, keyed by their position.
     plan: list[tuple[str, list[Decision]]] = []
+    keys: list[tuple] = []
     for cname in CONTROLLER_CLASSES:
         per_edge = z.values.get(cname)
         if not per_edge:
@@ -140,13 +145,14 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
         ids = sorted(per_edge)
         decisions: list[Decision] = []
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
-            for _ in range(n):
+            for k in range(n):
                 y_i = y_mp
                 for eid in ids:
                     y_i = y_i.replace(cname, eid,
                                       policy.sample(cname, per_edge[eid], rng,
                                                     policy_cfg))
                 decisions.append(y_i)
+                keys.append((cname, k))
         else:
             neighbors = [(eid, alt) for eid in ids
                          for alt in policy.unary_neighbors(
@@ -155,10 +161,15 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
             for k in picks:
                 eid, alt = neighbors[int(k)]
                 decisions.append(y_mp.replace(cname, eid, alt))
+                keys.append((cname, eid, alt))
         plan.append((cname, decisions))
 
     flat = [y_i for _, decisions in plan for y_i in decisions]
-    scores = [_score(oracle, x, y_i, cfg.prohibitive_cost) for y_i in flat]
+    scored: dict[tuple, float] = {}
+    for key, y_i in zip(keys, flat):
+        if key not in scored:
+            scored[key] = _score(oracle, x, y_i, cfg.prohibitive_cost)
+    scores = [scored[key] for key in keys]
 
     grads = _zero_grads(z)
     pos = 0

@@ -65,7 +65,7 @@ class ModelConfig:
     decoder_hidden: tuple[int, ...] = (128, 128)
     dt: float = 0.005
     leaky_slope: float = 0.01
-    checkpoint_every: int = 20
+    checkpoint_every: int = 5
 
     def __post_init__(self):
         # the leaky ReLU is evaluated as max(z, slope * z)
@@ -532,8 +532,10 @@ def vjp(params: ModelParams, x: H2MGContext | Integration, cotangent) -> ModelPa
     Reverse accumulation runs through the decoders, every Euler step, and
     the encoders.  Memory stays bounded by re-integrating each checkpoint
     segment during the sweep.  Weight gradients are accumulated once per
-    step, newest first, so the result does not depend on the checkpoint
-    interval.
+    step, newest first, so over the forward's whole union the result does
+    not depend on the checkpoint interval.  A subset re-integrates its
+    segments on its own sub-union, whose steps round differently from the
+    union's, so its result moves with the interval by rounding only.
     """
     if isinstance(x, H2MGContext):
         x, cotangent = _integrate(params, [x]), [cotangent]

@@ -12,8 +12,7 @@ The inner loop is array-native:
   (Zimmerman et al., IEEE TPWRS 2011): ``dS/dVa = j·v·conj(diag(i) − Y·v)``
   and ``dS/dVm = v·conj(Y·v/|v|) + diag(conj(i)·v/|v|)`` as row/column
   scalings of Ybus, with no diagonal matrices and no matrix products.  Its
-  four real blocks are gathered through one flat index, built once per
-  Newton call because the PV/PQ split is fixed within a call.
+  four real blocks are gathered through one flat index.
 * Ybus is assembled once per model and reused by the Newton loop, the
   Q-limit check and the generator outputs.  It is rebuilt only when a tap
   changer moves, the one change to branch admittances during a solve.
@@ -21,6 +20,17 @@ The inner loop is array-native:
   its deadband from one multi-right-hand-side solve of ``J^T`` per round.
   The zones are still dispatched one at a time, in order, from those
   sensitivities.
+
+Two things carry over from one outer round to the next, and neither
+changes a bit of any result.  The PV/PQ split, the gather index and the
+PQ positions the dispatch reads stay on the solver state; only a Q-limit
+pin flip changes the split, so they are rebuilt after a flip and nowhere
+else.  And the first Newton iteration of a round reuses the Jacobian the
+previous round converged on when no tap moved, no pin flipped and no
+flat-start retry ran since.  The SVR dispatch changes only the reactive
+injections, which the Jacobian does not read, so Ybus, the voltages, the
+bus currents and the index are then the very arrays ``_jacobian`` would
+be given, and it would return the same bits.
 """
 
 from __future__ import annotations
@@ -52,6 +62,11 @@ TAP_STEP = 0.01
 #: step met a singular Jacobian; or the control loops were still moving
 #: after ``max_outer`` rounds.
 SOLVE_STATUSES = ("converged", "newton_failed", "singular_jacobian", "outer_cap")
+
+#: The outer control loops, in the order each round runs them: tap
+#: stepping, SVR reactive dispatch, generator Q-limit switching.  A solve
+#: that did not converge names those that changed in its last round.
+MOVING_LOOPS = ("rtc", "svr", "qlim")
 
 _warned_inert = False
 
@@ -98,6 +113,8 @@ class PowerFlowSolution:
     inner_iterations: int
     outer_iterations: int
     status: str             # one of SOLVE_STATUSES
+    restarts: int           # flat-start Newton retries taken
+    moving: tuple[str, ...]  # of MOVING_LOOPS: what changed in the last outer round
 
 
 @dataclass(frozen=True)
@@ -120,6 +137,7 @@ class MetricsRecord:
     joule_losses: float
     normalized_voltages: np.ndarray  # one entry per optimized bus
     normalized_currents: np.ndarray  # one entry per optimized rated branch
+    status: str             # one of SOLVE_STATUSES
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +275,7 @@ class _GridModel:
             self.zones.append({
                 "id": z.id,
                 "bus": self._bus(z.ports["regulated_bus"], z),
-                "target": np.clip(target, lo, hi) if target is not None else None,
+                "target": float(np.clip(target, lo, hi)) if target is not None else None,
                 "units": np.array(sorted(unit_gens), dtype=int),
             })
         self.svr_gen = np.zeros(len(gens), dtype=bool)
@@ -435,8 +453,33 @@ class _State:
         self.pinned_q = np.zeros(m.n)
         self.switch_budget = np.full(m.n, 6)  # pin/unpin flips allowed per solve
         self.svr_q = m.svr_q.copy()
-        self.jac = None
-        self.jac_index = None
+        self.restarts = 0       # flat-start retries taken
+        self.jac = None         # the Jacobian at the last converged Newton state
+        # True while st.jac is bitwise what _jacobian would build at the
+        # current state: no tap, pin or voltage has changed since it was built.
+        self.jac_current = False
+        _bus_split(m, self)
+
+
+def _bus_split(m: _GridModel, st: _State) -> None:
+    """Set the state's PV/PQ split and the Jacobian layout that follows from it.
+
+    ``st.jac_index`` is ``(pv, pq, pvpq)``, ``st.index`` the flat gather
+    index of :func:`_jacobian_index` and ``st.pq_pos`` each bus's position
+    in ``pq`` (-1 when not PQ).  The split changes only when a Q-limit pin
+    flips, so it is computed at set-up and after each flip.
+    """
+    pv = np.flatnonzero(st.is_pv & (st.pinned == 0))
+    is_pq = np.ones(m.n, dtype=bool)
+    is_pq[pv] = False
+    is_pq[m.slack_bus] = False
+    pq = np.flatnonzero(is_pq)
+    pvpq = np.concatenate([pv, pq])
+    st.jac_index = (pv, pq, pvpq)
+    st.index = _jacobian_index(m.n, pvpq, pq)
+    st.pq_pos = np.full(m.n, -1)
+    st.pq_pos[pq] = np.arange(len(pq))
+    st.jac_current = False
 
 
 def _q_spec(m: _GridModel, st: _State) -> np.ndarray:
@@ -478,16 +521,12 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
     """Inner Newton loop; returns (failure, iterations). Mutates st.vm/st.va.
 
     ``failure`` is None on success, else the status saying why it stopped.
+    On success ``st.jac`` holds the Jacobian at the converged state.
     """
     ybus = m.ybus()
     slack = m.slack_bus
-    pv = np.flatnonzero(st.is_pv & (st.pinned == 0))
-    is_pq = np.ones(m.n, dtype=bool)
-    is_pq[pv] = False
-    is_pq[slack] = False
-    pq = np.flatnonzero(is_pq)
-    pvpq = np.concatenate([pv, pq])
-    index = _jacobian_index(m.n, pvpq, pq)
+    pv, pq, pvpq = st.jac_index
+    reuse, st.jac_current = st.jac_current, False
 
     st.vm[slack] = st.vset[slack]
     st.va[slack] = 0.0
@@ -506,18 +545,18 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
         dq = q_spec[pq] - s.imag[pq]
         mis = np.concatenate([dp, dq])
         if mis.size == 0:
-            st.jac, st.jac_index = None, (pv, pq, pvpq)
+            st.jac = None
             return None, it
         norm = np.abs(mis).max()
         if not np.isfinite(norm):
             return "newton_failed", it
-        if norm <= opts.tolerance:
-            st.jac_index = (pv, pq, pvpq)
-            st.jac = _jacobian(ybus, v, ibus, index)
-            return None, it
-        if it == opts.max_inner:
+        converged = norm <= opts.tolerance
+        if not converged and it == opts.max_inner:
             return "newton_failed", it
-        jac = _jacobian(ybus, v, ibus, index)
+        jac = st.jac if reuse and it == 0 else _jacobian(ybus, v, ibus, st.index)
+        if converged:
+            st.jac, st.jac_current = jac, True
+            return None, it
         try:
             dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
@@ -534,6 +573,7 @@ def _newton_restarting(m: _GridModel, st: _State, opts: SolverOptions):
     failure, it = _newton(m, st, opts)
     if failure is None:
         return failure, it
+    st.restarts += 1
     st.vm = m.v_nom.copy()
     st.va = np.zeros(m.n)
     failure2, it2 = _newton(m, st, opts)
@@ -571,6 +611,7 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
             changed = True
     if changed:
         m.rebuild_ybus()
+        st.jac_current = False
     return changed
 
 
@@ -582,26 +623,27 @@ def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
     solve for all the regulated buses of a round.  Every bus must be PQ.
     Returns None when the Jacobian is singular.
     """
-    _, pq, pvpq = st.jac_index
-    rows = len(pvpq) + np.searchsorted(pq, buses)
+    npvpq = len(st.jac_index[2])
+    rows = npvpq + st.pq_pos[buses]
     rhs = np.zeros((st.jac.shape[0], len(buses)))
     rhs[rows, np.arange(len(buses))] = 1.0
     try:
         w = np.linalg.solve(st.jac.T, rhs)
     except np.linalg.LinAlgError:
         return None
-    return w[len(pvpq):]
+    return w[npvpq:]
 
 
 def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     if st.jac is None or not m.dispatch_zones:
         return False
-    pq = st.jac_index[1]
-    pq_pos = np.full(m.n, -1)
-    pq_pos[pq] = np.arange(len(pq))
+    # The split is the one the last Newton converged on: only the Q-limit
+    # check, which runs after this, changes it.
+    pq_pos = st.pq_pos
+    vm = st.vm.tolist()
     moving = []
     for zone in m.dispatch_zones:
-        err = zone["target"] - st.vm[zone["bus"]]
+        err = zone["target"] - vm[zone["bus"]]
         if abs(err) > opts.svr_deadband and pq_pos[zone["bus"]] >= 0:
             moving.append((zone, err))
     if not moving:
@@ -622,7 +664,7 @@ def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
             continue
         # Rate-limit each round so a weak sensitivity estimate cannot command
         # a reactive step large enough to break the next Newton solve.
-        remaining = float(np.clip(err / denom, -0.5, 0.5))
+        remaining = min(max(err / denom, -0.5), 0.5)
         # Proportional split with limit waterfall: saturated units freeze and
         # the remainder redistributes among the others.  A zone has a few
         # units, so this runs on Python floats.
@@ -676,16 +718,20 @@ def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
                 st.pinned[b] = 0
                 st.switch_budget[b] -= 1
                 changed = True
+    if changed:
+        _bus_split(m, st)
     return changed
 
 
 class _RawSolution:
-    def __init__(self, m: _GridModel, st: _State, status: str, inner, outer):
+    def __init__(self, m: _GridModel, st: _State, status: str, inner, outer,
+                 moving=()):
         self.model = m
         self.status = status
         self.converged = status == "converged"
         self.inner = inner
         self.outer = outer
+        self.moving = moving
         self.vm = st.vm
         self.va = st.va
         self.state = st
@@ -746,19 +792,19 @@ def _solve_raw(x: H2MGContext, opts: SolverOptions) -> _RawSolution:
     failure, total_inner = _newton_restarting(m, st, opts)
     if failure is not None:
         return _RawSolution(m, st, failure, total_inner, 0)
+    loops = tuple(zip(MOVING_LOOPS, (_rtc_step, _svr_dispatch, _q_limit_switch)))
     outer = 0
     while outer < opts.max_outer:
         outer += 1
-        changed = _rtc_step(m, st, opts)
-        changed |= _svr_dispatch(m, st, opts)
-        changed |= _q_limit_switch(m, st, opts)
-        if not changed:
+        # every loop acts each round, in this order, whether or not one before moved
+        moving = tuple([name for name, step in loops if step(m, st, opts)])
+        if not moving:
             return _RawSolution(m, st, "converged", total_inner, outer)
         failure, it = _newton_restarting(m, st, opts)
         total_inner += it
         if failure is not None:
-            return _RawSolution(m, st, failure, total_inner, outer)
-    return _RawSolution(m, st, "outer_cap", total_inner, outer)
+            return _RawSolution(m, st, failure, total_inner, outer, moving)
+    return _RawSolution(m, st, "outer_cap", total_inner, outer, moving)
 
 
 def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerFlowSolution:
@@ -785,6 +831,8 @@ def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerF
         inner_iterations=raw.inner,
         outer_iterations=raw.outer,
         status=raw.status,
+        restarts=raw.state.restarts,
+        moving=raw.moving,
     )
 
 
@@ -836,7 +884,8 @@ def count_metrics(x: H2MGContext, y: Decision,
     """Count violations and losses for a decision (invalid when unsolvable)."""
     raw = _solve_raw(apply_decision(x, y), opts)
     if not raw.converged:
-        return MetricsRecord(False, 0, 0, 0, 0, 0.0, np.zeros(0), np.zeros(0))
+        return MetricsRecord(False, 0, 0, 0, 0, 0.0, np.zeros(0), np.zeros(0),
+                             raw.status)
     m = raw.model
     ve = _normalized_voltages(raw)
     over = int(np.sum(ve > 1.0))
@@ -846,4 +895,4 @@ def count_metrics(x: H2MGContext, y: Decision,
     opt_branch = m.branch_opt > 0.5
     joule = float(np.sum(np.abs(raw.p1 + raw.p2)[opt_branch]))
     return MetricsRecord(True, over, under, over + under, overflow, joule,
-                         ve, np.abs(ie))
+                         ve, np.abs(ie), raw.status)

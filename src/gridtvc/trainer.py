@@ -42,7 +42,7 @@ from .model import (
     vjp,
 )
 from .policy import PolicyConfig
-from .powerflow import SolverOptions, count_metrics, evaluate_objective
+from .powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 
 __all__ = [
     "AdamState", "TrainConfig", "adam_step", "train", "evaluate",
@@ -310,6 +310,7 @@ def _policy_metrics(records: list) -> dict:
         "contexts": n,
         "converged": len(valid),
         "convergence_rate": len(valid) / n if n else 0.0,
+        "status": {s: sum(m.status == s for m in records) for s in SOLVE_STATUSES},
     }
     if valid:
         out.update({

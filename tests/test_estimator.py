@@ -304,3 +304,52 @@ def test_estimate_reports_the_mode_decision_status():
     z_ok = surrogate(ok, {"shunt_controller": {"sc_0": np.zeros(1)}})
     est = estimate_gradient(ok, z_ok, EstimatorConfig(), oracle, grng.stream(6), PCFG)
     assert est.converged and est.status == "converged"
+
+
+# -- one oracle call per distinct sample ---------------------------------------
+
+class _RecordingRng:
+    """A generator that keeps every batch of unary-neighbour picks it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.picks = rng, []
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.picks.append(out.tolist())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_each_distinct_sample_decision_is_scored_once():
+    # A zero network output makes the baseline the mode; on val-000 it
+    # converges, and every controller class is present.
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 0), origin="val-000")
+    z = policy.apply_offsets(SurrogateDecision(
+        {c: {eid: np.zeros(SCHEMA[c].decision_dim) for eid in ids}
+         for c, ids in x.controller_ids().items()}), x, PCFG)
+    calls = []
+
+    def counting(xc, y):
+        calls.append(y)
+        return oracle(xc, y)
+
+    cfg = EstimatorConfig()
+    rng = _RecordingRng(grng.stream(7))
+    est = estimate_gradient(x, z, cfg, counting, rng, PCFG)
+    assert est.converged
+    # each discrete class draws one batch of picks among distinct unary
+    # neighbours; continuous (svr) samples are all distinct
+    assert len(rng.picks) == 3
+    distinct = sum(len(set(p)) for p in rng.picks) + cfg.samples["svr_controller"]
+    assert sum(len(p) for p in rng.picks) > sum(len(set(p)) for p in rng.picks)
+    assert len(calls) == 1 + distinct
+    assert calls[0] == policy.most_probable(z)
+    assert len({repr(sorted((c, sorted(v.items())) for c, v in y.values.items()))
+                for y in calls}) == len(calls)
+    again = estimate_gradient(x, z, cfg, oracle, grng.stream(7), PCFG)
+    for c, per in est.grads.items():
+        for eid, g in per.items():
+            assert np.array_equal(g, again.grads[c][eid])

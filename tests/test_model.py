@@ -265,6 +265,16 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.values[k], params.values[k])
 
 
+def test_checkpoint_saved_with_another_interval_loads_and_keeps_it(tmp_path):
+    # The default interval changed from 20 to 5; older checkpoints say 20.
+    assert ModelConfig().checkpoint_every == 5
+    params = init_params(replace(TINY, checkpoint_every=20), np.random.default_rng(15))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    back, _ = load_checkpoint(path)
+    assert back.config.checkpoint_every == 20 and back.config == params.config
+
+
 # -- batches ------------------------------------------------------------------
 
 SMALL_SPEC = GridFamilySpec(bus_count_min=12, bus_count_max=12, twt_count=4,

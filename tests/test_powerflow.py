@@ -402,3 +402,19 @@ def test_status_outer_cap_on_pinned_generated_context():
     assert not sol.converged and sol.status == "outer_cap"
     assert sol.outer_iterations == opts.max_outer
     assert solve_ac(x, opts).status == "converged"  # the base case solves
+
+
+def test_solution_names_the_loops_still_moving_and_the_restarts():
+    # The outer-cap solve of the pinned context ends on rounds in which
+    # only the SVR dispatch changes; no Newton call there needs a restart.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
+    sol = solve_ac(apply_decision(x, init_baseline(x, 0.0)))
+    assert sol.status == "outer_cap"
+    assert sol.moving == ("svr",) and sol.restarts == 0
+    base = solve_ac(x)
+    assert base.converged and base.moving == () and base.restarts == 0
+    # Past the nose point the warm start and the flat-start retry both fail
+    # before any outer round.
+    failed = solve_ac(two_bus(20.0, 8.0, 0.01, 0.1))
+    assert failed.status == "newton_failed"
+    assert failed.moving == () and failed.restarts == 1

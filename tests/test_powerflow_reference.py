@@ -146,3 +146,58 @@ def test_ybus_rebuilt_after_tap_move(contexts):
     assert pf._rtc_step(m, st, OPTS)
     assert not np.array_equal(m.ybus(), before)
     assert np.array_equal(m.ybus(), m.assemble_ybus())
+
+
+def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):
+    # Every Newton call reads the split and gather index kept on the state,
+    # and takes its first Jacobian from the previous round when no tap,
+    # pin or voltage has changed since.  Both must equal a fresh build.
+    newton, rtc_step, q_limit_switch = pf._newton, pf._rtc_step, pf._q_limit_switch
+    seen = {"reused": 0, "taps": 0, "flips": 0, "moved": False}
+
+    def checked_newton(m, st, opts):
+        pv, pq, pvpq = ref.bus_types(m, st)
+        for kept, fresh in zip(st.jac_index, (pv, pq, pvpq)):
+            assert np.array_equal(kept, fresh)
+        assert np.array_equal(st.index, pf._jacobian_index(m.n, pvpq, pq))
+        pq_pos = np.full(m.n, -1)
+        pq_pos[pq] = np.arange(len(pq))
+        assert np.array_equal(st.pq_pos, pq_pos)
+        if st.jac_current:
+            assert not seen["moved"]
+            seen["reused"] += 1
+            # the voltages the first iteration will see, set as _newton sets them
+            vm, va = st.vm.copy(), st.va.copy()
+            vm[m.slack_bus], va[m.slack_bus] = st.vset[m.slack_bus], 0.0
+            vm[pv] = st.vset[pv]
+            assert np.array_equal(vm, st.vm) and np.array_equal(va, st.va)
+            ybus = m.assemble_ybus()
+            v = vm * np.exp(1j * va)
+            assert np.array_equal(st.jac, pf._jacobian(
+                ybus, v, ybus @ v, pf._jacobian_index(m.n, pvpq, pq)))
+        seen["moved"] = False
+        return newton(m, st, opts)
+
+    def counted_rtc_step(m, st, opts):
+        moved = rtc_step(m, st, opts)
+        seen["taps"] += moved
+        seen["moved"] |= moved
+        return moved
+
+    def counted_q_limit_switch(m, st, opts):
+        flipped = q_limit_switch(m, st, opts)
+        seen["flips"] += flipped
+        seen["moved"] |= flipped
+        return flipped
+
+    monkeypatch.setattr(pf, "_newton", checked_newton)
+    monkeypatch.setattr(pf, "_rtc_step", counted_rtc_step)
+    monkeypatch.setattr(pf, "_q_limit_switch", counted_q_limit_switch)
+    # val-002's baseline moves taps, then runs all outer rounds on the SVR
+    # dispatch alone; val-000's moves taps and flips a Q-limit pin.
+    capped = pf.solve_ac(pf.apply_decision(contexts[2], init_baseline(contexts[2], 0.0)))
+    assert capped.status == "outer_cap"
+    assert seen["taps"] > 0 and seen["reused"] > 0.9 * OPTS.max_outer
+    seen.update(taps=0, reused=0)
+    sol = pf.solve_ac(pf.apply_decision(contexts[0], init_baseline(contexts[0], 0.0)))
+    assert sol.converged and seen["taps"] > 0 and seen["flips"] > 0

@@ -12,7 +12,7 @@ from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, generate_context, load_dataset, normalize, write_dataset)
 from gridtvc.model import ModelConfig, forward, init_params, load_checkpoint
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
-from gridtvc.powerflow import SolverOptions, evaluate_objective
+from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 from gridtvc.trainer import (
     TrainConfig, _validation_objective, evaluate, evaluate_checkpoint, train)
 
@@ -107,9 +107,17 @@ def test_evaluate_and_evaluate_checkpoint_on_validation_split(run):
     norm = Normalizer.load(root / "run" / "normalizer.json")
     val = load_dataset(cfg.val_dir)
     report = evaluate(params, val, norm, out_dir=root / "report")
+    decisions = {"gnn": [], "init": []}
+    for x in val:
+        z = apply_offsets(forward(params, normalize(x, norm)), x, PolicyConfig())
+        decisions["gnn"].append(most_probable(z))
+        decisions["init"].append(trainer.init_baseline(x, 0.0))
     for name in ("gnn", "init"):
         assert report[name]["contexts"] == len(val)
         assert 0.0 <= report[name]["convergence_rate"] <= 1.0
+        statuses = [count_metrics(x, y).status for x, y in zip(val, decisions[name])]
+        assert report[name]["status"] == {s: statuses.count(s) for s in SOLVE_STATUSES}
+        assert report[name]["status"]["converged"] == report[name]["converged"]
     assert json.loads((root / "report" / "report.json").read_text()) == report
     again = evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
     assert again == report
