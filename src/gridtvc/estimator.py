@@ -3,13 +3,11 @@
 The adjusted estimator decomposes by controller class (other classes held
 at the policy mode), clips scores through a tanh around the mode's cost,
 and for discrete classes samples only unary modifications of the mode.
-An exhaustive-enumeration oracle covers small decision spaces for
-verification.
+Each estimate also counts how its distinct samples' oracle calls ended.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -18,7 +16,6 @@ import numpy as np
 
 from .h2mg import (
     CONTROLLER_CLASSES,
-    D_BINARY,
     D_CONTINUOUS,
     Decision,
     H2MGContext,
@@ -37,15 +34,13 @@ DEFAULT_SAMPLES: dict[str, int] = {
     "svr_controller": 16,
 }
 
-#: An oracle maps (context, decision) to an object with .total and .converged;
-#: :func:`estimate_gradient` also reads .status (one of ``SOLVE_STATUSES``)
-#: from the mode decision's result.  An oracle must be a pure function of
-#: (context, decision), raising or not alike on every call:
+#: An oracle maps (context, decision) to an object with .total, .converged
+#: and .status (one of ``SOLVE_STATUSES``).  An oracle must be a pure
+#: function of (context, decision), raising or not alike on every call:
 #: :func:`estimate_gradient` scores a sample decision drawn twice once.
 Oracle = Callable[[H2MGContext, Decision], object]
 
-#: How a mode decision's oracle call ended: a solve status, or "error" when
-#: the oracle raised.
+#: How an oracle call ended: a solve status, or "error" when the oracle raised.
 ESTIMATE_STATUSES = (*SOLVE_STATUSES, "error")
 
 
@@ -64,12 +59,21 @@ class EstimatorConfig:
 
 @dataclass
 class GradEstimate:
-    """Surrogate gradient, shaped exactly like the paired SurrogateDecision."""
+    """Surrogate gradient, shaped exactly like the paired SurrogateDecision.
+
+    ``sample_status`` counts, per ``ESTIMATE_STATUSES`` value, how the
+    oracle calls of the distinct sample decisions ended, and
+    ``prohibitive_share`` is the share of those samples scored at or above
+    the prohibitive cost (0.0 when none was scored).
+    """
 
     grads: dict[str, dict[str, np.ndarray]]
     f_ref: float
     converged: bool
     status: str             # the mode decision's, one of ESTIMATE_STATUSES
+    sample_status: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(ESTIMATE_STATUSES, 0))
+    prohibitive_share: float = 0.0
 
     def norm(self, class_name: str) -> float:
         per_edge = self.grads.get(class_name, {})
@@ -81,7 +85,8 @@ class GradEstimate:
         return GradEstimate(
             {c: {e: np.zeros_like(g) for e, g in per.items()}
              for c, per in self.grads.items()},
-            self.f_ref, self.converged, self.status)
+            self.f_ref, self.converged, self.status, dict(self.sample_status),
+            self.prohibitive_share)
 
 
 def clip_score(f_i: float, f_ref: float, tau: float) -> float:
@@ -96,8 +101,11 @@ def _zero_grads(z: SurrogateDecision) -> dict[str, dict[str, np.ndarray]]:
             for c, per in z.values.items()}
 
 
-def _score(oracle: Oracle, x: H2MGContext, y: Decision, prohibitive: float) -> float:
-    """Oracle score; failures never abort the estimate, they cost the maximum.
+def _score(oracle: Oracle, x: H2MGContext, y: Decision,
+           prohibitive: float) -> tuple[float, str]:
+    """Oracle score and status; failures never abort the estimate.
+
+    A failing call costs the maximum and reports the status "error".
 
     Structural errors (mispaired decisions, broken contexts) are caller
     bugs and do propagate.
@@ -107,8 +115,8 @@ def _score(oracle: Oracle, x: H2MGContext, y: Decision, prohibitive: float) -> f
     except H2MGError:
         raise
     except Exception:
-        return prohibitive
-    return float(res.total)
+        return prohibitive, "error"
+    return float(res.total), res.status
 
 
 def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig,
@@ -165,11 +173,15 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
         plan.append((cname, decisions))
 
     flat = [y_i for _, decisions in plan for y_i in decisions]
-    scored: dict[tuple, float] = {}
+    scored: dict[tuple, tuple[float, str]] = {}
     for key, y_i in zip(keys, flat):
         if key not in scored:
             scored[key] = _score(oracle, x, y_i, cfg.prohibitive_cost)
-    scores = [scored[key] for key in keys]
+    scores = [scored[key][0] for key in keys]
+    sample_status = dict.fromkeys(ESTIMATE_STATUSES, 0)
+    for _, outcome in scored.values():
+        sample_status[outcome] += 1
+    prohibitive = sum(f >= cfg.prohibitive_cost for f, _ in scored.values())
 
     grads = _zero_grads(z)
     pos = 0
@@ -186,109 +198,6 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
                     cname, y_i.get(cname, eid), z_e, policy_cfg)
             grads[cname][eid] = (-policy.entropy_grad(cname, z_e, policy_cfg)
                                  + cfg.beta / n * acc)
-    return GradEstimate(grads, f_ref, True, status)
+    return GradEstimate(grads, f_ref, True, status, sample_status,
+                        prohibitive / len(scored) if scored else 0.0)
 
-
-def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,
-                          n_samples: int, oracle: Oracle,
-                          rng: np.random.Generator,
-                          policy_cfg: PolicyConfig = PolicyConfig(),
-                          prohibitive_cost: float = 100.0,
-                          ) -> tuple[dict[str, dict[str, np.ndarray]],
-                                     dict[str, dict[str, np.ndarray]]]:
-    """Unadjusted score-function estimator: joint sampling, raw scores.
-
-    Returns (gradient, per-coordinate standard error of the expectation
-    term).  Mainly a verification tool against the enumeration oracle; the
-    training loop uses :func:`estimate_gradient`.
-    """
-    classes = [(c, sorted(per)) for c, per in z.values.items()]
-    sums = _zero_grads(z)
-    sq_sums = _zero_grads(z)
-    for _ in range(n_samples):
-        y_i = {}
-        for cname, ids in classes:
-            y_i[cname] = {eid: policy.sample(cname, z.get(cname, eid), rng,
-                                             policy_cfg)
-                          for eid in ids}
-        y_dec = Decision(y_i)
-        f_i = _score(oracle, x, y_dec, prohibitive_cost)
-        for cname, ids in classes:
-            for eid in ids:
-                term = f_i * policy.log_prob_grad(cname, y_i[cname][eid],
-                                                  z.get(cname, eid), policy_cfg)
-                sums[cname][eid] += term
-                sq_sums[cname][eid] += term * term
-    grads = _zero_grads(z)
-    stderr = _zero_grads(z)
-    for cname, ids in classes:
-        for eid in ids:
-            mean = sums[cname][eid] / n_samples
-            var = np.maximum(sq_sums[cname][eid] / n_samples - mean ** 2, 0.0)
-            grads[cname][eid] = (-policy.entropy_grad(cname, z.get(cname, eid),
-                                                      policy_cfg)
-                                 + beta * mean)
-            stderr[cname][eid] = beta * np.sqrt(var / n_samples)
-    return grads, stderr
-
-
-@dataclass(frozen=True)
-class OracleGradient:
-    grads: dict[str, dict[str, np.ndarray]]
-    z_beta: float
-    kl: float
-    expected_cost: float
-
-
-def exact_gradient_oracle(x: H2MGContext, z: SurrogateDecision, beta: float,
-                          oracle: Oracle,
-                          policy_cfg: PolicyConfig = PolicyConfig(),
-                          max_space: int = 4096) -> OracleGradient:
-    """Exact gradient of the surrogate objective by full enumeration.
-
-    Discrete controllers enumerate their joint decision space; continuous
-    (svr) controllers are held at their mode, where their score gradient
-    and entropy gradient both vanish.  Also returns the Boltzmann partition
-    value and the exact divergence over the enumerated space.
-    """
-    discrete: list[tuple[str, str, list]] = []
-    fixed: dict[str, dict[str, float]] = {}
-    for cname, per_edge in z.values.items():
-        if SCHEMA[cname].decision_kind == D_CONTINUOUS:
-            fixed[cname] = {eid: float(v[0]) for eid, v in per_edge.items()}
-            continue
-        for eid in sorted(per_edge):
-            domain = [0, 1] if SCHEMA[cname].decision_kind == D_BINARY \
-                else list(range(4))
-            discrete.append((cname, eid, domain))
-    space = 1
-    for _, _, domain in discrete:
-        space *= len(domain)
-        if space > max_space:
-            raise ValueError(f"decision space exceeds {max_space}")
-
-    grads = _zero_grads(z)
-    z_beta = 0.0
-    kl_h = 0.0
-    expected_cost = 0.0
-    for combo in itertools.product(*[d for _, _, d in discrete]) \
-            if discrete else [()]:
-        values: dict[str, dict] = {c: dict(v) for c, v in fixed.items()}
-        logp = 0.0
-        for (cname, eid, _), val in zip(discrete, combo):
-            values.setdefault(cname, {})[eid] = val
-            logp += policy.log_prob(cname, val, z.get(cname, eid), policy_cfg)
-        y = Decision(values)
-        p = math.exp(logp)
-        f = float(oracle(x, y).total)
-        z_beta += math.exp(-beta * f)
-        kl_h += p * logp
-        expected_cost += p * f
-        for (cname, eid, _), val in zip(discrete, combo):
-            grads[cname][eid] += beta * p * f * policy.log_prob_grad(
-                cname, val, z.get(cname, eid), policy_cfg)
-    for cname, per_edge in z.values.items():
-        for eid, z_e in per_edge.items():
-            grads[cname][eid] -= policy.entropy_grad(cname, z_e, policy_cfg)
-    kl = kl_h + beta * expected_cost + math.log(z_beta) if discrete else 0.0
-    return OracleGradient(grads, z_beta, kl, expected_cost)

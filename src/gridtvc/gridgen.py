@@ -372,18 +372,6 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
         f"no solvable context after {max_attempts} attempts; spec too aggressive")
 
 
-def base_case_success_rate(spec: GridFamilySpec, rng: np.random.Generator,
-                           draws: int = 100) -> float:
-    """Fraction of raw draws whose base case converges (generator tuning aid)."""
-    ok = 0
-    for _ in range(draws):
-        draft = _Draft(spec, rng)
-        x = draft.to_context({"origin": "probe", "timestamp": ""})
-        if not validate_context(x) and solve_ac(x).converged:
-            ok += 1
-    return ok / draws
-
-
 # ---------------------------------------------------------------------------
 # Dataset files
 

@@ -5,7 +5,18 @@ zero over unit artificial time under a learned drive fed by tanh-squashed
 sums of per-(class, port) messages; per-controller decoders read out the
 surrogate decision.  Integration is fixed-step explicit Euler, and the
 backward sweep recomputes segments between checkpoints instead of storing
-every step.
+every step.  The VJP differentiates the discrete scheme that ran, so
+training sees exactly the network that decides.
+
+The default step is ``dt = 0.02`` (50 steps).  Euler's error is first order
+in the step.  Against 200 steps (``dt = 0.005``) on the same parameters,
+the decoder outputs move by about 1e-4 relative L2 at initial parameters
+and by about 2e-3 with the dynamics weights tripled, with the same discrete
+modes (``tests/test_model.py`` gates both).  On a network trained 100
+iterations at 200 steps, 11 of 360 discrete controllers of 20 contexts
+flip at 50 steps, each within 0.011 of its decision boundary, and 2 flip
+at 400.  A checkpoint carries its ``ModelConfig``, so one saved at another
+``dt`` loads and integrates with its own step count.
 
 Parameters stay one flat dict with one MLP per (class, port), but the Euler
 step runs on a stacked per-class layout.  A class's P message MLPs are
@@ -63,7 +74,9 @@ class ModelConfig:
     encoder_hidden: tuple[int, ...] = (128, 128)
     message_hidden: tuple[int, ...] = (128, 128)
     decoder_hidden: tuple[int, ...] = (128, 128)
-    dt: float = 0.005
+    # 50 Euler steps over unit time; 200 (dt 0.005) move the outputs by
+    # ~1e-4 relative at initial parameters.  Checkpoints keep their own dt.
+    dt: float = 0.02
     leaky_slope: float = 0.01
     checkpoint_every: int = 5
 
@@ -71,6 +84,10 @@ class ModelConfig:
         # the leaky ReLU is evaluated as max(z, slope * z)
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must lie in [0, 1]")
+        # whole Euler steps must end exactly at t = 1
+        if not (self.dt > 0 and abs(self.steps * self.dt - 1.0) <= 1e-9):
+            raise ValueError(f"dt must be positive and divide the unit time "
+                             f"into whole steps, got {self.dt}")
 
     @property
     def steps(self) -> int:

@@ -9,8 +9,9 @@ worker pool that receives no parameters.  Last, one VJP over the
 contexts whose mode decision converged sweeps back from the forward's
 checkpoints and returns their summed parameter gradient, which divided by
 the minibatch size makes one Adam step.  Each ``train_log.jsonl`` record
-carries the seconds of every phase, the oracle call count and the mode
-decisions' solve statuses.
+carries the seconds of every phase, the oracle call count, the mode
+decisions' solve statuses, and the statuses and prohibitive share of the
+estimators' distinct samples.
 """
 
 from __future__ import annotations
@@ -248,12 +249,18 @@ def train(cfg: TrainConfig) -> dict:
                     summary["rejected_steps"] += 1
 
                 statuses = [est.status for est in ests]
+                sampled = [sum(est.sample_status.values()) for est in ests]
+                prohibitive = sum(est.prohibitive_share * n
+                                  for est, n in zip(ests, sampled))
                 record = {
                     "iteration": it,
                     "mean_f_ref": float(np.mean([est.f_ref for est in ests])),
                     "convergence_rate": float(np.mean([est.converged for est in ests])),
                     "mode_status": {s: statuses.count(s) for s in ESTIMATE_STATUSES},
                     "oracle_calls": sum(calls for _, calls in results),
+                    "sample_status": {s: sum(est.sample_status[s] for est in ests)
+                                      for s in ESTIMATE_STATUSES},
+                    "prohibitive_share": prohibitive / sum(sampled) if sum(sampled) else 0.0,
                     "phase_s": {"forward": t_estimate - t_forward,
                                 "estimate": t_vjp - t_estimate,
                                 "vjp": t_adam - t_vjp, "adam": t_end - t_adam},

@@ -6,18 +6,13 @@ import pytest
 
 from gridtvc import policy
 from gridtvc import rng as grng
-from gridtvc.estimator import (
-    EstimatorConfig,
-    clip_score,
-    estimate_gradient,
-    exact_gradient_oracle,
-    raw_gradient_estimate,
-)
+from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig, clip_score, estimate_gradient
 from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.h2mg import SCHEMA, Decision, SurrogateDecision
 from gridtvc.policy import PolicyConfig
 from gridtvc.powerflow import SolverOptions, evaluate_objective
 
+from estimator_reference import exact_gradient_oracle, raw_gradient_estimate
 from gridfixtures import binary_controller_grid, shunt_overvoltage_grid, two_bus
 
 PCFG = PolicyConfig()
@@ -353,3 +348,44 @@ def test_each_distinct_sample_decision_is_scored_once():
     for c, per in est.grads.items():
         for eid, g in per.items():
             assert np.array_equal(g, again.grads[c][eid])
+
+
+# -- sample statuses -----------------------------------------------------------
+
+def test_sample_statuses_count_every_distinct_sample_call():
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 0), origin="val-000")
+    z = policy.apply_offsets(SurrogateDecision(
+        {c: {eid: np.zeros(SCHEMA[c].decision_dim) for eid in ids}
+         for c, ids in x.controller_ids().items()}), x, PCFG)
+    calls = []
+
+    def counting(xc, y):
+        calls.append(oracle(xc, y))
+        return calls[-1]
+
+    est = estimate_gradient(x, z, EstimatorConfig(), counting, grng.stream(8), PCFG)
+    assert est.converged
+    assert est.sample_status.keys() == set(ESTIMATE_STATUSES)
+    # the first call scores the mode decision
+    assert sum(est.sample_status.values()) == len(calls) - 1
+    assert est.sample_status == {s: sum(r.status == s for r in calls[1:])
+                                 for s in ESTIMATE_STATUSES}
+    failed = sum(r.total >= EstimatorConfig().prohibitive_cost for r in calls[1:])
+    assert est.prohibitive_share == failed / (len(calls) - 1)
+
+
+def test_failing_oracle_samples_give_prohibitive_share_one():
+    x = binary_controller_grid(3)
+    ids = x.controller_ids()["shunt_controller"]
+    z = surrogate(x, {"shunt_controller": {i: np.array([-0.2]) for i in ids}})
+    mode = policy.most_probable(z)
+
+    def failing(xc, y):
+        if y != mode:
+            raise RuntimeError("solver crashed")
+        return oracle(xc, y)
+
+    est = estimate_gradient(x, z, EstimatorConfig(), failing, grng.stream(9), PCFG)
+    assert est.converged
+    assert est.prohibitive_share == 1.0
+    assert est.sample_status["error"] == sum(est.sample_status.values()) > 0

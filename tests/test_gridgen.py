@@ -5,7 +5,7 @@ from gridtvc import rng as grng
 from gridtvc.gridgen import (
     GridFamilySpec,
     Normalizer,
-    base_case_success_rate,
+    _Draft,
     fit_normalizer,
     generate_context,
     load_dataset,
@@ -13,6 +13,7 @@ from gridtvc.gridgen import (
     write_dataset,
 )
 from gridtvc.h2mg import H2MGContext, HyperEdge, SCHEMA, validate_context
+from gridtvc.powerflow import solve_ac
 
 from gridfixtures import two_bus
 
@@ -70,6 +71,18 @@ def test_no_optional_lines_means_fixed_line_set():
         assert got == ids
 
 
+def base_case_success_rate(spec: GridFamilySpec, rng: np.random.Generator,
+                           draws: int = 100) -> float:
+    """Fraction of raw draws whose base case converges (generator tuning aid)."""
+    ok = 0
+    for _ in range(draws):
+        draft = _Draft(spec, rng)
+        x = draft.to_context({"origin": "probe", "timestamp": ""})
+        if not validate_context(x) and solve_ac(x).converged:
+            ok += 1
+    return ok / draws
+
+
 def test_base_case_success_rate_at_least_90pct():
     rate = base_case_success_rate(GridFamilySpec(), grng.stream(0, "rate"),
                                   draws=100)
@@ -77,7 +90,6 @@ def test_base_case_success_rate_at_least_90pct():
 
 
 def test_embedded_base_case_is_consistent():
-    from gridtvc.powerflow import solve_ac
     x = generate_context(SMALL, grng.stream(11, 3))
     sol = solve_ac(x)
     assert sol.converged

@@ -5,7 +5,7 @@ import pytest
 
 from gridtvc import rng as grng
 from gridtvc.gridgen import GridFamilySpec, fit_normalizer, generate_context, normalize
-from gridtvc.h2mg import H2MGContext, SCHEMA
+from gridtvc.h2mg import D_CONTINUOUS, H2MGContext, SCHEMA
 from gridtvc.model import (
     ModelConfig,
     ModelParams,
@@ -16,6 +16,7 @@ from gridtvc.model import (
     save_checkpoint,
     vjp,
 )
+from gridtvc.policy import most_probable
 
 from gridfixtures import bus, edge, gen, line, load, shunt
 
@@ -105,8 +106,20 @@ def test_parameter_count_closed_form():
 
 def test_default_steps_and_shapes():
     cfg = ModelConfig()
-    assert cfg.steps == 200
+    assert cfg.steps == 50
     assert TINY.steps == 20
+
+
+@pytest.mark.parametrize("dt", [0.03, 0.3, -0.1, 0.0])
+def test_config_rejects_a_step_that_does_not_end_at_unit_time(dt):
+    with pytest.raises(ValueError):
+        ModelConfig(dt=dt)
+
+
+@pytest.mark.parametrize("dt, steps", [(0.005, 200), (0.02, 50), (0.05, 20),
+                                       (0.1, 10), (0.25, 4)])
+def test_config_accepts_the_steps_the_tests_use(dt, steps):
+    assert ModelConfig(dt=dt).steps == steps
 
 
 # -- forward ------------------------------------------------------------------
@@ -275,6 +288,16 @@ def test_checkpoint_saved_with_another_interval_loads_and_keeps_it(tmp_path):
     assert back.config.checkpoint_every == 20 and back.config == params.config
 
 
+def test_checkpoint_saved_with_another_step_loads_and_keeps_it(tmp_path):
+    # The default step changed from 0.005 to 0.02; older checkpoints say 0.005.
+    assert ModelConfig().dt == 0.02
+    params = init_params(replace(TINY, dt=0.005), np.random.default_rng(16))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    back, _ = load_checkpoint(path)
+    assert back.config.steps == 200 and back.config == params.config
+
+
 # -- batches ------------------------------------------------------------------
 
 SMALL_SPEC = GridFamilySpec(bus_count_min=12, bus_count_max=12, twt_count=4,
@@ -377,6 +400,33 @@ def test_batch_vjp_invariant_to_checkpoint_interval():
     for k in grads[0].values:
         assert np.array_equal(grads[0].values[k], grads[1].values[k])
         assert np.array_equal(grads[0].values[k], grads[2].values[k])
+
+
+def flat_outputs(z):
+    return np.concatenate([z.values[c][e] for c in sorted(z.values)
+                           for e in sorted(z.values[c])])
+
+
+def discrete_modes(z):
+    y = most_probable(z)
+    return {c: per for c, per in y.values.items()
+            if SCHEMA[c].decision_kind != D_CONTINUOUS}
+
+
+@pytest.mark.parametrize("dynamics_scale, tol", [(1.0, 1e-3), (3.0, 3e-3)])
+def test_default_step_agrees_with_200_steps(dynamics_scale, tol):
+    # Explicit Euler's error is first order in dt: at initial parameters the
+    # 50-step outputs differ from 200 steps' by ~1e-4 relative; tripled
+    # dynamics weights make the drive stiffer and the error ~2e-3.
+    xs, params = default_pair()
+    values = dict(params.values)
+    values["dynamics.layer0.weight"] = values["dynamics.layer0.weight"] * dynamics_scale
+    zs, _ = forward(ModelParams(params.config, values), xs)
+    zs_fine, _ = forward(ModelParams(replace(params.config, dt=0.005), values), xs)
+    for z, z_fine in zip(zs, zs_fine):
+        a, b = flat_outputs(z), flat_outputs(z_fine)
+        assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+        assert discrete_modes(z) == discrete_modes(z_fine)
 
 
 def test_batch_vjp_rejects_a_mismatched_integration():

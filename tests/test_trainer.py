@@ -10,7 +10,7 @@ from gridtvc import trainer
 from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, generate_context, load_dataset, normalize, write_dataset)
-from gridtvc.model import ModelConfig, forward, init_params, load_checkpoint
+from gridtvc.model import ModelConfig, forward, init_params, load_checkpoint, save_checkpoint
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
 from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 from gridtvc.trainer import (
@@ -148,6 +148,27 @@ def test_checkpoints_carry_the_svr_offset(offset_run):
         without["init"]["svr_setpoint_mean"] + 0.01)
 
 
+def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkeypatch):
+    # A checkpoint from before the default step became 0.02 says 0.005.
+    cfg, _, root = run
+    params = init_params(replace(SMALL, dt=0.005), np.random.default_rng(3))
+    norm = Normalizer.load(root / "run" / "normalizer.json")
+    out = root / "old_step"
+    out.mkdir()
+    norm.save(out / "normalizer.json")
+    save_checkpoint(out / "ckpt.npz", params, norm)
+    steps = []
+
+    def spy(p, x):
+        steps.append(p.config.steps)
+        return forward(p, x)
+
+    monkeypatch.setattr(trainer, "forward", spy)
+    report = evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
+    assert steps == [200] * len(load_dataset(cfg.val_dir))
+    assert report == evaluate(params, load_dataset(cfg.val_dir), norm)
+
+
 def log_records(path):
     return [r for r in map(json.loads, open(path)) if "event" not in r]
 
@@ -164,6 +185,15 @@ def test_train_log_carries_phases_oracle_calls_and_mode_status(run):
         assert r["oracle_calls"] >= cfg.minibatch
         if r["mode_status"]["converged"] == 0:
             assert r["phase_s"]["vjp"] == 0.0
+
+
+def test_train_log_sums_the_sample_statuses_of_the_minibatch(run):
+    cfg, summary, _ = run
+    for r in log_records(summary["log"]):
+        assert r["sample_status"].keys() == set(ESTIMATE_STATUSES)
+        # every oracle call scores a mode decision or one distinct sample
+        assert sum(r["sample_status"].values()) == r["oracle_calls"] - cfg.minibatch
+        assert 0.0 <= r["prohibitive_share"] <= 1.0
 
 
 def test_train_log_names_the_outer_cap_of_a_pinned_context(tmp_path, monkeypatch):
