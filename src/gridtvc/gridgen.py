@@ -5,6 +5,11 @@ nominal voltage, and lower-voltage buses fed radially through transformers,
 a subset of which carry tap changers.  Every generated context embeds a
 converged base-case power-flow state, so downstream solves warm-start from
 an AC-consistent point.
+
+:func:`normalize` does not return a context: it compiles one into the
+:class:`CompiledContext` the graph ODE reads, per class an edge-id list,
+an int port matrix and a feature matrix mapped column by column through
+the fitted :class:`Normalizer`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_json, config_to_json
-from .h2mg import ABSENT, H2MGContext, H2MGError, HyperEdge, SCHEMA, validate_context
+from .h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, validate_context
 from .powerflow import SolverOptions, solve_ac
 
 
@@ -410,6 +415,22 @@ def load_manifest(data_dir: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 # Piecewise-linear empirical-CDF normalizer
 
+@dataclass(frozen=True)
+class CompiledContext:
+    """A context as the graph ODE reads it; :func:`normalize` builds it.
+
+    ``classes`` holds one ``(class name, edge ids, features, ports)`` entry
+    per class with edges, in sorted class order, edges in
+    :meth:`H2MGContext.sorted_edges` order: a float ``(edges, features)``
+    matrix of normalized values and an int ``(edges, ports)`` matrix of
+    addresses.  ``metadata`` is the source context's.
+    """
+
+    address_count: int
+    metadata: dict[str, str]
+    classes: tuple[tuple[str, list[str], np.ndarray, np.ndarray], ...]
+
+
 @dataclass
 class Normalizer:
     """Per (class, feature) monotone map onto [0, 1].
@@ -430,15 +451,20 @@ class Normalizer:
     IDENTITY = "identity"
 
     def apply(self, class_name: str, feature: str, value: float | None) -> float:
-        if value is None:
-            return 0.0
+        column = np.array([value], dtype=float)  # None becomes NaN
+        return float(self.map_column(class_name, feature, column)[0])
+
+    def map_column(self, class_name: str, feature: str,
+                   column: np.ndarray) -> np.ndarray:
+        """Normalize one feature's values; NaN marks an absent value."""
         entry = self.tables.get((class_name, feature), self.IDENTITY)
         if entry == self.IDENTITY:
-            return float(value)
-        if entry == self.CONSTANT:
-            return 0.5
-        values, levels = entry
-        return float(np.interp(value, values, levels))
+            mapped = column
+        elif entry == self.CONSTANT:
+            mapped = 0.5
+        else:
+            mapped = np.interp(column, *entry)
+        return np.where(np.isnan(column), 0.0, mapped)
 
     def to_json(self) -> dict:
         tables: dict[str, dict] = {}
@@ -519,11 +545,21 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
     return norm
 
 
-def normalize(x: H2MGContext, norm: Normalizer) -> H2MGContext:
-    """Replace every feature by its normalized value (absent becomes 0)."""
-    updates: dict[tuple[str, str], dict] = {}
-    for cname in x.edges:
-        for e in x.edges_of(cname):
-            updates[(cname, e.id)] = {
-                f: norm.apply(cname, f, v) for f, v in e.features.items()}
-    return x.replace_features(updates)
+def normalize(x: H2MGContext, norm: Normalizer) -> CompiledContext:
+    """Compile ``x`` into the arrays the graph ODE reads, features normalized.
+
+    One walk over each class's edges in sorted order gathers the edge ids,
+    the port matrix and the raw feature matrix; ``norm`` then maps the
+    features one column at a time (absent becomes 0).
+    """
+    classes = []
+    for cname in sorted(c for c, edges in x.edges.items() if edges):
+        edges, cs = x.sorted_edges(cname), SCHEMA[cname]
+        raw = np.array([[e.features[f] for f in cs.context_feature_names]
+                        for e in edges], dtype=float)
+        feats = np.empty_like(raw)
+        for j, f in enumerate(cs.context_feature_names):
+            feats[:, j] = norm.map_column(cname, f, raw[:, j])
+        classes.append((cname, [e.id for e in edges], feats, np.array(
+            [[e.ports[p] for p in cs.port_names] for e in edges], dtype=int)))
+    return CompiledContext(x.address_count, dict(x.metadata), tuple(classes))

@@ -1,5 +1,10 @@
 """Graph neural ODE over hyper-edge contexts, with exact reverse-mode VJPs.
 
+The model reads a context in compiled form, the
+:class:`~gridtvc.gridgen.CompiledContext` that ``gridgen.normalize``
+returns: per class, the edge ids, an int port matrix and the normalized
+feature matrix.  It never walks the context's edges itself.
+
 Per-class encoders embed edge features; address latents then evolve from
 zero over unit artificial time under a learned drive fed by tanh-squashed
 sums of per-(class, port) messages; per-controller decoders read out the
@@ -42,15 +47,15 @@ cotangent.  A single context is a batch of one on the same path."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .config import config_from_json, config_to_json
-from .gridgen import Normalizer
-from .h2mg import CONTROLLER_CLASSES, H2MGContext, SCHEMA, SurrogateDecision, schema_hash
+from .gridgen import CompiledContext, Normalizer
+from .h2mg import SCHEMA, SurrogateDecision, schema_hash
 
 
 @dataclass(frozen=True)
@@ -196,40 +201,19 @@ class _MLP:
         return d
 
 
-class _Prepared:
-    """Index arrays and feature matrices for one context."""
-
-    def __init__(self, x: H2MGContext):
-        self.n_addr = x.address_count
-        self.classes: list[tuple[str, list[str], np.ndarray, np.ndarray]] = []
-        for cname in sorted(x.edges):
-            edges = x.sorted_edges(cname)
-            if not edges:
-                continue
-            cs = SCHEMA[cname]
-            ids = [e.id for e in edges]
-            feats = np.array(
-                [[0.0 if e.features[f] is None else float(e.features[f])
-                  for f in cs.context_feature_names] for e in edges],
-                dtype=float).reshape(len(edges), len(cs.context_feature_names))
-            ports = np.array([[e.ports[p] for p in cs.port_names] for e in edges],
-                             dtype=int)
-            self.classes.append((cname, ids, feats, ports))
-
-
 class _Union:
-    """The disjoint union of prepared contexts, laid out like one context.
+    """The disjoint union of compiled contexts, laid out like one context.
 
-    ``classes`` has the shape of :attr:`_Prepared.classes`: each class's
-    edges context by context, ports offset by the address count of the
-    contexts before.  ``spans`` holds each context's address rows and
+    ``classes`` has the shape of :attr:`CompiledContext.classes`: each
+    class's edges context by context, ports offset by the address count of
+    the contexts before.  ``spans`` holds each context's address rows and
     ``counts`` its edge count per class, which split outputs back.
     """
 
-    def __init__(self, parts: Sequence[_Prepared]):
+    def __init__(self, parts: Sequence[CompiledContext]):
         self.parts = list(parts)
-        bounds = np.cumsum([0] + [p.n_addr for p in self.parts])
-        self.n_addr = int(bounds[-1])
+        bounds = np.cumsum([0] + [p.address_count for p in self.parts])
+        self.address_count = int(bounds[-1])
         self.spans = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         by_class = [{c[0]: c for c in p.classes} for p in self.parts]
         self.classes: list[tuple[str, list[str], np.ndarray, np.ndarray]] = []
@@ -375,8 +359,8 @@ class _MessageBlock:
 class _Engine:
     """Shared forward machinery for plain evaluation and the VJP sweep.
 
-    ``x`` is one context, a sequence of contexts or a :class:`_Union`; the
-    engine always runs the union.  Every (edge, port) pair owns one row
+    ``x`` is one compiled context or a sequence of them; the engine always
+    runs their :class:`_Union`.  Every (edge, port) pair owns one row
     ("slot") of the step's slot buffers, class by class, edge-major.  A
     step gathers the slots' address latents, lets each class's
     :class:`_MessageBlock` write its messages into its rows, and sums all
@@ -385,12 +369,10 @@ class _Engine:
     """
 
     def __init__(self, params: ModelParams,
-                 x: H2MGContext | Sequence[H2MGContext] | _Union):
+                 x: CompiledContext | Sequence[CompiledContext]):
         self.params = params
         self.cfg = params.config
-        if isinstance(x, H2MGContext):
-            x = [x]
-        self.prep = x if isinstance(x, _Union) else _Union([_Prepared(c) for c in x])
+        self.prep = _Union([x] if isinstance(x, CompiledContext) else x)
         specs = _mlp_specs(self.cfg)
         self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
                     for c, _, _, _ in self.prep.classes}
@@ -416,7 +398,7 @@ class _Engine:
 
     def _scatter(self, rows: np.ndarray) -> np.ndarray:
         """Sum slot rows into their addresses (in slot order)."""
-        n, d = self.prep.n_addr, self.cfg.latent_dim
+        n, d = self.prep.address_count, self.cfg.latent_dim
         return np.bincount(self._flat, weights=rows.reshape(-1),
                            minlength=n * d).reshape(n, d)
 
@@ -461,7 +443,7 @@ class _Engine:
 
     def integrate(self, collect_every: int | None = None):
         """Run all Euler steps; return final latents and optional checkpoints."""
-        h = np.zeros((self.prep.n_addr, self.cfg.latent_dim))
+        h = np.zeros((self.prep.address_count, self.cfg.latent_dim))
         checkpoints = {0: h.copy()} if collect_every else None
         for k in range(self.cfg.steps):
             h, _ = self.step(h)
@@ -505,7 +487,7 @@ class Integration:
     def restrict(self, keep: list[int]) -> "Integration":
         """The same integration over the contexts ``keep`` only.
 
-        The sub-union reuses those contexts' prepared arrays and the rows
+        The sub-union reuses those contexts' compiled arrays and the rows
         of every checkpoint that belong to them.
         """
         prep = self.engine.prep
@@ -513,24 +495,24 @@ class Integration:
             return self
         rows = np.concatenate([prep.spans[i] for i in keep] or [np.zeros(0, int)])
         return Integration(
-            _Engine(self.engine.params, _Union([prep.parts[i] for i in keep])),
+            _Engine(self.engine.params, [prep.parts[i] for i in keep]),
             self.h_final[rows], {k: h[rows] for k, h in self.checkpoints.items()})
 
 
-def _integrate(params: ModelParams, xs: Sequence[H2MGContext]) -> Integration:
+def _integrate(params: ModelParams, xs: Sequence[CompiledContext]) -> Integration:
     eng = _Engine(params, xs)
     h, checkpoints = eng.integrate(collect_every=_checkpoint_every(params.config))
     return Integration(eng, h, checkpoints)
 
 
-def forward(params: ModelParams, x: H2MGContext | Sequence[H2MGContext]):
-    """Raw surrogate decision for a normalized context (offsets not applied).
+def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext]):
+    """Raw surrogate decision for a compiled context (offsets not applied).
 
     A sequence of contexts runs as one integration over their disjoint
     union and returns the per-context decisions together with the
     :class:`Integration`, checkpoints included, that :func:`vjp` takes.
     """
-    if isinstance(x, H2MGContext):
+    if isinstance(x, CompiledContext):
         eng = _Engine(params, x)
         h, _ = eng.integrate()
         return SurrogateDecision(eng.decode(h)[0])
@@ -538,7 +520,7 @@ def forward(params: ModelParams, x: H2MGContext | Sequence[H2MGContext]):
     return [SurrogateDecision(z) for z in run.engine.decode(run.h_final)], run
 
 
-def vjp(params: ModelParams, x: H2MGContext | Integration, cotangent) -> ModelParams:
+def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> ModelParams:
     """Parameter cotangent of ``forward`` for a given output cotangent.
 
     For an :class:`Integration` from a batch ``forward``, ``cotangent``
@@ -554,7 +536,7 @@ def vjp(params: ModelParams, x: H2MGContext | Integration, cotangent) -> ModelPa
     segments on its own sub-union, whose steps round differently from the
     union's, so its result moves with the interval by rounding only.
     """
-    if isinstance(x, H2MGContext):
+    if isinstance(x, CompiledContext):
         x, cotangent = _integrate(params, [x]), [cotangent]
     if x.engine.params is not params:
         raise ValueError("the integration ran with other parameters")

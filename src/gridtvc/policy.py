@@ -9,6 +9,7 @@ several hundred stay finite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,6 @@ class PolicyConfig:
     binary_offset: float = -2.0      # shifts line/shunt logits toward inaction
     rtc_offset_scale: float = 2.0    # weight of the baseline category logit
     svr_offset: float = 0.0          # uniform baseline setpoint offset, p.u.
-    printed_rtc_entropy_grad: bool = False  # elementwise variant, comparisons only
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -96,8 +96,12 @@ def sample(class_name: str, z: np.ndarray, rng: np.random.Generator,
         return int(rng.random() < _sigmoid(z[0]))
     if kind == D_CONTINUOUS:
         return float(z[0] + cfg.sigma * rng.standard_normal())
-    cdf = np.cumsum(_softmax(z))
-    return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, RTC_CATEGORIES - 1))
+    # inverse CDF on Python floats: numpy's per-call cost dominates at 4 entries
+    scores = z.tolist()
+    weights = [math.exp(s - max(scores)) for s in scores]
+    u = rng.random()
+    cdf = itertools.accumulate(w / sum(weights) for w in weights)
+    return next((k for k, c in enumerate(cdf) if u < c), RTC_CATEGORIES - 1)
 
 
 def most_probable(z: SurrogateDecision) -> Decision:
@@ -142,8 +146,6 @@ def entropy_grad(class_name: str, z: np.ndarray, cfg: PolicyConfig) -> np.ndarra
     if kind == D_CONTINUOUS:
         return np.zeros(1)
     p = _softmax(z)
-    if cfg.printed_rtc_entropy_grad:
-        return -z * p * (1.0 - p)
     logp = _log_softmax(z)
     h = float(-(p * logp).sum())
     return -p * (logp + h)

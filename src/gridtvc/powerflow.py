@@ -36,12 +36,11 @@ be given, and it would return the same bits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .h2mg import (
-    CONTROLLER_CLASSES,
     Decision,
     H2MGContext,
     H2MGError,
@@ -125,6 +124,10 @@ class ObjectiveBreakdown:
     total: float
     converged: bool
     status: str             # one of SOLVE_STATUSES
+    inner: int              # Newton iterations, as PowerFlowSolution.inner_iterations
+    outer: int              # outer rounds, as PowerFlowSolution.outer_iterations
+    restarts: int           # flat-start Newton retries taken
+    moving: tuple[str, ...]  # of MOVING_LOOPS: what changed in the last outer round
 
 
 @dataclass(frozen=True)
@@ -864,9 +867,10 @@ def evaluate_objective(x: H2MGContext, y: Decision,
                        opts: SolverOptions = SolverOptions()) -> ObjectiveBreakdown:
     """Apply ``y``, solve, and score voltage/current violations plus losses."""
     raw = _solve_raw(apply_decision(x, y), opts)
+    counts = (raw.status, raw.inner, raw.outer, raw.state.restarts, raw.moving)
     if not raw.converged:
         return ObjectiveBreakdown(0.0, 0.0, 0.0, opts.prohibitive_cost, False,
-                                  raw.status)
+                                  *counts)
     m = raw.model
     ve = _normalized_voltages(raw)
     pen_v = np.maximum(0.0, np.maximum(opts.eps_v - ve, ve - 1.0 + opts.eps_v))
@@ -876,7 +880,7 @@ def evaluate_objective(x: H2MGContext, y: Decision,
     f_i = opts.lambda_i * float(np.sum(pen_i ** 2))
     opt_branch = m.branch_opt > 0.5
     f_j = opts.lambda_j * float(np.sum(np.abs(raw.p1 + raw.p2)[opt_branch]))
-    return ObjectiveBreakdown(f_v, f_i, f_j, f_v + f_i + f_j, True, raw.status)
+    return ObjectiveBreakdown(f_v, f_i, f_j, f_v + f_i + f_j, True, *counts)
 
 
 def count_metrics(x: H2MGContext, y: Decision,

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from gridtvc.h2mg import SCHEMA, H2MGContext, SurrogateDecision
-from gridtvc.model import ModelParams, _MLP, _Prepared, _gather, _mlp_specs
+from gridtvc.gridgen import CompiledContext
+from gridtvc.h2mg import SCHEMA, SurrogateDecision
+from gridtvc.model import ModelParams, _MLP, _gather, _mlp_specs
 
 
 class ReferenceEngine:
     """Per-port forward machinery for plain evaluation and the VJP sweep."""
 
-    def __init__(self, params: ModelParams, x: H2MGContext):
+    def __init__(self, params: ModelParams, x: CompiledContext):
         self.params = params
         self.cfg = params.config
-        self.prep = _Prepared(x)
+        self.prep = x
         specs = _mlp_specs(self.cfg)
         self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
                     for c, _, _, _ in self.prep.classes}
@@ -39,7 +40,7 @@ class ReferenceEngine:
 
     def step(self, h: np.ndarray, keep: bool = False):
         d = self.cfg.latent_dim
-        s = np.zeros((self.prep.n_addr, d))
+        s = np.zeros((self.prep.address_count, d))
         cls_cache = {}
         for cname, _, _, ports in self.prep.classes:
             u = np.concatenate([_gather(h, ports), self.xt[cname]], axis=1)
@@ -59,7 +60,7 @@ class ReferenceEngine:
         return h_next, (mt, cls_cache, dyn_cache)
 
     def integrate(self, collect_every: int | None = None):
-        h = np.zeros((self.prep.n_addr, self.cfg.latent_dim))
+        h = np.zeros((self.prep.address_count, self.cfg.latent_dim))
         checkpoints = {0: h.copy()} if collect_every else None
         for k in range(self.cfg.steps):
             h, _ = self.step(h)
@@ -78,13 +79,13 @@ class ReferenceEngine:
         return out
 
 
-def reference_forward(params: ModelParams, x: H2MGContext) -> SurrogateDecision:
+def reference_forward(params: ModelParams, x: CompiledContext) -> SurrogateDecision:
     eng = ReferenceEngine(params, x)
     h, _ = eng.integrate()
     return SurrogateDecision(eng.decode(h))
 
 
-def reference_vjp(params: ModelParams, x: H2MGContext,
+def reference_vjp(params: ModelParams, x: CompiledContext,
                   cotangent: dict[str, dict[str, np.ndarray]]) -> ModelParams:
     eng = ReferenceEngine(params, x)
     cfg = params.config

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,22 +187,60 @@ def test_monotonicity_and_range_property():
     assert all(b >= a - 1e-12 for a, b in zip(outs, outs[1:]))
 
 
+def feature_column(xn, cname, fname):
+    [feats] = [f for c, _, f, _ in xn.classes if c == cname]
+    return feats[:, SCHEMA[cname].context_feature_names.index(fname)]
+
+
 def test_normalize_context_range_and_absent_rule():
     xs = [generate_context(SMALL, grng.stream(21, i)) for i in range(3)]
     norm = fit_normalizer(xs, knots=31)
     xn = normalize(xs[0], norm)
-    for e in xn.all_edges():
-        for fname, val in e.features.items():
-            assert val is not None
-            if norm.tables.get((e.class_name, fname)) != Normalizer.IDENTITY:
-                assert 0.0 <= val <= 1.0
+    for cname, _, feats, _ in xn.classes:
+        for fname, col in zip(SCHEMA[cname].context_feature_names, feats.T):
+            assert np.all(np.isfinite(col))
+            if norm.tables.get((cname, fname)) != Normalizer.IDENTITY:
+                assert np.all((0.0 <= col) & (col <= 1.0))
     # absent inputs map to exactly 0 after normalization
     x = two_bus()
     assert x.edges_of("load")[0].features["i"] is None
     with pytest.warns(UserWarning):
         norm2 = fit_normalizer([x], knots=3)
     xn2 = normalize(x, norm2)
-    assert xn2.edges_of("load")[0].features["i"] == 0.0
+    assert feature_column(xn2, "load", "i")[0] == 0.0
+
+
+@pytest.mark.parametrize("knots", [101, 5])
+def test_normalize_matches_the_per_scalar_normalizer(knots):
+    # Generated contexts carry every feature; the hand-built two-bus grid
+    # has absent ones, which must come out exactly 0.
+    xs = [generate_context(SMALL, grng.stream(25, i)) for i in range(20)]
+    xs.append(two_bus())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        norm = fit_normalizer(xs[:-1], knots=knots)
+    n_absent = 0
+    for x in xs:
+        xn = normalize(x, norm)
+        assert xn.address_count == x.address_count and xn.metadata == x.metadata
+        assert [c for c, _, _, _ in xn.classes] == sorted(x.edges)
+        for cname, ids, feats, ports in xn.classes:
+            cs = SCHEMA[cname]
+            edges = x.sorted_edges(cname)
+            assert ids == [e.id for e in edges]
+            ref = np.array([[norm.apply(cname, f, e.features[f])
+                             for f in cs.context_feature_names] for e in edges],
+                           dtype=float).reshape(len(edges), len(cs.context_feature_names))
+            assert feats.shape == ref.shape and feats.tobytes() == ref.tobytes()
+            absent = np.array([[e.features[f] is None for f in cs.context_feature_names]
+                               for e in edges], dtype=bool).reshape(ref.shape)
+            assert np.all(feats[absent] == 0.0)
+            n_absent += int(absent.sum())
+            assert ports.dtype.kind == "i" and ports.tobytes() == np.array(
+                [[e.ports[p] for p in cs.port_names] for e in edges],
+                dtype=ports.dtype).tobytes()
+    assert n_absent == 10
+
 
 
 def test_normalizer_save_load_round_trip(tmp_path):

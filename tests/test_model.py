@@ -37,11 +37,15 @@ def five_address_context() -> H2MGContext:
     })
 
 
-def norm_context(x):
+def fit_quietly(x):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return normalize(x, fit_normalizer([x], knots=5))
+        return fit_normalizer([x], knots=5)
+
+
+def norm_context(x):
+    return normalize(x, fit_quietly(x))
 
 
 def jitter_biases(params, seed=99, scale=0.05):
@@ -146,8 +150,9 @@ def test_constant_drive_integrates_exactly():
 
 
 def test_latent_starts_at_zero_and_isolated_address_gets_no_message():
-    x = norm_context(five_address_context())
-    padded = H2MGContext(x.address_count + 3, dict(x.edges), dict(x.metadata))
+    x = five_address_context()
+    padded = normalize(H2MGContext(x.address_count + 3, dict(x.edges), dict(x.metadata)),
+                       fit_quietly(x))
     params = init_params(TINY, np.random.default_rng(1))
     eng = _Engine(params, padded)
     h = np.zeros((padded.address_count, TINY.latent_dim))
@@ -168,15 +173,15 @@ def test_permutation_equivariance():
                                         line_controller_count=3,
                                         controllable_line_count=3),
                          grng.stream("perm", 0))
-    xn = norm_context(x)
+    norm = fit_quietly(x)
     params = init_params(TINY, np.random.default_rng(3))
-    z_ref = forward(params, xn)
+    z_ref = forward(params, normalize(x, norm))
 
     rng = np.random.default_rng(4)
-    perm = rng.permutation(xn.address_count)
-    remap = {a: int(perm[a]) for a in range(xn.address_count)}
+    perm = rng.permutation(x.address_count)
+    remap = {a: int(perm[a]) for a in range(x.address_count)}
     shuffled = {}
-    for cname, elist in xn.edges.items():
+    for cname, elist in x.edges.items():
         new = []
         for e in elist:
             new.append(type(e)(e.id, cname,
@@ -184,8 +189,8 @@ def test_permutation_equivariance():
                                dict(e.features)))
         order = rng.permutation(len(new))
         shuffled[cname] = tuple(new[i] for i in order)
-    x_perm = H2MGContext(xn.address_count, shuffled, dict(xn.metadata))
-    z_perm = forward(params, x_perm)
+    x_perm = H2MGContext(x.address_count, shuffled, dict(x.metadata))
+    z_perm = forward(params, normalize(x_perm, norm))
 
     for cname, per in z_ref.values.items():
         for eid, v in per.items():

@@ -224,21 +224,6 @@ def test_log_prob_grad_hand_values():
     assert np.allclose(grad, [0.75, -0.25, -0.25, -0.25])
 
 
-def test_printed_rtc_entropy_variant():
-    cfg = PolicyConfig(printed_rtc_entropy_grad=True)
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        z = _rand_z("rtc_controller", rng)
-        p = np.exp(z - z.max())
-        p = p / p.sum()
-        printed = -z * p * (1.0 - p)
-        assert np.allclose(policy.entropy_grad("rtc_controller", z, cfg), printed)
-    # the printed variant differs from the analytic derivative in general
-    z = np.array([1.0, -0.5, 0.2, 0.0])
-    assert not np.allclose(policy.entropy_grad("rtc_controller", z, cfg),
-                           policy.entropy_grad("rtc_controller", z, CFG))
-
-
 # -- factorization ------------------------------------------------------------
 
 def test_total_log_prob_factorizes():

@@ -418,3 +418,24 @@ def test_solution_names_the_loops_still_moving_and_the_restarts():
     failed = solve_ac(two_bus(20.0, 8.0, 0.01, 0.1))
     assert failed.status == "newton_failed"
     assert failed.moving == () and failed.restarts == 1
+
+
+@pytest.mark.parametrize("index, status", [(2, "outer_cap"), (0, "converged")])
+def test_objective_carries_the_solve_counts(index, status):
+    # val-002's baseline is the pinned outer-cap solve; val-000's converges.
+    x = generate_context(GridFamilySpec(), stream(0, "val", index),
+                         origin=f"val-{index:03d}")
+    y = init_baseline(x, 0.0)
+    res = evaluate_objective(x, y)
+    sol = solve_ac(apply_decision(x, y))
+    assert res.status == sol.status == status
+    assert (res.inner, res.outer, res.restarts, res.moving) == (
+        sol.inner_iterations, sol.outer_iterations, sol.restarts, sol.moving)
+    assert res.inner > 0 and res.outer > 0
+
+
+def test_objective_carries_the_restart_of_a_failed_solve():
+    x = two_bus(20.0, 8.0, 0.01, 0.1)
+    res = evaluate_objective(x, empty_decision(x))
+    assert (res.status, res.inner, res.outer, res.restarts, res.moving) == (
+        "newton_failed", solve_ac(x).inner_iterations, 0, 1, ())

@@ -13,8 +13,7 @@ from gridtvc.gridgen import (
 from gridtvc.model import ModelConfig, forward, init_params, load_checkpoint, save_checkpoint
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
 from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
-from gridtvc.trainer import (
-    TrainConfig, _validation_objective, evaluate, evaluate_checkpoint, train)
+from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
 
 SMALL = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(8,),
                     message_hidden=(8,), decoder_hidden=(8,), dt=0.1,
@@ -43,7 +42,7 @@ def test_config_round_trip_changes_every_field():
         estimator=EstimatorConfig(beta=1e-3, tau=0.2, samples={"line_controller": 2},
                                   prohibitive_cost=50.0),
         policy=PolicyConfig(sigma=0.01, binary_offset=-1.0, rtc_offset_scale=1.0,
-                            svr_offset=0.01, printed_rtc_entropy_grad=True),
+                            svr_offset=0.01),
         solver=SolverOptions(tolerance=1e-7, max_inner=20, max_outer=50,
                              rtc_deadband=0.01, svr_deadband=1e-4, lambda_v=2.0,
                              lambda_i=3.0, lambda_j=0.2, eps_v=0.1, eps_i=0.2,
@@ -59,7 +58,6 @@ def test_config_round_trip_changes_every_field():
     back = TrainConfig.from_json(json.loads(json.dumps(doc)))
     assert back == cfg
     assert back.solver.target_clamp == (0.5, 2.0)
-    assert back.policy.printed_rtc_entropy_grad is True
 
 
 def test_config_from_json_rejects_unknown_field():
@@ -159,9 +157,9 @@ def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkey
     save_checkpoint(out / "ckpt.npz", params, norm)
     steps = []
 
-    def spy(p, x):
-        steps.append(p.config.steps)
-        return forward(p, x)
+    def spy(p, xs):
+        steps.extend([p.config.steps] * len(xs))
+        return forward(p, xs)
 
     monkeypatch.setattr(trainer, "forward", spy)
     report = evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
@@ -233,20 +231,45 @@ def test_worker_pool_trains_exactly_like_in_process(run):
         assert np.array_equal(v, finals[1].values[k]), k
 
 
-def test_validation_objective_matches_per_context_decisions(run):
+def test_decide_matches_per_context_forwards(run, monkeypatch):
     cfg, summary, root = run
     params, _ = load_checkpoint(summary["final_checkpoint"])
     norm = Normalizer.load(root / "run" / "normalizer.json")
     xs = load_dataset(cfg.val_dir) + load_dataset(cfg.train_dir)[:1]
     pairs = [(x, normalize(x, norm)) for x in xs]
-    totals, converged = [], 0
-    for x, xn in pairs:
-        z = apply_offsets(forward(params, xn), x, cfg.policy)
-        res = evaluate_objective(x, most_probable(z), cfg.solver)
-        totals.append(res.total)
-        converged += res.converged
+    singles = [most_probable(apply_offsets(forward(params, xn), x, cfg.policy))
+               for x, xn in pairs]
+    ref = [evaluate_objective(x, y, cfg.solver) for x, y in zip(xs, singles)]
     for chunk in (1, 2, 3):
-        value, rate = _validation_objective(params, pairs, cfg.policy, cfg.solver,
-                                            chunk=chunk)
-        assert value == pytest.approx(float(np.mean(totals)), rel=1e-12, abs=0.0)
-        assert rate == converged / len(pairs)
+        monkeypatch.setattr(trainer, "DECIDE_CHUNK", chunk)
+        decisions = decide(params, pairs, cfg.policy)
+        assert len(decisions) == len(singles)
+        for y, y_ref in zip(decisions, singles):
+            assert y.values.keys() == y_ref.values.keys()
+            for cname, per in y_ref.values.items():
+                assert y.values[cname].keys() == per.keys()
+                for eid, v in per.items():
+                    if cname == "svr_controller":
+                        assert y.values[cname][eid] == pytest.approx(v, rel=1e-12, abs=0.0)
+                    else:
+                        assert y.values[cname][eid] == v
+        res = [evaluate_objective(x, y, cfg.solver) for x, y in zip(xs, decisions)]
+        assert float(np.mean([r.total for r in res])) == pytest.approx(
+            float(np.mean([r.total for r in ref])), rel=1e-12, abs=0.0)
+        assert [r.converged for r in res] == [r.converged for r in ref]
+
+
+def test_train_log_is_on_disk_before_each_adam_step(run, monkeypatch):
+    cfg, _, root = run
+    log = root / "flushed" / "train_log.jsonl"
+    calls = []
+    original = trainer.adam_step
+
+    def spy(*args):
+        calls.append(len(log.read_text().splitlines()))
+        return original(*args)
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    train(replace(cfg, iterations=3, eval_every=0, out_dir=str(root / "flushed")))
+    # at its k-th call (from 0), the records of iterations 0..k-1 are written
+    assert calls == [0, 1, 2]
