@@ -42,7 +42,9 @@ decoders' rows split back into one decision per context.  A batch
 ``forward`` keeps its checkpoints in an :class:`Integration`; ``vjp`` on
 that integration sweeps back from them over the contexts that have a
 cotangent, without integrating again, and returns their summed parameter
-cotangent.  A single context is a batch of one on the same path."""
+cotangent.  :func:`predict` integrates a batch the same way but keeps no
+checkpoints, for decisions, which run no VJP.  A single context's
+``forward`` is a ``predict`` of one."""
 
 from __future__ import annotations
 
@@ -505,6 +507,14 @@ def _integrate(params: ModelParams, xs: Sequence[CompiledContext]) -> Integratio
     return Integration(eng, h, checkpoints)
 
 
+def predict(params: ModelParams, xs: Sequence[CompiledContext]) -> list[SurrogateDecision]:
+    """Raw surrogate decisions of contexts integrated as one union, keeping
+    no checkpoints: the decision path, which never runs :func:`vjp`."""
+    eng = _Engine(params, xs)
+    h, _ = eng.integrate()
+    return [SurrogateDecision(z) for z in eng.decode(h)]
+
+
 def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext]):
     """Raw surrogate decision for a compiled context (offsets not applied).
 
@@ -513,9 +523,7 @@ def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext])
     :class:`Integration`, checkpoints included, that :func:`vjp` takes.
     """
     if isinstance(x, CompiledContext):
-        eng = _Engine(params, x)
-        h, _ = eng.integrate()
-        return SurrogateDecision(eng.decode(h)[0])
+        return predict(params, [x])[0]
     run = _integrate(params, x)
     return [SurrogateDecision(z) for z in run.engine.decode(run.h_final)], run
 

@@ -15,10 +15,11 @@ estimators' distinct samples.  The log is line-buffered, so every record is
 on disk once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
-take the policy's decisions from one :func:`decide`.  It runs fused
-forwards over four contexts at a time: at the default config that cuts
-the time per decision by about a third against one context at a time,
-and eight contexts gain little more for twice the memory.
+take the policy's decisions from one :func:`decide`.  It integrates four
+contexts at a time as one union, keeping no checkpoints since decisions
+run no VJP: at the default config that cuts the time per decision by
+about a third against one context at a time, and eight contexts gain
+little more for twice the memory.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
+    predict,
     save_checkpoint,
     vjp,
 )
@@ -301,7 +303,7 @@ def train(cfg: TrainConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-#: Contexts per fused forward in :func:`decide`.  Default config, 2 vCPUs, one
+#: Contexts per fused integration in :func:`decide`.  Default config, 2 vCPUs, one
 #: BLAS thread, 20 contexts: 64 ms per decision against 95 ms one at a time, no
 #: discrete flip, outputs within 4.4e-16; 8 give 62 ms for twice the memory.
 DECIDE_CHUNK = 4
@@ -311,12 +313,13 @@ def decide(params: ModelParams, pairs: list[tuple[H2MGContext, CompiledContext]]
            pol_cfg: PolicyConfig) -> list[Decision]:
     """The policy's most-probable decision on each (context, compiled context).
 
-    The network integrates ``DECIDE_CHUNK`` contexts per fused forward.
+    The network integrates ``DECIDE_CHUNK`` contexts per fused
+    :func:`~gridtvc.model.predict`, which keeps no checkpoints.
     """
     chunks = [pairs[i:i + DECIDE_CHUNK] for i in range(0, len(pairs), DECIDE_CHUNK)]
     return [policy_mod.most_probable(policy_mod.apply_offsets(z, x, pol_cfg))
             for chunk in chunks
-            for (x, _), z in zip(chunk, forward(params, [xn for _, xn in chunk])[0])]
+            for (x, _), z in zip(chunk, predict(params, [xn for _, xn in chunk]))]
 
 
 def _policy_metrics(records: list) -> dict:

@@ -1,12 +1,15 @@
-"""tune_baseline_offset's early stop against the exhaustive search."""
+"""tune_baseline_offset's best-first search against the exhaustive and reference searches."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from baseline_reference import pruned_chain_search
 from gridtvc import baseline
+from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.h2mg import H2MGError
+from gridtvc.rng import stream
 
 GRID = np.round(np.arange(-0.03, 0.0301, 0.005), 10)
 PROHIBITIVE = 100.0
@@ -48,7 +51,7 @@ def tables(seed, n):
     return table, converged
 
 
-def run_pruned(monkeypatch, table, converged):
+def run_pruned(monkeypatch, table, converged, search=None, grid=GRID):
     calls = []
 
     def evaluate_objective(x, offset, opts):
@@ -59,7 +62,8 @@ def run_pruned(monkeypatch, table, converged):
     monkeypatch.setattr(baseline, "init_baseline", lambda x, offset: offset)
     monkeypatch.setattr(baseline, "evaluate_objective", evaluate_objective)
     n = len(next(iter(table.values())))
-    return baseline.tune_baseline_offset(list(range(n)), grid=GRID), calls
+    search = search or baseline.tune_baseline_offset
+    return search(list(range(n)), grid=grid), calls
 
 
 def test_pruned_search_returns_the_exhaustive_offset(monkeypatch):
@@ -103,3 +107,90 @@ def test_nothing_converging_raises_like_the_exhaustive_search(monkeypatch):
         exhaustive(table, converged)
     with pytest.raises(H2MGError, match="never converged"):
         run_pruned(monkeypatch, table, converged)
+
+
+def test_best_first_matches_the_reference_with_no_more_solves(monkeypatch):
+    ours, theirs = 0, 0
+    for seed in range(40):
+        n = 3 + seed % 18
+        table, converged = tables(seed, n)
+        got, calls = run_pruned(monkeypatch, table, converged)
+        ref, ref_calls = run_pruned(monkeypatch, table, converged, pruned_chain_search)
+        assert got == ref == exhaustive(table, converged), seed
+        assert len(calls) <= len(ref_calls), seed
+        ours, theirs = ours + len(calls), theirs + len(ref_calls)
+    assert ours < theirs
+
+
+@pytest.mark.parametrize("converging", [(0.0, 0), (0.03, 3)])
+@pytest.mark.parametrize("steps, winner", [((0.6e-12, 1.2e-12), -0.03),
+                                           ((0.6e-12, 0.9e-12), 0.0)])
+def test_a_non_transitive_near_tie_chain_keeps_the_exhaustive_pick(
+        monkeypatch, converging, steps, winner):
+    # Means below 1e-3; canonical order visits 0.0, then -0.02, then -0.03
+    # (last of all).  -0.02 sits 0.6e-12 below 0.0 and never replaces it.
+    # -0.03 sits 1.2e-12 below 0.0 and wins, or 0.9e-12 below: then 0.0
+    # wins although -0.03 has the lowest mean, by more than a relative 1e-9.
+    # One pair in the whole grid converges, on the first or on a losing
+    # offset's last context.
+    n = 4
+    table = {o: np.full(n, 9e-4) for o in GRID.tolist()}
+    table[0.0] = np.full(n, 5e-4)
+    table[-0.02] = np.full(n, 5e-4 - steps[0])
+    table[-0.03] = np.full(n, 5e-4 - steps[1])
+    converged = {o: np.zeros(n, dtype=bool) for o in GRID.tolist()}
+    offset, k = converging
+    converged[offset][k] = True
+    got, calls = run_pruned(monkeypatch, table, converged)
+    ref, _ = run_pruned(monkeypatch, table, converged, pruned_chain_search)
+    assert got == ref == exhaustive(table, converged) == winner
+    assert (offset, k) in calls
+
+
+def test_a_list_or_tuple_grid_is_read_as_an_array(monkeypatch):
+    table, converged = tables(7, 5)
+    want = run_pruned(monkeypatch, table, converged)
+    for grid in (GRID.tolist(), tuple(GRID.tolist())):
+        assert run_pruned(monkeypatch, table, converged, grid=grid) == want
+
+
+@pytest.mark.parametrize("grid", [[], np.array([]), 0.01, [[0.0, 0.01]]])
+def test_an_empty_or_non_1d_grid_raises_value_error(monkeypatch, grid):
+    table, converged = tables(7, 5)
+    with pytest.raises(ValueError, match="grid"):
+        run_pruned(monkeypatch, table, converged, grid=grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_offset_raises_value_error(monkeypatch, bad):
+    table, converged = tables(7, 5)
+    with pytest.raises(ValueError, match="finite"):
+        run_pruned(monkeypatch, table, converged, grid=[0.0, bad])
+
+
+def test_a_duplicated_offset_is_searched_once(monkeypatch):
+    n = 6
+    table, converged = tables(11, n)
+    want, calls = run_pruned(monkeypatch, table, converged)
+    twice = np.concatenate([GRID[::-1], GRID])
+    got, dup_calls = run_pruned(monkeypatch, table, converged, grid=twice)
+    assert got == want
+    assert dup_calls == calls
+
+
+def test_real_oracle_picks_the_reference_offset_with_fewer_solves(monkeypatch):
+    xs = [generate_context(GridFamilySpec(), stream(0, "val", i))
+          for i in range(6)]
+    solves = []
+    solve = baseline.evaluate_objective
+
+    def counting(x, y, opts):
+        solves.append(x)
+        return solve(x, y, opts)
+
+    monkeypatch.setattr(baseline, "evaluate_objective", counting)
+    got = baseline.tune_baseline_offset(xs)
+    ours = len(solves)
+    solves.clear()
+    assert got == pruned_chain_search(xs)
+    assert ours < len(solves)

@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridtvc import model
 from gridtvc import rng as grng
 from gridtvc import trainer
 from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, generate_context, load_dataset, normalize, write_dataset)
-from gridtvc.model import ModelConfig, forward, init_params, load_checkpoint, save_checkpoint
+from gridtvc.model import (
+    ModelConfig, forward, init_params, load_checkpoint, predict, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
 from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
@@ -159,9 +161,9 @@ def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkey
 
     def spy(p, xs):
         steps.extend([p.config.steps] * len(xs))
-        return forward(p, xs)
+        return predict(p, xs)
 
-    monkeypatch.setattr(trainer, "forward", spy)
+    monkeypatch.setattr(trainer, "predict", spy)
     report = evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
     assert steps == [200] * len(load_dataset(cfg.val_dir))
     assert report == evaluate(params, load_dataset(cfg.val_dir), norm)
@@ -257,6 +259,24 @@ def test_decide_matches_per_context_forwards(run, monkeypatch):
         assert float(np.mean([r.total for r in res])) == pytest.approx(
             float(np.mean([r.total for r in ref])), rel=1e-12, abs=0.0)
         assert [r.converged for r in res] == [r.converged for r in ref]
+
+
+def test_decide_collects_no_checkpoints(run, monkeypatch):
+    cfg, summary, root = run
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    norm = Normalizer.load(root / "run" / "normalizer.json")
+    pairs = [(x, normalize(x, norm)) for x in load_dataset(cfg.val_dir)]
+    collect = []
+    integrate = model._Engine.integrate
+
+    def spy(self, collect_every=None):
+        collect.append(collect_every)
+        return integrate(self, collect_every)
+
+    monkeypatch.setattr(model._Engine, "integrate", spy)
+    decide(params, pairs, cfg.policy)
+    assert len(collect) == math.ceil(len(pairs) / trainer.DECIDE_CHUNK)
+    assert not any(collect)
 
 
 def test_train_log_is_on_disk_before_each_adam_step(run, monkeypatch):
