@@ -502,11 +502,20 @@ class Normalizer:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+#: Quantiles closer than this are one atom: flows that are zero up to
+#: rounding come out as 0.0 in one context set and ~4e-15 in another, and a
+#: breakpoint for each would map a 1e-13 change onto a whole level step.
+KNOT_TIE = 1e-9
+
+
 def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
     """Fit the empirical-CDF breakpoints on a training dataset.
 
-    Breakpoints sit at the empirical quantiles of levels k/(knots-1); tied
-    quantile values collapse to a single breakpoint at their mean level.
+    Breakpoints sit at the empirical quantiles of levels k/(knots-1).  A run
+    of quantiles each within ``KNOT_TIE`` of the one before is an atom and
+    collapses to a single breakpoint, at the run's median value and its
+    mean (mid-rank) level; exact ties are the simplest such run.  A feature
+    whose values all lie within ``KNOT_TIE`` is constant.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -533,14 +542,14 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
             norm.tables[key] = Normalizer.IDENTITY
             continue
         arr = np.asarray(vals, dtype=float)
-        if arr.min() == arr.max():
+        if arr.max() - arr.min() <= KNOT_TIE:
             norm.tables[key] = Normalizer.CONSTANT
             continue
         qs = np.quantile(arr, levels)
-        values, starts = np.unique(qs, return_index=True)
-        # mean level of each run of tied quantiles
-        bounds = np.append(starts, len(qs))
-        lvl = np.array([levels[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+        starts = np.flatnonzero(np.diff(qs, prepend=-np.inf) > KNOT_TIE)
+        runs = list(zip(starts, np.append(starts[1:], len(qs))))
+        values = np.array([qs[(a + b - 1) // 2] for a, b in runs])
+        lvl = np.array([levels[a:b].mean() for a, b in runs])
         norm.tables[key] = (values, lvl)
     return norm
 

@@ -304,8 +304,8 @@ def train(cfg: TrainConfig) -> dict:
 # Evaluation
 
 #: Contexts per fused integration in :func:`decide`.  Default config, 2 vCPUs, one
-#: BLAS thread, 20 contexts: 64 ms per decision against 95 ms one at a time, no
-#: discrete flip, outputs within 4.4e-16; 8 give 62 ms for twice the memory.
+#: BLAS thread, 20 val contexts: 17 ms per decision against 25 ms one at a time,
+#: no discrete flip, SVR set-points within 1e-18; 8 give 17 ms for twice the memory.
 DECIDE_CHUNK = 4
 
 

@@ -1,9 +1,9 @@
 """The per-port graph-ODE loop, kept as the reference for the fused model.
 
-This is the straightforward form of ``gridtvc.model``'s Euler step: one
-message MLP call per (class, port) and one ``np.add.at`` scatter per class,
-with the same checkpointed-recompute VJP.  ``tests/test_model_reference.py``
-checks the fused engine against it.
+This is the straightforward form of ``gridtvc.model``'s Heun step: one
+message MLP call per (class, port) and one ``np.add.at`` scatter per class
+in each drive evaluation, with the same checkpointed-recompute VJP.
+``tests/test_model_reference.py`` checks the fused engine against it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ReferenceEngine:
         for cname, _, feats, _ in self.prep.classes:
             self.xt[cname] = self.enc[cname].forward(feats)
 
-    def step(self, h: np.ndarray, keep: bool = False):
+    def drive(self, h: np.ndarray, keep: bool = False):
         d = self.cfg.latent_dim
         s = np.zeros((self.prep.address_count, d))
         cls_cache = {}
@@ -54,10 +54,34 @@ class ReferenceEngine:
             if keep:
                 cls_cache[cname] = (u, caches)
         mt = np.tanh(s)
-        drive, dyn_cache = self.dyn.forward_cached(
+        k, dyn_cache = self.dyn.forward_cached(
             np.concatenate([h, mt], axis=1), keep=keep)
-        h_next = h + self.cfg.dt * drive
-        return h_next, (mt, cls_cache, dyn_cache)
+        return k, (mt, cls_cache, dyn_cache)
+
+    def drive_backward(self, kbar, internals, grads, xbar):
+        """Latent cotangent of one drive evaluation; accumulates grads and ``xbar``."""
+        d = self.cfg.latent_dim
+        mt, cls_cache, dyn_cache = internals
+        du = self.dyn.backward(dyn_cache, kbar, grads)
+        hbar = du[:, :d].copy()
+        sbar = du[:, d:] * (1.0 - mt * mt)
+        for cname, _, _, ports in self.prep.classes:
+            u, caches = cls_cache[cname]
+            mbar = sbar[ports.reshape(-1)].reshape(ports.shape[0], ports.shape[1], d)
+            du_cls = np.zeros_like(u)
+            for kp, pname in enumerate(SCHEMA[cname].port_names):
+                du_cls += self.msg[(cname, pname)].backward(
+                    caches[kp], mbar[:, kp, :], grads)
+            split = ports.shape[1] * d
+            np.add.at(hbar, ports.reshape(-1), du_cls[:, :split].reshape(-1, d))
+            xbar[cname] += du_cls[:, split:]
+        return hbar
+
+    def step(self, h: np.ndarray, keep: bool = False):
+        k1, stage1 = self.drive(h, keep)
+        k2, stage2 = self.drive(h + self.cfg.dt * k1, keep)
+        h_next = h + self.cfg.dt / 2 * (k1 + k2)
+        return h_next, (stage1, stage2)
 
     def integrate(self, collect_every: int | None = None):
         h = np.zeros((self.prep.address_count, self.cfg.latent_dim))
@@ -120,24 +144,11 @@ def reference_vjp(params: ModelParams, x: CompiledContext,
             h_next, internals = eng.step(h, keep=True)
             trail.append(internals)
             h = h_next
-        for mt, cls_cache, dyn_cache in reversed(trail):
-            du = eng.dyn.backward(dyn_cache, cfg.dt * hbar, grads)
-            d = cfg.latent_dim
-            hbar_k = hbar + du[:, :d]
-            sbar = du[:, d:] * (1.0 - mt * mt)
-            for cname, _, _, ports in eng.prep.classes:
-                u, caches = cls_cache[cname]
-                mbar = sbar[ports.reshape(-1)].reshape(
-                    ports.shape[0], ports.shape[1], d)
-                du_cls = np.zeros_like(u)
-                for kp, pname in enumerate(SCHEMA[cname].port_names):
-                    du_cls += eng.msg[(cname, pname)].backward(
-                        caches[kp], mbar[:, kp, :], grads)
-                split = ports.shape[1] * d
-                np.add.at(hbar_k, ports.reshape(-1),
-                          du_cls[:, :split].reshape(-1, d))
-                xbar[cname] += du_cls[:, split:]
-            hbar = hbar_k
+        for stage1, stage2 in reversed(trail):
+            hbar2 = eng.drive_backward(cfg.dt / 2 * hbar, stage2, grads, xbar)
+            hbar1 = eng.drive_backward(cfg.dt / 2 * hbar + cfg.dt * hbar2, stage1,
+                                       grads, xbar)
+            hbar = hbar + hbar2 + hbar1
 
     for cname, _, feats, _ in eng.prep.classes:
         _, cache = eng.enc[cname].forward_cached(feats)

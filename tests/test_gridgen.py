@@ -5,6 +5,7 @@ import pytest
 
 from gridtvc import rng as grng
 from gridtvc.gridgen import (
+    KNOT_TIE,
     GridFamilySpec,
     Normalizer,
     _Draft,
@@ -185,6 +186,44 @@ def test_monotonicity_and_range_property():
     outs = [norm.apply("load", "p", float(q)) for q in queries]
     assert all(0.0 <= o <= 1.0 for o in outs)
     assert all(b >= a - 1e-12 for a, b in zip(outs, outs[1:]))
+
+
+def test_near_tied_quantiles_merge_into_one_atom():
+    # flows zero up to rounding: 0.0, and +-1e-15 from another solve
+    values = [0.0] * 40 + [4e-15] * 10 + [-1e-15] * 10 + list(np.linspace(1.0, 2.0, 40))
+    norm = fit_normalizer(_ctx_with_values(values), knots=11)
+    breaks, levels = norm.tables[("load", "p")]
+    assert np.all(np.diff(breaks) > KNOT_TIE)
+    # the atom holds the quantiles at levels 0.0-0.5: one breakpoint at 0.0
+    assert breaks[0] == 0.0 and levels[0] == pytest.approx(0.25)
+    assert norm.apply("load", "p", 1.2e-13) == pytest.approx(0.25, abs=1e-12)
+    assert norm.apply("load", "p", -1.2e-13) == norm.apply("load", "p", -1.0) == 0.25
+
+
+def test_normalize_barely_moves_when_features_move_by_rounding():
+    # The 40-context set.  With a breakpoint per near-tied quantile, moving
+    # every feature by 1e-12 moved a normalized line.p2 by 0.01.  The
+    # steepest genuine segment left is twt.r's: knots 2e-6 apart, one 0.01
+    # level step, so 4.9e-9 per 1e-12.
+    xs = [generate_context(GridFamilySpec(), grng.stream(0, t, i))
+          for t in ("val", "g") for i in range(20)]
+    norm = fit_normalizer(xs)
+    for entry in norm.tables.values():
+        if not isinstance(entry, str):
+            assert np.all(np.diff(entry[0]) > KNOT_TIE)
+
+    def moved(x, eps):
+        return H2MGContext(x.address_count, {c: tuple(
+            HyperEdge(e.id, c, dict(e.ports), {f: None if v is None else v + eps
+                                               for f, v in e.features.items()})
+            for e in edges) for c, edges in x.edges.items()}, dict(x.metadata))
+
+    for x in xs:
+        base = normalize(x, norm)
+        for eps in (1e-12, -1e-12):
+            for (_, _, a, _), (_, _, b, _) in zip(base.classes,
+                                                  normalize(moved(x, eps), norm).classes):
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-8
 
 
 def feature_column(xn, cname, fname):

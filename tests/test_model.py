@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_parameter_count_closed_form():
 
 def test_default_steps_and_shapes():
     cfg = ModelConfig()
-    assert cfg.steps == 50
+    assert cfg.steps == 5
     assert TINY.steps == 20
 
 
@@ -137,7 +138,7 @@ def test_zero_params_give_zero_outputs():
 
 
 def test_constant_drive_integrates_exactly():
-    # power-of-two step keeps the unit-interval Euler sum exact
+    # power-of-two step keeps the unit-interval Heun sum exact
     cfg = ModelConfig(latent_dim=4, encoder_out=4, encoder_hidden=(),
                       message_hidden=(), decoder_hidden=(), dt=0.25)
     params = init_params(cfg, zero=True)
@@ -158,7 +159,7 @@ def test_latent_starts_at_zero_and_isolated_address_gets_no_message():
     h = np.zeros((padded.address_count, TINY.latent_dim))
     rng = np.random.default_rng(2)
     h_rand = rng.standard_normal(h.shape)
-    _, (mt, _, _) = eng.step(h_rand, keep=True)
+    _, ((mt, _, _), _) = eng.step(h_rand, keep=True)
     assert np.all(mt[-3:] == 0.0)  # tanh of an empty message sum
 
 
@@ -284,8 +285,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_saved_with_another_interval_loads_and_keeps_it(tmp_path):
-    # The default interval changed from 20 to 5; older checkpoints say 20.
-    assert ModelConfig().checkpoint_every == 5
+    # The default interval changed from 20 to 5, then to 1; older checkpoints say 20.
+    assert ModelConfig().checkpoint_every == 1
     params = init_params(replace(TINY, checkpoint_every=20), np.random.default_rng(15))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params)
@@ -294,13 +295,27 @@ def test_checkpoint_saved_with_another_interval_loads_and_keeps_it(tmp_path):
 
 
 def test_checkpoint_saved_with_another_step_loads_and_keeps_it(tmp_path):
-    # The default step changed from 0.005 to 0.02; older checkpoints say 0.005.
-    assert ModelConfig().dt == 0.02
+    # The default step changed from 0.005 to 0.02, then to 0.2; older checkpoints say 0.005.
+    assert ModelConfig().dt == 0.2
     params = init_params(replace(TINY, dt=0.005), np.random.default_rng(16))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params)
     back, _ = load_checkpoint(path)
     assert back.config.steps == 200 and back.config == params.config
+
+
+def test_checkpoint_saved_by_the_euler_engine_is_refused(tmp_path):
+    params = init_params(TINY, np.random.default_rng(17))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    meta = json.loads(str(arrays["__meta__"]))
+    assert meta.pop("integrator") == "heun"
+    arrays["__meta__"] = json.dumps(meta, sort_keys=True)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="Euler"):
+        load_checkpoint(path)
 
 
 # -- batches ------------------------------------------------------------------
@@ -420,9 +435,9 @@ def discrete_modes(z):
 
 @pytest.mark.parametrize("dynamics_scale, tol", [(1.0, 1e-3), (3.0, 3e-3)])
 def test_default_step_agrees_with_200_steps(dynamics_scale, tol):
-    # Explicit Euler's error is first order in dt: at initial parameters the
-    # 50-step outputs differ from 200 steps' by ~1e-4 relative; tripled
-    # dynamics weights make the drive stiffer and the error ~2e-3.
+    # Heun's error is second order in dt: at initial parameters the 5-step
+    # outputs differ from 200 steps' by ~2e-5 relative; tripled dynamics
+    # weights make the drive stiffer and the error ~1.3e-3.
     xs, params = default_pair()
     values = dict(params.values)
     values["dynamics.layer0.weight"] = values["dynamics.layer0.weight"] * dynamics_scale
@@ -432,6 +447,21 @@ def test_default_step_agrees_with_200_steps(dynamics_scale, tol):
         a, b = flat_outputs(z), flat_outputs(z_fine)
         assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
         assert discrete_modes(z) == discrete_modes(z_fine)
+
+
+def test_default_scheme_is_second_order():
+    # Halving a second-order scheme's step divides its error by about 4
+    # (3.7-4.2 measured); a first-order one's by 2.
+    xs, params = default_pair()
+    fine, _ = forward(ModelParams(replace(params.config, dt=0.005), params.values), xs)
+
+    def error(dt):
+        zs, _ = forward(ModelParams(replace(params.config, dt=dt), params.values), xs)
+        return np.linalg.norm(np.concatenate([flat_outputs(z) - flat_outputs(f)
+                                              for z, f in zip(zs, fine)]))
+
+    assert params.config.dt == 0.2
+    assert error(0.2) >= 3.0 * error(0.1)
 
 
 def test_batch_vjp_rejects_a_mismatched_integration():

@@ -72,7 +72,7 @@ def test_kept_step_is_the_plain_step():
     eng = _Engine(init_params(TINY, np.random.default_rng(24)), x)
     h = np.random.default_rng(25).standard_normal((x.address_count, TINY.latent_dim))
     h_plain, _ = eng.step(h)
-    h_kept, (mt, _, _) = eng.step(h, keep=True)
+    h_kept, ((mt, _, _), _) = eng.step(h, keep=True)
     assert np.array_equal(h_plain, h_kept)
     assert mt.shape == h.shape
 
