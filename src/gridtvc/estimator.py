@@ -81,13 +81,6 @@ class GradEstimate:
             return 0.0
         return float(math.sqrt(sum(float(g @ g) for g in per_edge.values())))
 
-    def zero_like(self) -> "GradEstimate":
-        return GradEstimate(
-            {c: {e: np.zeros_like(g) for e, g in per.items()}
-             for c, per in self.grads.items()},
-            self.f_ref, self.converged, self.status, dict(self.sample_status),
-            self.prohibitive_share)
-
 
 def clip_score(f_i: float, f_ref: float, tau: float) -> float:
     """Squash a score difference into (-1, 1); saturates on prohibitive costs."""
@@ -139,19 +132,20 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     if not ref_converged:
         return GradEstimate(_zero_grads(z), f_ref, False, status)
 
-    # Draw every sample decision first, in canonical class order, so the
-    # stream consumption is independent of oracle behavior.  A discrete
+    # One pass per class in canonical order: draw its samples, score each
+    # distinct one once, accumulate its gradient.  The oracle never touches
+    # the stream, so the draws do not depend on oracle behavior.  A discrete
     # sample is keyed by the one controller it changes and the value it
     # takes; continuous samples are all distinct, keyed by their position.
-    plan: list[tuple[str, list[Decision]]] = []
-    keys: list[tuple] = []
+    grads = _zero_grads(z)
+    scored: dict[tuple, tuple[float, str]] = {}
     for cname in CONTROLLER_CLASSES:
         per_edge = z.values.get(cname)
         if not per_edge:
             continue
         n = int(cfg.samples.get(cname, 8))
         ids = sorted(per_edge)
-        decisions: list[Decision] = []
+        samples: list[tuple[tuple, Decision]] = []
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
             for k in range(n):
                 y_i = y_mp
@@ -159,45 +153,30 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
                     y_i = y_i.replace(cname, eid,
                                       policy.sample(cname, per_edge[eid], rng,
                                                     policy_cfg))
-                decisions.append(y_i)
-                keys.append((cname, k))
+                samples.append(((cname, k), y_i))
         else:
             neighbors = [(eid, alt) for eid in ids
                          for alt in policy.unary_neighbors(
                              cname, y_mp.get(cname, eid))]
-            picks = rng.integers(0, len(neighbors), size=n)
-            for k in picks:
+            for k in rng.integers(0, len(neighbors), size=n):
                 eid, alt = neighbors[int(k)]
-                decisions.append(y_mp.replace(cname, eid, alt))
-                keys.append((cname, eid, alt))
-        plan.append((cname, decisions))
-
-    flat = [y_i for _, decisions in plan for y_i in decisions]
-    scored: dict[tuple, tuple[float, str]] = {}
-    for key, y_i in zip(keys, flat):
-        if key not in scored:
-            scored[key] = _score(oracle, x, y_i, cfg.prohibitive_cost)
-    scores = [scored[key][0] for key in keys]
-    sample_status = dict.fromkeys(ESTIMATE_STATUSES, 0)
-    for _, outcome in scored.values():
-        sample_status[outcome] += 1
-    prohibitive = sum(f >= cfg.prohibitive_cost for f, _ in scored.values())
-
-    grads = _zero_grads(z)
-    pos = 0
-    for cname, decisions in plan:
-        n = len(decisions)
-        class_scores = scores[pos:pos + n]
-        pos += n
-        per_edge = z.values[cname]
+                samples.append(((cname, eid, alt), y_mp.replace(cname, eid, alt)))
+        for key, y_i in samples:
+            if key not in scored:
+                scored[key] = _score(oracle, x, y_i, cfg.prohibitive_cost)
         for eid, z_e in per_edge.items():
             acc = np.zeros_like(z_e)
-            for y_i, f_i in zip(decisions, class_scores):
-                f_clip = clip_score(f_i, f_ref, cfg.tau)
+            for key, y_i in samples:
+                f_clip = clip_score(scored[key][0], f_ref, cfg.tau)
                 acc += f_clip * policy.log_prob_grad(
                     cname, y_i.get(cname, eid), z_e, policy_cfg)
             grads[cname][eid] = (-policy.entropy_grad(cname, z_e, policy_cfg)
                                  + cfg.beta / n * acc)
+
+    sample_status = dict.fromkeys(ESTIMATE_STATUSES, 0)
+    for _, outcome in scored.values():
+        sample_status[outcome] += 1
+    prohibitive = sum(f >= cfg.prohibitive_cost for f, _ in scored.values())
     return GradEstimate(grads, f_ref, True, status, sample_status,
                         prohibitive / len(scored) if scored else 0.0)
 

@@ -9,10 +9,11 @@ Per-class encoders embed edge features; address latents then evolve from
 zero over unit artificial time under a learned drive fed by tanh-squashed
 sums of per-(class, port) messages; per-controller decoders read out the
 surrogate decision.  Integration is fixed-step Heun (explicit trapezoid),
-two drive evaluations per step, and the backward sweep recomputes segments
-between checkpoints instead of storing every step.  The VJP differentiates
-the discrete scheme that ran, so training sees exactly the network that
-decides.
+two drive evaluations per step.  The forward keeps the latents after every
+step, and the backward sweep recomputes one step at a time from them,
+keeping that step's two drive evaluations only while it pulls back through
+them.  The VJP differentiates the discrete scheme that ran, so training
+sees exactly the network that decides.
 
 The default step is ``dt = 0.2``: 5 steps, 10 drive evaluations.  Heun's
 error is second order in the step; halving it divides the error by 3.7-4.2.
@@ -45,19 +46,18 @@ encoder-context term does not change over the integration and is computed
 once per call.  All classes write their messages into one slot buffer (one
 row per edge and port), which a single scatter per evaluation sums into the
 addresses.  The VJP runs each evaluation's backward pass in the same layout
-and accumulates weight gradients once per evaluation in a fixed order, so
-its result does not depend on the checkpoint interval.
+and accumulates weight gradients once per evaluation in a fixed order.
 
 Several contexts run as one engine over their disjoint union: each class
 lists its edges context by context, and every context's ports are offset
 by the address count of the contexts before it.  No message crosses
 between contexts, so the union is exact up to BLAS rounding, and the
 decoders' rows split back into one decision per context.  A batch
-``forward`` keeps its checkpoints in an :class:`Integration`; ``vjp`` on
-that integration sweeps back from them over the contexts that have a
+``forward`` keeps its per-step latents in an :class:`Integration`; ``vjp``
+on that integration sweeps back from them over the contexts that have a
 cotangent, without integrating again, and returns their summed parameter
-cotangent.  :func:`predict` integrates a batch the same way but keeps no
-checkpoints, for decisions, which run no VJP.  A single context's
+cotangent.  :func:`predict` integrates a batch the same way but keeps only
+the last latents, for decisions, which run no VJP.  A single context's
 ``forward`` is a ``predict`` of one."""
 
 from __future__ import annotations
@@ -90,6 +90,15 @@ class MLPSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Architecture and step of the graph ODE.
+
+    A batch ``forward`` keeps the union's latents after each of the
+    ``steps`` steps for its ``vjp``, so training memory grows linearly with
+    the step count: forward plus ``vjp`` on 4 val contexts peaks at 35.6 MB
+    under tracemalloc at ``dt=0.2`` and at 53.5 MB at ``dt=0.01``, about
+    0.19 MB per step.
+    """
+
     latent_dim: int = 64
     encoder_out: int = 64
     encoder_hidden: tuple[int, ...] = (128, 128)
@@ -100,10 +109,6 @@ class ModelConfig:
     # steps gave 1.4e-4.  Checkpoints keep their own dt.
     dt: float = 0.2
     leaky_slope: float = 0.01
-    # a recomputed segment keeps both stages of each of its steps; forward
-    # plus vjp on 4 val contexts peaks at 35.6 MB (37.6 at 2, and 42.4 for
-    # 50 Euler steps at 5)
-    checkpoint_every: int = 1
 
     def __post_init__(self):
         # the leaky ReLU is evaluated as max(z, slope * z)
@@ -484,15 +489,20 @@ class _Engine:
         hbar1 = self.drive_backward(0.5 * dt * hbar + dt * hbar2, stage1, grads, tmp)
         return hbar + hbar2 + hbar1
 
-    def integrate(self, collect_every: int | None = None):
-        """Run all Heun steps; return final latents and optional checkpoints."""
-        h = np.zeros((self.prep.address_count, self.cfg.latent_dim))
-        checkpoints = {0: h.copy()} if collect_every else None
-        for k in range(self.cfg.steps):
-            h, _ = self.step(h)
-            if collect_every and (k + 1) % collect_every == 0:
-                checkpoints[k + 1] = h.copy()
-        return h, checkpoints
+    def integrate(self, all_states: bool = False) -> list[np.ndarray]:
+        """Run all Heun steps from zero latents.
+
+        Returns ``[h]``, the latents after the last step, or with
+        ``all_states`` the latents before the first step and after every step.
+        """
+        states = [np.zeros((self.prep.address_count, self.cfg.latent_dim))]
+        for _ in range(self.cfg.steps):
+            h, _ = self.step(states[-1])
+            if all_states:
+                states.append(h)
+            else:
+                states[-1] = h
+        return states
 
     def decode(self, h: np.ndarray) -> list[dict[str, dict[str, np.ndarray]]]:
         """Decoder outputs per context, keyed by class and edge id."""
@@ -511,27 +521,22 @@ class _Engine:
         return out
 
 
-def _checkpoint_every(cfg: ModelConfig) -> int:
-    return max(1, min(cfg.checkpoint_every, cfg.steps))
-
-
 @dataclass
 class Integration:
-    """A batch forward's engine, final latents and checkpoints, kept for ``vjp``.
+    """A batch forward's engine and per-step latents, kept for ``vjp``.
 
-    ``checkpoints`` maps a step count to the union's latents after it,
-    every ``checkpoint_every`` steps from 0.
+    ``states`` holds the union's latents before the first step and after
+    every step, ``steps + 1`` arrays; the last one is what decodes.
     """
 
     engine: _Engine
-    h_final: np.ndarray
-    checkpoints: dict[int, np.ndarray]
+    states: list[np.ndarray]
 
     def restrict(self, keep: list[int]) -> "Integration":
         """The same integration over the contexts ``keep`` only.
 
         The sub-union reuses those contexts' compiled arrays and the rows
-        of every checkpoint that belong to them.
+        of every state that belong to them.
         """
         prep = self.engine.prep
         if keep == list(range(len(prep.parts))):
@@ -539,21 +544,19 @@ class Integration:
         rows = np.concatenate([prep.spans[i] for i in keep] or [np.zeros(0, int)])
         return Integration(
             _Engine(self.engine.params, [prep.parts[i] for i in keep]),
-            self.h_final[rows], {k: h[rows] for k, h in self.checkpoints.items()})
+            [h[rows] for h in self.states])
 
 
 def _integrate(params: ModelParams, xs: Sequence[CompiledContext]) -> Integration:
     eng = _Engine(params, xs)
-    h, checkpoints = eng.integrate(collect_every=_checkpoint_every(params.config))
-    return Integration(eng, h, checkpoints)
+    return Integration(eng, eng.integrate(all_states=True))
 
 
 def predict(params: ModelParams, xs: Sequence[CompiledContext]) -> list[SurrogateDecision]:
     """Raw surrogate decisions of contexts integrated as one union, keeping
-    no checkpoints: the decision path, which never runs :func:`vjp`."""
+    no per-step latents: the decision path, which never runs :func:`vjp`."""
     eng = _Engine(params, xs)
-    h, _ = eng.integrate()
-    return [SurrogateDecision(z) for z in eng.decode(h)]
+    return [SurrogateDecision(z) for z in eng.decode(eng.integrate()[-1])]
 
 
 def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext]):
@@ -561,12 +564,12 @@ def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext])
 
     A sequence of contexts runs as one integration over their disjoint
     union and returns the per-context decisions together with the
-    :class:`Integration`, checkpoints included, that :func:`vjp` takes.
+    :class:`Integration`, per-step latents included, that :func:`vjp` takes.
     """
     if isinstance(x, CompiledContext):
         return predict(params, [x])[0]
     run = _integrate(params, x)
-    return [SurrogateDecision(z) for z in run.engine.decode(run.h_final)], run
+    return [SurrogateDecision(z) for z in run.engine.decode(run.states[-1])], run
 
 
 def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> ModelParams:
@@ -575,16 +578,13 @@ def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> Mod
     For an :class:`Integration` from a batch ``forward``, ``cotangent``
     holds one output cotangent per context, or None for a context to leave
     out.  The sweep runs over the other contexts only, from the forward's
-    checkpoints, and returns the sum of their parameter cotangents.
+    per-step latents, and returns the sum of their parameter cotangents.
 
     Reverse accumulation runs through the decoders, every Heun step, and
-    the encoders.  Memory stays bounded by re-integrating each checkpoint
-    segment during the sweep.  Weight gradients are accumulated once per
-    drive evaluation, newest step first and within a step stage 2 before
-    stage 1, so over the forward's whole union the result does
-    not depend on the checkpoint interval.  A subset re-integrates its
-    segments on its own sub-union, whose steps round differently from the
-    union's, so its result moves with the interval by rounding only.
+    the encoders.  Each step is recomputed once from the latents before it,
+    so only one step's drive internals are alive at a time.  Weight
+    gradients are accumulated once per drive evaluation, newest step first
+    and within a step stage 2 before stage 1.
     """
     if isinstance(x, CompiledContext):
         x, cotangent = _integrate(params, [x]), [cotangent]
@@ -605,7 +605,7 @@ def _sweep(run: Integration, cotangents: list[dict]) -> ModelParams:
     grads = {k: stacked[k] if k in stacked else np.zeros_like(v)
              for k, v in params.values.items()}
     xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
-    hbar = np.zeros_like(run.h_final)
+    hbar = np.zeros_like(run.states[-1])
 
     # Decoders
     for cname, ids, _, ports in eng.prep.classes:
@@ -616,7 +616,7 @@ def _sweep(run: Integration, cotangents: list[dict]) -> ModelParams:
                   for _ in range(n)]
         d_out = np.array([np.asarray(per_edge.get(eid, zero), dtype=float)
                           for per_edge, eid in zip(owners, ids)])
-        u = np.concatenate([eng.xt[cname], _gather(run.h_final, ports)], axis=1)
+        u = np.concatenate([eng.xt[cname], _gather(run.states[-1], ports)], axis=1)
         _, cache = eng.dec[cname].forward_cached(u)
         du = eng.dec[cname].backward(cache, d_out, grads)
         e = cfg.encoder_out
@@ -624,19 +624,13 @@ def _sweep(run: Integration, cotangents: list[dict]) -> ModelParams:
         dh = du[:, e:].reshape(len(ids), -1, cfg.latent_dim)
         np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
 
-    # Heun steps, newest segment first; a recomputed step keeps both stages
+    # Heun steps, newest first; a recomputed step keeps both stages
     # one buffer for every block's per-step matmul results, before they are added
     tmp = np.empty(max([a.size for blk in eng.blocks for a in blk.gw]
                            + [blk.n_e * blk.split for blk in eng.blocks] + [0]))
-    starts = sorted(run.checkpoints)
-    for seg_start, seg_end in reversed(list(zip(starts, starts[1:] + [cfg.steps]))):
-        h = run.checkpoints[seg_start]
-        trail = []
-        for _ in range(seg_start, seg_end):
-            h, internals = eng.step(h, keep=True)
-            trail.append(internals)
-        for internals in reversed(trail):
-            hbar = eng.step_backward(hbar, internals, grads, tmp)
+    for h in reversed(run.states[:-1]):
+        _, internals = eng.step(h, keep=True)
+        hbar = eng.step_backward(hbar, internals, grads, tmp)
 
     # Context part of the message layer 0, then the encoders
     for blk in eng.blocks:
@@ -690,5 +684,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         raise ValueError(f"checkpoint {path} was trained with {saved}, but the model "
                          f"integrates with {INTEGRATOR!r}; its parameters would decide "
                          f"differently under this scheme, so retrain it")
-    params = ModelParams(ModelConfig.from_json(meta["config"]), values)
-    return params, meta
+    # Older checkpoints name an interval between stored latents, which the
+    # sweep no longer has (it keeps every step's); it changes no parameter.
+    config = {k: v for k, v in meta["config"].items() if k != "checkpoint_every"}
+    return ModelParams(ModelConfig.from_json(config), values), meta

@@ -263,9 +263,6 @@ class _GridModel:
 
         # SVR zones with their participating units
         self.zones = []
-        controllers_by_zone_addr = {}
-        for e in x.edges_of("svr_controller"):
-            controllers_by_zone_addr[e.ports["zone"]] = e.id
         for z in x.sorted_edges("svr_zone"):
             unit_gens = []
             for u in x.sorted_edges("svr_unit"):
@@ -842,17 +839,10 @@ def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerF
 # ---------------------------------------------------------------------------
 # Objective and metrics
 
-def _normalized_voltages(raw: _RawSolution):
-    m = raw.model
-    mask = (m.opt > 0.5) & np.isfinite(m.v_min) & np.isfinite(m.v_max)
-    ve = (raw.vm[mask] - m.v_min[mask]) / (m.v_max[mask] - m.v_min[mask])
-    return ve
-
-
-def _normalized_currents(raw: _RawSolution):
+def _normalized_currents(raw: _RawSolution) -> np.ndarray:
     m = raw.model
     if len(m.fb) == 0:
-        return np.zeros(0), np.zeros(0, dtype=bool)
+        return np.zeros(0)
     r1 = np.where(np.isfinite(m.branch_i1max) & (m.branch_i1max > 0),
                   raw.i1 / np.where(m.branch_i1max > 0, m.branch_i1max, 1.0), -np.inf)
     r2 = np.where(np.isfinite(m.branch_i2max) & (m.branch_i2max > 0),
@@ -860,7 +850,18 @@ def _normalized_currents(raw: _RawSolution):
     ie = np.maximum(r1, r2)
     rated = np.isfinite(m.branch_i1max) | np.isfinite(m.branch_i2max)
     mask = (m.branch_opt > 0.5) & rated
-    return ie[mask], mask
+    return ie[mask]
+
+
+def _score_state(raw: _RawSolution) -> tuple[np.ndarray, np.ndarray, float]:
+    """What a solved state is scored on: the normalized voltages of the
+    optimized buses, the normalized currents of the optimized rated
+    branches, and the Joule losses of the optimized branches."""
+    m = raw.model
+    mask = (m.opt > 0.5) & np.isfinite(m.v_min) & np.isfinite(m.v_max)
+    ve = (raw.vm[mask] - m.v_min[mask]) / (m.v_max[mask] - m.v_min[mask])
+    joule = float(np.sum(np.abs(raw.p1 + raw.p2)[m.branch_opt > 0.5]))
+    return ve, _normalized_currents(raw), joule
 
 
 def evaluate_objective(x: H2MGContext, y: Decision,
@@ -871,15 +872,12 @@ def evaluate_objective(x: H2MGContext, y: Decision,
     if not raw.converged:
         return ObjectiveBreakdown(0.0, 0.0, 0.0, opts.prohibitive_cost, False,
                                   *counts)
-    m = raw.model
-    ve = _normalized_voltages(raw)
+    ve, ie, joule = _score_state(raw)
     pen_v = np.maximum(0.0, np.maximum(opts.eps_v - ve, ve - 1.0 + opts.eps_v))
     f_v = opts.lambda_v * float(np.sum(pen_v ** 2))
-    ie, _ = _normalized_currents(raw)
     pen_i = np.maximum(0.0, np.abs(ie) - 1.0 + opts.eps_i)
     f_i = opts.lambda_i * float(np.sum(pen_i ** 2))
-    opt_branch = m.branch_opt > 0.5
-    f_j = opts.lambda_j * float(np.sum(np.abs(raw.p1 + raw.p2)[opt_branch]))
+    f_j = opts.lambda_j * joule
     return ObjectiveBreakdown(f_v, f_i, f_j, f_v + f_i + f_j, True, *counts)
 
 
@@ -890,13 +888,9 @@ def count_metrics(x: H2MGContext, y: Decision,
     if not raw.converged:
         return MetricsRecord(False, 0, 0, 0, 0, 0.0, np.zeros(0), np.zeros(0),
                              raw.status)
-    m = raw.model
-    ve = _normalized_voltages(raw)
+    ve, ie, joule = _score_state(raw)
     over = int(np.sum(ve > 1.0))
     under = int(np.sum(ve < 0.0))
-    ie, _ = _normalized_currents(raw)
     overflow = int(np.sum(np.abs(ie) > 1.0))
-    opt_branch = m.branch_opt > 0.5
-    joule = float(np.sum(np.abs(raw.p1 + raw.p2)[opt_branch]))
     return MetricsRecord(True, over, under, over + under, overflow, joule,
                          ve, np.abs(ie), raw.status)

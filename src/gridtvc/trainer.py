@@ -3,12 +3,12 @@
 One iteration samples a minibatch of contexts (epoch-shuffled, without
 replacement) and runs three phases.  The network integrates the
 minibatch's normalized contexts once, as one disjoint-union graph, and
-keeps that integration's checkpoints.  Each context's surrogate gradient
-is then estimated against the power-flow oracle, in-process or in a
-worker pool that receives no parameters.  Last, one VJP over the
-contexts whose mode decision converged sweeps back from the forward's
-checkpoints and returns their summed parameter gradient, which divided by
-the minibatch size makes one Adam step.  Each ``train_log.jsonl`` record
+keeps that integration's latents after every step.  Each context's
+surrogate gradient is then estimated against the power-flow oracle,
+in-process or in a worker pool that receives no parameters.  Last, one VJP
+over the contexts whose mode decision converged sweeps back from the
+forward's per-step latents and returns their summed parameter gradient,
+which divided by the minibatch size makes one Adam step.  Each ``train_log.jsonl`` record
 carries the seconds of every phase, the oracle call count, the mode
 decisions' solve statuses, and the statuses and prohibitive share of the
 estimators' distinct samples.  The log is line-buffered, so every record is
@@ -16,9 +16,9 @@ on disk once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
 take the policy's decisions from one :func:`decide`.  It integrates four
-contexts at a time as one union, keeping no checkpoints since decisions
-run no VJP: at the default config that cuts the time per decision by
-about a third against one context at a time, and eight contexts gain
+contexts at a time as one union, keeping no per-step latents since
+decisions run no VJP: at the default config that cuts the time per
+decision by about a third against one context at a time, and eight contexts gain
 little more for twice the memory.
 """
 
@@ -232,7 +232,7 @@ def train(cfg: TrainConfig) -> dict:
                     t_adam = time.perf_counter()
                 else:
                     grad, t_adam = params.zeros_like(), t_vjp
-                del run  # free the union's engine and checkpoints before Adam allocates
+                del run  # free the union's engine and latents before Adam allocates
                 for g in grad.values.values():
                     g /= cfg.minibatch
                 params, adam, ok = adam_step(params, grad, adam, cfg)
@@ -314,7 +314,7 @@ def decide(params: ModelParams, pairs: list[tuple[H2MGContext, CompiledContext]]
     """The policy's most-probable decision on each (context, compiled context).
 
     The network integrates ``DECIDE_CHUNK`` contexts per fused
-    :func:`~gridtvc.model.predict`, which keeps no checkpoints.
+    :func:`~gridtvc.model.predict`, which keeps no per-step latents.
     """
     chunks = [pairs[i:i + DECIDE_CHUNK] for i in range(0, len(pairs), DECIDE_CHUNK)]
     return [policy_mod.most_probable(policy_mod.apply_offsets(z, x, pol_cfg))

@@ -2,7 +2,8 @@
 
 This is the straightforward form of ``gridtvc.model``'s Heun step: one
 message MLP call per (class, port) and one ``np.add.at`` scatter per class
-in each drive evaluation, with the same checkpointed-recompute VJP.
+in each drive evaluation, and a VJP that recomputes one step at a time
+from the latents the forward kept after every step.
 ``tests/test_model_reference.py`` checks the fused engine against it.
 """
 
@@ -83,14 +84,12 @@ class ReferenceEngine:
         h_next = h + self.cfg.dt / 2 * (k1 + k2)
         return h_next, (stage1, stage2)
 
-    def integrate(self, collect_every: int | None = None):
-        h = np.zeros((self.prep.address_count, self.cfg.latent_dim))
-        checkpoints = {0: h.copy()} if collect_every else None
-        for k in range(self.cfg.steps):
-            h, _ = self.step(h)
-            if collect_every and (k + 1) % collect_every == 0:
-                checkpoints[k + 1] = h.copy()
-        return h, checkpoints
+    def integrate(self) -> list[np.ndarray]:
+        """The latents before the first step and after every step."""
+        states = [np.zeros((self.prep.address_count, self.cfg.latent_dim))]
+        for _ in range(self.cfg.steps):
+            states.append(self.step(states[-1])[0])
+        return states
 
     def decode(self, h: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         out: dict[str, dict[str, np.ndarray]] = {}
@@ -105,16 +104,15 @@ class ReferenceEngine:
 
 def reference_forward(params: ModelParams, x: CompiledContext) -> SurrogateDecision:
     eng = ReferenceEngine(params, x)
-    h, _ = eng.integrate()
-    return SurrogateDecision(eng.decode(h))
+    return SurrogateDecision(eng.decode(eng.integrate()[-1]))
 
 
 def reference_vjp(params: ModelParams, x: CompiledContext,
                   cotangent: dict[str, dict[str, np.ndarray]]) -> ModelParams:
     eng = ReferenceEngine(params, x)
     cfg = params.config
-    every = max(1, min(cfg.checkpoint_every, cfg.steps))
-    h_final, checkpoints = eng.integrate(collect_every=every)
+    states = eng.integrate()
+    h_final = states[-1]
 
     grads = params.zeros_like().values
     xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
@@ -134,21 +132,12 @@ def reference_vjp(params: ModelParams, x: CompiledContext,
         dh = du[:, e:].reshape(len(ids), -1, cfg.latent_dim)
         np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
 
-    for seg_start in sorted(checkpoints, reverse=True):
-        seg_end = min(seg_start + every, cfg.steps)
-        if seg_start == cfg.steps:
-            continue
-        h = checkpoints[seg_start]
-        trail = []
-        for _ in range(seg_start, seg_end):
-            h_next, internals = eng.step(h, keep=True)
-            trail.append(internals)
-            h = h_next
-        for stage1, stage2 in reversed(trail):
-            hbar2 = eng.drive_backward(cfg.dt / 2 * hbar, stage2, grads, xbar)
-            hbar1 = eng.drive_backward(cfg.dt / 2 * hbar + cfg.dt * hbar2, stage1,
-                                       grads, xbar)
-            hbar = hbar + hbar2 + hbar1
+    for h in reversed(states[:-1]):
+        _, (stage1, stage2) = eng.step(h, keep=True)
+        hbar2 = eng.drive_backward(cfg.dt / 2 * hbar, stage2, grads, xbar)
+        hbar1 = eng.drive_backward(cfg.dt / 2 * hbar + cfg.dt * hbar2, stage1,
+                                   grads, xbar)
+        hbar = hbar + hbar2 + hbar1
 
     for cname, _, feats, _ in eng.prep.classes:
         _, cache = eng.enc[cname].forward_cached(feats)

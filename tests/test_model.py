@@ -22,8 +22,7 @@ from gridtvc.policy import most_probable
 from gridfixtures import bus, edge, gen, line, load, shunt
 
 TINY = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(16,),
-                   message_hidden=(16,), decoder_hidden=(16,), dt=0.05,
-                   checkpoint_every=7)
+                   message_hidden=(16,), decoder_hidden=(16,), dt=0.05)
 
 
 def five_address_context() -> H2MGContext:
@@ -146,7 +145,7 @@ def test_constant_drive_integrates_exactly():
     params.values["dynamics.layer0.bias"] = np.full(4, c)
     x = norm_context(five_address_context())
     eng = _Engine(params, x)
-    h, _ = eng.integrate()
+    h = eng.integrate()[-1]
     assert np.all(h == c)
 
 
@@ -252,24 +251,6 @@ def test_vjp_matches_finite_differences_per_group():
         assert abs(analytic - fd) / denom <= 1e-4, (group, analytic, fd)
 
 
-def test_vjp_invariant_to_checkpoint_interval():
-    x = norm_context(five_address_context())
-    params = init_params(TINY, np.random.default_rng(13))
-    z = forward(params, x)
-    cot = random_cotangent(z, 4)
-    grads = []
-    for every in (1, 7, 20):
-        cfg = ModelConfig(**{**TINY.to_json(),
-                             "encoder_hidden": TINY.encoder_hidden,
-                             "message_hidden": TINY.message_hidden,
-                             "decoder_hidden": TINY.decoder_hidden,
-                             "checkpoint_every": every})
-        grads.append(vjp(ModelParams(cfg, params.values), x, cot))
-    for k in grads[0].values:
-        assert np.array_equal(grads[0].values[k], grads[1].values[k])
-        assert np.array_equal(grads[0].values[k], grads[2].values[k])
-
-
 # -- checkpoints --------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
@@ -284,14 +265,23 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.values[k], params.values[k])
 
 
-def test_checkpoint_saved_with_another_interval_loads_and_keeps_it(tmp_path):
-    # The default interval changed from 20 to 5, then to 1; older checkpoints say 20.
-    assert ModelConfig().checkpoint_every == 1
-    params = init_params(replace(TINY, checkpoint_every=20), np.random.default_rng(15))
+def test_checkpoint_naming_a_checkpoint_interval_loads(tmp_path):
+    # The VJP once re-integrated segments between stored latents, and the
+    # config of a checkpoint from then names the interval (20, 5 or 1).
+    params = init_params(TINY, np.random.default_rng(15))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["checkpoint_every"] = 20
+    arrays["__meta__"] = json.dumps(meta, sort_keys=True)
+    np.savez(path, **arrays)
     back, _ = load_checkpoint(path)
-    assert back.config.checkpoint_every == 20 and back.config == params.config
+    assert back.config == params.config
+    assert back.values.keys() == params.values.keys()
+    for k in params.values:
+        assert np.array_equal(back.values[k], params.values[k])
 
 
 def test_checkpoint_saved_with_another_step_loads_and_keeps_it(tmp_path):
@@ -395,6 +385,21 @@ def test_subset_vjp_reuses_the_batch_checkpoints(make):
                        vjp(params, fresh, [cots[i] for i in keep]))
 
 
+def test_forward_keeps_the_latents_after_every_step():
+    xs, params = tiny_batch()
+    _, run = forward(params, xs)
+    assert len(run.states) == TINY.steps + 1
+    # predict's integration, which keeps only the last latents
+    final = _Engine(params, xs).integrate()[-1]
+    assert np.array_equal(run.states[-1], final)
+    keep = [0, 2]
+    sub = run.restrict(keep)
+    rows = np.concatenate([run.engine.prep.spans[i] for i in keep])
+    assert len(sub.states) == len(run.states)
+    for h_sub, h in zip(sub.states, run.states):
+        assert np.array_equal(h_sub, h[rows])
+
+
 def test_batch_order_changes_nothing():
     xs, params = tiny_batch()
     zs, run = forward(params, xs)
@@ -404,22 +409,6 @@ def test_batch_order_changes_nothing():
     assert_decisions_close(zs_perm, [zs[i] for i in order])
     assert_grads_close(vjp(params, run_perm, [cots[i] for i in order]),
                        vjp(params, run, cots))
-
-
-def test_batch_vjp_invariant_to_checkpoint_interval():
-    xs, params = tiny_batch()
-    zs, _ = forward(params, xs)
-    cots = [random_cotangent(z, 70 + i) for i, z in enumerate(zs)]
-    cots[1] = None
-    grads = []
-    for every in (1, 7, 20):
-        p = ModelParams(replace(TINY, checkpoint_every=every), params.values)
-        _, run = forward(p, xs)
-        assert sorted(run.checkpoints) == list(range(0, TINY.steps + 1, every))
-        grads.append(vjp(p, run, cots))
-    for k in grads[0].values:
-        assert np.array_equal(grads[0].values[k], grads[1].values[k])
-        assert np.array_equal(grads[0].values[k], grads[2].values[k])
 
 
 def flat_outputs(z):

@@ -18,8 +18,7 @@ from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, eval
 from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
 
 SMALL = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(8,),
-                    message_hidden=(8,), decoder_hidden=(8,), dt=0.1,
-                    checkpoint_every=4)
+                    message_hidden=(8,), decoder_hidden=(8,), dt=0.1)
 SPEC = GridFamilySpec(bus_count_min=16, bus_count_max=16, twt_count=6,
                       rtc_count=4, rtc_controller_count=3, shunt_count=4,
                       shunt_controller_count=3, generator_count=6,
@@ -51,7 +50,7 @@ def test_config_round_trip_changes_every_field():
                              prohibitive_cost=10.0, target_clamp=(0.5, 2.0)),
         model=ModelConfig(latent_dim=4, encoder_out=5, encoder_hidden=(6,),
                           message_hidden=(7, 3), decoder_hidden=(), dt=0.25,
-                          leaky_slope=0.2, checkpoint_every=3))
+                          leaky_slope=0.2))
     doc = cfg.to_json()
     default = dict(leaves(TrainConfig().to_json()))
     changed = dict(leaves(doc))
@@ -266,17 +265,17 @@ def test_decide_collects_no_checkpoints(run, monkeypatch):
     params, _ = load_checkpoint(summary["final_checkpoint"])
     norm = Normalizer.load(root / "run" / "normalizer.json")
     pairs = [(x, normalize(x, norm)) for x in load_dataset(cfg.val_dir)]
-    collect = []
+    kept = []
     integrate = model._Engine.integrate
 
-    def spy(self, collect_every=None):
-        collect.append(collect_every)
-        return integrate(self, collect_every)
+    def spy(self, all_states=False):
+        kept.append(all_states)
+        return integrate(self, all_states)
 
     monkeypatch.setattr(model._Engine, "integrate", spy)
     decide(params, pairs, cfg.policy)
-    assert len(collect) == math.ceil(len(pairs) / trainer.DECIDE_CHUNK)
-    assert not any(collect)
+    assert len(kept) == math.ceil(len(pairs) / trainer.DECIDE_CHUNK)
+    assert not any(kept)
 
 
 def test_train_log_is_on_disk_before_each_adam_step(run, monkeypatch):
