@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_json, config_to_json
-from .h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, validate_context
+from .config import config_to_json
+from .h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, serialize, validate_context
 from .powerflow import SolverOptions, solve_ac
 
 
@@ -53,7 +53,6 @@ class GridFamilySpec:
     lv_load_range: tuple[float, float] = (0.15, 0.45)   # p.u. per lower-tier bus
     hv_load_count: int = 3
     hv_load_range: tuple[float, float] = (0.3, 0.8)
-    seed: int = 0
 
     def validate(self) -> None:
         if self.bus_count_min < self.twt_count + 4:
@@ -74,13 +73,6 @@ class GridFamilySpec:
             raise ValueError("each SVR zone needs at least one unit")
         if self.svr_zone_count * self.svr_units_per_zone + 1 > self.generator_count:
             raise ValueError("not enough generators for the SVR zones plus a slack")
-
-    def to_json(self) -> dict:
-        return config_to_json(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GridFamilySpec":
-        return config_from_json(cls, doc)
 
 
 def _absent_features(class_name: str) -> dict[str, None]:
@@ -388,16 +380,10 @@ def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
     for x in contexts:
         cid = x.metadata["origin"]
         ids.append(cid)
-        (out / f"{cid}.json").write_bytes(
-            json.dumps(_to_doc(x), indent=1, sort_keys=True).encode())
+        (out / f"{cid}.json").write_bytes(serialize(x))
     manifest = {"seed": seed, "count": len(ids), "ids": ids,
-                "spec": spec.to_json()}
+                "spec": config_to_json(spec)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-
-
-def _to_doc(x: H2MGContext) -> dict:
-    from .h2mg import to_document
-    return to_document(x)
 
 
 def load_dataset(data_dir: str | Path) -> list[H2MGContext]:

@@ -123,13 +123,6 @@ class ModelConfig:
     def steps(self) -> int:
         return round(1.0 / self.dt)
 
-    def to_json(self) -> dict:
-        return config_to_json(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ModelConfig":
-        return config_from_json(cls, doc)
-
 
 def _mlp_specs(cfg: ModelConfig) -> dict[str, MLPSpec]:
     """Every parameterized function, keyed by its checkpoint name prefix."""
@@ -655,7 +648,7 @@ def save_checkpoint(path: str | Path, params: ModelParams,
                     seed: int | None = None,
                     extra: dict | None = None) -> None:
     meta = {
-        "config": params.config.to_json(),
+        "config": config_to_json(params.config),
         "integrator": INTEGRATOR,
         "schema_hash": schema_hash(),
         "normalizer_hash": normalizer.digest() if normalizer else None,
@@ -668,10 +661,11 @@ def save_checkpoint(path: str | Path, params: ModelParams,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    """Parameters and meta of a checkpoint saved for this scheme.
+    """Parameters and meta of a checkpoint saved for this scheme and schema.
 
     A checkpoint without an ``integrator`` entry was saved by the explicit
     Euler engine; it is refused rather than integrated with another scheme.
+    One whose ``schema_hash`` differs was trained on another class table.
     """
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(str(blob["__meta__"]))
@@ -684,7 +678,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         raise ValueError(f"checkpoint {path} was trained with {saved}, but the model "
                          f"integrates with {INTEGRATOR!r}; its parameters would decide "
                          f"differently under this scheme, so retrain it")
+    if meta.get("schema_hash") != schema_hash():
+        raise ValueError(f"checkpoint {path} has schema hash {meta.get('schema_hash')!r}, "
+                         f"but this grid schema hashes to {schema_hash()!r}")
     # Older checkpoints name an interval between stored latents, which the
     # sweep no longer has (it keeps every step's); it changes no parameter.
     config = {k: v for k, v in meta["config"].items() if k != "checkpoint_every"}
-    return ModelParams(ModelConfig.from_json(config), values), meta
+    return ModelParams(config_from_json(ModelConfig, config), values), meta

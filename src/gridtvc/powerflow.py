@@ -375,7 +375,8 @@ class _GridModel:
                 "last_dir": 0,   # anti-hunting memory
                 "locked": False,
             })
-        self.rebuild_ybus()
+        # the bus admittance at the current taps; _rtc_step re-assembles it
+        self.ybus = self.assemble_ybus()
 
     def _bus(self, addr: int, edge) -> int:
         try:
@@ -422,14 +423,6 @@ class _GridModel:
         np.add.at(y, (self.tb, self.tb), ytt)
         y[np.arange(n), np.arange(n)] += self.y_shunt_bus
         return y
-
-    def rebuild_ybus(self) -> None:
-        """Re-assemble the cached Ybus; call after changing a branch ratio."""
-        self._ybus = self.assemble_ybus()
-
-    def ybus(self) -> np.ndarray:
-        """The bus admittance matrix at the current tap positions (cached)."""
-        return self._ybus
 
 
 class _State:
@@ -523,7 +516,7 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
     ``failure`` is None on success, else the status saying why it stopped.
     On success ``st.jac`` holds the Jacobian at the converged state.
     """
-    ybus = m.ybus()
+    ybus = m.ybus
     slack = m.slack_bus
     pv, pq, pvpq = st.jac_index
     reuse, st.jac_current = st.jac_current, False
@@ -610,7 +603,7 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
             m.ratio[bi] = r["tau_nom"] * TAP_MULTIPLIERS[new_tap]
             changed = True
     if changed:
-        m.rebuild_ybus()
+        m.ybus = m.assemble_ybus()
         st.jac_current = False
     return changed
 
@@ -696,7 +689,7 @@ def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
 def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Pin PV buses whose regulating generators exceed reactive limits."""
     v = st.vm * np.exp(1j * st.va)
-    q_reg = (v * np.conj(m.ybus() @ v)).imag - _q_spec(m, st)
+    q_reg = (v * np.conj(m.ybus @ v)).imag - _q_spec(m, st)
     changed = False
     for b in np.flatnonzero(st.is_pv & m.has_reg & (st.switch_budget > 0)).tolist():
         if st.pinned[b] == 0:
@@ -751,7 +744,7 @@ class _RawSolution:
 
     def _injection(self) -> np.ndarray:
         v = self.vm * np.exp(1j * self.va)
-        return v * np.conj(self.model.ybus() @ v)
+        return v * np.conj(self.model.ybus @ v)
 
     def gen_reactive(self) -> np.ndarray:
         """Per-generator reactive output implied by the solved state."""

@@ -3,16 +3,17 @@
 One iteration samples a minibatch of contexts (epoch-shuffled, without
 replacement) and runs three phases.  The network integrates the
 minibatch's normalized contexts once, as one disjoint-union graph, and
-keeps that integration's latents after every step.  Each context's
-surrogate gradient is then estimated against the power-flow oracle,
-in-process or in a worker pool that receives no parameters.  Last, one VJP
-over the contexts whose mode decision converged sweeps back from the
-forward's per-step latents and returns their summed parameter gradient,
-which divided by the minibatch size makes one Adam step.  Each ``train_log.jsonl`` record
-carries the seconds of every phase, the oracle call count, the mode
-decisions' solve statuses, and the statuses and prohibitive share of the
-estimators' distinct samples.  The log is line-buffered, so every record is
-on disk once written.
+keeps that integration's latents after every step.  Then
+:func:`~gridtvc.estimator.estimate_gradient` is mapped over the contexts
+against the power-flow oracle: by the builtin ``map`` in-process, by
+``pool.map`` in a worker pool that receives no parameters, the same call on
+the same Philox streams either way.  Last, one VJP over the contexts whose
+mode decision converged sweeps back from the per-step latents; their summed
+parameter gradient, divided by the minibatch size, makes one Adam step.
+Each ``train_log.jsonl`` record carries the seconds of every phase, the
+oracle call count, the mode decisions' solve statuses, and the statuses and
+prohibitive share of the estimators' distinct samples.  The log is
+line-buffered, so every record is on disk once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
 take the policy's decisions from one :func:`decide`.  It integrates four
@@ -24,12 +25,14 @@ little more for twice the memory.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ from . import policy as policy_mod
 from . import rng as grng
 from .baseline import init_baseline, tune_baseline_offset
 from .config import config_from_json, config_to_json
-from .estimator import ESTIMATE_STATUSES, EstimatorConfig, GradEstimate, estimate_gradient
+from .estimator import ESTIMATE_STATUSES, EstimatorConfig, estimate_gradient
 from .gridgen import (
     CompiledContext, Normalizer, fit_normalizer, load_dataset, load_manifest, normalize)
 from .h2mg import CONTROLLER_CLASSES, Decision, H2MGContext, H2MGError
@@ -88,17 +91,6 @@ class TrainConfig:
         if self.minibatch < 1:
             raise ValueError("minibatch must be at least 1")
 
-    def to_json(self) -> dict:
-        return config_to_json(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        return config_from_json(cls, doc)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrainConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
-
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -136,27 +128,6 @@ def adam_step(params: ModelParams, grad: ModelParams, state: AdamState,
 
 
 # ---------------------------------------------------------------------------
-# Per-context gradient estimate (runs in-process or in a worker process)
-
-def _pool_task(payload) -> tuple[GradEstimate, int]:
-    """One context's gradient estimate and the number of oracle calls it made.
-
-    The payload is ``(x, z, est_cfg, pol_cfg, solver, rng_key)``: the raw
-    context, its offset surrogate decision and the estimator's settings.
-    """
-    x, z, est_cfg, pol_cfg, solver, rng_key = payload
-    calls = 0
-
-    def oracle(xc, y):
-        nonlocal calls
-        calls += 1
-        return evaluate_objective(xc, y, solver)
-
-    est = estimate_gradient(x, z, est_cfg, oracle, grng.stream(*rng_key), pol_cfg)
-    return est, calls
-
-
-# ---------------------------------------------------------------------------
 # Training
 
 def _check_disjoint_ids(train_ids, val_ids):
@@ -186,10 +157,9 @@ def train(cfg: TrainConfig) -> dict:
     _check_disjoint_ids(load_manifest(cfg.train_dir)["ids"],
                         load_manifest(cfg.val_dir)["ids"])
 
-    if cfg.normalizer_path and Path(cfg.normalizer_path).exists():
-        norm = Normalizer.load(cfg.normalizer_path)
-    else:
-        norm = fit_normalizer(train_set)
+    # a set path that names no file raises here rather than refitting
+    norm = Normalizer.load(cfg.normalizer_path) if cfg.normalizer_path \
+        else fit_normalizer(train_set)
     norm.save(out / "normalizer.json")
 
     train_pairs = [(x, normalize(x, norm)) for x in train_set]
@@ -201,6 +171,8 @@ def train(cfg: TrainConfig) -> dict:
     order = _epoch_order(len(train_pairs), cfg.seed,
                          cfg.iterations * cfg.minibatch)
 
+    # looked up here, not at import, so a replaced evaluate_objective is called
+    oracle = functools.partial(evaluate_objective, opts=cfg.solver)
     pool = None
     if cfg.workers > 1:
         import multiprocessing as mp
@@ -214,17 +186,15 @@ def train(cfg: TrainConfig) -> dict:
         with open(log_path, "w", buffering=1) as log:  # a record per line, flushed
             for it in range(cfg.iterations):
                 batch = order[it * cfg.minibatch:(it + 1) * cfg.minibatch]
-                keys = [(cfg.seed, "est", it, train_set[i].metadata["origin"])
-                        for i in batch]
                 xs = [train_pairs[i][0] for i in batch]
+                rngs = [grng.stream(cfg.seed, "est", it, x.metadata["origin"]) for x in xs]
                 t_forward = time.perf_counter()
                 z_raw, run = forward(params, [train_pairs[i][1] for i in batch])
                 t_estimate = time.perf_counter()
-                payloads = [(x, policy_mod.apply_offsets(z, x, cfg.policy),
-                             cfg.estimator, cfg.policy, cfg.solver, key)
-                            for x, z, key in zip(xs, z_raw, keys)]
-                results = list((map if pool is None else pool.map)(_pool_task, payloads))
-                ests = [est for est, _ in results]
+                zs = [policy_mod.apply_offsets(z, x, cfg.policy) for x, z in zip(xs, z_raw)]
+                ests = list((map if pool is None else pool.map)(
+                    estimate_gradient, xs, zs, repeat(cfg.estimator), repeat(oracle),
+                    rngs, repeat(cfg.policy)))
                 t_vjp = time.perf_counter()
                 cotangents = [est.grads if est.converged else None for est in ests]
                 if any(cot is not None for cot in cotangents):
@@ -249,7 +219,8 @@ def train(cfg: TrainConfig) -> dict:
                     "mean_f_ref": float(np.mean([est.f_ref for est in ests])),
                     "convergence_rate": float(np.mean([est.converged for est in ests])),
                     "mode_status": {s: statuses.count(s) for s in ESTIMATE_STATUSES},
-                    "oracle_calls": sum(calls for _, calls in results),
+                    # one call for the mode, then one per distinct sample
+                    "oracle_calls": len(ests) + sum(sampled),
                     "sample_status": {s: sum(est.sample_status[s] for est in ests)
                                       for s in ESTIMATE_STATUSES},
                     "prohibitive_share": prohibitive / sum(sampled) if sum(sampled) else 0.0,
@@ -274,7 +245,7 @@ def train(cfg: TrainConfig) -> dict:
                     save_checkpoint(ckpt, params, norm, cfg.seed,
                                     {"iteration": it + 1,
                                      "val_mean_objective": val_obj,
-                                     "svr_offset": cfg.policy.svr_offset})
+                                     "policy": config_to_json(cfg.policy)})
                     log.write(json.dumps({
                         "iteration": it, "event": "eval",
                         "val_mean_objective": val_obj,
@@ -289,7 +260,7 @@ def train(cfg: TrainConfig) -> dict:
 
     save_checkpoint(out / "ckpt_final.npz", params, norm, cfg.seed,
                     {"iteration": cfg.iterations,
-                     "svr_offset": cfg.policy.svr_offset})
+                     "policy": config_to_json(cfg.policy)})
     if best[1] < 0:
         shutil.copyfile(out / "ckpt_final.npz", out / "ckpt_best.npz")
     summary["best_val_objective"] = best[0] if best[1] >= 0 else None
@@ -412,5 +383,7 @@ def evaluate_checkpoint(ckpt_path: str | Path, data_dir: str | Path,
         raise H2MGError("checkpoint was trained with a different normalizer")
     dataset = load_dataset(data_dir)
     if pol_cfg is None:
-        pol_cfg = PolicyConfig(svr_offset=float(meta.get("svr_offset", 0.0)))
+        # checkpoints saved before the whole policy was stored keep only its offset
+        pol_cfg = config_from_json(PolicyConfig, meta["policy"]) if "policy" in meta \
+            else PolicyConfig(svr_offset=float(meta.get("svr_offset", 0.0)))
     return evaluate(params, dataset, norm, pol_cfg, solver, out_dir)

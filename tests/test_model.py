@@ -6,7 +6,7 @@ import pytest
 
 from gridtvc import rng as grng
 from gridtvc.gridgen import GridFamilySpec, fit_normalizer, generate_context, normalize
-from gridtvc.h2mg import D_CONTINUOUS, H2MGContext, SCHEMA
+from gridtvc.h2mg import D_CONTINUOUS, H2MGContext, SCHEMA, schema_hash
 from gridtvc.model import (
     ModelConfig,
     ModelParams,
@@ -306,6 +306,22 @@ def test_checkpoint_saved_by_the_euler_engine_is_refused(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="Euler"):
         load_checkpoint(path)
+
+
+def test_checkpoint_saved_for_another_schema_is_refused(tmp_path):
+    params = init_params(TINY, np.random.default_rng(18))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    meta = json.loads(str(arrays["__meta__"]))
+    assert meta["schema_hash"] == schema_hash()
+    meta["schema_hash"] = "0" * 16
+    arrays["__meta__"] = json.dumps(meta, sort_keys=True)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert "0" * 16 in str(err.value) and schema_hash() in str(err.value)
 
 
 # -- batches ------------------------------------------------------------------

@@ -37,7 +37,7 @@ def _states(x):
 def _jacobians(m, st):
     pv, pq, pvpq = ref.bus_types(m, st)
     v = st.vm * np.exp(1j * st.va)
-    ybus = m.ybus()
+    ybus = m.ybus
     ibus = ybus @ v
     new = pf._jacobian(ybus, v, ibus, pf._jacobian_index(m.n, pvpq, pq))
     return new, ref.jacobian(ybus, v, ibus, pvpq, pq), (pv, pq, pvpq)
@@ -59,7 +59,7 @@ def test_jacobian_matches_dense_reference(contexts):
 def test_jacobian_matches_finite_differences(contexts):
     m, (_, pinned, _) = _states(contexts[0])
     jac, _, (pv, pq, pvpq) = _jacobians(m, pinned)
-    ybus = m.ybus()
+    ybus = m.ybus
 
     def injections(x):
         va, vm = pinned.va.copy(), pinned.vm.copy()
@@ -140,12 +140,12 @@ def test_oracle_matches_reference_on_pinned_pairs(contexts, monkeypatch):
 def test_ybus_rebuilt_after_tap_move(contexts):
     m = pf._GridModel(contexts[0], OPTS)
     st = pf._State(m)
-    before = m.ybus().copy()
+    before = m.ybus.copy()
     r = m.rtcs[0]
     r["target"] = st.vm[r["bus"]] + 0.05
     assert pf._rtc_step(m, st, OPTS)
-    assert not np.array_equal(m.ybus(), before)
-    assert np.array_equal(m.ybus(), m.assemble_ybus())
+    assert not np.array_equal(m.ybus, before)
+    assert np.array_equal(m.ybus, m.assemble_ybus())
 
 
 def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):

@@ -8,9 +8,11 @@ import pytest
 from gridtvc import model
 from gridtvc import rng as grng
 from gridtvc import trainer
+from gridtvc.config import config_from_json, config_to_json
 from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
-    GridFamilySpec, Normalizer, generate_context, load_dataset, normalize, write_dataset)
+    GridFamilySpec, Normalizer, fit_normalizer, generate_context, load_dataset, normalize,
+    write_dataset)
 from gridtvc.model import (
     ModelConfig, forward, init_params, load_checkpoint, predict, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
@@ -51,19 +53,19 @@ def test_config_round_trip_changes_every_field():
         model=ModelConfig(latent_dim=4, encoder_out=5, encoder_hidden=(6,),
                           message_hidden=(7, 3), decoder_hidden=(), dt=0.25,
                           leaky_slope=0.2))
-    doc = cfg.to_json()
-    default = dict(leaves(TrainConfig().to_json()))
+    doc = config_to_json(cfg)
+    default = dict(leaves(config_to_json(TrainConfig())))
     changed = dict(leaves(doc))
     assert changed.keys() == default.keys()
     assert [k for k in default if changed[k] == default[k]] == []
-    back = TrainConfig.from_json(json.loads(json.dumps(doc)))
+    back = config_from_json(TrainConfig, json.loads(json.dumps(doc)))
     assert back == cfg
     assert back.solver.target_clamp == (0.5, 2.0)
 
 
 def test_config_from_json_rejects_unknown_field():
     with pytest.raises(ValueError):
-        TrainConfig.from_json({"model": {"latent": 3}})
+        config_from_json(TrainConfig, {"model": {"latent": 3}})
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +138,7 @@ def test_checkpoints_carry_the_svr_offset(offset_run):
     for name in ("ckpt_000001.npz", "ckpt_000002.npz", "ckpt_best.npz",
                  "ckpt_final.npz"):
         _, meta = load_checkpoint(root / "offset" / name)
-        assert meta["svr_offset"] == 0.01
+        assert meta["policy"]["svr_offset"] == 0.01
     params, _ = load_checkpoint(summary["final_checkpoint"])
     norm = Normalizer.load(root / "offset" / "normalizer.json")
     val = load_dataset(cfg.val_dir)
@@ -145,6 +147,53 @@ def test_checkpoints_carry_the_svr_offset(offset_run):
     without = evaluate(params, val, norm)
     assert with_offset["init"]["svr_setpoint_mean"] == pytest.approx(
         without["init"]["svr_setpoint_mean"] + 0.01)
+
+
+def capture_policies(monkeypatch):
+    seen = []
+    monkeypatch.setattr(trainer, "evaluate",
+                        lambda params, dataset, norm, pol_cfg, *rest: seen.append(pol_cfg))
+    return seen
+
+
+def test_evaluate_checkpoint_decides_with_the_policy_it_was_trained_with(run, monkeypatch):
+    cfg, _, root = run
+    cfg = replace(cfg, iterations=1, eval_every=0, out_dir=str(root / "policy"),
+                  policy=PolicyConfig(binary_offset=-1.0, rtc_offset_scale=1.0,
+                                      svr_offset=0.01))
+    summary = train(cfg)
+    seen = capture_policies(monkeypatch)
+    evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
+    assert seen == [cfg.policy]
+
+
+def test_checkpoint_keeping_only_the_svr_offset_evaluates_with_it(run, monkeypatch):
+    # Checkpoints once stored the policy's svr_offset alone.
+    cfg, summary, root = run
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    norm = Normalizer.load(root / "run" / "normalizer.json")
+    out = root / "svr_only"
+    out.mkdir()
+    norm.save(out / "normalizer.json")
+    save_checkpoint(out / "ckpt.npz", params, norm, extra={"svr_offset": 0.02})
+    seen = capture_policies(monkeypatch)
+    evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
+    assert seen == [PolicyConfig(svr_offset=0.02)]
+
+
+def test_train_loads_the_named_normalizer_and_refuses_a_missing_one(run):
+    cfg, _, root = run
+    cfg = replace(cfg, iterations=1, eval_every=0)
+    given = fit_normalizer(load_dataset(cfg.val_dir))
+    given.save(root / "val_normalizer.json")
+    train(replace(cfg, out_dir=str(root / "norm_given"),
+                  normalizer_path=str(root / "val_normalizer.json")))
+    used = Normalizer.load(root / "norm_given" / "normalizer.json")
+    assert used.digest() == given.digest()
+    assert used.digest() != Normalizer.load(root / "run" / "normalizer.json").digest()
+    with pytest.raises(FileNotFoundError, match="no_such_normalizer.json"):
+        train(replace(cfg, out_dir=str(root / "norm_missing"),
+                      normalizer_path=str(root / "no_such_normalizer.json")))
 
 
 def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkeypatch):
@@ -193,6 +242,22 @@ def test_train_log_sums_the_sample_statuses_of_the_minibatch(run):
         # every oracle call scores a mode decision or one distinct sample
         assert sum(r["sample_status"].values()) == r["oracle_calls"] - cfg.minibatch
         assert 0.0 <= r["prohibitive_share"] <= 1.0
+
+
+def test_train_log_counts_every_oracle_call(run, monkeypatch):
+    cfg, _, root = run
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate_objective(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate_objective", counting)
+    # no validation, so every call comes from an estimate
+    records = log_records(train(replace(cfg, eval_every=0,
+                                        out_dir=str(root / "counted")))["log"])
+    assert sum(r["mode_status"]["converged"] for r in records) > 0
+    assert sum(r["oracle_calls"] for r in records) == len(calls)
 
 
 def test_train_log_names_the_outer_cap_of_a_pinned_context(tmp_path, monkeypatch):
