@@ -34,9 +34,9 @@ DEFAULT_SAMPLES: dict[str, int] = {
     "svr_controller": 16,
 }
 
-#: An oracle maps (context, decision) to an object with .total, .converged
-#: and .status (one of ``SOLVE_STATUSES``).  An oracle must be a pure
-#: function of (context, decision), raising or not alike on every call:
+#: An oracle maps (context, decision) to an object with .total and .status
+#: (one of ``SOLVE_STATUSES``).  An oracle must be a pure function of
+#: (context, decision), raising or not alike on every call:
 #: :func:`estimate_gradient` scores a sample decision drawn twice once.
 Oracle = Callable[[H2MGContext, Decision], object]
 
@@ -121,15 +121,8 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     direction is defined and the estimate is exactly zero, flagged.
     """
     y_mp = policy.most_probable(z)
-    try:
-        ref = oracle(x, y_mp)
-        ref_converged, f_ref = bool(ref.converged), float(ref.total)
-    except H2MGError:
-        raise
-    except Exception:
-        ref, ref_converged, f_ref = None, False, cfg.prohibitive_cost
-    status = "error" if ref is None else ref.status
-    if not ref_converged:
+    f_ref, status = _score(oracle, x, y_mp, cfg.prohibitive_cost)
+    if status != "converged":
         return GradEstimate(_zero_grads(z), f_ref, False, status)
 
     # One pass per class in canonical order: draw its samples, score each

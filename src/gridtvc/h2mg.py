@@ -94,10 +94,6 @@ CONTROLLER_CLASSES: tuple[str, ...] = tuple(
     name for name in sorted(SCHEMA) if SCHEMA[name].is_controller
 )
 
-#: Electrical classes the AC solver interprets.
-SOLVER_CLASSES = ("bus", "load", "line", "shunt", "generator",
-                  "svr_unit", "svr_zone", "twt", "rtc")
-
 #: Classes representable in the data model but inert in the solver.
 INERT_CLASSES = ("battery", "svc", "vsc_station", "hvdc_line")
 

@@ -13,9 +13,12 @@ The inner loop is array-native:
   and ``dS/dVm = v·conj(Y·v/|v|) + diag(conj(i)·v/|v|)`` as row/column
   scalings of Ybus, with no diagonal matrices and no matrix products.  Its
   four real blocks are gathered through one flat index.
-* Ybus is assembled once per model and reused by the Newton loop, the
-  Q-limit check and the generator outputs.  It is rebuilt only when a tap
-  changer moves, the one change to branch admittances during a solve.
+* The model's Ybus is assembled once, at the context's taps.  A solve
+  starts from it, keeps its own for the Newton loop, the Q-limit check and
+  the generator outputs, and re-assembles that one only when a tap changer
+  moves, the one change to branch admittances during a solve.  A solve
+  writes nothing on the model: the taps, Ybus, pins and outcome it moves
+  live on its state.
 * The SVR dispatch gets the voltage sensitivities of every zone outside
   its deadband from one multi-right-hand-side solve of ``J^T`` per round.
   The zones are still dispatched one at a time, in order, from those
@@ -200,7 +203,8 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
 # Internal array model
 
 class _GridModel:
-    """Numpy view of one context, ready for the Newton loop."""
+    """Numpy view of one context, ready for the Newton loop; never written
+    after it is built, so solves may share it."""
 
     def __init__(self, x: H2MGContext, opts: SolverOptions):
         global _warned_inert
@@ -262,15 +266,18 @@ class _GridModel:
         addr_of_gen_port = {e.ports["gen"]: i for i, e in enumerate(gens)}
 
         # SVR zones with their participating units
+        participants: dict[int, list] = {}
+        for u in x.sorted_edges("svr_unit"):
+            if u.feature("participate", 0.0) > 0.5:
+                participants.setdefault(u.ports["zone"], []).append(u)
         self.zones = []
         for z in x.sorted_edges("svr_zone"):
             unit_gens = []
-            for u in x.sorted_edges("svr_unit"):
-                if u.ports["zone"] == z.ports["zone"] and u.feature("participate", 0.0) > 0.5:
-                    gi = addr_of_gen_port.get(u.ports["gen"])
-                    if gi is None:
-                        raise H2MGError(f"svr_unit {u.id!r} references no generator")
-                    unit_gens.append(gi)
+            for u in participants.get(z.ports["zone"], ()):
+                gi = addr_of_gen_port.get(u.ports["gen"])
+                if gi is None:
+                    raise H2MGError(f"svr_unit {u.id!r} references no generator")
+                unit_gens.append(gi)
             target = z.features["v_target"]
             self.zones.append({
                 "id": z.id,
@@ -312,10 +319,18 @@ class _GridModel:
         nonreg = ~self.gen_regulating & ~self.svr_gen
         self.reg_qmin = np.bincount(self.gen_bus[reg], self.gen_qmin[reg], n)
         self.reg_qmax = np.bincount(self.gen_bus[reg], self.gen_qmax[reg], n)
-        self.has_reg = np.bincount(self.gen_bus[reg], minlength=n) > 0
-        self.has_reg[self.slack_bus] = False
         self.q_base = self.q_fixed + np.bincount(
             self.gen_bus[nonreg], self.gen_qset[nonreg], n)
+        # Bus regulation: the slack is fixed; a bus is PV where a regulating
+        # non-SVR generator sits, at the set-point of the first such one.
+        reg_gens = np.flatnonzero(reg)
+        reg_gens = reg_gens[self.gen_bus[reg_gens] != self.slack_bus]
+        pv_bus, first = np.unique(self.gen_bus[reg_gens], return_index=True)
+        self.is_pv = np.zeros(n, dtype=bool)
+        self.is_pv[pv_bus] = True
+        self.vset = np.full(n, np.nan)
+        self.vset[pv_bus] = self.gen_vset[reg_gens[first]]
+        self.vset[self.slack_bus] = self.gen_vset[self.slack_gen]
 
         # Branches: lines with status 1, then all twts
         fb, tb, ys, ysh, ratio, shift = [], [], [], [], [], []
@@ -370,13 +385,10 @@ class _GridModel:
                 "branch": bi,
                 "bus": reg_bus,
                 "tau_nom": tau_nom,
-                "tap": tap,
+                "tap": tap,      # the starting position; a solve moves its own
                 "target": target_by_twt_addr.get(e.ports["twt"]),
-                "last_dir": 0,   # anti-hunting memory
-                "locked": False,
             })
-        # the bus admittance at the current taps; _rtc_step re-assembles it
-        self.ybus = self.assemble_ybus()
+        self.ybus = self.assemble_ybus(self.ratio)
 
     def _bus(self, addr: int, edge) -> int:
         try:
@@ -405,18 +417,18 @@ class _GridModel:
 
     # -- admittance assembly -------------------------------------------------
 
-    def branch_admittances(self):
-        tau = self.ratio * np.exp(1j * self.shift)
-        yff = (self.ys + self.ysh / 2.0) / (self.ratio ** 2)
+    def branch_admittances(self, ratio: np.ndarray):
+        tau = ratio * np.exp(1j * self.shift)
+        yff = (self.ys + self.ysh / 2.0) / (ratio ** 2)
         ytt = self.ys + self.ysh / 2.0
         yft = -self.ys / np.conj(tau)
         ytf = -self.ys / tau
         return yff, yft, ytf, ytt
 
-    def assemble_ybus(self) -> np.ndarray:
+    def assemble_ybus(self, ratio: np.ndarray) -> np.ndarray:
         n = self.n
         y = np.zeros((n, n), dtype=complex)
-        yff, yft, ytf, ytt = self.branch_admittances()
+        yff, yft, ytf, ytt = self.branch_admittances(ratio)
         np.add.at(y, (self.fb, self.fb), yff)
         np.add.at(y, (self.fb, self.tb), yft)
         np.add.at(y, (self.tb, self.fb), ytf)
@@ -426,26 +438,30 @@ class _GridModel:
 
 
 class _State:
-    """Mutable solver state across outer iterations."""
+    """Everything one solve moves, across its outer rounds, and how it ended.
+
+    It starts from the model's voltages, taps, Ybus and SVR outputs.  The
+    tap lists hold one entry per ``m.rtcs`` entry; ``ybus`` is rebound to a
+    fresh assembly when a tap moves, never written in place, so it may
+    start as the model's own.  ``status`` (one of :data:`SOLVE_STATUSES`),
+    ``inner``, ``outer`` and ``moving`` are set by :func:`_solve_raw`.
+    """
 
     def __init__(self, m: _GridModel):
         self.vm = m.vm0.copy()
         self.va = m.va0.copy()
-        # Bus regulation: slack fixed; PV where a regulating non-SVR gen sits
-        self.is_pv = np.zeros(m.n, dtype=bool)
-        self.vset = np.full(m.n, np.nan)
-        for gi in np.flatnonzero(m.gen_regulating & ~m.svr_gen):
-            b = m.gen_bus[gi]
-            if b == m.slack_bus:
-                continue
-            if not self.is_pv[b]:
-                self.is_pv[b] = True
-                self.vset[b] = m.gen_vset[gi]
-        self.vset[m.slack_bus] = m.gen_vset[m.slack_gen]
+        self.tap = [r["tap"] for r in m.rtcs]
+        self.last_dir = [0] * len(m.rtcs)   # anti-hunting memory
+        self.locked = [False] * len(m.rtcs)
+        self.ratio = m.ratio.copy()
+        self.ybus = m.ybus
         self.pinned = np.zeros(m.n, dtype=int)  # 0 free, +1 at q_max, -1 at q_min
         self.pinned_q = np.zeros(m.n)
         self.switch_budget = np.full(m.n, 6)  # pin/unpin flips allowed per solve
         self.svr_q = m.svr_q.copy()
+        self.status = None
+        self.inner = self.outer = 0
+        self.moving: tuple[str, ...] = ()
         self.restarts = 0       # flat-start retries taken
         self.jac = None         # the Jacobian at the last converged Newton state
         # True while st.jac is bitwise what _jacobian would build at the
@@ -462,7 +478,7 @@ def _bus_split(m: _GridModel, st: _State) -> None:
     in ``pq`` (-1 when not PQ).  The split changes only when a Q-limit pin
     flips, so it is computed at set-up and after each flip.
     """
-    pv = np.flatnonzero(st.is_pv & (st.pinned == 0))
+    pv = np.flatnonzero(m.is_pv & (st.pinned == 0))
     is_pq = np.ones(m.n, dtype=bool)
     is_pq[pv] = False
     is_pq[m.slack_bus] = False
@@ -516,14 +532,14 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
     ``failure`` is None on success, else the status saying why it stopped.
     On success ``st.jac`` holds the Jacobian at the converged state.
     """
-    ybus = m.ybus
+    ybus = st.ybus
     slack = m.slack_bus
     pv, pq, pvpq = st.jac_index
     reuse, st.jac_current = st.jac_current, False
 
-    st.vm[slack] = st.vset[slack]
+    st.vm[slack] = m.vset[slack]
     st.va[slack] = 0.0
-    st.vm[pv] = st.vset[pv]
+    st.vm[pv] = m.vset[pv]
 
     # Pinned buses behave as PQ with the regulating output frozen at a limit.
     q_spec = _q_spec(m, st)
@@ -578,11 +594,11 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
 
     A tap asked to reverse direction within one solve is hunting between
     two adjacent positions; it locks where it stands for the rest of the
-    solve.  The cached Ybus is rebuilt when any tap moved.
+    solve.  The state's Ybus is rebuilt when any tap moved.
     """
     changed = False
-    for r in m.rtcs:
-        if r["target"] is None or r["locked"]:
+    for k, r in enumerate(m.rtcs):
+        if r["target"] is None or st.locked[k]:
             continue
         bus = r["bus"]
         err = r["target"] - st.vm[bus]
@@ -593,17 +609,17 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
         # regulated bus sits on the tap side.
         raise_dir = +1 if bus == m.fb[bi] else -1
         step = raise_dir if err > 0 else -raise_dir
-        if r["last_dir"] != 0 and step != r["last_dir"]:
-            r["locked"] = True
+        if st.last_dir[k] != 0 and step != st.last_dir[k]:
+            st.locked[k] = True
             continue
-        new_tap = int(np.clip(r["tap"] + step, 0, 20))
-        if new_tap != r["tap"]:
-            r["tap"] = new_tap
-            r["last_dir"] = step
-            m.ratio[bi] = r["tau_nom"] * TAP_MULTIPLIERS[new_tap]
+        new_tap = int(np.clip(st.tap[k] + step, 0, 20))
+        if new_tap != st.tap[k]:
+            st.tap[k] = new_tap
+            st.last_dir[k] = step
+            st.ratio[bi] = r["tau_nom"] * TAP_MULTIPLIERS[new_tap]
             changed = True
     if changed:
-        m.ybus = m.assemble_ybus()
+        st.ybus = m.assemble_ybus(st.ratio)
         st.jac_current = False
     return changed
 
@@ -689,183 +705,141 @@ def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
 def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Pin PV buses whose regulating generators exceed reactive limits."""
     v = st.vm * np.exp(1j * st.va)
-    q_reg = (v * np.conj(m.ybus @ v)).imag - _q_spec(m, st)
+    q_reg = (v * np.conj(st.ybus @ v)).imag - _q_spec(m, st)
     changed = False
-    for b in np.flatnonzero(st.is_pv & m.has_reg & (st.switch_budget > 0)).tolist():
-        if st.pinned[b] == 0:
-            if q_reg[b] > m.reg_qmax[b] + 1e-9:
-                st.pinned[b], st.pinned_q[b] = +1, m.reg_qmax[b]
-                st.switch_budget[b] -= 1
-                changed = True
-            elif q_reg[b] < m.reg_qmin[b] - 1e-9:
-                st.pinned[b], st.pinned_q[b] = -1, m.reg_qmin[b]
-                st.switch_budget[b] -= 1
-                changed = True
+    for b in np.flatnonzero(m.is_pv & (st.switch_budget > 0)).tolist():
+        pin = st.pinned[b]
+        if pin == 0 and q_reg[b] > m.reg_qmax[b] + 1e-9:
+            st.pinned[b], st.pinned_q[b] = +1, m.reg_qmax[b]
+        elif pin == 0 and q_reg[b] < m.reg_qmin[b] - 1e-9:
+            st.pinned[b], st.pinned_q[b] = -1, m.reg_qmin[b]
+        # Restore regulation once the pin stops binding
+        elif (pin == +1 and st.vm[b] > m.vset[b] + 1e-7
+              or pin == -1 and st.vm[b] < m.vset[b] - 1e-7):
+            st.pinned[b] = 0
         else:
-            # Restore regulation once the pin stops binding
-            if st.pinned[b] == +1 and st.vm[b] > st.vset[b] + 1e-7:
-                st.pinned[b] = 0
-                st.switch_budget[b] -= 1
-                changed = True
-            elif st.pinned[b] == -1 and st.vm[b] < st.vset[b] - 1e-7:
-                st.pinned[b] = 0
-                st.switch_budget[b] -= 1
-                changed = True
+            continue
+        st.switch_budget[b] -= 1
+        changed = True
     if changed:
         _bus_split(m, st)
     return changed
 
 
-class _RawSolution:
-    def __init__(self, m: _GridModel, st: _State, status: str, inner, outer,
-                 moving=()):
-        self.model = m
-        self.status = status
-        self.converged = status == "converged"
-        self.inner = inner
-        self.outer = outer
-        self.moving = moving
-        self.vm = st.vm
-        self.va = st.va
-        self.state = st
-        if self.converged and len(m.fb):
-            v = st.vm * np.exp(1j * st.va)
-            yff, yft, ytf, ytt = m.branch_admittances()
-            vf, vt = v[m.fb], v[m.tb]
-            i1 = yff * vf + yft * vt
-            i2 = ytf * vf + ytt * vt
-            s1 = vf * np.conj(i1)
-            s2 = vt * np.conj(i2)
-            self.p1, self.q1, self.i1 = s1.real, s1.imag, np.abs(i1)
-            self.p2, self.q2, self.i2 = s2.real, s2.imag, np.abs(i2)
-        else:
-            z = np.zeros(len(m.fb))
-            self.p1 = self.q1 = self.i1 = self.p2 = self.q2 = self.i2 = z
-
-    def _injection(self) -> np.ndarray:
-        v = self.vm * np.exp(1j * self.va)
-        return v * np.conj(self.model.ybus @ v)
-
-    def gen_reactive(self) -> np.ndarray:
-        """Per-generator reactive output implied by the solved state."""
-        m, st = self.model, self.state
-        s = self._injection()
-        q_other = _q_spec(m, st)
-        q = np.zeros(len(m.gen_ids))
-        nonreg = ~m.gen_regulating & ~m.svr_gen
-        q[nonreg] = m.gen_qset[nonreg]
-        q[m.svr_gen] = st.svr_q[m.svr_gen]
-        for b in sorted(set(m.gen_bus.tolist())):
-            if b == m.slack_bus:
-                idx = np.flatnonzero(m.gen_bus == b)
-                others = idx[idx != m.slack_gen]
-                q[m.slack_gen] = s.imag[b] - m.q_fixed[b] - q[others].sum()
-                continue
-            idx = np.flatnonzero(m.gen_regulating & ~m.svr_gen & (m.gen_bus == b))
-            if len(idx) == 0:
-                continue
-            need = s.imag[b] - q_other[b]
-            ranges = np.maximum(m.gen_qmax[idx] - m.gen_qmin[idx], 0.0)
-            ranges = np.where(np.isfinite(ranges) & (ranges > 0), ranges, 1.0)
-            q[idx] = need * ranges / ranges.sum()
-        return q
-
-    def gen_active(self) -> np.ndarray:
-        """Per-generator active output; the slack machine takes the residual."""
-        m = self.model
-        p = m.gen_p.copy()
-        b = m.slack_bus
-        p[m.slack_gen] = self._injection().real[b] - m.p_spec[b]
-        return p
-
-
-def _solve_raw(x: H2MGContext, opts: SolverOptions) -> _RawSolution:
+def _solve_raw(x: H2MGContext, opts: SolverOptions) -> tuple[_GridModel, _State]:
+    """Solve ``x``; the state holds the solved values and how the solve ended."""
     m = _GridModel(x, opts)
     st = _State(m)
-    failure, total_inner = _newton_restarting(m, st, opts)
-    if failure is not None:
-        return _RawSolution(m, st, failure, total_inner, 0)
+    failure, st.inner = _newton_restarting(m, st, opts)
     loops = tuple(zip(MOVING_LOOPS, (_rtc_step, _svr_dispatch, _q_limit_switch)))
-    outer = 0
-    while outer < opts.max_outer:
-        outer += 1
+    while failure is None and st.outer < opts.max_outer:
+        st.outer += 1
         # every loop acts each round, in this order, whether or not one before moved
-        moving = tuple([name for name, step in loops if step(m, st, opts)])
-        if not moving:
-            return _RawSolution(m, st, "converged", total_inner, outer)
+        st.moving = tuple([name for name, step in loops if step(m, st, opts)])
+        if not st.moving:
+            st.status = "converged"
+            return m, st
         failure, it = _newton_restarting(m, st, opts)
-        total_inner += it
-        if failure is not None:
-            return _RawSolution(m, st, failure, total_inner, outer, moving)
-    return _RawSolution(m, st, "outer_cap", total_inner, outer, moving)
+        st.inner += it
+    st.status = failure or "outer_cap"
+    return m, st
+
+
+def _branch_flows(m: _GridModel, st: _State):
+    """``(p1, q1, i1, p2, q2, i2)``, one entry per branch, at the solved state."""
+    v = st.vm * np.exp(1j * st.va)
+    yff, yft, ytf, ytt = m.branch_admittances(st.ratio)
+    vf, vt = v[m.fb], v[m.tb]
+    i1 = yff * vf + yft * vt
+    i2 = ytf * vf + ytt * vt
+    s1 = vf * np.conj(i1)
+    s2 = vt * np.conj(i2)
+    return s1.real, s1.imag, np.abs(i1), s2.real, s2.imag, np.abs(i2)
+
+
+def _gen_outputs(m: _GridModel, st: _State) -> tuple[np.ndarray, np.ndarray]:
+    """Per-generator reactive and active output implied by the solved state.
+
+    The slack machine takes the active residual of its bus, and the
+    reactive one after the other generators there.
+    """
+    v = st.vm * np.exp(1j * st.va)
+    s = v * np.conj(st.ybus @ v)
+    q_other = _q_spec(m, st)
+    q = np.zeros(len(m.gen_ids))
+    nonreg = ~m.gen_regulating & ~m.svr_gen
+    q[nonreg] = m.gen_qset[nonreg]
+    q[m.svr_gen] = st.svr_q[m.svr_gen]
+    for b in np.flatnonzero(m.is_pv).tolist():
+        idx = np.flatnonzero(m.gen_regulating & ~m.svr_gen & (m.gen_bus == b))
+        need = s.imag[b] - q_other[b]
+        ranges = np.maximum(m.gen_qmax[idx] - m.gen_qmin[idx], 0.0)
+        ranges = np.where(np.isfinite(ranges) & (ranges > 0), ranges, 1.0)
+        q[idx] = need * ranges / ranges.sum()
+    b = m.slack_bus
+    others = np.flatnonzero(m.gen_bus == b)
+    others = others[others != m.slack_gen]
+    q[m.slack_gen] = s.imag[b] - m.q_fixed[b] - q[others].sum()
+    p = m.gen_p.copy()
+    p[m.slack_gen] = s.real[b] - m.p_spec[b]
+    return q, p
 
 
 def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerFlowSolution:
     """Solve the static AC equations with tap, SVR, and Q-limit outer loops."""
-    raw = _solve_raw(grid, opts)
-    m = raw.model
-    flows = {}
-    for k, key in enumerate(m.branch_keys):
-        flows[key] = BranchFlow(raw.p1[k], raw.q1[k], raw.i1[k],
-                                raw.p2[k], raw.q2[k], raw.i2[k])
+    m, st = _solve_raw(grid, opts)
+    converged = st.status == "converged"
+    flows = _branch_flows(m, st) if converged else (np.zeros(len(m.fb)),) * 6
     gen_q, gen_p = {}, {}
-    if raw.converged:
-        for gid, q, p in zip(m.gen_ids, raw.gen_reactive(), raw.gen_active()):
+    if converged:
+        for gid, q, p in zip(m.gen_ids, *_gen_outputs(m, st)):
             gen_q[gid] = float(q)
             gen_p[gid] = float(p)
     return PowerFlowSolution(
-        converged=raw.converged,
-        bus_v={bid: float(v) for bid, v in zip(m.bus_ids, raw.vm)},
-        bus_theta={bid: float(a) for bid, a in zip(m.bus_ids, raw.va)},
-        branch_flows=flows,
+        converged=converged,
+        bus_v={bid: float(v) for bid, v in zip(m.bus_ids, st.vm)},
+        bus_theta={bid: float(a) for bid, a in zip(m.bus_ids, st.va)},
+        branch_flows={key: BranchFlow(*f) for key, f in zip(m.branch_keys, zip(*flows))},
         gen_q=gen_q,
         gen_p=gen_p,
-        rtc_ratio={r["id"]: float(m.ratio[r["branch"]]) for r in m.rtcs},
-        inner_iterations=raw.inner,
-        outer_iterations=raw.outer,
-        status=raw.status,
-        restarts=raw.state.restarts,
-        moving=raw.moving,
+        rtc_ratio={r["id"]: float(st.ratio[r["branch"]]) for r in m.rtcs},
+        inner_iterations=st.inner,
+        outer_iterations=st.outer,
+        status=st.status,
+        restarts=st.restarts,
+        moving=st.moving,
     )
 
 
 # ---------------------------------------------------------------------------
 # Objective and metrics
 
-def _normalized_currents(raw: _RawSolution) -> np.ndarray:
-    m = raw.model
-    if len(m.fb) == 0:
-        return np.zeros(0)
-    r1 = np.where(np.isfinite(m.branch_i1max) & (m.branch_i1max > 0),
-                  raw.i1 / np.where(m.branch_i1max > 0, m.branch_i1max, 1.0), -np.inf)
-    r2 = np.where(np.isfinite(m.branch_i2max) & (m.branch_i2max > 0),
-                  raw.i2 / np.where(m.branch_i2max > 0, m.branch_i2max, 1.0), -np.inf)
-    ie = np.maximum(r1, r2)
-    rated = np.isfinite(m.branch_i1max) | np.isfinite(m.branch_i2max)
-    mask = (m.branch_opt > 0.5) & rated
-    return ie[mask]
-
-
-def _score_state(raw: _RawSolution) -> tuple[np.ndarray, np.ndarray, float]:
+def _score_state(m: _GridModel, st: _State) -> tuple[np.ndarray, np.ndarray, float]:
     """What a solved state is scored on: the normalized voltages of the
     optimized buses, the normalized currents of the optimized rated
     branches, and the Joule losses of the optimized branches."""
-    m = raw.model
     mask = (m.opt > 0.5) & np.isfinite(m.v_min) & np.isfinite(m.v_max)
-    ve = (raw.vm[mask] - m.v_min[mask]) / (m.v_max[mask] - m.v_min[mask])
-    joule = float(np.sum(np.abs(raw.p1 + raw.p2)[m.branch_opt > 0.5]))
-    return ve, _normalized_currents(raw), joule
+    ve = (st.vm[mask] - m.v_min[mask]) / (m.v_max[mask] - m.v_min[mask])
+    p1, _, i1, p2, _, i2 = _branch_flows(m, st)
+    joule = float(np.sum(np.abs(p1 + p2)[m.branch_opt > 0.5]))
+    r1 = np.where(np.isfinite(m.branch_i1max) & (m.branch_i1max > 0),
+                  i1 / np.where(m.branch_i1max > 0, m.branch_i1max, 1.0), -np.inf)
+    r2 = np.where(np.isfinite(m.branch_i2max) & (m.branch_i2max > 0),
+                  i2 / np.where(m.branch_i2max > 0, m.branch_i2max, 1.0), -np.inf)
+    rated = np.isfinite(m.branch_i1max) | np.isfinite(m.branch_i2max)
+    ie = np.maximum(r1, r2)[(m.branch_opt > 0.5) & rated]
+    return ve, ie, joule
 
 
 def evaluate_objective(x: H2MGContext, y: Decision,
                        opts: SolverOptions = SolverOptions()) -> ObjectiveBreakdown:
     """Apply ``y``, solve, and score voltage/current violations plus losses."""
-    raw = _solve_raw(apply_decision(x, y), opts)
-    counts = (raw.status, raw.inner, raw.outer, raw.state.restarts, raw.moving)
-    if not raw.converged:
+    m, st = _solve_raw(apply_decision(x, y), opts)
+    counts = (st.status, st.inner, st.outer, st.restarts, st.moving)
+    if st.status != "converged":
         return ObjectiveBreakdown(0.0, 0.0, 0.0, opts.prohibitive_cost, False,
                                   *counts)
-    ve, ie, joule = _score_state(raw)
+    ve, ie, joule = _score_state(m, st)
     pen_v = np.maximum(0.0, np.maximum(opts.eps_v - ve, ve - 1.0 + opts.eps_v))
     f_v = opts.lambda_v * float(np.sum(pen_v ** 2))
     pen_i = np.maximum(0.0, np.abs(ie) - 1.0 + opts.eps_i)
@@ -877,13 +851,13 @@ def evaluate_objective(x: H2MGContext, y: Decision,
 def count_metrics(x: H2MGContext, y: Decision,
                   opts: SolverOptions = SolverOptions()) -> MetricsRecord:
     """Count violations and losses for a decision (invalid when unsolvable)."""
-    raw = _solve_raw(apply_decision(x, y), opts)
-    if not raw.converged:
+    m, st = _solve_raw(apply_decision(x, y), opts)
+    if st.status != "converged":
         return MetricsRecord(False, 0, 0, 0, 0, 0.0, np.zeros(0), np.zeros(0),
-                             raw.status)
-    ve, ie, joule = _score_state(raw)
+                             st.status)
+    ve, ie, joule = _score_state(m, st)
     over = int(np.sum(ve > 1.0))
     under = int(np.sum(ve < 0.0))
     overflow = int(np.sum(np.abs(ie) > 1.0))
     return MetricsRecord(True, over, under, over + under, overflow, joule,
-                         ve, np.abs(ie), raw.status)
+                         ve, np.abs(ie), st.status)

@@ -90,6 +90,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.minibatch < 1:
             raise ValueError("minibatch must be at least 1")
+        # A non-converged solve costs the solver's value and a raising oracle
+        # call the estimator's; prohibitive_share counts both by the latter.
+        if self.estimator.prohibitive_cost != self.solver.prohibitive_cost:
+            raise ValueError(
+                f"estimator.prohibitive_cost ({self.estimator.prohibitive_cost}) "
+                f"must equal solver.prohibitive_cost ({self.solver.prohibitive_cost})")
 
 
 # ---------------------------------------------------------------------------

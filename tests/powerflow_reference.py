@@ -32,7 +32,7 @@ def jacobian(ybus, v, ibus, pvpq, pq):
 
 def bus_types(m, st):
     """(pv, pq, pvpq) for the state's current regulation and pins."""
-    pv = np.flatnonzero(st.is_pv & (st.pinned == 0))
+    pv = np.flatnonzero(m.is_pv & (st.pinned == 0))
     pq = np.array(sorted(set(range(m.n)) - set(pv.tolist()) - {m.slack_bus}),
                   dtype=int)
     return pv, pq, np.concatenate([pv, pq]).astype(int)
@@ -48,13 +48,13 @@ def q_spec(m, st):
 
 def newton(m, st, opts):
     """The solver's Newton loop on the dense Jacobian and a fresh Ybus."""
-    ybus = m.assemble_ybus()
+    ybus = m.assemble_ybus(st.ratio)
     slack = m.slack_bus
     pv, pq, pvpq = bus_types(m, st)
 
-    st.vm[slack] = st.vset[slack]
+    st.vm[slack] = m.vset[slack]
     st.va[slack] = 0.0
-    st.vm[pv] = st.vset[pv]
+    st.vm[pv] = m.vset[pv]
 
     qs = q_spec(m, st)
     qs[st.pinned != 0] += st.pinned_q[st.pinned != 0]
@@ -160,10 +160,10 @@ def svr_dispatch(m, st, opts):
 
 def q_limit_switch(m, st, opts):
     v = st.vm * np.exp(1j * st.va)
-    s = v * np.conj(m.assemble_ybus() @ v)
+    s = v * np.conj(m.assemble_ybus(st.ratio) @ v)
     changed = False
     for b in range(m.n):
-        if b == m.slack_bus or not st.is_pv[b] or st.switch_budget[b] <= 0:
+        if b == m.slack_bus or not m.is_pv[b] or st.switch_budget[b] <= 0:
             continue
         reg = m.gen_regulating & ~m.svr_gen & (m.gen_bus == b)
         if not np.any(reg):
@@ -185,11 +185,11 @@ def q_limit_switch(m, st, opts):
                 st.switch_budget[b] -= 1
                 changed = True
         else:
-            if st.pinned[b] == +1 and st.vm[b] > st.vset[b] + 1e-7:
+            if st.pinned[b] == +1 and st.vm[b] > m.vset[b] + 1e-7:
                 st.pinned[b] = 0
                 st.switch_budget[b] -= 1
                 changed = True
-            elif st.pinned[b] == -1 and st.vm[b] < st.vset[b] - 1e-7:
+            elif st.pinned[b] == -1 and st.vm[b] < m.vset[b] - 1e-7:
                 st.pinned[b] = 0
                 st.switch_budget[b] -= 1
                 changed = True

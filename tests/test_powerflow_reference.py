@@ -1,5 +1,7 @@
 """The array-native solver against the dense reference in powerflow_reference."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def _states(x):
     m = pf._GridModel(pf.apply_decision(x, init_baseline(x, 0.0)), OPTS)
     initial = pf._State(m)
     pinned = pf._State(m)
-    b = int(np.flatnonzero(pinned.is_pv & m.has_reg)[0])
+    b = int(np.flatnonzero(m.is_pv)[0])
     pinned.pinned[b], pinned.pinned_q[b] = +1, m.reg_qmax[b]
     pinned.va = pinned.va + 0.01 * np.sin(np.arange(m.n))
     solved = pf._State(m)
@@ -107,7 +109,7 @@ def _pinned_pairs(contexts):
 
 
 def _solve(x, y, monkeypatch):
-    """evaluate_objective's result and the raw solution behind it."""
+    """evaluate_objective's result and the solver state behind it."""
     raws = []
     solve_raw = pf._solve_raw
 
@@ -118,7 +120,7 @@ def _solve(x, y, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(pf, "_solve_raw", keep)
         res = pf.evaluate_objective(x, y, OPTS)
-    return res, raws[0]
+    return res, raws[0][1]
 
 
 def test_oracle_matches_reference_on_pinned_pairs(contexts, monkeypatch):
@@ -140,12 +142,12 @@ def test_oracle_matches_reference_on_pinned_pairs(contexts, monkeypatch):
 def test_ybus_rebuilt_after_tap_move(contexts):
     m = pf._GridModel(contexts[0], OPTS)
     st = pf._State(m)
-    before = m.ybus.copy()
+    before = st.ybus.copy()
     r = m.rtcs[0]
     r["target"] = st.vm[r["bus"]] + 0.05
     assert pf._rtc_step(m, st, OPTS)
-    assert not np.array_equal(m.ybus, before)
-    assert np.array_equal(m.ybus, m.assemble_ybus())
+    assert not np.array_equal(st.ybus, before)
+    assert np.array_equal(st.ybus, m.assemble_ybus(st.ratio))
 
 
 def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):
@@ -168,10 +170,10 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):
             seen["reused"] += 1
             # the voltages the first iteration will see, set as _newton sets them
             vm, va = st.vm.copy(), st.va.copy()
-            vm[m.slack_bus], va[m.slack_bus] = st.vset[m.slack_bus], 0.0
-            vm[pv] = st.vset[pv]
+            vm[m.slack_bus], va[m.slack_bus] = m.vset[m.slack_bus], 0.0
+            vm[pv] = m.vset[pv]
             assert np.array_equal(vm, st.vm) and np.array_equal(va, st.va)
-            ybus = m.assemble_ybus()
+            ybus = m.assemble_ybus(st.ratio)
             v = vm * np.exp(1j * va)
             assert np.array_equal(st.jac, pf._jacobian(
                 ybus, v, ybus @ v, pf._jacobian_index(m.n, pvpq, pq)))
@@ -201,3 +203,31 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):
     seen.update(taps=0, reused=0)
     sol = pf.solve_ac(pf.apply_decision(contexts[0], init_baseline(contexts[0], 0.0)))
     assert sol.converged and seen["taps"] > 0 and seen["flips"] > 0
+
+
+def _same(a, b):
+    """Equal values; arrays of the same dtype, element by element, NaN
+    equal to NaN."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(
+            a, b, equal_nan=a.dtype.kind in "fc")
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_a_solve_leaves_its_model_alone(contexts, monkeypatch):
+    # val-000's baseline moves taps and flips a Q-limit pin, so a solve
+    # that kept its taps, Ybus or pins on the model would show here.
+    x = contexts[0]
+    y = init_baseline(x, 0.0)
+    m = pf._GridModel(pf.apply_decision(x, y), OPTS)
+    before = copy.deepcopy(vars(m))
+    monkeypatch.setattr(pf, "_GridModel", lambda *_: m)
+    first = pf.evaluate_objective(x, y, OPTS)
+    assert pf.evaluate_objective(x, y, OPTS) == first
+    assert vars(m).keys() == before.keys()
+    for name, value in before.items():
+        assert _same(vars(m)[name], value), name

@@ -49,7 +49,7 @@ def test_config_round_trip_changes_every_field():
         solver=SolverOptions(tolerance=1e-7, max_inner=20, max_outer=50,
                              rtc_deadband=0.01, svr_deadband=1e-4, lambda_v=2.0,
                              lambda_i=3.0, lambda_j=0.2, eps_v=0.1, eps_i=0.2,
-                             prohibitive_cost=10.0, target_clamp=(0.5, 2.0)),
+                             prohibitive_cost=50.0, target_clamp=(0.5, 2.0)),
         model=ModelConfig(latent_dim=4, encoder_out=5, encoder_hidden=(6,),
                           message_hidden=(7, 3), decoder_hidden=(), dt=0.25,
                           leaky_slope=0.2))
@@ -61,6 +61,12 @@ def test_config_round_trip_changes_every_field():
     back = config_from_json(TrainConfig, json.loads(json.dumps(doc)))
     assert back == cfg
     assert back.solver.target_clamp == (0.5, 2.0)
+
+
+def test_config_rejects_differing_prohibitive_costs():
+    # a non-converged sample would cost 10 and a raising oracle call 100
+    with pytest.raises(ValueError, match=r"\(100\.0\).*\(10\.0\)"):
+        TrainConfig(solver=SolverOptions(prohibitive_cost=10.0))
 
 
 def test_config_from_json_rejects_unknown_field():
