@@ -42,11 +42,11 @@ def init_baseline(x: H2MGContext, offset: float = 0.0) -> Decision:
         values["shunt_controller"] = {eid: 0 for eid in ids["shunt_controller"]}
     if "svr_controller" in ids:
         out = {}
-        zones = {z.ports["zone"]: z for z in x.edges_of("svr_zone")}
         for e in x.edges_of("svr_controller"):
-            zone = zones.get(e.ports["zone"])
-            if zone is None:
+            zones = x.anchored("svr_zone", "zone", e.ports["zone"])
+            if not zones:
                 raise H2MGError(f"svr_controller {e.id!r} anchors to no zone")
+            zone = zones[-1]
             v_init, v_target = zone.features["v"], zone.features["v_target"]
             if v_init is None or v_target is None:
                 raise H2MGError(

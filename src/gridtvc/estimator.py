@@ -55,6 +55,12 @@ class EstimatorConfig:
         # beta 0 switches the score term off entirely (entropy-only descent)
         if self.beta < 0 or self.tau <= 0:
             raise ValueError("beta must be nonnegative and tau positive")
+        # a class left out keeps 8 samples
+        for cname, n in self.samples.items():
+            if cname not in CONTROLLER_CLASSES:
+                raise ValueError(f"samples: {cname!r} is not a controller class")
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ValueError(f"samples: {cname!r} count {n!r} is not a positive integer")
 
 
 @dataclass

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_to_json
-from .h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, serialize, validate_context
+from .h2mg import (
+    H2MGContext, H2MGError, HyperEdge, SCHEMA, deserialize, serialize, validate_context)
 from .powerflow import SolverOptions, solve_ac
 
 
@@ -298,7 +299,10 @@ def _fill_from_solution(x: H2MGContext, sol) -> H2MGContext:
     updates: dict[tuple[str, str], dict] = {}
     for e in x.edges_of("bus"):
         updates[("bus", e.id)] = {"v": sol.bus_v[e.id], "theta": sol.bus_theta[e.id]}
-    bus_by_addr = {b.ports["bus"]: b for b in x.edges_of("bus")}
+
+    def bus_id(addr):
+        return x.anchored("bus", "bus", addr)[-1].id
+
     for cname in ("line", "twt"):
         for e in x.edges_of(cname):
             key = (cname, e.id)
@@ -309,38 +313,31 @@ def _fill_from_solution(x: H2MGContext, sol) -> H2MGContext:
                 rating = max(f.i1, f.i2) * 1.6 + 0.1
                 updates[key]["i1_max"] = rating
                 updates[key]["i2_max"] = rating
-    rtc_by_twt_addr = {}
-    for r in x.edges_of("rtc"):
-        rtc_by_twt_addr[r.ports["twt"]] = r.id
     for e in x.edges_of("twt"):
-        rid = rtc_by_twt_addr.get(e.ports["twt"])
-        if rid is not None and rid in sol.rtc_ratio:
+        rtcs = x.anchored("rtc", "twt", e.ports["twt"])
+        if rtcs and rtcs[-1].id in sol.rtc_ratio:
             upd = updates.setdefault(("twt", e.id), {})
-            upd["ratio"] = sol.rtc_ratio[rid]
+            upd["ratio"] = sol.rtc_ratio[rtcs[-1].id]
     for e in x.edges_of("generator"):
         upd = {"q": sol.gen_q.get(e.id, 0.0)}
         upd["p"] = sol.gen_p.get(e.id, e.feature("p_target", 0.0))
-        bus = bus_by_addr[e.ports["bus"]]
-        vm = sol.bus_v[bus.id]
+        vm = sol.bus_v[bus_id(e.ports["bus"])]
         upd["i"] = math.hypot(upd["p"], upd["q"]) / vm
         updates[("generator", e.id)] = upd
     for e in x.edges_of("load"):
-        bus = bus_by_addr[e.ports["bus"]]
-        vm = sol.bus_v[bus.id]
+        vm = sol.bus_v[bus_id(e.ports["bus"])]
         p, q = e.feature("p_target", 0.0), e.feature("q_target", 0.0)
         updates[("load", e.id)] = {"p": p, "q": q, "i": math.hypot(p, q) / vm}
     for e in x.edges_of("shunt"):
-        bus = bus_by_addr[e.ports["bus"]]
-        vm = sol.bus_v[bus.id]
+        vm = sol.bus_v[bus_id(e.ports["bus"])]
         status = e.feature("status", 0.0)
         g, b = e.feature("g", 0.0), e.feature("b", 0.0)
         p = status * g * vm ** 2
         q = -status * b * vm ** 2
         updates[("shunt", e.id)] = {"p": p, "q": q, "i": math.hypot(p, q) / vm}
     for e in x.edges_of("svr_zone"):
-        bus = bus_by_addr[e.ports["regulated_bus"]]
-        updates[("svr_zone", e.id)] = {"v": sol.bus_v[bus.id],
-                                       "theta": sol.bus_theta[bus.id]}
+        bid = bus_id(e.ports["regulated_bus"])
+        updates[("svr_zone", e.id)] = {"v": sol.bus_v[bid], "theta": sol.bus_theta[bid]}
     return x.replace_features(updates)
 
 
@@ -387,11 +384,20 @@ def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
 
 
 def load_dataset(data_dir: str | Path) -> list[H2MGContext]:
-    from .h2mg import deserialize
+    """Read a dataset's contexts, validating each; a context that fails
+    validation raises :class:`H2MGError` naming its file."""
     data = Path(data_dir)
     manifest = json.loads((data / "manifest.json").read_text())
-    return [deserialize((data / f"{cid}.json").read_bytes())
-            for cid in manifest["ids"]]
+    out = []
+    for cid in manifest["ids"]:
+        path = data / f"{cid}.json"
+        x = deserialize(path.read_bytes())
+        report = validate_context(x)
+        if report:
+            raise H2MGError(f"{path}: invalid context ({len(report)} violations): "
+                            + "; ".join(map(str, report[:3])))
+        out.append(x)
+    return out
 
 
 def load_manifest(data_dir: str | Path) -> dict:
@@ -406,8 +412,8 @@ class CompiledContext:
     """A context as the graph ODE reads it; :func:`normalize` builds it.
 
     ``classes`` holds one ``(class name, edge ids, features, ports)`` entry
-    per class with edges, in sorted class order, edges in
-    :meth:`H2MGContext.sorted_edges` order: a float ``(edges, features)``
+    per class with edges, in sorted class order, edges in the context's
+    canonical (id) order: a float ``(edges, features)``
     matrix of normalized values and an int ``(edges, ports)`` matrix of
     addresses.  ``metadata`` is the source context's.
     """
@@ -543,13 +549,13 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
 def normalize(x: H2MGContext, norm: Normalizer) -> CompiledContext:
     """Compile ``x`` into the arrays the graph ODE reads, features normalized.
 
-    One walk over each class's edges in sorted order gathers the edge ids,
+    One walk over each class's edges in canonical order gathers the edge ids,
     the port matrix and the raw feature matrix; ``norm`` then maps the
     features one column at a time (absent becomes 0).
     """
     classes = []
     for cname in sorted(c for c, edges in x.edges.items() if edges):
-        edges, cs = x.sorted_edges(cname), SCHEMA[cname]
+        edges, cs = x.edges[cname], SCHEMA[cname]
         raw = np.array([[e.features[f] for f in cs.context_feature_names]
                         for e in edges], dtype=float)
         feats = np.empty_like(raw)

@@ -1,7 +1,11 @@
 """Hyper-heterogeneous multi-graph data model for grid operating conditions.
 
 An operating condition is a set of typed hyper-edges plugged into shared
-integer addresses through named ports.  Alongside the context itself live
+integer addresses through named ports.  A context keeps each class's edges
+in one canonical order, by id, whatever order they were given in, and
+finds the edges plugged into an address through a port with
+:meth:`H2MGContext.anchored`; the solver, the model, the normalizer and
+serialization all read that one layout.  Alongside the context itself live
 the two decision-side containers: ``Decision`` (concrete controller
 actions) and ``SurrogateDecision`` (the real-valued parameters of the
 stochastic policy over those actions).
@@ -154,8 +158,12 @@ class HyperEdge:
 class H2MGContext:
     """One grid operating condition: structure plus features.
 
-    Immutable after construction; derived variants are built with
-    :meth:`replace_features` or by the decision-application step.
+    Each class's edges are stored in canonical order, sorted by id (a
+    stable sort, so edges sharing an id keep the order they were given
+    in); every reader iterates that order, and :meth:`anchored` finds a
+    class's edges at an address.  Immutable after construction; derived
+    variants are built with :meth:`replace_features` or by the
+    decision-application step.
     """
 
     address_count: int
@@ -166,13 +174,18 @@ class H2MGContext:
         for cname in self.edges:
             if cname not in SCHEMA:
                 raise H2MGError(f"unknown class {cname!r}")
+        object.__setattr__(self, "edges", {
+            cname: tuple(sorted(elist, key=lambda e: e.id))
+            for cname, elist in self.edges.items()})
 
     def edges_of(self, class_name: str) -> tuple[HyperEdge, ...]:
+        """Edges of a class, in canonical order."""
         return self.edges.get(class_name, ())
 
-    def sorted_edges(self, class_name: str) -> list[HyperEdge]:
-        """Edges of a class in canonical (id-lexicographic) order."""
-        return sorted(self.edges_of(class_name), key=lambda e: e.id)
+    def anchored(self, class_name: str, port: str, address: int) -> list[HyperEdge]:
+        """Edges of ``class_name`` whose ``port`` holds ``address``, in
+        canonical order.  It scans the class; nothing is cached."""
+        return [e for e in self.edges_of(class_name) if e.ports[port] == address]
 
     def edge(self, class_name: str, edge_id: str) -> HyperEdge:
         for e in self.edges_of(class_name):
@@ -182,12 +195,12 @@ class H2MGContext:
 
     def all_edges(self) -> Iterator[HyperEdge]:
         for cname in sorted(self.edges):
-            yield from self.sorted_edges(cname)
+            yield from self.edges[cname]
 
     def controller_ids(self) -> dict[str, list[str]]:
         """Controller edge ids per controller class, canonically ordered."""
         return {
-            c: [e.id for e in self.sorted_edges(c)]
+            c: [e.id for e in self.edges_of(c)]
             for c in CONTROLLER_CLASSES
             if self.edges_of(c)
         }
@@ -217,16 +230,6 @@ class Violation:
 
     def __str__(self):
         return f"[{self.class_name}:{self.edge_id}] {self.rule}"
-
-
-def _port_index(x: H2MGContext) -> dict[tuple[str, str], list[tuple[str, str]]]:
-    """Map (class, port name) -> list of (edge id, address-as-str)."""
-    idx: dict[tuple[str, str], list] = {}
-    for cname in x.edges:
-        for e in x.edges_of(cname):
-            for pname, addr in e.ports.items():
-                idx.setdefault((cname, pname), []).append((e.id, addr))
-    return idx
 
 
 def validate_context(x: H2MGContext) -> list[Violation]:
@@ -276,29 +279,23 @@ def validate_context(x: H2MGContext) -> list[Violation]:
                         f"port {pname!r} at address {addr} is not occupied by a bus")
 
     # Controller wiring (each controller must anchor to exactly one device)
-    idx = _port_index(x)
-
-    def anchors(cname, pname, addr):
-        return [eid for eid, a in idx.get((cname, pname), []) if a == addr]
-
     for e in x.edges_of("line_controller"):
-        if len(anchors("line", "line", e.ports["line"])) != 1:
+        if len(x.anchored("line", "line", e.ports["line"])) != 1:
             bad("line_controller", e.id, "line port does not match exactly one line")
     for e in x.edges_of("shunt_controller"):
-        if len(anchors("shunt", "shunt", e.ports["shunt"])) != 1:
+        if len(x.anchored("shunt", "shunt", e.ports["shunt"])) != 1:
             bad("shunt_controller", e.id, "shunt port does not match exactly one shunt")
     for e in x.edges_of("svr_controller"):
         zone = e.ports["zone"]
-        if len(anchors("svr_zone", "zone", zone)) != 1:
+        if len(x.anchored("svr_zone", "zone", zone)) != 1:
             bad("svr_controller", e.id, "zone port does not match exactly one svr_zone")
-        if len(anchors("svr_unit", "zone", zone)) < 1:
+        if not x.anchored("svr_unit", "zone", zone):
             bad("svr_controller", e.id, "zone has no participating svr_unit")
     for e in x.edges_of("rtc_controller"):
         twt_addr = e.ports["twt"]
-        rtcs = anchors("rtc", "twt", twt_addr)
-        if len(rtcs) != 1:
+        if len(x.anchored("rtc", "twt", twt_addr)) != 1:
             bad("rtc_controller", e.id, "twt port does not match exactly one rtc")
-        elif len(anchors("twt", "twt", twt_addr)) != 1:
+        elif len(x.anchored("twt", "twt", twt_addr)) != 1:
             bad("rtc_controller", e.id, "anchored rtc does not match exactly one twt")
 
     # Electrical feature sanity
@@ -326,7 +323,7 @@ def neighborhood(x: H2MGContext, address: int) -> list[tuple[str, str, str]]:
             f"address {address} outside 0..{x.address_count - 1}")
     out = []
     for cname in sorted(x.edges):
-        for e in x.sorted_edges(cname):
+        for e in x.edges[cname]:
             for pname in SCHEMA[cname].port_names:
                 if e.ports[pname] == address:
                     out.append((cname, e.id, pname))
@@ -348,7 +345,7 @@ def to_document(x: H2MGContext) -> dict:
                     f: (ABSENT if v is None else v) for f, v in e.features.items()
                 },
             }
-            for e in x.sorted_edges(cname)
+            for e in x.edges[cname]
         ]
     return {
         "address_count": x.address_count,

@@ -144,6 +144,10 @@ class MetricsRecord:
     normalized_voltages: np.ndarray  # one entry per optimized bus
     normalized_currents: np.ndarray  # one entry per optimized rated branch
     status: str             # one of SOLVE_STATUSES
+    inner: int              # Newton iterations, as PowerFlowSolution.inner_iterations
+    outer: int              # outer rounds, as PowerFlowSolution.outer_iterations
+    restarts: int           # flat-start Newton retries taken
+    moving: tuple[str, ...]  # of MOVING_LOOPS: what changed in the last outer round
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,7 @@ class MetricsRecord:
 
 def _anchor(x: H2MGContext, device_class: str, port: str, address: int,
             controller_id: str):
-    matches = [e for e in x.edges_of(device_class) if e.ports[port] == address]
+    matches = x.anchored(device_class, port, address)
     if len(matches) != 1:
         raise H2MGError(
             f"controller {controller_id!r} does not anchor to exactly one "
@@ -202,9 +206,20 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
 # ---------------------------------------------------------------------------
 # Internal array model
 
+def _column(edges, name: str, default: float) -> np.ndarray:
+    """One feature of ``edges`` as a float array, ``default`` where absent."""
+    return np.array([e.feature(name, default) for e in edges], dtype=float)
+
+
 class _GridModel:
     """Numpy view of one context, ready for the Newton loop; never written
-    after it is built, so solves may share it."""
+    after it is built, so solves may share it.
+
+    Buses, generators, branches and tap changers follow the context's
+    canonical edge order.  ``zones`` lists only the SVR zones the dispatch
+    acts on (a target, units, and a positive reactive range); ``svr_gen``
+    marks the units of every zone.
+    """
 
     def __init__(self, x: H2MGContext, opts: SolverOptions):
         global _warned_inert
@@ -215,22 +230,20 @@ class _GridModel:
             _warned_inert = True
 
         lo, hi = opts.target_clamp
-        buses = x.sorted_edges("bus")
+        buses = x.edges_of("bus")
         if not buses:
             raise H2MGError("context has no buses")
         self.bus_ids = [e.id for e in buses]
         self.addr_to_bus = {e.ports["bus"]: i for i, e in enumerate(buses)}
         n = len(buses)
         self.n = n
-        self.v_nom = np.array([e.feature("v_nom", 1.0) for e in buses])
-        self.v_min = np.array([np.nan if e.features["v_min"] is None
-                               else e.features["v_min"] for e in buses])
-        self.v_max = np.array([np.nan if e.features["v_max"] is None
-                               else e.features["v_max"] for e in buses])
-        self.opt = np.array([e.feature("opt", 0.0) for e in buses])
+        self.v_nom = _column(buses, "v_nom", 1.0)
+        self.v_min = _column(buses, "v_min", np.nan)
+        self.v_max = _column(buses, "v_max", np.nan)
+        self.opt = _column(buses, "opt", 0.0)
         self.vm0 = np.array([e.features["v"] if e.features["v"] is not None
                              else self.v_nom[i] for i, e in enumerate(buses)])
-        self.va0 = np.array([e.feature("theta", 0.0) for e in buses])
+        self.va0 = _column(buses, "theta", 0.0)
 
         # Fixed injections
         self.p_spec = np.zeros(n)
@@ -241,18 +254,15 @@ class _GridModel:
             self.q_fixed[b] -= e.feature("q_target", 0.0)
 
         # Generators
-        gens = x.sorted_edges("generator")
+        gens = x.edges_of("generator")
         self.gen_ids = [e.id for e in gens]
         self.gen_bus = np.array([self._bus(e.ports["bus"], e) for e in gens],
                                 dtype=int)
-        self.gen_p = np.array([e.feature("p_target", 0.0) for e in gens])
-        self.gen_qset = np.array([e.feature("q_target", 0.0) for e in gens])
-        self.gen_vset = np.clip(
-            np.array([e.feature("v_target", 1.0) for e in gens]), lo, hi)
-        self.gen_qmin = np.array([-np.inf if e.features["q_min"] is None
-                                  else e.features["q_min"] for e in gens])
-        self.gen_qmax = np.array([np.inf if e.features["q_max"] is None
-                                  else e.features["q_max"] for e in gens])
+        self.gen_p = _column(gens, "p_target", 0.0)
+        self.gen_qset = _column(gens, "q_target", 0.0)
+        self.gen_vset = np.clip(_column(gens, "v_target", 1.0), lo, hi)
+        self.gen_qmin = _column(gens, "q_min", -np.inf)
+        self.gen_qmax = _column(gens, "q_max", np.inf)
         self.gen_regulating = np.array(
             [e.feature("regulation_mode", 0.0) > 0.5 for e in gens])
         slack_flags = [e.feature("slack", 0.0) > 0.5 for e in gens]
@@ -265,29 +275,34 @@ class _GridModel:
 
         addr_of_gen_port = {e.ports["gen"]: i for i, e in enumerate(gens)}
 
-        # SVR zones with their participating units
-        participants: dict[int, list] = {}
-        for u in x.sorted_edges("svr_unit"):
-            if u.feature("participate", 0.0) > 0.5:
-                participants.setdefault(u.ports["zone"], []).append(u)
-        self.zones = []
-        for z in x.sorted_edges("svr_zone"):
-            unit_gens = []
-            for u in participants.get(z.ports["zone"], ()):
-                gi = addr_of_gen_port.get(u.ports["gen"])
-                if gi is None:
-                    raise H2MGError(f"svr_unit {u.id!r} references no generator")
-                unit_gens.append(gi)
-            target = z.features["v_target"]
-            self.zones.append({
-                "id": z.id,
-                "bus": self._bus(z.ports["regulated_bus"], z),
-                "target": float(np.clip(target, lo, hi)) if target is not None else None,
-                "units": np.array(sorted(unit_gens), dtype=int),
-            })
+        # SVR zones: every zone's participating units are SVR units; the
+        # zones the dispatch can act on keep each unit's share of the zone's
+        # reactive range.
         self.svr_gen = np.zeros(len(gens), dtype=bool)
-        for z in self.zones:
-            self.svr_gen[z["units"]] = True
+        self.zones = []
+        for z in x.edges_of("svr_zone"):
+            unit_gens = []
+            for u in x.anchored("svr_unit", "zone", z.ports["zone"]):
+                if u.feature("participate", 0.0) > 0.5:
+                    gi = addr_of_gen_port.get(u.ports["gen"])
+                    if gi is None:
+                        raise H2MGError(f"svr_unit {u.id!r} references no generator")
+                    unit_gens.append(gi)
+            bus = self._bus(z.ports["regulated_bus"], z)
+            units = np.array(sorted(unit_gens), dtype=int)
+            self.svr_gen[units] = True
+            target = z.features["v_target"]
+            ranges = np.maximum(self.gen_qmax[units] - self.gen_qmin[units], 0.0)
+            ranges = np.where(np.isfinite(ranges), ranges, 1.0)
+            if target is None or len(units) == 0 or ranges.sum() <= 0:
+                continue
+            self.zones.append({"id": z.id, "bus": bus,
+                               "target": float(np.clip(target, lo, hi)),
+                               "units": units, "shares": ranges / ranges.sum(),
+                               "unit_bus": self.gen_bus[units],
+                               "ranges": ranges.tolist(),
+                               "qmin": self.gen_qmin[units].tolist(),
+                               "qmax": self.gen_qmax[units].tolist()})
         if self.svr_gen[self.slack_gen]:
             raise H2MGError("slack generator cannot participate in an SVR zone")
         # Dispatched reactive output per SVR unit, warm-started from the
@@ -297,20 +312,6 @@ class _GridModel:
             else 0.0
             for i in range(len(gens))])
         self.svr_q = np.clip(self.svr_q, self.gen_qmin, self.gen_qmax)
-        # Zones the dispatch can act on, with each unit's share of the
-        # zone's reactive range.
-        self.dispatch_zones = []
-        for z in self.zones:
-            units = z["units"]
-            ranges = np.maximum(self.gen_qmax[units] - self.gen_qmin[units], 0.0)
-            ranges = np.where(np.isfinite(ranges), ranges, 1.0)
-            if z["target"] is None or len(units) == 0 or ranges.sum() <= 0:
-                continue
-            self.dispatch_zones.append({**z, "shares": ranges / ranges.sum(),
-                                        "unit_bus": self.gen_bus[units],
-                                        "ranges": ranges.tolist(),
-                                        "qmin": self.gen_qmin[units].tolist(),
-                                        "qmax": self.gen_qmax[units].tolist()})
 
         # Per-bus reactive bookkeeping for the Q-limit loop: the summed
         # limits of the regulating (non-SVR) generators, and the fixed
@@ -333,45 +334,38 @@ class _GridModel:
         self.vset[self.slack_bus] = self.gen_vset[self.slack_gen]
 
         # Branches: lines with status 1, then all twts
-        fb, tb, ys, ysh, ratio, shift = [], [], [], [], [], []
-        self.branch_keys: list[tuple[str, str]] = []
-        self.branch_opt, self.branch_i1max, self.branch_i2max = [], [], []
-        twt_index_by_addr = {}
-        for e in x.sorted_edges("line"):
-            if e.feature("status", 1.0) < 0.5:
-                continue
-            self._append_branch(e, fb, tb, ys, ysh, ratio, shift, 1.0, 0.0)
-        for e in x.sorted_edges("twt"):
-            twt_index_by_addr[e.ports["twt"]] = len(self.branch_keys)
-            rho = e.feature("ratio", 1.0)
-            alpha = e.feature("phase_shift", 0.0)
-            self._append_branch(e, fb, tb, ys, ysh, ratio, shift, rho, alpha)
-        self.fb = np.array(fb, dtype=int)
-        self.tb = np.array(tb, dtype=int)
-        self.ys = np.array(ys, dtype=complex)
-        self.ysh = np.array(ysh, dtype=complex)
-        self.ratio = np.array(ratio, dtype=float)
-        self.shift = np.array(shift, dtype=float)
-        self.branch_opt = np.array(self.branch_opt)
-        self.branch_i1max = np.array(self.branch_i1max)
-        self.branch_i2max = np.array(self.branch_i2max)
+        lines = [e for e in x.edges_of("line") if not e.feature("status", 1.0) < 0.5]
+        twts = x.edges_of("twt")
+        branches = lines + list(twts)
+        for e in branches:
+            if e.feature("r", 0.0) == 0.0 and e.feature("x", 0.0) == 0.0:
+                raise H2MGError(f"{e.class_name} {e.id!r} has zero impedance")
+        self.branch_keys = [(e.class_name, e.id) for e in branches]
+        self.fb = np.array([self._bus(e.ports["bus1"], e) for e in branches], dtype=int)
+        self.tb = np.array([self._bus(e.ports["bus2"], e) for e in branches], dtype=int)
+        self.ys = np.array([1.0 / complex(e.feature("r", 0.0), e.feature("x", 0.0))
+                            for e in branches], dtype=complex)
+        self.ysh = np.array([complex(e.feature("g", 0.0), e.feature("b", 0.0))
+                             for e in branches], dtype=complex)
+        self.ratio = np.concatenate([np.ones(len(lines)), _column(twts, "ratio", 1.0)])
+        self.shift = np.concatenate([np.zeros(len(lines)),
+                                     _column(twts, "phase_shift", 0.0)])
+        self.branch_opt = _column(branches, "opt", 0.0)
+        self.branch_i1max = _column(branches, "i1_max", np.nan)
+        self.branch_i2max = _column(branches, "i2_max", np.nan)
+        twt_index_by_addr = {e.ports["twt"]: len(lines) + k for k, e in enumerate(twts)}
 
         # Bus shunt admittance from in-service shunt edges
         self.y_shunt_bus = np.zeros(n, dtype=complex)
-        for e in x.sorted_edges("shunt"):
+        for e in x.edges_of("shunt"):
             if e.feature("status", 1.0) < 0.5:
                 continue
             b = self._bus(e.ports["bus"], e)
             self.y_shunt_bus[b] += complex(e.feature("g", 0.0), e.feature("b", 0.0))
 
         # Tap changers: regulation targets come from rtc controllers
-        target_by_twt_addr = {}
-        for e in x.sorted_edges("rtc_controller"):
-            t = e.features["v_target"]
-            if t is not None:
-                target_by_twt_addr[e.ports["twt"]] = np.clip(t, lo, hi)
         self.rtcs = []
-        for e in x.sorted_edges("rtc"):
+        for e in x.edges_of("rtc"):
             bi = twt_index_by_addr.get(e.ports["twt"])
             if bi is None:
                 raise H2MGError(f"rtc {e.id!r} references no twt")
@@ -380,13 +374,15 @@ class _GridModel:
             mult = self.ratio[bi] / tau_nom
             tap = int(np.clip(round((mult - 0.9) / TAP_STEP), 0, 20))
             self.ratio[bi] = tau_nom * TAP_MULTIPLIERS[tap]
+            ctrls = x.anchored("rtc_controller", "twt", e.ports["twt"])
+            target = ctrls[-1].features["v_target"] if ctrls else None
             self.rtcs.append({
                 "id": e.id,
                 "branch": bi,
                 "bus": reg_bus,
                 "tau_nom": tau_nom,
                 "tap": tap,      # the starting position; a solve moves its own
-                "target": target_by_twt_addr.get(e.ports["twt"]),
+                "target": None if target is None else np.clip(target, lo, hi),
             })
         self.ybus = self.assemble_ybus(self.ratio)
 
@@ -396,24 +392,6 @@ class _GridModel:
         except KeyError:
             raise H2MGError(
                 f"{edge.class_name} {edge.id!r}: address {addr} is not a bus") from None
-
-    def _append_branch(self, e, fb, tb, ys, ysh, ratio, shift, rho, alpha):
-        r = e.feature("r", 0.0)
-        xre = e.feature("x", 0.0)
-        if r == 0.0 and xre == 0.0:
-            raise H2MGError(f"{e.class_name} {e.id!r} has zero impedance")
-        fb.append(self._bus(e.ports["bus1"], e))
-        tb.append(self._bus(e.ports["bus2"], e))
-        ys.append(1.0 / complex(r, xre))
-        ysh.append(complex(e.feature("g", 0.0), e.feature("b", 0.0)))
-        ratio.append(rho)
-        shift.append(alpha)
-        self.branch_keys.append((e.class_name, e.id))
-        self.branch_opt.append(e.feature("opt", 0.0))
-        self.branch_i1max.append(np.nan if e.features["i1_max"] is None
-                                 else e.features["i1_max"])
-        self.branch_i2max.append(np.nan if e.features["i2_max"] is None
-                                 else e.features["i2_max"])
 
     # -- admittance assembly -------------------------------------------------
 
@@ -644,14 +622,14 @@ def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
 
 
 def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
-    if st.jac is None or not m.dispatch_zones:
+    if st.jac is None or not m.zones:
         return False
     # The split is the one the last Newton converged on: only the Q-limit
     # check, which runs after this, changes it.
     pq_pos = st.pq_pos
     vm = st.vm.tolist()
     moving = []
-    for zone in m.dispatch_zones:
+    for zone in m.zones:
         err = zone["target"] - vm[zone["bus"]]
         if abs(err) > opts.svr_deadband and pq_pos[zone["bus"]] >= 0:
             moving.append((zone, err))
@@ -852,12 +830,13 @@ def count_metrics(x: H2MGContext, y: Decision,
                   opts: SolverOptions = SolverOptions()) -> MetricsRecord:
     """Count violations and losses for a decision (invalid when unsolvable)."""
     m, st = _solve_raw(apply_decision(x, y), opts)
+    counts = (st.status, st.inner, st.outer, st.restarts, st.moving)
     if st.status != "converged":
         return MetricsRecord(False, 0, 0, 0, 0, 0.0, np.zeros(0), np.zeros(0),
-                             st.status)
+                             *counts)
     ve, ie, joule = _score_state(m, st)
     over = int(np.sum(ve > 1.0))
     under = int(np.sum(ve < 0.0))
     overflow = int(np.sum(np.abs(ie) > 1.0))
     return MetricsRecord(True, over, under, over + under, overflow, joule,
-                         ve, np.abs(ie), st.status)
+                         ve, np.abs(ie), *counts)

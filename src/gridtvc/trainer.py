@@ -325,7 +325,6 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
     rtc_counts = np.zeros(4)
     per_lever: dict[tuple[str, str], list[int]] = {}
     for x, y in zip(contexts, decisions):
-        zones = {z.ports["zone"]: z for z in x.edges_of("svr_zone")}
         for cname, per_edge in y.values.items():
             for eid, val in per_edge.items():
                 if cname in ("line_controller", "shunt_controller"):
@@ -333,7 +332,7 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
                     (opened if cname == "line_controller" else switched).append(val)
                 elif cname == "svr_controller":
                     ctrl = x.edge("svr_controller", eid)
-                    zone = zones[ctrl.ports["zone"]]
+                    zone = x.anchored("svr_zone", "zone", ctrl.ports["zone"])[-1]
                     svr_setpoints.append(zone.features["v_target"] + float(val))
                 else:
                     rtc_counts[int(val)] += 1

@@ -128,6 +128,17 @@ def test_estimate_deterministic_per_stream():
                               e2.grads["shunt_controller"][i])
 
 
+@pytest.mark.parametrize("samples, named", [
+    ({"line_controler": 4}, "line_controler"),
+    ({"line_controller": 0}, "line_controller"),
+    ({"shunt_controller": 2.5}, "shunt_controller"),
+    ({"svr_controller": True}, "svr_controller"),
+])
+def test_config_rejects_unknown_classes_and_bad_counts(samples, named):
+    with pytest.raises(ValueError, match=named):
+        EstimatorConfig(samples=samples)
+
+
 def test_svr_class_sampled_jointly_and_gradient_finite():
     from gridfixtures import bus, edge, gen, line, load
     from gridtvc.h2mg import H2MGContext

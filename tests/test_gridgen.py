@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from gridtvc.gridgen import (
     normalize,
     write_dataset,
 )
-from gridtvc.h2mg import H2MGContext, HyperEdge, SCHEMA, validate_context
+from gridtvc.h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, validate_context
 from gridtvc.powerflow import solve_ac
 
 from gridfixtures import two_bus
@@ -110,6 +111,20 @@ def test_dataset_round_trip(tmp_path):
     write_dataset(tmp_path / "data", xs, SMALL, seed=3)
     back = load_dataset(tmp_path / "data")
     assert back == xs
+
+
+def test_load_dataset_rejects_an_invalid_context(tmp_path):
+    xs = [generate_context(SMALL, grng.stream(3, i), origin=f"s3_c{i:05d}")
+          for i in range(2)]
+    write_dataset(tmp_path / "data", xs, SMALL, seed=3)
+    # Plug the second context's first line into a generator's address.
+    path = tmp_path / "data" / "s3_c00001.json"
+    doc = json.loads(path.read_text())
+    doc["classes"]["line"][0]["ports"]["bus1"] = \
+        doc["classes"]["generator"][0]["ports"]["gen"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(H2MGError, match=r"s3_c00001\.json.*'bus1'.*not occupied by a bus"):
+        load_dataset(tmp_path / "data")
 
 
 # -- normalizer ---------------------------------------------------------------
@@ -265,7 +280,7 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
         assert [c for c, _, _, _ in xn.classes] == sorted(x.edges)
         for cname, ids, feats, ports in xn.classes:
             cs = SCHEMA[cname]
-            edges = x.sorted_edges(cname)
+            edges = x.edges_of(cname)
             assert ids == [e.id for e in edges]
             ref = np.array([[norm.apply(cname, f, e.features[f])
                              for f in cs.context_feature_names] for e in edges],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,99 @@ def test_neighborhood_invariant_to_insertion_order():
         assert neighborhood(x1, a) == neighborhood(x2, a)
 
 
+def _meshed_grid(rng=None) -> H2MGContext:
+    """13 buses (so ``bus_10`` sorts before ``bus_2``), two loads on bus 7,
+    one controller of each class; ``rng`` shuffles every class's edges and
+    the class order."""
+    from gridfixtures import bus, gen, line, load, shunt
+    buses = [bus(i, i) for i in range(13)]
+    lines = [line(i, 13 + i, i, i + 1, 0.005, 0.05) for i in range(11)]
+    lines.append(line(11, 24, 2, 9, 0.01, 0.08))
+    classes = {
+        "bus": buses,
+        "line": lines,
+        "line_controller": [edge("lc_0", "line_controller", {"line": 24}),
+                            edge("lc_1", "line_controller", {"line": 16})],
+        "load": [load(0, 7, 0.12, 0.04), load(1, 7, 0.07, 0.02),
+                 load(2, 10, 0.1, 0.03), load(3, 4, 0.08, 0.02),
+                 load(4, 12, 0.05, 0.01)],
+        "generator": [gen(0, 25, 0, slack=1.0), gen(1, 26, 5, p=0.15, v=1.01),
+                      gen(2, 27, 9, p=0.05, qmin=-0.5, qmax=0.5, mode=0.0, q=0.0),
+                      gen(3, 28, 11, p=0.05, qmin=-0.5, qmax=0.5, mode=0.0, q=0.0)],
+        "svr_zone": [edge("zone_0", "svr_zone", {"zone": 29, "regulated_bus": 10},
+                          v=1.0, theta=0.0, v_nom=1.0, v_target=1.0)],
+        "svr_unit": [edge("unit_0", "svr_unit", {"gen": 27, "zone": 29}, participate=1.0),
+                     edge("unit_1", "svr_unit", {"gen": 28, "zone": 29}, participate=1.0)],
+        "svr_controller": [edge("vc_0", "svr_controller", {"zone": 29})],
+        "shunt": [shunt(0, 30, 6, b=0.1)],
+        "shunt_controller": [edge("sc_0", "shunt_controller", {"shunt": 30})],
+        "twt": [edge("twt_0", "twt", {"twt": 31, "bus1": 11, "bus2": 12},
+                     r=0.002, x=0.05, g=0.0, b=0.0, ratio=1.0, phase_shift=0.0,
+                     opt=1.0)],
+        "rtc": [edge("rtc_0", "rtc", {"twt": 31, "regulated_bus": 12})],
+        "rtc_controller": [edge("rc_0", "rtc_controller", {"twt": 31},
+                                v_target=1.0, v_nom=1.0)],
+    }
+    if rng is not None:
+        names = list(classes)
+        classes = {c: [classes[c][i] for i in rng.permutation(len(classes[c]))]
+                   for c in (names[i] for i in rng.permutation(len(names)))}
+    return H2MGContext(32, {c: tuple(v) for c, v in classes.items()})
+
+
+def _hexed(value):
+    """``value`` with every float spelled by ``float.hex``."""
+    if dataclasses.is_dataclass(value):
+        return _hexed(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_edges_kept_in_id_order_whatever_the_insertion_order():
+    from gridtvc.powerflow import evaluate_objective, solve_ac
+    x = _meshed_grid()
+    assert not validate_context(x)
+    assert [e.id for e in x.edges_of("bus")][:4] == ["bus_0", "bus_1", "bus_10", "bus_11"]
+    for seed in range(3):
+        y = _meshed_grid(np.random.default_rng(seed))
+        assert y == x and serialize(y) == serialize(x)
+        for a in range(x.address_count):
+            assert neighborhood(y, a) == neighborhood(x, a)
+    sol = solve_ac(x)
+    assert sol.converged
+    assert _hexed(solve_ac(y)) == _hexed(sol)
+    decision = Decision.paired(x, {
+        "line_controller": {"lc_0": 1, "lc_1": 0}, "shunt_controller": {"sc_0": 1},
+        "svr_controller": {"vc_0": 0.01}, "rtc_controller": {"rc_0": 1}})
+    assert _hexed(evaluate_objective(y, decision)) == _hexed(evaluate_objective(x, decision))
+
+
+def test_anchored_matches_a_brute_force_filter():
+    from gridtvc.baseline import init_baseline
+    from gridtvc.gridgen import GridFamilySpec, generate_context
+    from gridtvc.powerflow import apply_decision
+    from gridtvc.rng import stream
+    x = generate_context(GridFamilySpec(), stream(0, "val", 0))
+    y = init_baseline(x, -0.02)
+    for c in ("line_controller", "shunt_controller"):
+        y = y.replace(c, x.controller_ids()[c][0], 1)
+    for ctx in (x, apply_decision(x, y)):
+        checked = 0
+        for cname, cs in SCHEMA.items():
+            for port in cs.port_names:
+                for a in range(ctx.address_count):
+                    want = sorted((e for e in ctx.all_edges()
+                                   if e.class_name == cname and e.ports[port] == a),
+                                  key=lambda e: e.id)
+                    assert ctx.anchored(cname, port, a) == want
+                    checked += len(want)
+        assert checked == sum(len(SCHEMA[c].port_names) * len(es)
+                              for c, es in ctx.edges.items())
+
+
 def test_neighborhood_out_of_range():
     with pytest.raises(H2MGError):
         neighborhood(two_bus(), 99)
@@ -132,7 +227,7 @@ def test_serialize_round_trip_reference_grid():
     assert y == x
     # feature values bit-exact
     for cname in x.edges:
-        for e_in, e_out in zip(x.sorted_edges(cname), y.sorted_edges(cname)):
+        for e_in, e_out in zip(x.edges_of(cname), y.edges_of(cname)):
             assert e_in.features == e_out.features
 
 

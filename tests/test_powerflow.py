@@ -427,10 +427,12 @@ def test_objective_carries_the_solve_counts(index, status):
                          origin=f"val-{index:03d}")
     y = init_baseline(x, 0.0)
     res = evaluate_objective(x, y)
+    met = count_metrics(x, y)
     sol = solve_ac(apply_decision(x, y))
-    assert res.status == sol.status == status
-    assert (res.inner, res.outer, res.restarts, res.moving) == (
-        sol.inner_iterations, sol.outer_iterations, sol.restarts, sol.moving)
+    assert res.status == met.status == sol.status == status
+    counts = (sol.inner_iterations, sol.outer_iterations, sol.restarts, sol.moving)
+    assert (res.inner, res.outer, res.restarts, res.moving) == counts
+    assert (met.inner, met.outer, met.restarts, met.moving) == counts
     assert res.inner > 0 and res.outer > 0
 
 
