@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .h2mg import Decision, H2MGContext, H2MGError
-from .powerflow import RTC_SETPOINT_LADDER, SolverOptions, evaluate_objective
+from .h2mg import RTC_SETPOINT_LADDER, Decision, H2MGContext, H2MGError
+from .powerflow import SolverOptions, evaluate_objective
 
 
 def project_rtc_category(setpoint: float, v_nom: float) -> int:
@@ -43,10 +43,7 @@ def init_baseline(x: H2MGContext, offset: float = 0.0) -> Decision:
     if "svr_controller" in ids:
         out = {}
         for e in x.edges_of("svr_controller"):
-            zones = x.anchored("svr_zone", "zone", e.ports["zone"])
-            if not zones:
-                raise H2MGError(f"svr_controller {e.id!r} anchors to no zone")
-            zone = zones[-1]
+            zone = x.device(e)
             v_init, v_target = zone.features["v"], zone.features["v_target"]
             if v_init is None or v_target is None:
                 raise H2MGError(

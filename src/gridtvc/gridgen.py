@@ -15,6 +15,7 @@ the fitted :class:`Normalizer`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -76,222 +77,204 @@ class GridFamilySpec:
             raise ValueError("not enough generators for the SVR zones plus a slack")
 
 
-def _absent_features(class_name: str) -> dict[str, None]:
-    return {f: None for f in SCHEMA[class_name].context_feature_names}
-
-
 def _edge(eid, cname, ports, **features) -> HyperEdge:
-    feats = _absent_features(cname)
+    feats = dict.fromkeys(SCHEMA[cname].context_feature_names)
     feats.update(features)
     return HyperEdge(eid, cname, ports, feats)
 
 
-class _Draft:
+def _draw(spec: GridFamilySpec, rng: np.random.Generator,
+          metadata: dict[str, str]) -> H2MGContext:
     """One structural draw, before the base-case solve fills features."""
+    hv_nom, lv_nom = spec.voltage_levels
+    n_bus = int(rng.integers(spec.bus_count_min, spec.bus_count_max + 1))
+    n_lv = spec.twt_count
+    n_hv = n_bus - n_lv
+    v_nom = np.array([hv_nom] * n_hv + [lv_nom] * n_lv)
+    lv = list(range(n_hv, n_bus))
+    addrs = itertools.count(n_bus)  # free addresses, in turn, after the buses'
+    edges: dict[str, list[HyperEdge]] = {c: [] for c in SCHEMA}
 
-    def __init__(self, spec: GridFamilySpec, rng: np.random.Generator):
-        self.spec = spec
-        hv_nom, lv_nom = spec.voltage_levels
-        n_bus = int(rng.integers(spec.bus_count_min, spec.bus_count_max + 1))
-        n_lv = spec.twt_count
-        n_hv = n_bus - n_lv
-        self.n_bus = n_bus
-        self.v_nom = np.array([hv_nom] * n_hv + [lv_nom] * n_lv)
-        self.hv = list(range(n_hv))
-        self.lv = list(range(n_hv, n_bus))
-        next_addr = n_bus
-        self.edges: dict[str, list[HyperEdge]] = {c: [] for c in SCHEMA}
+    for b in range(n_bus):
+        vn = v_nom[b]
+        edges["bus"].append(_edge(
+            f"bus_{b:03d}", "bus", {"bus": b},
+            v=vn, theta=0.0, v_nom=vn, v_max=1.05 * vn, v_min=0.95 * vn, opt=1.0))
 
-        def new_addr():
-            nonlocal next_addr
-            next_addr += 1
-            return next_addr - 1
-
-        for b in range(n_bus):
-            vn = self.v_nom[b]
-            self.edges["bus"].append(_edge(
-                f"bus_{b:03d}", "bus", {"bus": b},
-                v=vn, theta=0.0, v_nom=vn, v_max=1.05 * vn, v_min=0.95 * vn, opt=1.0))
-
-        # Transmission mesh: spanning tree plus random extra circuits
-        lines: list[tuple[int, int, bool]] = []  # (bus1, bus2, controllable)
-        for b in range(1, n_hv):
-            other = int(rng.integers(0, b))
-            lines.append((other, b, False))
-        n_extra = max(0, round(spec.line_density * n_hv) - (n_hv - 1))
-        for _ in range(n_extra):
-            b1, b2 = rng.choice(n_hv, size=2, replace=False)
-            lines.append((int(min(b1, b2)), int(max(b1, b2)), False))
-        # Controllable and optional circuits duplicate existing mesh lines,
-        # so dropping one never islands the grid.
-        base_count = len(lines)
-        for k in range(spec.controllable_line_count):
+    # Transmission mesh: spanning tree plus random extra circuits
+    lines: list[tuple[int, int, bool]] = []  # (bus1, bus2, controllable)
+    for b in range(1, n_hv):
+        other = int(rng.integers(0, b))
+        lines.append((other, b, False))
+    n_extra = max(0, round(spec.line_density * n_hv) - (n_hv - 1))
+    for _ in range(n_extra):
+        b1, b2 = rng.choice(n_hv, size=2, replace=False)
+        lines.append((int(min(b1, b2)), int(max(b1, b2)), False))
+    # Controllable and optional circuits duplicate existing mesh lines,
+    # so dropping one never islands the grid.
+    base_count = len(lines)
+    for k in range(spec.controllable_line_count):
+        b1, b2, _ = lines[int(rng.integers(0, base_count))]
+        lines.append((b1, b2, True))
+    for _ in range(spec.optional_line_count):
+        if rng.random() < 0.7:
             b1, b2, _ = lines[int(rng.integers(0, base_count))]
-            lines.append((b1, b2, True))
-        for _ in range(spec.optional_line_count):
-            if rng.random() < 0.7:
-                b1, b2, _ = lines[int(rng.integers(0, base_count))]
-                lines.append((b1, b2, False))
+            lines.append((b1, b2, False))
 
-        self.line_addr: list[int] = []
-        self.controllable_lines: list[int] = []
-        for k, (b1, b2, controllable) in enumerate(lines):
-            addr = new_addr()
-            self.line_addr.append(addr)
-            if controllable:
-                self.controllable_lines.append(k)
-            r = float(rng.uniform(0.002, 0.01))
-            xre = float(rng.uniform(0.02, 0.08))
-            chg = float(rng.uniform(0.04, 0.22))  # charging susceptance
-            self.edges["line"].append(_edge(
-                f"line_{k:03d}", "line", {"line": addr, "bus1": b1, "bus2": b2},
-                r=r, x=xre, g=0.0, b=chg, opt=1.0, status=1.0))
+    line_addr: list[int] = []
+    controllable_lines: list[int] = []
+    for k, (b1, b2, controllable) in enumerate(lines):
+        addr = next(addrs)
+        line_addr.append(addr)
+        if controllable:
+            controllable_lines.append(k)
+        r = float(rng.uniform(0.002, 0.01))
+        xre = float(rng.uniform(0.02, 0.08))
+        chg = float(rng.uniform(0.04, 0.22))  # charging susceptance
+        edges["line"].append(_edge(
+            f"line_{k:03d}", "line", {"line": addr, "bus1": b1, "bus2": b2},
+            r=r, x=xre, g=0.0, b=chg, opt=1.0, status=1.0))
 
-        # Transformers: one per lower-tier bus, impedance referred to that tier
-        self.twt_addr: list[int] = []
-        for k, b2 in enumerate(self.lv):
-            b1 = int(rng.integers(0, n_hv))
-            addr = new_addr()
-            self.twt_addr.append(addr)
-            z_scale = lv_nom ** 2
-            r = float(rng.uniform(0.002, 0.006)) * z_scale
-            xre = float(rng.uniform(0.08, 0.15)) * z_scale
-            tau_nom = hv_nom / lv_nom
-            self.edges["twt"].append(_edge(
-                f"twt_{k:03d}", "twt", {"twt": addr, "bus1": b1, "bus2": b2},
-                r=r, x=xre, g=0.0, b=0.0, ratio=tau_nom, phase_shift=0.0, opt=1.0))
+    # Transformers: one per lower-tier bus, impedance referred to that tier
+    twt_addr: list[int] = []
+    for k, b2 in enumerate(lv):
+        b1 = int(rng.integers(0, n_hv))
+        addr = next(addrs)
+        twt_addr.append(addr)
+        z_scale = lv_nom ** 2
+        r = float(rng.uniform(0.002, 0.006)) * z_scale
+        xre = float(rng.uniform(0.08, 0.15)) * z_scale
+        tau_nom = hv_nom / lv_nom
+        edges["twt"].append(_edge(
+            f"twt_{k:03d}", "twt", {"twt": addr, "bus1": b1, "bus2": b2},
+            r=r, x=xre, g=0.0, b=0.0, ratio=tau_nom, phase_shift=0.0, opt=1.0))
 
-        # Tap changers on the first rtc_count transformers, regulating their
-        # lower-tier bus toward a continuous initial target.
-        rtc_twts = sorted(rng.choice(spec.twt_count, size=spec.rtc_count,
-                                     replace=False).tolist())
-        self.rtc_twts = rtc_twts
-        for k, t in enumerate(rtc_twts):
-            reg_bus = self.lv[t]
-            self.edges["rtc"].append(_edge(
-                f"rtc_{k:03d}", "rtc",
-                {"twt": self.twt_addr[t], "regulated_bus": reg_bus}))
+    # Tap changers on the first rtc_count transformers, regulating their
+    # lower-tier bus toward a continuous initial target.
+    rtc_twts = sorted(rng.choice(spec.twt_count, size=spec.rtc_count,
+                                 replace=False).tolist())
+    for k, t in enumerate(rtc_twts):
+        reg_bus = lv[t]
+        edges["rtc"].append(_edge(
+            f"rtc_{k:03d}", "rtc",
+            {"twt": twt_addr[t], "regulated_bus": reg_bus}))
 
-        # Generators: slack first, then SVR units, then voltage regulators
-        self.gen_addr: list[int] = []
-        gen_buses = rng.choice(n_hv, size=spec.generator_count,
-                               replace=spec.generator_count > n_hv)
-        n_units = spec.svr_zone_count * spec.svr_units_per_zone
-        for k in range(spec.generator_count):
-            addr = new_addr()
-            self.gen_addr.append(addr)
-            slack = 1.0 if k == 0 else 0.0
-            is_unit = 1 <= k <= n_units
-            qr = float(rng.uniform(0.6, 1.5))
-            self.edges["generator"].append(_edge(
-                f"gen_{k:03d}", "generator",
-                {"gen": addr, "bus": int(gen_buses[k])},
-                p_target=0.0, q_target=0.0,
-                v_target=float(rng.uniform(0.99, 1.05)),
-                q_max=qr, q_min=-qr,
-                regulation_mode=0.0 if is_unit else 1.0,
-                slack=slack))
+    # Generators: slack first, then SVR units, then voltage regulators
+    gen_addr: list[int] = []
+    gen_buses = rng.choice(n_hv, size=spec.generator_count,
+                           replace=spec.generator_count > n_hv)
+    n_units = spec.svr_zone_count * spec.svr_units_per_zone
+    for k in range(spec.generator_count):
+        addr = next(addrs)
+        gen_addr.append(addr)
+        slack = 1.0 if k == 0 else 0.0
+        is_unit = 1 <= k <= n_units
+        qr = float(rng.uniform(0.6, 1.5))
+        edges["generator"].append(_edge(
+            f"gen_{k:03d}", "generator",
+            {"gen": addr, "bus": int(gen_buses[k])},
+            p_target=0.0, q_target=0.0,
+            v_target=float(rng.uniform(0.99, 1.05)),
+            q_max=qr, q_min=-qr,
+            regulation_mode=0.0 if is_unit else 1.0,
+            slack=slack))
 
-        # SVR zones: regulated upper-tier bus plus units drawn in order.
-        # Regulated buses avoid generator buses so their voltage stays free.
-        self.zone_addr: list[int] = []
-        candidates = [b for b in range(n_hv) if b not in set(gen_buses.tolist())]
-        if len(candidates) < spec.svr_zone_count:
-            candidates = list(range(n_hv))
-        zone_buses = rng.choice(candidates, size=spec.svr_zone_count, replace=False)
-        unit_counter = 0
-        for z in range(spec.svr_zone_count):
-            addr = new_addr()
-            self.zone_addr.append(addr)
-            self.edges["svr_zone"].append(_edge(
-                f"zone_{z}", "svr_zone",
-                {"zone": addr, "regulated_bus": int(zone_buses[z])},
-                v=1.0, theta=0.0, v_nom=hv_nom,
-                v_target=float(rng.uniform(0.97, 1.07))))
-            for _ in range(spec.svr_units_per_zone):
-                unit_counter += 1
-                self.edges["svr_unit"].append(_edge(
-                    f"unit_{unit_counter:02d}", "svr_unit",
-                    {"gen": self.gen_addr[unit_counter], "zone": addr},
-                    participate=1.0))
+    # SVR zones: regulated upper-tier bus plus units drawn in order.
+    # Regulated buses avoid generator buses so their voltage stays free.
+    zone_addr: list[int] = []
+    candidates = [b for b in range(n_hv) if b not in set(gen_buses.tolist())]
+    if len(candidates) < spec.svr_zone_count:
+        candidates = list(range(n_hv))
+    zone_buses = rng.choice(candidates, size=spec.svr_zone_count, replace=False)
+    unit_counter = 0
+    for z in range(spec.svr_zone_count):
+        addr = next(addrs)
+        zone_addr.append(addr)
+        edges["svr_zone"].append(_edge(
+            f"zone_{z}", "svr_zone",
+            {"zone": addr, "regulated_bus": int(zone_buses[z])},
+            v=1.0, theta=0.0, v_nom=hv_nom,
+            v_target=float(rng.uniform(0.97, 1.07))))
+        for _ in range(spec.svr_units_per_zone):
+            unit_counter += 1
+            edges["svr_unit"].append(_edge(
+                f"unit_{unit_counter:02d}", "svr_unit",
+                {"gen": gen_addr[unit_counter], "zone": addr},
+                participate=1.0))
 
-        # Shunts: mostly at lower-tier buses, reactors and capacitors mixed
-        self.shunt_addr: list[int] = []
-        for k in range(spec.shunt_count):
-            addr = new_addr()
-            self.shunt_addr.append(addr)
-            if k < max(1, spec.shunt_count - 2):
-                bus = int(rng.choice(self.lv))
-            else:
-                bus = int(rng.integers(0, n_hv))
-            vn = self.v_nom[bus]
-            q_at_nom = float(rng.uniform(0.08, 0.30))
-            sign = -1.0 if rng.random() < 0.5 else 1.0  # reactor vs capacitor
-            self.edges["shunt"].append(_edge(
-                f"shunt_{k:03d}", "shunt", {"shunt": addr, "bus": bus},
-                g=0.0, b=sign * q_at_nom / vn ** 2,
-                status=float(rng.random() < 0.5)))
+    # Shunts: mostly at lower-tier buses, reactors and capacitors mixed
+    shunt_addr: list[int] = []
+    for k in range(spec.shunt_count):
+        addr = next(addrs)
+        shunt_addr.append(addr)
+        if k < max(1, spec.shunt_count - 2):
+            bus = int(rng.choice(lv))
+        else:
+            bus = int(rng.integers(0, n_hv))
+        vn = v_nom[bus]
+        q_at_nom = float(rng.uniform(0.08, 0.30))
+        sign = -1.0 if rng.random() < 0.5 else 1.0  # reactor vs capacitor
+        edges["shunt"].append(_edge(
+            f"shunt_{k:03d}", "shunt", {"shunt": addr, "bus": bus},
+            g=0.0, b=sign * q_at_nom / vn ** 2,
+            status=float(rng.random() < 0.5)))
 
-        # Loads with a shared global level times per-load noise
-        scale = math.exp(rng.uniform(math.log(spec.load_scale_range[0]),
-                                     math.log(spec.load_scale_range[1])))
-        self.load_scale = scale
-        loads: list[tuple[int, float]] = []
-        for b in self.lv:
-            loads.append((b, float(rng.uniform(*spec.lv_load_range))))
-        for b in rng.choice(n_hv, size=min(spec.hv_load_count, n_hv), replace=False):
-            loads.append((int(b), float(rng.uniform(*spec.hv_load_range))))
-        total_p = 0.0
-        for k, (bus, p_base) in enumerate(loads):
-            p = p_base * scale * (1.0 + spec.load_noise * float(rng.uniform(-1, 1)))
-            q = p * float(rng.uniform(0.25, 0.40))
-            total_p += p
-            self.edges["load"].append(_edge(
-                f"load_{k:03d}", "load", {"bus": bus},
-                p=p, q=q, i=None, p_target=p, q_target=q))
+    # Loads with a shared global level times per-load noise
+    scale = math.exp(rng.uniform(math.log(spec.load_scale_range[0]),
+                                 math.log(spec.load_scale_range[1])))
+    loads: list[tuple[int, float]] = []
+    for b in lv:
+        loads.append((b, float(rng.uniform(*spec.lv_load_range))))
+    for b in rng.choice(n_hv, size=min(spec.hv_load_count, n_hv), replace=False):
+        loads.append((int(b), float(rng.uniform(*spec.hv_load_range))))
+    total_p = 0.0
+    for k, (bus, p_base) in enumerate(loads):
+        p = p_base * scale * (1.0 + spec.load_noise * float(rng.uniform(-1, 1)))
+        q = p * float(rng.uniform(0.25, 0.40))
+        total_p += p
+        edges["load"].append(_edge(
+            f"load_{k:03d}", "load", {"bus": bus},
+            p=p, q=q, i=None, p_target=p, q_target=q))
 
-        # Dispatch active power: non-slack generators cover most of the load,
-        # the slack picks up the remainder plus losses.
-        non_slack = self.edges["generator"][1:]
-        shares = rng.uniform(0.5, 1.5, size=len(non_slack))
-        shares = shares / shares.sum() * float(rng.uniform(0.85, 0.98))
-        for g, share in zip(non_slack, shares):
-            feats = dict(g.features)
-            feats["p_target"] = share * total_p
-            self.edges["generator"][self.edges["generator"].index(g)] = HyperEdge(
-                g.id, "generator", dict(g.ports), feats)
+    # Dispatch active power: non-slack generators cover most of the load,
+    # the slack picks up the remainder plus losses.
+    non_slack = edges["generator"][1:]
+    shares = rng.uniform(0.5, 1.5, size=len(non_slack))
+    shares = shares / shares.sum() * float(rng.uniform(0.85, 0.98))
+    for g, share in zip(non_slack, shares):
+        feats = dict(g.features)
+        feats["p_target"] = share * total_p
+        edges["generator"][edges["generator"].index(g)] = HyperEdge(
+            g.id, "generator", dict(g.ports), feats)
 
-        # Controllers
-        lc_lines = rng.choice(self.controllable_lines,
-                              size=spec.line_controller_count, replace=False)
-        for k, li in enumerate(sorted(lc_lines.tolist())):
-            self.edges["line_controller"].append(_edge(
-                f"lc_{k}", "line_controller", {"line": self.line_addr[li]}))
-        sc_shunts = rng.choice(spec.shunt_count,
-                               size=spec.shunt_controller_count, replace=False)
-        for k, si in enumerate(sorted(sc_shunts.tolist())):
-            self.edges["shunt_controller"].append(_edge(
-                f"sc_{k}", "shunt_controller", {"shunt": self.shunt_addr[si]}))
-        vc_zones = rng.choice(spec.svr_zone_count,
-                              size=spec.svr_controller_count, replace=False)
-        for k, zi in enumerate(sorted(vc_zones.tolist())):
-            self.edges["svr_controller"].append(_edge(
-                f"vc_{k}", "svr_controller", {"zone": self.zone_addr[zi]}))
-        rc_rtcs = rng.choice(spec.rtc_count,
-                             size=spec.rtc_controller_count, replace=False)
-        for k, ri in enumerate(sorted(rc_rtcs.tolist())):
-            t = rtc_twts[ri]
-            reg_bus = self.lv[t]
-            vn = float(self.v_nom[reg_bus])
-            self.edges["rtc_controller"].append(_edge(
-                f"rc_{k}", "rtc_controller", {"twt": self.twt_addr[t]},
-                v_target=vn * float(rng.uniform(0.97, 1.08)), v_nom=vn))
+    # Controllers
+    lc_lines = rng.choice(controllable_lines,
+                          size=spec.line_controller_count, replace=False)
+    for k, li in enumerate(sorted(lc_lines.tolist())):
+        edges["line_controller"].append(_edge(
+            f"lc_{k}", "line_controller", {"line": line_addr[li]}))
+    sc_shunts = rng.choice(spec.shunt_count,
+                           size=spec.shunt_controller_count, replace=False)
+    for k, si in enumerate(sorted(sc_shunts.tolist())):
+        edges["shunt_controller"].append(_edge(
+            f"sc_{k}", "shunt_controller", {"shunt": shunt_addr[si]}))
+    vc_zones = rng.choice(spec.svr_zone_count,
+                          size=spec.svr_controller_count, replace=False)
+    for k, zi in enumerate(sorted(vc_zones.tolist())):
+        edges["svr_controller"].append(_edge(
+            f"vc_{k}", "svr_controller", {"zone": zone_addr[zi]}))
+    rc_rtcs = rng.choice(spec.rtc_count,
+                         size=spec.rtc_controller_count, replace=False)
+    for k, ri in enumerate(sorted(rc_rtcs.tolist())):
+        t = rtc_twts[ri]
+        reg_bus = lv[t]
+        vn = float(v_nom[reg_bus])
+        edges["rtc_controller"].append(_edge(
+            f"rc_{k}", "rtc_controller", {"twt": twt_addr[t]},
+            v_target=vn * float(rng.uniform(0.97, 1.08)), v_nom=vn))
 
-        self.address_count = next_addr
-
-    def to_context(self, metadata: dict[str, str]) -> H2MGContext:
-        edges = {c: tuple(v) for c, v in self.edges.items() if v}
-        return H2MGContext(self.address_count, edges, metadata)
+    return H2MGContext(next(addrs), {c: tuple(v) for c, v in edges.items() if v},
+                       metadata)
 
 
 def _fill_from_solution(x: H2MGContext, sol) -> H2MGContext:
@@ -354,8 +337,7 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
     """
     spec.validate()
     for _ in range(max_attempts):
-        draft = _Draft(spec, rng)
-        x = draft.to_context({"origin": origin, "timestamp": timestamp})
+        x = _draw(spec, rng, {"origin": origin, "timestamp": timestamp})
         if validate_context(x):
             continue
         sol = solve_ac(x, solver)

@@ -5,10 +5,11 @@ integer addresses through named ports.  A context keeps each class's edges
 in one canonical order, by id, whatever order they were given in, and
 finds the edges plugged into an address through a port with
 :meth:`H2MGContext.anchored`; the solver, the model, the normalizer and
-serialization all read that one layout.  Alongside the context itself live
-the two decision-side containers: ``Decision`` (concrete controller
-actions) and ``SurrogateDecision`` (the real-valued parameters of the
-stochastic policy over those actions).
+serialization all read that one layout.  The schema names the device class
+each controller acts on, and :meth:`H2MGContext.device` finds that device.
+Alongside the context itself live the two decision-side containers:
+``Decision`` (concrete controller actions) and ``SurrogateDecision`` (the
+real-valued parameters of the stochastic policy over those actions).
 """
 
 from __future__ import annotations
@@ -28,18 +29,24 @@ D_BINARY = "binary"
 D_CONTINUOUS = "continuous"
 D_ONE_HOT = "one_hot"
 
-RTC_CATEGORIES = 4
+#: Allowed regulated-bus setpoints for tap-changer controllers, as a
+#: fraction of nominal voltage; a controller picks one by its index.
+RTC_SETPOINT_LADDER = (1.00, 1.02, 1.05, 1.07)
+RTC_CATEGORIES = len(RTC_SETPOINT_LADDER)
 
 
 @dataclass(frozen=True)
 class ClassSchema:
-    """Static description of one hyper-edge class."""
+    """Static description of one hyper-edge class.  A controller class has
+    one port, and ``device`` names the class it acts on through the port of
+    the same name; it is empty for every other class."""
 
     class_name: str
     port_names: tuple[str, ...]
     context_feature_names: tuple[str, ...]
     decision_kind: str = D_NONE
     decision_feature: str = ""
+    device: str = ""
 
     @property
     def is_controller(self) -> bool:
@@ -56,8 +63,8 @@ class ClassSchema:
 
 
 def _schema_table() -> dict[str, ClassSchema]:
-    def s(name, ports, feats, kind=D_NONE, dfeat=""):
-        return ClassSchema(name, tuple(ports), tuple(feats), kind, dfeat)
+    def s(name, ports, feats, kind=D_NONE, dfeat="", device=""):
+        return ClassSchema(name, tuple(ports), tuple(feats), kind, dfeat, device)
 
     entries = [
         s("bus", ["bus"], ["v", "theta", "v_nom", "v_max", "v_min", "opt"]),
@@ -72,20 +79,21 @@ def _schema_table() -> dict[str, ClassSchema]:
         s("line", ["line", "bus1", "bus2"],
           ["p1", "q1", "i1", "p2", "q2", "i2", "r", "x", "g", "b",
            "i1_max", "i2_max", "opt", "status"]),
-        s("line_controller", ["line"], [], D_BINARY, "disconnect"),
+        s("line_controller", ["line"], [], D_BINARY, "disconnect", "line"),
         s("shunt", ["shunt", "bus"], ["p", "q", "i", "g", "b", "status"]),
-        s("shunt_controller", ["shunt"], [], D_BINARY, "switch"),
+        s("shunt_controller", ["shunt"], [], D_BINARY, "switch", "shunt"),
         s("generator", ["gen", "bus"],
           ["p", "q", "i", "p_target", "q_target", "v_target",
            "q_max", "q_min", "regulation_mode", "slack"]),
         s("svr_unit", ["gen", "zone"], ["participate"]),
         s("svr_zone", ["zone", "regulated_bus"], ["v", "theta", "v_nom", "v_target"]),
-        s("svr_controller", ["zone"], [], D_CONTINUOUS, "delta_v_target"),
+        s("svr_controller", ["zone"], [], D_CONTINUOUS, "delta_v_target", "svr_zone"),
         s("twt", ["twt", "bus1", "bus2"],
           ["p1", "q1", "i1", "p2", "q2", "i2", "r", "x", "g", "b",
            "ratio", "phase_shift", "i1_max", "i2_max", "opt"]),
         s("rtc", ["twt", "regulated_bus"], []),
-        s("rtc_controller", ["twt"], ["v_target", "v_nom"], D_ONE_HOT, "setpoint_category"),
+        s("rtc_controller", ["twt"], ["v_target", "v_nom"], D_ONE_HOT,
+          "setpoint_category", "rtc"),
     ]
     return {e.class_name: e for e in entries}
 
@@ -106,7 +114,8 @@ BUS_PORTS = frozenset({"bus", "bus1", "bus2", "regulated_bus"})
 
 
 def schema_hash() -> str:
-    """Stable digest of the registered class table (pinned into checkpoints)."""
+    """Stable digest of the registered class table (pinned into checkpoints);
+    ``device`` is left out, so checkpoints saved before it still load."""
     doc = {
         name: {
             "ports": list(cs.port_names),
@@ -160,8 +169,9 @@ class H2MGContext:
 
     Each class's edges are stored in canonical order, sorted by id (a
     stable sort, so edges sharing an id keep the order they were given
-    in); every reader iterates that order, and :meth:`anchored` finds a
-    class's edges at an address.  Immutable after construction; derived
+    in); every reader iterates that order, :meth:`anchored` finds a
+    class's edges at an address, and :meth:`device` finds the one edge a
+    controller acts on.  Immutable after construction; derived
     variants are built with :meth:`replace_features` or by the
     decision-application step.
     """
@@ -186,6 +196,21 @@ class H2MGContext:
         """Edges of ``class_name`` whose ``port`` holds ``address``, in
         canonical order.  It scans the class; nothing is cached."""
         return [e for e in self.edges_of(class_name) if e.ports[port] == address]
+
+    def device(self, ctrl: HyperEdge) -> HyperEdge:
+        """The one edge the controller ``ctrl`` acts on: the edge of its
+        class's ``device`` anchored at its port's address.  Raises
+        :class:`H2MGError` unless exactly one edge is."""
+        cs = SCHEMA[ctrl.class_name]
+        if not cs.device:
+            raise H2MGError(f"{ctrl.class_name} edge {ctrl.id!r} is not a controller")
+        (port,) = cs.port_names
+        matches = self.anchored(cs.device, port, ctrl.ports[port])
+        if len(matches) != 1:
+            raise H2MGError(
+                f"controller {ctrl.id!r} does not anchor to exactly one "
+                f"{cs.device} (found {len(matches)})")
+        return matches[0]
 
     def edge(self, class_name: str, edge_id: str) -> HyperEdge:
         for e in self.edges_of(class_name):
@@ -236,7 +261,9 @@ def validate_context(x: H2MGContext) -> list[Violation]:
     """Check every structural invariant; an empty report means a valid context.
 
     Violations are reported, never raised, so callers can show all problems
-    at once.
+    at once.  Each controller must act on exactly one device that no earlier
+    controller acts on; a controlled rtc must sit on exactly one twt, and a
+    controlled svr zone needs a unit with ``participate`` > 0.5.
     """
     report: list[Violation] = []
 
@@ -278,25 +305,26 @@ def validate_context(x: H2MGContext) -> list[Violation]:
                     bad(cname, e.id,
                         f"port {pname!r} at address {addr} is not occupied by a bus")
 
-    # Controller wiring (each controller must anchor to exactly one device)
-    for e in x.edges_of("line_controller"):
-        if len(x.anchored("line", "line", e.ports["line"])) != 1:
-            bad("line_controller", e.id, "line port does not match exactly one line")
-    for e in x.edges_of("shunt_controller"):
-        if len(x.anchored("shunt", "shunt", e.ports["shunt"])) != 1:
-            bad("shunt_controller", e.id, "shunt port does not match exactly one shunt")
+    # Controller wiring: each controller acts on exactly one device, and
+    # each device has at most one controller
+    for cname in CONTROLLER_CLASSES:
+        device = SCHEMA[cname].device
+        (port,) = SCHEMA[cname].port_names
+        owner: dict[int, str] = {}
+        for e in x.edges_of(cname):
+            addr = e.ports[port]
+            if len(x.anchored(device, port, addr)) != 1:
+                bad(cname, e.id, f"{port} port does not match exactly one {device}")
+            elif cname == "rtc_controller" and len(x.anchored("twt", port, addr)) != 1:
+                bad(cname, e.id, "anchored rtc does not match exactly one twt")
+            if addr in owner:
+                bad(cname, e.id, f"{device} at address {addr} already has "
+                                 f"controller {owner[addr]!r}")
+            owner.setdefault(addr, e.id)
     for e in x.edges_of("svr_controller"):
-        zone = e.ports["zone"]
-        if len(x.anchored("svr_zone", "zone", zone)) != 1:
-            bad("svr_controller", e.id, "zone port does not match exactly one svr_zone")
-        if not x.anchored("svr_unit", "zone", zone):
+        if not any(u.feature("participate", 0.0) > 0.5
+                   for u in x.anchored("svr_unit", "zone", e.ports["zone"])):
             bad("svr_controller", e.id, "zone has no participating svr_unit")
-    for e in x.edges_of("rtc_controller"):
-        twt_addr = e.ports["twt"]
-        if len(x.anchored("rtc", "twt", twt_addr)) != 1:
-            bad("rtc_controller", e.id, "twt port does not match exactly one rtc")
-        elif len(x.anchored("twt", "twt", twt_addr)) != 1:
-            bad("rtc_controller", e.id, "anchored rtc does not match exactly one twt")
 
     # Electrical feature sanity
     for e in x.edges_of("bus"):

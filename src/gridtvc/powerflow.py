@@ -48,12 +48,9 @@ from .h2mg import (
     H2MGContext,
     H2MGError,
     INERT_CLASSES,
+    RTC_SETPOINT_LADDER,
     _check_paired,
 )
-
-#: Allowed regulated-bus setpoints for tap-changer controllers, as a
-#: fraction of nominal voltage.
-RTC_SETPOINT_LADDER = (1.00, 1.02, 1.05, 1.07)
 
 #: Discrete physical tap ladder: 21 multipliers of the nominal ratio.
 TAP_MULTIPLIERS = np.round(np.linspace(0.9, 1.1, 21), 10)
@@ -153,39 +150,30 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 # Decision application
 
-def _anchor(x: H2MGContext, device_class: str, port: str, address: int,
-            controller_id: str):
-    matches = x.anchored(device_class, port, address)
-    if len(matches) != 1:
-        raise H2MGError(
-            f"controller {controller_id!r} does not anchor to exactly one "
-            f"{device_class} (found {len(matches)})")
-    return matches[0]
-
-
 def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     """Return a copy of ``x`` with the controller actions of ``y`` applied.
 
-    Binary actions request a change (1 = act, 0 = leave as is): line
-    controllers disconnect their line, shunt controllers toggle their
-    shunt.  SVR controllers shift the zone target; RTC controllers pick a
+    Each controller acts on its device, as :meth:`H2MGContext.device`
+    finds it (an :class:`H2MGError` unless there is exactly one).  Binary
+    actions request a change (1 = act, 0 = leave as is): line controllers
+    disconnect their line, shunt controllers toggle their shunt.  SVR
+    controllers shift the zone target; RTC controllers pick a
     regulated-bus setpoint from the discrete ladder.
     """
     _check_paired("Decision", y.values, x)
     updates: dict[tuple[str, str], dict] = {}
     for e in x.edges_of("line_controller"):
         if y.get("line_controller", e.id) == 1:
-            line = _anchor(x, "line", "line", e.ports["line"], e.id)
-            updates[("line", line.id)] = {"status": 0.0}
+            updates[("line", x.device(e).id)] = {"status": 0.0}
     for e in x.edges_of("shunt_controller"):
         if y.get("shunt_controller", e.id) == 1:
-            shunt = _anchor(x, "shunt", "shunt", e.ports["shunt"], e.id)
+            shunt = x.device(e)
             status = shunt.features["status"]
             if status is None:
                 raise H2MGError(f"shunt {shunt.id!r} has no status to switch")
             updates[("shunt", shunt.id)] = {"status": 1.0 - status}
     for e in x.edges_of("svr_controller"):
-        zone = _anchor(x, "svr_zone", "zone", e.ports["zone"], e.id)
+        zone = x.device(e)
         delta = float(y.get("svr_controller", e.id))
         target = zone.features["v_target"]
         if target is None:
@@ -193,7 +181,7 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
         updates[("svr_zone", zone.id)] = {"v_target": target + delta}
     for e in x.edges_of("rtc_controller"):
         # anchoring check only; the new target lives on the controller itself
-        _anchor(x, "rtc", "twt", e.ports["twt"], e.id)
+        x.device(e)
         category = int(y.get("rtc_controller", e.id))
         v_nom = e.features["v_nom"]
         if v_nom is None:

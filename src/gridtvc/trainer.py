@@ -44,7 +44,7 @@ from .config import config_from_json, config_to_json
 from .estimator import ESTIMATE_STATUSES, EstimatorConfig, estimate_gradient
 from .gridgen import (
     CompiledContext, Normalizer, fit_normalizer, load_dataset, load_manifest, normalize)
-from .h2mg import CONTROLLER_CLASSES, Decision, H2MGContext, H2MGError
+from .h2mg import CONTROLLER_CLASSES, RTC_CATEGORIES, Decision, H2MGContext, H2MGError
 from .model import (
     ModelConfig,
     ModelParams,
@@ -322,7 +322,7 @@ def _policy_metrics(records: list) -> dict:
 def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict:
     opened, switched = [], []
     svr_setpoints: list[float] = []
-    rtc_counts = np.zeros(4)
+    rtc_counts = np.zeros(RTC_CATEGORIES)
     per_lever: dict[tuple[str, str], list[int]] = {}
     for x, y in zip(contexts, decisions):
         for cname, per_edge in y.values.items():
@@ -331,8 +331,7 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
                     per_lever.setdefault((cname, eid), []).append(int(val))
                     (opened if cname == "line_controller" else switched).append(val)
                 elif cname == "svr_controller":
-                    ctrl = x.edge("svr_controller", eid)
-                    zone = x.anchored("svr_zone", "zone", ctrl.ports["zone"])[-1]
+                    zone = x.device(x.edge("svr_controller", eid))
                     svr_setpoints.append(zone.features["v_target"] + float(val))
                 else:
                     rtc_counts[int(val)] += 1
@@ -344,7 +343,7 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
         "svr_setpoint_mean": float(np.mean(svr_setpoints)) if svr_setpoints else None,
         "svr_setpoint_std": float(np.std(svr_setpoints)) if svr_setpoints else None,
         "rtc_category_shares": (rtc_counts / total_rtc).tolist()
-        if total_rtc else [0.0] * 4,
+        if total_rtc else [0.0] * RTC_CATEGORIES,
         "per_lever_usage": usage,
     }
 

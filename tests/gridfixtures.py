@@ -128,6 +128,45 @@ def binary_controller_grid(n_shunts=3, cap_b=0.3) -> H2MGContext:
     })
 
 
+def meshed_grid(rng=None) -> H2MGContext:
+    """13 buses (so ``bus_10`` sorts before ``bus_2``), two loads on bus 7,
+    one controller of each class; ``rng`` shuffles every class's edges and
+    the class order."""
+    buses = [bus(i, i) for i in range(13)]
+    lines = [line(i, 13 + i, i, i + 1, 0.005, 0.05) for i in range(11)]
+    lines.append(line(11, 24, 2, 9, 0.01, 0.08))
+    classes = {
+        "bus": buses,
+        "line": lines,
+        "line_controller": [edge("lc_0", "line_controller", {"line": 24}),
+                            edge("lc_1", "line_controller", {"line": 16})],
+        "load": [load(0, 7, 0.12, 0.04), load(1, 7, 0.07, 0.02),
+                 load(2, 10, 0.1, 0.03), load(3, 4, 0.08, 0.02),
+                 load(4, 12, 0.05, 0.01)],
+        "generator": [gen(0, 25, 0, slack=1.0), gen(1, 26, 5, p=0.15, v=1.01),
+                      gen(2, 27, 9, p=0.05, qmin=-0.5, qmax=0.5, mode=0.0, q=0.0),
+                      gen(3, 28, 11, p=0.05, qmin=-0.5, qmax=0.5, mode=0.0, q=0.0)],
+        "svr_zone": [edge("zone_0", "svr_zone", {"zone": 29, "regulated_bus": 10},
+                          v=1.0, theta=0.0, v_nom=1.0, v_target=1.0)],
+        "svr_unit": [edge("unit_0", "svr_unit", {"gen": 27, "zone": 29}, participate=1.0),
+                     edge("unit_1", "svr_unit", {"gen": 28, "zone": 29}, participate=1.0)],
+        "svr_controller": [edge("vc_0", "svr_controller", {"zone": 29})],
+        "shunt": [shunt(0, 30, 6, b=0.1)],
+        "shunt_controller": [edge("sc_0", "shunt_controller", {"shunt": 30})],
+        "twt": [edge("twt_0", "twt", {"twt": 31, "bus1": 11, "bus2": 12},
+                     r=0.002, x=0.05, g=0.0, b=0.0, ratio=1.0, phase_shift=0.0,
+                     opt=1.0)],
+        "rtc": [edge("rtc_0", "rtc", {"twt": 31, "regulated_bus": 12})],
+        "rtc_controller": [edge("rc_0", "rtc_controller", {"twt": 31},
+                                v_target=1.0, v_nom=1.0)],
+    }
+    if rng is not None:
+        names = list(classes)
+        classes = {c: [classes[c][i] for i in rng.permutation(len(classes[c]))]
+                   for c in (names[i] for i in rng.permutation(len(names)))}
+    return H2MGContext(32, {c: tuple(v) for c, v in classes.items()})
+
+
 def scipy_two_bus_solution(load_p, load_q, r, x, charging=0.0):
     """Independent root solve of the 2-bus mismatch equations."""
     from scipy.optimize import root

@@ -9,7 +9,7 @@ from gridtvc.gridgen import (
     KNOT_TIE,
     GridFamilySpec,
     Normalizer,
-    _Draft,
+    _draw,
     fit_normalizer,
     generate_context,
     load_dataset,
@@ -80,8 +80,7 @@ def base_case_success_rate(spec: GridFamilySpec, rng: np.random.Generator,
     """Fraction of raw draws whose base case converges (generator tuning aid)."""
     ok = 0
     for _ in range(draws):
-        draft = _Draft(spec, rng)
-        x = draft.to_context({"origin": "probe", "timestamp": ""})
+        x = _draw(spec, rng, {"origin": "probe", "timestamp": ""})
         if not validate_context(x) and solve_ac(x).converged:
             ok += 1
     return ok / draws

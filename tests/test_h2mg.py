@@ -13,11 +13,12 @@ from gridtvc.h2mg import (
     SurrogateDecision,
     deserialize,
     neighborhood,
+    schema_hash,
     serialize,
     validate_context,
 )
 
-from gridfixtures import edge, two_bus
+from gridfixtures import edge, meshed_grid, two_bus
 
 
 def test_schema_has_17_classes_with_expected_ports():
@@ -118,46 +119,6 @@ def test_neighborhood_invariant_to_insertion_order():
         assert neighborhood(x1, a) == neighborhood(x2, a)
 
 
-def _meshed_grid(rng=None) -> H2MGContext:
-    """13 buses (so ``bus_10`` sorts before ``bus_2``), two loads on bus 7,
-    one controller of each class; ``rng`` shuffles every class's edges and
-    the class order."""
-    from gridfixtures import bus, gen, line, load, shunt
-    buses = [bus(i, i) for i in range(13)]
-    lines = [line(i, 13 + i, i, i + 1, 0.005, 0.05) for i in range(11)]
-    lines.append(line(11, 24, 2, 9, 0.01, 0.08))
-    classes = {
-        "bus": buses,
-        "line": lines,
-        "line_controller": [edge("lc_0", "line_controller", {"line": 24}),
-                            edge("lc_1", "line_controller", {"line": 16})],
-        "load": [load(0, 7, 0.12, 0.04), load(1, 7, 0.07, 0.02),
-                 load(2, 10, 0.1, 0.03), load(3, 4, 0.08, 0.02),
-                 load(4, 12, 0.05, 0.01)],
-        "generator": [gen(0, 25, 0, slack=1.0), gen(1, 26, 5, p=0.15, v=1.01),
-                      gen(2, 27, 9, p=0.05, qmin=-0.5, qmax=0.5, mode=0.0, q=0.0),
-                      gen(3, 28, 11, p=0.05, qmin=-0.5, qmax=0.5, mode=0.0, q=0.0)],
-        "svr_zone": [edge("zone_0", "svr_zone", {"zone": 29, "regulated_bus": 10},
-                          v=1.0, theta=0.0, v_nom=1.0, v_target=1.0)],
-        "svr_unit": [edge("unit_0", "svr_unit", {"gen": 27, "zone": 29}, participate=1.0),
-                     edge("unit_1", "svr_unit", {"gen": 28, "zone": 29}, participate=1.0)],
-        "svr_controller": [edge("vc_0", "svr_controller", {"zone": 29})],
-        "shunt": [shunt(0, 30, 6, b=0.1)],
-        "shunt_controller": [edge("sc_0", "shunt_controller", {"shunt": 30})],
-        "twt": [edge("twt_0", "twt", {"twt": 31, "bus1": 11, "bus2": 12},
-                     r=0.002, x=0.05, g=0.0, b=0.0, ratio=1.0, phase_shift=0.0,
-                     opt=1.0)],
-        "rtc": [edge("rtc_0", "rtc", {"twt": 31, "regulated_bus": 12})],
-        "rtc_controller": [edge("rc_0", "rtc_controller", {"twt": 31},
-                                v_target=1.0, v_nom=1.0)],
-    }
-    if rng is not None:
-        names = list(classes)
-        classes = {c: [classes[c][i] for i in rng.permutation(len(classes[c]))]
-                   for c in (names[i] for i in rng.permutation(len(names)))}
-    return H2MGContext(32, {c: tuple(v) for c, v in classes.items()})
-
-
 def _hexed(value):
     """``value`` with every float spelled by ``float.hex``."""
     if dataclasses.is_dataclass(value):
@@ -171,11 +132,11 @@ def _hexed(value):
 
 def test_edges_kept_in_id_order_whatever_the_insertion_order():
     from gridtvc.powerflow import evaluate_objective, solve_ac
-    x = _meshed_grid()
+    x = meshed_grid()
     assert not validate_context(x)
     assert [e.id for e in x.edges_of("bus")][:4] == ["bus_0", "bus_1", "bus_10", "bus_11"]
     for seed in range(3):
-        y = _meshed_grid(np.random.default_rng(seed))
+        y = meshed_grid(np.random.default_rng(seed))
         assert y == x and serialize(y) == serialize(x)
         for a in range(x.address_count):
             assert neighborhood(y, a) == neighborhood(x, a)
@@ -188,7 +149,9 @@ def test_edges_kept_in_id_order_whatever_the_insertion_order():
     assert _hexed(evaluate_objective(y, decision)) == _hexed(evaluate_objective(x, decision))
 
 
-def test_anchored_matches_a_brute_force_filter():
+def _val0_before_and_after_a_decision():
+    """val-000, and val-000 with its first line opened, its first shunt
+    switched and every other lever at the offset -0.02 baseline."""
     from gridtvc.baseline import init_baseline
     from gridtvc.gridgen import GridFamilySpec, generate_context
     from gridtvc.powerflow import apply_decision
@@ -197,7 +160,11 @@ def test_anchored_matches_a_brute_force_filter():
     y = init_baseline(x, -0.02)
     for c in ("line_controller", "shunt_controller"):
         y = y.replace(c, x.controller_ids()[c][0], 1)
-    for ctx in (x, apply_decision(x, y)):
+    return x, apply_decision(x, y)
+
+
+def test_anchored_matches_a_brute_force_filter():
+    for ctx in _val0_before_and_after_a_decision():
         checked = 0
         for cname, cs in SCHEMA.items():
             for port in cs.port_names:
@@ -209,6 +176,70 @@ def test_anchored_matches_a_brute_force_filter():
                     checked += len(want)
         assert checked == sum(len(SCHEMA[c].port_names) * len(es)
                               for c, es in ctx.edges.items())
+
+
+def test_each_controller_names_the_device_on_its_one_port():
+    assert {c: SCHEMA[c].device for c in CONTROLLER_CLASSES} == {
+        "line_controller": "line", "rtc_controller": "rtc",
+        "shunt_controller": "shunt", "svr_controller": "svr_zone"}
+    for c in CONTROLLER_CLASSES:
+        (port,) = SCHEMA[c].port_names
+        assert port in SCHEMA[SCHEMA[c].device].port_names
+    assert not any(cs.device for cs in SCHEMA.values() if not cs.is_controller)
+    assert schema_hash() == "e1328e172497deb8"  # device is left out
+
+
+def test_device_matches_a_brute_force_filter():
+    for ctx in (*_val0_before_and_after_a_decision(), meshed_grid()):
+        assert all(ctx.edges_of(c) for c in CONTROLLER_CLASSES)
+        for cname in CONTROLLER_CLASSES:
+            cs = SCHEMA[cname]
+            (port,) = cs.port_names
+            for e in ctx.edges_of(cname):
+                want = [d for d in ctx.all_edges()
+                        if d.class_name == cs.device and d.ports[port] == e.ports[port]]
+                assert [ctx.device(e)] == want
+
+
+def test_device_raises_unless_exactly_one_edge_matches():
+    from gridfixtures import line
+    x = meshed_grid()
+    lc_0 = x.edge("line_controller", "lc_0")
+    lines = x.edges_of("line")
+    gone = H2MGContext(x.address_count, {
+        **x.edges, "line": tuple(e for e in lines if e.ports["line"] != 24)})
+    twice = H2MGContext(x.address_count, {
+        **x.edges, "line": (*lines, line(12, 24, 3, 8, 0.01, 0.08))})
+    assert x.device(lc_0).id == "line_11"
+    with pytest.raises(H2MGError, match=r"'lc_0' .* exactly one line \(found 0\)"):
+        gone.device(lc_0)
+    with pytest.raises(H2MGError, match=r"'lc_0' .* exactly one line \(found 2\)"):
+        twice.device(lc_0)
+    with pytest.raises(H2MGError, match="not a controller"):
+        x.device(x.edge("line", "line_11"))
+
+
+def test_validate_refuses_a_device_with_two_controllers():
+    x = meshed_grid()
+    doubled = H2MGContext(x.address_count, {
+        **x.edges,
+        "rtc_controller": (*x.edges_of("rtc_controller"),
+                           edge("rc_1", "rtc_controller", {"twt": 31},
+                                v_target=1.0, v_nom=1.0)),
+        "svr_controller": (*x.edges_of("svr_controller"),
+                           edge("vc_1", "svr_controller", {"zone": 29}))})
+    assert [str(v) for v in validate_context(doubled)] == [
+        "[rtc_controller:rc_1] rtc at address 31 already has controller 'rc_0'",
+        "[svr_controller:vc_1] svr_zone at address 29 already has controller 'vc_0'"]
+
+
+def test_validate_refuses_a_zone_whose_units_do_not_participate():
+    x = meshed_grid()
+    one_idle = x.replace_features({("svr_unit", "unit_0"): {"participate": 0.0}})
+    assert validate_context(one_idle) == []
+    idle = one_idle.replace_features({("svr_unit", "unit_1"): {"participate": 0.0}})
+    assert [str(v) for v in validate_context(idle)] == [
+        "[svr_controller:vc_0] zone has no participating svr_unit"]
 
 
 def test_neighborhood_out_of_range():

@@ -13,11 +13,14 @@ from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, fit_normalizer, generate_context, load_dataset, normalize,
     write_dataset)
+from gridtvc.h2mg import Decision
 from gridtvc.model import (
     ModelConfig, forward, init_params, load_checkpoint, predict, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
 from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
+
+from gridfixtures import meshed_grid
 
 SMALL = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(8,),
                     message_hidden=(8,), decoder_hidden=(8,), dt=0.1)
@@ -153,6 +156,33 @@ def test_checkpoints_carry_the_svr_offset(offset_run):
     without = evaluate(params, val, norm)
     assert with_offset["init"]["svr_setpoint_mean"] == pytest.approx(
         without["init"]["svr_setpoint_mean"] + 0.01)
+
+
+def test_lever_usage_counts_each_lever():
+    x = meshed_grid()
+    x2 = x.replace_features({("svr_zone", "zone_0"): {"v_target": 1.03}})
+    decisions = [
+        Decision.paired(x, {"line_controller": {"lc_0": 1, "lc_1": 0},
+                            "shunt_controller": {"sc_0": 1},
+                            "svr_controller": {"vc_0": 0.02},
+                            "rtc_controller": {"rc_0": 2}}),
+        Decision.paired(x2, {"line_controller": {"lc_0": 1, "lc_1": 1},
+                             "shunt_controller": {"sc_0": 0},
+                             "svr_controller": {"vc_0": -0.02},
+                             "rtc_controller": {"rc_0": 0}})]
+    usage = trainer._lever_usage(decisions, [x, x2])
+    assert usage["pct_lines_opened"] == 75.0
+    assert usage["pct_shunts_switched"] == 50.0
+    assert usage["svr_setpoint_mean"] == pytest.approx(1.015)  # 1.0+0.02, 1.03-0.02
+    assert usage["svr_setpoint_std"] == pytest.approx(0.005)
+    assert usage["rtc_category_shares"] == [0.5, 0.0, 0.5, 0.0]
+    assert usage["per_lever_usage"] == {"line_controller:lc_0": 1.0,
+                                        "line_controller:lc_1": 0.5,
+                                        "shunt_controller:sc_0": 0.5}
+    assert trainer._lever_usage([], []) == {
+        "pct_lines_opened": 0.0, "pct_shunts_switched": 0.0,
+        "svr_setpoint_mean": None, "svr_setpoint_std": None,
+        "rtc_category_shares": [0.0] * 4, "per_lever_usage": {}}
 
 
 def capture_policies(monkeypatch):
