@@ -34,31 +34,22 @@ def project_rtc_category(setpoint: float, v_nom: float) -> int:
 
 def init_baseline(x: H2MGContext, offset: float = 0.0) -> Decision:
     """Reference decision: keep topology, shift SVR targets, snap RTC targets."""
-    values: dict[str, dict] = {}
-    ids = x.controller_ids()
-    if "line_controller" in ids:
-        values["line_controller"] = {eid: 0 for eid in ids["line_controller"]}
-    if "shunt_controller" in ids:
-        values["shunt_controller"] = {eid: 0 for eid in ids["shunt_controller"]}
-    if "svr_controller" in ids:
-        out = {}
-        for e in x.edges_of("svr_controller"):
-            zone = x.device(e)
-            v_init, v_target = zone.features["v"], zone.features["v_target"]
-            if v_init is None or v_target is None:
-                raise H2MGError(
-                    f"svr_zone {zone.id!r} lacks the initial state for a baseline")
-            out[e.id] = (v_init + offset) - v_target
-        values["svr_controller"] = out
-    if "rtc_controller" in ids:
-        out = {}
-        for e in x.edges_of("rtc_controller"):
-            setpoint, v_nom = e.features["v_target"], e.features["v_nom"]
-            if setpoint is None or v_nom is None:
-                raise H2MGError(
-                    f"rtc_controller {e.id!r} lacks the initial setpoint")
-            out[e.id] = project_rtc_category(setpoint, v_nom)
-        values["rtc_controller"] = out
+    values = {c: [0] * len(x.edges_of(c)) for c in ("line_controller", "shunt_controller")}
+    values["svr_controller"] = []
+    for e in x.edges_of("svr_controller"):
+        zone = x.device(e)
+        v_init, v_target = zone.features["v"], zone.features["v_target"]
+        if v_init is None or v_target is None:
+            raise H2MGError(
+                f"svr_zone {zone.id!r} lacks the initial state for a baseline")
+        values["svr_controller"].append((v_init + offset) - v_target)
+    values["rtc_controller"] = []
+    for e in x.edges_of("rtc_controller"):
+        setpoint, v_nom = e.features["v_target"], e.features["v_nom"]
+        if setpoint is None or v_nom is None:
+            raise H2MGError(
+                f"rtc_controller {e.id!r} lacks the initial setpoint")
+        values["rtc_controller"].append(project_rtc_category(setpoint, v_nom))
     return Decision.paired(x, values)
 
 

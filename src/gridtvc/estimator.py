@@ -3,7 +3,10 @@
 The adjusted estimator decomposes by controller class (other classes held
 at the policy mode), clips scores through a tanh around the mode's cost,
 and for discrete classes samples only unary modifications of the mode.
-Each estimate also counts how its distinct samples' oracle calls ended.
+Decisions, surrogate values and gradients are one array per controller
+class, rows in the context's edge order.  Each estimate also counts how
+its distinct samples' oracle calls ended, and keeps each class's norm of
+its score term and of its entropy term.
 """
 
 from __future__ import annotations
@@ -63,29 +66,36 @@ class EstimatorConfig:
                 raise ValueError(f"samples: {cname!r} count {n!r} is not a positive integer")
 
 
+def _norm(g: np.ndarray) -> float:
+    """L2 norm of a class's gradient, summed row by row in row order."""
+    return math.sqrt(sum(float(r @ r) for r in g))
+
+
 @dataclass
 class GradEstimate:
-    """Surrogate gradient, shaped exactly like the paired SurrogateDecision.
+    """Surrogate gradient: one array per class, shaped exactly like the
+    paired SurrogateDecision's.
 
+    ``grad_norm`` holds each class's L2 norm of its gradient, and
+    ``score_norm`` and ``entropy_norm`` those of the two terms the gradient
+    adds, ``beta / n`` times the clipped score sum and the negated entropy
+    gradient (all three empty when the mode failed).
     ``sample_status`` counts, per ``ESTIMATE_STATUSES`` value, how the
     oracle calls of the distinct sample decisions ended, and
     ``prohibitive_share`` is the share of those samples scored at or above
     the prohibitive cost (0.0 when none was scored).
     """
 
-    grads: dict[str, dict[str, np.ndarray]]
+    grads: dict[str, np.ndarray]
     f_ref: float
     converged: bool
     status: str             # the mode decision's, one of ESTIMATE_STATUSES
     sample_status: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(ESTIMATE_STATUSES, 0))
     prohibitive_share: float = 0.0
-
-    def norm(self, class_name: str) -> float:
-        per_edge = self.grads.get(class_name, {})
-        if not per_edge:
-            return 0.0
-        return float(math.sqrt(sum(float(g @ g) for g in per_edge.values())))
+    grad_norm: dict[str, float] = field(default_factory=dict)
+    score_norm: dict[str, float] = field(default_factory=dict)
+    entropy_norm: dict[str, float] = field(default_factory=dict)
 
 
 def clip_score(f_i: float, f_ref: float, tau: float) -> float:
@@ -93,11 +103,6 @@ def clip_score(f_i: float, f_ref: float, tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     return math.tanh((f_i - f_ref) / tau)
-
-
-def _zero_grads(z: SurrogateDecision) -> dict[str, dict[str, np.ndarray]]:
-    return {c: {e: np.zeros_like(v) for e, v in per.items()}
-            for c, per in z.values.items()}
 
 
 def _score(oracle: Oracle, x: H2MGContext, y: Decision,
@@ -123,59 +128,60 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
                       policy_cfg: PolicyConfig = PolicyConfig()) -> GradEstimate:
     """Adjusted Monte-Carlo estimate of the surrogate objective gradient.
 
-    When the mode decision itself does not converge no improvement
-    direction is defined and the estimate is exactly zero, flagged.
+    Each class's gradient is one array in ``z``'s layout.  When the mode
+    decision itself does not converge no improvement direction is defined
+    and the estimate is exactly zero, flagged.
     """
     y_mp = policy.most_probable(z)
     f_ref, status = _score(oracle, x, y_mp, cfg.prohibitive_cost)
     if status != "converged":
-        return GradEstimate(_zero_grads(z), f_ref, False, status)
+        return GradEstimate({c: np.zeros_like(a) for c, a in z.values.items()},
+                            f_ref, False, status)
 
     # One pass per class in canonical order: draw its samples, score each
     # distinct one once, accumulate its gradient.  The oracle never touches
-    # the stream, so the draws do not depend on oracle behavior.  A discrete
-    # sample is keyed by the one controller it changes and the value it
-    # takes; continuous samples are all distinct, keyed by their position.
-    grads = _zero_grads(z)
+    # the stream, so the draws do not depend on oracle behavior.  The svr
+    # class draws all its samples as one (n, controllers) array, each row a
+    # sample; a discrete sample changes one controller's row to one value
+    # and is keyed by (class, row, value).
+    grads: dict[str, np.ndarray] = {}
+    grad_norm: dict[str, float] = {}
+    score_norm: dict[str, float] = {}
+    entropy_norm: dict[str, float] = {}
     scored: dict[tuple, tuple[float, str]] = {}
     for cname in CONTROLLER_CLASSES:
-        per_edge = z.values.get(cname)
-        if not per_edge:
+        z_c = z.values.get(cname)
+        if z_c is None:
             continue
         n = int(cfg.samples.get(cname, 8))
-        ids = sorted(per_edge)
-        samples: list[tuple[tuple, Decision]] = []
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
-            for k in range(n):
-                y_i = y_mp
-                for eid in ids:
-                    y_i = y_i.replace(cname, eid,
-                                      policy.sample(cname, per_edge[eid], rng,
-                                                    policy_cfg))
-                samples.append(((cname, k), y_i))
+            draws = policy.sample(z_c, n, rng, policy_cfg)
+            samples = [((cname, k), Decision({**y_mp.values, cname: draw}))
+                       for k, draw in enumerate(draws)]
         else:
-            neighbors = [(eid, alt) for eid in ids
-                         for alt in policy.unary_neighbors(
-                             cname, y_mp.get(cname, eid))]
-            for k in rng.integers(0, len(neighbors), size=n):
-                eid, alt = neighbors[int(k)]
-                samples.append(((cname, eid, alt), y_mp.replace(cname, eid, alt)))
+            neighbors = [(row, alt) for row, value in enumerate(y_mp.values[cname])
+                         for alt in policy.unary_neighbors(cname, value)]
+            picks = [neighbors[k] for k in rng.integers(0, len(neighbors), size=n)]
+            samples = [((cname, row, alt), y_mp.replace(cname, row, alt))
+                       for row, alt in picks]
         for key, y_i in samples:
             if key not in scored:
                 scored[key] = _score(oracle, x, y_i, cfg.prohibitive_cost)
-        for eid, z_e in per_edge.items():
-            acc = np.zeros_like(z_e)
-            for key, y_i in samples:
-                f_clip = clip_score(scored[key][0], f_ref, cfg.tau)
-                acc += f_clip * policy.log_prob_grad(
-                    cname, y_i.get(cname, eid), z_e, policy_cfg)
-            grads[cname][eid] = (-policy.entropy_grad(cname, z_e, policy_cfg)
-                                 + cfg.beta / n * acc)
+        # sample by sample, so each element sums in sample order
+        acc = np.zeros_like(z_c)
+        for key, y_i in samples:
+            acc += clip_score(scored[key][0], f_ref, cfg.tau) * policy.log_prob_grad(
+                cname, y_i.values[cname], z_c, policy_cfg)
+        entropy_term = -policy.entropy_grad(cname, z_c, policy_cfg)
+        score_term = cfg.beta / n * acc
+        grads[cname] = entropy_term + score_term
+        grad_norm[cname], score_norm[cname], entropy_norm[cname] = map(
+            _norm, (grads[cname], score_term, entropy_term))
 
     sample_status = dict.fromkeys(ESTIMATE_STATUSES, 0)
     for _, outcome in scored.values():
         sample_status[outcome] += 1
     prohibitive = sum(f >= cfg.prohibitive_cost for f, _ in scored.values())
     return GradEstimate(grads, f_ref, True, status, sample_status,
-                        prohibitive / len(scored) if scored else 0.0)
-
+                        prohibitive / len(scored) if scored else 0.0,
+                        grad_norm, score_norm, entropy_norm)

@@ -9,7 +9,10 @@ serialization all read that one layout.  The schema names the device class
 each controller acts on, and :meth:`H2MGContext.device` finds that device.
 Alongside the context itself live the two decision-side containers:
 ``Decision`` (concrete controller actions) and ``SurrogateDecision`` (the
-real-valued parameters of the stochastic policy over those actions).
+real-valued parameters of the stochastic policy over those actions).  Both
+hold one array per controller class whose rows follow that class's
+canonical edge order, so the policy, the estimator and the oracle act on
+whole classes and no controller is looked up by id.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -212,23 +215,9 @@ class H2MGContext:
                 f"{cs.device} (found {len(matches)})")
         return matches[0]
 
-    def edge(self, class_name: str, edge_id: str) -> HyperEdge:
-        for e in self.edges_of(class_name):
-            if e.id == edge_id:
-                return e
-        raise H2MGError(f"no {class_name} edge with id {edge_id!r}")
-
     def all_edges(self) -> Iterator[HyperEdge]:
         for cname in sorted(self.edges):
             yield from self.edges[cname]
-
-    def controller_ids(self) -> dict[str, list[str]]:
-        """Controller edge ids per controller class, canonically ordered."""
-        return {
-            c: [e.id for e in self.edges_of(c)]
-            for c in CONTROLLER_CLASSES
-            if self.edges_of(c)
-        }
 
     def replace_features(self, updates: Mapping[tuple[str, str], Mapping[str, float | None]],
                          ) -> "H2MGContext":
@@ -257,13 +246,22 @@ class Violation:
         return f"[{self.class_name}:{self.edge_id}] {self.rule}"
 
 
+def _reactive_range(gen: HyperEdge) -> float:
+    """A generator's reactive range as the SVR dispatch weighs its share:
+    never negative, and 1 where it is not finite."""
+    span = max(gen.feature("q_max", np.inf) - gen.feature("q_min", -np.inf), 0.0)
+    return span if np.isfinite(span) else 1.0
+
+
 def validate_context(x: H2MGContext) -> list[Violation]:
     """Check every structural invariant; an empty report means a valid context.
 
     Violations are reported, never raised, so callers can show all problems
     at once.  Each controller must act on exactly one device that no earlier
     controller acts on; a controlled rtc must sit on exactly one twt, and a
-    controlled svr zone needs a unit with ``participate`` > 0.5.
+    controlled svr zone needs a unit with ``participate`` > 0.5 and a
+    positive summed reactive range over those units (otherwise the
+    dispatch drops the zone and its controller moves nothing).
     """
     report: list[Violation] = []
 
@@ -322,9 +320,13 @@ def validate_context(x: H2MGContext) -> list[Violation]:
                                  f"controller {owner[addr]!r}")
             owner.setdefault(addr, e.id)
     for e in x.edges_of("svr_controller"):
-        if not any(u.feature("participate", 0.0) > 0.5
-                   for u in x.anchored("svr_unit", "zone", e.ports["zone"])):
+        units = [u for u in x.anchored("svr_unit", "zone", e.ports["zone"])
+                 if u.feature("participate", 0.0) > 0.5]
+        if not units:
             bad("svr_controller", e.id, "zone has no participating svr_unit")
+        elif sum(_reactive_range(g) for u in units
+                 for g in x.anchored("generator", "gen", u.ports["gen"])) <= 0:
+            bad("svr_controller", e.id, "zone's participating units have no reactive range")
 
     # Electrical feature sanity
     for e in x.edges_of("bus"):
@@ -430,84 +432,82 @@ def deserialize(blob: bytes) -> H2MGContext:
 
 
 # ---------------------------------------------------------------------------
-# Decision containers
+# Decision containers: one array per controller class, rows in the context's
+# canonical edge order
 
-def _check_paired(kind: str, values: Mapping[str, Mapping], x: H2MGContext) -> None:
-    expected = x.controller_ids()
-    got = {c: sorted(v) for c, v in values.items() if v}
-    want = {c: sorted(v) for c, v in expected.items()}
+def _check_paired(kind: str, values: Mapping[str, np.ndarray], x: H2MGContext,
+                  row_shape=lambda cname: ()) -> None:
+    """Refuse ``values`` unless they hold exactly the controller classes of
+    ``x``, each an array of one ``row_shape(class)`` row per controller."""
+    got = {c: np.shape(v) for c, v in values.items() if np.size(v)}
+    want = {c: (len(x.edges_of(c)), *row_shape(c))
+            for c in CONTROLLER_CLASSES if x.edges_of(c)}
     if got != want:
         raise H2MGError(
-            f"{kind} controller sets do not match the context "
-            f"(got {got}, expected {want})")
+            f"{kind} arrays do not match the context's controllers "
+            f"(got shapes {got}, expected {want})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decision:
-    """Concrete controller actions, keyed by class then controller id.
+    """Concrete controller actions: per controller class one array with a
+    row per controller, in :meth:`H2MGContext.edges_of` order.
 
-    Values: 0/1 for binary classes (1 requests the change), a float for
-    svr_controller (setpoint delta, p.u.), a category index 0..3 for
+    Values: int 0/1 for binary classes (1 requests the change), float for
+    svr_controller (setpoint delta, p.u.), an int category index 0..3 for
+    rtc_controller.  A class without controllers has no entry.
+    """
+
+    values: Mapping[str, np.ndarray]
+
+    @classmethod
+    def paired(cls, x: H2MGContext, values: Mapping[str, Sequence]) -> "Decision":
+        """Check ``values`` against ``x``: the class set, each class's
+        length and its value domain."""
+        arrays = {c: np.asarray(v) for c, v in values.items()}
+        _check_paired("Decision", arrays, x)
+        frozen: dict[str, np.ndarray] = {}
+        for cname, arr in arrays.items():
+            if not arr.size:
+                continue
+            kind = SCHEMA[cname].decision_kind
+            if kind == D_CONTINUOUS:
+                ok, frozen[cname] = np.all(np.isfinite(arr)), arr.astype(float)
+            else:
+                domain = set(range(2 if kind == D_BINARY else RTC_CATEGORIES))
+                ok, frozen[cname] = set(arr.tolist()) <= domain, arr.astype(int)
+            if not ok:
+                raise H2MGError(f"{cname}: decision values outside the {kind} domain")
+        return cls(frozen)
+
+    def replace(self, class_name: str, row: int, value) -> "Decision":
+        """A copy with one controller's value changed; only its class's
+        array is copied."""
+        arr = self.values[class_name].copy()
+        arr[row] = value
+        return Decision({**self.values, class_name: arr})
+
+
+@dataclass(frozen=True, eq=False)
+class SurrogateDecision:
+    """Real-valued policy parameters: per controller class one float
+    ``(controllers, decision_dim)`` array, rows in
+    :meth:`H2MGContext.edges_of` order.
+
+    ``decision_dim`` is 1 for binary and continuous classes and 4 for
     rtc_controller.
     """
 
-    values: Mapping[str, Mapping[str, float | int]]
+    values: Mapping[str, np.ndarray]
 
     @classmethod
-    def paired(cls, x: H2MGContext, values: Mapping[str, Mapping[str, float | int]]
-               ) -> "Decision":
-        _check_paired("Decision", values, x)
-        for cname, per_edge in values.items():
-            kind = SCHEMA[cname].decision_kind
-            for eid, v in per_edge.items():
-                if kind == D_BINARY and v not in (0, 1):
-                    raise H2MGError(f"{cname}:{eid}: binary decision must be 0 or 1")
-                if kind == D_ONE_HOT and v not in range(RTC_CATEGORIES):
-                    raise H2MGError(
-                        f"{cname}:{eid}: category must be 0..{RTC_CATEGORIES - 1}")
-                if kind == D_CONTINUOUS and not np.isfinite(v):
-                    raise H2MGError(f"{cname}:{eid}: continuous decision must be finite")
-        frozen = {c: dict(v) for c, v in values.items() if v}
-        return cls(frozen)
-
-    def get(self, class_name: str, edge_id: str):
-        return self.values[class_name][edge_id]
-
-    def replace(self, class_name: str, edge_id: str, value) -> "Decision":
-        out = {c: dict(v) for c, v in self.values.items()}
-        out[class_name][edge_id] = value
-        return Decision(out)
-
-
-@dataclass(frozen=True)
-class SurrogateDecision:
-    """Real-valued policy parameters, one vector per controller edge.
-
-    Vectors have length 1 for binary and continuous classes and length 4
-    for rtc_controller.
-    """
-
-    values: Mapping[str, Mapping[str, np.ndarray]]
-
-    @classmethod
-    def paired(cls, x: H2MGContext, values: Mapping[str, Mapping[str, np.ndarray]]
+    def paired(cls, x: H2MGContext, values: Mapping[str, np.ndarray]
                ) -> "SurrogateDecision":
-        _check_paired("SurrogateDecision", values, x)
-        frozen: dict[str, dict[str, np.ndarray]] = {}
-        for cname, per_edge in values.items():
-            if not per_edge:
-                continue
-            dim = SCHEMA[cname].decision_dim
-            frozen[cname] = {}
-            for eid, vec in per_edge.items():
-                arr = np.asarray(vec, dtype=float).reshape(-1)
-                if arr.shape != (dim,):
-                    raise H2MGError(
-                        f"{cname}:{eid}: surrogate vector must have length {dim}")
-                if not np.all(np.isfinite(arr)):
-                    raise H2MGError(f"{cname}:{eid}: surrogate vector must be finite")
-                frozen[cname][eid] = arr
-        return cls(frozen)
-
-    def get(self, class_name: str, edge_id: str) -> np.ndarray:
-        return self.values[class_name][edge_id]
+        """Check ``values`` against ``x``: the class set, each class's
+        shape and finiteness."""
+        arrays = {c: np.asarray(v, dtype=float) for c, v in values.items()}
+        _check_paired("SurrogateDecision", arrays, x,
+                      lambda cname: (SCHEMA[cname].decision_dim,))
+        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
+            raise H2MGError("surrogate values must be finite")
+        return cls({c: a for c, a in arrays.items() if a.size})

@@ -497,20 +497,19 @@ class _Engine:
                 states[-1] = h
         return states
 
-    def decode(self, h: np.ndarray) -> list[dict[str, dict[str, np.ndarray]]]:
-        """Decoder outputs per context, keyed by class and edge id."""
-        out: list[dict[str, dict[str, np.ndarray]]] = [{} for _ in self.prep.parts]
-        for cname, ids, _, ports in self.prep.classes:
+    def decode(self, h: np.ndarray) -> list[dict[str, np.ndarray]]:
+        """Decoder outputs per context: per controller class, the rows of
+        that context's edges, ``(edges, decision_dim)``, in its edge order."""
+        out: list[dict[str, np.ndarray]] = [{} for _ in self.prep.parts]
+        for cname, _, _, ports in self.prep.classes:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
             z = self.dec[cname].forward(u)
-            start = 0
-            for per_context, n in zip(out, self.prep.counts[cname]):
-                if n:
-                    per_context[cname] = {eid: z[start + i].copy()
-                                          for i, eid in enumerate(ids[start:start + n])}
-                start += n
+            bounds = np.cumsum([0, *self.prep.counts[cname]])
+            for per_context, a, b in zip(out, bounds[:-1], bounds[1:]):
+                if b > a:
+                    per_context[cname] = z[a:b]
         return out
 
 
@@ -568,10 +567,13 @@ def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext])
 def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> ModelParams:
     """Parameter cotangent of ``forward`` for a given output cotangent.
 
-    For an :class:`Integration` from a batch ``forward``, ``cotangent``
-    holds one output cotangent per context, or None for a context to leave
-    out.  The sweep runs over the other contexts only, from the forward's
-    per-step latents, and returns the sum of their parameter cotangents.
+    An output cotangent has the layout of the ``SurrogateDecision.values``
+    it pulls back: per controller class of the context, one
+    ``(edges, decision_dim)`` array in the context's edge order.  For an
+    :class:`Integration` from a batch ``forward``, ``cotangent`` holds one
+    output cotangent per context, or None for a context to leave out.  The
+    sweep runs over the other contexts only, from the forward's per-step
+    latents, and returns the sum of their parameter cotangents.
 
     Reverse accumulation runs through the decoders, every Heun step, and
     the encoders.  Each step is recomputed once from the latents before it,
@@ -590,7 +592,7 @@ def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> Mod
     return _sweep(x.restrict(keep), [cotangent[i] for i in keep])
 
 
-def _sweep(run: Integration, cotangents: list[dict]) -> ModelParams:
+def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelParams:
     """The reverse sweep over every context of ``run``."""
     eng, params = run.engine, run.engine.params
     cfg = params.config
@@ -604,11 +606,8 @@ def _sweep(run: Integration, cotangents: list[dict]) -> ModelParams:
     for cname, ids, _, ports in eng.prep.classes:
         if cname not in eng.dec:
             continue
-        zero = np.zeros(SCHEMA[cname].decision_dim)
-        owners = [cot.get(cname, {}) for cot, n in zip(cotangents, eng.prep.counts[cname])
-                  for _ in range(n)]
-        d_out = np.array([np.asarray(per_edge.get(eid, zero), dtype=float)
-                          for per_edge, eid in zip(owners, ids)])
+        d_out = np.concatenate([cot[cname] for cot, n
+                                in zip(cotangents, eng.prep.counts[cname]) if n])
         u = np.concatenate([eng.xt[cname], _gather(run.states[-1], ports)], axis=1)
         _, cache = eng.dec[cname].forward_cached(u)
         du = eng.dec[cname].backward(cache, d_out, grads)

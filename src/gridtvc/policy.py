@@ -2,15 +2,15 @@
 
 Per controller class the distribution is Bernoulli-with-logit (line and
 shunt controllers), Gaussian with fixed width (svr controllers), or
-softmax-categorical (rtc controllers).  All densities, gradients, and
-entropies are closed forms, written in log-sum-exp style so logits up to
-several hundred stay finite.
+softmax-categorical (rtc controllers).  Every function acts on one class's
+whole array: surrogate values ``(controllers, decision_dim)`` and decision
+values ``(controllers,)``, rows in the context's canonical edge order.  The
+gradients and the mode are numpy closed forms, written in log-sum-exp
+style so logits up to several hundred stay finite.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,6 @@ from .h2mg import (
     SCHEMA,
     SurrogateDecision,
 )
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -49,59 +47,28 @@ def _kind(class_name: str) -> str:
     return kind
 
 
-def _softplus(z: float) -> float:
-    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Row-wise softmax of a ``(rows, categories)`` array."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
-    return shifted - math.log(np.exp(shifted).sum())
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def log_prob(class_name: str, y, z: np.ndarray, cfg: PolicyConfig) -> float:
-    """Log density (mass) of one controller decision under its policy."""
-    kind = _kind(class_name)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if kind == D_BINARY:
-        if y not in (0, 1):
-            raise ValueError(f"binary decision must be 0 or 1, got {y!r}")
-        return float(y) * z[0] - _softplus(z[0])
-    if kind == D_CONTINUOUS:
-        resid = (float(y) - z[0]) / cfg.sigma
-        return -math.log(cfg.sigma) - 0.5 * LOG_2PI - 0.5 * resid * resid
-    if not 0 <= int(y) < RTC_CATEGORIES:
-        raise ValueError(f"category must be 0..{RTC_CATEGORIES - 1}, got {y!r}")
-    return float(_log_softmax(z)[int(y)])
-
-
-def sample(class_name: str, z: np.ndarray, rng: np.random.Generator,
-           cfg: PolicyConfig):
-    """Draw one decision value for a controller of the given class."""
-    kind = _kind(class_name)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if kind == D_BINARY:
-        return int(rng.random() < _sigmoid(z[0]))
-    if kind == D_CONTINUOUS:
-        return float(z[0] + cfg.sigma * rng.standard_normal())
-    # inverse CDF on Python floats: numpy's per-call cost dominates at 4 entries
-    scores = z.tolist()
-    weights = [math.exp(s - max(scores)) for s in scores]
-    u = rng.random()
-    cdf = itertools.accumulate(w / sum(weights) for w in weights)
-    return next((k for k, c in enumerate(cdf) if u < c), RTC_CATEGORIES - 1)
+def sample(z: np.ndarray, n: int, rng: np.random.Generator,
+           cfg: PolicyConfig) -> np.ndarray:
+    """``n`` joint draws of a Gaussian (svr) class's decisions: an
+    ``(n, controllers)`` array, one row per draw, read from the stream row
+    by row as ``n * controllers`` scalar draws would be."""
+    return z[:, 0] + cfg.sigma * rng.standard_normal((n, len(z)))
 
 
 def most_probable(z: SurrogateDecision) -> Decision:
@@ -110,72 +77,48 @@ def most_probable(z: SurrogateDecision) -> Decision:
     Ties break toward inaction: a zero logit maps to 0 and equal category
     scores map to the lowest index.
     """
-    values: dict[str, dict[str, float | int]] = {}
-    for cname, per_edge in z.values.items():
+    values: dict[str, np.ndarray] = {}
+    for cname, arr in z.values.items():
         kind = _kind(cname)
-        out: dict[str, float | int] = {}
-        for eid, vec in per_edge.items():
-            if kind == D_BINARY:
-                out[eid] = int(vec[0] > 0.0)
-            elif kind == D_CONTINUOUS:
-                out[eid] = float(vec[0])
-            else:
-                out[eid] = int(np.argmax(vec))
-        values[cname] = out
+        if kind == D_BINARY:
+            values[cname] = (arr[:, 0] > 0.0).astype(int)
+        elif kind == D_CONTINUOUS:
+            values[cname] = arr[:, 0].copy()
+        else:
+            values[cname] = arr.argmax(axis=1)
     return Decision(values)
 
 
-def entropy(class_name: str, z: np.ndarray, cfg: PolicyConfig) -> float:
-    kind = _kind(class_name)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if kind == D_BINARY:
-        return _softplus(z[0]) - z[0] * _sigmoid(z[0])
-    if kind == D_CONTINUOUS:
-        return math.log(cfg.sigma) + 0.5 * (LOG_2PI + 1.0)
-    logp = _log_softmax(z)
-    return float(-(np.exp(logp) * logp).sum())
-
-
 def entropy_grad(class_name: str, z: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Gradient of the policy entropy in the surrogate parameters."""
+    """Gradient of each controller's policy entropy in its surrogate row."""
     kind = _kind(class_name)
-    z = np.asarray(z, dtype=float).reshape(-1)
     if kind == D_BINARY:
-        s = _sigmoid(z[0])
-        return np.array([-z[0] * s * (1.0 - s)])
+        s = _sigmoid(z)
+        return -z * s * (1.0 - s)
     if kind == D_CONTINUOUS:
-        return np.zeros(1)
+        return np.zeros_like(z)
     p = _softmax(z)
     logp = _log_softmax(z)
-    h = float(-(p * logp).sum())
+    h = -(p * logp).sum(axis=1, keepdims=True)
     return -p * (logp + h)
 
 
-def log_prob_grad(class_name: str, y, z: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Score function: gradient of log density in the surrogate parameters."""
+def log_prob_grad(class_name: str, y: np.ndarray, z: np.ndarray,
+                  cfg: PolicyConfig) -> np.ndarray:
+    """Score function: gradient of each controller's log density of its
+    decision ``y`` in its surrogate row."""
     kind = _kind(class_name)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if kind == D_BINARY:
-        if y not in (0, 1):
-            raise ValueError(f"binary decision must be 0 or 1, got {y!r}")
-        return np.array([float(y) - _sigmoid(z[0])])
+    y = np.asarray(y)
     if kind == D_CONTINUOUS:
-        return np.array([(float(y) - z[0]) / cfg.sigma ** 2])
-    k = int(y)
-    if not 0 <= k < RTC_CATEGORIES:
-        raise ValueError(f"category must be 0..{RTC_CATEGORIES - 1}, got {y!r}")
+        return (y[:, None] - z) / cfg.sigma ** 2
+    domain = 2 if kind == D_BINARY else RTC_CATEGORIES
+    if not set(y.tolist()) <= set(range(domain)):
+        raise ValueError(f"{class_name} decisions must be in 0..{domain - 1}, got {y!r}")
+    if kind == D_BINARY:
+        return y[:, None] - _sigmoid(z)
     grad = -_softmax(z)
-    grad[k] += 1.0
+    grad[np.arange(len(y)), y.astype(int)] += 1.0
     return grad
-
-
-def total_log_prob(y: Decision, z: SurrogateDecision, cfg: PolicyConfig) -> float:
-    """Joint log probability: sum of per-controller terms (factorization)."""
-    total = 0.0
-    for cname, per_edge in z.values.items():
-        for eid, vec in per_edge.items():
-            total += log_prob(cname, y.get(cname, eid), vec, cfg)
-    return total
 
 
 def unary_neighbors(class_name: str, y_value) -> list:
@@ -197,19 +140,14 @@ def apply_offsets(z_raw: SurrogateDecision, x: H2MGContext,
     the mode), svr outputs shift by the baseline setpoint delta, and rtc
     scores gain a scaled one-hot of the baseline category.
     """
-    y0 = init_baseline(x, cfg.svr_offset)
-    values: dict[str, dict[str, np.ndarray]] = {}
-    for cname, per_edge in z_raw.values.items():
+    y0 = init_baseline(x, cfg.svr_offset).values
+    values: dict[str, np.ndarray] = {}
+    for cname, arr in z_raw.values.items():
         kind = _kind(cname)
-        out: dict[str, np.ndarray] = {}
-        for eid, vec in per_edge.items():
-            if kind == D_BINARY:
-                out[eid] = vec + cfg.binary_offset
-            elif kind == D_CONTINUOUS:
-                out[eid] = vec + float(y0.get(cname, eid))
-            else:
-                onehot = np.zeros(RTC_CATEGORIES)
-                onehot[int(y0.get(cname, eid))] = 1.0
-                out[eid] = vec + cfg.rtc_offset_scale * onehot
-        values[cname] = out
+        if kind == D_BINARY:
+            values[cname] = arr + cfg.binary_offset
+        elif kind == D_CONTINUOUS:
+            values[cname] = arr + y0[cname][:, None]
+        else:
+            values[cname] = arr + cfg.rtc_offset_scale * np.eye(RTC_CATEGORIES)[y0[cname]]
     return SurrogateDecision(values)

@@ -153,41 +153,44 @@ class MetricsRecord:
 def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     """Return a copy of ``x`` with the controller actions of ``y`` applied.
 
-    Each controller acts on its device, as :meth:`H2MGContext.device`
-    finds it (an :class:`H2MGError` unless there is exactly one).  Binary
+    Row ``i`` of a class's array in ``y`` is the action of the class's
+    ``i``-th edge in ``x``.  Each controller acts on its device, as
+    :meth:`H2MGContext.device` finds it (an :class:`H2MGError` unless there is exactly one).  Binary
     actions request a change (1 = act, 0 = leave as is): line controllers
     disconnect their line, shunt controllers toggle their shunt.  SVR
     controllers shift the zone target; RTC controllers pick a
     regulated-bus setpoint from the discrete ladder.
     """
     _check_paired("Decision", y.values, x)
+
+    def acts(cname):
+        return zip(x.edges_of(cname), y.values.get(cname, ()))
+
     updates: dict[tuple[str, str], dict] = {}
-    for e in x.edges_of("line_controller"):
-        if y.get("line_controller", e.id) == 1:
+    for e, act in acts("line_controller"):
+        if act == 1:
             updates[("line", x.device(e).id)] = {"status": 0.0}
-    for e in x.edges_of("shunt_controller"):
-        if y.get("shunt_controller", e.id) == 1:
+    for e, act in acts("shunt_controller"):
+        if act == 1:
             shunt = x.device(e)
             status = shunt.features["status"]
             if status is None:
                 raise H2MGError(f"shunt {shunt.id!r} has no status to switch")
             updates[("shunt", shunt.id)] = {"status": 1.0 - status}
-    for e in x.edges_of("svr_controller"):
+    for e, delta in acts("svr_controller"):
         zone = x.device(e)
-        delta = float(y.get("svr_controller", e.id))
         target = zone.features["v_target"]
         if target is None:
             raise H2MGError(f"svr_zone {zone.id!r} has no v_target")
-        updates[("svr_zone", zone.id)] = {"v_target": target + delta}
-    for e in x.edges_of("rtc_controller"):
+        updates[("svr_zone", zone.id)] = {"v_target": target + float(delta)}
+    for e, category in acts("rtc_controller"):
         # anchoring check only; the new target lives on the controller itself
         x.device(e)
-        category = int(y.get("rtc_controller", e.id))
         v_nom = e.features["v_nom"]
         if v_nom is None:
             raise H2MGError(f"rtc_controller {e.id!r} has no v_nom")
         updates[("rtc_controller", e.id)] = {
-            "v_target": RTC_SETPOINT_LADDER[category] * v_nom}
+            "v_target": RTC_SETPOINT_LADDER[int(category)] * v_nom}
     return x.replace_features(updates)
 
 

@@ -8,12 +8,16 @@ keeps that integration's latents after every step.  Then
 against the power-flow oracle: by the builtin ``map`` in-process, by
 ``pool.map`` in a worker pool that receives no parameters, the same call on
 the same Philox streams either way.  Last, one VJP over the contexts whose
-mode decision converged sweeps back from the per-step latents; their summed
-parameter gradient, divided by the minibatch size, makes one Adam step.
-Each ``train_log.jsonl`` record carries the seconds of every phase, the
-oracle call count, the mode decisions' solve statuses, and the statuses and
-prohibitive share of the estimators' distinct samples.  The log is
-line-buffered, so every record is on disk once written.
+mode decision converged sweeps back from the per-step latents, each
+estimate's per-class gradient arrays being its context's output cotangent;
+their summed parameter gradient, divided by the minibatch size, makes one
+Adam step.  Each ``train_log.jsonl`` record carries the seconds of every
+phase, the oracle call count, the mode decisions' solve statuses, the
+statuses and prohibitive share of the estimators' distinct samples, and per
+controller class the minibatch mean of the gradient's norm (``grad_norm``)
+and of its score and entropy terms' norms (``score_norm``,
+``entropy_norm``).  The log is line-buffered, so every record is on disk
+once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
 take the policy's decisions from one :func:`decide`.  It integrates four
@@ -233,9 +237,12 @@ def train(cfg: TrainConfig) -> dict:
                     "phase_s": {"forward": t_estimate - t_forward,
                                 "estimate": t_vjp - t_estimate,
                                 "vjp": t_adam - t_vjp, "adam": t_end - t_adam},
-                    "grad_norm": {
-                        c: float(np.mean([est.norm(c) for est in ests]))
-                        for c in CONTROLLER_CLASSES},
+                    # per class, the mean of the GradEstimate field of that
+                    # name (a failed mode's estimate counts 0)
+                    **{key: {c: float(np.mean([getattr(est, key).get(c, 0.0)
+                                               for est in ests]))
+                             for c in CONTROLLER_CLASSES}
+                       for key in ("grad_norm", "score_norm", "entropy_norm")},
                     "param_grad_norm": float(math.sqrt(sum(
                         float((g * g).sum()) for g in grad.values.values()))),
                     "step_rejected": not ok,
@@ -325,16 +332,15 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
     rtc_counts = np.zeros(RTC_CATEGORIES)
     per_lever: dict[tuple[str, str], list[int]] = {}
     for x, y in zip(contexts, decisions):
-        for cname, per_edge in y.values.items():
-            for eid, val in per_edge.items():
+        for cname, vals in y.values.items():
+            for e, val in zip(x.edges_of(cname), vals.tolist()):
                 if cname in ("line_controller", "shunt_controller"):
-                    per_lever.setdefault((cname, eid), []).append(int(val))
+                    per_lever.setdefault((cname, e.id), []).append(val)
                     (opened if cname == "line_controller" else switched).append(val)
                 elif cname == "svr_controller":
-                    zone = x.device(x.edge("svr_controller", eid))
-                    svr_setpoints.append(zone.features["v_target"] + float(val))
+                    svr_setpoints.append(x.device(e).features["v_target"] + val)
                 else:
-                    rtc_counts[int(val)] += 1
+                    rtc_counts[val] += 1
     usage = {f"{c}:{e}": float(np.mean(v)) for (c, e), v in sorted(per_lever.items())}
     total_rtc = rtc_counts.sum()
     return {

@@ -16,10 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from gridtvc import policy
-from gridtvc.estimator import Oracle, _zero_grads
+from gridtvc.estimator import Oracle
 from gridtvc.h2mg import (
     D_BINARY, D_CONTINUOUS, SCHEMA, Decision, H2MGContext, H2MGError, SurrogateDecision)
 from gridtvc.policy import PolicyConfig
+
+import policy_reference
+
+
+def _zeros(z: SurrogateDecision) -> dict[str, np.ndarray]:
+    return {c: np.zeros_like(a) for c, a in z.values.items()}
 
 
 def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,
@@ -27,51 +33,41 @@ def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,
                           rng: np.random.Generator,
                           policy_cfg: PolicyConfig = PolicyConfig(),
                           prohibitive_cost: float = 100.0,
-                          ) -> tuple[dict[str, dict[str, np.ndarray]],
-                                     dict[str, dict[str, np.ndarray]]]:
+                          ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Unadjusted score-function estimator: joint sampling, raw scores.
 
     Returns (gradient, per-coordinate standard error of the expectation
     term); a failing oracle call scores ``prohibitive_cost``.
     """
-    classes = [(c, sorted(per)) for c, per in z.values.items()]
-    sums = _zero_grads(z)
-    sq_sums = _zero_grads(z)
+    sums = _zeros(z)
+    sq_sums = _zeros(z)
     for _ in range(n_samples):
-        y_i = {}
-        for cname, ids in classes:
-            y_i[cname] = {eid: policy.sample(cname, z.get(cname, eid), rng,
-                                             policy_cfg)
-                          for eid in ids}
-        y_dec = Decision(y_i)
+        y_i = {c: np.array([policy_reference.sample(c, row, rng, policy_cfg)
+                            for row in rows])
+               for c, rows in z.values.items()}
         try:
-            f_i = float(oracle(x, y_dec).total)
+            f_i = float(oracle(x, Decision(y_i)).total)
         except H2MGError:
             raise
         except Exception:
             f_i = prohibitive_cost
-        for cname, ids in classes:
-            for eid in ids:
-                term = f_i * policy.log_prob_grad(cname, y_i[cname][eid],
-                                                  z.get(cname, eid), policy_cfg)
-                sums[cname][eid] += term
-                sq_sums[cname][eid] += term * term
-    grads = _zero_grads(z)
-    stderr = _zero_grads(z)
-    for cname, ids in classes:
-        for eid in ids:
-            mean = sums[cname][eid] / n_samples
-            var = np.maximum(sq_sums[cname][eid] / n_samples - mean ** 2, 0.0)
-            grads[cname][eid] = (-policy.entropy_grad(cname, z.get(cname, eid),
-                                                      policy_cfg)
-                                 + beta * mean)
-            stderr[cname][eid] = beta * np.sqrt(var / n_samples)
+        for cname, rows in z.values.items():
+            term = f_i * policy.log_prob_grad(cname, y_i[cname], rows, policy_cfg)
+            sums[cname] += term
+            sq_sums[cname] += term * term
+    grads = _zeros(z)
+    stderr = _zeros(z)
+    for cname, rows in z.values.items():
+        mean = sums[cname] / n_samples
+        var = np.maximum(sq_sums[cname] / n_samples - mean ** 2, 0.0)
+        grads[cname] = -policy.entropy_grad(cname, rows, policy_cfg) + beta * mean
+        stderr[cname] = beta * np.sqrt(var / n_samples)
     return grads, stderr
 
 
 @dataclass(frozen=True)
 class OracleGradient:
-    grads: dict[str, dict[str, np.ndarray]]
+    grads: dict[str, np.ndarray]
     z_beta: float
     kl: float
     expected_cost: float
@@ -88,44 +84,43 @@ def exact_gradient_oracle(x: H2MGContext, z: SurrogateDecision, beta: float,
     and entropy gradient both vanish.  Also returns the Boltzmann partition
     value and the exact divergence over the enumerated space.
     """
-    discrete: list[tuple[str, str, list]] = []
-    fixed: dict[str, dict[str, float]] = {}
-    for cname, per_edge in z.values.items():
+    discrete: list[tuple[str, int, list]] = []
+    fixed: dict[str, np.ndarray] = {}
+    for cname, rows in z.values.items():
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
-            fixed[cname] = {eid: float(v[0]) for eid, v in per_edge.items()}
+            fixed[cname] = rows[:, 0].copy()
             continue
-        for eid in sorted(per_edge):
-            domain = [0, 1] if SCHEMA[cname].decision_kind == D_BINARY \
-                else list(range(4))
-            discrete.append((cname, eid, domain))
+        domain = [0, 1] if SCHEMA[cname].decision_kind == D_BINARY else list(range(4))
+        discrete.extend((cname, row, domain) for row in range(len(rows)))
     space = 1
     for _, _, domain in discrete:
         space *= len(domain)
         if space > max_space:
             raise ValueError(f"decision space exceeds {max_space}")
 
-    grads = _zero_grads(z)
+    grads = _zeros(z)
     z_beta = 0.0
     kl_h = 0.0
     expected_cost = 0.0
     for combo in itertools.product(*[d for _, _, d in discrete]) \
             if discrete else [()]:
-        values: dict[str, dict] = {c: dict(v) for c, v in fixed.items()}
+        values = {**fixed, **{c: np.zeros(len(z.values[c]), dtype=int)
+                              for c, _, _ in discrete}}
         logp = 0.0
-        for (cname, eid, _), val in zip(discrete, combo):
-            values.setdefault(cname, {})[eid] = val
-            logp += policy.log_prob(cname, val, z.get(cname, eid), policy_cfg)
+        for (cname, row, _), val in zip(discrete, combo):
+            values[cname][row] = val
+            logp += policy_reference.log_prob(cname, val, z.values[cname][row],
+                                              policy_cfg)
         y = Decision(values)
         p = math.exp(logp)
         f = float(oracle(x, y).total)
         z_beta += math.exp(-beta * f)
         kl_h += p * logp
         expected_cost += p * f
-        for (cname, eid, _), val in zip(discrete, combo):
-            grads[cname][eid] += beta * p * f * policy.log_prob_grad(
-                cname, val, z.get(cname, eid), policy_cfg)
-    for cname, per_edge in z.values.items():
-        for eid, z_e in per_edge.items():
-            grads[cname][eid] -= policy.entropy_grad(cname, z_e, policy_cfg)
+        for (cname, row, _), val in zip(discrete, combo):
+            grads[cname][row] += beta * p * f * policy_reference.log_prob_grad(
+                cname, val, z.values[cname][row], policy_cfg)
+    for cname, rows in z.values.items():
+        grads[cname] -= policy.entropy_grad(cname, rows, policy_cfg)
     kl = kl_h + beta * expected_cost + math.log(z_beta) if discrete else 0.0
     return OracleGradient(grads, z_beta, kl, expected_cost)

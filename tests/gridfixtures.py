@@ -17,6 +17,12 @@ def edge(eid, cname, ports, **features):
     return HyperEdge(eid, cname, ports, feats)
 
 
+def edge_by_id(x: H2MGContext, class_name: str, edge_id: str) -> HyperEdge:
+    """The one edge of ``class_name`` in ``x`` with id ``edge_id``."""
+    (e,) = [e for e in x.edges_of(class_name) if e.id == edge_id]
+    return e
+
+
 def bus(i, addr, v=1.0, vnom=1.0, vmin=0.95, vmax=1.05, opt=1.0, theta=0.0):
     return edge(f"bus_{i}", "bus", {"bus": addr},
                 v=v, theta=theta, v_nom=vnom, v_max=vmax, v_min=vmin, opt=opt)

@@ -91,14 +91,13 @@ class ReferenceEngine:
             states.append(self.step(states[-1])[0])
         return states
 
-    def decode(self, h: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-        out: dict[str, dict[str, np.ndarray]] = {}
-        for cname, ids, _, ports in self.prep.classes:
+    def decode(self, h: np.ndarray) -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        for cname, _, _, ports in self.prep.classes:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
-            z = self.dec[cname].forward(u)
-            out[cname] = {eid: z[i].copy() for i, eid in enumerate(ids)}
+            out[cname] = self.dec[cname].forward(u)
         return out
 
 
@@ -108,7 +107,7 @@ def reference_forward(params: ModelParams, x: CompiledContext) -> SurrogateDecis
 
 
 def reference_vjp(params: ModelParams, x: CompiledContext,
-                  cotangent: dict[str, dict[str, np.ndarray]]) -> ModelParams:
+                  cotangent: dict[str, np.ndarray]) -> ModelParams:
     eng = ReferenceEngine(params, x)
     cfg = params.config
     states = eng.integrate()
@@ -121,9 +120,7 @@ def reference_vjp(params: ModelParams, x: CompiledContext,
     for cname, ids, _, ports in eng.prep.classes:
         if cname not in eng.dec:
             continue
-        d_out = np.array([np.asarray(cotangent.get(cname, {}).get(
-            eid, np.zeros(SCHEMA[cname].decision_dim)), dtype=float)
-            for eid in ids])
+        d_out = cotangent.get(cname, np.zeros((len(ids), SCHEMA[cname].decision_dim)))
         u = np.concatenate([eng.xt[cname], _gather(h_final, ports)], axis=1)
         _, cache = eng.dec[cname].forward_cached(u)
         du = eng.dec[cname].backward(cache, d_out, grads)

@@ -8,13 +8,15 @@ default, 40 contexts).  Hashed, in order:
 * the ``fit_normalizer`` digest on the first half of the set, and the
   ``normalize`` arrays of every context;
 * at baseline offsets 0, -0.02 and +0.02, the ``init_baseline`` decision
-  and every field of ``evaluate_objective`` and ``count_metrics``; then
-  the same for the offset-0 decision with its first line controller
-  flipped, and with its first shunt controller flipped.
+  (per class, its values in the context's edge order) and every field of
+  ``evaluate_objective`` and ``count_metrics``; then the same for the
+  offset-0 decision with its first line controller flipped, and with its
+  first shunt controller flipped.
 
 Floats are spelled by ``float.hex`` and arrays by dtype, shape and bytes,
-so equal digests mean equal bits.  Only public names are used, so the
-script runs on any checkout that has them::
+so equal digests mean equal bits.  Only public names are used, and a
+decision is read whether it holds per-class arrays or per-class dicts
+keyed by edge id, so the script runs on any checkout that has them::
 
     PYTHONPATH=<checkout>/src python tests/oracle_digest.py [per_split]
 """
@@ -65,10 +67,22 @@ def context_set(per_split: int = 20) -> list:
 
 
 def _decisions(x):
-    """The baseline decisions, then the offset-0 one with one lever flipped."""
+    """The baseline decisions, then the offset-0 one with one lever flipped.
+
+    A decision holds either one array per class in edge order or a dict
+    per class keyed by edge id; ``replace`` takes the row or the id.
+    """
     base = [init_baseline(x, offset) for offset in OFFSETS]
-    ids = x.controller_ids()
-    return base + [base[0].replace(c, ids[c][0], 1) for c in FLIPPED]
+    y = base[0]
+    return base + [y.replace(c, x.edges_of(c)[0].id if isinstance(y.values[c], dict)
+                             else 0, 1)
+                   for c in FLIPPED]
+
+
+def _in_edge_order(x, y):
+    """Each class's decision values as a list in the context's edge order."""
+    return {c: [v[e.id] for e in x.edges_of(c)] if isinstance(v, dict) else list(v)
+            for c, v in y.values.items()}
 
 
 def digest(contexts: list) -> str:
@@ -85,7 +99,8 @@ def digest(contexts: list) -> str:
         record("normalize", normalize(x, norm))
     for x in contexts:
         for y in _decisions(x):
-            record("decision", y.values, evaluate_objective(x, y), count_metrics(x, y))
+            record("decision", _in_edge_order(x, y), evaluate_objective(x, y),
+                   count_metrics(x, y))
     return h.hexdigest()
 
 

@@ -18,7 +18,7 @@ from gridtvc.h2mg import (
     validate_context,
 )
 
-from gridfixtures import edge, meshed_grid, two_bus
+from gridfixtures import edge, edge_by_id, meshed_grid, two_bus
 
 
 def test_schema_has_17_classes_with_expected_ports():
@@ -144,8 +144,8 @@ def test_edges_kept_in_id_order_whatever_the_insertion_order():
     assert sol.converged
     assert _hexed(solve_ac(y)) == _hexed(sol)
     decision = Decision.paired(x, {
-        "line_controller": {"lc_0": 1, "lc_1": 0}, "shunt_controller": {"sc_0": 1},
-        "svr_controller": {"vc_0": 0.01}, "rtc_controller": {"rc_0": 1}})
+        "line_controller": [1, 0], "shunt_controller": [1],
+        "svr_controller": [0.01], "rtc_controller": [1]})
     assert _hexed(evaluate_objective(y, decision)) == _hexed(evaluate_objective(x, decision))
 
 
@@ -159,7 +159,7 @@ def _val0_before_and_after_a_decision():
     x = generate_context(GridFamilySpec(), stream(0, "val", 0))
     y = init_baseline(x, -0.02)
     for c in ("line_controller", "shunt_controller"):
-        y = y.replace(c, x.controller_ids()[c][0], 1)
+        y = y.replace(c, 0, 1)
     return x, apply_decision(x, y)
 
 
@@ -204,7 +204,7 @@ def test_device_matches_a_brute_force_filter():
 def test_device_raises_unless_exactly_one_edge_matches():
     from gridfixtures import line
     x = meshed_grid()
-    lc_0 = x.edge("line_controller", "lc_0")
+    lc_0 = edge_by_id(x, "line_controller", "lc_0")
     lines = x.edges_of("line")
     gone = H2MGContext(x.address_count, {
         **x.edges, "line": tuple(e for e in lines if e.ports["line"] != 24)})
@@ -216,7 +216,7 @@ def test_device_raises_unless_exactly_one_edge_matches():
     with pytest.raises(H2MGError, match=r"'lc_0' .* exactly one line \(found 2\)"):
         twice.device(lc_0)
     with pytest.raises(H2MGError, match="not a controller"):
-        x.device(x.edge("line", "line_11"))
+        x.device(edge_by_id(x, "line", "line_11"))
 
 
 def test_validate_refuses_a_device_with_two_controllers():
@@ -240,6 +240,21 @@ def test_validate_refuses_a_zone_whose_units_do_not_participate():
     idle = one_idle.replace_features({("svr_unit", "unit_1"): {"participate": 0.0}})
     assert [str(v) for v in validate_context(idle)] == [
         "[svr_controller:vc_0] zone has no participating svr_unit"]
+
+
+def test_validate_refuses_a_zone_whose_units_have_no_reactive_range():
+    x = meshed_grid()
+    flat = {"q_max": 0.0, "q_min": 0.0}
+    one_flat = x.replace_features({("generator", "gen_2"): flat})
+    assert validate_context(one_flat) == []
+    inert = one_flat.replace_features({("generator", "gen_3"): flat})
+    assert [str(v) for v in validate_context(inert)] == [
+        "[svr_controller:vc_0] zone's participating units have no reactive range"]
+    # an idle unit's range does not count; an unbounded one does
+    idle = inert.replace_features({("svr_unit", "unit_0"): {"participate": 0.0}})
+    assert len(validate_context(idle)) == 1
+    unbounded = inert.replace_features({("generator", "gen_2"): {"q_max": None}})
+    assert validate_context(unbounded) == []
 
 
 def test_neighborhood_out_of_range():
@@ -284,30 +299,46 @@ def test_deserialize_unknown_feature():
 def test_decision_pairing_enforced():
     x = two_bus()  # no controllers at all
     with pytest.raises(H2MGError):
-        Decision.paired(x, {"shunt_controller": {"sc_0": 1}})
+        Decision.paired(x, {"shunt_controller": [1]})
     assert Decision.paired(x, {}).values == {}
+    assert Decision.paired(x, {"shunt_controller": []}).values == {}
 
 
 def test_decision_domain_checks():
     from gridfixtures import binary_controller_grid
     x = binary_controller_grid(2)
-    ids = x.controller_ids()["shunt_controller"]
     with pytest.raises(H2MGError):
-        Decision.paired(x, {"shunt_controller": {i: 2 for i in ids}})
-    ok = Decision.paired(x, {"shunt_controller": {i: 1 for i in ids}})
-    assert all(ok.get("shunt_controller", i) == 1 for i in ids)
+        Decision.paired(x, {"shunt_controller": [2, 2]})
+    with pytest.raises(H2MGError, match="do not match the context"):
+        Decision.paired(x, {"shunt_controller": [1, 1, 1]})
+    with pytest.raises(H2MGError):
+        Decision.paired(x, {"shunt_controller": [[1], [1]]})
+    ok = Decision.paired(x, {"shunt_controller": [1, 1.0]})
+    assert ok.values["shunt_controller"].dtype.kind == "i"
+    assert ok.values["shunt_controller"].tolist() == [1, 1]
+
+
+def test_decision_replace_copies_only_the_changed_class():
+    x = meshed_grid()
+    y = Decision.paired(x, {"line_controller": [0, 0], "shunt_controller": [0],
+                            "svr_controller": [0.01], "rtc_controller": [3]})
+    flipped = y.replace("line_controller", 1, 1)
+    assert flipped.values["line_controller"].tolist() == [0, 1]
+    assert y.values["line_controller"].tolist() == [0, 0]
+    for c in ("shunt_controller", "svr_controller", "rtc_controller"):
+        assert flipped.values[c] is y.values[c]
 
 
 def test_surrogate_shape_checks():
     from gridfixtures import binary_controller_grid
     x = binary_controller_grid(2)
-    ids = x.controller_ids()["shunt_controller"]
     with pytest.raises(H2MGError):
-        SurrogateDecision.paired(
-            x, {"shunt_controller": {i: np.zeros(4) for i in ids}})
-    z = SurrogateDecision.paired(
-        x, {"shunt_controller": {i: np.zeros(1) for i in ids}})
-    assert z.get("shunt_controller", ids[0]).shape == (1,)
+        SurrogateDecision.paired(x, {"shunt_controller": np.zeros((2, 4))})
     with pytest.raises(H2MGError):
-        SurrogateDecision.paired(
-            x, {"shunt_controller": {i: np.array([np.inf]) for i in ids}})
+        SurrogateDecision.paired(x, {"shunt_controller": np.zeros(2)})
+    with pytest.raises(H2MGError):
+        SurrogateDecision.paired(x, {"shunt_controller": np.zeros((3, 1))})
+    z = SurrogateDecision.paired(x, {"shunt_controller": np.zeros((2, 1))})
+    assert z.values["shunt_controller"].shape == (2, 1)
+    with pytest.raises(H2MGError):
+        SurrogateDecision.paired(x, {"shunt_controller": np.full((2, 1), np.inf)})

@@ -60,13 +60,11 @@ def jitter_biases(params, seed=99, scale=0.05):
 
 def random_cotangent(z, seed=0):
     rng = np.random.default_rng(seed)
-    return {c: {e: rng.standard_normal(v.shape) for e, v in per.items()}
-            for c, per in z.values.items()}
+    return {c: rng.standard_normal(v.shape) for c, v in z.values.items()}
 
 
 def inner(cot, z):
-    return sum(float(np.dot(cot[c][e], v)) for c, per in z.values.items()
-               for e, v in per.items())
+    return sum(float((cot[c] * v).sum()) for c, v in z.values.items())
 
 
 # -- initialization -----------------------------------------------------------
@@ -133,7 +131,8 @@ def test_zero_params_give_zero_outputs():
     params = init_params(TINY, zero=True)
     z = forward(params, x)
     assert set(z.values) == {"shunt_controller"}
-    assert np.all(z.get("shunt_controller", "sc_0") == 0.0)
+    assert z.values["shunt_controller"].shape == (1, 1)
+    assert np.all(z.values["shunt_controller"] == 0.0)
 
 
 def test_constant_drive_integrates_exactly():
@@ -192,9 +191,9 @@ def test_permutation_equivariance():
     x_perm = H2MGContext(x.address_count, shuffled, dict(x.metadata))
     z_perm = forward(params, normalize(x_perm, norm))
 
-    for cname, per in z_ref.values.items():
-        for eid, v in per.items():
-            assert np.max(np.abs(z_perm.get(cname, eid) - v)) <= 1e-9
+    assert z_perm.values.keys() == z_ref.values.keys()
+    for cname, v in z_ref.values.items():
+        assert np.max(np.abs(z_perm.values[cname] - v)) <= 1e-9
 
 
 # -- vjp ----------------------------------------------------------------------
@@ -203,8 +202,7 @@ def test_vjp_zero_cotangent_gives_zero_gradient():
     x = norm_context(five_address_context())
     params = init_params(TINY, np.random.default_rng(5))
     z = forward(params, x)
-    cot = {c: {e: np.zeros_like(v) for e, v in per.items()}
-           for c, per in z.values.items()}
+    cot = {c: np.zeros_like(v) for c, v in z.values.items()}
     g = vjp(params, x, cot)
     assert all(np.all(v == 0.0) for v in g.values.values())
 
@@ -215,7 +213,7 @@ def test_vjp_linear_in_cotangent():
     z = forward(params, x)
     c1 = random_cotangent(z, 1)
     c2 = random_cotangent(z, 2)
-    c12 = {c: {e: c1[c][e] + c2[c][e] for e in per} for c, per in z.values.items()}
+    c12 = {c: c1[c] + c2[c] for c in z.values}
     g1 = vjp(params, x, c1)
     g2 = vjp(params, x, c2)
     g12 = vjp(params, x, c12)
@@ -359,10 +357,9 @@ def assert_decisions_close(zs, zs_ref):
     assert len(zs) == len(zs_ref)
     for z, z_ref in zip(zs, zs_ref):
         assert z.values.keys() == z_ref.values.keys()
-        for cname, per in z_ref.values.items():
-            assert z.values[cname].keys() == per.keys()
-            for eid, v in per.items():
-                assert rel_err(z.values[cname][eid], v) <= BATCH_TOL
+        for cname, v in z_ref.values.items():
+            assert z.values[cname].shape == v.shape
+            assert rel_err(z.values[cname], v) <= BATCH_TOL
 
 
 def assert_grads_close(g, g_ref):
@@ -428,13 +425,12 @@ def test_batch_order_changes_nothing():
 
 
 def flat_outputs(z):
-    return np.concatenate([z.values[c][e] for c in sorted(z.values)
-                           for e in sorted(z.values[c])])
+    return np.concatenate([z.values[c].reshape(-1) for c in sorted(z.values)])
 
 
 def discrete_modes(z):
     y = most_probable(z)
-    return {c: per for c, per in y.values.items()
+    return {c: v.tolist() for c, v in y.values.items()
             if SCHEMA[c].decision_kind != D_CONTINUOUS}
 
 

@@ -24,9 +24,8 @@ def assert_matches_reference(params, x, seed=0):
     z = forward(params, x)
     z_ref = reference_forward(params, x)
     assert z.values.keys() == z_ref.values.keys()
-    out = np.concatenate([z.values[c][e] for c in z_ref.values for e in z_ref.values[c]])
-    out_ref = np.concatenate([z_ref.values[c][e] for c in z_ref.values
-                              for e in z_ref.values[c]])
+    out = np.concatenate([z.values[c].reshape(-1) for c in z_ref.values])
+    out_ref = np.concatenate([z_ref.values[c].reshape(-1) for c in z_ref.values])
     assert rel_diff(out, out_ref) <= TOL
 
     cot = random_cotangent(z_ref, seed)

@@ -3,7 +3,7 @@ import pytest
 
 from gridtvc.baseline import init_baseline
 from gridtvc.gridgen import GridFamilySpec, generate_context
-from gridtvc.h2mg import Decision, H2MGContext, H2MGError
+from gridtvc.h2mg import CONTROLLER_CLASSES, Decision, H2MGContext, H2MGError
 from gridtvc.powerflow import (
     RTC_SETPOINT_LADDER,
     SolverOptions,
@@ -18,6 +18,7 @@ from gridfixtures import (
     binary_controller_grid,
     bus,
     edge,
+    edge_by_id,
     gen,
     line,
     load,
@@ -32,9 +33,7 @@ from gridfixtures import (
 
 
 def empty_decision(x):
-    return Decision.paired(x, {c: {e: (0.0 if c == "svr_controller" else 0)
-                                   for e in ids}
-                               for c, ids in x.controller_ids().items()})
+    return Decision.paired(x, {c: [0] * len(x.edges_of(c)) for c in CONTROLLER_CLASSES})
 
 
 # -- solve_ac -----------------------------------------------------------------
@@ -155,41 +154,43 @@ def test_identity_decision_is_electrically_identical():
 
 def test_shunt_switch_disconnects_connected_shunt():
     x = shunt_overvoltage_grid()
-    y = empty_decision(x).replace("shunt_controller", "sc_0", 1)
+    y = empty_decision(x).replace("shunt_controller", 0, 1)
     applied = apply_decision(x, y)
-    assert applied.edge("shunt", "shunt_0").features["status"] == 0.0
+    assert edge_by_id(applied, "shunt", "shunt_0").features["status"] == 0.0
     # switching twice restores
     again = apply_decision(applied, y)
-    assert again.edge("shunt", "shunt_0").features["status"] == 1.0
+    assert edge_by_id(again, "shunt", "shunt_0").features["status"] == 1.0
 
 
 def test_line_disconnect_request():
     x = binary_controller_grid()
     lc = edge("lc_0", "line_controller", {"line": 2})
     x = H2MGContext(x.address_count, {**dict(x.edges), "line_controller": (lc,)})
-    y = empty_decision(x).replace("line_controller", "lc_0", 1)
+    y = empty_decision(x).replace("line_controller", 0, 1)
     applied = apply_decision(x, y)
-    assert applied.edge("line", "line_0").features["status"] == 0.0
+    assert edge_by_id(applied, "line", "line_0").features["status"] == 0.0
     y0 = empty_decision(x)
-    assert apply_decision(x, y0).edge("line", "line_0").features["status"] == 1.0
+    applied = apply_decision(x, y0)
+    assert edge_by_id(applied, "line", "line_0").features["status"] == 1.0
 
 
 def test_rtc_category_sets_ladder_target():
     x = _rtc_fixture()
-    y = empty_decision(x).replace("rtc_controller", "rc_0", 1)
+    y = empty_decision(x).replace("rtc_controller", 0, 1)
     applied = apply_decision(x, y)
-    assert applied.edge("rtc_controller", "rc_0").features["v_target"] == 1.02
+    assert edge_by_id(applied, "rtc_controller", "rc_0").features["v_target"] == 1.02
     for cat, frac in enumerate(RTC_SETPOINT_LADDER):
-        yk = empty_decision(x).replace("rtc_controller", "rc_0", cat)
-        assert apply_decision(x, yk).edge(
-            "rtc_controller", "rc_0").features["v_target"] == pytest.approx(frac)
+        yk = empty_decision(x).replace("rtc_controller", 0, cat)
+        applied = apply_decision(x, yk)
+        assert edge_by_id(applied, "rtc_controller", "rc_0").features["v_target"] == \
+            pytest.approx(frac)
 
 
 def test_svr_delta_shifts_zone_target():
     x = _svr_fixture()
-    y = empty_decision(x).replace("svr_controller", "vc_0", 0.013)
+    y = empty_decision(x).replace("svr_controller", 0, 0.013)
     applied = apply_decision(x, y)
-    assert applied.edge("svr_zone", "zone_0").features["v_target"] == \
+    assert edge_by_id(applied, "svr_zone", "zone_0").features["v_target"] == \
         pytest.approx(1.0 + 0.013)
 
 
@@ -251,7 +252,7 @@ def test_monotone_voltage_penalty():
 def test_switching_shunt_removes_overvoltage_and_reduces_objective():
     x = shunt_overvoltage_grid()
     y0 = empty_decision(x)
-    y1 = y0.replace("shunt_controller", "sc_0", 1)
+    y1 = y0.replace("shunt_controller", 0, 1)
     m0 = count_metrics(x, y0)
     m1 = count_metrics(x, y1)
     assert m0.valid and m1.valid
@@ -332,7 +333,7 @@ def _svr_fixture() -> H2MGContext:
 def test_rtc_regulation_steps_toward_target():
     x = _rtc_fixture()
     # target 105% of nominal: taps must move to raise the regulated bus
-    y = Decision.paired(x, {"rtc_controller": {"rc_0": 2}})
+    y = Decision.paired(x, {"rtc_controller": [2]})
     applied = apply_decision(x, y)
     sol = solve_ac(applied)
     assert sol.converged
@@ -342,7 +343,7 @@ def test_rtc_regulation_steps_toward_target():
 
 def test_svr_holds_regulated_bus_at_target():
     x = _svr_fixture()
-    y = Decision.paired(x, {"svr_controller": {"vc_0": 0.02}})
+    y = Decision.paired(x, {"svr_controller": [0.02]})
     applied = apply_decision(x, y)
     sol = solve_ac(applied)
     assert sol.converged
@@ -353,7 +354,7 @@ def test_svr_holds_regulated_bus_at_target():
 
 def test_svr_saturates_and_bus_floats():
     x = _svr_fixture()
-    y = Decision.paired(x, {"svr_controller": {"vc_0": 0.12}})  # unreachable
+    y = Decision.paired(x, {"svr_controller": [0.12]})  # unreachable
     applied = apply_decision(x, y)
     sol = solve_ac(applied)
     assert sol.converged

@@ -101,7 +101,8 @@ def test_train_logs_finite_fields_and_writes_loadable_checkpoints(run):
     assert [r["iteration"] for r in steps] == [0, 1, 2]
     for r in steps:
         values = [r["mean_f_ref"], r["convergence_rate"], r["param_grad_norm"],
-                  *r["grad_norm"].values()]
+                  *r["grad_norm"].values(), *r["score_norm"].values(),
+                  *r["entropy_norm"].values()]
         assert all(math.isfinite(v) for v in values)
     assert len(evals) == 1 and math.isfinite(evals[0]["val_mean_objective"])
     params, meta = load_checkpoint(summary["final_checkpoint"])
@@ -162,14 +163,10 @@ def test_lever_usage_counts_each_lever():
     x = meshed_grid()
     x2 = x.replace_features({("svr_zone", "zone_0"): {"v_target": 1.03}})
     decisions = [
-        Decision.paired(x, {"line_controller": {"lc_0": 1, "lc_1": 0},
-                            "shunt_controller": {"sc_0": 1},
-                            "svr_controller": {"vc_0": 0.02},
-                            "rtc_controller": {"rc_0": 2}}),
-        Decision.paired(x2, {"line_controller": {"lc_0": 1, "lc_1": 1},
-                             "shunt_controller": {"sc_0": 0},
-                             "svr_controller": {"vc_0": -0.02},
-                             "rtc_controller": {"rc_0": 0}})]
+        Decision.paired(x, {"line_controller": [1, 0], "shunt_controller": [1],
+                            "svr_controller": [0.02], "rtc_controller": [2]}),
+        Decision.paired(x2, {"line_controller": [1, 1], "shunt_controller": [0],
+                             "svr_controller": [-0.02], "rtc_controller": [0]})]
     usage = trainer._lever_usage(decisions, [x, x2])
     assert usage["pct_lines_opened"] == 75.0
     assert usage["pct_shunts_switched"] == 50.0
@@ -280,6 +277,20 @@ def test_train_log_sums_the_sample_statuses_of_the_minibatch(run):
         assert 0.0 <= r["prohibitive_share"] <= 1.0
 
 
+def test_train_log_splits_each_class_norm_into_score_and_entropy_terms(run):
+    cfg, _, root = run
+    records = log_records(train(replace(
+        cfg, iterations=2, eval_every=0, out_dir=str(root / "beta0"),
+        estimator=EstimatorConfig(beta=0.0)))["log"])
+    assert sum(r["mode_status"]["converged"] for r in records) > 0
+    for r in records:
+        assert r["score_norm"].keys() == r["entropy_norm"].keys() == r["grad_norm"].keys()
+        # with beta 0 the gradient is its entropy term
+        assert all(v == 0.0 for v in r["score_norm"].values())
+        assert r["entropy_norm"] == r["grad_norm"]
+    assert any(v > 0.0 for r in records for v in r["entropy_norm"].values())
+
+
 def test_train_log_counts_every_oracle_call(run, monkeypatch):
     cfg, _, root = run
     calls = []
@@ -348,13 +359,11 @@ def test_decide_matches_per_context_forwards(run, monkeypatch):
         assert len(decisions) == len(singles)
         for y, y_ref in zip(decisions, singles):
             assert y.values.keys() == y_ref.values.keys()
-            for cname, per in y_ref.values.items():
-                assert y.values[cname].keys() == per.keys()
-                for eid, v in per.items():
-                    if cname == "svr_controller":
-                        assert y.values[cname][eid] == pytest.approx(v, rel=1e-12, abs=0.0)
-                    else:
-                        assert y.values[cname][eid] == v
+            for cname, v in y_ref.values.items():
+                if cname == "svr_controller":
+                    assert y.values[cname] == pytest.approx(v, rel=1e-12, abs=0.0)
+                else:
+                    assert y.values[cname].tolist() == v.tolist()
         res = [evaluate_objective(x, y, cfg.solver) for x, y in zip(xs, decisions)]
         assert float(np.mean([r.total for r in res])) == pytest.approx(
             float(np.mean([r.total for r in ref])), rel=1e-12, abs=0.0)
