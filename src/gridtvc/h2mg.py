@@ -261,7 +261,9 @@ def validate_context(x: H2MGContext) -> list[Violation]:
     controller acts on; a controlled rtc must sit on exactly one twt, and a
     controlled svr zone needs a unit with ``participate`` > 0.5 and a
     positive summed reactive range over those units (otherwise the
-    dispatch drops the zone and its controller moves nothing).
+    dispatch drops the zone and its controller moves nothing).  Every
+    participating unit of any svr zone must drive exactly one generator,
+    since the oracle dispatches each one.
     """
     report: list[Violation] = []
 
@@ -319,6 +321,11 @@ def validate_context(x: H2MGContext) -> list[Violation]:
                 bad(cname, e.id, f"{device} at address {addr} already has "
                                  f"controller {owner[addr]!r}")
             owner.setdefault(addr, e.id)
+    for z in x.edges_of("svr_zone"):
+        for u in x.anchored("svr_unit", "zone", z.ports["zone"]):
+            if u.feature("participate", 0.0) > 0.5 \
+                    and len(x.anchored("generator", "gen", u.ports["gen"])) != 1:
+                bad("svr_unit", u.id, "gen port does not match exactly one generator")
     for e in x.edges_of("svr_controller"):
         units = [u for u in x.anchored("svr_unit", "zone", e.ports["zone"])
                  if u.feature("participate", 0.0) > 0.5]

@@ -38,6 +38,7 @@ be given, and it would return the same bits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -486,13 +487,16 @@ def _jacobian(ybus, v, ibus, index):
     n = len(v)
     vnorm = v / np.abs(v)
     ds = np.empty((2, n, n), dtype=complex)
-    ds[0] = -1j * v[:, None] * np.conj(ybus * v)      # dS/dVa off the diagonal
-    ds[1] = v[:, None] * np.conj(ybus * vnorm)        # dS/dVm off the diagonal
-    diag = np.arange(n)
+    # dS/dVa = -1j v conj(Y v) and dS/dVm = v conj(Y vnorm) off the diagonal
+    for k, (left, right) in enumerate(((-1j * v, v), (v, vnorm))):
+        np.multiply(ybus, right, out=ds[k])
+        np.conjugate(ds[k], out=ds[k])
+        np.multiply(left[:, None], ds[k], out=ds[k])
+    diag = ds.reshape(2, n * n)[:, ::n + 1]
     conj_i = np.conj(ibus)
-    ds[0, diag, diag] += 1j * v * conj_i
-    ds[1, diag, diag] += vnorm * conj_i
-    return ds.view(float).ravel()[index]
+    diag[0] += 1j * v * conj_i
+    diag[1] += vnorm * conj_i
+    return ds.view(float).ravel().take(index)
 
 
 def _newton(m: _GridModel, st: _State, opts: SolverOptions):
@@ -514,19 +518,20 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
     q_spec = _q_spec(m, st)
     q_spec[st.pinned != 0] += st.pinned_q[st.pinned != 0]
 
+    p_pvpq, q_pq = m.p_spec[pvpq], q_spec[pq]
     npvpq = len(pvpq)
     for it in range(opts.max_inner + 1):
         v = st.vm * np.exp(1j * st.va)
         ibus = ybus @ v
         s = v * np.conj(ibus)
-        dp = m.p_spec[pvpq] - s.real[pvpq]
-        dq = q_spec[pq] - s.imag[pq]
+        dp = p_pvpq - s.real[pvpq]
+        dq = q_pq - s.imag[pq]
         mis = np.concatenate([dp, dq])
         if mis.size == 0:
             st.jac = None
             return None, it
-        norm = np.abs(mis).max()
-        if not np.isfinite(norm):
+        norm = float(np.abs(mis).max())
+        if not math.isfinite(norm):
             return "newton_failed", it
         converged = norm <= opts.tolerance
         if not converged and it == opts.max_inner:
@@ -541,7 +546,7 @@ def _newton(m: _GridModel, st: _State, opts: SolverOptions):
             return "singular_jacobian", it
         st.va[pvpq] += dx[:npvpq]
         st.vm[pq] += dx[npvpq:]
-        if (st.vm <= 0).any() or not np.isfinite(st.vm).all():
+        if not (st.vm.min() > 0 and math.isfinite(st.vm.sum())):
             return "newton_failed", it
     return "newton_failed", opts.max_inner
 

@@ -107,6 +107,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's first and second moments per parameter, and the step count.
+
+    :func:`adam_step` updates ``m``, ``v`` and ``t`` in place.
+    """
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
@@ -119,22 +124,46 @@ class AdamState:
 
 def adam_step(params: ModelParams, grad: ModelParams, state: AdamState,
               cfg: TrainConfig) -> tuple[ModelParams, AdamState, bool]:
-    """Bias-corrected moment update; a non-finite gradient rejects the step."""
+    """Bias-corrected moment update (Kingma & Ba, 2015), in place.
+
+    Every gradient tensor is checked first: a non-finite one rejects the
+    step, which then mutates nothing and returns ``False``.  Otherwise each
+    tensor of ``params``, ``state.m`` and ``state.v`` is updated in place,
+    ``state.t`` is bumped, and the same ``params`` and ``state`` objects are
+    returned.  The step allocates two scratch arrays of one tensor at a
+    time, never a parameter set.
+    """
     for k in sorted(grad.values):
         if not np.all(np.isfinite(grad.values[k])):
             return params, state, False
-    t = state.t + 1
-    new_m, new_v, new_p = {}, {}, {}
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
-    for k in params.values:
-        g = grad.values[k]
-        m = cfg.beta1 * state.m[k] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[k] + (1.0 - cfg.beta2) * g * g
-        new_m[k], new_v[k] = m, v
-        new_p[k] = params.values[k] - cfg.learning_rate * (m / c1) / (
-            np.sqrt(v / c2) + cfg.eps)
-    return (ModelParams(params.config, new_p), AdamState(new_m, new_v, t), True)
+    state.t += 1
+    c1 = 1.0 - cfg.beta1 ** state.t
+    c2 = 1.0 - cfg.beta2 ** state.t
+    for k, p in params.values.items():
+        _adam_update(p, grad.values[k], state.m[k], state.v[k], c1, c2, cfg)
+    return params, state, True
+
+
+def _adam_update(p, g, m, v, c1, c2, cfg):
+    """One tensor's Adam update in place; its scratch dies on return.
+
+    ``m = b1 m + (1-b1) g``, ``v = b2 v + (1-b2) g g`` and
+    ``p -= lr (m/c1) / (sqrt(v/c2) + eps)``, rounded step by step as those
+    expressions are evaluated left to right.
+    """
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    gg = (1.0 - cfg.beta2) * g
+    gg *= g
+    v *= cfg.beta2
+    v += gg
+    step = m / c1
+    step *= cfg.learning_rate
+    np.divide(v, c2, out=gg)
+    np.sqrt(gg, out=gg)
+    gg += cfg.eps
+    step /= gg
+    p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +241,18 @@ def train(cfg: TrainConfig) -> dict:
                     t_adam = time.perf_counter()
                 else:
                     grad, t_adam = params.zeros_like(), t_vjp
-                del run  # free the union's engine and latents before Adam allocates
+                # free the union's engine and latents now, not when the next
+                # forward rebinds them (Adam allocates no parameter set)
+                del run
                 for g in grad.values.values():
                     g /= cfg.minibatch
                 params, adam, ok = adam_step(params, grad, adam, cfg)
                 t_end = time.perf_counter()
                 if not ok:
                     summary["rejected_steps"] += 1
+                param_grad_norm = math.sqrt(sum(
+                    float((g * g).sum()) for g in grad.values.values()))
+                del grad  # so the next vjp does not run beside this gradient
 
                 statuses = [est.status for est in ests]
                 sampled = [sum(est.sample_status.values()) for est in ests]
@@ -243,8 +277,7 @@ def train(cfg: TrainConfig) -> dict:
                                                for est in ests]))
                              for c in CONTROLLER_CLASSES}
                        for key in ("grad_norm", "score_norm", "entropy_norm")},
-                    "param_grad_norm": float(math.sqrt(sum(
-                        float((g * g).sum()) for g in grad.values.values()))),
+                    "param_grad_norm": param_grad_norm,
                     "step_rejected": not ok,
                 }
                 log.write(json.dumps(record, sort_keys=True) + "\n")

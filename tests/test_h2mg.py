@@ -18,7 +18,7 @@ from gridtvc.h2mg import (
     validate_context,
 )
 
-from gridfixtures import edge, edge_by_id, meshed_grid, two_bus
+from gridfixtures import edge, edge_by_id, gen, meshed_grid, two_bus
 
 
 def test_schema_has_17_classes_with_expected_ports():
@@ -255,6 +255,25 @@ def test_validate_refuses_a_zone_whose_units_have_no_reactive_range():
     assert len(validate_context(idle)) == 1
     unbounded = inert.replace_features({("generator", "gen_2"): {"q_max": None}})
     assert validate_context(unbounded) == []
+
+
+def test_validate_refuses_an_svr_unit_without_exactly_one_generator():
+    x = meshed_grid()
+    _, unit_1 = x.edges_of("svr_unit")
+    moved = H2MGContext(x.address_count, {**x.edges, "svr_unit": (
+        edge("unit_0", "svr_unit", {"gen": 24, "zone": 29}, participate=1.0), unit_1)})
+    refused = ["[svr_unit:unit_0] gen port does not match exactly one generator"]
+    assert [str(v) for v in validate_context(moved)] == refused
+    # in any zone: the dispatch acts on an uncontrolled zone's units too
+    uncontrolled = H2MGContext(x.address_count, {**moved.edges, "svr_controller": ()})
+    assert [str(v) for v in validate_context(uncontrolled)] == refused
+    # an idle unit is not dispatched, so its port is not checked
+    idle = moved.replace_features({("svr_unit", "unit_0"): {"participate": 0.0}})
+    assert validate_context(idle) == []
+    # two generators on the unit's address
+    doubled = H2MGContext(x.address_count, {**x.edges, "generator": (
+        *x.edges_of("generator"), gen(4, 27, 3, p=0.05, mode=0.0, q=0.0))})
+    assert [str(v) for v in validate_context(doubled)] == refused
 
 
 def test_neighborhood_out_of_range():

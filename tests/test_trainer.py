@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,9 @@ from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
 from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
 
+import trainer_reference
 from gridfixtures import meshed_grid
+from test_model import TINY
 
 SMALL = ModelConfig(latent_dim=8, encoder_out=8, encoder_hidden=(8,),
                     message_hidden=(8,), decoder_hidden=(8,), dt=0.1)
@@ -75,6 +78,80 @@ def test_config_rejects_differing_prohibitive_costs():
 def test_config_from_json_rejects_unknown_field():
     with pytest.raises(ValueError):
         config_from_json(TrainConfig, {"model": {"latent": 3}})
+
+
+def _adam_inputs(seed):
+    params = init_params(TINY, np.random.default_rng(seed))
+    return params, trainer.AdamState.zeros(params), np.random.default_rng(seed + 1)
+
+
+def _random_grad(params, rng):
+    return model.ModelParams(params.config, {
+        k: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 2)
+        for k, a in params.values.items()})
+
+
+def _copy(params, state):
+    return (model.ModelParams(params.config, {k: a.copy() for k, a in params.values.items()}),
+            trainer.AdamState({k: a.copy() for k, a in state.m.items()},
+                              {k: a.copy() for k, a in state.v.items()}, state.t))
+
+
+def _same_bits(a, b):
+    return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_in_place_adam_matches_the_functional_reference_bit_for_bit():
+    cfg = TrainConfig(learning_rate=1e-2, beta1=0.8, beta2=0.99, eps=1e-7)
+    params, state, rng = _adam_inputs(40)
+    ref_params, ref_state = _copy(params, state)
+    for _ in range(5):
+        grad = _random_grad(params, rng)
+        p_out, s_out, ok = trainer.adam_step(params, grad, state, cfg)
+        ref_params, ref_state, ref_ok = trainer_reference.adam_step(
+            ref_params, grad, ref_state, cfg)
+        assert ok and ref_ok
+        assert p_out is params and s_out is state
+        assert _same_bits(params.values, ref_params.values)
+        assert _same_bits(state.m, ref_state.m)
+        assert _same_bits(state.v, ref_state.v)
+        assert state.t == ref_state.t
+    assert state.t == 5
+
+
+def test_a_rejected_adam_step_mutates_nothing():
+    cfg = TrainConfig(learning_rate=1e-2)
+    params, state, rng = _adam_inputs(41)
+    params, state, _ = trainer.adam_step(params, _random_grad(params, rng), state, cfg)
+    kept_params, kept_state = _copy(params, state)
+    grad = _random_grad(params, rng)
+    grad.values[sorted(grad.values)[-1]].flat[-1] = np.nan
+    p_out, s_out, ok = trainer.adam_step(params, grad, state, cfg)
+    assert not ok and p_out is params and s_out is state
+    assert _same_bits(params.values, kept_params.values)
+    assert _same_bits(state.m, kept_state.m)
+    assert _same_bits(state.v, kept_state.v)
+    assert state.t == kept_state.t == 1
+
+
+def test_adam_step_allocates_no_parameter_set():
+    # two scratch arrays of one tensor at a time, plus a few KB of Python
+    # bookkeeping (the sorted key list, array headers); the functional step
+    # allocated new params, m and v dicts (~3.5x the parameter set here)
+    params, state, rng = _adam_inputs(42)
+    grad = _random_grad(params, rng)
+    trainer.adam_step(params, grad, state, TrainConfig())
+    largest = max(a.nbytes for a in params.values.values())
+    total = sum(a.nbytes for a in params.values.values())
+    assert total > 20 * largest
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trainer.adam_step(params, grad, state, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * largest + 4096
 
 
 @pytest.fixture(scope="module")
