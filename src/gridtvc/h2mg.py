@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -72,13 +72,6 @@ def _schema_table() -> dict[str, ClassSchema]:
     entries = [
         s("bus", ["bus"], ["v", "theta", "v_nom", "v_max", "v_min", "opt"]),
         s("load", ["bus"], ["p", "q", "i", "p_target", "q_target"]),
-        s("battery", ["bus"],
-          ["p", "q", "i", "p_target", "q_target", "v_target",
-           "p_max", "p_min", "q_max", "q_min", "regulation_mode"]),
-        s("svc", ["bus"], ["p", "q", "i", "v_target", "q_target", "regulation_mode"]),
-        s("vsc_station", ["station", "bus"],
-          ["p", "q", "i", "v_target", "q_target", "q_min", "q_max", "regulation_mode"]),
-        s("hvdc_line", ["station1", "station2"], ["p_target", "p_max", "r", "droop"]),
         s("line", ["line", "bus1", "bus2"],
           ["p1", "q1", "i1", "p2", "q2", "i2", "r", "x", "g", "b",
            "i1_max", "i2_max", "opt", "status"]),
@@ -101,7 +94,8 @@ def _schema_table() -> dict[str, ClassSchema]:
     return {e.class_name: e for e in entries}
 
 
-#: The 17 registered hyper-edge classes, keyed by class name.
+#: The 13 registered hyper-edge classes, keyed by class name: the devices
+#: the oracle models and the controllers that act on them.
 SCHEMA: dict[str, ClassSchema] = _schema_table()
 
 #: Controller classes, in canonical order.
@@ -109,24 +103,14 @@ CONTROLLER_CLASSES: tuple[str, ...] = tuple(
     name for name in sorted(SCHEMA) if SCHEMA[name].is_controller
 )
 
-#: Classes representable in the data model but inert in the solver.
-INERT_CLASSES = ("battery", "svc", "vsc_station", "hvdc_line")
-
 #: Ports that must resolve to an address occupied by a bus hyper-edge.
 BUS_PORTS = frozenset({"bus", "bus1", "bus2", "regulated_bus"})
 
 
 def schema_hash() -> str:
-    """Stable digest of the registered class table (pinned into checkpoints);
-    ``device`` is left out, so checkpoints saved before it still load."""
-    doc = {
-        name: {
-            "ports": list(cs.port_names),
-            "features": list(cs.context_feature_names),
-            "decision": [cs.decision_kind, cs.decision_feature],
-        }
-        for name, cs in sorted(SCHEMA.items())
-    }
+    """Stable digest of every field of the registered class table (pinned
+    into checkpoints)."""
+    doc = {name: asdict(cs) for name, cs in sorted(SCHEMA.items())}
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -246,11 +230,13 @@ class Violation:
         return f"[{self.class_name}:{self.edge_id}] {self.rule}"
 
 
-def _reactive_range(gen: HyperEdge) -> float:
-    """A generator's reactive range as the SVR dispatch weighs its share:
-    never negative, and 1 where it is not finite."""
-    span = max(gen.feature("q_max", np.inf) - gen.feature("q_min", -np.inf), 0.0)
-    return span if np.isfinite(span) else 1.0
+def reactive_ranges(q_min: Sequence[float], q_max: Sequence[float]) -> np.ndarray:
+    """Generators' reactive ranges as the SVR dispatch weighs their shares:
+    never negative, and 1 where not finite.  A zone is live, and its
+    controller moves something, only if its participating units' ranges
+    sum to more than zero."""
+    span = np.maximum(np.subtract(q_max, q_min, dtype=float), 0.0)
+    return np.where(np.isfinite(span), span, 1.0)
 
 
 def validate_context(x: H2MGContext) -> list[Violation]:
@@ -329,10 +315,11 @@ def validate_context(x: H2MGContext) -> list[Violation]:
     for e in x.edges_of("svr_controller"):
         units = [u for u in x.anchored("svr_unit", "zone", e.ports["zone"])
                  if u.feature("participate", 0.0) > 0.5]
+        gens = [g for u in units for g in x.anchored("generator", "gen", u.ports["gen"])]
         if not units:
             bad("svr_controller", e.id, "zone has no participating svr_unit")
-        elif sum(_reactive_range(g) for u in units
-                 for g in x.anchored("generator", "gen", u.ports["gen"])) <= 0:
+        elif reactive_ranges([g.feature("q_min", -np.inf) for g in gens],
+                             [g.feature("q_max", np.inf) for g in gens]).sum() <= 0:
             bad("svr_controller", e.id, "zone's participating units have no reactive range")
 
     # Electrical feature sanity

@@ -94,8 +94,8 @@ class ModelConfig:
 
     A batch ``forward`` keeps the union's latents after each of the
     ``steps`` steps for its ``vjp``, so training memory grows linearly with
-    the step count: forward plus ``vjp`` on 4 val contexts peaks at 35.6 MB
-    under tracemalloc at ``dt=0.2`` and at 53.5 MB at ``dt=0.01``, about
+    the step count: forward plus ``vjp`` on 4 val contexts peaks at 32.5 MB
+    under tracemalloc at ``dt=0.2`` and at 50.4 MB at ``dt=0.01``, about
     0.19 MB per step.
     """
 

@@ -39,7 +39,6 @@ be given, and it would return the same bits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,9 @@ from .h2mg import (
     Decision,
     H2MGContext,
     H2MGError,
-    INERT_CLASSES,
     RTC_SETPOINT_LADDER,
     _check_paired,
+    reactive_ranges,
 )
 
 #: Discrete physical tap ladder: 21 multipliers of the nominal ratio.
@@ -67,8 +66,6 @@ SOLVE_STATUSES = ("converged", "newton_failed", "singular_jacobian", "outer_cap"
 #: stepping, SVR reactive dispatch, generator Q-limit switching.  A solve
 #: that did not converge names those that changed in its last round.
 MOVING_LOOPS = ("rtc", "svr", "qlim")
-
-_warned_inert = False
 
 
 @dataclass(frozen=True)
@@ -214,13 +211,6 @@ class _GridModel:
     """
 
     def __init__(self, x: H2MGContext, opts: SolverOptions):
-        global _warned_inert
-        if not _warned_inert and any(x.edges_of(c) for c in INERT_CLASSES):
-            warnings.warn(
-                "battery/svc/vsc_station/hvdc_line edges are ignored by the solver",
-                RuntimeWarning, stacklevel=2)
-            _warned_inert = True
-
         lo, hi = opts.target_clamp
         buses = x.edges_of("bus")
         if not buses:
@@ -284,8 +274,7 @@ class _GridModel:
             units = np.array(sorted(unit_gens), dtype=int)
             self.svr_gen[units] = True
             target = z.features["v_target"]
-            ranges = np.maximum(self.gen_qmax[units] - self.gen_qmin[units], 0.0)
-            ranges = np.where(np.isfinite(ranges), ranges, 1.0)
+            ranges = reactive_ranges(self.gen_qmin[units], self.gen_qmax[units])
             if target is None or len(units) == 0 or ranges.sum() <= 0:
                 continue
             self.zones.append({"id": z.id, "bus": bus,

@@ -101,9 +101,21 @@ def expected_param_count(cfg: ModelConfig) -> int:
 def test_parameter_count_closed_form():
     params = init_params(ModelConfig(), np.random.default_rng(0))
     # the default architecture's size, pinned from the layer-dimension formula
-    assert params.count() == expected_param_count(ModelConfig()) == 1_945_095
+    assert params.count() == expected_param_count(ModelConfig()) == 1_561_351
     tiny = init_params(TINY, np.random.default_rng(0))
     assert tiny.count() == expected_param_count(TINY)
+
+
+def test_every_parameter_gets_a_gradient():
+    # a generated context reaches every encoder, message and decoder; biases
+    # are jittered because a featureless encoder's weights get no gradient
+    # at zero biases
+    x = norm_context(generate_context(GridFamilySpec(), grng.stream(0, "val", 0)))
+    params = jitter_biases(init_params(ModelConfig(), np.random.default_rng(0)))
+    z = forward(params, x)
+    g = vjp(params, x, {c: np.ones_like(v) for c, v in z.values.items()})
+    dead = [n for n, v in g.values.items() if v.size and not np.any(v)]
+    assert dead == []
 
 
 def test_default_steps_and_shapes():

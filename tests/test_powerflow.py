@@ -1,9 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from gridtvc.baseline import init_baseline
 from gridtvc.gridgen import GridFamilySpec, generate_context
-from gridtvc.h2mg import CONTROLLER_CLASSES, Decision, H2MGContext, H2MGError
+from gridtvc.h2mg import (
+    CONTROLLER_CLASSES,
+    Decision,
+    H2MGContext,
+    H2MGError,
+    deserialize,
+    serialize,
+)
 from gridtvc.powerflow import (
     RTC_SETPOINT_LADDER,
     SolverOptions,
@@ -125,21 +134,20 @@ def test_no_slack_raises():
         solve_ac(edited)
 
 
-def test_inert_classes_warn_once_and_are_ignored():
+def test_a_battery_is_refused_as_an_unknown_class():
     x = two_bus()
-    battery = edge("bat_0", "battery", {"bus": 1})
-    with_batt = H2MGContext(x.address_count, {**dict(x.edges), "battery": (battery,)})
-    import warnings as w
-    import gridtvc.powerflow as pf
-    pf._warned_inert = False
-    with w.catch_warnings(record=True) as caught:
-        w.simplefilter("always")
-        sol1 = solve_ac(with_batt)
-        sol2 = solve_ac(with_batt)
-    assert sum(issubclass(c.category, RuntimeWarning) for c in caught) == 1
-    ref = solve_ac(x)
-    assert sol1.converged and sol2.converged
-    assert abs(sol1.bus_v["bus_1"] - ref.bus_v["bus_1"]) < 1e-12
+    with pytest.raises(H2MGError, match="unknown class 'battery'"):
+        H2MGContext(x.address_count, {**dict(x.edges), "battery": ()})
+    # a record complete as battery's schema row once was, so that only
+    # its class can be refused
+    doc = json.loads(serialize(x))
+    doc["classes"]["battery"] = [{
+        "id": "bat_0", "ports": {"bus": 1},
+        "features": dict.fromkeys(
+            ["p", "q", "i", "p_target", "q_target", "v_target", "p_max", "p_min",
+             "q_max", "q_min", "regulation_mode"], "absent")}]
+    with pytest.raises(H2MGError, match="unknown class 'battery'"):
+        deserialize(json.dumps(doc).encode())
 
 
 # -- apply_decision -----------------------------------------------------------
