@@ -9,7 +9,6 @@ from .h2mg import (
     SCHEMA,
     SurrogateDecision,
     deserialize,
-    neighborhood,
     serialize,
     validate_context,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "SCHEMA",
     "SurrogateDecision",
     "deserialize",
-    "neighborhood",
     "serialize",
     "validate_context",
     "ObjectiveBreakdown",

@@ -28,7 +28,7 @@ from .h2mg import (
 )
 from . import policy
 from .policy import PolicyConfig
-from .powerflow import SOLVE_STATUSES
+from .powerflow import PROHIBITIVE_COST, SOLVE_STATUSES
 
 DEFAULT_SAMPLES: dict[str, int] = {
     "line_controller": 8,
@@ -52,7 +52,6 @@ class EstimatorConfig:
     beta: float = 1e-4
     tau: float = 0.1
     samples: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
-    prohibitive_cost: float = 100.0
 
     def __post_init__(self):
         # beta 0 switches the score term off entirely (entropy-only descent)
@@ -105,11 +104,11 @@ def clip_score(f_i: float, f_ref: float, tau: float) -> float:
     return math.tanh((f_i - f_ref) / tau)
 
 
-def _score(oracle: Oracle, x: H2MGContext, y: Decision,
-           prohibitive: float) -> tuple[float, str]:
+def _score(oracle: Oracle, x: H2MGContext, y: Decision) -> tuple[float, str]:
     """Oracle score and status; failures never abort the estimate.
 
-    A failing call costs the maximum and reports the status "error".
+    A failing call costs :data:`~gridtvc.powerflow.PROHIBITIVE_COST` and
+    reports the status "error".
 
     Structural errors (mispaired decisions, broken contexts) are caller
     bugs and do propagate.
@@ -119,7 +118,7 @@ def _score(oracle: Oracle, x: H2MGContext, y: Decision,
     except H2MGError:
         raise
     except Exception:
-        return prohibitive, "error"
+        return PROHIBITIVE_COST, "error"
     return float(res.total), res.status
 
 
@@ -133,7 +132,7 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     and the estimate is exactly zero, flagged.
     """
     y_mp = policy.most_probable(z)
-    f_ref, status = _score(oracle, x, y_mp, cfg.prohibitive_cost)
+    f_ref, status = _score(oracle, x, y_mp)
     if status != "converged":
         return GradEstimate({c: np.zeros_like(a) for c, a in z.values.items()},
                             f_ref, False, status)
@@ -166,7 +165,7 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
                        for row, alt in picks]
         for key, y_i in samples:
             if key not in scored:
-                scored[key] = _score(oracle, x, y_i, cfg.prohibitive_cost)
+                scored[key] = _score(oracle, x, y_i)
         # sample by sample, so each element sums in sample order
         acc = np.zeros_like(z_c)
         for key, y_i in samples:
@@ -181,7 +180,7 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     sample_status = dict.fromkeys(ESTIMATE_STATUSES, 0)
     for _, outcome in scored.values():
         sample_status[outcome] += 1
-    prohibitive = sum(f >= cfg.prohibitive_cost for f, _ in scored.values())
+    prohibitive = sum(f >= PROHIBITIVE_COST for f, _ in scored.values())
     return GradEstimate(grads, f_ref, True, status, sample_status,
                         prohibitive / len(scored) if scored else 0.0,
                         grad_norm, score_norm, entropy_norm)

@@ -7,9 +7,9 @@ converged base-case power-flow state, so downstream solves warm-start from
 an AC-consistent point.
 
 :func:`normalize` does not return a context: it compiles one into the
-:class:`CompiledContext` the graph ODE reads, per class an edge-id list,
-an int port matrix and a feature matrix mapped column by column through
-the fitted :class:`Normalizer`.
+:class:`CompiledContext` the graph ODE reads, per class a feature matrix
+mapped column by column through the fitted :class:`Normalizer` and an int
+port matrix.
 """
 
 from __future__ import annotations
@@ -353,12 +353,18 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
 
 def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
                   spec: GridFamilySpec, seed: int) -> None:
+    """Write each context to ``<origin>.json`` and a manifest of the origins,
+    which must be distinct plain file names; otherwise nothing is written."""
+    ids = [x.metadata.get("origin") for x in contexts]
+    for cid in ids:
+        if not isinstance(cid, str) or not cid or any(s in cid for s in ("/", "\\", "..")):
+            raise H2MGError(f"context origin {cid!r} is not a plain file name")
+    repeated = sorted({c for c in ids if ids.count(c) > 1})
+    if repeated:
+        raise H2MGError(f"context origins repeat: {repeated}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ids = []
-    for x in contexts:
-        cid = x.metadata["origin"]
-        ids.append(cid)
+    for cid, x in zip(ids, contexts):
         (out / f"{cid}.json").write_bytes(serialize(x))
     manifest = {"seed": seed, "count": len(ids), "ids": ids,
                 "spec": config_to_json(spec)}
@@ -393,16 +399,14 @@ def load_manifest(data_dir: str | Path) -> dict:
 class CompiledContext:
     """A context as the graph ODE reads it; :func:`normalize` builds it.
 
-    ``classes`` holds one ``(class name, edge ids, features, ports)`` entry
-    per class with edges, in sorted class order, edges in the context's
-    canonical (id) order: a float ``(edges, features)``
-    matrix of normalized values and an int ``(edges, ports)`` matrix of
-    addresses.  ``metadata`` is the source context's.
+    ``classes`` holds one ``(class name, features, ports)`` entry per
+    class with edges, in sorted class order, rows in the context's
+    canonical (id) edge order: a float ``(edges, features)`` matrix of
+    normalized values and an int ``(edges, ports)`` matrix of addresses.
     """
 
     address_count: int
-    metadata: dict[str, str]
-    classes: tuple[tuple[str, list[str], np.ndarray, np.ndarray], ...]
+    classes: tuple[tuple[str, np.ndarray, np.ndarray], ...]
 
 
 @dataclass
@@ -454,14 +458,26 @@ class Normalizer:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Normalizer":
+        """Inverse of :meth:`to_json`; an entry of unknown kind, or a ``pwl``
+        table whose arrays differ in length or whose values do not strictly
+        increase, raises ``ValueError`` naming its ``class.feature``."""
         tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray] | str] = {}
         for cname, feats in doc["tables"].items():
             for fname, entry in feats.items():
-                if entry["kind"] == "pwl":
-                    tables[(cname, fname)] = (np.asarray(entry["values"], dtype=float),
-                                              np.asarray(entry["levels"], dtype=float))
+                kind, where = entry["kind"], f"normalizer {cname}.{fname}"
+                if kind == "pwl":
+                    values = np.asarray(entry["values"], dtype=float)
+                    levels = np.asarray(entry["levels"], dtype=float)
+                    if values.ndim != 1 or values.shape != levels.shape or not values.size:
+                        raise ValueError(f"{where}: values and levels must be 1-D of "
+                                         f"one nonzero length")
+                    if not np.all(np.diff(values) > 0):
+                        raise ValueError(f"{where}: values must strictly increase")
+                    tables[(cname, fname)] = (values, levels)
+                elif kind in (cls.CONSTANT, cls.IDENTITY):
+                    tables[(cname, fname)] = kind
                 else:
-                    tables[(cname, fname)] = entry["kind"]
+                    raise ValueError(f"{where}: unknown kind {kind!r}")
         return cls(int(doc["knots"]), tables)
 
     def save(self, path: str | Path) -> None:
@@ -531,9 +547,9 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
 def normalize(x: H2MGContext, norm: Normalizer) -> CompiledContext:
     """Compile ``x`` into the arrays the graph ODE reads, features normalized.
 
-    One walk over each class's edges in canonical order gathers the edge ids,
-    the port matrix and the raw feature matrix; ``norm`` then maps the
-    features one column at a time (absent becomes 0).
+    One walk over each class's edges in canonical order gathers the raw
+    feature matrix and the port matrix; ``norm`` then maps the features
+    one column at a time (absent becomes 0).
     """
     classes = []
     for cname in sorted(c for c, edges in x.edges.items() if edges):
@@ -543,6 +559,6 @@ def normalize(x: H2MGContext, norm: Normalizer) -> CompiledContext:
         feats = np.empty_like(raw)
         for j, f in enumerate(cs.context_feature_names):
             feats[:, j] = norm.map_column(cname, f, raw[:, j])
-        classes.append((cname, [e.id for e in edges], feats, np.array(
+        classes.append((cname, feats, np.array(
             [[e.ports[p] for p in cs.port_names] for e in edges], dtype=int)))
-    return CompiledContext(x.address_count, dict(x.metadata), tuple(classes))
+    return CompiledContext(x.address_count, tuple(classes))

@@ -337,23 +337,6 @@ def validate_context(x: H2MGContext) -> list[Violation]:
     return report
 
 
-def neighborhood(x: H2MGContext, address: int) -> list[tuple[str, str, str]]:
-    """All (class, edge id, port name) triples plugged into ``address``.
-
-    Output order is canonical: class name, then edge id, then port name.
-    """
-    if not 0 <= address < x.address_count:
-        raise H2MGError(
-            f"address {address} outside 0..{x.address_count - 1}")
-    out = []
-    for cname in sorted(x.edges):
-        for e in x.edges[cname]:
-            for pname in SCHEMA[cname].port_names:
-                if e.ports[pname] == address:
-                    out.append((cname, e.id, pname))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization: top-level keys address_count / classes / metadata; feature
 # values are numbers or the string "absent".
@@ -378,38 +361,48 @@ def to_document(x: H2MGContext) -> dict:
     }
 
 
-def from_document(doc: dict) -> H2MGContext:
-    try:
-        address_count = int(doc["address_count"])
-        class_map = doc["classes"]
-        metadata = dict(doc.get("metadata", {}))
-    except (KeyError, TypeError) as exc:
-        raise H2MGError(f"malformed grid document: {exc}") from exc
+def _integer(value, what: str) -> int:
+    """An integer read from a document; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise H2MGError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
-    edges: dict[str, tuple[HyperEdge, ...]] = {}
-    for cname, records in class_map.items():
-        if cname not in SCHEMA:
-            raise H2MGError(f"unknown class {cname!r}")
-        cs = SCHEMA[cname]
-        elist = []
-        for rec in records:
-            feats: dict[str, float | None] = {}
-            for fname, val in rec["features"].items():
-                if fname not in cs.context_feature_names:
+
+def from_document(doc: dict) -> H2MGContext:
+    """Inverse of :func:`to_document`; anything else raises :class:`H2MGError`."""
+    try:
+        address_count = _integer(doc["address_count"], "address_count")
+        metadata = dict(doc.get("metadata", {}))
+        edges: dict[str, tuple[HyperEdge, ...]] = {}
+        for cname, records in doc["classes"].items():
+            if cname not in SCHEMA:
+                raise H2MGError(f"unknown class {cname!r}")
+            cs = SCHEMA[cname]
+            elist = []
+            for rec in records:
+                feats: dict[str, float | None] = {}
+                for fname, val in rec["features"].items():
+                    if fname not in cs.context_feature_names:
+                        raise H2MGError(
+                            f"unknown feature {fname!r} for class {cname!r}")
+                    feats[fname] = None if val == ABSENT else float(val)
+                for fname in cs.context_feature_names:
+                    if fname not in feats:
+                        raise H2MGError(
+                            f"{cname} edge {rec.get('id')!r}: missing feature {fname!r}")
+                if set(rec["ports"]) != set(cs.port_names):
                     raise H2MGError(
-                        f"unknown feature {fname!r} for class {cname!r}")
-                feats[fname] = None if val == ABSENT else float(val)
-            for fname in cs.context_feature_names:
-                if fname not in feats:
-                    raise H2MGError(
-                        f"{cname} edge {rec.get('id')!r}: missing feature {fname!r}")
-            if set(rec["ports"]) != set(cs.port_names):
-                raise H2MGError(
-                    f"{cname} edge {rec.get('id')!r}: ports must be exactly "
-                    f"{cs.port_names}")
-            ports = {p: int(rec["ports"][p]) for p in cs.port_names}
-            elist.append(HyperEdge(str(rec["id"]), cname, ports, feats))
-        edges[cname] = tuple(elist)
+                        f"{cname} edge {rec.get('id')!r}: ports must be exactly "
+                        f"{cs.port_names}")
+                ports = {p: _integer(rec["ports"][p], f"{cname} edge {rec['id']!r} "
+                                                      f"port {p!r}")
+                         for p in cs.port_names}
+                elist.append(HyperEdge(str(rec["id"]), cname, ports, feats))
+            edges[cname] = tuple(elist)
+    except H2MGError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise H2MGError(f"malformed grid document: {exc!r}") from exc
     return H2MGContext(address_count, edges, metadata)
 
 

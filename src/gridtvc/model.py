@@ -2,8 +2,8 @@
 
 The model reads a context in compiled form, the
 :class:`~gridtvc.gridgen.CompiledContext` that ``gridgen.normalize``
-returns: per class, the edge ids, an int port matrix and the normalized
-feature matrix.  It never walks the context's edges itself.
+returns: per class, the normalized feature matrix and an int port
+matrix.  It never walks the context's edges itself.
 
 Per-class encoders embed edge features; address latents then evolve from
 zero over unit artificial time under a learned drive fed by tanh-squashed
@@ -35,8 +35,8 @@ Every scheme there gives the same discrete modes, and
 Cost is linear in drive evaluations: one default decision takes about
 25 ms against 97 ms at 50 Euler steps (one BLAS thread, 2 vCPUs).
 A checkpoint carries its ``ModelConfig``, so one saved at another ``dt``
-loads and integrates with its own step count; one saved by the explicit
-Euler engine, which wrote no ``integrator`` entry, is refused.
+loads and integrates with its own step count; one saved for another
+integrator is refused.
 
 Parameters stay one flat dict with one MLP per (class, port), but a drive
 evaluation runs on a stacked per-class layout.  A class's P message MLPs are
@@ -234,16 +234,15 @@ class _Union:
         self.address_count = int(bounds[-1])
         self.spans = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         by_class = [{c[0]: c for c in p.classes} for p in self.parts]
-        self.classes: list[tuple[str, list[str], np.ndarray, np.ndarray]] = []
+        self.classes: list[tuple[str, np.ndarray, np.ndarray]] = []
         self.counts: dict[str, list[int]] = {}
         for cname in sorted({c for cls in by_class for c in cls}):
             members = [(cls[cname], off) for cls, off in zip(by_class, bounds)
                        if cname in cls]
             self.classes.append((
-                cname, [eid for (_, ids, _, _), _ in members for eid in ids],
-                np.concatenate([feats for (_, _, feats, _), _ in members]),
-                np.concatenate([ports + off for (_, _, _, ports), off in members])))
-            self.counts[cname] = [len(cls[cname][1]) if cname in cls else 0
+                cname, np.concatenate([feats for (_, feats, _), _ in members]),
+                np.concatenate([ports + off for (_, _, ports), off in members])))
+            self.counts[cname] = [len(cls[cname][2]) if cname in cls else 0
                                   for cls in by_class]
 
 
@@ -393,16 +392,16 @@ class _Engine:
         self.prep = _Union([x] if isinstance(x, CompiledContext) else x)
         specs = _mlp_specs(self.cfg)
         self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
-                    for c, _, _, _ in self.prep.classes}
+                    for c, _, _ in self.prep.classes}
         self.dec = {c: _MLP(params, f"decoder.{c}", specs[f"decoder.{c}"])
-                    for c, _, _, _ in self.prep.classes
+                    for c, _, _ in self.prep.classes
                     if SCHEMA[c].is_controller}
         self.dyn_w = params.values["dynamics.layer0.weight"]
         self.dyn_b = params.values["dynamics.layer0.bias"]
         self.xt: dict[str, np.ndarray] = {}
         self.blocks: list[_MessageBlock] = []
         start = 0
-        for cname, _, feats, ports in self.prep.classes:
+        for cname, feats, ports in self.prep.classes:
             self.xt[cname] = self.enc[cname].forward(feats)
             rows = slice(start, start + ports.size)
             self.blocks.append(_MessageBlock(params, cname, ports,
@@ -410,7 +409,7 @@ class _Engine:
             start = rows.stop
         d = self.cfg.latent_dim
         self.slot_addr = np.concatenate(
-            [ports.reshape(-1) for _, _, _, ports in self.prep.classes]
+            [ports.reshape(-1) for _, _, ports in self.prep.classes]
             or [np.zeros(0, dtype=int)])
         self._flat = (self.slot_addr[:, None] * d + np.arange(d)).reshape(-1)
 
@@ -501,7 +500,7 @@ class _Engine:
         """Decoder outputs per context: per controller class, the rows of
         that context's edges, ``(edges, decision_dim)``, in its edge order."""
         out: list[dict[str, np.ndarray]] = [{} for _ in self.prep.parts]
-        for cname, _, _, ports in self.prep.classes:
+        for cname, _, ports in self.prep.classes:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
@@ -603,7 +602,7 @@ def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelPa
     hbar = np.zeros_like(run.states[-1])
 
     # Decoders
-    for cname, ids, _, ports in eng.prep.classes:
+    for cname, _, ports in eng.prep.classes:
         if cname not in eng.dec:
             continue
         d_out = np.concatenate([cot[cname] for cot, n
@@ -613,7 +612,7 @@ def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelPa
         du = eng.dec[cname].backward(cache, d_out, grads)
         e = cfg.encoder_out
         xbar[cname] += du[:, :e]
-        dh = du[:, e:].reshape(len(ids), -1, cfg.latent_dim)
+        dh = du[:, e:].reshape(ports.shape[0], -1, cfg.latent_dim)
         np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
 
     # Heun steps, newest first; a recomputed step keeps both stages
@@ -627,7 +626,7 @@ def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelPa
     # Context part of the message layer 0, then the encoders
     for blk in eng.blocks:
         xbar[blk.cname] += blk.finish_grads()
-    for cname, _, feats, _ in eng.prep.classes:
+    for cname, feats, _ in eng.prep.classes:
         _, cache = eng.enc[cname].forward_cached(feats)
         eng.enc[cname].backward(cache, xbar[cname], grads)
 
@@ -662,25 +661,20 @@ def save_checkpoint(path: str | Path, params: ModelParams,
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Parameters and meta of a checkpoint saved for this scheme and schema.
 
-    A checkpoint without an ``integrator`` entry was saved by the explicit
-    Euler engine; it is refused rather than integrated with another scheme.
-    One whose ``schema_hash`` differs was trained on another class table.
+    A checkpoint whose ``integrator`` entry is not :data:`INTEGRATOR` is
+    refused rather than integrated with another scheme; one whose
+    ``schema_hash`` differs was trained on another class table.
     """
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(str(blob["__meta__"]))
         values = {k[len("param/"):]: blob[k] for k in blob.files
                   if k.startswith("param/")}
-    integrator = meta.get("integrator")
-    if integrator != INTEGRATOR:
-        saved = "explicit Euler (no 'integrator' entry)" if integrator is None \
-            else repr(integrator)
-        raise ValueError(f"checkpoint {path} was trained with {saved}, but the model "
-                         f"integrates with {INTEGRATOR!r}; its parameters would decide "
-                         f"differently under this scheme, so retrain it")
+    if meta.get("integrator") != INTEGRATOR:
+        raise ValueError(f"checkpoint {path} was trained with integrator "
+                         f"{meta.get('integrator')!r}, but the model integrates with "
+                         f"{INTEGRATOR!r}; its parameters would decide differently "
+                         f"under this scheme, so retrain it")
     if meta.get("schema_hash") != schema_hash():
         raise ValueError(f"checkpoint {path} has schema hash {meta.get('schema_hash')!r}, "
                          f"but this grid schema hashes to {schema_hash()!r}")
-    # Older checkpoints name an interval between stored latents, which the
-    # sweep no longer has (it keeps every step's); it changes no parameter.
-    config = {k: v for k, v in meta["config"].items() if k != "checkpoint_every"}
-    return ModelParams(config_from_json(ModelConfig, config), values), meta
+    return ModelParams(config_from_json(ModelConfig, meta["config"]), values), meta

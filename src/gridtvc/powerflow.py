@@ -3,8 +3,8 @@
 The solver is a dense polar Newton-Raphson with three outer control loops
 (discrete transformer tap stepping, secondary-voltage-regulation reactive
 dispatch, generator Q-limit switching).  Non-convergence is always a value,
-never an exception, and maps to a fixed prohibitive objective cost; every
-solve reports how it ended as one of :data:`SOLVE_STATUSES`.
+never an exception, and maps to the fixed objective cost
+:data:`PROHIBITIVE_COST`; every solve reports how it ended as one of :data:`SOLVE_STATUSES`.
 
 The inner loop is array-native:
 
@@ -62,6 +62,10 @@ TAP_STEP = 0.01
 #: after ``max_outer`` rounds.
 SOLVE_STATUSES = ("converged", "newton_failed", "singular_jacobian", "outer_cap")
 
+#: The objective of a decision whose solve does not converge, and the
+#: estimator's score for an oracle call that raises.
+PROHIBITIVE_COST = 100.0
+
 #: The outer control loops, in the order each round runs them: tap
 #: stepping, SVR reactive dispatch, generator Q-limit switching.  A solve
 #: that did not converge names those that changed in its last round.
@@ -80,7 +84,6 @@ class SolverOptions:
     lambda_j: float = 0.1
     eps_v: float = 0.05
     eps_i: float = 0.05
-    prohibitive_cost: float = 100.0
     target_clamp: tuple[float, float] = (0.0, 3.0)  # plausible-voltage clamp on targets
 
     def __post_init__(self):
@@ -800,7 +803,7 @@ def evaluate_objective(x: H2MGContext, y: Decision,
     m, st = _solve_raw(apply_decision(x, y), opts)
     counts = (st.status, st.inner, st.outer, st.restarts, st.moving)
     if st.status != "converged":
-        return ObjectiveBreakdown(0.0, 0.0, 0.0, opts.prohibitive_cost, False,
+        return ObjectiveBreakdown(0.0, 0.0, 0.0, PROHIBITIVE_COST, False,
                                   *counts)
     ve, ie, joule = _score_state(m, st)
     pen_v = np.maximum(0.0, np.maximum(opts.eps_v - ve, ve - 1.0 + opts.eps_v))

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import policy as policy_mod
 from . import rng as grng
-from .baseline import init_baseline, tune_baseline_offset
+from .baseline import init_baseline
 from .config import config_from_json, config_to_json
 from .estimator import ESTIMATE_STATUSES, EstimatorConfig, estimate_gradient
 from .gridgen import (
@@ -62,10 +62,7 @@ from .model import (
 from .policy import PolicyConfig
 from .powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
 
-__all__ = [
-    "AdamState", "TrainConfig", "adam_step", "train", "decide", "evaluate",
-    "init_baseline", "tune_baseline_offset",
-]
+__all__ = ["AdamState", "TrainConfig", "adam_step", "train", "decide", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -94,12 +91,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.minibatch < 1:
             raise ValueError("minibatch must be at least 1")
-        # A non-converged solve costs the solver's value and a raising oracle
-        # call the estimator's; prohibitive_share counts both by the latter.
-        if self.estimator.prohibitive_cost != self.solver.prohibitive_cost:
-            raise ValueError(
-                f"estimator.prohibitive_cost ({self.estimator.prohibitive_cost}) "
-                f"must equal solver.prohibitive_cost ({self.solver.prohibitive_cost})")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +417,5 @@ def evaluate_checkpoint(ckpt_path: str | Path, data_dir: str | Path,
         raise H2MGError("checkpoint was trained with a different normalizer")
     dataset = load_dataset(data_dir)
     if pol_cfg is None:
-        # checkpoints saved before the whole policy was stored keep only its offset
-        pol_cfg = config_from_json(PolicyConfig, meta["policy"]) if "policy" in meta \
-            else PolicyConfig(svr_offset=float(meta.get("svr_offset", 0.0)))
+        pol_cfg = config_from_json(PolicyConfig, meta.get("policy", {}))
     return evaluate(params, dataset, norm, pol_cfg, solver, out_dir)

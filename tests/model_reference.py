@@ -25,25 +25,25 @@ class ReferenceEngine:
         self.prep = x
         specs = _mlp_specs(self.cfg)
         self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
-                    for c, _, _, _ in self.prep.classes}
+                    for c, _, _ in self.prep.classes}
         self.msg = {}
-        for cname, _, _, _ in self.prep.classes:
+        for cname, _, _ in self.prep.classes:
             for pname in SCHEMA[cname].port_names:
                 key = f"message.{cname}.{pname}"
                 self.msg[(cname, pname)] = _MLP(params, key, specs[key])
         self.dec = {c: _MLP(params, f"decoder.{c}", specs[f"decoder.{c}"])
-                    for c, _, _, _ in self.prep.classes
+                    for c, _, _ in self.prep.classes
                     if SCHEMA[c].is_controller}
         self.dyn = _MLP(params, "dynamics", specs["dynamics"])
         self.xt: dict[str, np.ndarray] = {}
-        for cname, _, feats, _ in self.prep.classes:
+        for cname, feats, _ in self.prep.classes:
             self.xt[cname] = self.enc[cname].forward(feats)
 
     def drive(self, h: np.ndarray, keep: bool = False):
         d = self.cfg.latent_dim
         s = np.zeros((self.prep.address_count, d))
         cls_cache = {}
-        for cname, _, _, ports in self.prep.classes:
+        for cname, _, ports in self.prep.classes:
             u = np.concatenate([_gather(h, ports), self.xt[cname]], axis=1)
             stack = np.empty((ports.shape[0], ports.shape[1], d))
             caches = []
@@ -66,7 +66,7 @@ class ReferenceEngine:
         du = self.dyn.backward(dyn_cache, kbar, grads)
         hbar = du[:, :d].copy()
         sbar = du[:, d:] * (1.0 - mt * mt)
-        for cname, _, _, ports in self.prep.classes:
+        for cname, _, ports in self.prep.classes:
             u, caches = cls_cache[cname]
             mbar = sbar[ports.reshape(-1)].reshape(ports.shape[0], ports.shape[1], d)
             du_cls = np.zeros_like(u)
@@ -93,7 +93,7 @@ class ReferenceEngine:
 
     def decode(self, h: np.ndarray) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        for cname, _, _, ports in self.prep.classes:
+        for cname, _, ports in self.prep.classes:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
@@ -117,16 +117,17 @@ def reference_vjp(params: ModelParams, x: CompiledContext,
     xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
     hbar = np.zeros_like(h_final)
 
-    for cname, ids, _, ports in eng.prep.classes:
+    for cname, _, ports in eng.prep.classes:
         if cname not in eng.dec:
             continue
-        d_out = cotangent.get(cname, np.zeros((len(ids), SCHEMA[cname].decision_dim)))
+        n_e = ports.shape[0]
+        d_out = cotangent.get(cname, np.zeros((n_e, SCHEMA[cname].decision_dim)))
         u = np.concatenate([eng.xt[cname], _gather(h_final, ports)], axis=1)
         _, cache = eng.dec[cname].forward_cached(u)
         du = eng.dec[cname].backward(cache, d_out, grads)
         e = cfg.encoder_out
         xbar[cname] += du[:, :e]
-        dh = du[:, e:].reshape(len(ids), -1, cfg.latent_dim)
+        dh = du[:, e:].reshape(n_e, -1, cfg.latent_dim)
         np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
 
     for h in reversed(states[:-1]):
@@ -136,7 +137,7 @@ def reference_vjp(params: ModelParams, x: CompiledContext,
                                    grads, xbar)
         hbar = hbar + hbar2 + hbar1
 
-    for cname, _, feats, _ in eng.prep.classes:
+    for cname, feats, _ in eng.prep.classes:
         _, cache = eng.enc[cname].forward_cached(feats)
         eng.enc[cname].backward(cache, xbar[cname], grads)
 

@@ -5,8 +5,9 @@ The set is ``generate_context(GridFamilySpec(), stream(0, split, i))`` for
 default, 40 contexts).  Hashed, in order:
 
 * each context's ``serialize`` bytes and ``validate_context`` report;
-* the ``fit_normalizer`` digest on the first half of the set, and the
-  ``normalize`` arrays of every context;
+* the ``fit_normalizer`` digest on the first half of the set, and of
+  every context's ``normalize`` output its address count and, per class,
+  the class name, feature matrix and port matrix;
 * at baseline offsets 0, -0.02 and +0.02, the ``init_baseline`` decision
   (per class, its values in the context's edge order) and every field of
   ``evaluate_objective`` and ``count_metrics``; then the same for the
@@ -14,9 +15,11 @@ default, 40 contexts).  Hashed, in order:
   first shunt controller flipped.
 
 Floats are spelled by ``float.hex`` and arrays by dtype, shape and bytes,
-so equal digests mean equal bits.  Only public names are used, and a
-decision is read whether it holds per-class arrays or per-class dicts
-keyed by edge id, so the script runs on any checkout that has them::
+so equal digests mean equal bits.  Only public names are used, a
+compiled class is read whether its entry is ``(name, features, ports)``
+or ``(name, edge ids, features, ports)``, and a decision is read whether
+it holds per-class arrays or per-class dicts keyed by edge id, so the
+script runs on any checkout that has them::
 
     PYTHONPATH=<checkout>/src python tests/oracle_digest.py [per_split]
 """
@@ -79,6 +82,12 @@ def _decisions(x):
                    for c in FLIPPED]
 
 
+def _compiled(xn):
+    """A compiled context's address count and, per class, its name,
+    features and ports: the first element and the last two of an entry."""
+    return xn.address_count, [(c[0], *c[-2:]) for c in xn.classes]
+
+
 def _in_edge_order(x, y):
     """Each class's decision values as a list in the context's edge order."""
     return {c: [v[e.id] for e in x.edges_of(c)] if isinstance(v, dict) else list(v)
@@ -96,7 +105,7 @@ def digest(contexts: list) -> str:
     norm = fit_normalizer(contexts[:len(contexts) // 2])
     record("normalizer", norm.digest())
     for x in contexts:
-        record("normalize", normalize(x, norm))
+        record("normalize", _compiled(normalize(x, norm)))
     for x in contexts:
         for y in _decisions(x):
             record("decision", _in_edge_order(x, y), evaluate_objective(x, y),

@@ -10,7 +10,7 @@ from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig, clip_score, es
 from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, Decision, SurrogateDecision
 from gridtvc.policy import PolicyConfig
-from gridtvc.powerflow import SolverOptions, evaluate_objective
+from gridtvc.powerflow import PROHIBITIVE_COST, SolverOptions, evaluate_objective
 
 import policy_reference
 from estimator_reference import exact_gradient_oracle, raw_gradient_estimate
@@ -375,7 +375,7 @@ def test_sample_statuses_count_every_distinct_sample_call():
     assert sum(est.sample_status.values()) == len(calls) - 1
     assert est.sample_status == {s: sum(r.status == s for r in calls[1:])
                                  for s in ESTIMATE_STATUSES}
-    failed = sum(r.total >= EstimatorConfig().prohibitive_cost for r in calls[1:])
+    failed = sum(r.total >= PROHIBITIVE_COST for r in calls[1:])
     assert est.prohibitive_share == failed / (len(calls) - 1)
 
 

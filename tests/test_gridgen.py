@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -126,6 +127,29 @@ def test_load_dataset_rejects_an_invalid_context(tmp_path):
         load_dataset(tmp_path / "data")
 
 
+def test_load_dataset_refuses_a_malformed_record(tmp_path):
+    xs = [generate_context(SMALL, grng.stream(3, i), origin=f"s3_c{i:05d}")
+          for i in range(2)]
+    write_dataset(tmp_path / "data", xs, SMALL, seed=3)
+    path = tmp_path / "data" / "s3_c00001.json"
+    doc = json.loads(path.read_text())
+    doc["classes"]["line"][0]["ports"]["bus1"] = 1.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(H2MGError, match=r"'bus1' must be an integer"):
+        load_dataset(tmp_path / "data")
+
+
+@pytest.mark.parametrize("origins", [
+    ["synthetic", "synthetic"], ["a", "", "b"], ["a", "sub/b"], ["..", "b"],
+    ["a", "x\\y"]])
+def test_write_dataset_refuses_repeated_or_unsafe_origins(tmp_path, origins):
+    x = generate_context(SMALL, grng.stream(3, 0))
+    xs = [H2MGContext(x.address_count, x.edges, {"origin": o}) for o in origins]
+    with pytest.raises(H2MGError, match="origin"):
+        write_dataset(tmp_path / "data", xs, SMALL, seed=3)
+    assert not (tmp_path / "data").exists()
+
+
 # -- normalizer ---------------------------------------------------------------
 
 def _ctx_with_values(values, current=0.0):
@@ -235,13 +259,13 @@ def test_normalize_barely_moves_when_features_move_by_rounding():
     for x in xs:
         base = normalize(x, norm)
         for eps in (1e-12, -1e-12):
-            for (_, _, a, _), (_, _, b, _) in zip(base.classes,
-                                                  normalize(moved(x, eps), norm).classes):
+            for (_, a, _), (_, b, _) in zip(base.classes,
+                                            normalize(moved(x, eps), norm).classes):
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-8
 
 
 def feature_column(xn, cname, fname):
-    [feats] = [f for c, _, f, _ in xn.classes if c == cname]
+    [feats] = [f for c, f, _ in xn.classes if c == cname]
     return feats[:, SCHEMA[cname].context_feature_names.index(fname)]
 
 
@@ -249,7 +273,7 @@ def test_normalize_context_range_and_absent_rule():
     xs = [generate_context(SMALL, grng.stream(21, i)) for i in range(3)]
     norm = fit_normalizer(xs, knots=31)
     xn = normalize(xs[0], norm)
-    for cname, _, feats, _ in xn.classes:
+    for cname, feats, _ in xn.classes:
         for fname, col in zip(SCHEMA[cname].context_feature_names, feats.T):
             assert np.all(np.isfinite(col))
             if norm.tables.get((cname, fname)) != Normalizer.IDENTITY:
@@ -275,12 +299,12 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
     n_absent = 0
     for x in xs:
         xn = normalize(x, norm)
-        assert xn.address_count == x.address_count and xn.metadata == x.metadata
-        assert [c for c, _, _, _ in xn.classes] == sorted(x.edges)
-        for cname, ids, feats, ports in xn.classes:
+        assert [f.name for f in dataclasses.fields(xn)] == ["address_count", "classes"]
+        assert xn.address_count == x.address_count
+        assert [c for c, _, _ in xn.classes] == sorted(x.edges)
+        for cname, feats, ports in xn.classes:
             cs = SCHEMA[cname]
             edges = x.edges_of(cname)
-            assert ids == [e.id for e in edges]
             ref = np.array([[norm.apply(cname, f, e.features[f])
                              for f in cs.context_feature_names] for e in edges],
                            dtype=float).reshape(len(edges), len(cs.context_feature_names))
@@ -294,6 +318,22 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
                 dtype=ports.dtype).tobytes()
     assert n_absent == 10
 
+
+
+@pytest.mark.parametrize("entry, problem", [
+    ({"kind": "bogus"}, "unknown kind 'bogus'"),
+    ({"kind": "pwl", "values": [0.0, 1.0, 2.0], "levels": [0.0, 1.0]}, "one nonzero length"),
+    ({"kind": "pwl", "values": [], "levels": []}, "one nonzero length"),
+    ({"kind": "pwl", "values": [2.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
+    ({"kind": "pwl", "values": [1.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
+])
+def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
+    doc = {"knots": 3, "tables": {"load": {"p": {"kind": "pwl", "values": [0.0, 1.0],
+                                                 "levels": [0.0, 1.0]}}}}
+    assert Normalizer.from_json(doc).apply("load", "p", 0.25) == 0.25
+    doc["tables"]["load"]["q"] = entry
+    with pytest.raises(ValueError, match=rf"load\.q: .*{problem}"):
+        Normalizer.from_json(doc)
 
 
 def test_normalizer_save_load_round_trip(tmp_path):

@@ -12,9 +12,10 @@ from gridtvc.h2mg import (
     SCHEMA,
     SurrogateDecision,
     deserialize,
-    neighborhood,
+    from_document,
     schema_hash,
     serialize,
+    to_document,
     validate_context,
 )
 
@@ -87,38 +88,6 @@ def test_validate_vmin_vmax_ordering():
     assert any("v_min" in v.rule for v in validate_context(x))
 
 
-def test_neighborhood_no_incident_edges():
-    x = H2MGContext(5, {"bus": ()})
-    assert neighborhood(x, 4) == []
-
-
-def test_neighborhood_counts_and_order():
-    # bus address shared by 1 load and 2 lines -> 3 triples (plus the bus itself)
-    from gridfixtures import bus, line, load
-    x = H2MGContext(10, {
-        "bus": (bus(0, 0), bus(1, 1), bus(2, 2)),
-        "line": (line(0, 3, 0, 1, 0.01, 0.1), line(1, 4, 1, 2, 0.01, 0.1)),
-        "load": (load(0, 1, 0.1, 0.0),),
-    })
-    triples = neighborhood(x, 1)
-    non_bus = [t for t in triples if t[0] != "bus"]
-    assert len(non_bus) == 3
-    assert triples == sorted(triples)
-
-
-def test_neighborhood_invariant_to_insertion_order():
-    from gridfixtures import bus, line, load
-    lines = (line(0, 3, 0, 1, 0.01, 0.1), line(1, 4, 1, 2, 0.01, 0.1))
-    base = {
-        "bus": (bus(0, 0), bus(1, 1), bus(2, 2)),
-        "load": (load(0, 1, 0.1, 0.0),),
-    }
-    x1 = H2MGContext(10, {**base, "line": lines})
-    x2 = H2MGContext(10, {**base, "line": lines[::-1]})
-    for a in range(10):
-        assert neighborhood(x1, a) == neighborhood(x2, a)
-
-
 def _hexed(value):
     """``value`` with every float spelled by ``float.hex``."""
     if dataclasses.is_dataclass(value):
@@ -138,8 +107,6 @@ def test_edges_kept_in_id_order_whatever_the_insertion_order():
     for seed in range(3):
         y = meshed_grid(np.random.default_rng(seed))
         assert y == x and serialize(y) == serialize(x)
-        for a in range(x.address_count):
-            assert neighborhood(y, a) == neighborhood(x, a)
     sol = solve_ac(x)
     assert sol.converged
     assert _hexed(solve_ac(y)) == _hexed(sol)
@@ -276,11 +243,6 @@ def test_validate_refuses_an_svr_unit_without_exactly_one_generator():
     assert [str(v) for v in validate_context(doubled)] == refused
 
 
-def test_neighborhood_out_of_range():
-    with pytest.raises(H2MGError):
-        neighborhood(two_bus(), 99)
-
-
 def test_serialize_round_trip_empty():
     x = H2MGContext(0, {})
     assert deserialize(serialize(x)) == x
@@ -313,6 +275,30 @@ def test_deserialize_unknown_feature():
            b'"ports": {"bus": 0}, "features": {"volts": 1.0}}]}, "metadata": {}}')
     with pytest.raises(H2MGError):
         deserialize(doc)
+
+
+def _break_bus_record(doc, how):
+    rec = doc["classes"]["bus"][0]
+    if how == "no features":
+        del rec["features"]
+    elif how == "records not a list":
+        doc["classes"]["bus"] = 5
+    elif how == "feature not a number":
+        rec["features"]["v"] = "abc"
+    else:
+        rec["ports"]["bus"] = {"port not a number": "x", "fractional port": 1.5,
+                               "boolean port": True}[how]
+
+
+@pytest.mark.parametrize("how", ["no features", "records not a list",
+                                 "feature not a number", "port not a number",
+                                 "fractional port", "boolean port"])
+def test_from_document_refuses_a_malformed_record(how):
+    doc = to_document(two_bus())
+    assert from_document(doc) == two_bus()
+    _break_bus_record(doc, how)
+    with pytest.raises(H2MGError):
+        from_document(doc)
 
 
 def test_decision_pairing_enforced():

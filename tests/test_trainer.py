@@ -9,6 +9,7 @@ import pytest
 from gridtvc import model
 from gridtvc import rng as grng
 from gridtvc import trainer
+from gridtvc.baseline import init_baseline
 from gridtvc.config import config_from_json, config_to_json
 from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
@@ -48,14 +49,13 @@ def test_config_round_trip_changes_every_field():
         learning_rate=2e-3, beta1=0.8, beta2=0.99, eps=1e-6, minibatch=3,
         iterations=7, eval_every=2, eval_limit=5, seed=11, workers=2,
         train_dir="a", val_dir="b", out_dir="c", normalizer_path="n.json",
-        estimator=EstimatorConfig(beta=1e-3, tau=0.2, samples={"line_controller": 2},
-                                  prohibitive_cost=50.0),
+        estimator=EstimatorConfig(beta=1e-3, tau=0.2, samples={"line_controller": 2}),
         policy=PolicyConfig(sigma=0.01, binary_offset=-1.0, rtc_offset_scale=1.0,
                             svr_offset=0.01),
         solver=SolverOptions(tolerance=1e-7, max_inner=20, max_outer=50,
                              rtc_deadband=0.01, svr_deadband=1e-4, lambda_v=2.0,
                              lambda_i=3.0, lambda_j=0.2, eps_v=0.1, eps_i=0.2,
-                             prohibitive_cost=50.0, target_clamp=(0.5, 2.0)),
+                             target_clamp=(0.5, 2.0)),
         model=ModelConfig(latent_dim=4, encoder_out=5, encoder_hidden=(6,),
                           message_hidden=(7, 3), decoder_hidden=(), dt=0.25,
                           leaky_slope=0.2))
@@ -67,12 +67,6 @@ def test_config_round_trip_changes_every_field():
     back = config_from_json(TrainConfig, json.loads(json.dumps(doc)))
     assert back == cfg
     assert back.solver.target_clamp == (0.5, 2.0)
-
-
-def test_config_rejects_differing_prohibitive_costs():
-    # a non-converged sample would cost 10 and a raising oracle call 100
-    with pytest.raises(ValueError, match=r"\(100\.0\).*\(10\.0\)"):
-        TrainConfig(solver=SolverOptions(prohibitive_cost=10.0))
 
 
 def test_config_from_json_rejects_unknown_field():
@@ -199,7 +193,7 @@ def test_evaluate_and_evaluate_checkpoint_on_validation_split(run):
     for x in val:
         z = apply_offsets(forward(params, normalize(x, norm)), x, PolicyConfig())
         decisions["gnn"].append(most_probable(z))
-        decisions["init"].append(trainer.init_baseline(x, 0.0))
+        decisions["init"].append(init_baseline(x, 0.0))
     for name in ("gnn", "init"):
         assert report[name]["contexts"] == len(val)
         assert 0.0 <= report[name]["convergence_rate"] <= 1.0
@@ -277,18 +271,17 @@ def test_evaluate_checkpoint_decides_with_the_policy_it_was_trained_with(run, mo
     assert seen == [cfg.policy]
 
 
-def test_checkpoint_keeping_only_the_svr_offset_evaluates_with_it(run, monkeypatch):
-    # Checkpoints once stored the policy's svr_offset alone.
+def test_checkpoint_saved_without_a_policy_evaluates_with_the_default_one(run, monkeypatch):
     cfg, summary, root = run
     params, _ = load_checkpoint(summary["final_checkpoint"])
     norm = Normalizer.load(root / "run" / "normalizer.json")
-    out = root / "svr_only"
+    out = root / "no_policy"
     out.mkdir()
     norm.save(out / "normalizer.json")
-    save_checkpoint(out / "ckpt.npz", params, norm, extra={"svr_offset": 0.02})
+    save_checkpoint(out / "ckpt.npz", params, norm)
     seen = capture_policies(monkeypatch)
     evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
-    assert seen == [PolicyConfig(svr_offset=0.02)]
+    assert seen == [PolicyConfig()]
 
 
 def test_train_loads_the_named_normalizer_and_refuses_a_missing_one(run):
