@@ -17,7 +17,6 @@ from .powerflow import (
     PowerFlowSolution,
     SolverOptions,
     apply_decision,
-    count_metrics,
     evaluate_objective,
     solve_ac,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "PowerFlowSolution",
     "SolverOptions",
     "apply_decision",
-    "count_metrics",
     "evaluate_objective",
     "solve_ac",
 ]

@@ -351,17 +351,21 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # Dataset files
 
+def _check_ids(ids: list, what: str) -> None:
+    """Refuse dataset ids that are not distinct plain file names."""
+    for k, cid in enumerate(ids):
+        if not isinstance(cid, str) or not cid or any(s in cid for s in ("/", "\\", "..")):
+            raise H2MGError(f"{what} {cid!r} is not a plain file name")
+        if ids.index(cid) != k:
+            raise H2MGError(f"{what} {cid!r} repeats")
+
+
 def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
                   spec: GridFamilySpec, seed: int) -> None:
     """Write each context to ``<origin>.json`` and a manifest of the origins,
     which must be distinct plain file names; otherwise nothing is written."""
     ids = [x.metadata.get("origin") for x in contexts]
-    for cid in ids:
-        if not isinstance(cid, str) or not cid or any(s in cid for s in ("/", "\\", "..")):
-            raise H2MGError(f"context origin {cid!r} is not a plain file name")
-    repeated = sorted({c for c in ids if ids.count(c) > 1})
-    if repeated:
-        raise H2MGError(f"context origins repeat: {repeated}")
+    _check_ids(ids, "context origin")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for cid, x in zip(ids, contexts):
@@ -372,10 +376,11 @@ def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
 
 
 def load_dataset(data_dir: str | Path) -> list[H2MGContext]:
-    """Read a dataset's contexts, validating each; a context that fails
-    validation raises :class:`H2MGError` naming its file."""
+    """Read a dataset's contexts; ids that :func:`write_dataset` would refuse,
+    or a context that fails validation, raise :class:`H2MGError`."""
     data = Path(data_dir)
-    manifest = json.loads((data / "manifest.json").read_text())
+    manifest = load_manifest(data)
+    _check_ids(manifest["ids"], f"{data / 'manifest.json'}: id")
     out = []
     for cid in manifest["ids"]:
         path = data / f"{cid}.json"
@@ -414,7 +419,7 @@ class Normalizer:
     """Per (class, feature) monotone map onto [0, 1].
 
     Each table entry is a pair of arrays (values, levels): strictly
-    increasing breakpoint values and their nondecreasing cumulative levels.
+    increasing breakpoint values and their nondecreasing levels in [0, 1].
     Queries interpolate linearly and clamp to the end levels outside the
     breakpoint range; a constant feature maps to 0.5 everywhere; features
     that were absent throughout fitting pass through unchanged.  An absent
@@ -459,8 +464,8 @@ class Normalizer:
     @classmethod
     def from_json(cls, doc: dict) -> "Normalizer":
         """Inverse of :meth:`to_json`; an entry of unknown kind, or a ``pwl``
-        table whose arrays differ in length or whose values do not strictly
-        increase, raises ``ValueError`` naming its ``class.feature``."""
+        table that breaks the class's promise on its values and levels,
+        raises ``ValueError`` naming its ``class.feature``."""
         tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray] | str] = {}
         for cname, feats in doc["tables"].items():
             for fname, entry in feats.items():
@@ -473,6 +478,8 @@ class Normalizer:
                                          f"one nonzero length")
                     if not np.all(np.diff(values) > 0):
                         raise ValueError(f"{where}: values must strictly increase")
+                    if not (np.all(np.diff(levels) >= 0) and 0 <= levels[0] and levels[-1] <= 1):
+                        raise ValueError(f"{where}: levels must be nondecreasing in [0, 1]")
                     tables[(cname, fname)] = (values, levels)
                 elif kind in (cls.CONSTANT, cls.IDENTITY):
                     tables[(cname, fname)] = kind

@@ -20,11 +20,12 @@ and of its score and entropy terms' norms (``score_norm``,
 once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
-take the policy's decisions from one :func:`decide`.  It integrates four
-contexts at a time as one union, keeping no per-step latents since
-decisions run no VJP: at the default config that cuts the time per
-decision by about a third against one context at a time, and eight contexts gain
-little more for twice the memory.
+take the policy's decisions from one :func:`decide` and score them with
+:func:`~gridtvc.powerflow.evaluate_objective`.  It integrates four contexts
+at a time as one union, keeping no per-step latents since decisions run no
+VJP: at the default config that cuts the time per decision by about a third
+against one context at a time, and eight contexts gain little more for
+twice the memory.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .model import (
     vjp,
 )
 from .policy import PolicyConfig
-from .powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
+from .powerflow import SOLVE_STATUSES, SolverOptions, evaluate_objective
 
 __all__ = ["AdamState", "TrainConfig", "adam_step", "train", "decide", "evaluate"]
 
@@ -330,24 +331,25 @@ def decide(params: ModelParams, pairs: list[tuple[H2MGContext, CompiledContext]]
             for (x, _), z in zip(chunk, predict(params, [xn for _, xn in chunk]))]
 
 
+def _mean(values: list) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
 def _policy_metrics(records: list) -> dict:
-    valid = [m for m in records if m.valid]
-    n = len(records)
-    out = {
-        "contexts": n,
-        "converged": len(valid),
-        "convergence_rate": len(valid) / n if n else 0.0,
-        "status": {s: sum(m.status == s for m in records) for s in SOLVE_STATUSES},
+    ok = [r for r in records if r.converged]
+    return {
+        "contexts": len(records),
+        "converged": len(ok),
+        "convergence_rate": len(ok) / len(records) if records else 0.0,
+        "status": {s: sum(r.status == s for r in records) for s in SOLVE_STATUSES},
+        "objective": [r.total for r in records],
+        "mean_objective": _mean([r.total for r in ok]),
+        "mean_over_voltages": _mean([r.over_voltages for r in ok]),
+        "mean_under_voltages": _mean([r.under_voltages for r in ok]),
+        "mean_violations": _mean([r.violations for r in ok]),
+        "mean_overflows": _mean([r.overflows for r in ok]),
+        "mean_joule_losses": _mean([r.joule_losses for r in ok]),
     }
-    if valid:
-        out.update({
-            "mean_over_voltages": float(np.mean([m.over_voltages for m in valid])),
-            "mean_under_voltages": float(np.mean([m.under_voltages for m in valid])),
-            "mean_violations": float(np.mean([m.violations for m in valid])),
-            "mean_overflows": float(np.mean([m.overflows for m in valid])),
-            "mean_joule_losses": float(np.mean([m.joule_losses for m in valid])),
-        })
-    return out
 
 
 def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict:
@@ -370,7 +372,7 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
     return {
         "pct_lines_opened": float(np.mean(opened)) * 100 if opened else 0.0,
         "pct_shunts_switched": float(np.mean(switched)) * 100 if switched else 0.0,
-        "svr_setpoint_mean": float(np.mean(svr_setpoints)) if svr_setpoints else None,
+        "svr_setpoint_mean": _mean(svr_setpoints),
         "svr_setpoint_std": float(np.std(svr_setpoints)) if svr_setpoints else None,
         "rtc_category_shares": (rtc_counts / total_rtc).tolist()
         if total_rtc else [0.0] * RTC_CATEGORIES,
@@ -384,19 +386,27 @@ def evaluate(params: ModelParams, dataset: list[H2MGContext], norm: Normalizer,
              out_dir: str | Path | None = None) -> dict:
     """Compare the trained policy against the tuned reference on one split.
 
-    Per context both the network's most-probable decision and the baseline
-    decision go through the oracle; non-convergent contexts are excluded
-    from the means and show up in the convergence rates.  With ``out_dir``
-    set, the report is also written there as ``report.json``.
+    Per context the policy's most-probable decision (``gnn``) and the
+    baseline's (``init``) are each scored by one oracle call.  Each name's
+    block lists every context's objective and averages over its converged
+    contexts; ``paired`` compares the two where both converge.  A mean over
+    no context is ``None``.  With ``out_dir`` set, the report is also
+    written there as ``report.json``.
     """
     decisions = {"gnn": decide(params, [(x, normalize(x, norm)) for x in dataset],
                                pol_cfg),
                  "init": [init_baseline(x, pol_cfg.svr_offset) for x in dataset]}
-    records = {name: [count_metrics(x, y, solver) for x, y in zip(dataset, ys)]
+    records = {name: [evaluate_objective(x, y, solver) for x, y in zip(dataset, ys)]
                for name, ys in decisions.items()}
     report = {name: {**_policy_metrics(records[name]),
                      **_lever_usage(decisions[name], dataset)}
               for name in ("gnn", "init")}
+    both = [(g.total, i.total) for g, i in zip(records["gnn"], records["init"])
+            if g.converged and i.converged]
+    report["paired"] = {"contexts": len(both),
+                        "gnn_mean_objective": _mean([g for g, _ in both]),
+                        "init_mean_objective": _mean([i for _, i in both]),
+                        "gnn_lower": sum(g < i for g, i in both)}
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

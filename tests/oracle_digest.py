@@ -9,13 +9,16 @@ default, 40 contexts).  Hashed, in order:
   every context's ``normalize`` output its address count and, per class,
   the class name, feature matrix and port matrix;
 * at baseline offsets 0, -0.02 and +0.02, the ``init_baseline`` decision
-  (per class, its values in the context's edge order) and every field of
-  ``evaluate_objective`` and ``count_metrics``; then the same for the
-  offset-0 decision with its first line controller flipped, and with its
-  first shunt controller flipped.
+  (per class, its values in the context's edge order), the
+  ``evaluate_objective`` result read as the ten fields ``OBJECTIVE``, and
+  the ``count_metrics`` result read as the thirteen fields ``METRICS``;
+  then the same for the offset-0 decision with its first line controller
+  flipped, and with its first shunt controller flipped.
 
 Floats are spelled by ``float.hex`` and arrays by dtype, shape and bytes,
-so equal digests mean equal bits.  Only public names are used, a
+so equal digests mean equal bits.  Only public names are used, the two
+scoring results are read by attribute, whether they are two record types
+or one record (``count_metrics`` an alias and ``valid`` a property), a
 compiled class is read whether its entry is ``(name, features, ports)``
 or ``(name, edge ids, features, ports)``, and a decision is read whether
 it holds per-class arrays or per-class dicts keyed by edge id, so the
@@ -41,6 +44,10 @@ from gridtvc.rng import stream
 
 OFFSETS = (0.0, -0.02, 0.02)
 FLIPPED = ("line_controller", "shunt_controller")
+COUNTS = ("status", "inner", "outer", "restarts", "moving")
+OBJECTIVE = ("f_v", "f_i", "f_j", "total", "converged", *COUNTS)
+METRICS = ("valid", "over_voltages", "under_voltages", "violations", "overflows",
+           "joule_losses", "normalized_voltages", "normalized_currents", *COUNTS)
 
 
 def _canon(value):
@@ -88,6 +95,10 @@ def _compiled(xn):
     return xn.address_count, [(c[0], *c[-2:]) for c in xn.classes]
 
 
+def _fields(result, names):
+    return {name: getattr(result, name) for name in names}
+
+
 def _in_edge_order(x, y):
     """Each class's decision values as a list in the context's edge order."""
     return {c: [v[e.id] for e in x.edges_of(c)] if isinstance(v, dict) else list(v)
@@ -108,8 +119,9 @@ def digest(contexts: list) -> str:
         record("normalize", _compiled(normalize(x, norm)))
     for x in contexts:
         for y in _decisions(x):
-            record("decision", _in_edge_order(x, y), evaluate_objective(x, y),
-                   count_metrics(x, y))
+            record("decision", _in_edge_order(x, y),
+                   _fields(evaluate_objective(x, y), OBJECTIVE),
+                   _fields(count_metrics(x, y), METRICS))
     return h.hexdigest()
 
 

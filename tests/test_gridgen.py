@@ -17,7 +17,7 @@ from gridtvc.gridgen import (
     normalize,
     write_dataset,
 )
-from gridtvc.h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, validate_context
+from gridtvc.h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, serialize, validate_context
 from gridtvc.powerflow import solve_ac
 
 from gridfixtures import two_bus
@@ -136,6 +136,22 @@ def test_load_dataset_refuses_a_malformed_record(tmp_path):
     doc["classes"]["line"][0]["ports"]["bus1"] = 1.5
     path.write_text(json.dumps(doc))
     with pytest.raises(H2MGError, match=r"'bus1' must be an integer"):
+        load_dataset(tmp_path / "data")
+
+
+@pytest.mark.parametrize("ids, problem", [
+    (["s3_c00000", "s3_c00000"], "'s3_c00000' repeats"),
+    (["s3_c00000", "../s3_c00000"], "'../s3_c00000' is not a plain file name"),
+    (["s3_c00000", 7], "7 is not a plain file name"),
+])
+def test_load_dataset_refuses_repeated_or_unsafe_ids(tmp_path, ids, problem):
+    x = generate_context(SMALL, grng.stream(3, 0), origin="s3_c00000")
+    write_dataset(tmp_path / "data", [x], SMALL, seed=3)
+    # a file outside the dataset that a "../" id would reach
+    (tmp_path / "s3_c00000.json").write_bytes(serialize(x))
+    path = tmp_path / "data" / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "ids": ids}))
+    with pytest.raises(H2MGError, match=rf"manifest\.json: id {problem}"):
         load_dataset(tmp_path / "data")
 
 
@@ -326,6 +342,8 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
     ({"kind": "pwl", "values": [], "levels": []}, "one nonzero length"),
     ({"kind": "pwl", "values": [2.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
     ({"kind": "pwl", "values": [1.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
+    ({"kind": "pwl", "values": [0.0, 1.0], "levels": [1.0, -3.0]}, "levels must be nondecreasing"),
+    ({"kind": "pwl", "values": [0.0, 1.0], "levels": [0.0, 1.5]}, "levels must be nondecreasing"),
 ])
 def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
     doc = {"knots": 3, "tables": {"load": {"p": {"kind": "pwl", "values": [0.0, 1.0],

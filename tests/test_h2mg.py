@@ -89,7 +89,10 @@ def test_validate_vmin_vmax_ordering():
 
 
 def _hexed(value):
-    """``value`` with every float spelled by ``float.hex``."""
+    """``value`` with every float spelled by ``float.hex`` and every array
+    by its dtype and bytes."""
+    if isinstance(value, np.ndarray):
+        return str(value.dtype), value.tobytes().hex()
     if dataclasses.is_dataclass(value):
         return _hexed(dataclasses.asdict(value))
     if isinstance(value, dict):

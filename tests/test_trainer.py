@@ -19,7 +19,8 @@ from gridtvc.h2mg import Decision
 from gridtvc.model import (
     ModelConfig, forward, init_params, load_checkpoint, predict, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
-from gridtvc.powerflow import SOLVE_STATUSES, SolverOptions, count_metrics, evaluate_objective
+from gridtvc.powerflow import (
+    PROHIBITIVE_COST, SOLVE_STATUSES, SolverOptions, evaluate_objective)
 from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
 
 import trainer_reference
@@ -194,12 +195,27 @@ def test_evaluate_and_evaluate_checkpoint_on_validation_split(run):
         z = apply_offsets(forward(params, normalize(x, norm)), x, PolicyConfig())
         decisions["gnn"].append(most_probable(z))
         decisions["init"].append(init_baseline(x, 0.0))
-    for name in ("gnn", "init"):
+    results = {name: [evaluate_objective(x, y) for x, y in zip(val, ys)]
+               for name, ys in decisions.items()}
+    for name, res in results.items():
         assert report[name]["contexts"] == len(val)
         assert 0.0 <= report[name]["convergence_rate"] <= 1.0
-        statuses = [count_metrics(x, y).status for x, y in zip(val, decisions[name])]
+        statuses = [r.status for r in res]
         assert report[name]["status"] == {s: statuses.count(s) for s in SOLVE_STATUSES}
         assert report[name]["status"]["converged"] == report[name]["converged"]
+        assert report[name]["objective"] == [r.total for r in res]
+        assert all(r.total == PROHIBITIVE_COST for r in res if not r.converged)
+        totals = [r.total for r in res if r.converged]
+        assert report[name]["mean_objective"] == (
+            pytest.approx(np.mean(totals)) if totals else None)
+    both = [(g.total, i.total) for g, i in zip(results["gnn"], results["init"])
+            if g.converged and i.converged]
+    paired = report["paired"]
+    assert paired["contexts"] == len(both)
+    assert paired["gnn_lower"] == sum(g < i for g, i in both)
+    for k, name in enumerate(("gnn", "init")):
+        mean = paired[f"{name}_mean_objective"]
+        assert mean == (pytest.approx(np.mean([t[k] for t in both])) if both else None)
     assert json.loads((root / "report" / "report.json").read_text()) == report
     again = evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
     assert again == report
