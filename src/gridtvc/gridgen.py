@@ -27,7 +27,7 @@ import numpy as np
 from .config import config_to_json
 from .h2mg import (
     H2MGContext, H2MGError, HyperEdge, SCHEMA, deserialize, serialize, validate_context)
-from .powerflow import SolverOptions, solve_ac
+from .powerflow import solve_ac
 
 
 @dataclass(frozen=True)
@@ -324,28 +324,30 @@ def _fill_from_solution(x: H2MGContext, sol) -> H2MGContext:
     return x.replace_features(updates)
 
 
+# A context is a pure function of its spec and stream: no wall-clock time.
+_TIMESTAMP = "2024-01-01T00:00:00Z"
+_MAX_ATTEMPTS = 50
+
+
 def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
-                     origin: str = "synthetic",
-                     timestamp: str = "2024-01-01T00:00:00Z",
-                     solver: SolverOptions = SolverOptions(),
-                     max_attempts: int = 50) -> H2MGContext:
+                     origin: str = "synthetic") -> H2MGContext:
     """Draw one validated context whose base case converges.
 
-    Draws that fail validation or diverge at base case are rejected and
-    redrawn from the same stream, so the result is a pure function of
-    (spec, stream state).
+    Draws that fail validation or diverge at base case under the default
+    solver options are rejected and redrawn from the same stream, so the
+    result is a pure function of (spec, stream state).
     """
     spec.validate()
-    for _ in range(max_attempts):
-        x = _draw(spec, rng, {"origin": origin, "timestamp": timestamp})
+    for _ in range(_MAX_ATTEMPTS):
+        x = _draw(spec, rng, {"origin": origin, "timestamp": _TIMESTAMP})
         if validate_context(x):
             continue
-        sol = solve_ac(x, solver)
+        sol = solve_ac(x)
         if not sol.converged:
             continue
         return _fill_from_solution(x, sol)
     raise H2MGError(
-        f"no solvable context after {max_attempts} attempts; spec too aggressive")
+        f"no solvable context after {_MAX_ATTEMPTS} attempts; spec too aggressive")
 
 
 # ---------------------------------------------------------------------------

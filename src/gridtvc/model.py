@@ -38,10 +38,14 @@ A checkpoint carries its ``ModelConfig``, so one saved at another ``dt``
 loads and integrates with its own step count; one saved for another
 integrator is refused.
 
-Parameters stay one flat dict with one MLP per (class, port), but a drive
-evaluation runs on a stacked per-class layout.  A class's P message MLPs are
-stacked on a port axis, so layer 0 is one matmul over the gathered port
-latents and every later layer is one batched matmul.  Layer 0's
+Parameters are one flat dict of MLP layers, ``{prefix}.layer{i}.weight``
+and ``.bias``, as :func:`init_params` lists them.  One leaky ReLU,
+computed in place by :func:`_leaky`, follows every hidden layer and the
+one-layer dynamics.  Encoders and decoders run once per call as
+:class:`_MLP` views over the dict.  A drive evaluation runs on a stacked
+per-class layout instead: a class's P message MLPs are stacked on a port
+axis, so layer 0 is one matmul over the gathered port latents and every
+later layer is one batched matmul.  Layer 0's
 encoder-context term does not change over the integration and is computed
 once per call.  All classes write their messages into one slot buffer (one
 row per edge and port), which a single scatter per evaluation sums into the
@@ -72,20 +76,6 @@ import numpy as np
 from .config import config_from_json, config_to_json
 from .gridgen import CompiledContext, Normalizer
 from .h2mg import SCHEMA, SurrogateDecision, schema_hash
-
-
-@dataclass(frozen=True)
-class MLPSpec:
-    in_width: int
-    hidden: tuple[int, ...]
-    out_width: int
-    leaky_slope: float = 0.01
-    activate_output: bool = False
-
-    @property
-    def widths(self) -> list[tuple[int, int]]:
-        dims = [self.in_width, *self.hidden, self.out_width]
-        return list(zip(dims[:-1], dims[1:]))
 
 
 @dataclass(frozen=True)
@@ -124,25 +114,6 @@ class ModelConfig:
         return round(1.0 / self.dt)
 
 
-def _mlp_specs(cfg: ModelConfig) -> dict[str, MLPSpec]:
-    """Every parameterized function, keyed by its checkpoint name prefix."""
-    d, e = cfg.latent_dim, cfg.encoder_out
-    specs: dict[str, MLPSpec] = {}
-    for cname in sorted(SCHEMA):
-        cs = SCHEMA[cname]
-        specs[f"encoder.{cname}"] = MLPSpec(
-            len(cs.context_feature_names), cfg.encoder_hidden, e, cfg.leaky_slope)
-        for pname in cs.port_names:
-            specs[f"message.{cname}.{pname}"] = MLPSpec(
-                len(cs.port_names) * d + e, cfg.message_hidden, d, cfg.leaky_slope)
-        if cs.is_controller:
-            specs[f"decoder.{cname}"] = MLPSpec(
-                e + len(cs.port_names) * d, cfg.decoder_hidden, cs.decision_dim,
-                cfg.leaky_slope)
-    specs["dynamics"] = MLPSpec(2 * d, (), d, cfg.leaky_slope, activate_output=True)
-    return specs
-
-
 @dataclass
 class ModelParams:
     """Flat name-to-array parameter store plus the architecture hyper-params."""
@@ -159,64 +130,32 @@ class ModelParams:
 
 
 def init_params(config: ModelConfig = ModelConfig(),
-                rng: np.random.Generator | None = None,
-                zero: bool = False) -> ModelParams:
-    """Fan-in-scaled uniform weights, zero biases, drawn in sorted name order."""
+                rng: np.random.Generator | None = None) -> ModelParams:
+    """Fan-in-scaled uniform weights, zero biases, drawn in sorted name order.
+
+    One MLP per encoder (class), message (class, port) and decoder
+    (controller class), and the one-layer ``dynamics`` on ``[h | mt]``.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
+    d, e = config.latent_dim, config.encoder_out
+    dims = {"dynamics": [2 * d, d]}
+    for cname, cs in SCHEMA.items():
+        pd = len(cs.port_names) * d  # the gathered port latents
+        dims[f"encoder.{cname}"] = [len(cs.context_feature_names),
+                                    *config.encoder_hidden, e]
+        for pname in cs.port_names:
+            dims[f"message.{cname}.{pname}"] = [pd + e, *config.message_hidden, d]
+        if cs.is_controller:
+            dims[f"decoder.{cname}"] = [e + pd, *config.decoder_hidden, cs.decision_dim]
     values: dict[str, np.ndarray] = {}
-    for prefix, spec in sorted(_mlp_specs(config).items()):
-        for layer, (n_in, n_out) in enumerate(spec.widths):
+    for prefix in sorted(dims):
+        for layer, (n_in, n_out) in enumerate(zip(dims[prefix], dims[prefix][1:])):
             bound = 1.0 / np.sqrt(max(n_in, 1))
-            w = np.zeros((n_out, n_in)) if zero or n_in == 0 \
-                else rng.uniform(-bound, bound, size=(n_out, n_in))
-            values[f"{prefix}.layer{layer}.weight"] = w
+            values[f"{prefix}.layer{layer}.weight"] = rng.uniform(
+                -bound, bound, size=(n_out, n_in))
             values[f"{prefix}.layer{layer}.bias"] = np.zeros(n_out)
     return ModelParams(config, values)
-
-
-class _MLP:
-    """Stateless view over the flat parameter dict for one function."""
-
-    def __init__(self, params: ModelParams, prefix: str, spec: MLPSpec):
-        self.prefix = prefix
-        self.spec = spec
-        self.layers = []
-        for layer in range(len(spec.widths)):
-            self.layers.append((params.values[f"{prefix}.layer{layer}.weight"],
-                                params.values[f"{prefix}.layer{layer}.bias"]))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x, keep=False)
-        return out
-
-    def forward_cached(self, x: np.ndarray, keep: bool = True):
-        cache = []
-        h = x
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            pre = h @ w.T + b
-            if keep:
-                cache.append((h, pre))
-            if i < last or self.spec.activate_output:
-                h = np.where(pre > 0, pre, self.spec.leaky_slope * pre)
-            else:
-                h = pre
-        return h, cache
-
-    def backward(self, cache, dout: np.ndarray, grads: dict[str, np.ndarray]):
-        """Accumulate parameter grads; return the input cotangent."""
-        last = len(self.layers) - 1
-        d = dout
-        for i in range(last, -1, -1):
-            w, _ = self.layers[i]
-            h_in, pre = cache[i]
-            if i < last or self.spec.activate_output:
-                d = d * np.where(pre > 0, 1.0, self.spec.leaky_slope)
-            grads[f"{self.prefix}.layer{i}.weight"] += d.T @ h_in
-            grads[f"{self.prefix}.layer{i}.bias"] += d.sum(axis=0)
-            d = d @ w
-        return d
 
 
 class _Union:
@@ -252,19 +191,65 @@ def _gather(h: np.ndarray, ports: np.ndarray) -> np.ndarray:
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    """Leaky ReLU in place; equals ``where(z > 0, z, slope * z)`` for slope in [0, 1]."""
+    """Leaky ReLU in place: ``where(z > 0, z, slope * z)`` bit for bit for slope
+    in [0, 1], except that at slope 0 it maps ``+inf`` to nan (``0 * inf``)."""
     return np.maximum(z, slope * z, out=z)
 
 
 def _leaky_grad(dz: np.ndarray, act: np.ndarray, slope: float) -> np.ndarray:
     """Scale a cotangent in place by the leaky-ReLU slope, read off its output.
 
-    For slope in [0, 1] an output is positive exactly where its input is.
-    The factor is looked up rather than masked: a ``where=`` ufunc is
-    several times slower at these sizes.
+    For slope in [0, 1] an output is positive exactly where its input is,
+    so this is ``dz * where(z > 0, 1, slope)`` bit for bit, except at the
+    ``+inf`` that :func:`_leaky` maps to nan at slope 0.  The factor is
+    looked up rather than masked: a ``where=`` ufunc is several times
+    slower at these sizes.
     """
     dz *= np.array([slope, 1.0]).take((act > 0).view(np.int8))
     return dz
+
+
+class _MLP:
+    """One encoder or decoder: a view over its layers in the flat parameter dict.
+
+    The layers are ``{prefix}.layer{i}`` for ``i`` from 0 while the names
+    exist; every layer but the last ends in the config's leaky ReLU.
+    """
+
+    def __init__(self, params: ModelParams, prefix: str):
+        self.prefix, self.slope = prefix, params.config.leaky_slope
+        v = params.values
+        self.layers = []
+        while (key := f"{prefix}.layer{len(self.layers)}") + ".weight" in v:
+            self.layers.append((v[f"{key}.weight"], v[f"{key}.bias"]))
+
+    def forward(self, x: np.ndarray, keep: bool = False):
+        """The output, and with ``keep`` every layer's input for :meth:`backward`."""
+        inputs = []
+        h = x
+        for i, (w, b) in enumerate(self.layers):
+            if keep:
+                inputs.append(h)
+            h = h @ w.T + b
+            if i < len(self.layers) - 1:
+                _leaky(h, self.slope)
+        return h, inputs if keep else None
+
+    def backward(self, inputs: list[np.ndarray], dout: np.ndarray,
+                 grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Accumulate parameter grads; return the input cotangent.
+
+        A hidden layer's output is the next layer's kept input, which
+        gives its activation mask.
+        """
+        d = dout
+        for i in range(len(self.layers) - 1, -1, -1):
+            if i < len(self.layers) - 1:
+                d = _leaky_grad(d, inputs[i + 1], self.slope)
+            grads[f"{self.prefix}.layer{i}.weight"] += d.T @ inputs[i]
+            grads[f"{self.prefix}.layer{i}.bias"] += d.sum(axis=0)
+            d = d @ self.layers[i][0]
+        return d
 
 
 class _MessageBlock:
@@ -376,25 +361,20 @@ class _MessageBlock:
 class _Engine:
     """Shared forward machinery for plain evaluation and the VJP sweep.
 
-    ``x`` is one compiled context or a sequence of them; the engine always
-    runs their :class:`_Union`.  Every (edge, port) pair owns one row
-    ("slot") of the step's slot buffers, class by class, edge-major.  A
-    step gathers the slots' address latents, lets each class's
-    :class:`_MessageBlock` write its messages into its rows, and sums all
-    rows into their addresses with one ``np.bincount`` on a flat index
-    built here.
+    The engine runs the :class:`_Union` of a sequence of compiled contexts.
+    Every (edge, port) pair owns one row ("slot") of the step's slot
+    buffers, class by class, edge-major.  A step gathers the slots'
+    address latents, lets each class's :class:`_MessageBlock` write its
+    messages into its rows, and sums all rows into their addresses with
+    one ``np.bincount`` on a flat index built here.
     """
 
-    def __init__(self, params: ModelParams,
-                 x: CompiledContext | Sequence[CompiledContext]):
+    def __init__(self, params: ModelParams, xs: Sequence[CompiledContext]):
         self.params = params
         self.cfg = params.config
-        self.prep = _Union([x] if isinstance(x, CompiledContext) else x)
-        specs = _mlp_specs(self.cfg)
-        self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
-                    for c, _, _ in self.prep.classes}
-        self.dec = {c: _MLP(params, f"decoder.{c}", specs[f"decoder.{c}"])
-                    for c, _, _ in self.prep.classes
+        self.prep = _Union(xs)
+        self.enc = {c: _MLP(params, f"encoder.{c}") for c, _, _ in self.prep.classes}
+        self.dec = {c: _MLP(params, f"decoder.{c}") for c, _, _ in self.prep.classes
                     if SCHEMA[c].is_controller}
         self.dyn_w = params.values["dynamics.layer0.weight"]
         self.dyn_b = params.values["dynamics.layer0.bias"]
@@ -402,7 +382,7 @@ class _Engine:
         self.blocks: list[_MessageBlock] = []
         start = 0
         for cname, feats, ports in self.prep.classes:
-            self.xt[cname] = self.enc[cname].forward(feats)
+            self.xt[cname], _ = self.enc[cname].forward(feats)
             rows = slice(start, start + ports.size)
             self.blocks.append(_MessageBlock(params, cname, ports,
                                              self.xt[cname], rows))
@@ -504,7 +484,7 @@ class _Engine:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
-            z = self.dec[cname].forward(u)
+            z, _ = self.dec[cname].forward(u)
             bounds = np.cumsum([0, *self.prep.counts[cname]])
             for per_context, a, b in zip(out, bounds[:-1], bounds[1:]):
                 if b > a:
@@ -608,8 +588,8 @@ def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelPa
         d_out = np.concatenate([cot[cname] for cot, n
                                 in zip(cotangents, eng.prep.counts[cname]) if n])
         u = np.concatenate([eng.xt[cname], _gather(run.states[-1], ports)], axis=1)
-        _, cache = eng.dec[cname].forward_cached(u)
-        du = eng.dec[cname].backward(cache, d_out, grads)
+        _, inputs = eng.dec[cname].forward(u, keep=True)
+        du = eng.dec[cname].backward(inputs, d_out, grads)
         e = cfg.encoder_out
         xbar[cname] += du[:, :e]
         dh = du[:, e:].reshape(ports.shape[0], -1, cfg.latent_dim)
@@ -627,8 +607,8 @@ def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelPa
     for blk in eng.blocks:
         xbar[blk.cname] += blk.finish_grads()
     for cname, feats, _ in eng.prep.classes:
-        _, cache = eng.enc[cname].forward_cached(feats)
-        eng.enc[cname].backward(cache, xbar[cname], grads)
+        _, inputs = eng.enc[cname].forward(feats, keep=True)
+        eng.enc[cname].backward(inputs, xbar[cname], grads)
 
     return ModelParams(cfg, grads)
 

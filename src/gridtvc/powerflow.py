@@ -42,7 +42,7 @@ be given, and it would return the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,12 +120,14 @@ class PowerFlowSolution:
     moving: tuple[str, ...]  # of MOVING_LOOPS: what changed in the last outer round
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveBreakdown:
     """One decision's scored solve.  A solve that does not converge holds
     :data:`PROHIBITIVE_COST` in ``total``, 0 in every term and count, and
     empty arrays.  ``valid`` reads ``converged`` and :data:`count_metrics`
     is :func:`evaluate_objective`, because the benchmark reads both names.
+    Two records are equal when every field is, the arrays by value; a
+    record is not hashable.
     """
 
     f_v: float
@@ -147,6 +149,13 @@ class ObjectiveBreakdown:
     moving: tuple[str, ...]  # of MOVING_LOOPS: what changed in the last outer round
 
     valid = property(lambda self: self.converged)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------

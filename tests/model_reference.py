@@ -3,8 +3,11 @@
 This is the straightforward form of ``gridtvc.model``'s Heun step: one
 message MLP call per (class, port) and one ``np.add.at`` scatter per class
 in each drive evaluation, and a VJP that recomputes one step at a time
-from the latents the forward kept after every step.
-``tests/test_model_reference.py`` checks the fused engine against it.
+from the latents the forward kept after every step.  Every MLP, the
+dynamics layer included, runs on this module's own :class:`ReferenceMLP`,
+whose leaky ReLU is the ``np.where`` form, independent of the model's
+in-place one.  ``tests/test_model_reference.py`` checks the fused engine
+against it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,57 @@ import numpy as np
 
 from gridtvc.gridgen import CompiledContext
 from gridtvc.h2mg import SCHEMA, SurrogateDecision
-from gridtvc.model import ModelParams, _MLP, _gather, _mlp_specs
+from gridtvc.model import ModelParams, _gather
+
+
+class ReferenceMLP:
+    """One MLP over the flat parameter dict, layers ``{prefix}.layer{i}``.
+
+    Every layer but the last is leaky-ReLU activated, and with
+    ``activate_output`` the last one too, as in the dynamics layer.
+    """
+
+    def __init__(self, params: ModelParams, prefix: str, activate_output: bool = False):
+        self.prefix = prefix
+        self.slope = params.config.leaky_slope
+        self.activate_output = activate_output
+        self.layers = []
+        while f"{prefix}.layer{len(self.layers)}.weight" in params.values:
+            layer = len(self.layers)
+            self.layers.append((params.values[f"{prefix}.layer{layer}.weight"],
+                                params.values[f"{prefix}.layer{layer}.bias"]))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out, _ = self.forward_cached(x, keep=False)
+        return out
+
+    def forward_cached(self, x: np.ndarray, keep: bool = True):
+        cache = []
+        h = x
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            pre = h @ w.T + b
+            if keep:
+                cache.append((h, pre))
+            if i < last or self.activate_output:
+                h = np.where(pre > 0, pre, self.slope * pre)
+            else:
+                h = pre
+        return h, cache
+
+    def backward(self, cache, dout: np.ndarray, grads: dict[str, np.ndarray]):
+        """Accumulate parameter grads; return the input cotangent."""
+        last = len(self.layers) - 1
+        d = dout
+        for i in range(last, -1, -1):
+            w, _ = self.layers[i]
+            h_in, pre = cache[i]
+            if i < last or self.activate_output:
+                d = d * np.where(pre > 0, 1.0, self.slope)
+            grads[f"{self.prefix}.layer{i}.weight"] += d.T @ h_in
+            grads[f"{self.prefix}.layer{i}.bias"] += d.sum(axis=0)
+            d = d @ w
+        return d
 
 
 class ReferenceEngine:
@@ -23,18 +76,17 @@ class ReferenceEngine:
         self.params = params
         self.cfg = params.config
         self.prep = x
-        specs = _mlp_specs(self.cfg)
-        self.enc = {c: _MLP(params, f"encoder.{c}", specs[f"encoder.{c}"])
+        self.enc = {c: ReferenceMLP(params, f"encoder.{c}")
                     for c, _, _ in self.prep.classes}
         self.msg = {}
         for cname, _, _ in self.prep.classes:
             for pname in SCHEMA[cname].port_names:
-                key = f"message.{cname}.{pname}"
-                self.msg[(cname, pname)] = _MLP(params, key, specs[key])
-        self.dec = {c: _MLP(params, f"decoder.{c}", specs[f"decoder.{c}"])
+                self.msg[(cname, pname)] = ReferenceMLP(
+                    params, f"message.{cname}.{pname}")
+        self.dec = {c: ReferenceMLP(params, f"decoder.{c}")
                     for c, _, _ in self.prep.classes
                     if SCHEMA[c].is_controller}
-        self.dyn = _MLP(params, "dynamics", specs["dynamics"])
+        self.dyn = ReferenceMLP(params, "dynamics", activate_output=True)
         self.xt: dict[str, np.ndarray] = {}
         for cname, feats, _ in self.prep.classes:
             self.xt[cname] = self.enc[cname].forward(feats)

@@ -11,6 +11,8 @@ from gridtvc.model import (
     ModelConfig,
     ModelParams,
     _Engine,
+    _leaky,
+    _leaky_grad,
     forward,
     init_params,
     load_checkpoint,
@@ -140,7 +142,7 @@ def test_config_accepts_the_steps_the_tests_use(dt, steps):
 
 def test_zero_params_give_zero_outputs():
     x = norm_context(five_address_context())
-    params = init_params(TINY, zero=True)
+    params = init_params(TINY).zeros_like()
     z = forward(params, x)
     assert set(z.values) == {"shunt_controller"}
     assert z.values["shunt_controller"].shape == (1, 1)
@@ -151,11 +153,11 @@ def test_constant_drive_integrates_exactly():
     # power-of-two step keeps the unit-interval Heun sum exact
     cfg = ModelConfig(latent_dim=4, encoder_out=4, encoder_hidden=(),
                       message_hidden=(), decoder_hidden=(), dt=0.25)
-    params = init_params(cfg, zero=True)
+    params = init_params(cfg).zeros_like()
     c = 0.7
     params.values["dynamics.layer0.bias"] = np.full(4, c)
     x = norm_context(five_address_context())
-    eng = _Engine(params, x)
+    eng = _Engine(params, [x])
     h = eng.integrate()[-1]
     assert np.all(h == c)
 
@@ -165,12 +167,26 @@ def test_latent_starts_at_zero_and_isolated_address_gets_no_message():
     padded = normalize(H2MGContext(x.address_count + 3, dict(x.edges), dict(x.metadata)),
                        fit_quietly(x))
     params = init_params(TINY, np.random.default_rng(1))
-    eng = _Engine(params, padded)
+    eng = _Engine(params, [padded])
     h = np.zeros((padded.address_count, TINY.latent_dim))
     rng = np.random.default_rng(2)
     h_rand = rng.standard_normal(h.shape)
     _, ((mt, _, _), _) = eng.step(h_rand, keep=True)
     assert np.all(mt[-3:] == 0.0)  # tanh of an empty message sum
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+def test_leaky_helpers_are_the_where_forms_bit_for_bit(slope):
+    sub, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    z = np.array([0.0, -0.0, sub, -sub, 3 * sub, -3 * sub, 1e-310, -1e-310,
+                  1.5, -1.5, 1e300, -1e300, big, -big])
+    rng = np.random.default_rng(27)
+    z = np.concatenate([z, rng.standard_normal(50)])
+    dz = rng.permutation(z)
+    act = _leaky(z.copy(), slope)
+    assert act.tobytes() == np.where(z > 0, z, slope * z).tobytes()
+    assert (_leaky_grad(dz.copy(), act, slope).tobytes()
+            == (dz * np.where(z > 0, 1.0, slope)).tobytes())
 
 
 def test_permutation_equivariance():

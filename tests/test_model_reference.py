@@ -68,7 +68,7 @@ def test_config_rejects_slope_outside_unit_interval(slope):
 
 def test_kept_step_is_the_plain_step():
     x = norm_context(five_address_context())
-    eng = _Engine(init_params(TINY, np.random.default_rng(24)), x)
+    eng = _Engine(init_params(TINY, np.random.default_rng(24)), [x])
     h = np.random.default_rng(25).standard_normal((x.address_count, TINY.latent_dim))
     h_plain, _ = eng.step(h)
     h_kept, ((mt, _, _), _) = eng.step(h, keep=True)

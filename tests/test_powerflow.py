@@ -247,10 +247,13 @@ def test_objective_pure_function():
     x = shunt_overvoltage_grid()
     y = empty_decision(x)
     r1 = evaluate_objective(x, y)
-    r2 = evaluate_objective(x, y)
-    for f in dataclasses.fields(r1):
-        a, b = getattr(r1, f.name), getattr(r2, f.name)
-        assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, f.name
+    assert r1.converged and evaluate_objective(x, y) == r1
+    flipped = evaluate_objective(x, y.replace("shunt_controller", 0, 1))
+    assert flipped.converged and flipped != r1
+    shifted = r1.normalized_voltages + 1.0
+    assert dataclasses.replace(r1, normalized_voltages=shifted) != r1
+    with pytest.raises(TypeError):
+        hash(r1)
 
 
 def test_monotone_voltage_penalty():

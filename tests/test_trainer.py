@@ -401,7 +401,7 @@ def test_train_log_names_the_outer_cap_of_a_pinned_context(tmp_path, monkeypatch
         x = generate_context(spec, grng.stream(0, "val", i), origin=f"val-{i:03d}")
         write_dataset(tmp_path / tag, [x], spec, 0)
     monkeypatch.setattr(trainer, "init_params",
-                        lambda config, rng: init_params(config, rng, zero=True))
+                        lambda config, rng: init_params(config, rng).zeros_like())
     cfg = TrainConfig(minibatch=1, iterations=1, eval_every=0,
                       train_dir=str(tmp_path / "train"), val_dir=str(tmp_path / "val"),
                       out_dir=str(tmp_path / "run"), model=SMALL)

@@ -16,7 +16,10 @@ as in ``oracle_digest.py``, so equal digests mean equal bits.  Only
 public names are used, so the script runs on any checkout that has
 them::
 
-    PYTHONPATH=<checkout>/src python tests/train_digest.py <seed>
+    PYTHONPATH=<checkout>/src python tests/train_digest.py <seed> [contexts] [iterations]
+
+``contexts`` and ``iterations`` default to 16 and 4; 8 and 3 make a
+shorter run for checking a model change bit for bit.
 """
 
 from __future__ import annotations
@@ -64,4 +67,4 @@ def digest(seed: int, contexts: int = 16, iterations: int = 4, minibatch: int = 
 
 
 if __name__ == "__main__":
-    print(digest(int(sys.argv[1])))
+    print(digest(*map(int, sys.argv[1:4])))
