@@ -2,9 +2,10 @@
 
 Grids follow a two-tier layout: a meshed transmission network at the upper
 nominal voltage, and lower-voltage buses fed radially through transformers,
-a subset of which carry tap changers.  Every generated context embeds a
-converged base-case power-flow state, so downstream solves warm-start from
-an AC-consistent point.
+a subset of which carry tap changers.  A generated context is the context
+:func:`~gridtvc.powerflow.solve_ac` returns for its converged base case,
+with branch ratings added, so downstream solves warm-start from an
+AC-consistent point.
 
 :func:`normalize` does not return a context: it compiles one into the
 :class:`CompiledContext` the graph ODE reads, per class a feature matrix
@@ -277,53 +278,6 @@ def _draw(spec: GridFamilySpec, rng: np.random.Generator,
                        metadata)
 
 
-def _fill_from_solution(x: H2MGContext, sol) -> H2MGContext:
-    """Write the base-case solved state back into the context features."""
-    updates: dict[tuple[str, str], dict] = {}
-    for e in x.edges_of("bus"):
-        updates[("bus", e.id)] = {"v": sol.bus_v[e.id], "theta": sol.bus_theta[e.id]}
-
-    def bus_id(addr):
-        return x.anchored("bus", "bus", addr)[-1].id
-
-    for cname in ("line", "twt"):
-        for e in x.edges_of(cname):
-            key = (cname, e.id)
-            if key in sol.branch_flows:
-                f = sol.branch_flows[key]
-                updates[key] = {"p1": f.p1, "q1": f.q1, "i1": f.i1,
-                                "p2": f.p2, "q2": f.q2, "i2": f.i2}
-                rating = max(f.i1, f.i2) * 1.6 + 0.1
-                updates[key]["i1_max"] = rating
-                updates[key]["i2_max"] = rating
-    for e in x.edges_of("twt"):
-        rtcs = x.anchored("rtc", "twt", e.ports["twt"])
-        if rtcs and rtcs[-1].id in sol.rtc_ratio:
-            upd = updates.setdefault(("twt", e.id), {})
-            upd["ratio"] = sol.rtc_ratio[rtcs[-1].id]
-    for e in x.edges_of("generator"):
-        upd = {"q": sol.gen_q.get(e.id, 0.0)}
-        upd["p"] = sol.gen_p.get(e.id, e.feature("p_target", 0.0))
-        vm = sol.bus_v[bus_id(e.ports["bus"])]
-        upd["i"] = math.hypot(upd["p"], upd["q"]) / vm
-        updates[("generator", e.id)] = upd
-    for e in x.edges_of("load"):
-        vm = sol.bus_v[bus_id(e.ports["bus"])]
-        p, q = e.feature("p_target", 0.0), e.feature("q_target", 0.0)
-        updates[("load", e.id)] = {"p": p, "q": q, "i": math.hypot(p, q) / vm}
-    for e in x.edges_of("shunt"):
-        vm = sol.bus_v[bus_id(e.ports["bus"])]
-        status = e.feature("status", 0.0)
-        g, b = e.feature("g", 0.0), e.feature("b", 0.0)
-        p = status * g * vm ** 2
-        q = -status * b * vm ** 2
-        updates[("shunt", e.id)] = {"p": p, "q": q, "i": math.hypot(p, q) / vm}
-    for e in x.edges_of("svr_zone"):
-        bid = bus_id(e.ports["regulated_bus"])
-        updates[("svr_zone", e.id)] = {"v": sol.bus_v[bid], "theta": sol.bus_theta[bid]}
-    return x.replace_features(updates)
-
-
 # A context is a pure function of its spec and stream: no wall-clock time.
 _TIMESTAMP = "2024-01-01T00:00:00Z"
 _MAX_ATTEMPTS = 50
@@ -335,7 +289,9 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
 
     Draws that fail validation or diverge at base case under the default
     solver options are rejected and redrawn from the same stream, so the
-    result is a pure function of (spec, stream state).
+    result is a pure function of (spec, stream state).  The result is the
+    solve's context, its solved state written in, with every line and twt
+    rated at 1.6 times its larger base-case end current plus 0.1 p.u.
     """
     spec.validate()
     for _ in range(_MAX_ATTEMPTS):
@@ -345,7 +301,11 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
         sol = solve_ac(x)
         if not sol.converged:
             continue
-        return _fill_from_solution(x, sol)
+        x = sol.context
+        return x.replace_features({
+            (c, e.id): dict.fromkeys(("i1_max", "i2_max"),
+                                     max(e.features["i1"], e.features["i2"]) * 1.6 + 0.1)
+            for c in ("line", "twt") for e in x.edges_of(c)})
     raise H2MGError(
         f"no solvable context after {_MAX_ATTEMPTS} attempts; spec too aggressive")
 
@@ -379,24 +339,24 @@ def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
 
 def load_dataset(data_dir: str | Path) -> list[H2MGContext]:
     """Read a dataset's contexts; ids that :func:`write_dataset` would refuse,
-    or a context that fails validation, raise :class:`H2MGError`."""
+    a context whose ``origin`` is not its id, or a context that fails
+    validation, raise :class:`H2MGError`."""
     data = Path(data_dir)
-    manifest = load_manifest(data)
+    manifest = json.loads((data / "manifest.json").read_text())
     _check_ids(manifest["ids"], f"{data / 'manifest.json'}: id")
     out = []
     for cid in manifest["ids"]:
         path = data / f"{cid}.json"
         x = deserialize(path.read_bytes())
+        if x.metadata.get("origin") != cid:
+            raise H2MGError(f"{path}: origin {x.metadata.get('origin')!r} is not its "
+                            f"manifest id {cid!r}")
         report = validate_context(x)
         if report:
             raise H2MGError(f"{path}: invalid context ({len(report)} violations): "
                             + "; ".join(map(str, report[:3])))
         out.append(x)
     return out
-
-
-def load_manifest(data_dir: str | Path) -> dict:
-    return json.loads((Path(data_dir) / "manifest.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -514,33 +474,31 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
     of quantiles each within ``KNOT_TIE`` of the one before is an atom and
     collapses to a single breakpoint, at the run's median value and its
     mean (mid-rank) level; exact ties are the simplest such run.  A feature
-    whose values all lie within ``KNOT_TIE`` is constant.
+    whose values all lie within ``KNOT_TIE`` is constant.  Each context is
+    read once, by the walk :func:`normalize` compiles with.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
     if knots < 2:
         raise ValueError("knots must be at least 2")
-    samples: dict[tuple[str, str], list[float]] = {}
-    present: set[tuple[str, str]] = set()
+    # per feature of every class a context holds, edges or not, its present values
+    samples: dict[tuple[str, str], list[np.ndarray]] = {}
     for x in dataset:
+        raw = {cname: feats for cname, feats, _ in _raw_classes(x)}
         for cname in x.edges:
-            for fname in SCHEMA[cname].context_feature_names:
-                present.add((cname, fname))
-            for e in x.edges_of(cname):
-                for fname, val in e.features.items():
-                    if val is not None:
-                        samples.setdefault((cname, fname), []).append(float(val))
+            for j, fname in enumerate(SCHEMA[cname].context_feature_names):
+                column = raw[cname][:, j] if cname in raw else np.empty(0)
+                samples.setdefault((cname, fname), []).append(column[~np.isnan(column)])
 
     norm = Normalizer(knots=knots)
     levels = np.arange(knots) / (knots - 1)
-    for key in sorted(present):
-        vals = samples.get(key)
-        if not vals:
+    for key in sorted(samples):
+        arr = np.concatenate(samples[key])
+        if not arr.size:
             warnings.warn(f"feature {key[0]}.{key[1]} absent in all contexts; "
                           "emitting an identity map", stacklevel=2)
             norm.tables[key] = Normalizer.IDENTITY
             continue
-        arr = np.asarray(vals, dtype=float)
         if arr.max() - arr.min() <= KNOT_TIE:
             norm.tables[key] = Normalizer.CONSTANT
             continue
@@ -553,21 +511,30 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
     return norm
 
 
+def _raw_classes(x: H2MGContext):
+    """Per class with edges, in sorted class order: its name, its raw
+    ``(edges, features)`` float matrix, NaN where a value is absent, and
+    its int ``(edges, ports)`` address matrix, rows in canonical edge order."""
+    for cname in sorted(c for c, edges in x.edges.items() if edges):
+        edges, cs = x.edges[cname], SCHEMA[cname]
+        yield (cname,
+               np.array([[e.features[f] for f in cs.context_feature_names]
+                         for e in edges], dtype=float),
+               np.array([[e.ports[p] for p in cs.port_names] for e in edges], dtype=int))
+
+
 def normalize(x: H2MGContext, norm: Normalizer) -> CompiledContext:
     """Compile ``x`` into the arrays the graph ODE reads, features normalized.
 
-    One walk over each class's edges in canonical order gathers the raw
+    One walk over each class's edges in canonical order
+    (:func:`_raw_classes`, as in :func:`fit_normalizer`) gathers the raw
     feature matrix and the port matrix; ``norm`` then maps the features
     one column at a time (absent becomes 0).
     """
     classes = []
-    for cname in sorted(c for c, edges in x.edges.items() if edges):
-        edges, cs = x.edges[cname], SCHEMA[cname]
-        raw = np.array([[e.features[f] for f in cs.context_feature_names]
-                        for e in edges], dtype=float)
+    for cname, raw, ports in _raw_classes(x):
         feats = np.empty_like(raw)
-        for j, f in enumerate(cs.context_feature_names):
+        for j, f in enumerate(SCHEMA[cname].context_feature_names):
             feats[:, j] = norm.map_column(cname, f, raw[:, j])
-        classes.append((cname, feats, np.array(
-            [[e.ports[p] for p in cs.port_names] for e in edges], dtype=int)))
+        classes.append((cname, feats, ports))
     return CompiledContext(x.address_count, tuple(classes))

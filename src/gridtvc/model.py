@@ -39,7 +39,7 @@ loads and integrates with its own step count; one saved for another
 integrator is refused.
 
 Parameters are one flat dict of MLP layers, ``{prefix}.layer{i}.weight``
-and ``.bias``, as :func:`init_params` lists them.  One leaky ReLU,
+and ``.bias``, as :func:`_param_shapes` lists them.  One leaky ReLU,
 computed in place by :func:`_leaky`, follows every hidden layer and the
 one-layer dynamics.  Encoders and decoders run once per call as
 :class:`_MLP` views over the dict.  A drive evaluation runs on a stacked
@@ -129,15 +129,13 @@ class ModelParams:
         return sum(v.size for v in self.values.values())
 
 
-def init_params(config: ModelConfig = ModelConfig(),
-                rng: np.random.Generator | None = None) -> ModelParams:
-    """Fan-in-scaled uniform weights, zero biases, drawn in sorted name order.
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order :func:`init_params`
+    draws them: sorted by MLP, then layer, weight before bias.
 
     One MLP per encoder (class), message (class, port) and decoder
     (controller class), and the one-layer ``dynamics`` on ``[h | mt]``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     d, e = config.latent_dim, config.encoder_out
     dims = {"dynamics": [2 * d, d]}
     for cname, cs in SCHEMA.items():
@@ -148,13 +146,25 @@ def init_params(config: ModelConfig = ModelConfig(),
             dims[f"message.{cname}.{pname}"] = [pd + e, *config.message_hidden, d]
         if cs.is_controller:
             dims[f"decoder.{cname}"] = [e + pd, *config.decoder_hidden, cs.decision_dim]
-    values: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     for prefix in sorted(dims):
         for layer, (n_in, n_out) in enumerate(zip(dims[prefix], dims[prefix][1:])):
-            bound = 1.0 / np.sqrt(max(n_in, 1))
-            values[f"{prefix}.layer{layer}.weight"] = rng.uniform(
-                -bound, bound, size=(n_out, n_in))
-            values[f"{prefix}.layer{layer}.bias"] = np.zeros(n_out)
+            shapes[f"{prefix}.layer{layer}.weight"] = (n_out, n_in)
+            shapes[f"{prefix}.layer{layer}.bias"] = (n_out,)
+    return shapes
+
+
+def init_params(config: ModelConfig = ModelConfig(),
+                rng: np.random.Generator | None = None) -> ModelParams:
+    """Fan-in-scaled uniform weights and zero biases, drawn in the order of
+    :func:`_param_shapes`."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    values: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(config).items():
+        bound = 1.0 / np.sqrt(max(shape[-1], 1))  # a weight's fan-in; a bias is not drawn
+        values[name] = rng.uniform(-bound, bound, size=shape) if len(shape) == 2 \
+            else np.zeros(shape)
     return ModelParams(config, values)
 
 
@@ -643,7 +653,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
 
     A checkpoint whose ``integrator`` entry is not :data:`INTEGRATOR` is
     refused rather than integrated with another scheme; one whose
-    ``schema_hash`` differs was trained on another class table.
+    ``schema_hash`` differs was trained on another class table.  The MLPs
+    read their depth from the names, so a tensor missing, extra or shaped
+    unlike :func:`_param_shapes` of the stored config is refused by name.
     """
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(str(blob["__meta__"]))
@@ -657,4 +669,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     if meta.get("schema_hash") != schema_hash():
         raise ValueError(f"checkpoint {path} has schema hash {meta.get('schema_hash')!r}, "
                          f"but this grid schema hashes to {schema_hash()!r}")
-    return ModelParams(config_from_json(ModelConfig, meta["config"]), values), meta
+    config = config_from_json(ModelConfig, meta["config"])
+    shapes, got = _param_shapes(config), {k: v.shape for k, v in values.items()}
+    for name in sorted(shapes.keys() | got.keys()):
+        if got.get(name) != shapes.get(name):
+            raise ValueError(f"checkpoint {path}: parameter {name!r} has shape "
+                             f"{got.get(name, '(missing)')}, but its config says "
+                             f"{shapes.get(name, '(no such parameter)')}")
+    return ModelParams(config, values), meta

@@ -95,24 +95,12 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class BranchFlow:
-    p1: float
-    q1: float
-    i1: float
-    p2: float
-    q2: float
-    i2: float
-
-
-@dataclass(frozen=True)
 class PowerFlowSolution:
+    """How a :func:`solve_ac` ended; ``context`` is the solved context
+    (:func:`_solved_context`), ``None`` unless the solve converged."""
+
     converged: bool
-    bus_v: dict[str, float]
-    bus_theta: dict[str, float]
-    branch_flows: dict[tuple[str, str], BranchFlow]
-    gen_q: dict[str, float]
-    gen_p: dict[str, float]
-    rtc_ratio: dict[str, float]
+    context: H2MGContext | None
     inner_iterations: int
     outer_iterations: int
     status: str             # one of SOLVE_STATUSES
@@ -228,7 +216,6 @@ class _GridModel:
         buses = x.edges_of("bus")
         if not buses:
             raise H2MGError("context has no buses")
-        self.bus_ids = [e.id for e in buses]
         self.addr_to_bus = {e.ports["bus"]: i for i, e in enumerate(buses)}
         n = len(buses)
         self.n = n
@@ -250,10 +237,9 @@ class _GridModel:
 
         # Generators
         gens = x.edges_of("generator")
-        self.gen_ids = [e.id for e in gens]
         self.gen_bus = np.array([self._bus(e.ports["bus"], e) for e in gens],
                                 dtype=int)
-        self.gen_p = _column(gens, "p_target", 0.0)
+        self.gen_pset = _column(gens, "p_target", 0.0)
         self.gen_qset = _column(gens, "q_target", 0.0)
         self.gen_vset = np.clip(_column(gens, "v_target", 1.0), lo, hi)
         self.gen_qmin = _column(gens, "q_min", -np.inf)
@@ -266,7 +252,7 @@ class _GridModel:
         self.slack_gen = slack_flags.index(True)
         self.slack_bus = int(self.gen_bus[self.slack_gen])
         non_slack = np.arange(len(gens)) != self.slack_gen
-        np.add.at(self.p_spec, self.gen_bus[non_slack], self.gen_p[non_slack])
+        np.add.at(self.p_spec, self.gen_bus[non_slack], self.gen_pset[non_slack])
 
         addr_of_gen_port = {e.ports["gen"]: i for i, e in enumerate(gens)}
 
@@ -290,7 +276,7 @@ class _GridModel:
             ranges = reactive_ranges(self.gen_qmin[units], self.gen_qmax[units])
             if target is None or len(units) == 0 or ranges.sum() <= 0:
                 continue
-            self.zones.append({"id": z.id, "bus": bus,
+            self.zones.append({"bus": bus,
                                "target": float(np.clip(target, lo, hi)),
                                "units": units, "shares": ranges / ranges.sum(),
                                "unit_bus": self.gen_bus[units],
@@ -371,7 +357,6 @@ class _GridModel:
             ctrls = x.anchored("rtc_controller", "twt", e.ports["twt"])
             target = ctrls[-1].features["v_target"] if ctrls else None
             self.rtcs.append({
-                "id": e.id,
                 "branch": bi,
                 "bus": reg_bus,
                 "tau_nom": tau_nom,
@@ -742,7 +727,7 @@ def _gen_outputs(m: _GridModel, st: _State) -> tuple[np.ndarray, np.ndarray]:
     v = st.vm * np.exp(1j * st.va)
     s = v * np.conj(st.ybus @ v)
     q_other = _q_spec(m, st)
-    q = np.zeros(len(m.gen_ids))
+    q = np.zeros(len(m.gen_bus))
     nonreg = ~m.gen_regulating & ~m.svr_gen
     q[nonreg] = m.gen_qset[nonreg]
     q[m.svr_gen] = st.svr_q[m.svr_gen]
@@ -756,35 +741,61 @@ def _gen_outputs(m: _GridModel, st: _State) -> tuple[np.ndarray, np.ndarray]:
     others = np.flatnonzero(m.gen_bus == b)
     others = others[others != m.slack_gen]
     q[m.slack_gen] = s.imag[b] - m.q_fixed[b] - q[others].sum()
-    p = m.gen_p.copy()
+    p = m.gen_pset.copy()
     p[m.slack_gen] = s.real[b] - m.p_spec[b]
     return q, p
 
 
+def _solved_context(x: H2MGContext, m: _GridModel, st: _State) -> H2MGContext:
+    """``x`` with the solved state of ``st`` written into its features.
+
+    Buses get ``v`` and ``theta``; lines and twts their end flows ``p1``
+    to ``i2``, 0 on an open line; the twt of each tap changer its ``ratio``;
+    generators (:func:`_gen_outputs`), loads and shunts their ``p``, ``q``
+    and current ``i`` at their bus's voltage; SVR zones the ``v`` and
+    ``theta`` of their regulated bus.  Every other feature is kept.
+    """
+    vm, va = st.vm.tolist(), st.va.tolist()
+    updates: dict[tuple[str, str], dict] = {
+        ("bus", e.id): {"v": v, "theta": a}
+        for e, v, a in zip(x.edges_of("bus"), vm, va)}
+    names = ("p1", "q1", "i1", "p2", "q2", "i2")
+    for key, flow in zip(m.branch_keys, zip(*(f.tolist() for f in _branch_flows(m, st)))):
+        updates[key] = dict(zip(names, flow))
+    for e in x.edges_of("line"):  # an open line carries nothing
+        updates.setdefault(("line", e.id), dict.fromkeys(names, 0.0))
+    for r in m.rtcs:
+        updates[m.branch_keys[r["branch"]]]["ratio"] = float(st.ratio[r["branch"]])
+
+    def injection(e, p, q):
+        return {"p": p, "q": q, "i": math.hypot(p, q) / vm[m._bus(e.ports["bus"], e)]}
+
+    q_gen, p_gen = _gen_outputs(m, st)
+    for e, p, q in zip(x.edges_of("generator"), p_gen.tolist(), q_gen.tolist()):
+        updates[("generator", e.id)] = injection(e, p, q)
+    for e in x.edges_of("load"):
+        updates[("load", e.id)] = injection(
+            e, e.feature("p_target", 0.0), e.feature("q_target", 0.0))
+    for e in x.edges_of("shunt"):
+        on, v2 = e.feature("status", 0.0), vm[m._bus(e.ports["bus"], e)] ** 2
+        updates[("shunt", e.id)] = injection(
+            e, on * e.feature("g", 0.0) * v2, -on * e.feature("b", 0.0) * v2)
+    for e in x.edges_of("svr_zone"):
+        b = m._bus(e.ports["regulated_bus"], e)
+        updates[("svr_zone", e.id)] = {"v": vm[b], "theta": va[b]}
+    return x.replace_features(updates)
+
+
 def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerFlowSolution:
-    """Solve the static AC equations with tap, SVR, and Q-limit outer loops."""
+    """Solve the static AC equations with tap, SVR, and Q-limit outer loops.
+
+    Like MATPOWER's ``runpf``, it returns the case with its solved state
+    written in; a solve of that context warm-starts from the bus voltages,
+    SVR unit outputs and tap ratios it reads back."""
     m, st = _solve_raw(grid, opts)
     converged = st.status == "converged"
-    flows = _branch_flows(m, st) if converged else (np.zeros(len(m.fb)),) * 6
-    gen_q, gen_p = {}, {}
-    if converged:
-        for gid, q, p in zip(m.gen_ids, *_gen_outputs(m, st)):
-            gen_q[gid] = float(q)
-            gen_p[gid] = float(p)
-    return PowerFlowSolution(
-        converged=converged,
-        bus_v={bid: float(v) for bid, v in zip(m.bus_ids, st.vm)},
-        bus_theta={bid: float(a) for bid, a in zip(m.bus_ids, st.va)},
-        branch_flows={key: BranchFlow(*f) for key, f in zip(m.branch_keys, zip(*flows))},
-        gen_q=gen_q,
-        gen_p=gen_p,
-        rtc_ratio={r["id"]: float(st.ratio[r["branch"]]) for r in m.rtcs},
-        inner_iterations=st.inner,
-        outer_iterations=st.outer,
-        status=st.status,
-        restarts=st.restarts,
-        moving=st.moving,
-    )
+    return PowerFlowSolution(converged, _solved_context(grid, m, st) if converged else None,
+                             st.inner, st.outer, st.status, st.restarts, st.moving)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ from . import rng as grng
 from .baseline import init_baseline
 from .config import config_from_json, config_to_json
 from .estimator import ESTIMATE_STATUSES, EstimatorConfig, estimate_gradient
-from .gridgen import (
-    CompiledContext, Normalizer, fit_normalizer, load_dataset, load_manifest, normalize)
+from .gridgen import CompiledContext, Normalizer, fit_normalizer, load_dataset, normalize
 from .h2mg import CONTROLLER_CLASSES, RTC_CATEGORIES, Decision, H2MGContext, H2MGError
 from .model import (
     ModelConfig,
@@ -161,12 +160,6 @@ def _adam_update(p, g, m, v, c1, c2, cfg):
 # ---------------------------------------------------------------------------
 # Training
 
-def _check_disjoint_ids(train_ids, val_ids):
-    overlap = set(train_ids) & set(val_ids)
-    if overlap:
-        raise H2MGError(f"train/val context ids overlap: {sorted(overlap)[:5]}")
-
-
 def _epoch_order(n: int, seed: int, needed: int) -> list[int]:
     order: list[int] = []
     epoch = 0
@@ -185,8 +178,11 @@ def train(cfg: TrainConfig) -> dict:
     val_set = load_dataset(cfg.val_dir)
     if not train_set:
         raise H2MGError("training dataset is empty")
-    _check_disjoint_ids(load_manifest(cfg.train_dir)["ids"],
-                        load_manifest(cfg.val_dir)["ids"])
+    # a context's origin is its dataset id and keys its estimator stream
+    overlap = ({x.metadata["origin"] for x in train_set}
+               & {x.metadata["origin"] for x in val_set})
+    if overlap:
+        raise H2MGError(f"train/val context ids overlap: {sorted(overlap)[:5]}")
 
     # a set path that names no file raises here rather than refitting
     norm = Normalizer.load(cfg.normalizer_path) if cfg.normalizer_path \
@@ -202,6 +198,8 @@ def train(cfg: TrainConfig) -> dict:
     order = _epoch_order(len(train_pairs), cfg.seed,
                          cfg.iterations * cfg.minibatch)
 
+    # written into every checkpoint, for evaluate_checkpoint to read back
+    configs = {"policy": config_to_json(cfg.policy), "solver": config_to_json(cfg.solver)}
     # looked up here, not at import, so a replaced evaluate_objective is called
     oracle = functools.partial(evaluate_objective, opts=cfg.solver)
     pool = None
@@ -282,8 +280,7 @@ def train(cfg: TrainConfig) -> dict:
                     ckpt = out / f"ckpt_{it + 1:06d}.npz"
                     save_checkpoint(ckpt, params, norm, cfg.seed,
                                     {"iteration": it + 1,
-                                     "val_mean_objective": val_obj,
-                                     "policy": config_to_json(cfg.policy)})
+                                     "val_mean_objective": val_obj, **configs})
                     log.write(json.dumps({
                         "iteration": it, "event": "eval",
                         "val_mean_objective": val_obj,
@@ -297,8 +294,7 @@ def train(cfg: TrainConfig) -> dict:
             pool.shutdown()
 
     save_checkpoint(out / "ckpt_final.npz", params, norm, cfg.seed,
-                    {"iteration": cfg.iterations,
-                     "policy": config_to_json(cfg.policy)})
+                    {"iteration": cfg.iterations, **configs})
     if best[1] < 0:
         shutil.copyfile(out / "ckpt_final.npz", out / "ckpt_best.npz")
     summary["best_val_objective"] = best[0] if best[1] >= 0 else None
@@ -417,7 +413,10 @@ def evaluate(params: ModelParams, dataset: list[H2MGContext], norm: Normalizer,
 def evaluate_checkpoint(ckpt_path: str | Path, data_dir: str | Path,
                         out_dir: str | Path | None = None,
                         pol_cfg: PolicyConfig | None = None,
-                        solver: SolverOptions = SolverOptions()) -> dict:
+                        solver: SolverOptions | None = None) -> dict:
+    """:func:`evaluate` a checkpoint on a dataset with the normalizer saved
+    beside it.  An unset ``pol_cfg`` or ``solver`` is the one the run
+    trained with, as its meta records it, else the default."""
     params, meta = load_checkpoint(ckpt_path)
     norm_path = Path(ckpt_path).parent / "normalizer.json"
     if not norm_path.exists():
@@ -428,4 +427,6 @@ def evaluate_checkpoint(ckpt_path: str | Path, data_dir: str | Path,
     dataset = load_dataset(data_dir)
     if pol_cfg is None:
         pol_cfg = config_from_json(PolicyConfig, meta.get("policy", {}))
+    if solver is None:
+        solver = config_from_json(SolverOptions, meta.get("solver", {}))
     return evaluate(params, dataset, norm, pol_cfg, solver, out_dir)

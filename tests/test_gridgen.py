@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gridtvc import gridgen
 from gridtvc import rng as grng
 from gridtvc.gridgen import (
     KNOT_TIE,
@@ -99,8 +100,8 @@ def test_embedded_base_case_is_consistent():
     assert sol.converged
     # Re-solving from the embedded state stays on the same operating point,
     # up to discrete taps resettling by at most a step or two.
-    deltas = sorted(abs(sol.bus_v[e.id] - e.features["v"])
-                    for e in x.edges_of("bus"))
+    deltas = sorted(abs(s.features["v"] - e.features["v"])
+                    for s, e in zip(sol.context.edges_of("bus"), x.edges_of("bus")))
     assert deltas[len(deltas) // 2] < 1e-3
     assert deltas[-1] < 0.03
 
@@ -136,6 +137,20 @@ def test_load_dataset_refuses_a_malformed_record(tmp_path):
     doc["classes"]["line"][0]["ports"]["bus1"] = 1.5
     path.write_text(json.dumps(doc))
     with pytest.raises(H2MGError, match=r"'bus1' must be an integer"):
+        load_dataset(tmp_path / "data")
+
+
+def test_load_dataset_refuses_a_context_whose_origin_is_not_its_id(tmp_path):
+    # train keys each context's estimator stream by its origin
+    xs = [generate_context(SMALL, grng.stream(3, i), origin=f"s3_c{i:05d}")
+          for i in range(2)]
+    write_dataset(tmp_path / "data", xs, SMALL, seed=3)
+    path = tmp_path / "data" / "s3_c00001.json"
+    doc = json.loads(path.read_text())
+    doc["metadata"]["origin"] = "s3_c00000"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(H2MGError, match=r"s3_c00001\.json: origin 's3_c00000' is not "
+                                        r"its manifest id 's3_c00001'"):
         load_dataset(tmp_path / "data")
 
 
@@ -229,6 +244,27 @@ def test_absent_everywhere_gives_identity_with_warning():
         norm = fit_normalizer(dataset, knots=3)
     assert norm.tables[("load", "i")] == Normalizer.IDENTITY
     assert norm.apply("load", "i", 3.25) == 3.25
+
+
+def test_fit_reads_each_context_once_and_warns_for_a_class_without_edges(monkeypatch):
+    # The shunt class is present with no edges: each of its features is
+    # absent in all contexts, as a feature absent from every edge is.
+    dataset = [H2MGContext(x.address_count, {**x.edges, "shunt": ()})
+               for x in _ctx_with_values([1.0, 2.0, 3.0], current=None)]
+    walked, walk = [], gridgen._raw_classes
+
+    def spy(x):
+        walked.append(x)
+        return walk(x)
+
+    monkeypatch.setattr(gridgen, "_raw_classes", spy)
+    with pytest.warns(UserWarning) as caught:
+        norm = fit_normalizer(dataset, knots=3)
+    assert walked == dataset
+    absent = ["load.i", *(f"shunt.{f}" for f in SCHEMA["shunt"].context_feature_names)]
+    assert sorted(str(w.message).split()[1] for w in caught) == sorted(absent)
+    for key in absent:
+        assert norm.tables[tuple(key.split("."))] == Normalizer.IDENTITY
 
 
 def test_monotonicity_and_range_property():

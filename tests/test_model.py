@@ -346,6 +346,37 @@ def test_checkpoint_saved_for_another_schema_is_refused(tmp_path):
     assert "0" * 16 in str(err.value) and schema_hash() in str(err.value)
 
 
+def _without_last_layer(values):
+    # the decoder then reads one layer fewer, and forward still runs
+    del values["decoder.line_controller.layer1.weight"]
+    del values["decoder.line_controller.layer1.bias"]
+
+
+def _with_an_extra_layer(values):
+    values["decoder.line_controller.layer2.weight"] = np.zeros((1, 1))
+
+
+def _with_a_wider_bias(values):
+    values["encoder.bus.layer0.bias"] = np.zeros(17)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_without_last_layer, r"'decoder.line_controller.layer1.bias' has shape \(missing\), "
+                          r"but its config says \(1,\)"),
+    (_with_an_extra_layer, r"'decoder.line_controller.layer2.weight' has shape \(1, 1\), "
+                           r"but its config says \(no such parameter\)"),
+    (_with_a_wider_bias, r"'encoder.bus.layer0.bias' has shape \(17,\), "
+                         r"but its config says \(16,\)"),
+])
+def test_checkpoint_whose_tensors_do_not_match_its_config_is_refused(tmp_path, edit, problem):
+    params = init_params(TINY, np.random.default_rng(19))
+    edit(params.values)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params)
+    with pytest.raises(ValueError, match=problem):
+        load_checkpoint(path)
+
+
 # -- batches ------------------------------------------------------------------
 
 SMALL_SPEC = GridFamilySpec(bus_count_min=12, bus_count_max=12, twt_count=4,

@@ -17,6 +17,7 @@ from gridtvc.h2mg import (
 from gridtvc.powerflow import (
     PROHIBITIVE_COST,
     RTC_SETPOINT_LADDER,
+    TAP_MULTIPLIERS,
     SolverOptions,
     apply_decision,
     count_metrics,
@@ -47,48 +48,54 @@ def empty_decision(x):
     return Decision.paired(x, {c: [0] * len(x.edges_of(c)) for c in CONTROLLER_CLASSES})
 
 
+def solved(sol, cname, feature):
+    """One feature of a class in a converged solve's context, keyed by edge id."""
+    return {e.id: e.features[feature] for e in sol.context.edges_of(cname)}
+
+
 # -- solve_ac -----------------------------------------------------------------
 
 def test_flat_no_load_exact():
     sol = solve_ac(two_bus_noload(r=0.0, x=0.1))
     assert sol.converged
-    assert sol.bus_v == {"bus_0": 1.0, "bus_1": 1.0}
-    assert sol.bus_theta == {"bus_0": 0.0, "bus_1": 0.0}
-    f = sol.branch_flows[("line", "line_0")]
-    assert f.p1 == 0.0 and f.p2 == 0.0 and f.i1 == 0.0
+    assert solved(sol, "bus", "v") == {"bus_0": 1.0, "bus_1": 1.0}
+    assert solved(sol, "bus", "theta") == {"bus_0": 0.0, "bus_1": 0.0}
+    f = edge_by_id(sol.context, "line", "line_0").features
+    assert f["p1"] == 0.0 and f["p2"] == 0.0 and f["i1"] == 0.0
 
 
 def test_two_bus_matches_independent_root_solve():
     sol = solve_ac(two_bus(0.5, 0.2, 0.01, 0.1))
     v2, th2, ok = scipy_two_bus_solution(0.5, 0.2, 0.01, 0.1)
     assert ok and sol.converged
-    assert abs(sol.bus_v["bus_1"] - v2) < 1e-8
-    assert abs(sol.bus_theta["bus_1"] - th2) < 1e-8
+    assert abs(solved(sol, "bus", "v")["bus_1"] - v2) < 1e-8
+    assert abs(solved(sol, "bus", "theta")["bus_1"] - th2) < 1e-8
 
 
 def test_two_bus_with_charging_matches_oracle():
     sol = solve_ac(two_bus(0.3, 0.1, 0.02, 0.15, charging=0.2))
     v2, th2, ok = scipy_two_bus_solution(0.3, 0.1, 0.02, 0.15, charging=0.2)
     assert ok and sol.converged
-    assert abs(sol.bus_v["bus_1"] - v2) < 1e-8
-    assert abs(sol.bus_theta["bus_1"] - th2) < 1e-8
+    assert abs(solved(sol, "bus", "v")["bus_1"] - v2) < 1e-8
+    assert abs(solved(sol, "bus", "theta")["bus_1"] - th2) < 1e-8
 
 
 def test_three_bus_matches_independent_root_solve():
     sol = solve_ac(three_bus(0.4, 1.02, 0.9, 0.3))
     (th1, th2, v2), ok = scipy_three_bus_solution(0.4, 1.02, 0.9, 0.3)
     assert ok and sol.converged
-    assert abs(sol.bus_v["bus_1"] - 1.02) < 1e-12
-    assert abs(sol.bus_theta["bus_1"] - th1) < 1e-8
-    assert abs(sol.bus_v["bus_2"] - v2) < 1e-8
-    assert abs(sol.bus_theta["bus_2"] - th2) < 1e-8
+    assert abs(solved(sol, "bus", "v")["bus_1"] - 1.02) < 1e-12
+    assert abs(solved(sol, "bus", "theta")["bus_1"] - th1) < 1e-8
+    assert abs(solved(sol, "bus", "v")["bus_2"] - v2) < 1e-8
+    assert abs(solved(sol, "bus", "theta")["bus_2"] - th2) < 1e-8
 
 
 def test_residual_property_and_flow_consistency():
     sol = solve_ac(three_bus())
     assert sol.converged
     # recompute branch equations from (V, theta) directly
-    v = {b: sol.bus_v[b] * np.exp(1j * sol.bus_theta[b]) for b in sol.bus_v}
+    vm, va = solved(sol, "bus", "v"), solved(sol, "bus", "theta")
+    v = {b: vm[b] * np.exp(1j * va[b]) for b in vm}
     x = three_bus()
     for e in x.edges_of("line"):
         ys = 1.0 / complex(e.features["r"], e.features["x"])
@@ -96,10 +103,54 @@ def test_residual_property_and_flow_consistency():
         b2 = f"bus_{e.ports['bus2']}"
         i1 = ys * (v[b1] - v[b2])
         s1 = v[b1] * np.conj(i1)
-        f = sol.branch_flows[("line", e.id)]
-        assert abs(s1.real - f.p1) < 1e-10
-        assert abs(s1.imag - f.q1) < 1e-10
-        assert abs(abs(i1) - f.i1) < 1e-10
+        f = edge_by_id(sol.context, "line", e.id).features
+        assert abs(s1.real - f["p1"]) < 1e-10
+        assert abs(s1.imag - f["q1"]) < 1e-10
+        assert abs(abs(i1) - f["i1"]) < 1e-10
+
+
+FLOWS = ("p1", "q1", "i1", "p2", "q2", "i2")
+#: The features a converged solve writes, per class; the twt of each tap
+#: changer also gets its ratio.
+SOLVED = {"bus": ("v", "theta"), "line": FLOWS, "twt": FLOWS,
+          "generator": ("p", "q", "i"), "load": ("p", "q", "i"),
+          "shunt": ("p", "q", "i"), "svr_zone": ("v", "theta")}
+
+
+def test_a_converged_solve_writes_every_solved_feature():
+    # Blank what the solve owns; every other feature is the solve's input.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 0), origin="val-000")
+    blank = x.replace_features({(c, e.id): dict.fromkeys(names)
+                                for c, names in SOLVED.items() for e in x.edges_of(c)})
+    sol = solve_ac(blank)
+    assert sol.converged and sol.context.metadata == x.metadata
+    tapped = {rtc.ports["twt"] for rtc in x.edges_of("rtc")}
+    for cname, names in SOLVED.items():
+        assert sol.context.edges_of(cname)
+        for e, before in zip(sol.context.edges_of(cname), blank.edges_of(cname)):
+            owned = (*names, "ratio") if cname == "twt" and e.ports["twt"] in tapped \
+                else names
+            assert all(isinstance(e.features[f], float) and np.isfinite(e.features[f])
+                       for f in owned), (cname, e.id)
+            assert e.ports == before.ports
+            assert {f: v for f, v in e.features.items() if f not in owned} == \
+                {f: v for f, v in before.features.items() if f not in owned}
+    # the twt of each tap changer holds a ratio on the tap ladder
+    v_nom = {e.ports["bus"]: e.features["v_nom"] for e in x.edges_of("bus")}
+    for rtc in x.edges_of("rtc"):
+        (twt,) = sol.context.anchored("twt", "twt", rtc.ports["twt"])
+        mult = twt.features["ratio"] * v_nom[twt.ports["bus2"]] / v_nom[twt.ports["bus1"]]
+        assert np.abs(mult - TAP_MULTIPLIERS).min() < 1e-12
+
+
+def test_an_open_line_carries_no_flow_in_the_solved_context():
+    x = generate_context(GridFamilySpec(), stream(0, "val", 0), origin="val-000")
+    y = init_baseline(x, -0.02).replace("line_controller", 0, 1)
+    opened = x.device(x.edges_of("line_controller")[0]).id
+    assert edge_by_id(x, "line", opened).features["i1"] > 0.1
+    sol = solve_ac(apply_decision(x, y))
+    assert sol.converged
+    assert [edge_by_id(sol.context, "line", opened).features[f] for f in FLOWS] == [0.0] * 6
 
 
 def test_nose_point_overload_non_convergence():
@@ -159,7 +210,7 @@ def test_identity_decision_is_electrically_identical():
     y = empty_decision(x)
     applied = apply_decision(x, y)
     s1, s2 = solve_ac(x), solve_ac(applied)
-    assert s1.bus_v == s2.bus_v
+    assert solved(s1, "bus", "v") == solved(s2, "bus", "v")
 
 
 def test_shunt_switch_disconnects_connected_shunt():
@@ -292,7 +343,7 @@ def test_metrics_overvoltage_definitional():
     x = two_bus(0.0, -1.3, 0.005, 0.05)  # capacitive load raises the far bus
     m = evaluate_objective(x, Decision({}))
     sol = solve_ac(x)
-    v = sol.bus_v["bus_1"]
+    v = solved(sol, "bus", "v")["bus_1"]
     expected = int(v > 1.05)
     assert m.converged
     assert m.over_voltages == expected
@@ -366,8 +417,8 @@ def test_rtc_regulation_steps_toward_target():
     applied = apply_decision(x, y)
     sol = solve_ac(applied)
     assert sol.converged
-    assert abs(sol.bus_v["bus_1"] - 1.05) <= 0.006  # within a tap deadband
-    assert sol.rtc_ratio["rtc_0"] < 1.0  # lowered ratio raises the bus2 side
+    assert abs(solved(sol, "bus", "v")["bus_1"] - 1.05) <= 0.006  # within a tap deadband
+    assert solved(sol, "twt", "ratio")["twt_0"] < 1.0  # lowered ratio raises the bus2 side
 
 
 def test_svr_holds_regulated_bus_at_target():
@@ -376,9 +427,9 @@ def test_svr_holds_regulated_bus_at_target():
     applied = apply_decision(x, y)
     sol = solve_ac(applied)
     assert sol.converged
-    assert abs(sol.bus_v["bus_1"] - 1.02) < 1e-4
+    assert abs(solved(sol, "bus", "v")["bus_1"] - 1.02) < 1e-4
     # the unit supplied the reactive power, within its limits
-    assert -1.0 <= sol.gen_q["gen_1"] <= 1.0
+    assert -1.0 <= solved(sol, "generator", "q")["gen_1"] <= 1.0
 
 
 def test_svr_saturates_and_bus_floats():
@@ -387,8 +438,8 @@ def test_svr_saturates_and_bus_floats():
     applied = apply_decision(x, y)
     sol = solve_ac(applied)
     assert sol.converged
-    assert sol.gen_q["gen_1"] == pytest.approx(1.0, abs=1e-9)
-    assert sol.bus_v["bus_1"] < 1.12
+    assert solved(sol, "generator", "q")["gen_1"] == pytest.approx(1.0, abs=1e-9)
+    assert solved(sol, "bus", "v")["bus_1"] < 1.12
 
 
 def test_gen_q_limit_switching():
@@ -398,10 +449,10 @@ def test_gen_q_limit_switching():
                                                          "q_min": -0.05}})
     sol = solve_ac(tight)
     assert sol.converged
-    assert abs(sol.gen_q["gen_1"]) <= 0.05 + 1e-9
-    assert abs(sol.bus_v["bus_1"] - 1.06) > 1e-4
+    assert abs(solved(sol, "generator", "q")["gen_1"]) <= 0.05 + 1e-9
+    assert abs(solved(sol, "bus", "v")["bus_1"] - 1.06) > 1e-4
     loose = solve_ac(x)
-    assert abs(loose.bus_v["bus_1"] - 1.06) < 1e-12
+    assert abs(solved(loose, "bus", "v")["bus_1"] - 1.06) < 1e-12
 
 
 # -- solve status -------------------------------------------------------------
@@ -414,13 +465,14 @@ def test_status_converged_on_flat_grid():
 def test_status_newton_failed_past_the_nose_point():
     sol = solve_ac(two_bus(20.0, 8.0, 0.01, 0.1))
     assert not sol.converged and sol.status == "newton_failed"
-    assert sol.outer_iterations == 0
+    assert sol.outer_iterations == 0 and sol.context is None
 
 
 def test_status_singular_jacobian_on_islanded_load():
     severed = two_bus().replace_features({("line", "line_0"): {"status": 0.0}})
     sol = solve_ac(severed)
     assert not sol.converged and sol.status == "singular_jacobian"
+    assert sol.context is None
 
 
 def test_status_outer_cap_on_pinned_generated_context():

@@ -269,10 +269,12 @@ def test_lever_usage_counts_each_lever():
         "rtc_category_shares": [0.0] * 4, "per_lever_usage": {}}
 
 
-def capture_policies(monkeypatch):
+def capture_configs(monkeypatch):
+    """The policy and solver options of each ``evaluate`` call."""
     seen = []
     monkeypatch.setattr(trainer, "evaluate",
-                        lambda params, dataset, norm, pol_cfg, *rest: seen.append(pol_cfg))
+                        lambda params, dataset, norm, pol_cfg, solver, *rest:
+                        seen.append((pol_cfg, solver)))
     return seen
 
 
@@ -282,9 +284,9 @@ def test_evaluate_checkpoint_decides_with_the_policy_it_was_trained_with(run, mo
                   policy=PolicyConfig(binary_offset=-1.0, rtc_offset_scale=1.0,
                                       svr_offset=0.01))
     summary = train(cfg)
-    seen = capture_policies(monkeypatch)
+    seen = capture_configs(monkeypatch)
     evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
-    assert seen == [cfg.policy]
+    assert seen == [(cfg.policy, cfg.solver)]
 
 
 def test_checkpoint_saved_without_a_policy_evaluates_with_the_default_one(run, monkeypatch):
@@ -295,9 +297,23 @@ def test_checkpoint_saved_without_a_policy_evaluates_with_the_default_one(run, m
     out.mkdir()
     norm.save(out / "normalizer.json")
     save_checkpoint(out / "ckpt.npz", params, norm)
-    seen = capture_policies(monkeypatch)
+    seen = capture_configs(monkeypatch)
     evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
-    assert seen == [PolicyConfig()]
+    assert seen == [(PolicyConfig(), SolverOptions())]
+
+
+def test_evaluate_checkpoint_scores_with_the_solver_it_was_trained_with(run, monkeypatch):
+    cfg, _, root = run
+    cfg = replace(cfg, iterations=1, eval_every=0, out_dir=str(root / "solver"),
+                  solver=SolverOptions(lambda_j=0.5, target_clamp=(0.5, 2.0)))
+    summary = train(cfg)
+    _, meta = load_checkpoint(summary["final_checkpoint"])
+    assert meta["solver"] == config_to_json(cfg.solver)
+    seen = capture_configs(monkeypatch)
+    evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
+    given = SolverOptions(max_outer=7)
+    evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir, solver=given)
+    assert [solver for _, solver in seen] == [cfg.solver, given]
 
 
 def test_train_loads_the_named_normalizer_and_refuses_a_missing_one(run):
