@@ -9,6 +9,7 @@ from .h2mg import (
     SCHEMA,
     SurrogateDecision,
     deserialize,
+    paired_decision,
     serialize,
     validate_context,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "SCHEMA",
     "SurrogateDecision",
     "deserialize",
+    "paired_decision",
     "serialize",
     "validate_context",
     "ObjectiveBreakdown",

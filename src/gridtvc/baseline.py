@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .h2mg import RTC_SETPOINT_LADDER, Decision, H2MGContext, H2MGError
+from .h2mg import RTC_SETPOINT_LADDER, Decision, H2MGContext, H2MGError, paired_decision
 from .powerflow import SolverOptions, evaluate_objective
 
 
@@ -50,7 +50,7 @@ def init_baseline(x: H2MGContext, offset: float = 0.0) -> Decision:
             raise H2MGError(
                 f"rtc_controller {e.id!r} lacks the initial setpoint")
         values["rtc_controller"].append(project_rtc_category(setpoint, v_nom))
-    return Decision.paired(x, values)
+    return paired_decision(x, values)
 
 
 def tune_baseline_offset(dataset: list[H2MGContext],

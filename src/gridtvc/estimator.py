@@ -73,7 +73,8 @@ def _norm(g: np.ndarray) -> float:
 @dataclass
 class GradEstimate:
     """Surrogate gradient: one array per class, shaped exactly like the
-    paired SurrogateDecision's.
+    surrogate decision it was estimated at: a :func:`~gridtvc.model.vjp`
+    output cotangent.
 
     ``grad_norm`` holds each class's L2 norm of its gradient, and
     ``score_norm`` and ``entropy_norm`` those of the two terms the gradient
@@ -104,6 +105,14 @@ def clip_score(f_i: float, f_ref: float, tau: float) -> float:
     return math.tanh((f_i - f_ref) / tau)
 
 
+def _replace(y: Decision, class_name: str, row: int, value) -> Decision:
+    """A copy of ``y`` with one controller's value changed; only its
+    class's array is copied."""
+    arr = y[class_name].copy()
+    arr[row] = value
+    return {**y, class_name: arr}
+
+
 def _score(oracle: Oracle, x: H2MGContext, y: Decision) -> tuple[float, str]:
     """Oracle score and status; failures never abort the estimate.
 
@@ -127,14 +136,15 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
                       policy_cfg: PolicyConfig = PolicyConfig()) -> GradEstimate:
     """Adjusted Monte-Carlo estimate of the surrogate objective gradient.
 
-    Each class's gradient is one array in ``z``'s layout.  When the mode
-    decision itself does not converge no improvement direction is defined
-    and the estimate is exactly zero, flagged.
+    ``z``, the decisions passed to ``oracle`` and the gradient are plain
+    dicts of one array per controller class, the gradient shaped like ``z``.
+    When the mode decision itself does not converge no improvement
+    direction is defined and the estimate is exactly zero, flagged.
     """
     y_mp = policy.most_probable(z)
     f_ref, status = _score(oracle, x, y_mp)
     if status != "converged":
-        return GradEstimate({c: np.zeros_like(a) for c, a in z.values.items()},
+        return GradEstimate({c: np.zeros_like(a) for c, a in z.items()},
                             f_ref, False, status)
 
     # One pass per class in canonical order: draw its samples, score each
@@ -149,19 +159,18 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     entropy_norm: dict[str, float] = {}
     scored: dict[tuple, tuple[float, str]] = {}
     for cname in CONTROLLER_CLASSES:
-        z_c = z.values.get(cname)
+        z_c = z.get(cname)
         if z_c is None:
             continue
         n = int(cfg.samples.get(cname, 8))
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
             draws = policy.sample(z_c, n, rng, policy_cfg)
-            samples = [((cname, k), Decision({**y_mp.values, cname: draw}))
-                       for k, draw in enumerate(draws)]
+            samples = [((cname, k), {**y_mp, cname: draw}) for k, draw in enumerate(draws)]
         else:
-            neighbors = [(row, alt) for row, value in enumerate(y_mp.values[cname])
+            neighbors = [(row, alt) for row, value in enumerate(y_mp[cname])
                          for alt in policy.unary_neighbors(cname, value)]
             picks = [neighbors[k] for k in rng.integers(0, len(neighbors), size=n)]
-            samples = [((cname, row, alt), y_mp.replace(cname, row, alt))
+            samples = [((cname, row, alt), _replace(y_mp, cname, row, alt))
                        for row, alt in picks]
         for key, y_i in samples:
             if key not in scored:
@@ -170,8 +179,8 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
         acc = np.zeros_like(z_c)
         for key, y_i in samples:
             acc += clip_score(scored[key][0], f_ref, cfg.tau) * policy.log_prob_grad(
-                cname, y_i.values[cname], z_c, policy_cfg)
-        entropy_term = -policy.entropy_grad(cname, z_c, policy_cfg)
+                cname, y_i[cname], z_c, policy_cfg)
+        entropy_term = -policy.entropy_grad(cname, z_c)
         score_term = cfg.beta / n * acc
         grads[cname] = entropy_term + score_term
         grad_norm[cname], score_norm[cname], entropy_norm[cname] = map(

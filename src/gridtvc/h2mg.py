@@ -7,12 +7,11 @@ finds the edges plugged into an address through a port with
 :meth:`H2MGContext.anchored`; the solver, the model, the normalizer and
 serialization all read that one layout.  The schema names the device class
 each controller acts on, and :meth:`H2MGContext.device` finds that device.
-Alongside the context itself live the two decision-side containers:
-``Decision`` (concrete controller actions) and ``SurrogateDecision`` (the
-real-valued parameters of the stochastic policy over those actions).  Both
-hold one array per controller class whose rows follow that class's
+A ``Decision`` (concrete controller actions) and a ``SurrogateDecision``
+(the real-valued parameters of the stochastic policy over those actions)
+are plain dicts of one array per controller class, rows in that class's
 canonical edge order, so the policy, the estimator and the oracle act on
-whole classes and no controller is looked up by id.
+whole classes; :func:`paired_decision` checks one that comes from outside.
 """
 
 from __future__ import annotations
@@ -239,17 +238,27 @@ def reactive_ranges(q_min: Sequence[float], q_max: Sequence[float]) -> np.ndarra
     return np.where(np.isfinite(span), span, 1.0)
 
 
+#: Features the baseline or an applied decision reads, per controller
+#: class: on the controller where its class has them, else on its device.
+_CONTROLLED_FEATURES = {"shunt_controller": ("status",),
+                        "svr_controller": ("v", "v_target"),
+                        "rtc_controller": ("v_target", "v_nom")}
+
+
 def validate_context(x: H2MGContext) -> list[Violation]:
     """Check every structural invariant; an empty report means a valid context.
 
     Violations are reported, never raised, so callers can show all problems
-    at once.  Each controller must act on exactly one device that no earlier
-    controller acts on; a controlled rtc must sit on exactly one twt, and a
-    controlled svr zone needs a unit with ``participate`` > 0.5 and a
-    positive summed reactive range over those units (otherwise the
-    dispatch drops the zone and its controller moves nothing).  Every
-    participating unit of any svr zone must drive exactly one generator,
-    since the oracle dispatches each one.
+    at once; the rules mirror what the oracle and the baseline raise on.
+    Each controller must act on exactly one device that no earlier
+    controller acts on, with ``_CONTROLLED_FEATURES`` present; every rtc
+    must sit on exactly one twt, and a controlled svr zone needs a unit with
+    ``participate`` > 0.5 and a positive summed reactive range over those
+    units (otherwise the dispatch drops the zone and its controller moves
+    nothing).  Every participating unit of any svr zone must drive exactly
+    one generator, since the oracle dispatches each one, and not the slack
+    (the first generator flagged so; there must be one).  No in-service
+    line or twt may have ``r = x = 0``.
     """
     report: list[Violation] = []
 
@@ -299,19 +308,33 @@ def validate_context(x: H2MGContext) -> list[Violation]:
         owner: dict[int, str] = {}
         for e in x.edges_of(cname):
             addr = e.ports[port]
-            if len(x.anchored(device, port, addr)) != 1:
+            devices = x.anchored(device, port, addr)
+            if len(devices) != 1:
                 bad(cname, e.id, f"{port} port does not match exactly one {device}")
-            elif cname == "rtc_controller" and len(x.anchored("twt", port, addr)) != 1:
-                bad(cname, e.id, "anchored rtc does not match exactly one twt")
+            else:
+                for fname in _CONTROLLED_FEATURES.get(cname, ()):
+                    holder = e if fname in e.features else devices[0]
+                    if holder.features[fname] is None:
+                        bad(cname, e.id, f"{holder.class_name} {holder.id!r} has no {fname!r}")
             if addr in owner:
                 bad(cname, e.id, f"{device} at address {addr} already has "
                                  f"controller {owner[addr]!r}")
             owner.setdefault(addr, e.id)
+    for e in x.edges_of("rtc"):
+        if len(x.anchored("twt", "twt", e.ports["twt"])) != 1:
+            bad("rtc", e.id, "twt port does not match exactly one twt")
+
+    slack = [g.ports["gen"] for g in x.edges_of("generator") if g.feature("slack", 0.0) > 0.5]
+    if not slack:
+        bad("generator", "", "no slack generator")
     for z in x.edges_of("svr_zone"):
         for u in x.anchored("svr_unit", "zone", z.ports["zone"]):
-            if u.feature("participate", 0.0) > 0.5 \
-                    and len(x.anchored("generator", "gen", u.ports["gen"])) != 1:
+            if u.feature("participate", 0.0) <= 0.5:
+                continue
+            if len(x.anchored("generator", "gen", u.ports["gen"])) != 1:
                 bad("svr_unit", u.id, "gen port does not match exactly one generator")
+            elif slack and u.ports["gen"] == slack[0]:
+                bad("svr_unit", u.id, "participating unit drives the slack generator")
     for e in x.edges_of("svr_controller"):
         units = [u for u in x.anchored("svr_unit", "zone", e.ports["zone"])
                  if u.feature("participate", 0.0) > 0.5]
@@ -333,6 +356,9 @@ def validate_context(x: H2MGContext) -> list[Violation]:
                 rating = e.features[fname]
                 if rating is not None and rating <= 0:
                     bad(cname, e.id, f"{fname} must be > 0 where rated")
+            in_service = cname == "twt" or not e.feature("status", 1.0) < 0.5
+            if in_service and e.feature("r", 0.0) == 0.0 and e.feature("x", 0.0) == 0.0:
+                bad(cname, e.id, "in service with zero impedance (r = x = 0)")
 
     return report
 
@@ -419,82 +445,48 @@ def deserialize(blob: bytes) -> H2MGContext:
 
 
 # ---------------------------------------------------------------------------
-# Decision containers: one array per controller class, rows in the context's
-# canonical edge order
+# Decisions: one array per controller class, rows in the context's canonical
+# edge order
 
-def _check_paired(kind: str, values: Mapping[str, np.ndarray], x: H2MGContext,
-                  row_shape=lambda cname: ()) -> None:
+#: Concrete controller actions, per controller class one array with a row per
+#: controller in :meth:`H2MGContext.edges_of` order: int 0/1 for binary classes
+#: (1 requests the change), float for svr_controller (setpoint delta, p.u.), an
+#: int category index 0..3 for rtc_controller.  No entry for an empty class.
+Decision = Mapping[str, np.ndarray]
+
+#: Real-valued policy parameters, per controller class one float
+#: ``(controllers, decision_dim)`` array in :meth:`H2MGContext.edges_of` order;
+#: ``decision_dim`` is 1 for binary and continuous classes, 4 for rtc_controller.
+SurrogateDecision = Mapping[str, np.ndarray]
+
+
+def _check_paired(values: Mapping[str, np.ndarray], x: H2MGContext) -> None:
     """Refuse ``values`` unless they hold exactly the controller classes of
-    ``x``, each an array of one ``row_shape(class)`` row per controller."""
+    ``x``, each an array of one entry per controller."""
     got = {c: np.shape(v) for c, v in values.items() if np.size(v)}
-    want = {c: (len(x.edges_of(c)), *row_shape(c))
-            for c in CONTROLLER_CLASSES if x.edges_of(c)}
+    want = {c: (len(x.edges_of(c)),) for c in CONTROLLER_CLASSES if x.edges_of(c)}
     if got != want:
         raise H2MGError(
-            f"{kind} arrays do not match the context's controllers "
+            f"decision arrays do not match the context's controllers "
             f"(got shapes {got}, expected {want})")
 
 
-@dataclass(frozen=True, eq=False)
-class Decision:
-    """Concrete controller actions: per controller class one array with a
-    row per controller, in :meth:`H2MGContext.edges_of` order.
-
-    Values: int 0/1 for binary classes (1 requests the change), float for
-    svr_controller (setpoint delta, p.u.), an int category index 0..3 for
-    rtc_controller.  A class without controllers has no entry.
-    """
-
-    values: Mapping[str, np.ndarray]
-
-    @classmethod
-    def paired(cls, x: H2MGContext, values: Mapping[str, Sequence]) -> "Decision":
-        """Check ``values`` against ``x``: the class set, each class's
-        length and its value domain."""
-        arrays = {c: np.asarray(v) for c, v in values.items()}
-        _check_paired("Decision", arrays, x)
-        frozen: dict[str, np.ndarray] = {}
-        for cname, arr in arrays.items():
-            if not arr.size:
-                continue
-            kind = SCHEMA[cname].decision_kind
-            if kind == D_CONTINUOUS:
-                ok, frozen[cname] = np.all(np.isfinite(arr)), arr.astype(float)
-            else:
-                domain = set(range(2 if kind == D_BINARY else RTC_CATEGORIES))
-                ok, frozen[cname] = set(arr.tolist()) <= domain, arr.astype(int)
-            if not ok:
-                raise H2MGError(f"{cname}: decision values outside the {kind} domain")
-        return cls(frozen)
-
-    def replace(self, class_name: str, row: int, value) -> "Decision":
-        """A copy with one controller's value changed; only its class's
-        array is copied."""
-        arr = self.values[class_name].copy()
-        arr[row] = value
-        return Decision({**self.values, class_name: arr})
-
-
-@dataclass(frozen=True, eq=False)
-class SurrogateDecision:
-    """Real-valued policy parameters: per controller class one float
-    ``(controllers, decision_dim)`` array, rows in
-    :meth:`H2MGContext.edges_of` order.
-
-    ``decision_dim`` is 1 for binary and continuous classes and 4 for
-    rtc_controller.
-    """
-
-    values: Mapping[str, np.ndarray]
-
-    @classmethod
-    def paired(cls, x: H2MGContext, values: Mapping[str, np.ndarray]
-               ) -> "SurrogateDecision":
-        """Check ``values`` against ``x``: the class set, each class's
-        shape and finiteness."""
-        arrays = {c: np.asarray(v, dtype=float) for c, v in values.items()}
-        _check_paired("SurrogateDecision", arrays, x,
-                      lambda cname: (SCHEMA[cname].decision_dim,))
-        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
-            raise H2MGError("surrogate values must be finite")
-        return cls({c: a for c, a in arrays.items() if a.size})
+def paired_decision(x: H2MGContext, values: Mapping[str, Sequence]) -> Decision:
+    """``values`` as a :data:`Decision` on ``x``, checked: the class set, each
+    class's length and its value domain.  Binary and one-hot classes become
+    int arrays, svr_controller a float one; empty classes are dropped."""
+    arrays = {c: np.asarray(v) for c, v in values.items()}
+    _check_paired(arrays, x)
+    out: dict[str, np.ndarray] = {}
+    for cname, arr in arrays.items():
+        if not arr.size:
+            continue
+        kind = SCHEMA[cname].decision_kind
+        if kind == D_CONTINUOUS:
+            ok, out[cname] = np.all(np.isfinite(arr)), arr.astype(float)
+        else:
+            domain = set(range(2 if kind == D_BINARY else RTC_CATEGORIES))
+            ok, out[cname] = set(arr.tolist()) <= domain, arr.astype(int)
+        if not ok:
+            raise H2MGError(f"{cname}: decision values outside the {kind} domain")
+    return out

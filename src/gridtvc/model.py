@@ -537,7 +537,7 @@ def predict(params: ModelParams, xs: Sequence[CompiledContext]) -> list[Surrogat
     """Raw surrogate decisions of contexts integrated as one union, keeping
     no per-step latents: the decision path, which never runs :func:`vjp`."""
     eng = _Engine(params, xs)
-    return [SurrogateDecision(z) for z in eng.decode(eng.integrate()[-1])]
+    return eng.decode(eng.integrate()[-1])
 
 
 def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext]):
@@ -550,17 +550,16 @@ def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext])
     if isinstance(x, CompiledContext):
         return predict(params, [x])[0]
     run = _integrate(params, x)
-    return [SurrogateDecision(z) for z in run.engine.decode(run.states[-1])], run
+    return run.engine.decode(run.states[-1]), run
 
 
-def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> ModelParams:
-    """Parameter cotangent of ``forward`` for a given output cotangent.
+def vjp(run: Integration, cotangents: Sequence) -> ModelParams:
+    """Parameter cotangent of a batch ``forward``, at the parameters it ran
+    with, for one output cotangent per context of its :class:`Integration`.
 
-    An output cotangent has the layout of the ``SurrogateDecision.values``
-    it pulls back: per controller class of the context, one
-    ``(edges, decision_dim)`` array in the context's edge order.  For an
-    :class:`Integration` from a batch ``forward``, ``cotangent`` holds one
-    output cotangent per context, or None for a context to leave out.  The
+    An output cotangent has the layout of the surrogate decision it pulls
+    back: per controller class of the context, one ``(edges, decision_dim)``
+    array in the context's edge order; None leaves its context out.  The
     sweep runs over the other contexts only, from the forward's per-step
     latents, and returns the sum of their parameter cotangents.
 
@@ -570,15 +569,11 @@ def vjp(params: ModelParams, x: CompiledContext | Integration, cotangent) -> Mod
     gradients are accumulated once per drive evaluation, newest step first
     and within a step stage 2 before stage 1.
     """
-    if isinstance(x, CompiledContext):
-        x, cotangent = _integrate(params, [x]), [cotangent]
-    if x.engine.params is not params:
-        raise ValueError("the integration ran with other parameters")
-    if len(cotangent) != len(x.engine.prep.parts):
-        raise ValueError(f"{len(cotangent)} cotangents for "
-                         f"{len(x.engine.prep.parts)} contexts")
-    keep = [i for i, cot in enumerate(cotangent) if cot is not None]
-    return _sweep(x.restrict(keep), [cotangent[i] for i in keep])
+    if len(cotangents) != len(run.engine.prep.parts):
+        raise ValueError(f"{len(cotangents)} cotangents for "
+                         f"{len(run.engine.prep.parts)} contexts")
+    keep = [i for i, cot in enumerate(cotangents) if cot is not None]
+    return _sweep(run.restrict(keep), [cotangents[i] for i in keep])
 
 
 def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelParams:

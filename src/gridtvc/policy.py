@@ -78,7 +78,7 @@ def most_probable(z: SurrogateDecision) -> Decision:
     scores map to the lowest index.
     """
     values: dict[str, np.ndarray] = {}
-    for cname, arr in z.values.items():
+    for cname, arr in z.items():
         kind = _kind(cname)
         if kind == D_BINARY:
             values[cname] = (arr[:, 0] > 0.0).astype(int)
@@ -86,10 +86,10 @@ def most_probable(z: SurrogateDecision) -> Decision:
             values[cname] = arr[:, 0].copy()
         else:
             values[cname] = arr.argmax(axis=1)
-    return Decision(values)
+    return values
 
 
-def entropy_grad(class_name: str, z: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
+def entropy_grad(class_name: str, z: np.ndarray) -> np.ndarray:
     """Gradient of each controller's policy entropy in its surrogate row."""
     kind = _kind(class_name)
     if kind == D_BINARY:
@@ -140,9 +140,9 @@ def apply_offsets(z_raw: SurrogateDecision, x: H2MGContext,
     the mode), svr outputs shift by the baseline setpoint delta, and rtc
     scores gain a scaled one-hot of the baseline category.
     """
-    y0 = init_baseline(x, cfg.svr_offset).values
+    y0 = init_baseline(x, cfg.svr_offset)
     values: dict[str, np.ndarray] = {}
-    for cname, arr in z_raw.values.items():
+    for cname, arr in z_raw.items():
         kind = _kind(cname)
         if kind == D_BINARY:
             values[cname] = arr + cfg.binary_offset
@@ -150,4 +150,4 @@ def apply_offsets(z_raw: SurrogateDecision, x: H2MGContext,
             values[cname] = arr + y0[cname][:, None]
         else:
             values[cname] = arr + cfg.rtc_offset_scale * np.eye(RTC_CATEGORIES)[y0[cname]]
-    return SurrogateDecision(values)
+    return values

@@ -160,10 +160,10 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     controllers shift the zone target; RTC controllers pick a
     regulated-bus setpoint from the discrete ladder.
     """
-    _check_paired("Decision", y.values, x)
+    _check_paired(y, x)
 
     def acts(cname):
-        return zip(x.edges_of(cname), y.values.get(cname, ()))
+        return zip(x.edges_of(cname), y.get(cname, ()))
 
     updates: dict[tuple[str, str], dict] = {}
     for e, act in acts("line_controller"):

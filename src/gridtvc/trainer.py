@@ -227,7 +227,7 @@ def train(cfg: TrainConfig) -> dict:
                 t_vjp = time.perf_counter()
                 cotangents = [est.grads if est.converged else None for est in ests]
                 if any(cot is not None for cot in cotangents):
-                    grad = vjp(params, run, cotangents)
+                    grad = vjp(run, cotangents)
                     t_adam = time.perf_counter()
                 else:
                     grad, t_adam = params.zeros_like(), t_vjp
@@ -354,7 +354,7 @@ def _lever_usage(decisions: list[Decision], contexts: list[H2MGContext]) -> dict
     rtc_counts = np.zeros(RTC_CATEGORIES)
     per_lever: dict[tuple[str, str], list[int]] = {}
     for x, y in zip(contexts, decisions):
-        for cname, vals in y.values.items():
+        for cname, vals in y.items():
             for e, val in zip(x.edges_of(cname), vals.tolist()):
                 if cname in ("line_controller", "shunt_controller"):
                     per_lever.setdefault((cname, e.id), []).append(val)

@@ -18,14 +18,14 @@ import numpy as np
 from gridtvc import policy
 from gridtvc.estimator import Oracle
 from gridtvc.h2mg import (
-    D_BINARY, D_CONTINUOUS, SCHEMA, Decision, H2MGContext, H2MGError, SurrogateDecision)
+    D_BINARY, D_CONTINUOUS, SCHEMA, H2MGContext, H2MGError, SurrogateDecision)
 from gridtvc.policy import PolicyConfig
 
 import policy_reference
 
 
 def _zeros(z: SurrogateDecision) -> dict[str, np.ndarray]:
-    return {c: np.zeros_like(a) for c, a in z.values.items()}
+    return {c: np.zeros_like(a) for c, a in z.items()}
 
 
 def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,
@@ -44,23 +44,23 @@ def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,
     for _ in range(n_samples):
         y_i = {c: np.array([policy_reference.sample(c, row, rng, policy_cfg)
                             for row in rows])
-               for c, rows in z.values.items()}
+               for c, rows in z.items()}
         try:
-            f_i = float(oracle(x, Decision(y_i)).total)
+            f_i = float(oracle(x, y_i).total)
         except H2MGError:
             raise
         except Exception:
             f_i = prohibitive_cost
-        for cname, rows in z.values.items():
+        for cname, rows in z.items():
             term = f_i * policy.log_prob_grad(cname, y_i[cname], rows, policy_cfg)
             sums[cname] += term
             sq_sums[cname] += term * term
     grads = _zeros(z)
     stderr = _zeros(z)
-    for cname, rows in z.values.items():
+    for cname, rows in z.items():
         mean = sums[cname] / n_samples
         var = np.maximum(sq_sums[cname] / n_samples - mean ** 2, 0.0)
-        grads[cname] = -policy.entropy_grad(cname, rows, policy_cfg) + beta * mean
+        grads[cname] = -policy.entropy_grad(cname, rows) + beta * mean
         stderr[cname] = beta * np.sqrt(var / n_samples)
     return grads, stderr
 
@@ -86,7 +86,7 @@ def exact_gradient_oracle(x: H2MGContext, z: SurrogateDecision, beta: float,
     """
     discrete: list[tuple[str, int, list]] = []
     fixed: dict[str, np.ndarray] = {}
-    for cname, rows in z.values.items():
+    for cname, rows in z.items():
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
             fixed[cname] = rows[:, 0].copy()
             continue
@@ -104,14 +104,14 @@ def exact_gradient_oracle(x: H2MGContext, z: SurrogateDecision, beta: float,
     expected_cost = 0.0
     for combo in itertools.product(*[d for _, _, d in discrete]) \
             if discrete else [()]:
-        values = {**fixed, **{c: np.zeros(len(z.values[c]), dtype=int)
+        values = {**fixed, **{c: np.zeros(len(z[c]), dtype=int)
                               for c, _, _ in discrete}}
         logp = 0.0
         for (cname, row, _), val in zip(discrete, combo):
             values[cname][row] = val
-            logp += policy_reference.log_prob(cname, val, z.values[cname][row],
+            logp += policy_reference.log_prob(cname, val, z[cname][row],
                                               policy_cfg)
-        y = Decision(values)
+        y = values
         p = math.exp(logp)
         f = float(oracle(x, y).total)
         z_beta += math.exp(-beta * f)
@@ -119,8 +119,8 @@ def exact_gradient_oracle(x: H2MGContext, z: SurrogateDecision, beta: float,
         expected_cost += p * f
         for (cname, row, _), val in zip(discrete, combo):
             grads[cname][row] += beta * p * f * policy_reference.log_prob_grad(
-                cname, val, z.values[cname][row], policy_cfg)
-    for cname, rows in z.values.items():
-        grads[cname] -= policy.entropy_grad(cname, rows, policy_cfg)
+                cname, val, z[cname][row], policy_cfg)
+    for cname, rows in z.items():
+        grads[cname] -= policy.entropy_grad(cname, rows)
     kl = kl_h + beta * expected_cost + math.log(z_beta) if discrete else 0.0
     return OracleGradient(grads, z_beta, kl, expected_cost)

@@ -155,7 +155,7 @@ class ReferenceEngine:
 
 def reference_forward(params: ModelParams, x: CompiledContext) -> SurrogateDecision:
     eng = ReferenceEngine(params, x)
-    return SurrogateDecision(eng.decode(eng.integrate()[-1]))
+    return eng.decode(eng.integrate()[-1])
 
 
 def reference_vjp(params: ModelParams, x: CompiledContext,

@@ -21,8 +21,9 @@ scoring results are read by attribute, whether they are two record types
 or one record (``count_metrics`` an alias and ``valid`` a property), a
 compiled class is read whether its entry is ``(name, features, ports)``
 or ``(name, edge ids, features, ports)``, and a decision is read whether
-it holds per-class arrays or per-class dicts keyed by edge id, so the
-script runs on any checkout that has them::
+it is a plain dict of per-class arrays or a class holding, in ``.values``,
+per-class arrays or per-class dicts keyed by edge id, so the script runs
+on any checkout that has them::
 
     PYTHONPATH=<checkout>/src python tests/oracle_digest.py [per_split]
 """
@@ -76,17 +77,29 @@ def context_set(per_split: int = 20) -> list:
             for split in ("val", "g") for i in range(per_split)]
 
 
-def _decisions(x):
-    """The baseline decisions, then the offset-0 one with one lever flipped.
+def _classes(y):
+    """A decision's per-class entries: the decision itself when it is a
+    plain dict, else its ``.values``."""
+    return y if isinstance(y, dict) else y.values
 
-    A decision holds either one array per class in edge order or a dict
-    per class keyed by edge id; ``replace`` takes the row or the id.
+
+def _flipped(x, y, c):
+    """``y`` with the first controller of class ``c`` set to 1.
+
+    A decision class's ``replace`` takes the row, or the edge id where the
+    class holds dicts keyed by edge id; a plain dict's array is copied.
     """
+    if isinstance(y, dict):
+        arr = y[c].copy()
+        arr[0] = 1
+        return {**y, c: arr}
+    return y.replace(c, x.edges_of(c)[0].id if isinstance(y.values[c], dict) else 0, 1)
+
+
+def _decisions(x):
+    """The baseline decisions, then the offset-0 one with one lever flipped."""
     base = [init_baseline(x, offset) for offset in OFFSETS]
-    y = base[0]
-    return base + [y.replace(c, x.edges_of(c)[0].id if isinstance(y.values[c], dict)
-                             else 0, 1)
-                   for c in FLIPPED]
+    return base + [_flipped(x, base[0], c) for c in FLIPPED]
 
 
 def _compiled(xn):
@@ -102,7 +115,7 @@ def _fields(result, names):
 def _in_edge_order(x, y):
     """Each class's decision values as a list in the context's edge order."""
     return {c: [v[e.id] for e in x.edges_of(c)] if isinstance(v, dict) else list(v)
-            for c, v in y.values.items()}
+            for c, v in _classes(y).items()}
 
 
 def digest(contexts: list) -> str:

@@ -75,8 +75,8 @@ def entropy(class_name: str, z: np.ndarray, cfg: PolicyConfig) -> float:
 def total_log_prob(y: Decision, z: SurrogateDecision, cfg: PolicyConfig) -> float:
     """Joint log probability: sum of per-controller terms (factorization)."""
     return sum(log_prob(cname, v, row, cfg)
-               for cname, rows in z.values.items()
-               for v, row in zip(y.values[cname].tolist(), rows))
+               for cname, rows in z.items()
+               for v, row in zip(y[cname].tolist(), rows))
 
 
 def sample(class_name: str, z: np.ndarray, rng: np.random.Generator,

@@ -6,15 +6,16 @@ import pytest
 
 from gridtvc import policy
 from gridtvc import rng as grng
-from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig, clip_score, estimate_gradient
+from gridtvc.estimator import (
+    ESTIMATE_STATUSES, EstimatorConfig, _replace, clip_score, estimate_gradient)
 from gridtvc.gridgen import GridFamilySpec, generate_context
-from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, Decision, SurrogateDecision
+from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, paired_decision
 from gridtvc.policy import PolicyConfig
 from gridtvc.powerflow import PROHIBITIVE_COST, SolverOptions, evaluate_objective
 
 import policy_reference
 from estimator_reference import exact_gradient_oracle, raw_gradient_estimate
-from gridfixtures import binary_controller_grid, shunt_overvoltage_grid, two_bus
+from gridfixtures import binary_controller_grid, meshed_grid, shunt_overvoltage_grid, two_bus
 
 PCFG = PolicyConfig()
 
@@ -23,19 +24,20 @@ def oracle(x, y):
     return evaluate_objective(x, y, SolverOptions())
 
 
-def surrogate(x, values):
-    return SurrogateDecision.paired(x, values)
+def surrogate(values):
+    """A surrogate decision: one float array per controller class."""
+    return {c: np.asarray(v, dtype=float) for c, v in values.items()}
 
 
 def zero_output(x):
     """The surrogate a zero network output gives: the baseline is its mode."""
-    return policy.apply_offsets(SurrogateDecision.paired(x, {
+    return policy.apply_offsets({
         c: np.zeros((len(x.edges_of(c)), SCHEMA[c].decision_dim))
-        for c in CONTROLLER_CLASSES}), x, PCFG)
+        for c in CONTROLLER_CLASSES}, x, PCFG)
 
 
 def entropy_term(cname, z):
-    return -policy.entropy_grad(cname, np.asarray(z, dtype=float).reshape(-1, 1), PCFG)
+    return -policy.entropy_grad(cname, np.asarray(z, dtype=float).reshape(-1, 1))
 
 
 # -- clip_score ---------------------------------------------------------------
@@ -59,7 +61,7 @@ def test_zero_controllers_empty_gradient_one_oracle_call():
         calls.append(y)
         return oracle(xc, y)
 
-    z = SurrogateDecision({})
+    z = {}
     est = estimate_gradient(x, z, EstimatorConfig(), counting,
                             grng.stream(0), PCFG)
     assert est.converged
@@ -72,9 +74,9 @@ def test_improving_flip_gets_negative_gradient_sign():
     # must push the switch logit up: the estimate is negative at z=0 where
     # the entropy term vanishes.
     x = shunt_overvoltage_grid()
-    z = surrogate(x, {"shunt_controller": np.zeros((1, 1))})
-    f_keep = oracle(x, Decision.paired(x, {"shunt_controller": [0]})).total
-    f_flip = oracle(x, Decision.paired(x, {"shunt_controller": [1]})).total
+    z = surrogate({"shunt_controller": np.zeros((1, 1))})
+    f_keep = oracle(x, paired_decision(x, {"shunt_controller": [0]})).total
+    f_flip = oracle(x, paired_decision(x, {"shunt_controller": [1]})).total
     assert f_flip < f_keep
     negatives = 0
     for seed in range(200):
@@ -88,7 +90,7 @@ def test_improving_flip_gets_negative_gradient_sign():
 
 def test_entropy_only_gradient_when_beta_zero():
     x = shunt_overvoltage_grid()
-    z = surrogate(x, {"shunt_controller": [[0.7]]})
+    z = surrogate({"shunt_controller": [[0.7]]})
     cfg = EstimatorConfig(beta=0.0)
     est = estimate_gradient(x, z, cfg, oracle, grng.stream(1), PCFG)
     expected = entropy_term("shunt_controller", [0.7])
@@ -102,7 +104,7 @@ def test_null_gradient_contract_on_divergent_mode():
     x = binary_controller_grid(n_shunts=2)
     heavy = x.replace_features({("load", "load_0"): {"p_target": 30.0,
                                                      "q_target": 10.0}})
-    z = surrogate(heavy, {"shunt_controller": np.full((2, 1), 0.3)})
+    z = surrogate({"shunt_controller": np.full((2, 1), 0.3)})
     est = estimate_gradient(heavy, z, EstimatorConfig(), oracle,
                             grng.stream(2), PCFG)
     assert not est.converged
@@ -114,10 +116,10 @@ def test_null_gradient_contract_on_divergent_mode():
 
 def test_failing_oracle_sample_scored_prohibitive():
     x = shunt_overvoltage_grid()
-    z = surrogate(x, {"shunt_controller": np.zeros((1, 1))})
+    z = surrogate({"shunt_controller": np.zeros((1, 1))})
 
     def flaky(xc, y):
-        if y.values["shunt_controller"][0] == 1:
+        if y["shunt_controller"][0] == 1:
             raise RuntimeError("solver crashed")
         return oracle(xc, y)
 
@@ -134,7 +136,7 @@ def test_failing_oracle_sample_scored_prohibitive():
 
 def test_estimate_deterministic_per_stream():
     x = binary_controller_grid(3)
-    z = surrogate(x, {"shunt_controller": np.full((3, 1), 0.2)})
+    z = surrogate({"shunt_controller": np.full((3, 1), 0.2)})
     e1 = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(4), PCFG)
     e2 = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(4), PCFG)
     assert np.array_equal(e1.grads["shunt_controller"], e2.grads["shunt_controller"])
@@ -166,7 +168,7 @@ def test_svr_class_sampled_jointly_and_gradient_finite():
                       gen(1, 7, 2, p=0.1, qmin=-1.0, qmax=1.0, mode=0.0)),
         "load": (load(0, 2, 0.3, 0.1),),
     })
-    z = surrogate(x, {"svr_controller": [[0.01]]})
+    z = surrogate({"svr_controller": [[0.01]]})
     est = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(5), PCFG)
     assert est.converged
     assert np.all(np.isfinite(est.grads["svr_controller"]))
@@ -183,10 +185,10 @@ def constant_oracle(total=3.0):
 def test_oracle_constant_cost_reduces_to_entropy_gradient():
     x = binary_controller_grid(2)
     rng = np.random.default_rng(0)
-    z = surrogate(x, {"shunt_controller": rng.uniform(-1, 1, (2, 1))})
+    z = surrogate({"shunt_controller": rng.uniform(-1, 1, (2, 1))})
     res = exact_gradient_oracle(x, z, beta=0.5, oracle=constant_oracle(3.0),
                                 policy_cfg=PCFG)
-    expected = entropy_term("shunt_controller", z.values["shunt_controller"])
+    expected = entropy_term("shunt_controller", z["shunt_controller"])
     assert np.allclose(res.grads["shunt_controller"], expected, rtol=0, atol=1e-12)
 
 
@@ -194,13 +196,13 @@ def test_oracle_matches_finite_differences_of_enumerated_objective():
     x = binary_controller_grid(2)
     beta = 0.05
     z_vals = np.array([[0.4], [-0.3]])
-    z = surrogate(x, {"shunt_controller": z_vals})
+    z = surrogate({"shunt_controller": z_vals})
 
     # cache the 4 decisions once; both routes see the same costs
     cache = {}
 
     def cached(xc, y):
-        key = tuple(y.values["shunt_controller"].tolist())
+        key = tuple(y["shunt_controller"].tolist())
         if key not in cache:
             cache[key] = oracle(xc, y)
         return cache[key]
@@ -217,7 +219,7 @@ def test_oracle_matches_finite_differences_of_enumerated_objective():
                 p = math.exp(
                     policy_reference.log_prob("shunt_controller", y0, zs[0], PCFG)
                     + policy_reference.log_prob("shunt_controller", y1, zs[1], PCFG))
-                y = Decision.paired(x, {"shunt_controller": [y0, y1]})
+                y = paired_decision(x, {"shunt_controller": [y0, y1]})
                 exp_f += p * cached(x, y).total
         return -total_h + beta * exp_f
 
@@ -234,7 +236,7 @@ def test_oracle_kl_nonnegative():
     x = binary_controller_grid(3)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        z = surrogate(x, {"shunt_controller": rng.uniform(-2, 2, (3, 1))})
+        z = surrogate({"shunt_controller": rng.uniform(-2, 2, (3, 1))})
         res = exact_gradient_oracle(x, z, beta=0.1, oracle=oracle,
                                     policy_cfg=PCFG)
         assert res.kl >= -1e-12
@@ -242,7 +244,7 @@ def test_oracle_kl_nonnegative():
 
 def test_oracle_space_cap():
     x = binary_controller_grid(3)
-    z = surrogate(x, {"shunt_controller": np.zeros((3, 1))})
+    z = surrogate({"shunt_controller": np.zeros((3, 1))})
     with pytest.raises(ValueError):
         exact_gradient_oracle(x, z, 0.1, oracle, PCFG, max_space=4)
 
@@ -252,22 +254,22 @@ def test_oracle_space_cap():
 def test_zero_mean_score_property():
     # with a constant cost, the expectation term has zero mean
     x = binary_controller_grid(2)
-    z = surrogate(x, {"shunt_controller": [[0.6], [-0.2]]})
+    z = surrogate({"shunt_controller": [[0.6], [-0.2]]})
     grads, stderr = raw_gradient_estimate(
         x, z, beta=1.0, n_samples=100_000, oracle=constant_oracle(2.0),
         rng=grng.stream("zeromean"), policy_cfg=PCFG)
     resid = grads["shunt_controller"] - entropy_term(
-        "shunt_controller", z.values["shunt_controller"])
+        "shunt_controller", z["shunt_controller"])
     assert np.all(np.abs(resid) <= 3 * stderr["shunt_controller"] + 1e-12)
 
 
 def test_raw_estimator_consistent_with_oracle_small():
     x = binary_controller_grid(2)
-    z = surrogate(x, {"shunt_controller": [[0.3], [-0.5]]})
+    z = surrogate({"shunt_controller": [[0.3], [-0.5]]})
     cache = {}
 
     def cached(xc, y):
-        key = tuple(y.values["shunt_controller"].tolist())
+        key = tuple(y["shunt_controller"].tolist())
         if key not in cache:
             cache[key] = oracle(xc, y)
         return cache[key]
@@ -297,7 +299,7 @@ def test_estimate_reports_the_mode_decision_status():
     est = estimate_gradient(x, z, EstimatorConfig(), broken, grng.stream(6), PCFG)
     assert not est.converged and est.status == "error"
     ok = shunt_overvoltage_grid()
-    z_ok = surrogate(ok, {"shunt_controller": np.zeros((1, 1))})
+    z_ok = surrogate({"shunt_controller": np.zeros((1, 1))})
     est = estimate_gradient(ok, z_ok, EstimatorConfig(), oracle, grng.stream(6), PCFG)
     assert est.converged and est.status == "converged"
 
@@ -305,11 +307,22 @@ def test_estimate_reports_the_mode_decision_status():
 # -- one oracle call per distinct sample ---------------------------------------
 
 def decision_key(y):
-    return tuple(sorted((c, v.dtype.kind, tuple(v.tolist())) for c, v in y.values.items()))
+    return tuple(sorted((c, v.dtype.kind, tuple(v.tolist())) for c, v in y.items()))
 
 
 def same_decision(a, b):
     return decision_key(a) == decision_key(b)
+
+
+def test_decision_replace_copies_only_the_changed_class():
+    x = meshed_grid()
+    y = paired_decision(x, {"line_controller": [0, 0], "shunt_controller": [0],
+                            "svr_controller": [0.01], "rtc_controller": [3]})
+    flipped = _replace(y, "line_controller", 1, 1)
+    assert flipped["line_controller"].tolist() == [0, 1]
+    assert y["line_controller"].tolist() == [0, 0]
+    for c in ("shunt_controller", "svr_controller", "rtc_controller"):
+        assert flipped[c] is y[c]
 
 
 class _RecordingRng:
@@ -353,7 +366,7 @@ def test_each_distinct_sample_decision_is_scored_once():
     again = estimate_gradient(x, z, cfg, oracle, grng.stream(7), PCFG)
     assert est.grads.keys() == again.grads.keys() == set(CONTROLLER_CLASSES)
     for c, g in est.grads.items():
-        assert g.shape == z.values[c].shape
+        assert g.shape == z[c].shape
         assert np.array_equal(g, again.grads[c])
 
 
@@ -381,7 +394,7 @@ def test_sample_statuses_count_every_distinct_sample_call():
 
 def test_failing_oracle_samples_give_prohibitive_share_one():
     x = binary_controller_grid(3)
-    z = surrogate(x, {"shunt_controller": np.full((3, 1), -0.2)})
+    z = surrogate({"shunt_controller": np.full((3, 1), -0.2)})
     mode = policy.most_probable(z)
 
     def failing(xc, y):

@@ -154,6 +154,78 @@ def test_load_dataset_refuses_a_context_whose_origin_is_not_its_id(tmp_path):
         load_dataset(tmp_path / "data")
 
 
+@pytest.fixture(scope="module")
+def val0():
+    return generate_context(GridFamilySpec(), grng.stream(0, "val", 0), origin="val-000")
+
+
+def _record_at(doc, cname, port, addr):
+    (rec,) = [r for r in doc["classes"][cname] if r["ports"][port] == addr]
+    return rec
+
+
+def _break(doc, how):
+    """Edit a context document so that the oracle or the baseline raises."""
+    cls = doc["classes"]
+    (slack,) = [g for g in cls["generator"] if g["features"]["slack"] == 1.0]
+    shunt = _record_at(doc, "shunt", "shunt", cls["shunt_controller"][0]["ports"]["shunt"])
+    zone = _record_at(doc, "svr_zone", "zone", cls["svr_controller"][0]["ports"]["zone"])
+    if how == "no slack generator":
+        slack["features"]["slack"] = 0.0
+    elif how == "the slack generator as an svr unit":
+        cls["svr_unit"][0]["ports"]["gen"] = slack["ports"]["gen"]
+    elif how in ("a zero-impedance line", "a zero-impedance twt"):
+        cls[how.rsplit(" ", 1)[1]][0]["features"].update(r=0.0, x=0.0)
+    elif how == "an uncontrolled rtc on no twt":
+        controlled = {c["ports"]["twt"] for c in cls["rtc_controller"]}
+        rtc = next(r for r in cls["rtc"] if r["ports"]["twt"] not in controlled)
+        rtc["ports"]["twt"] = cls["line"][0]["ports"]["line"]
+    elif how == "a controlled shunt without status":
+        shunt["features"]["status"] = "absent"
+    elif how.startswith("a controlled svr zone without"):
+        zone["features"][how.rsplit(" ", 1)[1]] = "absent"
+    elif how.startswith("an rtc_controller without"):
+        cls["rtc_controller"][0]["features"][how.rsplit(" ", 1)[1]] = "absent"
+    else:
+        raise ValueError(how)
+
+
+@pytest.mark.parametrize("how, rule", [
+    ("no slack generator", "no slack generator"),
+    ("the slack generator as an svr unit", "drives the slack generator"),
+    ("a zero-impedance line", "zero impedance"),
+    ("a zero-impedance twt", "zero impedance"),
+    ("an uncontrolled rtc on no twt", "twt port does not match exactly one twt"),
+    ("a controlled shunt without status", "has no 'status'"),
+    ("a controlled svr zone without v", "has no 'v'"),
+    ("a controlled svr zone without v_target", "has no 'v_target'"),
+    ("an rtc_controller without v_nom", "has no 'v_nom'"),
+    ("an rtc_controller without v_target", "has no 'v_target'"),
+])
+def test_validation_refuses_what_the_oracle_or_the_baseline_raises_on(
+        tmp_path, val0, how, rule):
+    from gridtvc.baseline import init_baseline
+    from gridtvc.estimator import _replace
+    from gridtvc.h2mg import from_document, to_document
+    from gridtvc.powerflow import evaluate_objective
+
+    def score(x):
+        # the baseline with the first shunt switched reads every lever
+        return evaluate_objective(x, _replace(init_baseline(x), "shunt_controller", 0, 1))
+
+    assert validate_context(val0) == []
+    score(val0)
+    doc = to_document(val0)
+    _break(doc, how)
+    x = from_document(doc)
+    with pytest.raises(H2MGError):
+        score(x)
+    assert any(rule in v.rule for v in validate_context(x)), validate_context(x)
+    write_dataset(tmp_path / "data", [x], GridFamilySpec(), seed=0)
+    with pytest.raises(H2MGError, match=r"val-000\.json: invalid context"):
+        load_dataset(tmp_path / "data")
+
+
 @pytest.mark.parametrize("ids, problem", [
     (["s3_c00000", "s3_c00000"], "'s3_c00000' repeats"),
     (["s3_c00000", "../s3_c00000"], "'../s3_c00000' is not a plain file name"),

@@ -5,14 +5,13 @@ import pytest
 
 from gridtvc.h2mg import (
     CONTROLLER_CLASSES,
-    Decision,
     H2MGContext,
     H2MGError,
     HyperEdge,
     SCHEMA,
-    SurrogateDecision,
     deserialize,
     from_document,
+    paired_decision,
     schema_hash,
     serialize,
     to_document,
@@ -113,7 +112,7 @@ def test_edges_kept_in_id_order_whatever_the_insertion_order():
     sol = solve_ac(x)
     assert sol.converged
     assert _hexed(solve_ac(y)) == _hexed(sol)
-    decision = Decision.paired(x, {
+    decision = paired_decision(x, {
         "line_controller": [1, 0], "shunt_controller": [1],
         "svr_controller": [0.01], "rtc_controller": [1]})
     assert _hexed(evaluate_objective(y, decision)) == _hexed(evaluate_objective(x, decision))
@@ -123,13 +122,14 @@ def _val0_before_and_after_a_decision():
     """val-000, and val-000 with its first line opened, its first shunt
     switched and every other lever at the offset -0.02 baseline."""
     from gridtvc.baseline import init_baseline
+    from gridtvc.estimator import _replace
     from gridtvc.gridgen import GridFamilySpec, generate_context
     from gridtvc.powerflow import apply_decision
     from gridtvc.rng import stream
     x = generate_context(GridFamilySpec(), stream(0, "val", 0))
     y = init_baseline(x, -0.02)
     for c in ("line_controller", "shunt_controller"):
-        y = y.replace(c, 0, 1)
+        y = _replace(y, c, 0, 1)
     return x, apply_decision(x, y)
 
 
@@ -306,47 +306,37 @@ def test_from_document_refuses_a_malformed_record(how):
 
 def test_decision_pairing_enforced():
     x = two_bus()  # no controllers at all
-    with pytest.raises(H2MGError):
-        Decision.paired(x, {"shunt_controller": [1]})
-    assert Decision.paired(x, {}).values == {}
-    assert Decision.paired(x, {"shunt_controller": []}).values == {}
+    with pytest.raises(H2MGError, match="do not match the context"):
+        paired_decision(x, {"shunt_controller": [1]})
+    assert paired_decision(x, {}) == {}
+    assert paired_decision(x, {"shunt_controller": []}) == {}
 
 
 def test_decision_domain_checks():
     from gridfixtures import binary_controller_grid
     x = binary_controller_grid(2)
-    with pytest.raises(H2MGError):
-        Decision.paired(x, {"shunt_controller": [2, 2]})
+    with pytest.raises(H2MGError, match="outside the binary domain"):
+        paired_decision(x, {"shunt_controller": [2, 2]})
     with pytest.raises(H2MGError, match="do not match the context"):
-        Decision.paired(x, {"shunt_controller": [1, 1, 1]})
-    with pytest.raises(H2MGError):
-        Decision.paired(x, {"shunt_controller": [[1], [1]]})
-    ok = Decision.paired(x, {"shunt_controller": [1, 1.0]})
-    assert ok.values["shunt_controller"].dtype.kind == "i"
-    assert ok.values["shunt_controller"].tolist() == [1, 1]
+        paired_decision(x, {"shunt_controller": [1, 1, 1]})
+    with pytest.raises(H2MGError, match="do not match the context"):
+        paired_decision(x, {"shunt_controller": [[1], [1]]})
+    ok = paired_decision(x, {"shunt_controller": [1, 1.0]})
+    assert ok["shunt_controller"].dtype.kind == "i"
+    assert ok["shunt_controller"].tolist() == [1, 1]
 
 
-def test_decision_replace_copies_only_the_changed_class():
+def test_decision_domain_checks_on_every_kind():
     x = meshed_grid()
-    y = Decision.paired(x, {"line_controller": [0, 0], "shunt_controller": [0],
-                            "svr_controller": [0.01], "rtc_controller": [3]})
-    flipped = y.replace("line_controller", 1, 1)
-    assert flipped.values["line_controller"].tolist() == [0, 1]
-    assert y.values["line_controller"].tolist() == [0, 0]
-    for c in ("shunt_controller", "svr_controller", "rtc_controller"):
-        assert flipped.values[c] is y.values[c]
-
-
-def test_surrogate_shape_checks():
-    from gridfixtures import binary_controller_grid
-    x = binary_controller_grid(2)
-    with pytest.raises(H2MGError):
-        SurrogateDecision.paired(x, {"shunt_controller": np.zeros((2, 4))})
-    with pytest.raises(H2MGError):
-        SurrogateDecision.paired(x, {"shunt_controller": np.zeros(2)})
-    with pytest.raises(H2MGError):
-        SurrogateDecision.paired(x, {"shunt_controller": np.zeros((3, 1))})
-    z = SurrogateDecision.paired(x, {"shunt_controller": np.zeros((2, 1))})
-    assert z.values["shunt_controller"].shape == (2, 1)
-    with pytest.raises(H2MGError):
-        SurrogateDecision.paired(x, {"shunt_controller": np.full((2, 1), np.inf)})
+    ok = {"line_controller": [0, 1], "shunt_controller": [1],
+          "svr_controller": [0.01], "rtc_controller": [3]}
+    y = paired_decision(x, ok)
+    assert {c: a.dtype.kind for c, a in y.items()} == {
+        "line_controller": "i", "shunt_controller": "i",
+        "svr_controller": "f", "rtc_controller": "i"}
+    with pytest.raises(H2MGError, match="do not match the context"):
+        paired_decision(x, {c: v for c, v in ok.items() if c != "rtc_controller"})
+    for cname, bad in (("rtc_controller", [4]), ("rtc_controller", [-1]),
+                       ("svr_controller", [np.nan]), ("svr_controller", [np.inf])):
+        with pytest.raises(H2MGError, match=f"{cname}: decision values outside"):
+            paired_decision(x, {**ok, cname: bad})

@@ -62,11 +62,16 @@ def jitter_biases(params, seed=99, scale=0.05):
 
 def random_cotangent(z, seed=0):
     rng = np.random.default_rng(seed)
-    return {c: rng.standard_normal(v.shape) for c, v in z.values.items()}
+    return {c: rng.standard_normal(v.shape) for c, v in z.items()}
 
 
 def inner(cot, z):
-    return sum(float((cot[c] * v).sum()) for c, v in z.values.items())
+    return sum(float((cot[c] * v).sum()) for c, v in z.items())
+
+
+def vjp_one(params, x, cot):
+    """The parameter cotangent of one context's forward, as a batch of one."""
+    return vjp(forward(params, [x])[1], [cot])
 
 
 # -- initialization -----------------------------------------------------------
@@ -115,7 +120,7 @@ def test_every_parameter_gets_a_gradient():
     x = norm_context(generate_context(GridFamilySpec(), grng.stream(0, "val", 0)))
     params = jitter_biases(init_params(ModelConfig(), np.random.default_rng(0)))
     z = forward(params, x)
-    g = vjp(params, x, {c: np.ones_like(v) for c, v in z.values.items()})
+    g = vjp_one(params, x, {c: np.ones_like(v) for c, v in z.items()})
     dead = [n for n, v in g.values.items() if v.size and not np.any(v)]
     assert dead == []
 
@@ -144,9 +149,9 @@ def test_zero_params_give_zero_outputs():
     x = norm_context(five_address_context())
     params = init_params(TINY).zeros_like()
     z = forward(params, x)
-    assert set(z.values) == {"shunt_controller"}
-    assert z.values["shunt_controller"].shape == (1, 1)
-    assert np.all(z.values["shunt_controller"] == 0.0)
+    assert set(z) == {"shunt_controller"}
+    assert z["shunt_controller"].shape == (1, 1)
+    assert np.all(z["shunt_controller"] == 0.0)
 
 
 def test_constant_drive_integrates_exactly():
@@ -219,9 +224,9 @@ def test_permutation_equivariance():
     x_perm = H2MGContext(x.address_count, shuffled, dict(x.metadata))
     z_perm = forward(params, normalize(x_perm, norm))
 
-    assert z_perm.values.keys() == z_ref.values.keys()
-    for cname, v in z_ref.values.items():
-        assert np.max(np.abs(z_perm.values[cname] - v)) <= 1e-9
+    assert z_perm.keys() == z_ref.keys()
+    for cname, v in z_ref.items():
+        assert np.max(np.abs(z_perm[cname] - v)) <= 1e-9
 
 
 # -- vjp ----------------------------------------------------------------------
@@ -230,8 +235,8 @@ def test_vjp_zero_cotangent_gives_zero_gradient():
     x = norm_context(five_address_context())
     params = init_params(TINY, np.random.default_rng(5))
     z = forward(params, x)
-    cot = {c: np.zeros_like(v) for c, v in z.values.items()}
-    g = vjp(params, x, cot)
+    cot = {c: np.zeros_like(v) for c, v in z.items()}
+    g = vjp_one(params, x, cot)
     assert all(np.all(v == 0.0) for v in g.values.values())
 
 
@@ -241,10 +246,10 @@ def test_vjp_linear_in_cotangent():
     z = forward(params, x)
     c1 = random_cotangent(z, 1)
     c2 = random_cotangent(z, 2)
-    c12 = {c: c1[c] + c2[c] for c in z.values}
-    g1 = vjp(params, x, c1)
-    g2 = vjp(params, x, c2)
-    g12 = vjp(params, x, c12)
+    c12 = {c: c1[c] + c2[c] for c in z}
+    g1 = vjp_one(params, x, c1)
+    g2 = vjp_one(params, x, c2)
+    g12 = vjp_one(params, x, c12)
     for k in g12.values:
         if g12.values[k].size:
             assert np.max(np.abs(g12.values[k] - g1.values[k]
@@ -256,7 +261,7 @@ def test_vjp_matches_finite_differences_per_group():
     params = jitter_biases(init_params(TINY, np.random.default_rng(11)))
     z = forward(params, x)
     cot = random_cotangent(z, 3)
-    g = vjp(params, x, cot)
+    g = vjp_one(params, x, cot)
 
     groups = sorted({name.rsplit(".layer", 1)[0] for name in params.values})
     rng = np.random.default_rng(12)
@@ -411,10 +416,10 @@ def rel_err(a, b):
 def assert_decisions_close(zs, zs_ref):
     assert len(zs) == len(zs_ref)
     for z, z_ref in zip(zs, zs_ref):
-        assert z.values.keys() == z_ref.values.keys()
-        for cname, v in z_ref.values.items():
-            assert z.values[cname].shape == v.shape
-            assert rel_err(z.values[cname], v) <= BATCH_TOL
+        assert z.keys() == z_ref.keys()
+        for cname, v in z_ref.items():
+            assert z[cname].shape == v.shape
+            assert rel_err(z[cname], v) <= BATCH_TOL
 
 
 def assert_grads_close(g, g_ref):
@@ -435,8 +440,8 @@ def test_batch_forward_and_vjp_match_per_context_calls(make):
     zs, run = forward(params, xs)
     assert_decisions_close(zs, [forward(params, x) for x in xs])
     cots = [random_cotangent(z, 40 + i) for i, z in enumerate(zs)]
-    assert_grads_close(vjp(params, run, cots),
-                       summed([vjp(params, x, c) for x, c in zip(xs, cots)]))
+    assert_grads_close(vjp(run, cots),
+                       summed([vjp_one(params, x, c) for x, c in zip(xs, cots)]))
 
 
 @pytest.mark.parametrize("make", [tiny_batch, default_pair])
@@ -449,8 +454,8 @@ def test_subset_vjp_reuses_the_batch_checkpoints(make):
         keep = [0, len(xs) - 1]
     masked = [c if i in keep else None for i, c in enumerate(cots)]
     _, fresh = forward(params, [xs[i] for i in keep])
-    assert_grads_close(vjp(params, run, masked),
-                       vjp(params, fresh, [cots[i] for i in keep]))
+    assert_grads_close(vjp(run, masked),
+                       vjp(fresh, [cots[i] for i in keep]))
 
 
 def test_forward_keeps_the_latents_after_every_step():
@@ -475,17 +480,17 @@ def test_batch_order_changes_nothing():
     order = [2, 0, 1]
     zs_perm, run_perm = forward(params, [xs[i] for i in order])
     assert_decisions_close(zs_perm, [zs[i] for i in order])
-    assert_grads_close(vjp(params, run_perm, [cots[i] for i in order]),
-                       vjp(params, run, cots))
+    assert_grads_close(vjp(run_perm, [cots[i] for i in order]),
+                       vjp(run, cots))
 
 
 def flat_outputs(z):
-    return np.concatenate([z.values[c].reshape(-1) for c in sorted(z.values)])
+    return np.concatenate([z[c].reshape(-1) for c in sorted(z)])
 
 
 def discrete_modes(z):
     y = most_probable(z)
-    return {c: v.tolist() for c, v in y.values.items()
+    return {c: v.tolist() for c, v in y.items()
             if SCHEMA[c].decision_kind != D_CONTINUOUS}
 
 
@@ -524,8 +529,5 @@ def test_batch_vjp_rejects_a_mismatched_integration():
     xs, params = tiny_batch()
     zs, run = forward(params, xs)
     cots = [random_cotangent(z) for z in zs]
-    with pytest.raises(ValueError):
-        vjp(params, run, cots[:2])
-    other = ModelParams(params.config, dict(params.values))
-    with pytest.raises(ValueError):
-        vjp(other, run, cots)
+    with pytest.raises(ValueError, match="2 cotangents for 3 contexts"):
+        vjp(run, cots[:2])

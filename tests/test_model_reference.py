@@ -7,10 +7,11 @@ import pytest
 
 from gridtvc import rng as grng
 from gridtvc.gridgen import GridFamilySpec, generate_context
-from gridtvc.model import ModelConfig, _Engine, forward, init_params, vjp
+from gridtvc.model import ModelConfig, _Engine, forward, init_params
 
 from model_reference import reference_forward, reference_vjp
-from test_model import TINY, five_address_context, jitter_biases, norm_context, random_cotangent
+from test_model import (
+    TINY, five_address_context, jitter_biases, norm_context, random_cotangent, vjp_one)
 
 TOL = 1e-12
 
@@ -23,13 +24,13 @@ def rel_diff(a, b):
 def assert_matches_reference(params, x, seed=0):
     z = forward(params, x)
     z_ref = reference_forward(params, x)
-    assert z.values.keys() == z_ref.values.keys()
-    out = np.concatenate([z.values[c].reshape(-1) for c in z_ref.values])
-    out_ref = np.concatenate([z_ref.values[c].reshape(-1) for c in z_ref.values])
+    assert z.keys() == z_ref.keys()
+    out = np.concatenate([z[c].reshape(-1) for c in z_ref])
+    out_ref = np.concatenate([z_ref[c].reshape(-1) for c in z_ref])
     assert rel_diff(out, out_ref) <= TOL
 
     cot = random_cotangent(z_ref, seed)
-    g = vjp(params, x, cot)
+    g = vjp_one(params, x, cot)
     g_ref = reference_vjp(params, x, cot)
     assert list(g.values) == list(g_ref.values)
     for k, ref in g_ref.values.items():
@@ -80,7 +81,7 @@ def test_message_gradients_share_one_stack_per_layer():
     x = norm_context(five_address_context())
     params = init_params(TINY, np.random.default_rng(26))
     z = forward(params, x)
-    g = vjp(params, x, random_cotangent(z, 3))
+    g = vjp_one(params, x, random_cotangent(z, 3))
     a = g.values["message.line.bus1.layer1.weight"]
     b = g.values["message.line.bus2.layer1.weight"]
     assert a.base is not None and a.base is b.base

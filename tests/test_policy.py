@@ -7,7 +7,7 @@ from gridtvc import policy
 from gridtvc import rng as grng
 from gridtvc.baseline import init_baseline
 from gridtvc.gridgen import GridFamilySpec, generate_context
-from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, Decision, SurrogateDecision
+from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, paired_decision
 from gridtvc.policy import PolicyConfig
 
 import policy_reference as ref
@@ -124,12 +124,12 @@ def test_sample_gaussian_moments():
 # -- mode ---------------------------------------------------------------------
 
 def test_most_probable_componentwise():
-    z = SurrogateDecision({
+    z = {
         "line_controller": np.array([[-2.0], [0.2]]),
         "svr_controller": np.array([[0.013]]),
         "rtc_controller": np.array([np.zeros(4), [0, 3, 1, 3.0]]),
-    })
-    y = policy.most_probable(z).values
+    }
+    y = policy.most_probable(z)
     assert y["line_controller"].tolist() == [0, 1]  # the default offset keeps lines
     assert y["svr_controller"].tolist() == [0.013]
     assert y["rtc_controller"].tolist() == [0, 1]  # ties toward the lowest index
@@ -139,7 +139,7 @@ def test_mode_maximizes_log_prob_by_enumeration():
     rng = np.random.default_rng(5)
     for cls in ("line_controller", "rtc_controller"):
         z = np.array([_rand_z(cls, rng) for _ in range(200)])
-        y_mp = policy.most_probable(SurrogateDecision({cls: z})).values[cls]
+        y_mp = policy.most_probable({cls: z})[cls]
         for y, row in zip(y_mp.tolist(), z):
             best = max(_domain(cls), key=lambda k: ref.log_prob(cls, k, row, CFG))
             assert ref.log_prob(cls, y, row, CFG) == pytest.approx(
@@ -172,9 +172,9 @@ def _log_prob_numeric(cls, y, z, cfg, eps=1e-5):
 
 
 def test_entropy_grad_closed_forms():
-    assert policy.entropy_grad("line_controller", np.zeros((1, 1)), CFG)[0, 0] == 0.0
-    assert np.all(policy.entropy_grad("svr_controller", np.array([[7.7]]), CFG) == 0.0)
-    assert np.allclose(policy.entropy_grad("rtc_controller", np.zeros((1, 4)), CFG),
+    assert policy.entropy_grad("line_controller", np.zeros((1, 1)))[0, 0] == 0.0
+    assert np.all(policy.entropy_grad("svr_controller", np.array([[7.7]])) == 0.0)
+    assert np.allclose(policy.entropy_grad("rtc_controller", np.zeros((1, 4))),
                        np.zeros(4), atol=1e-15)
 
 
@@ -183,7 +183,7 @@ def test_entropy_grad_matches_finite_differences():
     for cls in CLASSES:
         for _ in range(100):
             z = _rand_z(cls, rng)
-            analytic = policy.entropy_grad(cls, z[None, :], CFG)[0]
+            analytic = policy.entropy_grad(cls, z[None, :])[0]
             numeric = _entropy_numeric(cls, z, CFG)
             assert np.allclose(analytic, numeric,
                                rtol=1e-6, atol=1e-9), (cls, z)
@@ -194,7 +194,7 @@ def test_binary_entropy_grad_equals_printed_formula():
     for _ in range(200):
         z = float(rng.uniform(-6, 6))
         printed = -z * math.exp(z) / (1.0 + math.exp(z)) ** 2
-        got = policy.entropy_grad("line_controller", np.array([[z]]), CFG)[0, 0]
+        got = policy.entropy_grad("line_controller", np.array([[z]]))[0, 0]
         assert got == pytest.approx(printed, rel=1e-12, abs=1e-15)
 
 
@@ -232,12 +232,12 @@ def test_log_prob_grad_hand_values():
 def test_total_log_prob_factorizes():
     x = binary_controller_grid(3)
     rng = np.random.default_rng(10)
-    z = SurrogateDecision.paired(x, {"shunt_controller": rng.uniform(-2, 2, (3, 1))})
-    y = Decision.paired(x, {"shunt_controller": rng.integers(2, size=3)})
+    z = {"shunt_controller": rng.uniform(-2, 2, (3, 1))}
+    y = paired_decision(x, {"shunt_controller": rng.integers(2, size=3)})
     total = ref.total_log_prob(y, z, CFG)
     parts = sum(ref.log_prob("shunt_controller", v, row, CFG)
-                for v, row in zip(y.values["shunt_controller"].tolist(),
-                                  z.values["shunt_controller"]))
+                for v, row in zip(y["shunt_controller"].tolist(),
+                                  z["shunt_controller"]))
     assert total == pytest.approx(parts, abs=1e-12)
 
 
@@ -261,11 +261,11 @@ def test_unary_neighbor_involution_binary():
 
 def test_apply_offsets_binary_shift():
     x = binary_controller_grid(2)
-    z_raw = SurrogateDecision.paired(x, {"shunt_controller": np.zeros((2, 1))})
+    z_raw = {"shunt_controller": np.zeros((2, 1))}
     z = policy.apply_offsets(z_raw, x, CFG)
-    assert z.values["shunt_controller"].tolist() == [[-2.0], [-2.0]]
+    assert z["shunt_controller"].tolist() == [[-2.0], [-2.0]]
     y = policy.most_probable(z)
-    assert y.values["shunt_controller"].tolist() == [0, 0]
+    assert y["shunt_controller"].tolist() == [0, 0]
 
 
 def test_apply_offsets_rtc_mode_probability():
@@ -306,9 +306,9 @@ def test_array_closed_forms_match_the_scalar_references():
         _assert_rows_close(policy.log_prob_grad(cls, y, z, CFG),
                            [ref.log_prob_grad(cls, v, row, CFG)
                             for v, row in zip(y.tolist(), z)])
-        _assert_rows_close(policy.entropy_grad(cls, z, CFG),
+        _assert_rows_close(policy.entropy_grad(cls, z),
                            [ref.entropy_grad(cls, row, CFG) for row in z])
-        mode = policy.most_probable(SurrogateDecision({cls: z})).values[cls]
+        mode = policy.most_probable({cls: z})[cls]
         assert mode.tolist() == [ref.mode(cls, row) for row in z]
 
 
@@ -316,16 +316,15 @@ def test_apply_offsets_matches_the_scalar_reference_exactly():
     x = generate_context(GridFamilySpec(), grng.stream(0, "val", 0))
     rng = np.random.default_rng(14)
     cfg = PolicyConfig(svr_offset=-0.02)
-    z_raw = SurrogateDecision.paired(x, {
-        c: _logits(c, rng, len(x.edges_of(c))) for c in CONTROLLER_CLASSES})
+    z_raw = {c: _logits(c, rng, len(x.edges_of(c))) for c in CONTROLLER_CLASSES}
     z = policy.apply_offsets(z_raw, x, cfg)
     y0 = init_baseline(x, cfg.svr_offset)
-    assert z.values.keys() == set(CONTROLLER_CLASSES)
+    assert z.keys() == set(CONTROLLER_CLASSES)
     for c in CONTROLLER_CLASSES:
         want = [ref.offset(c, row, v, cfg)
-                for row, v in zip(z_raw.values[c], y0.values[c].tolist())]
-        assert np.array_equal(z.values[c], want)
-        assert z.values[c].shape == (len(x.edges_of(c)), SCHEMA[c].decision_dim)
+                for row, v in zip(z_raw[c], y0[c].tolist())]
+        assert np.array_equal(z[c], want)
+        assert z[c].shape == (len(x.edges_of(c)), SCHEMA[c].decision_dim)
 
 
 def test_svr_draws_read_the_stream_as_scalar_draws_do():

@@ -7,6 +7,7 @@ import pytest
 
 import gridtvc.powerflow as pf
 from gridtvc.baseline import init_baseline
+from gridtvc.estimator import _replace
 from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.rng import stream
 
@@ -104,7 +105,7 @@ def _pinned_pairs(contexts):
     y0 = init_baseline(contexts[0], 0.0)
     for cname in ("line_controller", "shunt_controller"):
         for row in range(2):
-            pairs.append((contexts[0], y0.replace(cname, row, 1)))
+            pairs.append((contexts[0], _replace(y0, cname, row, 1)))
     return pairs
 
 

@@ -15,7 +15,7 @@ from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, fit_normalizer, generate_context, load_dataset, normalize,
     write_dataset)
-from gridtvc.h2mg import Decision
+from gridtvc.h2mg import paired_decision
 from gridtvc.model import (
     ModelConfig, forward, init_params, load_checkpoint, predict, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
@@ -250,9 +250,9 @@ def test_lever_usage_counts_each_lever():
     x = meshed_grid()
     x2 = x.replace_features({("svr_zone", "zone_0"): {"v_target": 1.03}})
     decisions = [
-        Decision.paired(x, {"line_controller": [1, 0], "shunt_controller": [1],
+        paired_decision(x, {"line_controller": [1, 0], "shunt_controller": [1],
                             "svr_controller": [0.02], "rtc_controller": [2]}),
-        Decision.paired(x2, {"line_controller": [1, 1], "shunt_controller": [0],
+        paired_decision(x2, {"line_controller": [1, 1], "shunt_controller": [0],
                              "svr_controller": [-0.02], "rtc_controller": [0]})]
     usage = trainer._lever_usage(decisions, [x, x2])
     assert usage["pct_lines_opened"] == 75.0
@@ -460,12 +460,12 @@ def test_decide_matches_per_context_forwards(run, monkeypatch):
         decisions = decide(params, pairs, cfg.policy)
         assert len(decisions) == len(singles)
         for y, y_ref in zip(decisions, singles):
-            assert y.values.keys() == y_ref.values.keys()
-            for cname, v in y_ref.values.items():
+            assert y.keys() == y_ref.keys()
+            for cname, v in y_ref.items():
                 if cname == "svr_controller":
-                    assert y.values[cname] == pytest.approx(v, rel=1e-12, abs=0.0)
+                    assert y[cname] == pytest.approx(v, rel=1e-12, abs=0.0)
                 else:
-                    assert y.values[cname].tolist() == v.tolist()
+                    assert y[cname].tolist() == v.tolist()
         res = [evaluate_objective(x, y, cfg.solver) for x, y in zip(xs, decisions)]
         assert float(np.mean([r.total for r in res])) == pytest.approx(
             float(np.mean([r.total for r in ref])), rel=1e-12, abs=0.0)
