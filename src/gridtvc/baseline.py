@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .h2mg import RTC_SETPOINT_LADDER, Decision, H2MGContext, H2MGError, paired_decision
+from .h2mg import (
+    RTC_SETPOINT_LADDER, Decision, H2MGContext, H2MGError, paired_decision, required)
 from .powerflow import SolverOptions, evaluate_objective
 
 
@@ -33,23 +34,15 @@ def project_rtc_category(setpoint: float, v_nom: float) -> int:
 
 
 def init_baseline(x: H2MGContext, offset: float = 0.0) -> Decision:
-    """Reference decision: keep topology, shift SVR targets, snap RTC targets."""
+    """Reference decision: keep topology, shift SVR targets, snap RTC targets;
+    the zone and rtc_controller features it reads are :func:`~gridtvc.h2mg.required`."""
     values = {c: [0] * len(x.edges_of(c)) for c in ("line_controller", "shunt_controller")}
-    values["svr_controller"] = []
-    for e in x.edges_of("svr_controller"):
-        zone = x.device(e)
-        v_init, v_target = zone.features["v"], zone.features["v_target"]
-        if v_init is None or v_target is None:
-            raise H2MGError(
-                f"svr_zone {zone.id!r} lacks the initial state for a baseline")
-        values["svr_controller"].append((v_init + offset) - v_target)
-    values["rtc_controller"] = []
-    for e in x.edges_of("rtc_controller"):
-        setpoint, v_nom = e.features["v_target"], e.features["v_nom"]
-        if setpoint is None or v_nom is None:
-            raise H2MGError(
-                f"rtc_controller {e.id!r} lacks the initial setpoint")
-        values["rtc_controller"].append(project_rtc_category(setpoint, v_nom))
+    values["svr_controller"] = [
+        (required(zone, "v") + offset) - required(zone, "v_target")
+        for zone in map(x.device, x.edges_of("svr_controller"))]
+    values["rtc_controller"] = [
+        project_rtc_category(required(e, "v_target"), required(e, "v_nom"))
+        for e in x.edges_of("rtc_controller")]
     return paired_decision(x, values)
 
 

@@ -33,7 +33,7 @@ from .powerflow import solve_ac
 
 @dataclass(frozen=True)
 class GridFamilySpec:
-    """Parameters of one family of synthetic grids."""
+    """Parameters of one family of synthetic grids, checked when built."""
 
     bus_count_min: int = 28
     bus_count_max: int = 32
@@ -57,7 +57,7 @@ class GridFamilySpec:
     hv_load_count: int = 3
     hv_load_range: tuple[float, float] = (0.3, 0.8)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.bus_count_min < self.twt_count + 4:
             raise ValueError("bus_count_min leaves fewer than 4 upper-tier buses")
         if self.bus_count_max < self.bus_count_min:
@@ -293,7 +293,6 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
     solve's context, its solved state written in, with every line and twt
     rated at 1.6 times its larger base-case end current plus 0.1 p.u.
     """
-    spec.validate()
     for _ in range(_MAX_ATTEMPTS):
         x = _draw(spec, rng, {"origin": origin, "timestamp": _TIMESTAMP})
         if validate_context(x):
@@ -322,12 +321,22 @@ def _check_ids(ids: list, what: str) -> None:
             raise H2MGError(f"{what} {cid!r} repeats")
 
 
+def _check_valid(x: H2MGContext, where: str | Path) -> None:
+    """Refuse a context that :func:`validate_context` reports on."""
+    report = validate_context(x)
+    if report:
+        raise H2MGError(f"{where}: invalid context ({len(report)} violations): "
+                        + "; ".join(map(str, report[:3])))
+
+
 def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
                   spec: GridFamilySpec, seed: int) -> None:
-    """Write each context to ``<origin>.json`` and a manifest of the origins,
-    which must be distinct plain file names; otherwise nothing is written."""
+    """Write the contexts, all valid, to ``<origin>.json`` and a manifest of
+    the origins, distinct plain file names; otherwise nothing is written."""
     ids = [x.metadata.get("origin") for x in contexts]
     _check_ids(ids, "context origin")
+    for cid, x in zip(ids, contexts):
+        _check_valid(x, f"context {cid!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for cid, x in zip(ids, contexts):
@@ -351,10 +360,7 @@ def load_dataset(data_dir: str | Path) -> list[H2MGContext]:
         if x.metadata.get("origin") != cid:
             raise H2MGError(f"{path}: origin {x.metadata.get('origin')!r} is not its "
                             f"manifest id {cid!r}")
-        report = validate_context(x)
-        if report:
-            raise H2MGError(f"{path}: invalid context ({len(report)} violations): "
-                            + "; ".join(map(str, report[:3])))
+        _check_valid(x, path)
         out.append(x)
     return out
 

@@ -12,6 +12,8 @@ A ``Decision`` (concrete controller actions) and a ``SurrogateDecision``
 are plain dicts of one array per controller class, rows in that class's
 canonical edge order, so the policy, the estimator and the oracle act on
 whole classes; :func:`paired_decision` checks one that comes from outside.
+The oracle, the baseline and validation read a device's optional state
+through two rules, :func:`required` and :func:`in_service`.
 """
 
 from __future__ import annotations
@@ -238,8 +240,21 @@ def reactive_ranges(q_min: Sequence[float], q_max: Sequence[float]) -> np.ndarra
     return np.where(np.isfinite(span), span, 1.0)
 
 
-#: Features the baseline or an applied decision reads, per controller
-#: class: on the controller where its class has them, else on its device.
+def required(e: HyperEdge, name: str) -> float:
+    """Feature ``name`` of ``e``; an :class:`H2MGError` if it is absent."""
+    val = e.features[name]
+    if val is None:
+        raise H2MGError(f"{e.class_name} {e.id!r} has no {name!r}")
+    return val
+
+
+def in_service(e: HyperEdge) -> bool:
+    """Whether a line, shunt (``status`` absent or >= 0.5) or twt (always) is connected."""
+    return e.class_name == "twt" or not e.feature("status", 1.0) < 0.5
+
+
+#: Features the baseline or an applied decision reads with :func:`required`,
+#: per controller class: on the controller where its class has them, else on its device.
 _CONTROLLED_FEATURES = {"shunt_controller": ("status",),
                         "svr_controller": ("v", "v_target"),
                         "rtc_controller": ("v_target", "v_nom")}
@@ -257,8 +272,8 @@ def validate_context(x: H2MGContext) -> list[Violation]:
     units (otherwise the dispatch drops the zone and its controller moves
     nothing).  Every participating unit of any svr zone must drive exactly
     one generator, since the oracle dispatches each one, and not the slack
-    (the first generator flagged so; there must be one).  No in-service
-    line or twt may have ``r = x = 0``.
+    (the first generator flagged so; there must be one).  No line or twt
+    that is :func:`in_service` may have ``r = x = 0``.
     """
     report: list[Violation] = []
 
@@ -356,8 +371,7 @@ def validate_context(x: H2MGContext) -> list[Violation]:
                 rating = e.features[fname]
                 if rating is not None and rating <= 0:
                     bad(cname, e.id, f"{fname} must be > 0 where rated")
-            in_service = cname == "twt" or not e.feature("status", 1.0) < 0.5
-            if in_service and e.feature("r", 0.0) == 0.0 and e.feature("x", 0.0) == 0.0:
+            if in_service(e) and e.feature("r", 0.0) == 0.0 and e.feature("x", 0.0) == 0.0:
                 bad(cname, e.id, "in service with zero impedance (r = x = 0)")
 
     return report
@@ -406,16 +420,9 @@ def from_document(doc: dict) -> H2MGContext:
             cs = SCHEMA[cname]
             elist = []
             for rec in records:
-                feats: dict[str, float | None] = {}
-                for fname, val in rec["features"].items():
-                    if fname not in cs.context_feature_names:
-                        raise H2MGError(
-                            f"unknown feature {fname!r} for class {cname!r}")
-                    feats[fname] = None if val == ABSENT else float(val)
-                for fname in cs.context_feature_names:
-                    if fname not in feats:
-                        raise H2MGError(
-                            f"{cname} edge {rec.get('id')!r}: missing feature {fname!r}")
+                feats = {fname: None if val == ABSENT else float(val)
+                         for fname, val in rec["features"].items()}
+                # HyperEdge gets the ports in schema order, an extra one dropped
                 if set(rec["ports"]) != set(cs.port_names):
                     raise H2MGError(
                         f"{cname} edge {rec.get('id')!r}: ports must be exactly "

@@ -52,7 +52,9 @@ from .h2mg import (
     H2MGError,
     RTC_SETPOINT_LADDER,
     _check_paired,
+    in_service,
     reactive_ranges,
+    required,
 )
 
 #: Discrete physical tap ladder: 21 multipliers of the nominal ratio.
@@ -154,11 +156,12 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
 
     Row ``i`` of a class's array in ``y`` is the action of the class's
     ``i``-th edge in ``x``.  Each controller acts on its device, as
-    :meth:`H2MGContext.device` finds it (an :class:`H2MGError` unless there is exactly one).  Binary
-    actions request a change (1 = act, 0 = leave as is): line controllers
-    disconnect their line, shunt controllers toggle their shunt.  SVR
-    controllers shift the zone target; RTC controllers pick a
-    regulated-bus setpoint from the discrete ladder.
+    :meth:`H2MGContext.device` finds it (an :class:`H2MGError` unless there
+    is exactly one).  Binary actions request a change (1 = act, 0 = leave
+    as is): line controllers open their line, shunt controllers toggle a
+    shunt's ``status``; SVR controllers shift a zone's ``v_target``, and RTC
+    controllers pick a ladder multiple of their ``v_nom``.  Those three
+    features are :func:`~gridtvc.h2mg.required`.
     """
     _check_paired(y, x)
 
@@ -172,24 +175,16 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     for e, act in acts("shunt_controller"):
         if act == 1:
             shunt = x.device(e)
-            status = shunt.features["status"]
-            if status is None:
-                raise H2MGError(f"shunt {shunt.id!r} has no status to switch")
-            updates[("shunt", shunt.id)] = {"status": 1.0 - status}
+            updates[("shunt", shunt.id)] = {"status": 1.0 - required(shunt, "status")}
     for e, delta in acts("svr_controller"):
         zone = x.device(e)
-        target = zone.features["v_target"]
-        if target is None:
-            raise H2MGError(f"svr_zone {zone.id!r} has no v_target")
-        updates[("svr_zone", zone.id)] = {"v_target": target + float(delta)}
+        updates[("svr_zone", zone.id)] = {
+            "v_target": required(zone, "v_target") + float(delta)}
     for e, category in acts("rtc_controller"):
         # anchoring check only; the new target lives on the controller itself
         x.device(e)
-        v_nom = e.features["v_nom"]
-        if v_nom is None:
-            raise H2MGError(f"rtc_controller {e.id!r} has no v_nom")
         updates[("rtc_controller", e.id)] = {
-            "v_target": RTC_SETPOINT_LADDER[int(category)] * v_nom}
+            "v_target": RTC_SETPOINT_LADDER[int(category)] * required(e, "v_nom")}
     return x.replace_features(updates)
 
 
@@ -223,8 +218,7 @@ class _GridModel:
         self.v_min = _column(buses, "v_min", np.nan)
         self.v_max = _column(buses, "v_max", np.nan)
         self.opt = _column(buses, "opt", 0.0)
-        self.vm0 = np.array([e.features["v"] if e.features["v"] is not None
-                             else self.v_nom[i] for i, e in enumerate(buses)])
+        self.vm0 = np.array([e.feature("v", self.v_nom[i]) for i, e in enumerate(buses)])
         self.va0 = _column(buses, "theta", 0.0)
 
         # Fixed injections
@@ -313,8 +307,8 @@ class _GridModel:
         self.vset[pv_bus] = self.gen_vset[reg_gens[first]]
         self.vset[self.slack_bus] = self.gen_vset[self.slack_gen]
 
-        # Branches: lines with status 1, then all twts
-        lines = [e for e in x.edges_of("line") if not e.feature("status", 1.0) < 0.5]
+        # Branches: the lines in service, then all twts
+        lines = [e for e in x.edges_of("line") if in_service(e)]
         twts = x.edges_of("twt")
         branches = lines + list(twts)
         for e in branches:
@@ -337,9 +331,7 @@ class _GridModel:
 
         # Bus shunt admittance from in-service shunt edges
         self.y_shunt_bus = np.zeros(n, dtype=complex)
-        for e in x.edges_of("shunt"):
-            if e.feature("status", 1.0) < 0.5:
-                continue
+        for e in filter(in_service, x.edges_of("shunt")):
             b = self._bus(e.ports["bus"], e)
             self.y_shunt_bus[b] += complex(e.feature("g", 0.0), e.feature("b", 0.0))
 
@@ -752,8 +744,9 @@ def _solved_context(x: H2MGContext, m: _GridModel, st: _State) -> H2MGContext:
     Buses get ``v`` and ``theta``; lines and twts their end flows ``p1``
     to ``i2``, 0 on an open line; the twt of each tap changer its ``ratio``;
     generators (:func:`_gen_outputs`), loads and shunts their ``p``, ``q``
-    and current ``i`` at their bus's voltage; SVR zones the ``v`` and
-    ``theta`` of their regulated bus.  Every other feature is kept.
+    and current ``i`` at their bus's voltage, 0 on a shunt not
+    :func:`~gridtvc.h2mg.in_service`; SVR zones the ``v`` and ``theta`` of
+    their regulated bus.  Every other feature is kept.
     """
     vm, va = st.vm.tolist(), st.va.tolist()
     updates: dict[tuple[str, str], dict] = {
@@ -777,7 +770,7 @@ def _solved_context(x: H2MGContext, m: _GridModel, st: _State) -> H2MGContext:
         updates[("load", e.id)] = injection(
             e, e.feature("p_target", 0.0), e.feature("q_target", 0.0))
     for e in x.edges_of("shunt"):
-        on, v2 = e.feature("status", 0.0), vm[m._bus(e.ports["bus"], e)] ** 2
+        on, v2 = float(in_service(e)), vm[m._bus(e.ports["bus"], e)] ** 2
         updates[("shunt", e.id)] = injection(
             e, on * e.feature("g", 0.0) * v2, -on * e.feature("b", 0.0) * v2)
     for e in x.edges_of("svr_zone"):

@@ -34,12 +34,11 @@ SMALL = GridFamilySpec(bus_count_min=20, bus_count_max=22, twt_count=8,
 
 def test_spec_validation_rejects_infeasible_counts():
     with pytest.raises(ValueError):
-        GridFamilySpec(rtc_controller_count=20).validate()
+        GridFamilySpec(rtc_controller_count=20)
     with pytest.raises(ValueError):
-        GridFamilySpec(shunt_controller_count=99).validate()
+        GridFamilySpec(shunt_controller_count=99)
     with pytest.raises(ValueError):
-        GridFamilySpec(generator_count=3, svr_zone_count=3,
-                       svr_units_per_zone=2).validate()
+        GridFamilySpec(generator_count=3, svr_zone_count=3, svr_units_per_zone=2)
 
 
 def test_generation_deterministic_per_seed():
@@ -221,7 +220,12 @@ def test_validation_refuses_what_the_oracle_or_the_baseline_raises_on(
     with pytest.raises(H2MGError):
         score(x)
     assert any(rule in v.rule for v in validate_context(x)), validate_context(x)
-    write_dataset(tmp_path / "data", [x], GridFamilySpec(), seed=0)
+    with pytest.raises(H2MGError, match=r"context 'val-000': invalid context"):
+        write_dataset(tmp_path / "broken", [x], GridFamilySpec(), seed=0)
+    assert not (tmp_path / "broken").exists()
+    # a dataset written valid and broken on disk afterwards
+    write_dataset(tmp_path / "data", [val0], GridFamilySpec(), seed=0)
+    (tmp_path / "data" / "val-000.json").write_bytes(serialize(x))
     with pytest.raises(H2MGError, match=r"val-000\.json: invalid context"):
         load_dataset(tmp_path / "data")
 

@@ -288,6 +288,12 @@ def _break_bus_record(doc, how):
         doc["classes"]["bus"] = 5
     elif how == "feature not a number":
         rec["features"]["v"] = "abc"
+    elif how == "extra feature":
+        rec["features"]["volts"] = 1.0
+    elif how == "missing feature":
+        del rec["features"]["v"]
+    elif how == "extra port":
+        rec["ports"]["zone"] = rec["ports"]["bus"]
     else:
         rec["ports"]["bus"] = {"port not a number": "x", "fractional port": 1.5,
                                "boolean port": True}[how]
@@ -295,7 +301,8 @@ def _break_bus_record(doc, how):
 
 @pytest.mark.parametrize("how", ["no features", "records not a list",
                                  "feature not a number", "port not a number",
-                                 "fractional port", "boolean port"])
+                                 "fractional port", "boolean port", "extra feature",
+                                 "missing feature", "extra port"])
 def test_from_document_refuses_a_malformed_record(how):
     doc = to_document(two_bus())
     assert from_document(doc) == two_bus()

@@ -14,6 +14,7 @@ from gridtvc.h2mg import (
     deserialize,
     paired_decision,
     serialize,
+    validate_context,
 )
 from gridtvc.powerflow import (
     PROHIBITIVE_COST,
@@ -152,6 +153,23 @@ def test_an_open_line_carries_no_flow_in_the_solved_context():
     sol = solve_ac(apply_decision(x, y))
     assert sol.converged
     assert [edge_by_id(sol.context, "line", opened).features[f] for f in FLOWS] == [0.0] * 6
+
+
+@pytest.mark.parametrize("status", [None, 0.7])
+def test_a_shunt_in_service_injects_what_the_solve_counted(status):
+    # An absent status, or one of at least 0.5, leaves a shunt in service.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 0), origin="val-000")
+    controlled = {x.device(c).id for c in x.edges_of("shunt_controller")}
+    shunt = next(e for e in x.edges_of("shunt") if e.id not in controlled)
+    assert shunt.features["status"] == 1.0
+    variant = x.replace_features({("shunt", shunt.id): {"status": status}})
+    assert validate_context(variant) == []
+    solved_at = [edge_by_id(solve_ac(c).context, "shunt", shunt.id).features
+                 for c in (x, variant)]
+    on, got = ({f: s[f] for f in ("p", "q", "i")} for s in solved_at)
+    assert on["q"] < -0.1 and got == on
+    y = init_baseline(x)
+    assert evaluate_objective(variant, y) == evaluate_objective(x, y)
 
 
 def test_nose_point_overload_non_convergence():
