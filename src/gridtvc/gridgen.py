@@ -70,6 +70,8 @@ class GridFamilySpec:
             raise ValueError("more rtc controllers than rtcs")
         if self.rtc_count > self.twt_count:
             raise ValueError("more rtcs than twts")
+        if self.svr_zone_count > self.bus_count_min - self.twt_count:
+            raise ValueError("more SVR zones than upper-tier buses to regulate")
         if self.svr_controller_count > self.svr_zone_count:
             raise ValueError("more svr controllers than zones")
         if self.svr_units_per_zone < 1:
@@ -86,7 +88,13 @@ def _edge(eid, cname, ports, **features) -> HyperEdge:
 
 def _draw(spec: GridFamilySpec, rng: np.random.Generator,
           metadata: dict[str, str]) -> H2MGContext:
-    """One structural draw, before the base-case solve fills features."""
+    """One structural draw, before the base-case solve fills features.
+
+    Addresses are handed out in draw order, the buses' first, and every
+    later edge reads an address off the edge it plugs into.  Each
+    controller sits on a distinct device of its ``ClassSchema.device``
+    class.
+    """
     hv_nom, lv_nom = spec.voltage_levels
     n_bus = int(rng.integers(spec.bus_count_min, spec.bus_count_max + 1))
     n_lv = spec.twt_count
@@ -103,32 +111,25 @@ def _draw(spec: GridFamilySpec, rng: np.random.Generator,
             v=vn, theta=0.0, v_nom=vn, v_max=1.05 * vn, v_min=0.95 * vn, opt=1.0))
 
     # Transmission mesh: spanning tree plus random extra circuits
-    lines: list[tuple[int, int, bool]] = []  # (bus1, bus2, controllable)
+    lines: list[tuple[int, int]] = []
     for b in range(1, n_hv):
         other = int(rng.integers(0, b))
-        lines.append((other, b, False))
+        lines.append((other, b))
     n_extra = max(0, round(spec.line_density * n_hv) - (n_hv - 1))
     for _ in range(n_extra):
         b1, b2 = rng.choice(n_hv, size=2, replace=False)
-        lines.append((int(min(b1, b2)), int(max(b1, b2)), False))
-    # Controllable and optional circuits duplicate existing mesh lines,
-    # so dropping one never islands the grid.
+        lines.append((int(min(b1, b2)), int(max(b1, b2))))
+    # Controllable circuits, then optional ones, duplicate existing mesh
+    # lines, so dropping one never islands the grid.
     base_count = len(lines)
-    for k in range(spec.controllable_line_count):
-        b1, b2, _ = lines[int(rng.integers(0, base_count))]
-        lines.append((b1, b2, True))
+    for _ in range(spec.controllable_line_count):
+        lines.append(lines[int(rng.integers(0, base_count))])
     for _ in range(spec.optional_line_count):
         if rng.random() < 0.7:
-            b1, b2, _ = lines[int(rng.integers(0, base_count))]
-            lines.append((b1, b2, False))
+            lines.append(lines[int(rng.integers(0, base_count))])
 
-    line_addr: list[int] = []
-    controllable_lines: list[int] = []
-    for k, (b1, b2, controllable) in enumerate(lines):
+    for k, (b1, b2) in enumerate(lines):
         addr = next(addrs)
-        line_addr.append(addr)
-        if controllable:
-            controllable_lines.append(k)
         r = float(rng.uniform(0.002, 0.01))
         xre = float(rng.uniform(0.02, 0.08))
         chg = float(rng.uniform(0.04, 0.22))  # charging susceptance
@@ -137,11 +138,9 @@ def _draw(spec: GridFamilySpec, rng: np.random.Generator,
             r=r, x=xre, g=0.0, b=chg, opt=1.0, status=1.0))
 
     # Transformers: one per lower-tier bus, impedance referred to that tier
-    twt_addr: list[int] = []
     for k, b2 in enumerate(lv):
         b1 = int(rng.integers(0, n_hv))
         addr = next(addrs)
-        twt_addr.append(addr)
         z_scale = lv_nom ** 2
         r = float(rng.uniform(0.002, 0.006)) * z_scale
         xre = float(rng.uniform(0.08, 0.15)) * z_scale
@@ -150,24 +149,20 @@ def _draw(spec: GridFamilySpec, rng: np.random.Generator,
             f"twt_{k:03d}", "twt", {"twt": addr, "bus1": b1, "bus2": b2},
             r=r, x=xre, g=0.0, b=0.0, ratio=tau_nom, phase_shift=0.0, opt=1.0))
 
-    # Tap changers on the first rtc_count transformers, regulating their
-    # lower-tier bus toward a continuous initial target.
-    rtc_twts = sorted(rng.choice(spec.twt_count, size=spec.rtc_count,
-                                 replace=False).tolist())
-    for k, t in enumerate(rtc_twts):
-        reg_bus = lv[t]
+    # Tap changers on rtc_count of the transformers, each regulating its
+    # transformer's lower-tier bus.
+    rtc_twts = rng.choice(spec.twt_count, size=spec.rtc_count, replace=False)
+    for k, t in enumerate(sorted(rtc_twts.tolist())):
+        twt = edges["twt"][t].ports
         edges["rtc"].append(_edge(
-            f"rtc_{k:03d}", "rtc",
-            {"twt": twt_addr[t], "regulated_bus": reg_bus}))
+            f"rtc_{k:03d}", "rtc", {"twt": twt["twt"], "regulated_bus": twt["bus2"]}))
 
     # Generators: slack first, then SVR units, then voltage regulators
-    gen_addr: list[int] = []
     gen_buses = rng.choice(n_hv, size=spec.generator_count,
                            replace=spec.generator_count > n_hv)
     n_units = spec.svr_zone_count * spec.svr_units_per_zone
     for k in range(spec.generator_count):
         addr = next(addrs)
-        gen_addr.append(addr)
         slack = 1.0 if k == 0 else 0.0
         is_unit = 1 <= k <= n_units
         qr = float(rng.uniform(0.6, 1.5))
@@ -180,34 +175,30 @@ def _draw(spec: GridFamilySpec, rng: np.random.Generator,
             regulation_mode=0.0 if is_unit else 1.0,
             slack=slack))
 
-    # SVR zones: regulated upper-tier bus plus units drawn in order.
-    # Regulated buses avoid generator buses so their voltage stays free.
-    zone_addr: list[int] = []
+    # SVR zones: regulated upper-tier bus plus units, generators 1, 2, ...
+    # in turn.  Regulated buses avoid generator buses so their voltage
+    # stays free.
     candidates = [b for b in range(n_hv) if b not in set(gen_buses.tolist())]
     if len(candidates) < spec.svr_zone_count:
         candidates = list(range(n_hv))
     zone_buses = rng.choice(candidates, size=spec.svr_zone_count, replace=False)
-    unit_counter = 0
     for z in range(spec.svr_zone_count):
         addr = next(addrs)
-        zone_addr.append(addr)
         edges["svr_zone"].append(_edge(
             f"zone_{z}", "svr_zone",
             {"zone": addr, "regulated_bus": int(zone_buses[z])},
             v=1.0, theta=0.0, v_nom=hv_nom,
             v_target=float(rng.uniform(0.97, 1.07))))
         for _ in range(spec.svr_units_per_zone):
-            unit_counter += 1
+            u = len(edges["svr_unit"]) + 1
             edges["svr_unit"].append(_edge(
-                f"unit_{unit_counter:02d}", "svr_unit",
-                {"gen": gen_addr[unit_counter], "zone": addr},
+                f"unit_{u:02d}", "svr_unit",
+                {"gen": edges["generator"][u].ports["gen"], "zone": addr},
                 participate=1.0))
 
     # Shunts: mostly at lower-tier buses, reactors and capacitors mixed
-    shunt_addr: list[int] = []
     for k in range(spec.shunt_count):
         addr = next(addrs)
-        shunt_addr.append(addr)
         if k < max(1, spec.shunt_count - 2):
             bus = int(rng.choice(lv))
         else:
@@ -239,40 +230,31 @@ def _draw(spec: GridFamilySpec, rng: np.random.Generator,
 
     # Dispatch active power: non-slack generators cover most of the load,
     # the slack picks up the remainder plus losses.
-    non_slack = edges["generator"][1:]
+    slack_gen, *non_slack = edges["generator"]
     shares = rng.uniform(0.5, 1.5, size=len(non_slack))
     shares = shares / shares.sum() * float(rng.uniform(0.85, 0.98))
-    for g, share in zip(non_slack, shares):
-        feats = dict(g.features)
-        feats["p_target"] = share * total_p
-        edges["generator"][edges["generator"].index(g)] = HyperEdge(
-            g.id, "generator", dict(g.ports), feats)
+    edges["generator"] = [slack_gen] + [
+        HyperEdge(g.id, "generator", g.ports,
+                  {**g.features, "p_target": share * total_p})
+        for g, share in zip(non_slack, shares)]
 
-    # Controllers
-    lc_lines = rng.choice(controllable_lines,
-                          size=spec.line_controller_count, replace=False)
-    for k, li in enumerate(sorted(lc_lines.tolist())):
-        edges["line_controller"].append(_edge(
-            f"lc_{k}", "line_controller", {"line": line_addr[li]}))
-    sc_shunts = rng.choice(spec.shunt_count,
-                           size=spec.shunt_controller_count, replace=False)
-    for k, si in enumerate(sorted(sc_shunts.tolist())):
-        edges["shunt_controller"].append(_edge(
-            f"sc_{k}", "shunt_controller", {"shunt": shunt_addr[si]}))
-    vc_zones = rng.choice(spec.svr_zone_count,
-                          size=spec.svr_controller_count, replace=False)
-    for k, zi in enumerate(sorted(vc_zones.tolist())):
-        edges["svr_controller"].append(_edge(
-            f"vc_{k}", "svr_controller", {"zone": zone_addr[zi]}))
-    rc_rtcs = rng.choice(spec.rtc_count,
-                         size=spec.rtc_controller_count, replace=False)
-    for k, ri in enumerate(sorted(rc_rtcs.tolist())):
-        t = rtc_twts[ri]
-        reg_bus = lv[t]
-        vn = float(v_nom[reg_bus])
-        edges["rtc_controller"].append(_edge(
-            f"rc_{k}", "rtc_controller", {"twt": twt_addr[t]},
-            v_target=vn * float(rng.uniform(0.97, 1.08)), v_nom=vn))
+    # Controllers: per class, the indices of the devices it may sit on (the
+    # controllable circuits for lines) and how many to place
+    lc_pool = range(base_count, base_count + spec.controllable_line_count)
+    for c, prefix, pool, count in (
+            ("line_controller", "lc", lc_pool, spec.line_controller_count),
+            ("shunt_controller", "sc", range(spec.shunt_count), spec.shunt_controller_count),
+            ("svr_controller", "vc", range(spec.svr_zone_count), spec.svr_controller_count),
+            ("rtc_controller", "rc", range(spec.rtc_count), spec.rtc_controller_count)):
+        (port,) = SCHEMA[c].port_names
+        picks = rng.choice(pool, size=count, replace=False)
+        for k, i in enumerate(sorted(picks.tolist())):
+            device = edges[SCHEMA[c].device][i]
+            feats = {}
+            if c == "rtc_controller":
+                vn = float(v_nom[device.ports["regulated_bus"]])
+                feats = {"v_target": vn * float(rng.uniform(0.97, 1.08)), "v_nom": vn}
+            edges[c].append(_edge(f"{prefix}_{k}", c, {port: device.ports[port]}, **feats))
 
     return H2MGContext(next(addrs), {c: tuple(v) for c, v in edges.items() if v},
                        metadata)

@@ -408,6 +408,17 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _number(value, what: str) -> float | None:
+    """A feature read from a document: a number, or ``None`` where it is
+    ``"absent"``; a bool or any other string is not one."""
+    if value == ABSENT:
+        return None
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise H2MGError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def from_document(doc: dict) -> H2MGContext:
     """Inverse of :func:`to_document`; anything else raises :class:`H2MGError`."""
     try:
@@ -420,7 +431,7 @@ def from_document(doc: dict) -> H2MGContext:
             cs = SCHEMA[cname]
             elist = []
             for rec in records:
-                feats = {fname: None if val == ABSENT else float(val)
+                feats = {fname: _number(val, f"{cname} edge {rec['id']!r} feature {fname!r}")
                          for fname, val in rec["features"].items()}
                 # HyperEdge gets the ports in schema order, an extra one dropped
                 if set(rec["ports"]) != set(cs.port_names):

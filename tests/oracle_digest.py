@@ -16,14 +16,9 @@ default, 40 contexts).  Hashed, in order:
   flipped, and with its first shunt controller flipped.
 
 Floats are spelled by ``float.hex`` and arrays by dtype, shape and bytes,
-so equal digests mean equal bits.  Only public names are used, the two
-scoring results are read by attribute, whether they are two record types
-or one record (``count_metrics`` an alias and ``valid`` a property), a
-compiled class is read whether its entry is ``(name, features, ports)``
-or ``(name, edge ids, features, ports)``, and a decision is read whether
-it is a plain dict of per-class arrays or a class holding, in ``.values``,
-per-class arrays or per-class dicts keyed by edge id, so the script runs
-on any checkout that has them::
+so equal digests mean equal bits.  Only public names are used and the
+scoring results are read by attribute, so the script runs on any checkout
+that has them::
 
     PYTHONPATH=<checkout>/src python tests/oracle_digest.py [per_split]
 """
@@ -77,45 +72,21 @@ def context_set(per_split: int = 20) -> list:
             for split in ("val", "g") for i in range(per_split)]
 
 
-def _classes(y):
-    """A decision's per-class entries: the decision itself when it is a
-    plain dict, else its ``.values``."""
-    return y if isinstance(y, dict) else y.values
-
-
-def _flipped(x, y, c):
-    """``y`` with the first controller of class ``c`` set to 1.
-
-    A decision class's ``replace`` takes the row, or the edge id where the
-    class holds dicts keyed by edge id; a plain dict's array is copied.
-    """
-    if isinstance(y, dict):
-        arr = y[c].copy()
-        arr[0] = 1
-        return {**y, c: arr}
-    return y.replace(c, x.edges_of(c)[0].id if isinstance(y.values[c], dict) else 0, 1)
+def _flipped(y, c):
+    """``y`` with the first controller of class ``c`` set to 1."""
+    arr = y[c].copy()
+    arr[0] = 1
+    return {**y, c: arr}
 
 
 def _decisions(x):
     """The baseline decisions, then the offset-0 one with one lever flipped."""
     base = [init_baseline(x, offset) for offset in OFFSETS]
-    return base + [_flipped(x, base[0], c) for c in FLIPPED]
-
-
-def _compiled(xn):
-    """A compiled context's address count and, per class, its name,
-    features and ports: the first element and the last two of an entry."""
-    return xn.address_count, [(c[0], *c[-2:]) for c in xn.classes]
+    return base + [_flipped(base[0], c) for c in FLIPPED]
 
 
 def _fields(result, names):
     return {name: getattr(result, name) for name in names}
-
-
-def _in_edge_order(x, y):
-    """Each class's decision values as a list in the context's edge order."""
-    return {c: [v[e.id] for e in x.edges_of(c)] if isinstance(v, dict) else list(v)
-            for c, v in _classes(y).items()}
 
 
 def digest(contexts: list) -> str:
@@ -129,10 +100,11 @@ def digest(contexts: list) -> str:
     norm = fit_normalizer(contexts[:len(contexts) // 2])
     record("normalizer", norm.digest())
     for x in contexts:
-        record("normalize", _compiled(normalize(x, norm)))
+        xn = normalize(x, norm)
+        record("normalize", (xn.address_count, xn.classes))
     for x in contexts:
         for y in _decisions(x):
-            record("decision", _in_edge_order(x, y),
+            record("decision", {c: list(v) for c, v in y.items()},
                    _fields(evaluate_objective(x, y), OBJECTIVE),
                    _fields(count_metrics(x, y), METRICS))
     return h.hexdigest()

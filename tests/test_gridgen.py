@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import warnings
 
@@ -22,6 +23,7 @@ from gridtvc.h2mg import H2MGContext, H2MGError, HyperEdge, SCHEMA, serialize, v
 from gridtvc.powerflow import solve_ac
 
 from gridfixtures import two_bus
+from test_trainer import SPEC as TRAINER_SPEC
 
 
 SMALL = GridFamilySpec(bus_count_min=20, bus_count_max=22, twt_count=8,
@@ -39,6 +41,9 @@ def test_spec_validation_rejects_infeasible_counts():
         GridFamilySpec(shunt_controller_count=99)
     with pytest.raises(ValueError):
         GridFamilySpec(generator_count=3, svr_zone_count=3, svr_units_per_zone=2)
+    with pytest.raises(ValueError):  # 5 zones, 4 upper-tier buses to regulate
+        GridFamilySpec(bus_count_min=16, bus_count_max=16, twt_count=12, rtc_count=10,
+                       svr_zone_count=5, svr_units_per_zone=1, svr_controller_count=3)
 
 
 def test_generation_deterministic_per_seed():
@@ -47,6 +52,22 @@ def test_generation_deterministic_per_seed():
     assert x1 == x2
     x3 = generate_context(SMALL, grng.stream(42, 1))
     assert x3 != x1
+
+
+@pytest.mark.parametrize("spec, pinned", [
+    (GridFamilySpec(), "1a698aa881f8f7eac91adec3f272d18cb1379c73ccb877edfe880235914a0aff"),
+    (TRAINER_SPEC, "74b9d991a3ee4a14c0f664a3437306d35b51938c38cfe44c1ba93225d6b78633"),
+], ids=["default", "trainer"])
+def test_draw_wiring_is_pinned(spec, pinned):
+    """Every edge's class, id and ports on five draws: integers only, no
+    features and no solve, so only a change to the draws can move it."""
+    h = hashlib.sha256()
+    for i in range(5):
+        x = _draw(spec, grng.stream(0, "val", i), {"origin": "pin"})
+        for c in sorted(x.edges):
+            for e in x.edges_of(c):
+                h.update(json.dumps([c, e.id, dict(e.ports)]).encode() + b"\n")
+    assert h.hexdigest() == pinned
 
 
 def test_generated_context_is_valid_and_counts_match():

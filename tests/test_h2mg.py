@@ -288,6 +288,10 @@ def _break_bus_record(doc, how):
         doc["classes"]["bus"] = 5
     elif how == "feature not a number":
         rec["features"]["v"] = "abc"
+    elif how == "feature as a string":
+        rec["features"]["v"] = "1.5"
+    elif how == "boolean feature":
+        rec["features"]["opt"] = True
     elif how == "extra feature":
         rec["features"]["volts"] = 1.0
     elif how == "missing feature":
@@ -302,7 +306,8 @@ def _break_bus_record(doc, how):
 @pytest.mark.parametrize("how", ["no features", "records not a list",
                                  "feature not a number", "port not a number",
                                  "fractional port", "boolean port", "extra feature",
-                                 "missing feature", "extra port"])
+                                 "missing feature", "extra port", "feature as a string",
+                                 "boolean feature"])
 def test_from_document_refuses_a_malformed_record(how):
     doc = to_document(two_bus())
     assert from_document(doc) == two_bus()
