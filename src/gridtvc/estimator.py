@@ -57,7 +57,7 @@ class EstimatorConfig:
         # beta 0 switches the score term off entirely (entropy-only descent)
         if self.beta < 0 or self.tau <= 0:
             raise ValueError("beta must be nonnegative and tau positive")
-        # a class left out keeps 8 samples
+        # a class left out keeps its DEFAULT_SAMPLES count
         for cname, n in self.samples.items():
             if cname not in CONTROLLER_CLASSES:
                 raise ValueError(f"samples: {cname!r} is not a controller class")
@@ -162,7 +162,7 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
         z_c = z.get(cname)
         if z_c is None:
             continue
-        n = int(cfg.samples.get(cname, 8))
+        n = int(cfg.samples.get(cname, DEFAULT_SAMPLES[cname]))
         if SCHEMA[cname].decision_kind == D_CONTINUOUS:
             draws = policy.sample(z_c, n, rng, policy_cfg)
             samples = [((cname, k), {**y_mp, cname: draw}) for k, draw in enumerate(draws)]

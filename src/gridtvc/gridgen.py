@@ -329,14 +329,19 @@ def write_dataset(out_dir: str | Path, contexts: list[H2MGContext],
 
 
 def load_dataset(data_dir: str | Path) -> list[H2MGContext]:
-    """Read a dataset's contexts; ids that :func:`write_dataset` would refuse,
-    a context whose ``origin`` is not its id, or a context that fails
-    validation, raise :class:`H2MGError`."""
+    """Read a dataset's contexts; a manifest that is not JSON or lists no
+    ids, ids that :func:`write_dataset` would refuse, a context whose
+    ``origin`` is not its id, or a context that fails validation, raise
+    :class:`H2MGError`."""
     data = Path(data_dir)
-    manifest = json.loads((data / "manifest.json").read_text())
-    _check_ids(manifest["ids"], f"{data / 'manifest.json'}: id")
+    where = data / "manifest.json"
+    try:
+        ids = json.loads(where.read_text())["ids"]
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise H2MGError(f"{where}: id list unreadable: {exc!r}") from None
+    _check_ids(ids, f"{where}: id")
     out = []
-    for cid in manifest["ids"]:
+    for cid in ids:
         path = data / f"{cid}.json"
         x = deserialize(path.read_bytes())
         if x.metadata.get("origin") != cid:
@@ -413,16 +418,19 @@ class Normalizer:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Normalizer":
-        """Inverse of :meth:`to_json`; an entry of unknown kind, or a ``pwl``
-        table that breaks the class's promise on its values and levels,
-        raises ``ValueError`` naming its ``class.feature``."""
+        """Inverse of :meth:`to_json`; a document without ``knots`` or
+        ``tables`` raises ``ValueError``, and so does an entry of unknown or
+        missing kind, or a ``pwl`` table that breaks the class's promise on
+        its values and levels, naming its ``class.feature``."""
+        if not {"knots", "tables"} <= doc.keys():
+            raise ValueError(f"normalizer document needs knots and tables, has {sorted(doc)}")
         tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray] | str] = {}
         for cname, feats in doc["tables"].items():
             for fname, entry in feats.items():
-                kind, where = entry["kind"], f"normalizer {cname}.{fname}"
+                kind, where = entry.get("kind"), f"normalizer {cname}.{fname}"
                 if kind == "pwl":
-                    values = np.asarray(entry["values"], dtype=float)
-                    levels = np.asarray(entry["levels"], dtype=float)
+                    values = np.asarray(entry.get("values", ()), dtype=float)
+                    levels = np.asarray(entry.get("levels", ()), dtype=float)
                     if values.ndim != 1 or values.shape != levels.shape or not values.size:
                         raise ValueError(f"{where}: values and levels must be 1-D of "
                                          f"one nonzero length")

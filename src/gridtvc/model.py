@@ -56,13 +56,14 @@ Several contexts run as one engine over their disjoint union: each class
 lists its edges context by context, and every context's ports are offset
 by the address count of the contexts before it.  No message crosses
 between contexts, so the union is exact up to BLAS rounding, and the
-decoders' rows split back into one decision per context.  A batch
-``forward`` keeps its per-step latents in an :class:`Integration`; ``vjp``
-on that integration sweeps back from them over the contexts that have a
+decoders' rows split back into one decision per context.  :func:`forward`
+is the one integration, for training and decisions alike, and it keeps
+the latents before the first step and after every step.  A batch
+``forward`` returns them in an :class:`Integration`; ``vjp`` on that
+integration sweeps back from them over the contexts that have a
 cotangent, without integrating again, and returns their summed parameter
-cotangent.  :func:`predict` integrates a batch the same way but keeps only
-the last latents, for decisions, which run no VJP.  A single context's
-``forward`` is a ``predict`` of one."""
+cotangent.  Decisions drop the latents, which at the default config adds
+about 0.2 MB to the peak of one single-context ``forward``."""
 
 from __future__ import annotations
 
@@ -82,8 +83,8 @@ from .h2mg import SCHEMA, SurrogateDecision, schema_hash
 class ModelConfig:
     """Architecture and step of the graph ODE.
 
-    A batch ``forward`` keeps the union's latents after each of the
-    ``steps`` steps for its ``vjp``, so training memory grows linearly with
+    ``forward`` keeps the union's latents after each of the ``steps``
+    steps for its ``vjp``, so training memory grows linearly with
     the step count: forward plus ``vjp`` on 4 val contexts peaks at 32.5 MB
     under tracemalloc at ``dt=0.2`` and at 50.4 MB at ``dt=0.01``, about
     0.19 MB per step.
@@ -471,19 +472,12 @@ class _Engine:
         hbar1 = self.drive_backward(0.5 * dt * hbar + dt * hbar2, stage1, grads, tmp)
         return hbar + hbar2 + hbar1
 
-    def integrate(self, all_states: bool = False) -> list[np.ndarray]:
-        """Run all Heun steps from zero latents.
-
-        Returns ``[h]``, the latents after the last step, or with
-        ``all_states`` the latents before the first step and after every step.
-        """
+    def integrate(self) -> list[np.ndarray]:
+        """Run all Heun steps from zero latents; returns the latents before
+        the first step and after every step."""
         states = [np.zeros((self.prep.address_count, self.cfg.latent_dim))]
         for _ in range(self.cfg.steps):
-            h, _ = self.step(states[-1])
-            if all_states:
-                states.append(h)
-            else:
-                states[-1] = h
+            states.append(self.step(states[-1])[0])
         return states
 
     def decode(self, h: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -528,18 +522,6 @@ class Integration:
             [h[rows] for h in self.states])
 
 
-def _integrate(params: ModelParams, xs: Sequence[CompiledContext]) -> Integration:
-    eng = _Engine(params, xs)
-    return Integration(eng, eng.integrate(all_states=True))
-
-
-def predict(params: ModelParams, xs: Sequence[CompiledContext]) -> list[SurrogateDecision]:
-    """Raw surrogate decisions of contexts integrated as one union, keeping
-    no per-step latents: the decision path, which never runs :func:`vjp`."""
-    eng = _Engine(params, xs)
-    return eng.decode(eng.integrate()[-1])
-
-
 def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext]):
     """Raw surrogate decision for a compiled context (offsets not applied).
 
@@ -547,10 +529,11 @@ def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext])
     union and returns the per-context decisions together with the
     :class:`Integration`, per-step latents included, that :func:`vjp` takes.
     """
-    if isinstance(x, CompiledContext):
-        return predict(params, [x])[0]
-    run = _integrate(params, x)
-    return run.engine.decode(run.states[-1]), run
+    single = isinstance(x, CompiledContext)
+    eng = _Engine(params, [x] if single else x)
+    run = Integration(eng, eng.integrate())
+    zs = eng.decode(run.states[-1])
+    return zs[0] if single else (zs, run)
 
 
 def vjp(run: Integration, cotangents: Sequence) -> ModelParams:
@@ -573,11 +556,7 @@ def vjp(run: Integration, cotangents: Sequence) -> ModelParams:
         raise ValueError(f"{len(cotangents)} cotangents for "
                          f"{len(run.engine.prep.parts)} contexts")
     keep = [i for i, cot in enumerate(cotangents) if cot is not None]
-    return _sweep(run.restrict(keep), [cotangents[i] for i in keep])
-
-
-def _sweep(run: Integration, cotangents: list[dict[str, np.ndarray]]) -> ModelParams:
-    """The reverse sweep over every context of ``run``."""
+    run, cotangents = run.restrict(keep), [cotangents[i] for i in keep]
     eng, params = run.engine, run.engine.params
     cfg = params.config
     stacked = {k: a for blk in eng.blocks for k, a in blk.start_grads().items()}
@@ -648,14 +627,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
 
     A checkpoint whose ``integrator`` entry is not :data:`INTEGRATOR` is
     refused rather than integrated with another scheme; one whose
-    ``schema_hash`` differs was trained on another class table.  The MLPs
+    ``schema_hash`` differs was trained on another class table, and one
+    with no ``config`` in its meta cannot be rebuilt at all.  The MLPs
     read their depth from the names, so a tensor missing, extra or shaped
     unlike :func:`_param_shapes` of the stored config is refused by name.
     """
     with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(str(blob["__meta__"]))
+        meta = json.loads(str(blob["__meta__"])) if "__meta__" in blob.files else {}
         values = {k[len("param/"):]: blob[k] for k in blob.files
                   if k.startswith("param/")}
+    if "config" not in meta:
+        raise ValueError(f"checkpoint {path} carries no model config in its meta")
     if meta.get("integrator") != INTEGRATOR:
         raise ValueError(f"checkpoint {path} was trained with integrator "
                          f"{meta.get('integrator')!r}, but the model integrates with "

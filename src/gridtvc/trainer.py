@@ -22,8 +22,9 @@ once written.
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
 take the policy's decisions from one :func:`decide` and score them with
 :func:`~gridtvc.powerflow.evaluate_objective`.  It integrates four contexts
-at a time as one union, keeping no per-step latents since decisions run no
-VJP: at the default config that cuts the time per decision by about a third
+at a time as one union through the batch :func:`~gridtvc.model.forward`
+that training runs, and drops the per-step latents that forward keeps: at
+the default config that cuts the time per decision by about a third
 against one context at a time, and eight contexts gain little more for
 twice the memory.
 """
@@ -55,7 +56,6 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
-    predict,
     save_checkpoint,
     vjp,
 )
@@ -309,8 +309,9 @@ def train(cfg: TrainConfig) -> dict:
 # Evaluation
 
 #: Contexts per fused integration in :func:`decide`.  Default config, 2 vCPUs, one
-#: BLAS thread, 20 val contexts: 17 ms per decision against 25 ms one at a time,
-#: no discrete flip, SVR set-points within 1e-18; 8 give 17 ms for twice the memory.
+#: BLAS thread, 20 val contexts, best of 5: 9.9 ms per decision and a 6.4 MB
+#: tracemalloc peak, against 15.1 ms and 1.7 MB one at a time and 8.9 ms and
+#: 12.4 MB at 8; no discrete flip, SVR set-points within 1e-18.
 DECIDE_CHUNK = 4
 
 
@@ -318,13 +319,14 @@ def decide(params: ModelParams, pairs: list[tuple[H2MGContext, CompiledContext]]
            pol_cfg: PolicyConfig) -> list[Decision]:
     """The policy's most-probable decision on each (context, compiled context).
 
-    The network integrates ``DECIDE_CHUNK`` contexts per fused
-    :func:`~gridtvc.model.predict`, which keeps no per-step latents.
+    The network integrates ``DECIDE_CHUNK`` contexts per batch
+    :func:`~gridtvc.model.forward`, the one the training step runs, and
+    drops its per-step latents.
     """
     chunks = [pairs[i:i + DECIDE_CHUNK] for i in range(0, len(pairs), DECIDE_CHUNK)]
     return [policy_mod.most_probable(policy_mod.apply_offsets(z, x, pol_cfg))
             for chunk in chunks
-            for (x, _), z in zip(chunk, predict(params, [xn for _, xn in chunk]))]
+            for (x, _), z in zip(chunk, forward(params, [xn for _, xn in chunk])[0])]
 
 
 def _mean(values: list) -> float | None:

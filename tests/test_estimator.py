@@ -7,7 +7,8 @@ import pytest
 from gridtvc import policy
 from gridtvc import rng as grng
 from gridtvc.estimator import (
-    ESTIMATE_STATUSES, EstimatorConfig, _replace, clip_score, estimate_gradient)
+    DEFAULT_SAMPLES, ESTIMATE_STATUSES, EstimatorConfig, _replace, clip_score,
+    estimate_gradient)
 from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, paired_decision
 from gridtvc.policy import PolicyConfig
@@ -151,6 +152,25 @@ def test_estimate_deterministic_per_stream():
 def test_config_rejects_unknown_classes_and_bad_counts(samples, named):
     with pytest.raises(ValueError, match=named):
         EstimatorConfig(samples=samples)
+
+
+def test_a_class_left_out_of_samples_keeps_its_default_count():
+    # restating the line count alone must not change any other class's draws
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 0), origin="val-000")
+    z = zero_output(x)
+
+    def calls(cfg):
+        made = []
+
+        def counting(xc, y):
+            made.append(y)
+            return SimpleNamespace(total=1.0, status="converged")
+
+        estimate_gradient(x, z, cfg, counting, grng.stream(9), PCFG)
+        return len(made)
+
+    partial = EstimatorConfig(samples={"line_controller": DEFAULT_SAMPLES["line_controller"]})
+    assert calls(partial) == calls(EstimatorConfig())
 
 
 def test_svr_class_sampled_jointly_and_gradient_finite():

@@ -255,6 +255,9 @@ def test_validation_refuses_what_the_oracle_or_the_baseline_raises_on(
     (["s3_c00000", "s3_c00000"], "'s3_c00000' repeats"),
     (["s3_c00000", "../s3_c00000"], "'../s3_c00000' is not a plain file name"),
     (["s3_c00000", 7], "7 is not a plain file name"),
+    # a string is the whole manifest text
+    ('{"seed": 3}', "list unreadable: KeyError"),
+    ('{"ids": [', "list unreadable: JSONDecodeError"),
 ])
 def test_load_dataset_refuses_repeated_or_unsafe_ids(tmp_path, ids, problem):
     x = generate_context(SMALL, grng.stream(3, 0), origin="s3_c00000")
@@ -262,7 +265,8 @@ def test_load_dataset_refuses_repeated_or_unsafe_ids(tmp_path, ids, problem):
     # a file outside the dataset that a "../" id would reach
     (tmp_path / "s3_c00000.json").write_bytes(serialize(x))
     path = tmp_path / "data" / "manifest.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "ids": ids}))
+    path.write_text(ids if isinstance(ids, str)
+                    else json.dumps({**json.loads(path.read_text()), "ids": ids}))
     with pytest.raises(H2MGError, match=rf"manifest\.json: id {problem}"):
         load_dataset(tmp_path / "data")
 
@@ -477,6 +481,8 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
     ({"kind": "pwl", "values": [1.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
     ({"kind": "pwl", "values": [0.0, 1.0], "levels": [1.0, -3.0]}, "levels must be nondecreasing"),
     ({"kind": "pwl", "values": [0.0, 1.0], "levels": [0.0, 1.5]}, "levels must be nondecreasing"),
+    ({}, "unknown kind None"),
+    ({"kind": "pwl", "values": [0.0, 1.0]}, "one nonzero length"),
 ])
 def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
     doc = {"knots": 3, "tables": {"load": {"p": {"kind": "pwl", "values": [0.0, 1.0],
@@ -484,6 +490,15 @@ def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
     assert Normalizer.from_json(doc).apply("load", "p", 0.25) == 0.25
     doc["tables"]["load"]["q"] = entry
     with pytest.raises(ValueError, match=rf"load\.q: .*{problem}"):
+        Normalizer.from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["knots", "tables"])
+def test_normalizer_from_json_refuses_a_document_without_knots_or_tables(key):
+    doc = {"knots": 3, "tables": {"load": {"p": {"kind": "identity"}}}}
+    Normalizer.from_json(doc)
+    del doc[key]
+    with pytest.raises(ValueError, match="normalizer document needs knots and tables"):
         Normalizer.from_json(doc)
 
 

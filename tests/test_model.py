@@ -351,18 +351,28 @@ def test_checkpoint_saved_for_another_schema_is_refused(tmp_path):
     assert "0" * 16 in str(err.value) and schema_hash() in str(err.value)
 
 
-def _without_last_layer(values):
+def _without_last_layer(arrays):
     # the decoder then reads one layer fewer, and forward still runs
-    del values["decoder.line_controller.layer1.weight"]
-    del values["decoder.line_controller.layer1.bias"]
+    del arrays["param/decoder.line_controller.layer1.weight"]
+    del arrays["param/decoder.line_controller.layer1.bias"]
 
 
-def _with_an_extra_layer(values):
-    values["decoder.line_controller.layer2.weight"] = np.zeros((1, 1))
+def _with_an_extra_layer(arrays):
+    arrays["param/decoder.line_controller.layer2.weight"] = np.zeros((1, 1))
 
 
-def _with_a_wider_bias(values):
-    values["encoder.bus.layer0.bias"] = np.zeros(17)
+def _with_a_wider_bias(arrays):
+    arrays["param/encoder.bus.layer0.bias"] = np.zeros(17)
+
+
+def _without_meta(arrays):
+    del arrays["__meta__"]
+
+
+def _without_config(arrays):
+    meta = json.loads(str(arrays["__meta__"]))
+    del meta["config"]
+    arrays["__meta__"] = json.dumps(meta)
 
 
 @pytest.mark.parametrize("edit, problem", [
@@ -372,12 +382,17 @@ def _with_a_wider_bias(values):
                            r"but its config says \(no such parameter\)"),
     (_with_a_wider_bias, r"'encoder.bus.layer0.bias' has shape \(17,\), "
                          r"but its config says \(16,\)"),
+    (_without_meta, r"ckpt\.npz carries no model config"),
+    (_without_config, r"ckpt\.npz carries no model config"),
 ])
 def test_checkpoint_whose_tensors_do_not_match_its_config_is_refused(tmp_path, edit, problem):
-    params = init_params(TINY, np.random.default_rng(19))
-    edit(params.values)
+    # ``edit`` rewrites the saved file's arrays, meta included
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params)
+    save_checkpoint(path, init_params(TINY, np.random.default_rng(19)))
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    edit(arrays)
+    np.savez(path, **arrays)
     with pytest.raises(ValueError, match=problem):
         load_checkpoint(path)
 
@@ -462,7 +477,7 @@ def test_forward_keeps_the_latents_after_every_step():
     xs, params = tiny_batch()
     _, run = forward(params, xs)
     assert len(run.states) == TINY.steps + 1
-    # predict's integration, which keeps only the last latents
+    # a fresh integration of the same union ends on the same latents
     final = _Engine(params, xs).integrate()[-1]
     assert np.array_equal(run.states[-1], final)
     keep = [0, 2]
