@@ -120,11 +120,12 @@ def _score(oracle: Oracle, x: H2MGContext, y: Decision) -> tuple[float, str]:
     reports the status "error".
 
     Structural errors (mispaired decisions, broken contexts) are caller
-    bugs and do propagate.
+    bugs and do propagate, as does a warning that the caller's warnings
+    filter turned into an exception.
     """
     try:
         res = oracle(x, y)
-    except H2MGError:
+    except (H2MGError, Warning):
         raise
     except Exception:
         return PROHIBITIVE_COST, "error"

@@ -388,10 +388,6 @@ class Normalizer:
     CONSTANT = "constant"
     IDENTITY = "identity"
 
-    def apply(self, class_name: str, feature: str, value: float | None) -> float:
-        column = np.array([value], dtype=float)  # None becomes NaN
-        return float(self.map_column(class_name, feature, column)[0])
-
     def map_column(self, class_name: str, feature: str,
                    column: np.ndarray) -> np.ndarray:
         """Normalize one feature's values; NaN marks an absent value."""

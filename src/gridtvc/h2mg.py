@@ -433,7 +433,8 @@ def from_document(doc: dict) -> H2MGContext:
             for rec in records:
                 feats = {fname: _number(val, f"{cname} edge {rec['id']!r} feature {fname!r}")
                          for fname, val in rec["features"].items()}
-                # HyperEdge gets the ports in schema order, an extra one dropped
+                # exactly the schema's ports, none missing or extra; HyperEdge
+                # gets them in schema order
                 if set(rec["ports"]) != set(cs.port_names):
                     raise H2MGError(
                         f"{cname} edge {rec.get('id')!r}: ports must be exactly "

@@ -52,18 +52,19 @@ row per edge and port), which a single scatter per evaluation sums into the
 addresses.  The VJP runs each evaluation's backward pass in the same layout
 and accumulates weight gradients once per evaluation in a fixed order.
 
-Several contexts run as one engine over their disjoint union: each class
-lists its edges context by context, and every context's ports are offset
-by the address count of the contexts before it.  No message crosses
-between contexts, so the union is exact up to BLAS rounding, and the
-decoders' rows split back into one decision per context.  :func:`forward`
-is the one integration, for training and decisions alike, and it keeps
-the latents before the first step and after every step.  A batch
-``forward`` returns them in an :class:`Integration`; ``vjp`` on that
-integration sweeps back from them over the contexts that have a
-cotangent, without integrating again, and returns their summed parameter
-cotangent.  Decisions drop the latents, which at the default config adds
-about 0.2 MB to the peak of one single-context ``forward``."""
+One batch run is one :class:`_Engine` over the disjoint union of its
+contexts: each class lists its edges context by context, and every
+context's ports are offset by the address count of the contexts before
+it.  No message crosses between contexts, so the union is exact up to
+BLAS rounding, and the decoders' rows split back into one decision per
+context.  :func:`forward` is the one integration, for training and
+decisions alike, and the engine keeps the latents before the first step
+and after every step.  A batch ``forward`` returns the engine with its
+decisions; ``vjp`` on that engine sweeps back from its latents over the
+contexts that have a cotangent, without integrating again, and returns
+their summed parameter cotangent.  Decisions drop the engine, whose
+latents at the default config add about 0.2 MB to the peak of one
+single-context ``forward``."""
 
 from __future__ import annotations
 
@@ -83,8 +84,8 @@ from .h2mg import SCHEMA, SurrogateDecision, schema_hash
 class ModelConfig:
     """Architecture and step of the graph ODE.
 
-    ``forward`` keeps the union's latents after each of the ``steps``
-    steps for its ``vjp``, so training memory grows linearly with
+    A batch ``forward``'s engine keeps the union's latents after each of
+    the ``steps`` steps for ``vjp``, so training memory grows linearly with
     the step count: forward plus ``vjp`` on 4 val contexts peaks at 32.5 MB
     under tracemalloc at ``dt=0.2`` and at 50.4 MB at ``dt=0.01``, about
     0.19 MB per step.
@@ -167,33 +168,6 @@ def init_params(config: ModelConfig = ModelConfig(),
         values[name] = rng.uniform(-bound, bound, size=shape) if len(shape) == 2 \
             else np.zeros(shape)
     return ModelParams(config, values)
-
-
-class _Union:
-    """The disjoint union of compiled contexts, laid out like one context.
-
-    ``classes`` has the shape of :attr:`CompiledContext.classes`: each
-    class's edges context by context, ports offset by the address count of
-    the contexts before.  ``spans`` holds each context's address rows and
-    ``counts`` its edge count per class, which split outputs back.
-    """
-
-    def __init__(self, parts: Sequence[CompiledContext]):
-        self.parts = list(parts)
-        bounds = np.cumsum([0] + [p.address_count for p in self.parts])
-        self.address_count = int(bounds[-1])
-        self.spans = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        by_class = [{c[0]: c for c in p.classes} for p in self.parts]
-        self.classes: list[tuple[str, np.ndarray, np.ndarray]] = []
-        self.counts: dict[str, list[int]] = {}
-        for cname in sorted({c for cls in by_class for c in cls}):
-            members = [(cls[cname], off) for cls, off in zip(by_class, bounds)
-                       if cname in cls]
-            self.classes.append((
-                cname, np.concatenate([feats for (_, feats, _), _ in members]),
-                np.concatenate([ports + off for (_, _, ports), off in members])))
-            self.counts[cname] = [len(cls[cname][2]) if cname in cls else 0
-                                  for cls in by_class]
 
 
 def _gather(h: np.ndarray, ports: np.ndarray) -> np.ndarray:
@@ -331,29 +305,25 @@ class _MessageBlock:
                 for kind, stack in (("weight", self.gw[i]), ("bias", self.gb[i]))}
 
     def backward(self, g: np.ndarray, acts: list[np.ndarray], mbar: np.ndarray,
-                 dg: np.ndarray, tmp: np.ndarray) -> None:
+                 dg: np.ndarray) -> None:
         """One step's backward pass: accumulate weight grads, write the latent cotangent."""
         n_e, n_p = self.n_e, self.n_p
         dz = mbar.reshape(n_e, n_p, -1)
         for i in range(self.depth - 1, 0, -1):
-            a, gw = acts[i - 1], self.gw[i]
-            gw += np.matmul(dz.transpose(1, 2, 0), a.transpose(1, 0, 2),
-                            out=tmp[:gw.size].reshape(gw.shape))
+            a = acts[i - 1]
+            self.gw[i] += np.matmul(dz.transpose(1, 2, 0), a.transpose(1, 0, 2))
             self.gb[i] += dz.sum(axis=0)
             da = np.empty_like(a)
             for k, w in enumerate(self.w[i]):
                 np.matmul(dz[:, k], w, out=da[:, k])
             dz = _leaky_grad(da, a, self.slope)
         g = g.reshape(n_e, self.split)
-        dz0 = dz.reshape(n_e, -1)
-        self.gw0h += np.matmul(dz0.T, g, out=tmp[:self.gw0h.size].reshape(
-            self.gw0h.shape))
+        self.gw0h += dz.reshape(n_e, -1).T @ g
         self.dz0_sum += dz
         dg = dg.reshape(n_e, self.split)
         np.matmul(dz[:, 0], self.w[0][0], out=dg)
         for k in range(1, n_p):
-            dg += np.matmul(dz[:, k], self.w[0][k],
-                            out=tmp[:dg.size].reshape(dg.shape))
+            dg += dz[:, k] @ self.w[0][k]
 
     def finish_grads(self) -> np.ndarray:
         """Context part of the layer-0 gradients, from the summed cotangent.
@@ -370,9 +340,15 @@ class _MessageBlock:
 
 
 class _Engine:
-    """Shared forward machinery for plain evaluation and the VJP sweep.
+    """One batch run of the model over the disjoint union of compiled contexts.
 
-    The engine runs the :class:`_Union` of a sequence of compiled contexts.
+    ``classes`` lays the union out like one context, in the shape of
+    :attr:`CompiledContext.classes`: each class's edges context by context,
+    ports offset by the address count of the contexts before.  ``spans``
+    holds each context's address rows and ``counts`` its edge count per
+    class, which split outputs back.  :meth:`integrate` keeps the latents
+    in ``states``, which :func:`vjp` sweeps back from.
+
     Every (edge, port) pair owns one row ("slot") of the step's slot
     buffers, class by class, edge-major.  A step gathers the slots'
     address latents, lets each class's :class:`_MessageBlock` write its
@@ -380,19 +356,34 @@ class _Engine:
     one ``np.bincount`` on a flat index built here.
     """
 
-    def __init__(self, params: ModelParams, xs: Sequence[CompiledContext]):
+    def __init__(self, params: ModelParams, parts: Sequence[CompiledContext]):
         self.params = params
         self.cfg = params.config
-        self.prep = _Union(xs)
-        self.enc = {c: _MLP(params, f"encoder.{c}") for c, _, _ in self.prep.classes}
-        self.dec = {c: _MLP(params, f"decoder.{c}") for c, _, _ in self.prep.classes
+        self.parts = list(parts)
+        bounds = np.cumsum([0] + [p.address_count for p in self.parts])
+        self.address_count = int(bounds[-1])
+        self.spans = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        by_class = [{c[0]: c for c in p.classes} for p in self.parts]
+        self.classes: list[tuple[str, np.ndarray, np.ndarray]] = []
+        self.counts: dict[str, list[int]] = {}
+        for cname in sorted({c for cls in by_class for c in cls}):
+            members = [(cls[cname], off) for cls, off in zip(by_class, bounds)
+                       if cname in cls]
+            self.classes.append((
+                cname, np.concatenate([feats for (_, feats, _), _ in members]),
+                np.concatenate([ports + off for (_, _, ports), off in members])))
+            self.counts[cname] = [len(cls[cname][2]) if cname in cls else 0
+                                  for cls in by_class]
+        self.states: list[np.ndarray] = []
+        self.enc = {c: _MLP(params, f"encoder.{c}") for c, _, _ in self.classes}
+        self.dec = {c: _MLP(params, f"decoder.{c}") for c, _, _ in self.classes
                     if SCHEMA[c].is_controller}
         self.dyn_w = params.values["dynamics.layer0.weight"]
         self.dyn_b = params.values["dynamics.layer0.bias"]
         self.xt: dict[str, np.ndarray] = {}
         self.blocks: list[_MessageBlock] = []
         start = 0
-        for cname, feats, ports in self.prep.classes:
+        for cname, feats, ports in self.classes:
             self.xt[cname], _ = self.enc[cname].forward(feats)
             rows = slice(start, start + ports.size)
             self.blocks.append(_MessageBlock(params, cname, ports,
@@ -400,13 +391,13 @@ class _Engine:
             start = rows.stop
         d = self.cfg.latent_dim
         self.slot_addr = np.concatenate(
-            [ports.reshape(-1) for _, _, ports in self.prep.classes]
+            [ports.reshape(-1) for _, _, ports in self.classes]
             or [np.zeros(0, dtype=int)])
         self._flat = (self.slot_addr[:, None] * d + np.arange(d)).reshape(-1)
 
     def _scatter(self, rows: np.ndarray) -> np.ndarray:
         """Sum slot rows into their addresses (in slot order)."""
-        n, d = self.prep.address_count, self.cfg.latent_dim
+        n, d = self.address_count, self.cfg.latent_dim
         return np.bincount(self._flat, weights=rows.reshape(-1),
                            minlength=n * d).reshape(n, d)
 
@@ -431,7 +422,7 @@ class _Engine:
         k = _leaky(hm @ self.dyn_w.T + self.dyn_b, self.cfg.leaky_slope)
         return k, (mt, (g, acts) if keep else None, (hm, k))
 
-    def drive_backward(self, kbar: np.ndarray, internals, grads, tmp) -> np.ndarray:
+    def drive_backward(self, kbar: np.ndarray, internals, grads) -> np.ndarray:
         """Pull a drive cotangent back through one kept evaluation.
 
         Accumulates the weight gradients and returns the latent cotangent;
@@ -446,8 +437,7 @@ class _Engine:
         mbar = (du[:, d:] * (1.0 - mt * mt))[self.slot_addr]
         dg = np.empty_like(mbar)
         for blk, blk_acts in zip(self.blocks, acts):
-            blk.backward(g[blk.rows], blk_acts, mbar[blk.rows], dg[blk.rows],
-                         tmp)
+            blk.backward(g[blk.rows], blk_acts, mbar[blk.rows], dg[blk.rows])
         return du[:, :d] + self._scatter(dg)
 
     def step(self, h: np.ndarray, keep: bool = False):
@@ -460,7 +450,7 @@ class _Engine:
         k2, stage2 = self.drive(h + dt * k1, keep)
         return h + 0.5 * dt * (k1 + k2), (stage1, stage2)
 
-    def step_backward(self, hbar: np.ndarray, internals, grads, tmp) -> np.ndarray:
+    def step_backward(self, hbar: np.ndarray, internals, grads) -> np.ndarray:
         """Pull ``hbar`` back through one kept step; returns the earlier ``hbar``.
 
         Stage 2 goes first: it read ``h + dt k1``, so its latent cotangent
@@ -468,58 +458,45 @@ class _Engine:
         """
         dt = self.cfg.dt
         stage1, stage2 = internals
-        hbar2 = self.drive_backward(0.5 * dt * hbar, stage2, grads, tmp)
-        hbar1 = self.drive_backward(0.5 * dt * hbar + dt * hbar2, stage1, grads, tmp)
+        hbar2 = self.drive_backward(0.5 * dt * hbar, stage2, grads)
+        hbar1 = self.drive_backward(0.5 * dt * hbar + dt * hbar2, stage1, grads)
         return hbar + hbar2 + hbar1
 
     def integrate(self) -> list[np.ndarray]:
-        """Run all Heun steps from zero latents; returns the latents before
-        the first step and after every step."""
-        states = [np.zeros((self.prep.address_count, self.cfg.latent_dim))]
+        """Run all Heun steps from zero latents and keep, in ``states``, the
+        latents before the first step and after every step; returns them."""
+        self.states = [np.zeros((self.address_count, self.cfg.latent_dim))]
         for _ in range(self.cfg.steps):
-            states.append(self.step(states[-1])[0])
-        return states
+            self.states.append(self.step(self.states[-1])[0])
+        return self.states
+
+    def restrict(self, keep: list[int]) -> "_Engine":
+        """The same run over the contexts ``keep`` only.
+
+        The sub-engine reuses those contexts' compiled arrays and the rows
+        of every state that belong to them.
+        """
+        if keep == list(range(len(self.parts))):
+            return self
+        rows = np.concatenate([self.spans[i] for i in keep] or [np.zeros(0, int)])
+        sub = _Engine(self.params, [self.parts[i] for i in keep])
+        sub.states = [h[rows] for h in self.states]
+        return sub
 
     def decode(self, h: np.ndarray) -> list[dict[str, np.ndarray]]:
         """Decoder outputs per context: per controller class, the rows of
         that context's edges, ``(edges, decision_dim)``, in its edge order."""
-        out: list[dict[str, np.ndarray]] = [{} for _ in self.prep.parts]
-        for cname, _, ports in self.prep.classes:
+        out: list[dict[str, np.ndarray]] = [{} for _ in self.parts]
+        for cname, _, ports in self.classes:
             if cname not in self.dec:
                 continue
             u = np.concatenate([self.xt[cname], _gather(h, ports)], axis=1)
             z, _ = self.dec[cname].forward(u)
-            bounds = np.cumsum([0, *self.prep.counts[cname]])
+            bounds = np.cumsum([0, *self.counts[cname]])
             for per_context, a, b in zip(out, bounds[:-1], bounds[1:]):
                 if b > a:
                     per_context[cname] = z[a:b]
         return out
-
-
-@dataclass
-class Integration:
-    """A batch forward's engine and per-step latents, kept for ``vjp``.
-
-    ``states`` holds the union's latents before the first step and after
-    every step, ``steps + 1`` arrays; the last one is what decodes.
-    """
-
-    engine: _Engine
-    states: list[np.ndarray]
-
-    def restrict(self, keep: list[int]) -> "Integration":
-        """The same integration over the contexts ``keep`` only.
-
-        The sub-union reuses those contexts' compiled arrays and the rows
-        of every state that belong to them.
-        """
-        prep = self.engine.prep
-        if keep == list(range(len(prep.parts))):
-            return self
-        rows = np.concatenate([prep.spans[i] for i in keep] or [np.zeros(0, int)])
-        return Integration(
-            _Engine(self.engine.params, [prep.parts[i] for i in keep]),
-            [h[rows] for h in self.states])
 
 
 def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext]):
@@ -527,23 +504,23 @@ def forward(params: ModelParams, x: CompiledContext | Sequence[CompiledContext])
 
     A sequence of contexts runs as one integration over their disjoint
     union and returns the per-context decisions together with the
-    :class:`Integration`, per-step latents included, that :func:`vjp` takes.
+    :class:`_Engine` that ran them, per-step latents kept, which
+    :func:`vjp` takes.
     """
     single = isinstance(x, CompiledContext)
-    eng = _Engine(params, [x] if single else x)
-    run = Integration(eng, eng.integrate())
-    zs = eng.decode(run.states[-1])
+    run = _Engine(params, [x] if single else x)
+    zs = run.decode(run.integrate()[-1])
     return zs[0] if single else (zs, run)
 
 
-def vjp(run: Integration, cotangents: Sequence) -> ModelParams:
+def vjp(run: _Engine, cotangents: Sequence) -> ModelParams:
     """Parameter cotangent of a batch ``forward``, at the parameters it ran
-    with, for one output cotangent per context of its :class:`Integration`.
+    with, for one output cotangent per context of the engine it returned.
 
     An output cotangent has the layout of the surrogate decision it pulls
     back: per controller class of the context, one ``(edges, decision_dim)``
     array in the context's edge order; None leaves its context out.  The
-    sweep runs over the other contexts only, from the forward's per-step
+    sweep runs over the other contexts only, from the engine's per-step
     latents, and returns the sum of their parameter cotangents.
 
     Reverse accumulation runs through the decoders, every Heun step, and
@@ -552,26 +529,25 @@ def vjp(run: Integration, cotangents: Sequence) -> ModelParams:
     gradients are accumulated once per drive evaluation, newest step first
     and within a step stage 2 before stage 1.
     """
-    if len(cotangents) != len(run.engine.prep.parts):
-        raise ValueError(f"{len(cotangents)} cotangents for "
-                         f"{len(run.engine.prep.parts)} contexts")
+    if len(cotangents) != len(run.parts):
+        raise ValueError(f"{len(cotangents)} cotangents for {len(run.parts)} contexts")
     keep = [i for i, cot in enumerate(cotangents) if cot is not None]
-    run, cotangents = run.restrict(keep), [cotangents[i] for i in keep]
-    eng, params = run.engine, run.engine.params
+    eng, cotangents = run.restrict(keep), [cotangents[i] for i in keep]
+    params = eng.params
     cfg = params.config
     stacked = {k: a for blk in eng.blocks for k, a in blk.start_grads().items()}
     grads = {k: stacked[k] if k in stacked else np.zeros_like(v)
              for k, v in params.values.items()}
     xbar = {cname: np.zeros_like(xt) for cname, xt in eng.xt.items()}
-    hbar = np.zeros_like(run.states[-1])
+    hbar = np.zeros_like(eng.states[-1])
 
     # Decoders
-    for cname, _, ports in eng.prep.classes:
+    for cname, _, ports in eng.classes:
         if cname not in eng.dec:
             continue
         d_out = np.concatenate([cot[cname] for cot, n
-                                in zip(cotangents, eng.prep.counts[cname]) if n])
-        u = np.concatenate([eng.xt[cname], _gather(run.states[-1], ports)], axis=1)
+                                in zip(cotangents, eng.counts[cname]) if n])
+        u = np.concatenate([eng.xt[cname], _gather(eng.states[-1], ports)], axis=1)
         _, inputs = eng.dec[cname].forward(u, keep=True)
         du = eng.dec[cname].backward(inputs, d_out, grads)
         e = cfg.encoder_out
@@ -580,17 +556,14 @@ def vjp(run: Integration, cotangents: Sequence) -> ModelParams:
         np.add.at(hbar, ports.reshape(-1), dh.reshape(-1, cfg.latent_dim))
 
     # Heun steps, newest first; a recomputed step keeps both stages
-    # one buffer for every block's per-step matmul results, before they are added
-    tmp = np.empty(max([a.size for blk in eng.blocks for a in blk.gw]
-                           + [blk.n_e * blk.split for blk in eng.blocks] + [0]))
-    for h in reversed(run.states[:-1]):
+    for h in reversed(eng.states[:-1]):
         _, internals = eng.step(h, keep=True)
-        hbar = eng.step_backward(hbar, internals, grads, tmp)
+        hbar = eng.step_backward(hbar, internals, grads)
 
     # Context part of the message layer 0, then the encoders
     for blk in eng.blocks:
         xbar[blk.cname] += blk.finish_grads()
-    for cname, feats, _ in eng.prep.classes:
+    for cname, feats, _ in eng.classes:
         _, inputs = eng.enc[cname].forward(feats, keep=True)
         eng.enc[cname].backward(inputs, xbar[cname], grads)
 

@@ -1,29 +1,30 @@
 """Training loop, Adam, evaluation metrics, and configuration plumbing.
 
 One iteration samples a minibatch of contexts (epoch-shuffled, without
-replacement) and runs three phases.  The network integrates the
-minibatch's normalized contexts once, as one disjoint-union graph, and
-keeps that integration's latents after every step.  Then
+replacement) and runs three phases.  The batch
+:func:`~gridtvc.model.forward` integrates the minibatch's normalized
+contexts once, as one disjoint-union graph, and returns the model's
+engine for that union, which keeps its latents after every step.  Then
 :func:`~gridtvc.estimator.estimate_gradient` is mapped over the contexts
 against the power-flow oracle: by the builtin ``map`` in-process, by
 ``pool.map`` in a worker pool that receives no parameters, the same call on
-the same Philox streams either way.  Last, one VJP over the contexts whose
-mode decision converged sweeps back from the per-step latents, each
-estimate's per-class gradient arrays being its context's output cotangent;
-their summed parameter gradient, divided by the minibatch size, makes one
-Adam step.  Each ``train_log.jsonl`` record carries the seconds of every
-phase, the oracle call count, the mode decisions' solve statuses, the
-statuses and prohibitive share of the estimators' distinct samples, and per
-controller class the minibatch mean of the gradient's norm (``grad_norm``)
-and of its score and entropy terms' norms (``score_norm``,
-``entropy_norm``).  The log is line-buffered, so every record is on disk
-once written.
+the same Philox streams either way.  Last, :func:`~gridtvc.model.vjp` on
+that engine sweeps back from its latents over the contexts whose mode
+decision converged, each estimate's per-class gradient arrays being its
+context's output cotangent; their summed parameter gradient, divided by
+the minibatch size, makes one Adam step.  Each ``train_log.jsonl`` record
+carries the seconds of every phase, the oracle call count, the mode
+decisions' solve statuses, the statuses and prohibitive share of the
+estimators' distinct samples, and per controller class the minibatch mean
+of the gradient's norm (``grad_norm``) and of its score and entropy terms'
+norms (``score_norm``, ``entropy_norm``).  The log is line-buffered, so
+every record is on disk once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
 take the policy's decisions from one :func:`decide` and score them with
 :func:`~gridtvc.powerflow.evaluate_objective`.  It integrates four contexts
 at a time as one union through the batch :func:`~gridtvc.model.forward`
-that training runs, and drops the per-step latents that forward keeps: at
+that training runs, and drops the engine it returns, latents and all: at
 the default config that cuts the time per decision by about a third
 against one context at a time, and eight contexts gain little more for
 twice the memory.
@@ -76,7 +77,7 @@ class TrainConfig:
     eval_every: int = 200
     eval_limit: int = 0          # 0 evaluates the full validation split
     seed: int = 0
-    workers: int = 0             # 0 runs in-process
+    workers: int = 0             # 0 and 1 both run in-process
     train_dir: str = "data/train"
     val_dir: str = "data/val"
     out_dir: str = "runs/default"
@@ -91,6 +92,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.minibatch < 1:
             raise ValueError("minibatch must be at least 1")
+        if self.workers < 0:
+            raise ValueError("workers must not be negative")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,15 @@ def _epoch_order(n: int, seed: int, needed: int) -> list[int]:
 
 
 def train(cfg: TrainConfig) -> dict:
-    """Run the full loop; returns a summary with checkpoint paths."""
+    """Run the full loop; returns a summary with checkpoint paths.
+
+    Every ``eval_every`` iterations the policy decides on the validation
+    split, and the log's ``val_mean_objective`` averages every val
+    context's objective, a failed solve counting
+    :data:`~gridtvc.powerflow.PROHIBITIVE_COST`; it picks
+    ``ckpt_best.npz``.  :func:`evaluate`'s ``mean_objective`` averages the
+    converged contexts only.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_set = load_dataset(cfg.train_dir)
@@ -321,7 +332,7 @@ def decide(params: ModelParams, pairs: list[tuple[H2MGContext, CompiledContext]]
 
     The network integrates ``DECIDE_CHUNK`` contexts per batch
     :func:`~gridtvc.model.forward`, the one the training step runs, and
-    drops its per-step latents.
+    drops the engine it returns.
     """
     chunks = [pairs[i:i + DECIDE_CHUNK] for i in range(0, len(pairs), DECIDE_CHUNK)]
     return [policy_mod.most_probable(policy_mod.apply_offsets(z, x, pol_cfg))
@@ -417,14 +428,18 @@ def evaluate_checkpoint(ckpt_path: str | Path, data_dir: str | Path,
                         pol_cfg: PolicyConfig | None = None,
                         solver: SolverOptions | None = None) -> dict:
     """:func:`evaluate` a checkpoint on a dataset with the normalizer saved
-    beside it.  An unset ``pol_cfg`` or ``solver`` is the one the run
-    trained with, as its meta records it, else the default."""
+    beside it, which must be the one whose hash the checkpoint records.  An
+    unset ``pol_cfg`` or ``solver`` is the one the run trained with, as its
+    meta records it, else the default."""
     params, meta = load_checkpoint(ckpt_path)
     norm_path = Path(ckpt_path).parent / "normalizer.json"
     if not norm_path.exists():
         raise H2MGError(f"normalizer not found next to checkpoint: {norm_path}")
+    if not meta.get("normalizer_hash"):
+        raise H2MGError(f"checkpoint {ckpt_path} names no normalizer, so the one "
+                        f"beside it cannot be checked")
     norm = Normalizer.load(norm_path)
-    if meta.get("normalizer_hash") and meta["normalizer_hash"] != norm.digest():
+    if meta["normalizer_hash"] != norm.digest():
         raise H2MGError("checkpoint was trained with a different normalizer")
     dataset = load_dataset(data_dir)
     if pol_cfg is None:

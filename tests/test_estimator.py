@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -426,3 +427,22 @@ def test_failing_oracle_samples_give_prohibitive_share_one():
     assert est.converged
     assert est.prohibitive_share == 1.0
     assert est.sample_status["error"] == sum(est.sample_status.values()) > 0
+
+
+def test_a_warning_made_an_error_by_the_filter_propagates():
+    # a sample oracle that divides by zero warns; under an "error" filter
+    # the warning is raised, and the estimate must not score it as "error"
+    x = binary_controller_grid(3)
+    z = surrogate({"shunt_controller": np.full((3, 1), -0.2)})
+    mode = policy.most_probable(z)
+
+    def dividing(xc, y):
+        res = oracle(xc, y)
+        if not same_decision(y, mode):
+            np.float64(1.0) / np.float64(0.0)
+        return res
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            estimate_gradient(x, z, EstimatorConfig(), dividing, grng.stream(9), PCFG)

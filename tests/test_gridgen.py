@@ -298,12 +298,17 @@ def _ctx_with_values(values, current=0.0):
     return out
 
 
+def mapped(norm, cname, feature, value):
+    """One value through ``norm.map_column``; None is an absent value."""
+    return norm.map_column(cname, feature, np.array([value], dtype=float))[0]
+
+
 def test_ecdf_two_knots_is_min_max_interpolation():
     dataset = _ctx_with_values([float(v) for v in range(1, 101)])
     norm = fit_normalizer(dataset, knots=2)
-    assert norm.apply("load", "p", 1.0) == 0.0
-    assert norm.apply("load", "p", 100.0) == 1.0
-    assert norm.apply("load", "p", 50.5) == pytest.approx(0.5)
+    assert mapped(norm, "load", "p", 1.0) == 0.0
+    assert mapped(norm, "load", "p", 100.0) == 1.0
+    assert mapped(norm, "load", "p", 50.5) == pytest.approx(0.5)
 
 
 def test_ecdf_quantile_median_maps_near_half():
@@ -312,23 +317,23 @@ def test_ecdf_quantile_median_maps_near_half():
     dataset = _ctx_with_values(values)
     norm = fit_normalizer(dataset, knots=101)
     median = float(np.quantile(np.asarray(values), 0.5))
-    assert norm.apply("load", "p", median) == pytest.approx(0.5, abs=0.02)
+    assert mapped(norm, "load", "p", median) == pytest.approx(0.5, abs=0.02)
 
 
 def test_constant_feature_maps_to_half():
     dataset = _ctx_with_values([2.5, 2.5, 2.5])
     norm = fit_normalizer(dataset, knots=5)
     for q in (0.0, 2.5, 9.9):
-        assert norm.apply("load", "p", q) == 0.5
+        assert mapped(norm, "load", "p", q) == 0.5
     # v_nom is constant 1.0 across the family too
-    assert norm.apply("bus", "v_nom", 1.0) == 0.5
+    assert mapped(norm, "bus", "v_nom", 1.0) == 0.5
 
 
 def test_clamping_below_min_and_above_max():
     dataset = _ctx_with_values([float(v) for v in range(1, 101)])
     norm = fit_normalizer(dataset, knots=11)
-    assert norm.apply("load", "p", -5.0) == 0.0
-    assert norm.apply("load", "p", 1e6) == 1.0
+    assert mapped(norm, "load", "p", -5.0) == 0.0
+    assert mapped(norm, "load", "p", 1e6) == 1.0
 
 
 def test_breakpoint_maps_exactly_to_its_level():
@@ -336,7 +341,7 @@ def test_breakpoint_maps_exactly_to_its_level():
     norm = fit_normalizer(dataset, knots=11)
     values, levels = norm.tables[("load", "p")]
     for v, l in zip(values, levels):
-        assert norm.apply("load", "p", float(v)) == pytest.approx(float(l))
+        assert mapped(norm, "load", "p", float(v)) == pytest.approx(float(l))
 
 
 def test_absent_everywhere_gives_identity_with_warning():
@@ -344,7 +349,7 @@ def test_absent_everywhere_gives_identity_with_warning():
     with pytest.warns(UserWarning):
         norm = fit_normalizer(dataset, knots=3)
     assert norm.tables[("load", "i")] == Normalizer.IDENTITY
-    assert norm.apply("load", "i", 3.25) == 3.25
+    assert mapped(norm, "load", "i", 3.25) == 3.25
 
 
 def test_fit_reads_each_context_once_and_warns_for_a_class_without_edges(monkeypatch):
@@ -374,7 +379,7 @@ def test_monotonicity_and_range_property():
                              np.zeros(50)]).tolist()  # heavy tie mass
     norm = fit_normalizer(_ctx_with_values(values), knots=51)
     queries = np.sort(rng.uniform(-4, 4, 200))
-    outs = [norm.apply("load", "p", float(q)) for q in queries]
+    outs = [mapped(norm, "load", "p", float(q)) for q in queries]
     assert all(0.0 <= o <= 1.0 for o in outs)
     assert all(b >= a - 1e-12 for a, b in zip(outs, outs[1:]))
 
@@ -387,8 +392,8 @@ def test_near_tied_quantiles_merge_into_one_atom():
     assert np.all(np.diff(breaks) > KNOT_TIE)
     # the atom holds the quantiles at levels 0.0-0.5: one breakpoint at 0.0
     assert breaks[0] == 0.0 and levels[0] == pytest.approx(0.25)
-    assert norm.apply("load", "p", 1.2e-13) == pytest.approx(0.25, abs=1e-12)
-    assert norm.apply("load", "p", -1.2e-13) == norm.apply("load", "p", -1.0) == 0.25
+    assert mapped(norm, "load", "p", 1.2e-13) == pytest.approx(0.25, abs=1e-12)
+    assert mapped(norm, "load", "p", -1.2e-13) == mapped(norm, "load", "p", -1.0) == 0.25
 
 
 def test_normalize_barely_moves_when_features_move_by_rounding():
@@ -458,7 +463,7 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
         for cname, feats, ports in xn.classes:
             cs = SCHEMA[cname]
             edges = x.edges_of(cname)
-            ref = np.array([[norm.apply(cname, f, e.features[f])
+            ref = np.array([[mapped(norm, cname, f, e.features[f])
                              for f in cs.context_feature_names] for e in edges],
                            dtype=float).reshape(len(edges), len(cs.context_feature_names))
             assert feats.shape == ref.shape and feats.tobytes() == ref.tobytes()
@@ -487,7 +492,7 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
 def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
     doc = {"knots": 3, "tables": {"load": {"p": {"kind": "pwl", "values": [0.0, 1.0],
                                                  "levels": [0.0, 1.0]}}}}
-    assert Normalizer.from_json(doc).apply("load", "p", 0.25) == 0.25
+    assert mapped(Normalizer.from_json(doc), "load", "p", 0.25) == 0.25
     doc["tables"]["load"]["q"] = entry
     with pytest.raises(ValueError, match=rf"load\.q: .*{problem}"):
         Normalizer.from_json(doc)

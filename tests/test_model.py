@@ -482,7 +482,7 @@ def test_forward_keeps_the_latents_after_every_step():
     assert np.array_equal(run.states[-1], final)
     keep = [0, 2]
     sub = run.restrict(keep)
-    rows = np.concatenate([run.engine.prep.spans[i] for i in keep])
+    rows = np.concatenate([run.spans[i] for i in keep])
     assert len(sub.states) == len(run.states)
     for h_sub, h in zip(sub.states, run.states):
         assert np.array_equal(h_sub, h[rows])

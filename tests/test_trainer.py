@@ -15,7 +15,7 @@ from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
 from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, fit_normalizer, generate_context, load_dataset, normalize,
     write_dataset)
-from gridtvc.h2mg import paired_decision
+from gridtvc.h2mg import H2MGError, paired_decision
 from gridtvc.model import (
     ModelConfig, forward, init_params, load_checkpoint, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
@@ -73,6 +73,13 @@ def test_config_round_trip_changes_every_field():
 def test_config_from_json_rejects_unknown_field():
     with pytest.raises(ValueError):
         config_from_json(TrainConfig, {"model": {"latent": 3}})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", 0.0), ("minibatch", 0), ("workers", -1)])
+def test_config_refuses_a_bad_value(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
 
 
 def _adam_inputs(seed):
@@ -300,6 +307,25 @@ def test_checkpoint_saved_without_a_policy_evaluates_with_the_default_one(run, m
     seen = capture_configs(monkeypatch)
     evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
     assert seen == [(PolicyConfig(), SolverOptions())]
+
+
+@pytest.mark.parametrize("how, problem", [
+    ("unnamed", "names no normalizer"),
+    ("missing", "normalizer not found next to checkpoint"),
+    ("other", "trained with a different normalizer")])
+def test_evaluate_checkpoint_refuses_a_normalizer_it_cannot_check(run, how, problem):
+    cfg, summary, root = run
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    norm = Normalizer.load(root / "run" / "normalizer.json")
+    out = root / f"norm_{how}"
+    out.mkdir()
+    beside = {"unnamed": norm, "missing": None,
+              "other": fit_normalizer(load_dataset(cfg.val_dir))}[how]
+    if beside is not None:
+        beside.save(out / "normalizer.json")
+    save_checkpoint(out / "ckpt.npz", params, None if how == "unnamed" else norm)
+    with pytest.raises(H2MGError, match=problem):
+        evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
 
 
 def test_evaluate_checkpoint_scores_with_the_solver_it_was_trained_with(run, monkeypatch):
