@@ -82,8 +82,7 @@ class GradEstimate:
     gradient (all three empty when the mode failed).
     ``sample_status`` counts, per ``ESTIMATE_STATUSES`` value, how the
     oracle calls of the distinct sample decisions ended, and
-    ``prohibitive_share`` is the share of those samples scored at or above
-    the prohibitive cost (0.0 when none was scored).
+    ``prohibitive`` counts those scored at or above the prohibitive cost.
     """
 
     grads: dict[str, np.ndarray]
@@ -92,7 +91,7 @@ class GradEstimate:
     status: str             # the mode decision's, one of ESTIMATE_STATUSES
     sample_status: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(ESTIMATE_STATUSES, 0))
-    prohibitive_share: float = 0.0
+    prohibitive: int = 0
     grad_norm: dict[str, float] = field(default_factory=dict)
     score_norm: dict[str, float] = field(default_factory=dict)
     entropy_norm: dict[str, float] = field(default_factory=dict)
@@ -191,6 +190,5 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
     for _, outcome in scored.values():
         sample_status[outcome] += 1
     prohibitive = sum(f >= PROHIBITIVE_COST for f, _ in scored.values())
-    return GradEstimate(grads, f_ref, True, status, sample_status,
-                        prohibitive / len(scored) if scored else 0.0,
+    return GradEstimate(grads, f_ref, True, status, sample_status, prohibitive,
                         grad_norm, score_norm, entropy_norm)

@@ -295,7 +295,9 @@ def generate_context(spec: GridFamilySpec, rng: np.random.Generator,
 # Dataset files
 
 def _check_ids(ids: list, what: str) -> None:
-    """Refuse dataset ids that are not distinct plain file names."""
+    """Refuse dataset ids that are not a list of distinct plain file names."""
+    if not isinstance(ids, list):
+        raise H2MGError(f"{what} list is a {type(ids).__name__}, not a list")
     for k, cid in enumerate(ids):
         if not isinstance(cid, str) or not cid or any(s in cid for s in ("/", "\\", "..")):
             raise H2MGError(f"{what} {cid!r} is not a plain file name")

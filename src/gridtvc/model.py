@@ -34,9 +34,9 @@ Every scheme there gives the same discrete modes, and
 ``tests/test_model.py`` gates the default against 200 steps and its order.
 Cost is linear in drive evaluations: one default decision takes about
 25 ms against 97 ms at 50 Euler steps (one BLAS thread, 2 vCPUs).
-A checkpoint carries its ``ModelConfig``, so one saved at another ``dt``
-loads and integrates with its own step count; one saved for another
-integrator is refused.
+A checkpoint carries its ``ModelConfig`` and its training normalizer.  One
+saved at another ``dt`` loads and integrates with its own step count; one
+saved for another integrator is refused.
 
 Parameters are one flat dict of MLP layers, ``{prefix}.layer{i}.weight``
 and ``.bias``, as :func:`_param_shapes` lists them.  One leaky ReLU,
@@ -582,11 +582,14 @@ def save_checkpoint(path: str | Path, params: ModelParams,
                     normalizer: Normalizer | None = None,
                     seed: int | None = None,
                     extra: dict | None = None) -> None:
+    """Save ``params`` with a meta of ``config``, ``integrator``,
+    ``schema_hash``, ``normalizer`` (the ``to_json`` document of the one the
+    parameters were trained with, or ``None``), ``seed`` and ``extra``."""
     meta = {
         "config": config_to_json(params.config),
         "integrator": INTEGRATOR,
         "schema_hash": schema_hash(),
-        "normalizer_hash": normalizer.digest() if normalizer else None,
+        "normalizer": normalizer.to_json() if normalizer is not None else None,
         "seed": seed,
     }
     if extra:

@@ -81,19 +81,21 @@ class TrainConfig:
     train_dir: str = "data/train"
     val_dir: str = "data/val"
     out_dir: str = "runs/default"
-    normalizer_path: str | None = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.minibatch < 1:
-            raise ValueError("minibatch must be at least 1")
-        if self.workers < 0:
-            raise ValueError("workers must not be negative")
+        for name in ("learning_rate", "eps", "minibatch"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        for name in ("iterations", "eval_every", "eval_limit", "workers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,9 @@ def _epoch_order(n: int, seed: int, needed: int) -> list[int]:
 def train(cfg: TrainConfig) -> dict:
     """Run the full loop; returns a summary with checkpoint paths.
 
+    The normalizer fit on the training split goes into every checkpoint,
+    and into ``out_dir/normalizer.json``, which the benchmark reads.
+
     Every ``eval_every`` iterations the policy decides on the validation
     split, and the log's ``val_mean_objective`` averages every val
     context's objective, a failed solve counting
@@ -195,9 +200,7 @@ def train(cfg: TrainConfig) -> dict:
     if overlap:
         raise H2MGError(f"train/val context ids overlap: {sorted(overlap)[:5]}")
 
-    # a set path that names no file raises here rather than refitting
-    norm = Normalizer.load(cfg.normalizer_path) if cfg.normalizer_path \
-        else fit_normalizer(train_set)
+    norm = fit_normalizer(train_set)
     norm.save(out / "normalizer.json")
 
     train_pairs = [(x, normalize(x, norm)) for x in train_set]
@@ -257,8 +260,7 @@ def train(cfg: TrainConfig) -> dict:
 
                 statuses = [est.status for est in ests]
                 sampled = [sum(est.sample_status.values()) for est in ests]
-                prohibitive = sum(est.prohibitive_share * n
-                                  for est, n in zip(ests, sampled))
+                prohibitive = sum(est.prohibitive for est in ests)
                 record = {
                     "iteration": it,
                     "mean_f_ref": float(np.mean([est.f_ref for est in ests])),
@@ -427,20 +429,14 @@ def evaluate_checkpoint(ckpt_path: str | Path, data_dir: str | Path,
                         out_dir: str | Path | None = None,
                         pol_cfg: PolicyConfig | None = None,
                         solver: SolverOptions | None = None) -> dict:
-    """:func:`evaluate` a checkpoint on a dataset with the normalizer saved
-    beside it, which must be the one whose hash the checkpoint records.  An
-    unset ``pol_cfg`` or ``solver`` is the one the run trained with, as its
-    meta records it, else the default."""
+    """:func:`evaluate` a checkpoint on a dataset with the normalizer it
+    carries, and refuse one that carries none, as saved before checkpoints
+    did.  An unset ``pol_cfg`` or ``solver`` is the one the run trained
+    with, as its meta records it, else the default."""
     params, meta = load_checkpoint(ckpt_path)
-    norm_path = Path(ckpt_path).parent / "normalizer.json"
-    if not norm_path.exists():
-        raise H2MGError(f"normalizer not found next to checkpoint: {norm_path}")
-    if not meta.get("normalizer_hash"):
-        raise H2MGError(f"checkpoint {ckpt_path} names no normalizer, so the one "
-                        f"beside it cannot be checked")
-    norm = Normalizer.load(norm_path)
-    if meta["normalizer_hash"] != norm.digest():
-        raise H2MGError("checkpoint was trained with a different normalizer")
+    if not meta.get("normalizer"):
+        raise H2MGError(f"checkpoint {ckpt_path} carries no normalizer")
+    norm = Normalizer.from_json(meta["normalizer"])
     dataset = load_dataset(data_dir)
     if pol_cfg is None:
         pol_cfg = config_from_json(PolicyConfig, meta.get("policy", {}))

@@ -409,8 +409,7 @@ def test_sample_statuses_count_every_distinct_sample_call():
     assert sum(est.sample_status.values()) == len(calls) - 1
     assert est.sample_status == {s: sum(r.status == s for r in calls[1:])
                                  for s in ESTIMATE_STATUSES}
-    failed = sum(r.total >= PROHIBITIVE_COST for r in calls[1:])
-    assert est.prohibitive_share == failed / (len(calls) - 1)
+    assert est.prohibitive == sum(r.total >= PROHIBITIVE_COST for r in calls[1:])
 
 
 def test_failing_oracle_samples_give_prohibitive_share_one():
@@ -425,8 +424,8 @@ def test_failing_oracle_samples_give_prohibitive_share_one():
 
     est = estimate_gradient(x, z, EstimatorConfig(), failing, grng.stream(9), PCFG)
     assert est.converged
-    assert est.prohibitive_share == 1.0
-    assert est.sample_status["error"] == sum(est.sample_status.values()) > 0
+    assert est.prohibitive == est.sample_status["error"] == sum(
+        est.sample_status.values()) > 0
 
 
 def test_a_warning_made_an_error_by_the_filter_propagates():

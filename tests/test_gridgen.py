@@ -258,6 +258,9 @@ def test_validation_refuses_what_the_oracle_or_the_baseline_raises_on(
     # a string is the whole manifest text
     ('{"seed": 3}', "list unreadable: KeyError"),
     ('{"ids": [', "list unreadable: JSONDecodeError"),
+    # read as a list, a string would give one id per character
+    ('{"ids": "abc"}', "list is a str, not a list"),
+    ('{"ids": {"a": 1}}', "list is a dict, not a list"),
 ])
 def test_load_dataset_refuses_repeated_or_unsafe_ids(tmp_path, ids, problem):
     x = generate_context(SMALL, grng.stream(3, 0), origin="s3_c00000")

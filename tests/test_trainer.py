@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from gridtvc import rng as grng
 from gridtvc import trainer
 from gridtvc.baseline import init_baseline
 from gridtvc.config import config_from_json, config_to_json
-from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig
+from gridtvc.estimator import ESTIMATE_STATUSES, EstimatorConfig, GradEstimate
 from gridtvc.gridgen import (
     GridFamilySpec, Normalizer, fit_normalizer, generate_context, load_dataset, normalize,
     write_dataset)
@@ -49,7 +50,7 @@ def test_config_round_trip_changes_every_field():
     cfg = TrainConfig(
         learning_rate=2e-3, beta1=0.8, beta2=0.99, eps=1e-6, minibatch=3,
         iterations=7, eval_every=2, eval_limit=5, seed=11, workers=2,
-        train_dir="a", val_dir="b", out_dir="c", normalizer_path="n.json",
+        train_dir="a", val_dir="b", out_dir="c",
         estimator=EstimatorConfig(beta=1e-3, tau=0.2, samples={"line_controller": 2}),
         policy=PolicyConfig(sigma=0.01, binary_offset=-1.0, rtc_offset_scale=1.0,
                             svr_offset=0.01),
@@ -76,7 +77,9 @@ def test_config_from_json_rejects_unknown_field():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("learning_rate", 0.0), ("minibatch", 0), ("workers", -1)])
+    ("learning_rate", 0.0), ("minibatch", 0), ("workers", -1), ("iterations", -1),
+    ("eval_every", -2), ("eval_limit", -3), ("beta1", 1.0), ("beta2", 1.0),
+    ("eps", 0.0)])
 def test_config_refuses_a_bad_value(name, value):
     with pytest.raises(ValueError, match=name):
         TrainConfig(**{name: value})
@@ -302,30 +305,55 @@ def test_checkpoint_saved_without_a_policy_evaluates_with_the_default_one(run, m
     norm = Normalizer.load(root / "run" / "normalizer.json")
     out = root / "no_policy"
     out.mkdir()
-    norm.save(out / "normalizer.json")
     save_checkpoint(out / "ckpt.npz", params, norm)
     seen = capture_configs(monkeypatch)
     evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
     assert seen == [(PolicyConfig(), SolverOptions())]
 
 
-@pytest.mark.parametrize("how, problem", [
-    ("unnamed", "names no normalizer"),
-    ("missing", "normalizer not found next to checkpoint"),
-    ("other", "trained with a different normalizer")])
-def test_evaluate_checkpoint_refuses_a_normalizer_it_cannot_check(run, how, problem):
+def test_a_checkpoint_copied_alone_evaluates_with_the_normalizer_it_carries(
+        run, tmp_path):
     cfg, summary, root = run
-    params, _ = load_checkpoint(summary["final_checkpoint"])
+    shutil.copyfile(summary["final_checkpoint"], tmp_path / "ckpt_final.npz")
+    # a decoy where a lookup beside the checkpoint would find it
+    decoy = fit_normalizer(load_dataset(cfg.val_dir))
+    decoy.save(tmp_path / "normalizer.json")
     norm = Normalizer.load(root / "run" / "normalizer.json")
-    out = root / f"norm_{how}"
-    out.mkdir()
-    beside = {"unnamed": norm, "missing": None,
-              "other": fit_normalizer(load_dataset(cfg.val_dir))}[how]
-    if beside is not None:
-        beside.save(out / "normalizer.json")
-    save_checkpoint(out / "ckpt.npz", params, None if how == "unnamed" else norm)
-    with pytest.raises(H2MGError, match=problem):
-        evaluate_checkpoint(out / "ckpt.npz", cfg.val_dir)
+    assert decoy.digest() != norm.digest()
+    params, _ = load_checkpoint(summary["final_checkpoint"])
+    assert evaluate_checkpoint(tmp_path / "ckpt_final.npz", cfg.val_dir) == evaluate(
+        params, load_dataset(cfg.val_dir), norm, cfg.policy, cfg.solver)
+
+
+def test_the_carried_normalizer_maps_like_the_runs_file(run):
+    cfg, summary, root = run
+    _, meta = load_checkpoint(summary["final_checkpoint"])
+    x = load_dataset(cfg.val_dir)[0]
+    carried = normalize(x, Normalizer.from_json(meta["normalizer"]))
+    saved = normalize(x, Normalizer.load(root / "run" / "normalizer.json"))
+    assert [c for c, _, _ in carried.classes] == [c for c, _, _ in saved.classes]
+    for (_, feats, _), (_, want, _) in zip(carried.classes, saved.classes):
+        assert feats.shape == want.shape and feats.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("older", [False, True])
+def test_evaluate_checkpoint_refuses_a_checkpoint_without_a_normalizer(
+        run, tmp_path, older):
+    cfg, summary, root = run
+    params, meta = load_checkpoint(summary["final_checkpoint"])
+    path = tmp_path / "ckpt.npz"
+    if older:
+        # as saved before checkpoints carried their normalizer: a hash only
+        norm = Normalizer.load(root / "run" / "normalizer.json")
+        meta = {**{k: v for k, v in meta.items() if k != "normalizer"},
+                "normalizer_hash": norm.digest()}
+        np.savez(path, __meta__=json.dumps(meta),
+                 **{f"param/{k}": v for k, v in params.values.items()})
+        assert load_checkpoint(path)[1] == meta
+    else:
+        save_checkpoint(path, params)
+    with pytest.raises(H2MGError, match="carries no normalizer"):
+        evaluate_checkpoint(path, cfg.val_dir)
 
 
 def test_evaluate_checkpoint_scores_with_the_solver_it_was_trained_with(run, monkeypatch):
@@ -342,21 +370,6 @@ def test_evaluate_checkpoint_scores_with_the_solver_it_was_trained_with(run, mon
     assert [solver for _, solver in seen] == [cfg.solver, given]
 
 
-def test_train_loads_the_named_normalizer_and_refuses_a_missing_one(run):
-    cfg, _, root = run
-    cfg = replace(cfg, iterations=1, eval_every=0)
-    given = fit_normalizer(load_dataset(cfg.val_dir))
-    given.save(root / "val_normalizer.json")
-    train(replace(cfg, out_dir=str(root / "norm_given"),
-                  normalizer_path=str(root / "val_normalizer.json")))
-    used = Normalizer.load(root / "norm_given" / "normalizer.json")
-    assert used.digest() == given.digest()
-    assert used.digest() != Normalizer.load(root / "run" / "normalizer.json").digest()
-    with pytest.raises(FileNotFoundError, match="no_such_normalizer.json"):
-        train(replace(cfg, out_dir=str(root / "norm_missing"),
-                      normalizer_path=str(root / "no_such_normalizer.json")))
-
-
 def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkeypatch):
     # The checkpoint says dt = 0.005, not the default 0.2: 200 steps per decision.
     cfg, _, root = run
@@ -364,7 +377,6 @@ def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkey
     norm = Normalizer.load(root / "run" / "normalizer.json")
     out = root / "old_step"
     out.mkdir()
-    norm.save(out / "normalizer.json")
     save_checkpoint(out / "ckpt.npz", params, norm)
     steps = []
 
@@ -403,6 +415,26 @@ def test_train_log_sums_the_sample_statuses_of_the_minibatch(run):
         # every oracle call scores a mode decision or one distinct sample
         assert sum(r["sample_status"].values()) == r["oracle_calls"] - cfg.minibatch
         assert 0.0 <= r["prohibitive_share"] <= 1.0
+
+
+def test_train_log_divides_the_summed_prohibitive_counts(run, monkeypatch):
+    # 0 of 20 and 7 of 25 samples prohibitive: exactly 7/45, which the
+    # per-estimate shares 0.0 and 0.28 weighted back by 20 and 25 miss
+    cfg, _, root = run
+    counts = iter([(20, 0), (25, 7)])
+
+    def canned(x, z, *rest):
+        n, prohibitive = next(counts)
+        status = {**dict.fromkeys(ESTIMATE_STATUSES, 0),
+                  "converged": n - prohibitive, "error": prohibitive}
+        return GradEstimate({c: np.zeros_like(a) for c, a in z.items()}, 1.0, True,
+                            "converged", status, prohibitive=prohibitive)
+
+    monkeypatch.setattr(trainer, "estimate_gradient", canned)
+    [record] = log_records(train(replace(
+        cfg, minibatch=2, iterations=1, eval_every=0, out_dir=str(root / "share")))["log"])
+    assert sum(record["sample_status"].values()) == 45
+    assert record["prohibitive_share"] == 7 / 45
 
 
 def test_train_log_splits_each_class_norm_into_score_and_entropy_terms(run):
