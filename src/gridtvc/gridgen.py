@@ -15,7 +15,6 @@ port matrix.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -375,73 +374,62 @@ class CompiledContext:
 class Normalizer:
     """Per (class, feature) monotone map onto [0, 1].
 
-    Each table entry is a pair of arrays (values, levels): strictly
-    increasing breakpoint values and their nondecreasing levels in [0, 1].
-    Queries interpolate linearly and clamp to the end levels outside the
-    breakpoint range; a constant feature maps to 0.5 everywhere; features
-    that were absent throughout fitting pass through unchanged.  An absent
-    value always normalizes to 0.
+    Each table is a pair of arrays (values, levels): strictly increasing
+    breakpoint values and their nondecreasing levels in [0, 1].  Queries
+    interpolate linearly and clamp to the end levels outside the breakpoint
+    range, so a one-breakpoint table maps every value to its level.  A
+    feature with no table passes through unchanged.  An absent value always
+    normalizes to 0.
     """
 
-    knots: int
-    tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray] | str] = field(
+    tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict)
-
-    CONSTANT = "constant"
-    IDENTITY = "identity"
 
     def map_column(self, class_name: str, feature: str,
                    column: np.ndarray) -> np.ndarray:
         """Normalize one feature's values; NaN marks an absent value."""
-        entry = self.tables.get((class_name, feature), self.IDENTITY)
-        if entry == self.IDENTITY:
-            mapped = column
-        elif entry == self.CONSTANT:
-            mapped = 0.5
-        else:
-            mapped = np.interp(column, *entry)
+        entry = self.tables.get((class_name, feature))
+        mapped = column if entry is None else np.interp(column, *entry)
         return np.where(np.isnan(column), 0.0, mapped)
 
     def to_json(self) -> dict:
         tables: dict[str, dict] = {}
-        for (cname, fname), entry in sorted(self.tables.items()):
-            slot = tables.setdefault(cname, {})
-            if isinstance(entry, str):
-                slot[fname] = {"kind": entry}
-            else:
-                slot[fname] = {"kind": "pwl",
-                               "values": entry[0].tolist(),
-                               "levels": entry[1].tolist()}
-        return {"knots": self.knots, "tables": tables}
+        for (cname, fname), (values, levels) in sorted(self.tables.items()):
+            tables.setdefault(cname, {})[fname] = {"values": values.tolist(),
+                                                   "levels": levels.tolist()}
+        return {"tables": tables}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Normalizer":
-        """Inverse of :meth:`to_json`; a document without ``knots`` or
-        ``tables`` raises ``ValueError``, and so does an entry of unknown or
-        missing kind, or a ``pwl`` table that breaks the class's promise on
-        its values and levels, naming its ``class.feature``."""
-        if not {"knots", "tables"} <= doc.keys():
-            raise ValueError(f"normalizer document needs knots and tables, has {sorted(doc)}")
-        tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray] | str] = {}
+        """Inverse of :meth:`to_json`.  A document that is not an object
+        holding an object of ``tables`` raises ``ValueError``, and so does a
+        class or entry that is not an object, or a table that breaks the
+        class's promise on its values and levels, naming its
+        ``class.feature``.  An entry's other keys are ignored."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("tables"), dict):
+            raise ValueError("normalizer document must be an object with an object of tables")
+        tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         for cname, feats in doc["tables"].items():
+            if not isinstance(feats, dict):
+                raise ValueError(f"normalizer {cname}: features must be an object")
             for fname, entry in feats.items():
-                kind, where = entry.get("kind"), f"normalizer {cname}.{fname}"
-                if kind == "pwl":
+                where = f"normalizer {cname}.{fname}"
+                if not isinstance(entry, dict):
+                    raise ValueError(f"{where}: table must be an object of values and levels")
+                try:
                     values = np.asarray(entry.get("values", ()), dtype=float)
                     levels = np.asarray(entry.get("levels", ()), dtype=float)
-                    if values.ndim != 1 or values.shape != levels.shape or not values.size:
-                        raise ValueError(f"{where}: values and levels must be 1-D of "
-                                         f"one nonzero length")
-                    if not np.all(np.diff(values) > 0):
-                        raise ValueError(f"{where}: values must strictly increase")
-                    if not (np.all(np.diff(levels) >= 0) and 0 <= levels[0] and levels[-1] <= 1):
-                        raise ValueError(f"{where}: levels must be nondecreasing in [0, 1]")
-                    tables[(cname, fname)] = (values, levels)
-                elif kind in (cls.CONSTANT, cls.IDENTITY):
-                    tables[(cname, fname)] = kind
-                else:
-                    raise ValueError(f"{where}: unknown kind {kind!r}")
-        return cls(int(doc["knots"]), tables)
+                except (TypeError, ValueError):
+                    raise ValueError(f"{where}: values and levels must be numbers") from None
+                if values.ndim != 1 or values.shape != levels.shape or not values.size:
+                    raise ValueError(f"{where}: values and levels must be 1-D of "
+                                     f"one nonzero length")
+                if not np.all(np.diff(values) > 0):
+                    raise ValueError(f"{where}: values must strictly increase")
+                if not (np.all(np.diff(levels) >= 0) and 0 <= levels[0] and levels[-1] <= 1):
+                    raise ValueError(f"{where}: levels must be nondecreasing in [0, 1]")
+                tables[(cname, fname)] = (values, levels)
+        return cls(tables)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=1, sort_keys=True))
@@ -449,10 +437,6 @@ class Normalizer:
     @classmethod
     def load(cls, path: str | Path) -> "Normalizer":
         return cls.from_json(json.loads(Path(path).read_text()))
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 #: Quantiles closer than this are one atom: flows that are zero up to
@@ -468,8 +452,10 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
     of quantiles each within ``KNOT_TIE`` of the one before is an atom and
     collapses to a single breakpoint, at the run's median value and its
     mean (mid-rank) level; exact ties are the simplest such run.  A feature
-    whose values all lie within ``KNOT_TIE`` is constant.  Each context is
-    read once, by the walk :func:`normalize` compiles with.
+    whose values all lie within ``KNOT_TIE`` is constant: one breakpoint, at
+    its smallest value, with level 0.5.  A feature absent throughout gets
+    no table and so passes through.  Each context is read once, by the
+    walk :func:`normalize` compiles with.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -484,17 +470,16 @@ def fit_normalizer(dataset: list[H2MGContext], knots: int = 101) -> Normalizer:
                 column = raw[cname][:, j] if cname in raw else np.empty(0)
                 samples.setdefault((cname, fname), []).append(column[~np.isnan(column)])
 
-    norm = Normalizer(knots=knots)
+    norm = Normalizer()
     levels = np.arange(knots) / (knots - 1)
     for key in sorted(samples):
         arr = np.concatenate(samples[key])
         if not arr.size:
             warnings.warn(f"feature {key[0]}.{key[1]} absent in all contexts; "
                           "emitting an identity map", stacklevel=2)
-            norm.tables[key] = Normalizer.IDENTITY
             continue
         if arr.max() - arr.min() <= KNOT_TIE:
-            norm.tables[key] = Normalizer.CONSTANT
+            norm.tables[key] = (np.array([arr.min()]), np.array([0.5]))
             continue
         qs = np.quantile(arr, levels)
         starts = np.flatnonzero(np.diff(qs, prepend=-np.inf) > KNOT_TIE)

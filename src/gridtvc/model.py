@@ -584,7 +584,8 @@ def save_checkpoint(path: str | Path, params: ModelParams,
                     extra: dict | None = None) -> None:
     """Save ``params`` with a meta of ``config``, ``integrator``,
     ``schema_hash``, ``normalizer`` (the ``to_json`` document of the one the
-    parameters were trained with, or ``None``), ``seed`` and ``extra``."""
+    parameters were trained with, or ``None``), ``seed`` and ``extra``.
+    The meta is stored as the UTF-8 bytes of its JSON, a ``uint8`` array."""
     meta = {
         "config": config_to_json(params.config),
         "integrator": INTEGRATOR,
@@ -595,7 +596,8 @@ def save_checkpoint(path: str | Path, params: ModelParams,
     if extra:
         meta.update(extra)
     arrays = {f"param/{k}": v for k, v in params.values.items()}
-    np.savez(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    text = json.dumps(meta, sort_keys=True)
+    np.savez(path, __meta__=np.frombuffer(text.encode(), np.uint8), **arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
@@ -607,9 +609,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     with no ``config`` in its meta cannot be rebuilt at all.  The MLPs
     read their depth from the names, so a tensor missing, extra or shaped
     unlike :func:`_param_shapes` of the stored config is refused by name.
+    The meta is read from its UTF-8 bytes, or from the numpy unicode string
+    that checkpoints saved before held.
     """
     with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(str(blob["__meta__"])) if "__meta__" in blob.files else {}
+        meta = {}
+        if "__meta__" in blob.files:
+            raw = blob["__meta__"]
+            meta = json.loads(raw.tobytes() if raw.dtype == np.uint8 else str(raw))
         values = {k[len("param/"):]: blob[k] for k in blob.files
                   if k.startswith("param/")}
     if "config" not in meta:

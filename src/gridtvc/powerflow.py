@@ -94,6 +94,12 @@ class SolverOptions:
     def __post_init__(self):
         if self.tolerance <= 0 or self.max_inner <= 0 or self.max_outer <= 0:
             raise ValueError("tolerances and iteration caps must be positive")
+        # the baseline search prunes on costs that cannot be negative
+        for name in ("rtc_deadband", "svr_deadband", "lambda_v", "lambda_i", "lambda_j"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.target_clamp[0] > self.target_clamp[1]:
+            raise ValueError("target_clamp must not have its low end above its high end")
 
 
 @dataclass(frozen=True)

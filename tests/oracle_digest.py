@@ -5,9 +5,9 @@ The set is ``generate_context(GridFamilySpec(), stream(0, split, i))`` for
 default, 40 contexts).  Hashed, in order:
 
 * each context's ``serialize`` bytes and ``validate_context`` report;
-* the ``fit_normalizer`` digest on the first half of the set, and of
-  every context's ``normalize`` output its address count and, per class,
-  the class name, feature matrix and port matrix;
+* the ``to_json`` document of ``fit_normalizer`` on the first half of
+  the set, and of every context's ``normalize`` output its address count
+  and, per class, the class name, feature matrix and port matrix;
 * at baseline offsets 0, -0.02 and +0.02, the ``init_baseline`` decision
   (per class, its values in the context's edge order), the
   ``evaluate_objective`` result read as the ten fields ``OBJECTIVE``, and
@@ -98,7 +98,7 @@ def digest(contexts: list) -> str:
     for x in contexts:
         record("context", serialize(x).hex(), [str(v) for v in validate_context(x)])
     norm = fit_normalizer(contexts[:len(contexts) // 2])
-    record("normalizer", norm.digest())
+    record("normalizer", norm.to_json())
     for x in contexts:
         xn = normalize(x, norm)
         record("normalize", (xn.address_count, xn.classes))

@@ -332,6 +332,15 @@ def test_constant_feature_maps_to_half():
     assert mapped(norm, "bus", "v_nom", 1.0) == 0.5
 
 
+@pytest.mark.parametrize("knots", [2, 3, 101])
+def test_a_constant_feature_is_a_one_breakpoint_table_at_half(knots):
+    norm = fit_normalizer(_ctx_with_values([2.5, 2.5, 2.5]), knots=knots)
+    values, levels = norm.tables[("load", "p")]
+    assert values.tolist() == [2.5] and levels.tolist() == [0.5]
+    column = np.array([-np.inf, -1e300, 0.0, 2.5, 2.5 + 1e-12, 9.9, 1e300, np.inf, np.nan])
+    assert norm.map_column("load", "p", column).tolist() == [0.5] * 8 + [0.0]
+
+
 def test_clamping_below_min_and_above_max():
     dataset = _ctx_with_values([float(v) for v in range(1, 101)])
     norm = fit_normalizer(dataset, knots=11)
@@ -351,7 +360,7 @@ def test_absent_everywhere_gives_identity_with_warning():
     dataset = _ctx_with_values([1.0, 2.0], current=None)
     with pytest.warns(UserWarning):
         norm = fit_normalizer(dataset, knots=3)
-    assert norm.tables[("load", "i")] == Normalizer.IDENTITY
+    assert ("load", "i") not in norm.tables
     assert mapped(norm, "load", "i", 3.25) == 3.25
 
 
@@ -373,7 +382,7 @@ def test_fit_reads_each_context_once_and_warns_for_a_class_without_edges(monkeyp
     absent = ["load.i", *(f"shunt.{f}" for f in SCHEMA["shunt"].context_feature_names)]
     assert sorted(str(w.message).split()[1] for w in caught) == sorted(absent)
     for key in absent:
-        assert norm.tables[tuple(key.split("."))] == Normalizer.IDENTITY
+        assert tuple(key.split(".")) not in norm.tables
 
 
 def test_monotonicity_and_range_property():
@@ -407,9 +416,8 @@ def test_normalize_barely_moves_when_features_move_by_rounding():
     xs = [generate_context(GridFamilySpec(), grng.stream(0, t, i))
           for t in ("val", "g") for i in range(20)]
     norm = fit_normalizer(xs)
-    for entry in norm.tables.values():
-        if not isinstance(entry, str):
-            assert np.all(np.diff(entry[0]) > KNOT_TIE)
+    for values, _ in norm.tables.values():
+        assert np.all(np.diff(values) > KNOT_TIE)
 
     def moved(x, eps):
         return H2MGContext(x.address_count, {c: tuple(
@@ -437,7 +445,7 @@ def test_normalize_context_range_and_absent_rule():
     for cname, feats, _ in xn.classes:
         for fname, col in zip(SCHEMA[cname].context_feature_names, feats.T):
             assert np.all(np.isfinite(col))
-            if norm.tables.get((cname, fname)) != Normalizer.IDENTITY:
+            if (cname, fname) in norm.tables:
                 assert np.all((0.0 <= col) & (col <= 1.0))
     # absent inputs map to exactly 0 after normalization
     x = two_bus()
@@ -482,32 +490,56 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
 
 
 @pytest.mark.parametrize("entry, problem", [
-    ({"kind": "bogus"}, "unknown kind 'bogus'"),
+    ({"kind": "bogus"}, "one nonzero length"),
     ({"kind": "pwl", "values": [0.0, 1.0, 2.0], "levels": [0.0, 1.0]}, "one nonzero length"),
     ({"kind": "pwl", "values": [], "levels": []}, "one nonzero length"),
     ({"kind": "pwl", "values": [2.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
     ({"kind": "pwl", "values": [1.0, 1.0], "levels": [0.0, 1.0]}, "strictly increase"),
     ({"kind": "pwl", "values": [0.0, 1.0], "levels": [1.0, -3.0]}, "levels must be nondecreasing"),
     ({"kind": "pwl", "values": [0.0, 1.0], "levels": [0.0, 1.5]}, "levels must be nondecreasing"),
-    ({}, "unknown kind None"),
+    ({}, "one nonzero length"),
     ({"kind": "pwl", "values": [0.0, 1.0]}, "one nonzero length"),
 ])
 def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
-    doc = {"knots": 3, "tables": {"load": {"p": {"kind": "pwl", "values": [0.0, 1.0],
-                                                 "levels": [0.0, 1.0]}}}}
+    doc = {"tables": {"load": {"p": {"values": [0.0, 1.0], "levels": [0.0, 1.0]}}}}
     assert mapped(Normalizer.from_json(doc), "load", "p", 0.25) == 0.25
     doc["tables"]["load"]["q"] = entry
     with pytest.raises(ValueError, match=rf"load\.q: .*{problem}"):
         Normalizer.from_json(doc)
 
 
-@pytest.mark.parametrize("key", ["knots", "tables"])
+@pytest.mark.parametrize("key", ["tables"])
 def test_normalizer_from_json_refuses_a_document_without_knots_or_tables(key):
-    doc = {"knots": 3, "tables": {"load": {"p": {"kind": "identity"}}}}
+    doc = {"tables": {"load": {"p": {"values": [1.0], "levels": [0.5]}}}}
     Normalizer.from_json(doc)
     del doc[key]
-    with pytest.raises(ValueError, match="normalizer document needs knots and tables"):
+    with pytest.raises(ValueError, match="must be an object with an object of tables"):
         Normalizer.from_json(doc)
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ("abc", "must be an object with an object of tables"),
+    ([1], "must be an object with an object of tables"),
+    ({"knots": 1, "tables": [1]}, "must be an object with an object of tables"),
+    ({"tables": {"load": [1]}}, r"normalizer load: features must be an object"),
+    ({"tables": {"load": {"p": 5}}}, r"normalizer load\.p: table must be an object"),
+    ({"tables": {"load": {"p": {"values": {"a": 1}, "levels": [0.5]}}}},
+     r"normalizer load\.p: values and levels must be numbers"),
+])
+def test_normalizer_from_json_refuses_a_malformed_document(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        Normalizer.from_json(doc)
+
+
+def test_normalizer_from_json_refuses_a_document_with_a_constant_kind():
+    # the form checkpoints carried before every entry was a breakpoint table
+    doc = {"knots": 101, "tables": {"bus": {
+        "v": {"kind": "pwl", "values": [0.9, 1.1], "levels": [0.0, 1.0]},
+        "v_nom": {"kind": "constant"}}}}
+    with pytest.raises(ValueError, match=r"normalizer bus\.v_nom: .*one nonzero length"):
+        Normalizer.from_json(doc)
+    del doc["tables"]["bus"]["v_nom"]
+    assert mapped(Normalizer.from_json(doc), "bus", "v", 1.0) == pytest.approx(0.5)
 
 
 def test_normalizer_save_load_round_trip(tmp_path):
@@ -516,10 +548,17 @@ def test_normalizer_save_load_round_trip(tmp_path):
     path = tmp_path / "norm.json"
     norm.save(path)
     back = Normalizer.load(path)
-    assert back.digest() == norm.digest()
-    for key, entry in norm.tables.items():
-        if isinstance(entry, str):
-            assert back.tables[key] == entry
-        else:
-            assert np.array_equal(back.tables[key][0], entry[0])
-            assert np.array_equal(back.tables[key][1], entry[1])
+    assert back.to_json() == norm.to_json()
+    assert back.tables.keys() == norm.tables.keys()
+    for key, (values, levels) in norm.tables.items():
+        assert np.array_equal(back.tables[key][0], values)
+        assert np.array_equal(back.tables[key][1], levels)
+
+
+def test_to_json_writes_only_breakpoint_tables():
+    xs = [generate_context(SMALL, grng.stream(23, i)) for i in range(2)]
+    doc = fit_normalizer(xs, knots=21).to_json()
+    assert list(doc) == ["tables"]
+    entries = [e for feats in doc["tables"].values() for e in feats.values()]
+    assert entries and all(list(e) == ["values", "levels"] for e in entries)
+    assert {"values": [1.0], "levels": [0.5]} in entries   # v_nom, constant

@@ -296,12 +296,28 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back.values[k], params.values[k])
 
 
+def test_checkpoint_meta_is_utf8_bytes_and_the_older_unicode_form_loads(tmp_path):
+    params = init_params(TINY, np.random.default_rng(14))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, seed=14, extra={"note": "Δv ≤ 0.05"})
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    assert arrays["__meta__"].dtype == np.uint8
+    meta = json.loads(arrays["__meta__"].tobytes().decode("utf-8"))
+    assert load_checkpoint(path)[1] == meta and meta["note"] == "Δv ≤ 0.05"
+    # as saved before: the JSON as a numpy unicode string
+    arrays["__meta__"] = json.dumps(meta, sort_keys=True)
+    np.savez(path, **arrays)
+    back, older = load_checkpoint(path)
+    assert older == meta and back.config == params.config
+
+
 def _saved_with_meta(path, params, edit):
     """Save ``params`` to ``path``, then rewrite the meta through ``edit``."""
     save_checkpoint(path, params)
     with np.load(path) as blob:
         arrays = dict(blob)
-    meta = json.loads(str(arrays["__meta__"]))
+    meta = json.loads(arrays["__meta__"].tobytes())
     edit(meta)
     arrays["__meta__"] = json.dumps(meta, sort_keys=True)
     np.savez(path, **arrays)
@@ -370,7 +386,7 @@ def _without_meta(arrays):
 
 
 def _without_config(arrays):
-    meta = json.loads(str(arrays["__meta__"]))
+    meta = json.loads(arrays["__meta__"].tobytes())
     del meta["config"]
     arrays["__meta__"] = json.dumps(meta)
 

@@ -540,3 +540,17 @@ def test_objective_carries_the_restart_of_a_failed_solve():
     res = evaluate_objective(x, empty_decision(x))
     assert (res.status, res.inner, res.outer, res.restarts, res.moving) == (
         "newton_failed", solve_ac(x).inner_iterations, 0, 1, ())
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("rtc_deadband", -1.0, "rtc_deadband must not be negative"),
+    ("svr_deadband", -1e-6, "svr_deadband must not be negative"),
+    ("lambda_v", -1.0, "lambda_v must not be negative"),
+    ("lambda_i", -0.5, "lambda_i must not be negative"),
+    ("lambda_j", -50.0, "lambda_j must not be negative"),
+    ("target_clamp", (2.0, 0.5), "target_clamp must not have its low end above its high end"),
+])
+def test_solver_options_refuse_a_bad_value(field, value, problem):
+    SolverOptions(**{field: 0.0 if field != "target_clamp" else (1.0, 1.0)})
+    with pytest.raises(ValueError, match=problem):
+        SolverOptions(**{field: value})

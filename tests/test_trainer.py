@@ -319,7 +319,7 @@ def test_a_checkpoint_copied_alone_evaluates_with_the_normalizer_it_carries(
     decoy = fit_normalizer(load_dataset(cfg.val_dir))
     decoy.save(tmp_path / "normalizer.json")
     norm = Normalizer.load(root / "run" / "normalizer.json")
-    assert decoy.digest() != norm.digest()
+    assert decoy.to_json() != norm.to_json()
     params, _ = load_checkpoint(summary["final_checkpoint"])
     assert evaluate_checkpoint(tmp_path / "ckpt_final.npz", cfg.val_dir) == evaluate(
         params, load_dataset(cfg.val_dir), norm, cfg.policy, cfg.solver)
@@ -344,9 +344,8 @@ def test_evaluate_checkpoint_refuses_a_checkpoint_without_a_normalizer(
     path = tmp_path / "ckpt.npz"
     if older:
         # as saved before checkpoints carried their normalizer: a hash only
-        norm = Normalizer.load(root / "run" / "normalizer.json")
         meta = {**{k: v for k, v in meta.items() if k != "normalizer"},
-                "normalizer_hash": norm.digest()}
+                "normalizer_hash": "5d0c2b7e9a41f3c8"}
         np.savez(path, __meta__=json.dumps(meta),
                  **{f"param/{k}": v for k, v in params.values.items()})
         assert load_checkpoint(path)[1] == meta
