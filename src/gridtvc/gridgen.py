@@ -374,12 +374,12 @@ class CompiledContext:
 class Normalizer:
     """Per (class, feature) monotone map onto [0, 1].
 
-    Each table is a pair of arrays (values, levels): strictly increasing
-    breakpoint values and their nondecreasing levels in [0, 1].  Queries
-    interpolate linearly and clamp to the end levels outside the breakpoint
-    range, so a one-breakpoint table maps every value to its level.  A
-    feature with no table passes through unchanged.  An absent value always
-    normalizes to 0.
+    Each table is a pair of arrays (values, levels): finite, strictly
+    increasing breakpoint values and their nondecreasing levels in [0, 1].
+    Queries interpolate linearly and clamp to the end levels outside the
+    breakpoint range, so a one-breakpoint table maps every value to its
+    level.  A feature with no table passes through unchanged.  An absent
+    value always normalizes to 0.
     """
 
     tables: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = field(
@@ -424,6 +424,10 @@ class Normalizer:
                 if values.ndim != 1 or values.shape != levels.shape or not values.size:
                     raise ValueError(f"{where}: values and levels must be 1-D of "
                                      f"one nonzero length")
+                # np.interp would map every value past an infinite breakpoint
+                # to the level beyond it
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"{where}: values must be finite")
                 if not np.all(np.diff(values) > 0):
                     raise ValueError(f"{where}: values must strictly increase")
                 if not (np.all(np.diff(levels) >= 0) and 0 <= levels[0] and levels[-1] <= 1):

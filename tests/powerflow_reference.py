@@ -3,7 +3,8 @@
 This is the straightforward form of ``gridtvc.powerflow``'s Newton step and
 control loops: the Jacobian from ``np.diag`` matrices and matrix products,
 cut into blocks with ``np.ix_``; a fresh Ybus assembly wherever one is
-needed; one ``J^T`` solve per SVR zone; and a per-bus Q-limit loop.
+needed; one ``J^T`` solve per SVR zone, and per pilot bus in a joint
+dispatch step; and a per-bus Q-limit loop.
 ``tests/test_powerflow_reference.py`` checks the array-native solver
 against it.  :func:`swap_in` installs these functions in place of the
 solver's own, so a whole oracle call can run on the reference path.
@@ -91,12 +92,12 @@ def newton(m, st, opts):
     return "newton_failed", opts.max_inner
 
 
-def svr_sensitivity(m, st, zone):
-    """dV(regulated bus)/dQ(injection at each unit bus) from the last Jacobian."""
+def sensitivity(m, st, bus, units):
+    """dV(bus)/dQ(injection at each unit's bus) from the last Jacobian; 0
+    for a unit on a bus that is not PQ, None unless ``bus`` is PQ."""
     if st.jac is None or st.jac_index is None:
         return None
     pv, pq, pvpq = st.jac_index
-    bus = zone["bus"]
     pq_pos = {b: k for k, b in enumerate(pq)}
     if bus not in pq_pos:
         return None
@@ -107,15 +108,58 @@ def svr_sensitivity(m, st, zone):
         w = np.linalg.solve(st.jac.T, e)
     except np.linalg.LinAlgError:
         return None
-    sens = np.zeros(len(zone["units"]))
-    for k, gi in enumerate(zone["units"]):
+    sens = np.zeros(len(units))
+    for k, gi in enumerate(units):
         b = m.gen_bus[gi]
         if b in pq_pos:
             sens[k] = w[len(pvpq) + pq_pos[b]]
     return sens
 
 
+def svr_sensitivity(m, st, zone):
+    """dV(regulated bus)/dQ(injection at each unit bus) from the last Jacobian."""
+    return sensitivity(m, st, zone["bus"], zone["units"])
+
+
+def shares(m, zone):
+    ranges = np.maximum(m.gen_qmax[zone["units"]] - m.gen_qmin[zone["units"]], 0.0)
+    ranges = np.where(np.isfinite(ranges), ranges, 1.0)
+    return ranges, ranges / ranges.sum()
+
+
+def waterfall(m, q, zone, remaining):
+    """Spread ``remaining`` over the zone's units of ``q`` (written in
+    place), four passes of a proportional split in which saturated units
+    freeze; returns whether some pass moved a unit by more than 1e-12."""
+    units = zone["units"]
+    ranges, _ = shares(m, zone)
+    changed = False
+    for _ in range(4):
+        if abs(remaining) < 1e-14:
+            break
+        q_now = q[units]
+        head = np.where(remaining > 0,
+                        m.gen_qmax[units] - q_now,
+                        q_now - m.gen_qmin[units])
+        active = head > 1e-12
+        if not np.any(active):
+            break
+        w = np.where(active, ranges, 0.0)
+        w = w / w.sum()
+        dq = w * remaining
+        new_q = np.clip(q_now + dq, m.gen_qmin[units], m.gen_qmax[units])
+        applied = new_q - q_now
+        q[units] = new_q
+        if np.max(np.abs(applied)) > 1e-12:
+            changed = True
+        remaining -= applied.sum()
+    return changed
+
+
 def svr_dispatch(m, st, opts):
+    """Per-zone steps for the first 20 outer rounds, then joint steps."""
+    if st.outer > 20:
+        return svr_joint_step(m, st, opts)
     changed = False
     for zone in m.zones:
         if zone["target"] is None or len(zone["units"]) == 0:
@@ -123,39 +167,53 @@ def svr_dispatch(m, st, opts):
         err = zone["target"] - st.vm[zone["bus"]]
         if abs(err) <= opts.svr_deadband:
             continue
-        units = zone["units"]
         sens = svr_sensitivity(m, st, zone)
         if sens is None:
             continue
-        ranges = np.maximum(m.gen_qmax[units] - m.gen_qmin[units], 0.0)
-        ranges = np.where(np.isfinite(ranges), ranges, 1.0)
+        ranges, share = shares(m, zone)
         if ranges.sum() <= 0:
             continue
-        shares = ranges / ranges.sum()
-        denom = float(sens @ shares)
+        denom = float(sens @ share)
         if denom <= 1e-12:
             continue
         remaining = float(np.clip(err / denom, -0.5, 0.5))
-        for _ in range(4):
-            if abs(remaining) < 1e-14:
-                break
-            q_now = st.svr_q[units]
-            head = np.where(remaining > 0,
-                            m.gen_qmax[units] - q_now,
-                            q_now - m.gen_qmin[units])
-            active = head > 1e-12
-            if not np.any(active):
-                break
-            w = np.where(active, ranges, 0.0)
-            w = w / w.sum()
-            dq = w * remaining
-            new_q = np.clip(q_now + dq, m.gen_qmin[units], m.gen_qmax[units])
-            applied = new_q - q_now
-            st.svr_q[units] = new_q
-            if np.max(np.abs(applied)) > 1e-12:
-                changed = True
-            remaining -= applied.sum()
+        if waterfall(m, st.svr_q, zone, remaining):
+            changed = True
     return changed
+
+
+def svr_joint_step(m, st, opts):
+    """One regularized least-squares step over the zones outside their
+    deadband, with one ``J^T`` solve per pilot bus; written only when it
+    moves some unit by more than 1e-6."""
+    if st.jac is None:
+        return False
+    moving = [z for z in m.zones
+              if abs(z["target"] - st.vm[z["bus"]]) > opts.svr_deadband
+              and z["bus"] in st.jac_index[1]]
+    if not moving:
+        return False
+    k = len(moving)
+    s = np.zeros((k, k))
+    for i, pilot in enumerate(moving):
+        for j, zone in enumerate(moving):
+            sens = sensitivity(m, st, pilot["bus"], zone["units"])
+            if sens is None:
+                return False
+            s[i, j] = sens @ shares(m, zone)[1]
+    err = np.array([z["target"] - st.vm[z["bus"]] for z in moving])
+    mu = 1e-3 * np.trace(s.T @ s) / k
+    try:
+        dq = np.linalg.solve(s.T @ s + mu * np.eye(k), s.T @ err)
+    except np.linalg.LinAlgError:
+        return False
+    q = st.svr_q.copy()
+    for zone, step in zip(moving, np.clip(dq, -0.5, 0.5)):
+        waterfall(m, q, zone, float(step))
+    if not np.max(np.abs(q - st.svr_q)) > 1e-6:
+        return False
+    st.svr_q = q
+    return True
 
 
 def q_limit_switch(m, st, opts):

@@ -308,7 +308,7 @@ def test_raw_estimator_consistent_with_oracle_small():
 def test_estimate_reports_the_mode_decision_status():
     # A zero network output makes the baseline decision the mode; on this
     # context it hits the outer-loop cap.
-    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 2), origin="val-002")
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 7), origin="val-007")
     z = zero_output(x)
     assert oracle(x, policy.most_probable(z)).status == "outer_cap"
     est = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(6), PCFG)

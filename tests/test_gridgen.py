@@ -499,6 +499,9 @@ def test_normalize_matches_the_per_scalar_normalizer(knots):
     ({"kind": "pwl", "values": [0.0, 1.0], "levels": [0.0, 1.5]}, "levels must be nondecreasing"),
     ({}, "one nonzero length"),
     ({"kind": "pwl", "values": [0.0, 1.0]}, "one nonzero length"),
+    ({"values": [-1e400, 0.0], "levels": [0.0, 1.0]}, "values must be finite"),
+    ({"values": [0.0, float("inf")], "levels": [0.0, 1.0]}, "values must be finite"),
+    ({"values": [float("nan")], "levels": [0.5]}, "values must be finite"),
 ])
 def test_normalizer_from_json_refuses_a_bad_table(entry, problem):
     doc = {"tables": {"load": {"p": {"values": [0.0, 1.0], "levels": [0.0, 1.0]}}}}

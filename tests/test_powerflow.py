@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import gridtvc.powerflow as pf
 from gridtvc.baseline import init_baseline
 from gridtvc.estimator import _replace
 from gridtvc.gridgen import GridFamilySpec, generate_context
@@ -495,9 +496,10 @@ def test_status_singular_jacobian_on_islanded_load():
 
 
 def test_status_outer_cap_on_pinned_generated_context():
-    # The baseline decision on this context drives the SVR dispatch into a
-    # limit cycle across zones; in the last rounds only it still moves.
-    x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
+    # The baseline decision on this context leaves the SVR dispatch moving
+    # until the cap, through its joint steps too; in the last rounds only it
+    # still moves.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 7), origin="val-007")
     opts = SolverOptions()
     sol = solve_ac(apply_decision(x, init_baseline(x, 0.0)), opts)
     assert not sol.converged and sol.status == "outer_cap"
@@ -508,7 +510,7 @@ def test_status_outer_cap_on_pinned_generated_context():
 def test_solution_names_the_loops_still_moving_and_the_restarts():
     # The outer-cap solve of the pinned context ends on rounds in which
     # only the SVR dispatch changes; no Newton call there needs a restart.
-    x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
+    x = generate_context(GridFamilySpec(), stream(0, "val", 7), origin="val-007")
     sol = solve_ac(apply_decision(x, init_baseline(x, 0.0)))
     assert sol.status == "outer_cap"
     assert sol.moving == ("svr",) and sol.restarts == 0
@@ -521,9 +523,9 @@ def test_solution_names_the_loops_still_moving_and_the_restarts():
     assert failed.moving == () and failed.restarts == 1
 
 
-@pytest.mark.parametrize("index, status", [(2, "outer_cap"), (0, "converged")])
+@pytest.mark.parametrize("index, status", [(7, "outer_cap"), (0, "converged")])
 def test_objective_carries_the_solve_counts(index, status):
-    # val-002's baseline is the pinned outer-cap solve; val-000's converges.
+    # val-007's baseline is the pinned outer-cap solve; val-000's converges.
     x = generate_context(GridFamilySpec(), stream(0, "val", index),
                          origin=f"val-{index:03d}")
     y = init_baseline(x, 0.0)
@@ -533,6 +535,47 @@ def test_objective_carries_the_solve_counts(index, status):
     counts = (sol.inner_iterations, sol.outer_iterations, sol.restarts, sol.moving)
     assert (res.inner, res.outer, res.restarts, res.moving) == counts
     assert res.inner > 0 and res.outer > 0
+
+
+@pytest.mark.parametrize("split, index, offset, total, inner, outer, status", [
+    ("val", 0, 0.005, "0x1.0de232d5f6ff2p+0", 41, 14, "converged"),
+    ("val", 0, 0.01, "0x1.2d18e612f8e77p+1", 26, 9, "converged"),
+    ("val", 4, -0.03, "0x1.6d485b26b98e2p+0", 53, 18, "converged"),
+    ("val", 13, -0.015, "0x1.ab8df9804ee1bp-1", 54, 20, "converged"),
+    ("train", 15, 0.02, "0x1.9000000000000p+6", 46, 4, "newton_failed"),
+])
+def test_a_solve_within_the_per_zone_rounds_keeps_its_bits(
+        split, index, offset, total, inner, outer, status):
+    # Values of the per-zone-only dispatch, which every solve took before
+    # the joint step: one that ends by round 20 (JOINT_FROM_ROUND) never
+    # takes a joint step, so it keeps them exactly.
+    assert outer <= 20
+    x = generate_context(GridFamilySpec(), stream(0, split, index))
+    res = evaluate_objective(x, init_baseline(x, offset))
+    assert (res.total.hex(), res.inner, res.outer, res.status) == (total, inner, outer, status)
+
+
+def test_joint_steps_settle_a_dispatch_the_per_zone_rule_leaves_drifting():
+    # Per-zone steps alone drift on val-002's offset-0 baseline until the
+    # cap; the joint steps after round JOINT_FROM_ROUND settle it.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
+    sol = solve_ac(apply_decision(x, init_baseline(x, 0.0)))
+    assert sol.status == "converged" and sol.outer_iterations > pf.JOINT_FROM_ROUND
+    assert sol.moving == ()
+
+
+def test_a_settled_joint_step_writes_nothing():
+    # val-002's offset -0.02 baseline settles on a joint step with two
+    # pilots still outside their deadband: no dispatch meets them all.
+    x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
+    opts = SolverOptions()
+    m, st = pf._solve_raw(apply_decision(x, init_baseline(x, -0.02)), opts)
+    assert st.status == "converged" and st.outer > pf.JOINT_FROM_ROUND
+    off = [abs(z["target"] - st.vm[z["bus"]]) > opts.svr_deadband for z in m.zones]
+    assert sum(off) >= 2
+    svr_q, before = st.svr_q, st.svr_q.copy()
+    assert not pf._svr_dispatch(m, st, opts)
+    assert st.svr_q is svr_q and np.array_equal(svr_q, before)
 
 
 def test_objective_carries_the_restart_of_a_failed_solve():
@@ -549,8 +592,17 @@ def test_objective_carries_the_restart_of_a_failed_solve():
     ("lambda_i", -0.5, "lambda_i must not be negative"),
     ("lambda_j", -50.0, "lambda_j must not be negative"),
     ("target_clamp", (2.0, 0.5), "target_clamp must not have its low end above its high end"),
+    *[(name, np.nan, f"{name} must not be negative or NaN")
+      for name in ("rtc_deadband", "svr_deadband", "lambda_v", "lambda_i", "lambda_j",
+                   "eps_v", "eps_i")],
+    ("eps_v", -1.0, "eps_v must not be negative"),
+    ("eps_i", -0.01, "eps_i must not be negative"),
+    ("tolerance", np.nan, "tolerance must be positive"),
+    ("target_clamp", (np.nan, 3.0), "target_clamp must not have a NaN end"),
+    ("target_clamp", (0.0, np.nan), "target_clamp must not have a NaN end"),
 ])
 def test_solver_options_refuse_a_bad_value(field, value, problem):
-    SolverOptions(**{field: 0.0 if field != "target_clamp" else (1.0, 1.0)})
+    # the boundary value is accepted
+    SolverOptions(**{field: {"tolerance": 1e-12, "target_clamp": (1.0, 1.0)}.get(field, 0.0)})
     with pytest.raises(ValueError, match=problem):
         SolverOptions(**{field: value})

@@ -23,6 +23,12 @@ def contexts():
             for i in range(3)]
 
 
+@pytest.fixture(scope="module")
+def capped():
+    """val-007, whose offset-0 baseline still hits the outer cap."""
+    return generate_context(GridFamilySpec(), stream(0, "val", 7), origin="val-007")
+
+
 def _states(x):
     """(model, state) pairs: the context's own operating point, the same
     point with one PV bus pinned at its Q limit, and a converged solve."""
@@ -99,9 +105,10 @@ def test_batched_sensitivities_match_per_zone_solves(contexts):
     assert checked >= len(contexts)
 
 
-def _pinned_pairs(contexts):
+def _pinned_pairs(contexts, capped):
     pairs = [(x, init_baseline(x, off)) for x in contexts
              for off in (-0.02, 0.0, 0.02)]
+    pairs.append((capped, init_baseline(capped, 0.0)))
     y0 = init_baseline(contexts[0], 0.0)
     for cname in ("line_controller", "shunt_controller"):
         for row in range(2):
@@ -124,8 +131,10 @@ def _solve(x, y, monkeypatch):
     return res, raws[0][1]
 
 
-def test_oracle_matches_reference_on_pinned_pairs(contexts, monkeypatch):
-    pairs = _pinned_pairs(contexts)
+def test_oracle_matches_reference_on_pinned_pairs(contexts, capped, monkeypatch):
+    # val-002's offset-0 baseline takes joint dispatch steps and converges
+    # past round 20; val-007's still hits the cap.
+    pairs = _pinned_pairs(contexts, capped)
     new = [_solve(x, y, monkeypatch) for x, y in pairs]
     ref.swap_in(monkeypatch)
     want = [_solve(x, y, monkeypatch) for x, y in pairs]
@@ -151,7 +160,7 @@ def test_ybus_rebuilt_after_tap_move(contexts):
     assert np.array_equal(st.ybus, m.assemble_ybus(st.ratio))
 
 
-def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):
+def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch):
     # Every Newton call reads the split and gather index kept on the state,
     # and takes its first Jacobian from the previous round when no tap,
     # pin or voltage has changed since.  Both must equal a fresh build.
@@ -196,10 +205,10 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, monkeypatch):
     monkeypatch.setattr(pf, "_newton", checked_newton)
     monkeypatch.setattr(pf, "_rtc_step", counted_rtc_step)
     monkeypatch.setattr(pf, "_q_limit_switch", counted_q_limit_switch)
-    # val-002's baseline moves taps, then runs all outer rounds on the SVR
+    # val-007's baseline moves taps, then runs all outer rounds on the SVR
     # dispatch alone; val-000's moves taps and flips a Q-limit pin.
-    capped = pf.solve_ac(pf.apply_decision(contexts[2], init_baseline(contexts[2], 0.0)))
-    assert capped.status == "outer_cap"
+    sol = pf.solve_ac(pf.apply_decision(capped, init_baseline(capped, 0.0)))
+    assert sol.status == "outer_cap"
     assert seen["taps"] > 0 and seen["reused"] > 0.9 * OPTS.max_outer
     seen.update(taps=0, reused=0)
     sol = pf.solve_ac(pf.apply_decision(contexts[0], init_baseline(contexts[0], 0.0)))

@@ -470,7 +470,7 @@ def test_train_log_names_the_outer_cap_of_a_pinned_context(tmp_path, monkeypatch
     # With zero parameters the policy's mode is the baseline decision, which
     # hits the outer-loop cap on this context.
     spec = GridFamilySpec()
-    for tag, i in (("train", 2), ("val", 0)):
+    for tag, i in (("train", 7), ("val", 0)):
         x = generate_context(spec, grng.stream(0, "val", i), origin=f"val-{i:03d}")
         write_dataset(tmp_path / tag, [x], spec, 0)
     monkeypatch.setattr(trainer, "init_params",
