@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 
 def config_to_json(cfg) -> dict:
@@ -33,3 +34,12 @@ def config_from_json(cls, doc: dict):
             value = tuple(value)
         kwargs[f.name] = value
     return cls(**kwargs)
+
+
+def require_finite(cfg, *names: str) -> None:
+    """Refuse a NaN or infinite value in any of the fields ``names`` of
+    ``cfg``, naming the field: a config check such as ``value < 0`` lets
+    NaN through, and an infinite weight or width scores or samples NaN."""
+    for name in names:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, not {getattr(cfg, name)!r}")

@@ -4,16 +4,18 @@ The adjusted estimator decomposes by controller class (other classes held
 at the policy mode), clips scores through a tanh around the mode's cost,
 and for discrete classes samples only unary modifications of the mode.
 Decisions, surrogate values and gradients are one array per controller
-class, rows in the context's edge order.  Each estimate also counts how
-its distinct samples' oracle calls ended, and keeps each class's norm of
-its score term and of its entropy term.
+class, rows in the context's edge order.  The oracle scores a batch of
+decisions on one context per call (:data:`Oracle`): an estimate makes one
+call for the mode decision and one for all its distinct samples.  Each
+estimate also counts how its distinct samples' solves ended, and keeps
+each class's norm of its score term and of its entropy term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .h2mg import (
     SurrogateDecision,
 )
 from . import policy
+from .config import require_finite
 from .policy import PolicyConfig
 from .powerflow import PROHIBITIVE_COST, SOLVE_STATUSES
 
@@ -37,13 +40,17 @@ DEFAULT_SAMPLES: dict[str, int] = {
     "svr_controller": 16,
 }
 
-#: An oracle maps (context, decision) to an object with .total and .status
-#: (one of ``SOLVE_STATUSES``).  An oracle must be a pure function of
-#: (context, decision), raising or not alike on every call:
-#: :func:`estimate_gradient` scores a sample decision drawn twice once.
-Oracle = Callable[[H2MGContext, Decision], object]
+#: A batch oracle maps (context, decisions) to one result per decision, in
+#: order, each with .total and .status (one of ``SOLVE_STATUSES``), as
+#: :func:`~gridtvc.powerflow.evaluate_objectives` does.  A decision's
+#: result must not depend on the others in its call, and an oracle must
+#: be a pure function of its arguments, raising or not alike on every
+#: call: :func:`estimate_gradient` scores a sample decision drawn twice
+#: once.
+Oracle = Callable[[H2MGContext, list[Decision]], Sequence[object]]
 
-#: How an oracle call ended: a solve status, or "error" when the oracle raised.
+#: How a decision's scoring ended: a solve status, or "error" when the
+#: oracle call that scored it raised.
 ESTIMATE_STATUSES = (*SOLVE_STATUSES, "error")
 
 
@@ -54,6 +61,7 @@ class EstimatorConfig:
     samples: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
 
     def __post_init__(self):
+        require_finite(self, "beta", "tau")
         # beta 0 switches the score term off entirely (entropy-only descent)
         if self.beta < 0 or self.tau <= 0:
             raise ValueError("beta must be nonnegative and tau positive")
@@ -81,7 +89,7 @@ class GradEstimate:
     adds, ``beta / n`` times the clipped score sum and the negated entropy
     gradient (all three empty when the mode failed).
     ``sample_status`` counts, per ``ESTIMATE_STATUSES`` value, how the
-    oracle calls of the distinct sample decisions ended, and
+    oracle scored each distinct sample decision, and
     ``prohibitive`` counts those scored at or above the prohibitive cost.
     """
 
@@ -112,23 +120,26 @@ def _replace(y: Decision, class_name: str, row: int, value) -> Decision:
     return {**y, class_name: arr}
 
 
-def _score(oracle: Oracle, x: H2MGContext, y: Decision) -> tuple[float, str]:
-    """Oracle score and status; failures never abort the estimate.
+def _score(oracle: Oracle, x: H2MGContext, ys: list[Decision]) -> list[tuple[float, str]]:
+    """Oracle score and status of each decision of ``ys``, by one oracle
+    call; failures never abort the estimate, and no decisions make no call.
 
-    A failing call costs :data:`~gridtvc.powerflow.PROHIBITIVE_COST` and
-    reports the status "error".
+    A call that raises costs :data:`~gridtvc.powerflow.PROHIBITIVE_COST`
+    for every decision in it, each with the status "error".
 
     Structural errors (mispaired decisions, broken contexts) are caller
     bugs and do propagate, as does a warning that the caller's warnings
     filter turned into an exception.
     """
+    if not ys:
+        return []
     try:
-        res = oracle(x, y)
+        results = oracle(x, ys)
     except (H2MGError, Warning):
         raise
     except Exception:
-        return PROHIBITIVE_COST, "error"
-    return float(res.total), res.status
+        return [(PROHIBITIVE_COST, "error")] * len(ys)
+    return [(float(res.total), res.status) for res in results]
 
 
 def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig,
@@ -138,26 +149,25 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
 
     ``z``, the decisions passed to ``oracle`` and the gradient are plain
     dicts of one array per controller class, the gradient shaped like ``z``.
-    When the mode decision itself does not converge no improvement
-    direction is defined and the estimate is exactly zero, flagged.
+    The oracle is called at most twice: once for the mode decision, then
+    once for every distinct sample decision, in draw order.  When the mode
+    decision itself does not converge no improvement direction is defined,
+    nothing is sampled, and the estimate is exactly zero, flagged.
     """
     y_mp = policy.most_probable(z)
-    f_ref, status = _score(oracle, x, y_mp)
+    [(f_ref, status)] = _score(oracle, x, [y_mp])
     if status != "converged":
         return GradEstimate({c: np.zeros_like(a) for c, a in z.items()},
                             f_ref, False, status)
 
-    # One pass per class in canonical order: draw its samples, score each
-    # distinct one once, accumulate its gradient.  The oracle never touches
-    # the stream, so the draws do not depend on oracle behavior.  The svr
+    # Draw every class's samples, in canonical class order, then score the
+    # distinct ones in one oracle call.  The oracle never touches the
+    # stream, so the draws do not depend on oracle behavior.  The svr
     # class draws all its samples as one (n, controllers) array, each row a
     # sample; a discrete sample changes one controller's row to one value
     # and is keyed by (class, row, value).
-    grads: dict[str, np.ndarray] = {}
-    grad_norm: dict[str, float] = {}
-    score_norm: dict[str, float] = {}
-    entropy_norm: dict[str, float] = {}
-    scored: dict[tuple, tuple[float, str]] = {}
+    drawn = []
+    distinct: dict[tuple, Decision] = {}
     for cname in CONTROLLER_CLASSES:
         z_c = z.get(cname)
         if z_c is None:
@@ -172,9 +182,16 @@ def estimate_gradient(x: H2MGContext, z: SurrogateDecision, cfg: EstimatorConfig
             picks = [neighbors[k] for k in rng.integers(0, len(neighbors), size=n)]
             samples = [((cname, row, alt), _replace(y_mp, cname, row, alt))
                        for row, alt in picks]
+        drawn.append((cname, z_c, n, samples))
         for key, y_i in samples:
-            if key not in scored:
-                scored[key] = _score(oracle, x, y_i)
+            distinct.setdefault(key, y_i)
+    scored = dict(zip(distinct, _score(oracle, x, list(distinct.values())), strict=True))
+
+    grads: dict[str, np.ndarray] = {}
+    grad_norm: dict[str, float] = {}
+    score_norm: dict[str, float] = {}
+    entropy_norm: dict[str, float] = {}
+    for cname, z_c, n, samples in drawn:
         # sample by sample, so each element sums in sample order
         acc = np.zeros_like(z_c)
         for key, y_i in samples:

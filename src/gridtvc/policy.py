@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import init_baseline
+from .config import require_finite
 from .h2mg import (
     D_BINARY,
     D_CONTINUOUS,
@@ -36,6 +37,7 @@ class PolicyConfig:
     svr_offset: float = 0.0          # uniform baseline setpoint offset, p.u.
 
     def __post_init__(self):
+        require_finite(self, "sigma", "binary_offset", "rtc_offset_scale", "svr_offset")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 

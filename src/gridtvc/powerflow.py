@@ -6,16 +6,35 @@ dispatch, generator Q-limit switching).  Non-convergence is always a value,
 never an exception, and maps to the fixed objective cost
 :data:`PROHIBITIVE_COST`; every solve reports how it ended as one of :data:`SOLVE_STATUSES`.
 
-One function, :func:`evaluate_objective`, scores a decision: one solve,
-one :class:`ObjectiveBreakdown` of objective terms, counts and losses.
+One function, :func:`evaluate_objectives`, scores the decisions of one
+context: a solve and an :class:`ObjectiveBreakdown` of objective terms,
+counts and losses per decision; :func:`evaluate_objective` scores one.
+There is one solver path, and a batch of one runs on it too.
+
+The solves of a batch run in lockstep (:func:`_run_together`).  Each solve
+is a generator that runs its own control loops and yields its Newton
+solves and SVR sensitivity solves as requests.  Every round, the pending
+Newton requests of one PV/PQ split run as one stacked Newton
+(:func:`_stacked_newton`): one ``matmul`` for the mismatch, one Jacobian
+build and one ``np.linalg.solve`` per iteration over the solves still
+iterating, and the ``J^T`` sensitivity solves of one shape are one stacked
+solve too.  A solve leaves the batch when it ends.  With one BLAS thread a
+stacked ``matmul`` or solve gives each slice the bits it gets alone, and
+everything else is elementwise, so a decision's record has the same bits
+whatever else is in its batch (``tests/test_powerflow_batch.py``), as
+many-variants-of-one-grid power flow is batched in Zhou et al., "GPU-
+Accelerated Batch-ACPF Solution for N-1 Static Security Analysis" (IEEE
+Trans. Smart Grid, 2017).
 
 The inner loop is array-native:
 
-* The Jacobian uses the broadcasting form of MATPOWER's ``dSbus_dV``
+* The Jacobian uses the elementwise form of MATPOWER's ``dSbus_dV``
   (Zimmerman et al., IEEE TPWRS 2011): ``dS/dVa = j·v·conj(diag(i) − Y·v)``
   and ``dS/dVm = v·conj(Y·v/|v|) + diag(conj(i)·v/|v|)`` as row/column
-  scalings of Ybus, with no diagonal matrices and no matrix products.  Its
-  four real blocks are gathered through one flat index.
+  scalings of Ybus, with no diagonal matrices and no matrix products.  It
+  is computed only where a branch couples two buses and on the diagonal,
+  the entries that can be nonzero, and scattered into the Jacobian's four
+  real blocks through one flat index.
 * The model's Ybus is assembled once, at the context's taps.  A solve
   starts from it, keeps its own for the Newton loop, the Q-limit check and
   the generator outputs, and re-assembles that one only when a tap changer
@@ -40,8 +59,9 @@ else.  And the first Newton iteration of a round reuses the Jacobian the
 previous round converged on when no tap moved, no pin flipped and no
 flat-start retry ran since.  The SVR dispatch changes only the reactive
 injections, which the Jacobian does not read, so Ybus, the voltages, the
-bus currents and the index are then the very arrays ``_jacobian`` would
-be given, and it would return the same bits.
+bus currents and the index are then the very arrays ``_jacobians`` would
+be given, and it would return the same bits.  For the same reason the
+Q-limit check reads the bus injections that Newton converged on.
 """
 
 from __future__ import annotations
@@ -51,6 +71,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import require_finite
 from .h2mg import (
     Decision,
     H2MGContext,
@@ -127,6 +148,10 @@ class SolverOptions:
                      "eps_v", "eps_i"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must not be negative or NaN")
+        # An infinite weight or margin scores a converged solve inf or NaN,
+        # and an infinite tolerance accepts Newton's first iterate.
+        require_finite(self, "tolerance", "rtc_deadband", "svr_deadband", "lambda_v",
+                       "lambda_i", "lambda_j", "eps_v", "eps_i")
         lo, hi = self.target_clamp
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("target_clamp must not have a NaN end")
@@ -309,7 +334,7 @@ class _GridModel:
             if target is None or len(units) == 0 or ranges.sum() <= 0:
                 continue
             self.zones.append({"bus": bus,
-                               "target": float(np.clip(target, lo, hi)),
+                               "target": float(min(max(target, lo), hi)),
                                "units": units, "shares": ranges / ranges.sum(),
                                "unit_bus": self.gen_bus[units],
                                "ranges": ranges.tolist(),
@@ -382,7 +407,7 @@ class _GridModel:
             reg_bus = self._bus(e.ports["regulated_bus"], e)
             tau_nom = self.v_nom[self.fb[bi]] / self.v_nom[self.tb[bi]]
             mult = self.ratio[bi] / tau_nom
-            tap = int(np.clip(round((mult - 0.9) / TAP_STEP), 0, 20))
+            tap = min(max(round((mult - 0.9) / TAP_STEP), 0), 20)
             self.ratio[bi] = tau_nom * TAP_MULTIPLIERS[tap]
             ctrls = x.anchored("rtc_controller", "twt", e.ports["twt"])
             target = ctrls[-1].features["v_target"] if ctrls else None
@@ -391,9 +416,13 @@ class _GridModel:
                 "bus": reg_bus,
                 "tau_nom": tau_nom,
                 "tap": tap,      # the starting position; a solve moves its own
-                "target": None if target is None else np.clip(target, lo, hi),
+                "target": None if target is None else min(max(target, lo), hi),
             })
         self.ybus = self.assemble_ybus(self.ratio)
+        # where Ybus can be nonzero whatever the taps: each bus with itself
+        # and the two ends of every branch
+        self.coupled = np.eye(n, dtype=bool)
+        self.coupled[self.fb, self.tb] = self.coupled[self.tb, self.fb] = True
 
     def _bus(self, addr: int, edge) -> int:
         try:
@@ -431,7 +460,7 @@ class _State:
     tap lists hold one entry per ``m.rtcs`` entry; ``ybus`` is rebound to a
     fresh assembly when a tap moves, never written in place, so it may
     start as the model's own.  ``status`` (one of :data:`SOLVE_STATUSES`),
-    ``inner``, ``outer`` and ``moving`` are set by :func:`_solve_raw`.
+    ``inner``, ``outer`` and ``moving`` are set by :func:`_solve`.
     """
 
     def __init__(self, m: _GridModel):
@@ -451,19 +480,26 @@ class _State:
         self.moving: tuple[str, ...] = ()
         self.restarts = 0       # flat-start retries taken
         self.jac = None         # the Jacobian at the last converged Newton state
-        # True while st.jac is bitwise what _jacobian would build at the
+        self.s = None           # and the complex bus injections there
+        # True while st.jac is bitwise what _jacobians would build at the
         # current state: no tap, pin or voltage has changed since it was built.
         self.jac_current = False
         _bus_split(m, self)
 
 
 def _bus_split(m: _GridModel, st: _State) -> None:
-    """Set the state's PV/PQ split and the Jacobian layout that follows from it.
+    """Set the state's PV/PQ split and the Newton layout that follows from it.
 
     ``st.jac_index`` is ``(pv, pq, pvpq)``, ``st.index`` the flat gather
-    index of :func:`_jacobian_index` and ``st.pq_pos`` each bus's position
-    in ``pq`` (-1 when not PQ).  The split changes only when a Q-limit pin
-    flips, so it is computed at set-up and after each flip.
+    index of :func:`_jacobian_index`, ``st.layout`` the
+    :func:`_jacobian_layout` of the model's coupled buses through that
+    index, and ``st.pq_pos`` each bus's position in ``pq`` (-1 when not
+    PQ).  ``st.mis_index`` gathers the mismatch's injections, P of
+    ``pvpq`` then Q of ``pq``, from the complex power read as floats, and
+    ``st.x_index`` places the unknowns, the angles of ``pvpq`` then the
+    magnitudes of ``pq``, in the rows ``[va, vm]`` flattened.  The split
+    changes only when a Q-limit pin flips, so it is computed at set-up and
+    after each flip.
     """
     pv = np.flatnonzero(m.is_pv & (st.pinned == 0))
     is_pq = np.ones(m.n, dtype=bool)
@@ -473,6 +509,11 @@ def _bus_split(m: _GridModel, st: _State) -> None:
     pvpq = np.concatenate([pv, pq])
     st.jac_index = (pv, pq, pvpq)
     st.index = _jacobian_index(m.n, pvpq, pq)
+    st.layout = _jacobian_layout(m.coupled, st.index)
+    buses = np.concatenate([pvpq, pq])
+    second = np.repeat([0, 1], [len(pvpq), len(pq)])
+    st.mis_index = 2 * buses + second
+    st.x_index = second * m.n + buses
     st.pq_pos = np.full(m.n, -1)
     st.pq_pos[pq] = np.arange(len(pq))
     st.jac_current = False
@@ -484,7 +525,7 @@ def _q_spec(m: _GridModel, st: _State) -> np.ndarray:
 
 
 def _jacobian_index(n: int, pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Flat positions of the Jacobian's entries in ``_jacobian``'s layout.
+    """Flat positions of the Jacobian's entries in the dense derivatives.
 
     The derivatives are stacked as ``[dS/dVa, dS/dVm]`` (shape ``(2, n, n)``,
     complex) and read as floats, so entry ``(k, a, b)`` has its real part at
@@ -499,84 +540,293 @@ def _jacobian_index(n: int, pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
             + 2 * buses[None, :] + second[:, None])
 
 
-def _jacobian(ybus, v, ibus, index):
-    """Newton Jacobian of the power mismatch, gathered through ``index``."""
-    n = len(v)
+def _jacobian_layout(coupled: np.ndarray, index: np.ndarray) -> tuple:
+    """The Jacobian entries that can be nonzero, and where each one goes.
+
+    ``coupled`` marks the bus pairs ``(a, b)`` where Ybus can be nonzero;
+    ``dS/dVa`` and ``dS/dVm`` can be nonzero there and nowhere else.
+    Returns ``(rows, cols, diag, source, target)``: the buses of those
+    pairs in row-major order and the positions of the diagonal among
+    them; then for every Jacobian entry the pairs reach, its position in
+    the derivatives of the pairs read as floats (per derivative, each
+    pair's real then imaginary part) and its position in the Jacobian
+    gathered through ``index`` (:func:`_jacobian_index`), flattened.
+    """
+    n = len(coupled)
+    rows, cols = np.nonzero(coupled)
+    # each pair's real part in the dense float layout of _jacobian_index
+    first = 2 * (rows * n + cols)
+    dense = np.concatenate([first, first + 2 * n * n])
+    dense = np.stack([dense, dense + 1], axis=1).ravel()
+    inverse = np.full(4 * n * n, -1)
+    inverse[index.ravel()] = np.arange(index.size)
+    target = inverse[dense]
+    source = np.flatnonzero(target >= 0)
+    return rows, cols, np.flatnonzero(rows == cols), source, target[source]
+
+
+def _jacobians(ybus, v, ibus, index, layout) -> np.ndarray:
+    """Newton Jacobians of the power mismatch of ``K`` states at once.
+
+    ``ybus`` is ``(K, n, n)``, ``v`` and ``ibus`` are ``(K, n)``, and every
+    Jacobian is gathered through ``index``; the result is ``(K, m, m)``.
+    Only the entries of ``layout`` (:func:`_jacobian_layout`) are computed,
+    by the dense form's elementwise products, ``dS/dVa = -1j v conj(Y v)``
+    and ``dS/dVm = v conj(Y vnorm)`` plus their diagonal terms, so each has
+    the same bits as there; every other entry is a zero, as it is there up
+    to its sign.  A state's Jacobian does not depend on the rest of the
+    stack.
+    """
+    rows, cols, diag, source, target = layout
+    size, n = v.shape
     vnorm = v / np.abs(v)
-    ds = np.empty((2, n, n), dtype=complex)
-    # dS/dVa = -1j v conj(Y v) and dS/dVm = v conj(Y vnorm) off the diagonal
-    for k, (left, right) in enumerate(((-1j * v, v), (v, vnorm))):
-        np.multiply(ybus, right, out=ds[k])
-        np.conjugate(ds[k], out=ds[k])
-        np.multiply(left[:, None], ds[k], out=ds[k])
-    diag = ds.reshape(2, n * n)[:, ::n + 1]
+    y = ybus.reshape(size, -1).take(rows * n + cols, axis=1)
+    ds = np.empty((size, 2, len(rows)), dtype=complex)
+    d0, d1 = ds[:, 0], ds[:, 1]
+    np.multiply(y, v.take(cols, axis=1), out=d0)
+    np.multiply(y, vnorm.take(cols, axis=1), out=d1)
+    np.conjugate(ds, out=ds)
+    np.multiply((-1j * v).take(rows, axis=1), d0, out=d0)
+    np.multiply(v.take(rows, axis=1), d1, out=d1)
     conj_i = np.conj(ibus)
-    diag[0] += 1j * v * conj_i
-    diag[1] += vnorm * conj_i
-    return ds.view(float).ravel().take(index)
+    d0[:, diag] += 1j * v * conj_i
+    d1[:, diag] += vnorm * conj_i
+    jac = np.zeros((size, index.size))
+    jac[:, target] = ds.view(float).reshape(size, -1).take(source, axis=1)
+    return jac.reshape(size, *index.shape)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep solving
+#
+# A solve, and each of its steps that needs Newton's method or a
+# sensitivity solve (a "lockstep step"), is a generator.  It yields a
+# request ``(kind, *args)``, is sent the answer, and returns what a plain
+# function would.  ``kind`` answers a list of such ``args`` at once, on
+# stacked arrays.
+
+def _stack(arrays: list) -> np.ndarray:
+    """``arrays`` along a new first axis; a single array is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """``np.linalg.solve`` of the stack ``(a, b)``, and which ``a[k]`` are
+    singular (their solutions are zero)."""
+    try:
+        return np.linalg.solve(a, b), [False] * len(a)
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stack: solve it one by one
+        x, singular = np.zeros(b.shape), []
+        for ak, bk, xk in zip(a, b, x):
+            try:
+                xk[...] = np.linalg.solve(ak, bk)
+            except np.linalg.LinAlgError:
+                singular.append(True)
+            else:
+                singular.append(False)
+        return x, singular
+
+
+def _transposed_solves(requests: list) -> list:
+    """Answer requests ``(jac, rhs)`` with ``jac⁻ᵀ rhs``, ``None`` when
+    ``jac`` is singular; the systems of one shape are one stack."""
+    out = [None] * len(requests)
+    shapes: dict[tuple, list[int]] = {}
+    for k, (_, rhs) in enumerate(requests):
+        shapes.setdefault(rhs.shape, []).append(k)
+    for ks in shapes.values():
+        x, singular = _solve_stack(_stack([requests[k][0].T for k in ks]),
+                                   _stack([requests[k][1] for k in ks]))
+        for k, xk, bad in zip(ks, x, singular):
+            out[k] = None if bad else xk
+    return out
+
+
+def _newtons(requests: list) -> list:
+    """Answer Newton requests ``(m, st, opts)`` with ``(failure, iterations)``.
+
+    The states of one PV/PQ split are solved together by
+    :func:`_stacked_newton`; every request has the same options.
+    """
+    out = [None] * len(requests)
+    splits: dict[tuple, list[int]] = {}
+    for k, (m, st, _) in enumerate(requests):
+        splits.setdefault((m.n, st.jac_index[0].tobytes()), []).append(k)
+    for ks in splits.values():
+        results = _stacked_newton([requests[k][0] for k in ks],
+                                  [requests[k][1] for k in ks], requests[0][2])
+        for k, result in zip(ks, results):
+            out[k] = result
+    return out
+
+
+def _stacked_newton(ms: list, sts: list, opts: SolverOptions) -> list:
+    """Newton's method on states that share a PV/PQ split, in lockstep.
+
+    Returns each state's ``(failure, iterations)``: ``failure`` is None on
+    success, else the status saying why it stopped.  Each state's vm/va
+    end as its Newton left them, and on success ``st.jac`` holds the
+    Jacobian at the converged state.  Row ``r`` of the stacked arrays is
+    state ``rows[r]``, and a state leaves the stack when it stops.
+    """
+    st0 = sts[0]
+    pv = st0.jac_index[0]
+    index, mis_index, x_index = st0.index, st0.mis_index, st0.x_index
+    slack, size = ms[0].slack_bus, len(index)
+    # the unknowns' rows [va, vm] and the specified injections
+    x = np.empty((len(sts), 2, ms[0].n))
+    spec = []
+    for r, (m, st) in enumerate(zip(ms, sts)):
+        st.vm[slack] = m.vset[slack]
+        st.va[slack] = 0.0
+        st.vm[pv] = m.vset[pv]
+        x[r, 0], x[r, 1] = st.va, st.vm
+        # Pinned buses behave as PQ with the regulating output frozen at a limit.
+        q = _q_spec(m, st)
+        q[st.pinned != 0] += st.pinned_q[st.pinned != 0]
+        # P of pvpq then Q of pq, placed as x_index places the unknowns
+        spec.append(np.concatenate((m.p_spec, q)).take(x_index))
+    spec, ybus = _stack(spec), _stack([st.ybus for st in sts])
+    # the Jacobian entries that any state of the stack can have
+    layout = st0.layout
+    if any(not np.array_equal(m.coupled, ms[0].coupled) for m in ms[1:]):
+        layout = _jacobian_layout(np.logical_or.reduce([m.coupled for m in ms]), index)
+    # A state's first Jacobian is the one it last converged on, while that
+    # is still bitwise what _jacobians would build.
+    reuse = [st.jac_current for st in sts]
+    for st in sts:
+        st.jac_current = False
+    rows = list(range(len(sts)))
+    out = [None] * len(sts)
+    at = np.zeros(0, dtype=int)
+
+    def stop(r, failure, it):
+        st = sts[rows[r]]
+        st.va, st.vm = x[r]
+        out[rows[r]] = failure, it
+
+    for it in range(opts.max_inner + 1):
+        v = x[:, 1] * np.exp(1j * x[:, 0])
+        ibus = np.matmul(ybus, v[:, :, None])[:, :, 0]
+        s = v * np.conj(ibus)
+        mis = spec - s.view(float).take(mis_index, axis=1)
+        if not size:
+            for r, k in enumerate(rows):
+                sts[k].jac = None
+                stop(r, None, it)
+            return out
+        live, done = [], []
+        for r, norm in enumerate(np.abs(mis).max(axis=1).tolist()):
+            if not math.isfinite(norm) or norm > opts.tolerance and it == opts.max_inner:
+                stop(r, "newton_failed", it)
+            else:
+                live.append(r)
+                if norm <= opts.tolerance:
+                    done.append(r)
+        if not live:
+            return out
+        if len(live) < len(rows):
+            rows, x, ybus, spec = [rows[r] for r in live], x[live], ybus[live], spec[live]
+            v, ibus, s, mis = v[live], ibus[live], s[live], mis[live]
+            done = [live.index(r) for r in done]
+        # the Jacobian of every row, converged or about to step
+        fresh = [r for r, k in enumerate(rows) if not (it == 0 and reuse[k])]
+        if len(fresh) == len(rows):
+            jac = _jacobians(ybus, v, ibus, index, layout)
+        elif not fresh:
+            jac = _stack([sts[k].jac for k in rows])
+        else:
+            jac = np.empty((len(rows), size, size))
+            for r, k in enumerate(rows):
+                if reuse[k]:
+                    jac[r] = sts[k].jac
+            jac[fresh] = _jacobians(ybus[fresh], v[fresh], ibus[fresh], index, layout)
+        for r in done:
+            st = sts[rows[r]]
+            st.jac, st.s, st.jac_current = jac[r].copy(), s[r], True
+            stop(r, None, it)
+        if done:
+            live = [r for r in range(len(rows)) if r not in done]
+            if not live:
+                return out
+            rows, x, ybus, spec = [rows[r] for r in live], x[live], ybus[live], spec[live]
+            jac, mis = jac[live], mis[live]
+        dx, singular = _solve_stack(jac, mis[:, :, None])
+        if at.size != dx.size:
+            # each row's unknowns, as positions in x flattened
+            at = (np.arange(0, x.size, x[0].size)[:, None] + x_index).ravel()
+        x.ravel()[at] += dx.ravel()
+        vm = x[:, 1]
+        # every row's magnitudes are positive and finite when all of them are
+        if any(singular) or not (vm.min() > 0 and math.isfinite(vm.sum())):
+            live = []
+            for r, (bad, low, total) in enumerate(zip(singular, vm.min(axis=1).tolist(),
+                                                      vm.sum(axis=1).tolist())):
+                if bad:
+                    stop(r, "singular_jacobian", it)
+                elif not (low > 0 and math.isfinite(total)):
+                    stop(r, "newton_failed", it)
+                else:
+                    live.append(r)
+            if not live:
+                return out
+            rows, x, ybus, spec = [rows[r] for r in live], x[live], ybus[live], spec[live]
+    return out
+
+
+#: The order in which :func:`_run_together` answers request kinds: the
+#: sensitivity solves first, so that a solve whose SVR dispatch needed
+#: one meets the others at its next Newton request.
+_ANSWER_ORDER = (_transposed_solves, _newtons)
+
+
+def _run_together(solves: list) -> list:
+    """Run the generators ``solves`` in lockstep; returns what each returned.
+
+    Every pending request of the first kind in :data:`_ANSWER_ORDER` that
+    has one is answered by one call, and each of those solves is sent its
+    answer and runs to its next request.  A solve leaves when it returns.
+    """
+    results = [None] * len(solves)
+    waiting: dict = {kind: [] for kind in _ANSWER_ORDER}
+
+    def advance(k, answer):
+        try:
+            kind, *args = solves[k].send(answer)
+        except StopIteration as done:
+            results[k] = done.value
+        else:
+            waiting[kind].append((k, args))
+
+    for k in range(len(solves)):
+        advance(k, None)
+    while True:
+        for kind in _ANSWER_ORDER:
+            if waiting[kind]:
+                break
+        else:
+            return results
+        requests, waiting[kind] = waiting[kind], []
+        for (k, _), answer in zip(requests, kind([args for _, args in requests])):
+            advance(k, answer)
 
 
 def _newton(m: _GridModel, st: _State, opts: SolverOptions):
-    """Inner Newton loop; returns (failure, iterations). Mutates st.vm/st.va.
-
-    ``failure`` is None on success, else the status saying why it stopped.
-    On success ``st.jac`` holds the Jacobian at the converged state.
-    """
-    ybus = st.ybus
-    slack = m.slack_bus
-    pv, pq, pvpq = st.jac_index
-    reuse, st.jac_current = st.jac_current, False
-
-    st.vm[slack] = m.vset[slack]
-    st.va[slack] = 0.0
-    st.vm[pv] = m.vset[pv]
-
-    # Pinned buses behave as PQ with the regulating output frozen at a limit.
-    q_spec = _q_spec(m, st)
-    q_spec[st.pinned != 0] += st.pinned_q[st.pinned != 0]
-
-    p_pvpq, q_pq = m.p_spec[pvpq], q_spec[pq]
-    npvpq = len(pvpq)
-    for it in range(opts.max_inner + 1):
-        v = st.vm * np.exp(1j * st.va)
-        ibus = ybus @ v
-        s = v * np.conj(ibus)
-        dp = p_pvpq - s.real[pvpq]
-        dq = q_pq - s.imag[pq]
-        mis = np.concatenate([dp, dq])
-        if mis.size == 0:
-            st.jac = None
-            return None, it
-        norm = float(np.abs(mis).max())
-        if not math.isfinite(norm):
-            return "newton_failed", it
-        converged = norm <= opts.tolerance
-        if not converged and it == opts.max_inner:
-            return "newton_failed", it
-        jac = st.jac if reuse and it == 0 else _jacobian(ybus, v, ibus, st.index)
-        if converged:
-            st.jac, st.jac_current = jac, True
-            return None, it
-        try:
-            dx = np.linalg.solve(jac, mis)
-        except np.linalg.LinAlgError:
-            return "singular_jacobian", it
-        st.va[pvpq] += dx[:npvpq]
-        st.vm[pq] += dx[npvpq:]
-        if not (st.vm.min() > 0 and math.isfinite(st.vm.sum())):
-            return "newton_failed", it
-    return "newton_failed", opts.max_inner
+    """One Newton solve of ``st``, a lockstep step answered by
+    :func:`_newtons`; returns ``(failure, iterations)``."""
+    return (yield (_newtons, m, st, opts))
 
 
 def _newton_restarting(m: _GridModel, st: _State, opts: SolverOptions):
     """Newton with one flat-start retry, so a poor warm start is not fatal."""
-    failure, it = _newton(m, st, opts)
+    failure, it = yield from _newton(m, st, opts)
     if failure is None:
         return failure, it
     st.restarts += 1
     st.vm = m.v_nom.copy()
     st.va = np.zeros(m.n)
-    failure2, it2 = _newton(m, st, opts)
+    failure2, it2 = yield from _newton(m, st, opts)
     return failure2, it + it2
 
 
@@ -603,7 +853,7 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
         if st.last_dir[k] != 0 and step != st.last_dir[k]:
             st.locked[k] = True
             continue
-        new_tap = int(np.clip(st.tap[k] + step, 0, 20))
+        new_tap = min(max(st.tap[k] + step, 0), 20)
         if new_tap != st.tap[k]:
             st.tap[k] = new_tap
             st.last_dir[k] = step
@@ -621,17 +871,14 @@ def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
     Column k is ``J^-T e_k`` restricted to the Q-injection rows, where
     ``e_k`` selects the voltage-magnitude unknown of ``buses[k]``: one
     solve for all the regulated buses of a round.  Every bus must be PQ.
-    Returns None when the Jacobian is singular.
+    A lockstep step; returns None when the Jacobian is singular.
     """
     npvpq = len(st.jac_index[2])
     rows = npvpq + st.pq_pos[buses]
     rhs = np.zeros((st.jac.shape[0], len(buses)))
     rhs[rows, np.arange(len(buses))] = 1.0
-    try:
-        w = np.linalg.solve(st.jac.T, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return w[npvpq:]
+    w = yield (_transposed_solves, st.jac, rhs)
+    return None if w is None else w[npvpq:]
 
 
 def _waterfall(zone: dict, q: list, remaining: float) -> bool:
@@ -670,7 +917,7 @@ def _waterfall(zone: dict, q: list, remaining: float) -> bool:
 
 def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Move the SVR units of every zone whose pilot bus is outside its
-    deadband; returns whether a unit moved.
+    deadband; a lockstep step that returns whether a unit moved.
 
     For the first :data:`JOINT_FROM_ROUND` outer rounds of a solve, each
     zone steps alone on its own sensitivity (a Jacobi step).  From then on
@@ -694,7 +941,7 @@ def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
         return False
     # The sensitivities read only st.jac and st.vm, which the zone loop
     # below leaves alone, so one solve serves every zone of the round.
-    w = _svr_sensitivities(st, np.array([z["bus"] for z, _ in moving]))
+    w = yield from _svr_sensitivities(st, np.array([z["bus"] for z, _ in moving]))
     if w is None:
         return False
     if st.outer > JOINT_FROM_ROUND:
@@ -754,8 +1001,13 @@ def _svr_joint_step(st: _State, moving: list, w: np.ndarray) -> bool:
 
 def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Pin PV buses whose regulating generators exceed reactive limits."""
-    v = st.vm * np.exp(1j * st.va)
-    q_reg = (v * np.conj(st.ybus @ v)).imag - _q_spec(m, st)
+    if st.jac_current:
+        # no tap, pin or voltage has moved since Newton computed st.s
+        s = st.s
+    else:
+        v = st.vm * np.exp(1j * st.va)
+        s = v * np.conj(st.ybus @ v)
+    q_reg = s.imag - _q_spec(m, st)
     changed = False
     for b in np.flatnonzero(m.is_pv & (st.switch_budget > 0)).tolist():
         pin = st.pinned[b]
@@ -776,23 +1028,31 @@ def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     return changed
 
 
-def _solve_raw(x: H2MGContext, opts: SolverOptions) -> tuple[_GridModel, _State]:
-    """Solve ``x``; the state holds the solved values and how the solve ended."""
-    m = _GridModel(x, opts)
-    st = _State(m)
-    failure, st.inner = _newton_restarting(m, st, opts)
-    loops = tuple(zip(MOVING_LOOPS, (_rtc_step, _svr_dispatch, _q_limit_switch)))
+def _solve(m: _GridModel, st: _State, opts: SolverOptions):
+    """One solve, a lockstep step: ``st`` ends holding the solved values
+    and how the solve ended."""
+    failure, st.inner = yield from _newton_restarting(m, st, opts)
     while failure is None and st.outer < opts.max_outer:
         st.outer += 1
         # every loop acts each round, in this order, whether or not one before moved
-        st.moving = tuple([name for name, step in loops if step(m, st, opts)])
+        moved = (_rtc_step(m, st, opts), (yield from _svr_dispatch(m, st, opts)),
+                 _q_limit_switch(m, st, opts))
+        st.moving = tuple([name for name, mv in zip(MOVING_LOOPS, moved) if mv])
         if not st.moving:
             st.status = "converged"
-            return m, st
-        failure, it = _newton_restarting(m, st, opts)
+            return
+        failure, it = yield from _newton_restarting(m, st, opts)
         st.inner += it
     st.status = failure or "outer_cap"
-    return m, st
+
+
+def _solve_all(xs: list[H2MGContext], opts: SolverOptions) -> list[tuple[_GridModel, _State]]:
+    """Solve every context of ``xs`` in lockstep; each state holds the
+    solved values and how its solve ended.  The contexts must share their
+    buses, as the decisions on one context do."""
+    pairs = [(m, _State(m)) for m in (_GridModel(x, opts) for x in xs)]
+    _run_together([_solve(m, st, opts) for m, st in pairs])
+    return pairs
 
 
 def _branch_flows(m: _GridModel, st: _State):
@@ -882,7 +1142,7 @@ def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerF
     Like MATPOWER's ``runpf``, it returns the case with its solved state
     written in; a solve of that context warm-starts from the bus voltages,
     SVR unit outputs and tap ratios it reads back."""
-    m, st = _solve_raw(grid, opts)
+    [(m, st)] = _solve_all([grid], opts)
     converged = st.status == "converged"
     return PowerFlowSolution(converged, _solved_context(grid, m, st) if converged else None,
                              st.inner, st.outer, st.status, st.restarts, st.moving)
@@ -891,10 +1151,29 @@ def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerF
 # ---------------------------------------------------------------------------
 # Objective
 
+def evaluate_objectives(x: H2MGContext, ys: list[Decision],
+                        opts: SolverOptions = SolverOptions()) -> list[ObjectiveBreakdown]:
+    """Apply each decision of ``ys`` to ``x``, solve, and score
+    voltage/current violations plus losses; one record per decision.
+
+    The solves run in lockstep (:func:`_run_together`): each Newton
+    iteration builds the Jacobians of every unfinished solve as one stack
+    and solves each group of equal size as one stack, and so do the SVR
+    dispatch's sensitivity solves.  A solve leaves the batch when it ends.
+    A decision's record has the same bits whatever else is in ``ys``.
+    """
+    return [_score(m, st, opts)
+            for m, st in _solve_all([apply_decision(x, y) for y in ys], opts)]
+
+
 def evaluate_objective(x: H2MGContext, y: Decision,
                        opts: SolverOptions = SolverOptions()) -> ObjectiveBreakdown:
-    """Apply ``y``, solve, and score voltage/current violations plus losses."""
-    m, st = _solve_raw(apply_decision(x, y), opts)
+    """:func:`evaluate_objectives` of the one decision ``y``."""
+    return evaluate_objectives(x, [y], opts)[0]
+
+
+def _score(m: _GridModel, st: _State, opts: SolverOptions) -> ObjectiveBreakdown:
+    """The objective terms, counts and losses of one finished solve."""
     counts = (st.status, st.inner, st.outer, st.restarts, st.moving)
     if st.status != "converged":
         return ObjectiveBreakdown(0.0, 0.0, 0.0, PROHIBITIVE_COST, False, 0, 0, 0, 0, 0.0,

@@ -6,19 +6,21 @@ replacement) and runs three phases.  The batch
 contexts once, as one disjoint-union graph, and returns the model's
 engine for that union, which keeps its latents after every step.  Then
 :func:`~gridtvc.estimator.estimate_gradient` is mapped over the contexts
-against the power-flow oracle: by the builtin ``map`` in-process, by
+against the batch oracle :func:`~gridtvc.powerflow.evaluate_objectives`,
+which scores an estimate's mode decision and then all its distinct
+samples in one lockstep solve: by the builtin ``map`` in-process, by
 ``pool.map`` in a worker pool that receives no parameters, the same call on
 the same Philox streams either way.  Last, :func:`~gridtvc.model.vjp` on
 that engine sweeps back from its latents over the contexts whose mode
 decision converged, each estimate's per-class gradient arrays being its
 context's output cotangent; their summed parameter gradient, divided by
 the minibatch size, makes one Adam step.  Each ``train_log.jsonl`` record
-carries the seconds of every phase, the oracle call count, the mode
-decisions' solve statuses, the statuses and prohibitive share of the
-estimators' distinct samples, and per controller class the minibatch mean
-of the gradient's norm (``grad_norm``) and of its score and entropy terms'
-norms (``score_norm``, ``entropy_norm``).  The log is line-buffered, so
-every record is on disk once written.
+carries the seconds of every phase, the count of decisions the oracle
+scored, the mode decisions' solve statuses, the statuses and prohibitive
+share of the estimators' distinct samples, and per controller class the
+minibatch mean of the gradient's norm (``grad_norm``) and of its score
+and entropy terms' norms (``score_norm``, ``entropy_norm``).  The log is
+line-buffered, so every record is on disk once written.
 
 Validation during training, ``evaluate`` and ``evaluate_checkpoint`` all
 take the policy's decisions from one :func:`decide` and score them with
@@ -47,7 +49,7 @@ import numpy as np
 from . import policy as policy_mod
 from . import rng as grng
 from .baseline import init_baseline
-from .config import config_from_json, config_to_json
+from .config import config_from_json, config_to_json, require_finite
 from .estimator import ESTIMATE_STATUSES, EstimatorConfig, estimate_gradient
 from .gridgen import CompiledContext, Normalizer, fit_normalizer, load_dataset, normalize
 from .h2mg import CONTROLLER_CLASSES, RTC_CATEGORIES, Decision, H2MGContext, H2MGError
@@ -61,7 +63,7 @@ from .model import (
     vjp,
 )
 from .policy import PolicyConfig
-from .powerflow import SOLVE_STATUSES, SolverOptions, evaluate_objective
+from .powerflow import SOLVE_STATUSES, SolverOptions, evaluate_objective, evaluate_objectives
 
 __all__ = ["AdamState", "TrainConfig", "adam_step", "train", "decide", "evaluate"]
 
@@ -87,6 +89,7 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        require_finite(self, "learning_rate", "beta1", "beta2", "eps")
         for name in ("learning_rate", "eps", "minibatch"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -214,8 +217,10 @@ def train(cfg: TrainConfig) -> dict:
 
     # written into every checkpoint, for evaluate_checkpoint to read back
     configs = {"policy": config_to_json(cfg.policy), "solver": config_to_json(cfg.solver)}
-    # looked up here, not at import, so a replaced evaluate_objective is called
-    oracle = functools.partial(evaluate_objective, opts=cfg.solver)
+    # the batch oracle: each estimate scores its mode, then all its distinct
+    # samples in one lockstep solve; looked up here, not at import, so a
+    # replaced evaluate_objectives is called
+    oracle = functools.partial(evaluate_objectives, opts=cfg.solver)
     pool = None
     if cfg.workers > 1:
         import multiprocessing as mp
@@ -266,7 +271,7 @@ def train(cfg: TrainConfig) -> dict:
                     "mean_f_ref": float(np.mean([est.f_ref for est in ests])),
                     "convergence_rate": float(np.mean([est.converged for est in ests])),
                     "mode_status": {s: statuses.count(s) for s in ESTIMATE_STATUSES},
-                    # one call for the mode, then one per distinct sample
+                    # decisions scored: each mode, then each distinct sample
                     "oracle_calls": len(ests) + sum(sampled),
                     "sample_status": {s: sum(est.sample_status[s] for est in ests)
                                       for s in ESTIMATE_STATUSES},

@@ -12,16 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from gridtvc import policy
-from gridtvc.estimator import Oracle
 from gridtvc.h2mg import (
-    D_BINARY, D_CONTINUOUS, SCHEMA, H2MGContext, H2MGError, SurrogateDecision)
+    D_BINARY, D_CONTINUOUS, SCHEMA, Decision, H2MGContext, H2MGError, SurrogateDecision)
 from gridtvc.policy import PolicyConfig
 
 import policy_reference
+
+#: The references score one decision per call, where ``estimate_gradient``
+#: takes a batch oracle.
+DecisionOracle = Callable[[H2MGContext, Decision], object]
 
 
 def _zeros(z: SurrogateDecision) -> dict[str, np.ndarray]:
@@ -29,7 +33,7 @@ def _zeros(z: SurrogateDecision) -> dict[str, np.ndarray]:
 
 
 def raw_gradient_estimate(x: H2MGContext, z: SurrogateDecision, beta: float,
-                          n_samples: int, oracle: Oracle,
+                          n_samples: int, oracle: DecisionOracle,
                           rng: np.random.Generator,
                           policy_cfg: PolicyConfig = PolicyConfig(),
                           prohibitive_cost: float = 100.0,
@@ -74,7 +78,7 @@ class OracleGradient:
 
 
 def exact_gradient_oracle(x: H2MGContext, z: SurrogateDecision, beta: float,
-                          oracle: Oracle,
+                          oracle: DecisionOracle,
                           policy_cfg: PolicyConfig = PolicyConfig(),
                           max_space: int = 4096) -> OracleGradient:
     """Exact gradient of the surrogate objective by full enumeration.

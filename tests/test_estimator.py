@@ -13,7 +13,9 @@ from gridtvc.estimator import (
 from gridtvc.gridgen import GridFamilySpec, generate_context
 from gridtvc.h2mg import CONTROLLER_CLASSES, SCHEMA, paired_decision
 from gridtvc.policy import PolicyConfig
-from gridtvc.powerflow import PROHIBITIVE_COST, SolverOptions, evaluate_objective
+from gridtvc.h2mg import H2MGError
+from gridtvc.powerflow import (
+    PROHIBITIVE_COST, SolverOptions, evaluate_objective, evaluate_objectives)
 
 import policy_reference
 from estimator_reference import exact_gradient_oracle, raw_gradient_estimate
@@ -24,6 +26,12 @@ PCFG = PolicyConfig()
 
 def oracle(x, y):
     return evaluate_objective(x, y, SolverOptions())
+
+
+def batched(per_decision):
+    """The batch oracle that calls ``per_decision`` on each decision in
+    turn, as ``estimate_gradient`` takes it; it raises where that does."""
+    return lambda x, ys: [per_decision(x, y) for y in ys]
 
 
 def surrogate(values):
@@ -64,7 +72,7 @@ def test_zero_controllers_empty_gradient_one_oracle_call():
         return oracle(xc, y)
 
     z = {}
-    est = estimate_gradient(x, z, EstimatorConfig(), counting,
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(counting),
                             grng.stream(0), PCFG)
     assert est.converged
     assert est.grads == {}
@@ -82,7 +90,7 @@ def test_improving_flip_gets_negative_gradient_sign():
     assert f_flip < f_keep
     negatives = 0
     for seed in range(200):
-        est = estimate_gradient(x, z, EstimatorConfig(), oracle,
+        est = estimate_gradient(x, z, EstimatorConfig(), batched(oracle),
                                 grng.stream("sign", seed), PCFG)
         assert est.converged
         negatives += est.grads["shunt_controller"][0, 0] < 0
@@ -94,7 +102,7 @@ def test_entropy_only_gradient_when_beta_zero():
     x = shunt_overvoltage_grid()
     z = surrogate({"shunt_controller": [[0.7]]})
     cfg = EstimatorConfig(beta=0.0)
-    est = estimate_gradient(x, z, cfg, oracle, grng.stream(1), PCFG)
+    est = estimate_gradient(x, z, cfg, batched(oracle), grng.stream(1), PCFG)
     expected = entropy_term("shunt_controller", [0.7])
     assert np.array_equal(est.grads["shunt_controller"], expected)
     assert est.score_norm == {"shunt_controller": 0.0}
@@ -107,7 +115,7 @@ def test_null_gradient_contract_on_divergent_mode():
     heavy = x.replace_features({("load", "load_0"): {"p_target": 30.0,
                                                      "q_target": 10.0}})
     z = surrogate({"shunt_controller": np.full((2, 1), 0.3)})
-    est = estimate_gradient(heavy, z, EstimatorConfig(), oracle,
+    est = estimate_gradient(heavy, z, EstimatorConfig(), batched(oracle),
                             grng.stream(2), PCFG)
     assert not est.converged
     assert est.f_ref == 100.0
@@ -125,7 +133,7 @@ def test_failing_oracle_sample_scored_prohibitive():
             raise RuntimeError("solver crashed")
         return oracle(xc, y)
 
-    est = estimate_gradient(x, z, EstimatorConfig(), flaky, grng.stream(3), PCFG)
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(flaky), grng.stream(3), PCFG)
     assert est.converged  # the reference converged; samples were scored 100
     # all samples are the flip, all scored 100 -> clip saturates at +1
     f_ref = est.f_ref
@@ -139,9 +147,17 @@ def test_failing_oracle_sample_scored_prohibitive():
 def test_estimate_deterministic_per_stream():
     x = binary_controller_grid(3)
     z = surrogate({"shunt_controller": np.full((3, 1), 0.2)})
-    e1 = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(4), PCFG)
-    e2 = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(4), PCFG)
+    e1 = estimate_gradient(x, z, EstimatorConfig(), batched(oracle), grng.stream(4), PCFG)
+    e2 = estimate_gradient(x, z, EstimatorConfig(), batched(oracle), grng.stream(4), PCFG)
     assert np.array_equal(e1.grads["shunt_controller"], e2.grads["shunt_controller"])
+
+
+@pytest.mark.parametrize("field", ["beta", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_number(field, value):
+    # a NaN beta made every gradient NaN, and Adam rejected every step
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        EstimatorConfig(**{field: value})
 
 
 @pytest.mark.parametrize("samples, named", [
@@ -167,7 +183,7 @@ def test_a_class_left_out_of_samples_keeps_its_default_count():
             made.append(y)
             return SimpleNamespace(total=1.0, status="converged")
 
-        estimate_gradient(x, z, cfg, counting, grng.stream(9), PCFG)
+        estimate_gradient(x, z, cfg, batched(counting), grng.stream(9), PCFG)
         return len(made)
 
     partial = EstimatorConfig(samples={"line_controller": DEFAULT_SAMPLES["line_controller"]})
@@ -190,7 +206,7 @@ def test_svr_class_sampled_jointly_and_gradient_finite():
         "load": (load(0, 2, 0.3, 0.1),),
     })
     z = surrogate({"svr_controller": [[0.01]]})
-    est = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(5), PCFG)
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(oracle), grng.stream(5), PCFG)
     assert est.converged
     assert np.all(np.isfinite(est.grads["svr_controller"]))
 
@@ -311,17 +327,17 @@ def test_estimate_reports_the_mode_decision_status():
     x = generate_context(GridFamilySpec(), grng.stream(0, "val", 7), origin="val-007")
     z = zero_output(x)
     assert oracle(x, policy.most_probable(z)).status == "outer_cap"
-    est = estimate_gradient(x, z, EstimatorConfig(), oracle, grng.stream(6), PCFG)
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(oracle), grng.stream(6), PCFG)
     assert not est.converged and est.status == "outer_cap"
 
     def broken(xc, y):
         raise RuntimeError("solver crashed")
 
-    est = estimate_gradient(x, z, EstimatorConfig(), broken, grng.stream(6), PCFG)
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(broken), grng.stream(6), PCFG)
     assert not est.converged and est.status == "error"
     ok = shunt_overvoltage_grid()
     z_ok = surrogate({"shunt_controller": np.zeros((1, 1))})
-    est = estimate_gradient(ok, z_ok, EstimatorConfig(), oracle, grng.stream(6), PCFG)
+    est = estimate_gradient(ok, z_ok, EstimatorConfig(), batched(oracle), grng.stream(6), PCFG)
     assert est.converged and est.status == "converged"
 
 
@@ -374,7 +390,7 @@ def test_each_distinct_sample_decision_is_scored_once():
 
     cfg = EstimatorConfig()
     rng = _RecordingRng(grng.stream(7))
-    est = estimate_gradient(x, z, cfg, counting, rng, PCFG)
+    est = estimate_gradient(x, z, cfg, batched(counting), rng, PCFG)
     assert est.converged
     # each discrete class draws one batch of picks among distinct unary
     # neighbours; continuous (svr) samples are all distinct
@@ -384,7 +400,7 @@ def test_each_distinct_sample_decision_is_scored_once():
     assert len(calls) == 1 + distinct
     assert same_decision(calls[0], policy.most_probable(z))
     assert len({decision_key(y) for y in calls}) == len(calls)
-    again = estimate_gradient(x, z, cfg, oracle, grng.stream(7), PCFG)
+    again = estimate_gradient(x, z, cfg, batched(oracle), grng.stream(7), PCFG)
     assert est.grads.keys() == again.grads.keys() == set(CONTROLLER_CLASSES)
     for c, g in est.grads.items():
         assert g.shape == z[c].shape
@@ -402,7 +418,7 @@ def test_sample_statuses_count_every_distinct_sample_call():
         calls.append(oracle(xc, y))
         return calls[-1]
 
-    est = estimate_gradient(x, z, EstimatorConfig(), counting, grng.stream(8), PCFG)
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(counting), grng.stream(8), PCFG)
     assert est.converged
     assert est.sample_status.keys() == set(ESTIMATE_STATUSES)
     # the first call scores the mode decision
@@ -422,7 +438,7 @@ def test_failing_oracle_samples_give_prohibitive_share_one():
             raise RuntimeError("solver crashed")
         return oracle(xc, y)
 
-    est = estimate_gradient(x, z, EstimatorConfig(), failing, grng.stream(9), PCFG)
+    est = estimate_gradient(x, z, EstimatorConfig(), batched(failing), grng.stream(9), PCFG)
     assert est.converged
     assert est.prohibitive == est.sample_status["error"] == sum(
         est.sample_status.values()) > 0
@@ -444,4 +460,74 @@ def test_a_warning_made_an_error_by_the_filter_propagates():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="divide by zero"):
-            estimate_gradient(x, z, EstimatorConfig(), dividing, grng.stream(9), PCFG)
+            estimate_gradient(x, z, EstimatorConfig(), batched(dividing), grng.stream(9), PCFG)
+
+
+# -- the batch oracle ----------------------------------------------------------
+
+def test_an_estimate_calls_the_oracle_once_for_the_mode_then_once_for_its_samples():
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 0), origin="val-000")
+    z = zero_output(x)
+    calls, decisions = [], []
+
+    def recording(xc, ys):
+        calls.append(list(ys))
+        return evaluate_objectives(xc, ys)
+
+    def per_decision(xc, y):
+        decisions.append(y)
+        return oracle(xc, y)
+
+    est = estimate_gradient(x, z, EstimatorConfig(), recording, grng.stream(7), PCFG)
+    one_by_one = estimate_gradient(x, z, EstimatorConfig(), batched(per_decision),
+                                   grng.stream(7), PCFG)
+    assert est.converged and len(calls) == 2 and len(calls[0]) == 1
+    # the same decisions in the same order, and the same gradient bits
+    assert [decision_key(y) for y in calls[0] + calls[1]] == list(map(decision_key, decisions))
+    assert est.sample_status == one_by_one.sample_status
+    for c, g in est.grads.items():
+        assert g.tobytes() == one_by_one.grads[c].tobytes()
+
+
+def test_a_raising_batch_call_scores_each_of_its_decisions_as_an_error():
+    x = generate_context(GridFamilySpec(), grng.stream(0, "val", 0), origin="val-000")
+    z = zero_output(x)
+    sizes = []
+
+    def samples_raise(xc, ys):
+        sizes.append(len(ys))
+        if len(sizes) == 2:
+            raise RuntimeError("solver crashed")
+        return evaluate_objectives(xc, ys)
+
+    def samples_prohibitive(xc, ys):
+        if len(sizes) == 2:  # the mode's call comes first
+            sizes.append(len(ys))
+            return evaluate_objectives(xc, ys)
+        return [SimpleNamespace(total=PROHIBITIVE_COST, status="outer_cap")] * len(ys)
+
+    est = estimate_gradient(x, z, EstimatorConfig(), samples_raise, grng.stream(7), PCFG)
+    assert est.converged and sizes[0] == 1 and sizes[1] > 1
+    assert est.sample_status == {**dict.fromkeys(ESTIMATE_STATUSES, 0), "error": sizes[1]}
+    assert est.prohibitive == sizes[1]
+    # each sample is scored PROHIBITIVE_COST, as a solve that does not converge is
+    capped = estimate_gradient(x, z, EstimatorConfig(), samples_prohibitive,
+                               grng.stream(7), PCFG)
+    for c, g in est.grads.items():
+        assert g.tobytes() == capped.grads[c].tobytes()
+
+
+def test_a_structural_error_in_a_batch_call_propagates():
+    x = binary_controller_grid(3)
+    z = surrogate({"shunt_controller": np.full((3, 1), -0.2)})
+
+    calls = []
+
+    def broken_samples(xc, ys):
+        calls.append(ys)
+        if len(calls) == 2:
+            raise H2MGError("mispaired decision")
+        return evaluate_objectives(xc, ys)
+
+    with pytest.raises(H2MGError, match="mispaired"):
+        estimate_gradient(x, z, EstimatorConfig(), broken_samples, grng.stream(9), PCFG)

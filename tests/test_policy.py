@@ -335,3 +335,11 @@ def test_svr_draws_read_the_stream_as_scalar_draws_do():
               for _ in range(5)]
     assert draws.shape == (5, 3)
     assert draws.tolist() == scalar
+
+
+@pytest.mark.parametrize("name", ["sigma", "binary_offset", "rtc_offset_scale", "svr_offset"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_number(name, value):
+    # NaN passes a check such as `sigma <= 0`
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PolicyConfig(**{name: value})

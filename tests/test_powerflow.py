@@ -569,12 +569,12 @@ def test_a_settled_joint_step_writes_nothing():
     # pilots still outside their deadband: no dispatch meets them all.
     x = generate_context(GridFamilySpec(), stream(0, "val", 2), origin="val-002")
     opts = SolverOptions()
-    m, st = pf._solve_raw(apply_decision(x, init_baseline(x, -0.02)), opts)
+    [(m, st)] = pf._solve_all([apply_decision(x, init_baseline(x, -0.02))], opts)
     assert st.status == "converged" and st.outer > pf.JOINT_FROM_ROUND
     off = [abs(z["target"] - st.vm[z["bus"]]) > opts.svr_deadband for z in m.zones]
     assert sum(off) >= 2
     svr_q, before = st.svr_q, st.svr_q.copy()
-    assert not pf._svr_dispatch(m, st, opts)
+    assert pf._run_together([pf._svr_dispatch(m, st, opts)]) == [False]
     assert st.svr_q is svr_q and np.array_equal(svr_q, before)
 
 
@@ -600,6 +600,9 @@ def test_objective_carries_the_restart_of_a_failed_solve():
     ("tolerance", np.nan, "tolerance must be positive"),
     ("target_clamp", (np.nan, 3.0), "target_clamp must not have a NaN end"),
     ("target_clamp", (0.0, np.nan), "target_clamp must not have a NaN end"),
+    *[(name, np.inf, f"{name} must be finite")
+      for name in ("tolerance", "rtc_deadband", "svr_deadband", "lambda_v", "lambda_i",
+                   "lambda_j", "eps_v", "eps_i")],
 ])
 def test_solver_options_refuse_a_bad_value(field, value, problem):
     # the boundary value is accepted

@@ -39,7 +39,8 @@ def _states(x):
     pinned.pinned[b], pinned.pinned_q[b] = +1, m.reg_qmax[b]
     pinned.va = pinned.va + 0.01 * np.sin(np.arange(m.n))
     solved = pf._State(m)
-    assert pf._newton(m, solved, OPTS)[0] is None
+    [(failure, _)] = pf._run_together([pf._newton(m, solved, OPTS)])
+    assert failure is None
     return m, (initial, pinned, solved)
 
 
@@ -48,8 +49,15 @@ def _jacobians(m, st):
     v = st.vm * np.exp(1j * st.va)
     ybus = m.ybus
     ibus = ybus @ v
-    new = pf._jacobian(ybus, v, ibus, pf._jacobian_index(m.n, pvpq, pq))
-    return new, ref.jacobian(ybus, v, ibus, pvpq, pq), (pv, pq, pvpq)
+    return _jacobian(m, ybus, v, ibus, pvpq, pq), ref.jacobian(ybus, v, ibus, pvpq, pq), (
+        pv, pq, pvpq)
+
+
+def _jacobian(m, ybus, v, ibus, pvpq, pq):
+    """The solver's Jacobian of one state, as a stack of one."""
+    index = pf._jacobian_index(m.n, pvpq, pq)
+    return pf._jacobians(ybus[None], v[None], ibus[None], index,
+                         pf._jacobian_layout(m.coupled, index))[0]
 
 
 def test_jacobian_matches_dense_reference(contexts):
@@ -94,7 +102,8 @@ def test_batched_sensitivities_match_per_zone_solves(contexts):
         m, (_, _, solved) = _states(x)
         pq = solved.jac_index[1]
         zones = [z for z in m.zones if z["bus"] in pq]
-        w = pf._svr_sensitivities(solved, np.array([z["bus"] for z in zones]))
+        [w] = pf._run_together([pf._svr_sensitivities(
+            solved, np.array([z["bus"] for z in zones]))])
         pq_pos = {b: k for k, b in enumerate(pq)}
         for k, zone in enumerate(zones):
             want = ref.svr_sensitivity(m, solved, zone)
@@ -119,16 +128,17 @@ def _pinned_pairs(contexts, capped):
 def _solve(x, y, monkeypatch):
     """evaluate_objective's result and the solver state behind it."""
     raws = []
-    solve_raw = pf._solve_raw
+    solve_all = pf._solve_all
 
     def keep(*args):
-        raws.append(solve_raw(*args))
-        return raws[-1]
+        raws.extend(solve_all(*args))
+        return raws
 
     with monkeypatch.context() as mp:
-        mp.setattr(pf, "_solve_raw", keep)
+        mp.setattr(pf, "_solve_all", keep)
         res = pf.evaluate_objective(x, y, OPTS)
-    return res, raws[0][1]
+    [(_, st)] = raws
+    return res, st
 
 
 def test_oracle_matches_reference_on_pinned_pairs(contexts, capped, monkeypatch):
@@ -171,7 +181,10 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
         pv, pq, pvpq = ref.bus_types(m, st)
         for kept, fresh in zip(st.jac_index, (pv, pq, pvpq)):
             assert np.array_equal(kept, fresh)
-        assert np.array_equal(st.index, pf._jacobian_index(m.n, pvpq, pq))
+        index = pf._jacobian_index(m.n, pvpq, pq)
+        assert np.array_equal(st.index, index)
+        for kept, fresh in zip(st.layout, pf._jacobian_layout(m.coupled, index)):
+            assert np.array_equal(kept, fresh)
         pq_pos = np.full(m.n, -1)
         pq_pos[pq] = np.arange(len(pq))
         assert np.array_equal(st.pq_pos, pq_pos)
@@ -185,8 +198,9 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
             assert np.array_equal(vm, st.vm) and np.array_equal(va, st.va)
             ybus = m.assemble_ybus(st.ratio)
             v = vm * np.exp(1j * va)
-            assert np.array_equal(st.jac, pf._jacobian(
-                ybus, v, ybus @ v, pf._jacobian_index(m.n, pvpq, pq)))
+            assert np.array_equal(st.jac, _jacobian(m, ybus, v, ybus @ v, pvpq, pq))
+            # and the complex injections the Q-limit check reads from it
+            assert np.array_equal(st.s, v * np.conj(ybus @ v))
         seen["moved"] = False
         return newton(m, st, opts)
 

@@ -21,7 +21,7 @@ from gridtvc.model import (
     ModelConfig, forward, init_params, load_checkpoint, save_checkpoint)
 from gridtvc.policy import PolicyConfig, apply_offsets, most_probable
 from gridtvc.powerflow import (
-    PROHIBITIVE_COST, SOLVE_STATUSES, SolverOptions, evaluate_objective)
+    PROHIBITIVE_COST, SOLVE_STATUSES, SolverOptions, evaluate_objective, evaluate_objectives)
 from gridtvc.trainer import TrainConfig, decide, evaluate, evaluate_checkpoint, train
 
 import trainer_reference
@@ -82,6 +82,13 @@ def test_config_from_json_rejects_unknown_field():
     ("eps", 0.0)])
 def test_config_refuses_a_bad_value(name, value):
     with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "beta1", "beta2", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_a_non_finite_number(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
         TrainConfig(**{name: value})
 
 
@@ -454,16 +461,20 @@ def test_train_log_counts_every_oracle_call(run, monkeypatch):
     cfg, _, root = run
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evaluate_objective(*args, **kwargs)
+    def counting(x, ys, **kwargs):
+        calls.append(len(ys))
+        return evaluate_objectives(x, ys, **kwargs)
 
-    monkeypatch.setattr(trainer, "evaluate_objective", counting)
-    # no validation, so every call comes from an estimate
+    monkeypatch.setattr(trainer, "evaluate_objectives", counting)
+    # no validation, so every decision scored comes from an estimate
     records = log_records(train(replace(cfg, eval_every=0,
                                         out_dir=str(root / "counted")))["log"])
-    assert sum(r["mode_status"]["converged"] for r in records) > 0
-    assert sum(r["oracle_calls"] for r in records) == len(calls)
+    converged = sum(r["mode_status"]["converged"] for r in records)
+    assert converged > 0
+    assert sum(r["oracle_calls"] for r in records) == sum(calls)
+    # one call for each mode, and one more for the samples of each converged one
+    estimates = sum(sum(r["mode_status"].values()) for r in records)
+    assert len(calls) == estimates + converged
 
 
 def test_train_log_names_the_outer_cap_of_a_pinned_context(tmp_path, monkeypatch):
