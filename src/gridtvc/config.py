@@ -43,3 +43,15 @@ def require_finite(cfg, *names: str) -> None:
     for name in names:
         if not math.isfinite(getattr(cfg, name)):
             raise ValueError(f"{name} must be finite, not {getattr(cfg, name)!r}")
+
+
+def require_integer(name: str, value, least: int | None = None) -> None:
+    """Refuse ``value`` unless it is an ``int``, not a bool, of at least
+    ``least``, naming it ``name``: NaN passes a check such as
+    ``value <= 0``, and a NaN, fractional or boolean count read as a cap
+    (``outer >= max_outer``) or a size stops at the wrong place or raises
+    where it is used."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, not {value!r}")

@@ -29,7 +29,7 @@ from .h2mg import (
     SurrogateDecision,
 )
 from . import policy
-from .config import require_finite
+from .config import require_finite, require_integer
 from .policy import PolicyConfig
 from .powerflow import PROHIBITIVE_COST, SOLVE_STATUSES
 
@@ -69,8 +69,7 @@ class EstimatorConfig:
         for cname, n in self.samples.items():
             if cname not in CONTROLLER_CLASSES:
                 raise ValueError(f"samples: {cname!r} is not a controller class")
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ValueError(f"samples: {cname!r} count {n!r} is not a positive integer")
+            require_integer(f"samples: {cname!r} count", n, 1)
 
 
 def _norm(g: np.ndarray) -> float:

@@ -75,7 +75,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import config_from_json, config_to_json
+from .config import config_from_json, config_to_json, require_integer
 from .gridgen import CompiledContext, Normalizer
 from .h2mg import SCHEMA, SurrogateDecision, schema_hash
 
@@ -103,6 +103,8 @@ class ModelConfig:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
+        for name in ("latent_dim", "encoder_out"):
+            require_integer(name, getattr(self, name), 1)
         # the leaky ReLU is evaluated as max(z, slope * z)
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must lie in [0, 1]")

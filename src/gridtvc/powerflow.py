@@ -11,20 +11,15 @@ context: a solve and an :class:`ObjectiveBreakdown` of objective terms,
 counts and losses per decision; :func:`evaluate_objective` scores one.
 There is one solver path, and a batch of one runs on it too.
 
-The solves of a batch run in lockstep (:func:`_run_together`).  Each solve
-is a generator that runs its own control loops and yields its Newton
-solves and SVR sensitivity solves as requests.  Every round, the pending
-Newton requests of one PV/PQ split run as one stacked Newton
-(:func:`_stacked_newton`): one ``matmul`` for the mismatch, one Jacobian
-build and one ``np.linalg.solve`` per iteration over the solves still
-iterating, and the ``J^T`` sensitivity solves of one shape are one stacked
-solve too.  A solve leaves the batch when it ends.  With one BLAS thread a
-stacked ``matmul`` or solve gives each slice the bits it gets alone, and
-everything else is elementwise, so a decision's record has the same bits
-whatever else is in its batch (``tests/test_powerflow_batch.py``), as
-many-variants-of-one-grid power flow is batched in Zhou et al., "GPU-
-Accelerated Batch-ACPF Solution for N-1 Static Security Analysis" (IEEE
-Trans. Smart Grid, 2017).
+A batch's solves run round by round (:func:`_solve_all`).  A round's
+Newton solves are one call, in which the states of one PV/PQ split step
+together (:func:`_stacked_newton`); then each solve that converged runs
+its control loops alone.  With one BLAS thread a stacked ``matmul`` or
+solve gives each slice the bits it gets alone, so a decision's record does
+not depend on its batch (``tests/test_powerflow_batch.py``).  Batching
+many variants of one grid follows Zhou et al., "GPU-Accelerated
+Batch-ACPF Solution for N-1 Static Security Analysis" (IEEE Trans. Smart
+Grid, 2017).
 
 The inner loop is array-native:
 
@@ -35,12 +30,10 @@ The inner loop is array-native:
   is computed only where a branch couples two buses and on the diagonal,
   the entries that can be nonzero, and scattered into the Jacobian's four
   real blocks through one flat index.
-* The model's Ybus is assembled once, at the context's taps.  A solve
-  starts from it, keeps its own for the Newton loop, the Q-limit check and
-  the generator outputs, and re-assembles that one only when a tap changer
-  moves, the one change to branch admittances during a solve.  A solve
-  writes nothing on the model: the taps, Ybus, pins and outcome it moves
-  live on its state.
+* The model's Ybus is assembled once, at the context's taps, and a solve
+  re-assembles its own only when a tap changer moves, the one change to
+  branch admittances during a solve.  A solve writes nothing on the model:
+  the taps, Ybus, pins and outcome it moves live on its state.
 * The SVR dispatch gets the voltage sensitivities of every zone outside
   its deadband from one multi-right-hand-side solve of ``J^T`` per round.
   For the first :data:`JOINT_FROM_ROUND` outer rounds each zone steps
@@ -51,17 +44,13 @@ The inner loop is array-native:
   a joint step that moves no unit by more than :data:`SETTLE_STEP` has
   settled.
 
-Two things carry over from one outer round to the next, and neither
-changes a bit of any result.  The PV/PQ split, the gather index and the
-PQ positions the dispatch reads stay on the solver state; only a Q-limit
-pin flip changes the split, so they are rebuilt after a flip and nowhere
-else.  And the first Newton iteration of a round reuses the Jacobian the
-previous round converged on when no tap moved, no pin flipped and no
-flat-start retry ran since.  The SVR dispatch changes only the reactive
-injections, which the Jacobian does not read, so Ybus, the voltages, the
-bus currents and the index are then the very arrays ``_jacobians`` would
-be given, and it would return the same bits.  For the same reason the
-Q-limit check reads the bus injections that Newton converged on.
+Two things carry over from one outer round to the next without changing
+a bit.  The PV/PQ split and the indices that follow from it stay on the
+state, rebuilt only after a Q-limit pin flips.  And while no tap, pin or
+voltage has moved since Newton converged, the first Newton iteration of
+the next round reuses the Jacobian it converged on, and the Q-limit check
+the bus injections: the SVR dispatch changes only reactive injections,
+which neither reads.
 """
 
 from __future__ import annotations
@@ -71,7 +60,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import require_finite
+from .config import require_finite, require_integer
 from .h2mg import (
     Decision,
     H2MGContext,
@@ -139,8 +128,8 @@ class SolverOptions:
         # written as `not value > 0` and `not value >= 0` so that NaN fails
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_inner <= 0 or self.max_outer <= 0:
-            raise ValueError("iteration caps must be positive")
+        for name in ("max_inner", "max_outer"):  # a NaN cap never stops a drifting solve
+            require_integer(name, getattr(self, name), 1)
         # The baseline search prunes on costs that cannot be negative, a NaN
         # weight scores every solve NaN, and a negative margin scores a
         # violating voltage or current as 0.
@@ -460,7 +449,7 @@ class _State:
     tap lists hold one entry per ``m.rtcs`` entry; ``ybus`` is rebound to a
     fresh assembly when a tap moves, never written in place, so it may
     start as the model's own.  ``status`` (one of :data:`SOLVE_STATUSES`),
-    ``inner``, ``outer`` and ``moving`` are set by :func:`_solve`.
+    ``inner``, ``outer`` and ``moving`` are set by :func:`_solve_all`.
     """
 
     def __init__(self, m: _GridModel):
@@ -597,13 +586,7 @@ def _jacobians(ybus, v, ibus, index, layout) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep solving
-#
-# A solve, and each of its steps that needs Newton's method or a
-# sensitivity solve (a "lockstep step"), is a generator.  It yields a
-# request ``(kind, *args)``, is sent the answer, and returns what a plain
-# function would.  ``kind`` answers a list of such ``args`` at once, on
-# stacked arrays.
+# Batched Newton
 
 def _stack(arrays: list) -> np.ndarray:
     """``arrays`` along a new first axis; a single array is not copied."""
@@ -617,51 +600,29 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
         return np.linalg.solve(a, b), [False] * len(a)
     except np.linalg.LinAlgError:
         # one singular matrix fails the whole stack: solve it one by one
-        x, singular = np.zeros(b.shape), []
-        for ak, bk, xk in zip(a, b, x):
+        x, singular = np.zeros(b.shape), [False] * len(a)
+        for k in range(len(a)):
             try:
-                xk[...] = np.linalg.solve(ak, bk)
+                x[k] = np.linalg.solve(a[k], b[k])
             except np.linalg.LinAlgError:
-                singular.append(True)
-            else:
-                singular.append(False)
+                singular[k] = True
         return x, singular
 
 
-def _transposed_solves(requests: list) -> list:
-    """Answer requests ``(jac, rhs)`` with ``jac⁻ᵀ rhs``, ``None`` when
-    ``jac`` is singular; the systems of one shape are one stack."""
-    out = [None] * len(requests)
-    shapes: dict[tuple, list[int]] = {}
-    for k, (_, rhs) in enumerate(requests):
-        shapes.setdefault(rhs.shape, []).append(k)
-    for ks in shapes.values():
-        x, singular = _solve_stack(_stack([requests[k][0].T for k in ks]),
-                                   _stack([requests[k][1] for k in ks]))
-        for k, xk, bad in zip(ks, x, singular):
-            out[k] = None if bad else xk
-    return out
-
-
-def _newtons(requests: list) -> list:
-    """Answer Newton requests ``(m, st, opts)`` with ``(failure, iterations)``.
-
-    The states of one PV/PQ split are solved together by
-    :func:`_stacked_newton`; every request has the same options.
-    """
-    out = [None] * len(requests)
+def _newtons(pairs: list, opts: SolverOptions) -> list:
+    """Newton's method on every ``(m, st)`` of ``pairs``; returns each
+    state's ``(failure, iterations)``.  The states of one PV/PQ split are
+    one :func:`_stacked_newton`."""
     splits: dict[tuple, list[int]] = {}
-    for k, (m, st, _) in enumerate(requests):
+    for k, (m, st) in enumerate(pairs):
         splits.setdefault((m.n, st.jac_index[0].tobytes()), []).append(k)
+    out = {}
     for ks in splits.values():
-        results = _stacked_newton([requests[k][0] for k in ks],
-                                  [requests[k][1] for k in ks], requests[0][2])
-        for k, result in zip(ks, results):
-            out[k] = result
-    return out
+        out.update(zip(ks, _stacked_newton([pairs[k] for k in ks], opts)))
+    return [out[k] for k in range(len(pairs))]
 
 
-def _stacked_newton(ms: list, sts: list, opts: SolverOptions) -> list:
+def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
     """Newton's method on states that share a PV/PQ split, in lockstep.
 
     Returns each state's ``(failure, iterations)``: ``failure`` is None on
@@ -670,16 +631,14 @@ def _stacked_newton(ms: list, sts: list, opts: SolverOptions) -> list:
     Jacobian at the converged state.  Row ``r`` of the stacked arrays is
     state ``rows[r]``, and a state leaves the stack when it stops.
     """
-    st0 = sts[0]
-    pv = st0.jac_index[0]
-    index, mis_index, x_index = st0.index, st0.mis_index, st0.x_index
-    slack, size = ms[0].slack_bus, len(index)
+    (m0, st0), sts = pairs[0], [st for _, st in pairs]
+    pv, index, mis_index, x_index = st0.jac_index[0], st0.index, st0.mis_index, st0.x_index
+    slack, size = m0.slack_bus, len(index)
     # the unknowns' rows [va, vm] and the specified injections
-    x = np.empty((len(sts), 2, ms[0].n))
+    x = np.empty((len(pairs), 2, m0.n))
     spec = []
-    for r, (m, st) in enumerate(zip(ms, sts)):
-        st.vm[slack] = m.vset[slack]
-        st.va[slack] = 0.0
+    for r, (m, st) in enumerate(pairs):
+        st.vm[slack], st.va[slack] = m.vset[slack], 0.0
         st.vm[pv] = m.vset[pv]
         x[r, 0], x[r, 1] = st.va, st.vm
         # Pinned buses behave as PQ with the regulating output frozen at a limit.
@@ -690,8 +649,8 @@ def _stacked_newton(ms: list, sts: list, opts: SolverOptions) -> list:
     spec, ybus = _stack(spec), _stack([st.ybus for st in sts])
     # the Jacobian entries that any state of the stack can have
     layout = st0.layout
-    if any(not np.array_equal(m.coupled, ms[0].coupled) for m in ms[1:]):
-        layout = _jacobian_layout(np.logical_or.reduce([m.coupled for m in ms]), index)
+    if any(not np.array_equal(m.coupled, m0.coupled) for m, _ in pairs[1:]):
+        layout = _jacobian_layout(np.logical_or.reduce([m.coupled for m, _ in pairs]), index)
     # A state's first Jacobian is the one it last converged on, while that
     # is still bitwise what _jacobians would build.
     reuse = [st.jac_current for st in sts]
@@ -701,57 +660,47 @@ def _stacked_newton(ms: list, sts: list, opts: SolverOptions) -> list:
     out = [None] * len(sts)
     at = np.zeros(0, dtype=int)
 
-    def stop(r, failure, it):
-        st = sts[rows[r]]
-        st.va, st.vm = x[r]
-        out[rows[r]] = failure, it
+    def drop(ends: dict, *arrays):
+        # end each row r of ends with ends[r] (None: converged); returns arrays without them
+        nonlocal rows, x, ybus, spec
+        for r, failure in ends.items():
+            st = sts[rows[r]]
+            st.va, st.vm = x[r]
+            out[rows[r]] = failure, it
+        live = [r for r in range(len(rows)) if r not in ends]
+        rows = [rows[r] for r in live]
+        x, ybus, spec, *arrays = [a.take(live, 0) for a in (x, ybus, spec, *arrays)]
+        return arrays
 
     for it in range(opts.max_inner + 1):
         v = x[:, 1] * np.exp(1j * x[:, 0])
         ibus = np.matmul(ybus, v[:, :, None])[:, :, 0]
         s = v * np.conj(ibus)
         mis = spec - s.view(float).take(mis_index, axis=1)
-        if not size:
-            for r, k in enumerate(rows):
-                sts[k].jac = None
-                stop(r, None, it)
-            return out
-        live, done = [], []
-        for r, norm in enumerate(np.abs(mis).max(axis=1).tolist()):
-            if not math.isfinite(norm) or norm > opts.tolerance and it == opts.max_inner:
-                stop(r, "newton_failed", it)
-            else:
-                live.append(r)
-                if norm <= opts.tolerance:
-                    done.append(r)
-        if not live:
-            return out
-        if len(live) < len(rows):
-            rows, x, ybus, spec = [rows[r] for r in live], x[live], ybus[live], spec[live]
-            v, ibus, s, mis = v[live], ibus[live], s[live], mis[live]
-            done = [live.index(r) for r in done]
+        # a state with no unknowns (only a slack bus) converges at once
+        norm = np.abs(mis).max(axis=1, initial=0.0)
+        failed = {r: "newton_failed" for r, n in enumerate(norm.tolist())
+                  if not math.isfinite(n) or n > opts.tolerance and it == opts.max_inner}
+        if failed:
+            v, ibus, s, mis, norm = drop(failed, v, ibus, s, mis, norm)
+            if not rows:
+                return out
         # the Jacobian of every row, converged or about to step
         fresh = [r for r, k in enumerate(rows) if not (it == 0 and reuse[k])]
         if len(fresh) == len(rows):
             jac = _jacobians(ybus, v, ibus, index, layout)
-        elif not fresh:
-            jac = _stack([sts[k].jac for k in rows])
         else:
-            jac = np.empty((len(rows), size, size))
-            for r, k in enumerate(rows):
-                if reuse[k]:
-                    jac[r] = sts[k].jac
-            jac[fresh] = _jacobians(ybus[fresh], v[fresh], ibus[fresh], index, layout)
+            jac = _stack([sts[k].jac if reuse[k] else np.empty((size, size)) for k in rows])
+            if fresh:
+                jac[fresh] = _jacobians(ybus[fresh], v[fresh], ibus[fresh], index, layout)
+        done = [r for r, n in enumerate(norm.tolist()) if n <= opts.tolerance]
         for r in done:
             st = sts[rows[r]]
             st.jac, st.s, st.jac_current = jac[r].copy(), s[r], True
-            stop(r, None, it)
         if done:
-            live = [r for r in range(len(rows)) if r not in done]
-            if not live:
+            jac, mis = drop(dict.fromkeys(done), jac, mis)
+            if not rows:
                 return out
-            rows, x, ybus, spec = [rows[r] for r in live], x[live], ybus[live], spec[live]
-            jac, mis = jac[live], mis[live]
         dx, singular = _solve_stack(jac, mis[:, :, None])
         if at.size != dx.size:
             # each row's unknowns, as positions in x flattened
@@ -760,75 +709,32 @@ def _stacked_newton(ms: list, sts: list, opts: SolverOptions) -> list:
         vm = x[:, 1]
         # every row's magnitudes are positive and finite when all of them are
         if any(singular) or not (vm.min() > 0 and math.isfinite(vm.sum())):
-            live = []
-            for r, (bad, low, total) in enumerate(zip(singular, vm.min(axis=1).tolist(),
-                                                      vm.sum(axis=1).tolist())):
-                if bad:
-                    stop(r, "singular_jacobian", it)
-                elif not (low > 0 and math.isfinite(total)):
-                    stop(r, "newton_failed", it)
-                else:
-                    live.append(r)
-            if not live:
+            bad = ~(vm.min(axis=1) > 0) | ~np.isfinite(vm.sum(axis=1))
+            drop({r: "singular_jacobian" if sing else "newton_failed"
+                  for r, (sing, b) in enumerate(zip(singular, bad.tolist())) if sing or b})
+            if not rows:
                 return out
-            rows, x, ybus, spec = [rows[r] for r in live], x[live], ybus[live], spec[live]
     return out
 
 
-#: The order in which :func:`_run_together` answers request kinds: the
-#: sensitivity solves first, so that a solve whose SVR dispatch needed
-#: one meets the others at its next Newton request.
-_ANSWER_ORDER = (_transposed_solves, _newtons)
+def _newtons_restarting(pairs: list, opts: SolverOptions) -> list:
+    """:func:`_newtons`, then one flat-start retry of the states that
+    failed, so a poor warm start is not fatal; returns each state's
+    ``(failure, iterations)`` over both tries."""
+    out = _newtons(pairs, opts)
+    failed = [k for k, (failure, _) in enumerate(out) if failure is not None]
+    if not failed:
+        return out
+    for m, st in (pairs[k] for k in failed):
+        st.restarts += 1
+        st.vm, st.va = m.v_nom.copy(), np.zeros(m.n)
+    for k, (failure, it) in zip(failed, _newtons([pairs[k] for k in failed], opts)):
+        out[k] = failure, out[k][1] + it
+    return out
 
 
-def _run_together(solves: list) -> list:
-    """Run the generators ``solves`` in lockstep; returns what each returned.
-
-    Every pending request of the first kind in :data:`_ANSWER_ORDER` that
-    has one is answered by one call, and each of those solves is sent its
-    answer and runs to its next request.  A solve leaves when it returns.
-    """
-    results = [None] * len(solves)
-    waiting: dict = {kind: [] for kind in _ANSWER_ORDER}
-
-    def advance(k, answer):
-        try:
-            kind, *args = solves[k].send(answer)
-        except StopIteration as done:
-            results[k] = done.value
-        else:
-            waiting[kind].append((k, args))
-
-    for k in range(len(solves)):
-        advance(k, None)
-    while True:
-        for kind in _ANSWER_ORDER:
-            if waiting[kind]:
-                break
-        else:
-            return results
-        requests, waiting[kind] = waiting[kind], []
-        for (k, _), answer in zip(requests, kind([args for _, args in requests])):
-            advance(k, answer)
-
-
-def _newton(m: _GridModel, st: _State, opts: SolverOptions):
-    """One Newton solve of ``st``, a lockstep step answered by
-    :func:`_newtons`; returns ``(failure, iterations)``."""
-    return (yield (_newtons, m, st, opts))
-
-
-def _newton_restarting(m: _GridModel, st: _State, opts: SolverOptions):
-    """Newton with one flat-start retry, so a poor warm start is not fatal."""
-    failure, it = yield from _newton(m, st, opts)
-    if failure is None:
-        return failure, it
-    st.restarts += 1
-    st.vm = m.v_nom.copy()
-    st.va = np.zeros(m.n)
-    failure2, it2 = yield from _newton(m, st, opts)
-    return failure2, it + it2
-
+# ---------------------------------------------------------------------------
+# Outer control loops
 
 def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Move each regulating tap one position toward its target.
@@ -870,15 +776,17 @@ def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
 
     Column k is ``J^-T e_k`` restricted to the Q-injection rows, where
     ``e_k`` selects the voltage-magnitude unknown of ``buses[k]``: one
-    solve for all the regulated buses of a round.  Every bus must be PQ.
-    A lockstep step; returns None when the Jacobian is singular.
+    multi-right-hand-side solve for all the regulated buses of a round.
+    Every bus must be PQ.  Returns None when the Jacobian is singular.
     """
     npvpq = len(st.jac_index[2])
     rows = npvpq + st.pq_pos[buses]
     rhs = np.zeros((st.jac.shape[0], len(buses)))
     rhs[rows, np.arange(len(buses))] = 1.0
-    w = yield (_transposed_solves, st.jac, rhs)
-    return None if w is None else w[npvpq:]
+    try:
+        return np.linalg.solve(st.jac.T, rhs)[npvpq:]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _waterfall(zone: dict, q: list, remaining: float) -> bool:
@@ -917,7 +825,7 @@ def _waterfall(zone: dict, q: list, remaining: float) -> bool:
 
 def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     """Move the SVR units of every zone whose pilot bus is outside its
-    deadband; a lockstep step that returns whether a unit moved.
+    deadband; returns whether a unit moved.
 
     For the first :data:`JOINT_FROM_ROUND` outer rounds of a solve, each
     zone steps alone on its own sensitivity (a Jacobi step).  From then on
@@ -941,7 +849,7 @@ def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
         return False
     # The sensitivities read only st.jac and st.vm, which the zone loop
     # below leaves alone, so one solve serves every zone of the round.
-    w = yield from _svr_sensitivities(st, np.array([z["bus"] for z, _ in moving]))
+    w = _svr_sensitivities(st, np.array([z["bus"] for z, _ in moving]))
     if w is None:
         return False
     if st.outer > JOINT_FROM_ROUND:
@@ -1028,30 +936,31 @@ def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     return changed
 
 
-def _solve(m: _GridModel, st: _State, opts: SolverOptions):
-    """One solve, a lockstep step: ``st`` ends holding the solved values
-    and how the solve ended."""
-    failure, st.inner = yield from _newton_restarting(m, st, opts)
-    while failure is None and st.outer < opts.max_outer:
-        st.outer += 1
-        # every loop acts each round, in this order, whether or not one before moved
-        moved = (_rtc_step(m, st, opts), (yield from _svr_dispatch(m, st, opts)),
-                 _q_limit_switch(m, st, opts))
-        st.moving = tuple([name for name, mv in zip(MOVING_LOOPS, moved) if mv])
-        if not st.moving:
-            st.status = "converged"
-            return
-        failure, it = yield from _newton_restarting(m, st, opts)
-        st.inner += it
-    st.status = failure or "outer_cap"
-
-
 def _solve_all(xs: list[H2MGContext], opts: SolverOptions) -> list[tuple[_GridModel, _State]]:
-    """Solve every context of ``xs`` in lockstep; each state holds the
-    solved values and how its solve ended.  The contexts must share their
-    buses, as the decisions on one context do."""
+    """Solve every context of ``xs`` together; each state holds the solved
+    values and how its solve ended.  The contexts must share their buses,
+    as the decisions on one context do.
+
+    Each round runs the Newton solves of the unfinished solves as one
+    :func:`_newtons_restarting` call.  A solve ends when its Newton fails
+    or it has run ``max_outer`` rounds of control loops; any other runs
+    every loop once more, and has converged when none moved.
+    """
     pairs = [(m, _State(m)) for m in (_GridModel(x, opts) for x in xs)]
-    _run_together([_solve(m, st, opts) for m, st in pairs])
+    running = pairs
+    while running:
+        for (m, st), (failure, it) in zip(running, _newtons_restarting(running, opts)):
+            st.inner += it
+            if failure is not None or st.outer >= opts.max_outer:
+                st.status = failure or "outer_cap"
+                continue
+            st.outer += 1
+            moved = (_rtc_step(m, st, opts), _svr_dispatch(m, st, opts),
+                     _q_limit_switch(m, st, opts))
+            st.moving = tuple([name for name, mv in zip(MOVING_LOOPS, moved) if mv])
+            if not st.moving:
+                st.status = "converged"
+        running = [(m, st) for m, st in running if st.status is None]
     return pairs
 
 
@@ -1156,11 +1065,9 @@ def evaluate_objectives(x: H2MGContext, ys: list[Decision],
     """Apply each decision of ``ys`` to ``x``, solve, and score
     voltage/current violations plus losses; one record per decision.
 
-    The solves run in lockstep (:func:`_run_together`): each Newton
-    iteration builds the Jacobians of every unfinished solve as one stack
-    and solves each group of equal size as one stack, and so do the SVR
-    dispatch's sensitivity solves.  A solve leaves the batch when it ends.
-    A decision's record has the same bits whatever else is in ``ys``.
+    The solves run round by round (:func:`_solve_all`), and each round's
+    Newton solves are stacked.  A decision's record has the same bits
+    whatever else is in ``ys``.
     """
     return [_score(m, st, opts)
             for m, st in _solve_all([apply_decision(x, y) for y in ys], opts)]

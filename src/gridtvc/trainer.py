@@ -8,7 +8,7 @@ engine for that union, which keeps its latents after every step.  Then
 :func:`~gridtvc.estimator.estimate_gradient` is mapped over the contexts
 against the batch oracle :func:`~gridtvc.powerflow.evaluate_objectives`,
 which scores an estimate's mode decision and then all its distinct
-samples in one lockstep solve: by the builtin ``map`` in-process, by
+samples in one batched solve: by the builtin ``map`` in-process, by
 ``pool.map`` in a worker pool that receives no parameters, the same call on
 the same Philox streams either way.  Last, :func:`~gridtvc.model.vjp` on
 that engine sweeps back from its latents over the contexts whose mode
@@ -49,7 +49,7 @@ import numpy as np
 from . import policy as policy_mod
 from . import rng as grng
 from .baseline import init_baseline
-from .config import config_from_json, config_to_json, require_finite
+from .config import config_from_json, config_to_json, require_finite, require_integer
 from .estimator import ESTIMATE_STATUSES, EstimatorConfig, estimate_gradient
 from .gridgen import CompiledContext, Normalizer, fit_normalizer, load_dataset, normalize
 from .h2mg import CONTROLLER_CLASSES, RTC_CATEGORIES, Decision, H2MGContext, H2MGError
@@ -90,15 +90,16 @@ class TrainConfig:
 
     def __post_init__(self):
         require_finite(self, "learning_rate", "beta1", "beta2", "eps")
-        for name in ("learning_rate", "eps", "minibatch"):
+        for name in ("learning_rate", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1)")
+        require_integer("minibatch", self.minibatch, 1)
         for name in ("iterations", "eval_every", "eval_limit", "workers"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
+            require_integer(name, getattr(self, name), 0)
+        require_integer("seed", self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def train(cfg: TrainConfig) -> dict:
     # written into every checkpoint, for evaluate_checkpoint to read back
     configs = {"policy": config_to_json(cfg.policy), "solver": config_to_json(cfg.solver)}
     # the batch oracle: each estimate scores its mode, then all its distinct
-    # samples in one lockstep solve; looked up here, not at import, so a
+    # samples in one batched solve; looked up here, not at import, so a
     # replaced evaluate_objectives is called
     oracle = functools.partial(evaluate_objectives, opts=cfg.solver)
     pool = None

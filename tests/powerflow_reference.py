@@ -254,17 +254,9 @@ def q_limit_switch(m, st, opts):
     return changed
 
 
-def solo(step):
-    """``step`` as a step of the solver's lockstep solves: a generator
-    that asks the batch for nothing and returns what ``step`` returns."""
-    def lockstep(*args):
-        return step(*args)
-        yield  # unreachable; it makes this function a generator
-    return lockstep
-
-
 def swap_in(monkeypatch) -> None:
     """Run every later oracle call of the test on the reference inner loop."""
-    monkeypatch.setattr(pf, "_newton", solo(newton))
-    monkeypatch.setattr(pf, "_svr_dispatch", solo(svr_dispatch))
+    monkeypatch.setattr(pf, "_newtons",
+                        lambda pairs, opts: [newton(m, st, opts) for m, st in pairs])
+    monkeypatch.setattr(pf, "_svr_dispatch", svr_dispatch)
     monkeypatch.setattr(pf, "_q_limit_switch", q_limit_switch)

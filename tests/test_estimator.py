@@ -165,6 +165,8 @@ def test_config_refuses_a_non_finite_number(field, value):
     ({"line_controller": 0}, "line_controller"),
     ({"shunt_controller": 2.5}, "shunt_controller"),
     ({"svr_controller": True}, "svr_controller"),
+    ({"rtc_controller": math.nan}, "rtc_controller"),
+    ({"rtc_controller": 4.0}, "rtc_controller"),
 ])
 def test_config_rejects_unknown_classes_and_bad_counts(samples, named):
     with pytest.raises(ValueError, match=named):

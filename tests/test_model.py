@@ -131,6 +131,14 @@ def test_default_steps_and_shapes():
     assert TINY.steps == 20
 
 
+@pytest.mark.parametrize("name", ["latent_dim", "encoder_out"])
+@pytest.mark.parametrize("value", [np.nan, 2.5, 4.0, True, 0])
+def test_config_rejects_a_width_that_is_not_a_positive_integer(name, value):
+    ModelConfig(**{name: 1})
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+        ModelConfig(**{name: value})
+
+
 @pytest.mark.parametrize("dt", [0.03, 0.3, -0.1, 0.0])
 def test_config_rejects_a_step_that_does_not_end_at_unit_time(dt):
     with pytest.raises(ValueError):

@@ -574,8 +574,21 @@ def test_a_settled_joint_step_writes_nothing():
     off = [abs(z["target"] - st.vm[z["bus"]]) > opts.svr_deadband for z in m.zones]
     assert sum(off) >= 2
     svr_q, before = st.svr_q, st.svr_q.copy()
-    assert pf._run_together([pf._svr_dispatch(m, st, opts)]) == [False]
+    assert pf._svr_dispatch(m, st, opts) is False
     assert st.svr_q is svr_q and np.array_equal(svr_q, before)
+
+
+def test_a_grid_with_only_a_slack_bus_converges_at_once():
+    # No unknowns: Newton converges at iteration 0, and the slack machine
+    # takes the load and the shunt's injection at its set-point voltage.
+    x = H2MGContext(3, {"bus": (bus(0, 0),), "generator": (gen(0, 1, 0, slack=1.0, v=1.02),),
+                        "load": (load(0, 0, 0.5, 0.2),), "shunt": (shunt(0, 2, 0, b=0.1),)})
+    sol = solve_ac(x)
+    assert (sol.status, sol.inner_iterations, sol.outer_iterations) == ("converged", 0, 1)
+    [g] = sol.context.edges_of("generator")
+    assert g.features["p"] == 0.5
+    assert g.features["q"] == pytest.approx(0.2 - 0.1 * 1.02 ** 2, abs=1e-15)
+    assert evaluate_objective(x, empty_decision(x)).status == "converged"
 
 
 def test_objective_carries_the_restart_of_a_failed_solve():
@@ -608,4 +621,15 @@ def test_solver_options_refuse_a_bad_value(field, value, problem):
     # the boundary value is accepted
     SolverOptions(**{field: {"tolerance": 1e-12, "target_clamp": (1.0, 1.0)}.get(field, 0.0)})
     with pytest.raises(ValueError, match=problem):
+        SolverOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["max_inner", "max_outer"])
+@pytest.mark.parametrize("value", [np.nan, 2.5, 3.0, True, 0, -1])
+def test_solver_options_refuse_a_cap_that_is_not_a_positive_integer(field, value):
+    # A NaN max_outer scored every solve outer_cap at round 0, 2.5 ran
+    # three rounds and True one; a fractional or NaN max_inner raised
+    # inside the solve.
+    SolverOptions(**{field: 1})
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
         SolverOptions(**{field: value})

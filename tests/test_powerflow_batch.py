@@ -91,23 +91,35 @@ def test_a_decision_scores_the_same_bits_in_any_batch(cases, order):
 
 def test_a_solve_leaves_the_batch_when_it_ends(cases, monkeypatch):
     # Four solves hit the outer cap at round 100; the others end sooner, and
-    # later Newton calls stack only the solves still running.
+    # later Newton calls stack only the solves still running.  A round
+    # whose Newton fails for some state makes one more call, the flat-start
+    # retry of those states.
     x, ys, alone = cases[0]
-    sizes = []
+    calls = []
     newtons = pf._newtons
 
-    def counted(requests):
-        sizes.append(len(requests))
-        return newtons(requests)
+    def counted(pairs, opts):
+        calls.append([(st, st.restarts) for _, st in pairs])
+        return newtons(pairs, opts)
 
     monkeypatch.setattr(pf, "_newtons", counted)
-    monkeypatch.setattr(pf, "_ANSWER_ORDER", (pf._transposed_solves, counted))
     evaluate_objectives(x, ys)
+    assert all(calls)
+    # a retry call holds only states that have restarted since their last call
+    rounds, retries, last = [], 0, {}
+    for call in calls:
+        if all(id(st) in last and n > last[id(st)] for st, n in call):
+            retries += 1
+        else:
+            rounds.append(len(call))
+        last.update((id(st), n) for st, n in call)
     capped = sum(r.status == "outer_cap" for r in alone)
-    assert sizes[0] == len(ys) and sizes[-1] == capped == 4
-    assert sizes == sorted(sizes, reverse=True)
-    # one stacked Newton request per round of the longest solve, restarts aside
-    assert len(sizes) <= max(r.outer + 1 + r.restarts for r in alone) + 2
+    assert rounds[0] == len(ys) and rounds[-1] == capped == 4
+    assert rounds == sorted(rounds, reverse=True)
+    # one call per round of the longest solve: a solve that did not converge
+    # also ran Newton after its last round of control loops
+    assert len(rounds) == max(r.outer + (r.status != "converged") for r in alone)
+    assert 1 <= retries <= sum(r.restarts for r in alone)
 
 
 def test_an_empty_batch_scores_nothing():
@@ -123,10 +135,27 @@ def test_a_state_keeps_its_own_injections_when_another_stops_beside_it():
     opts = pf.SolverOptions()
     m = pf._GridModel(pf.apply_decision(x, init_baseline(x, 0.0)), opts)
     converged, broken = pf._State(m), pf._State(m)
-    pf._run_together([pf._newton(m, converged, opts)])
+    pf._newtons([(m, converged)], opts)
     broken.va = np.full(m.n, np.nan)
     with np.errstate(invalid="ignore"):
-        got = pf._run_together([pf._newton(m, broken, opts), pf._newton(m, converged, opts)])
+        got = pf._newtons([(m, broken), (m, converged)], opts)
     assert got == [("newton_failed", 0), (None, 0)]
     v = converged.vm * np.exp(1j * converged.va)
     assert np.array_equal(converged.s, v * np.conj(converged.ybus @ v))
+
+
+@pytest.mark.parametrize("max_outer", [1, 2, pf.JOINT_FROM_ROUND + 1])
+def test_the_round_loop_stops_a_moving_solve_at_the_outer_cap(cases, max_outer):
+    x, ys, uncapped = cases[0]
+    opts = pf.SolverOptions(max_outer=max_outer)
+    alone = [evaluate_objective(x, y, opts) for y in ys]
+    together = evaluate_objectives(x, ys, opts)
+    assert [_spelled(r) for r in together] == [_spelled(r) for r in alone]
+    for res, full in zip(together, uncapped):
+        assert res.outer <= max_outer
+        if full.outer <= max_outer:
+            # a solve that ends within the cap ends as it does under the default one
+            assert _spelled(res) == _spelled(full)
+        else:
+            assert (res.status, res.outer) == ("outer_cap", max_outer) and res.moving
+    assert any(r.status == "outer_cap" for r in together)

@@ -39,7 +39,7 @@ def _states(x):
     pinned.pinned[b], pinned.pinned_q[b] = +1, m.reg_qmax[b]
     pinned.va = pinned.va + 0.01 * np.sin(np.arange(m.n))
     solved = pf._State(m)
-    [(failure, _)] = pf._run_together([pf._newton(m, solved, OPTS)])
+    [(failure, _)] = pf._newtons([(m, solved)], OPTS)
     assert failure is None
     return m, (initial, pinned, solved)
 
@@ -102,8 +102,7 @@ def test_batched_sensitivities_match_per_zone_solves(contexts):
         m, (_, _, solved) = _states(x)
         pq = solved.jac_index[1]
         zones = [z for z in m.zones if z["bus"] in pq]
-        [w] = pf._run_together([pf._svr_sensitivities(
-            solved, np.array([z["bus"] for z in zones]))])
+        w = pf._svr_sensitivities(solved, np.array([z["bus"] for z in zones]))
         pq_pos = {b: k for k, b in enumerate(pq)}
         for k, zone in enumerate(zones):
             want = ref.svr_sensitivity(m, solved, zone)
@@ -174,10 +173,12 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
     # Every Newton call reads the split and gather index kept on the state,
     # and takes its first Jacobian from the previous round when no tap,
     # pin or voltage has changed since.  Both must equal a fresh build.
-    newton, rtc_step, q_limit_switch = pf._newton, pf._rtc_step, pf._q_limit_switch
+    newtons, rtc_step, q_limit_switch = pf._newtons, pf._rtc_step, pf._q_limit_switch
     seen = {"reused": 0, "taps": 0, "flips": 0, "moved": False}
 
-    def checked_newton(m, st, opts):
+    def checked_newtons(pairs, opts):
+        # solve_ac solves one context, so each call holds its one state
+        [(m, st)] = pairs
         pv, pq, pvpq = ref.bus_types(m, st)
         for kept, fresh in zip(st.jac_index, (pv, pq, pvpq)):
             assert np.array_equal(kept, fresh)
@@ -191,7 +192,7 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
         if st.jac_current:
             assert not seen["moved"]
             seen["reused"] += 1
-            # the voltages the first iteration will see, set as _newton sets them
+            # the voltages the first iteration will see, set as Newton sets them
             vm, va = st.vm.copy(), st.va.copy()
             vm[m.slack_bus], va[m.slack_bus] = m.vset[m.slack_bus], 0.0
             vm[pv] = m.vset[pv]
@@ -202,7 +203,7 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
             # and the complex injections the Q-limit check reads from it
             assert np.array_equal(st.s, v * np.conj(ybus @ v))
         seen["moved"] = False
-        return newton(m, st, opts)
+        return newtons(pairs, opts)
 
     def counted_rtc_step(m, st, opts):
         moved = rtc_step(m, st, opts)
@@ -216,7 +217,7 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
         seen["moved"] |= flipped
         return flipped
 
-    monkeypatch.setattr(pf, "_newton", checked_newton)
+    monkeypatch.setattr(pf, "_newtons", checked_newtons)
     monkeypatch.setattr(pf, "_rtc_step", counted_rtc_step)
     monkeypatch.setattr(pf, "_q_limit_switch", counted_q_limit_switch)
     # val-007's baseline moves taps, then runs all outer rounds on the SVR

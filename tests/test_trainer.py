@@ -85,6 +85,16 @@ def test_config_refuses_a_bad_value(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, least", [
+    ("minibatch", 1), ("iterations", 0), ("eval_every", 0), ("eval_limit", 0),
+    ("seed", None), ("workers", 0)])
+@pytest.mark.parametrize("value", [math.nan, 2.5, 4.0, True, "4"])
+def test_config_refuses_a_count_that_is_not_an_integer(name, least, value):
+    TrainConfig(**{name: 1 if least is None else least})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["learning_rate", "beta1", "beta2", "eps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_refuses_a_non_finite_number(name, value):
