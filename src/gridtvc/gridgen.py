@@ -19,12 +19,12 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import config_to_json
+from .config import config_to_json, require_integer
 from .h2mg import (
     H2MGContext, H2MGError, HyperEdge, SCHEMA, deserialize, serialize, validate_context)
 from .powerflow import solve_ac
@@ -57,6 +57,11 @@ class GridFamilySpec:
     hv_load_range: tuple[float, float] = (0.3, 0.8)
 
     def __post_init__(self):
+        # every int field is a count: a NaN, fractional or boolean one
+        # raised only when a grid was drawn, or tripped an unrelated check
+        for f in fields(self):
+            if f.type in (int, "int"):
+                require_integer(f.name, getattr(self, f.name), 0)
         if self.bus_count_min < self.twt_count + 4:
             raise ValueError("bus_count_min leaves fewer than 4 upper-tier buses")
         if self.bus_count_max < self.bus_count_min:

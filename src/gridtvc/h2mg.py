@@ -232,12 +232,12 @@ class Violation:
 
 
 def reactive_ranges(q_min: Sequence[float], q_max: Sequence[float]) -> np.ndarray:
-    """Generators' reactive ranges as the SVR dispatch weighs their shares:
-    never negative, and 1 where not finite.  A zone is live, and its
-    controller moves something, only if its participating units' ranges
-    sum to more than zero."""
-    span = np.maximum(np.subtract(q_max, q_min, dtype=float), 0.0)
-    return np.where(np.isfinite(span), span, 1.0)
+    """Generators' reactive ranges as the SVR dispatch weighs their shares,
+    never negative.  A zone is live, and its controller moves something,
+    only if its participating units' ranges sum to more than zero; each
+    participating unit needs finite ``q_min <= q_max``, since a zone's
+    level is a fraction of those ranges."""
+    return np.maximum(np.subtract(q_max, q_min, dtype=float), 0.0)
 
 
 def required(e: HyperEdge, name: str) -> float:
@@ -271,9 +271,10 @@ def validate_context(x: H2MGContext) -> list[Violation]:
     ``participate`` > 0.5 and a positive summed reactive range over those
     units (otherwise the dispatch drops the zone and its controller moves
     nothing).  Every participating unit of any svr zone must drive exactly
-    one generator, since the oracle dispatches each one, and not the slack
-    (the first generator flagged so; there must be one).  No line or twt
-    that is :func:`in_service` may have ``r = x = 0``.
+    one generator, since the oracle dispatches each one, not the slack (the
+    first generator flagged so; there must be one), and one with finite
+    ``q_min <= q_max``, since it runs at a fraction of that range.  No line
+    or twt that is :func:`in_service` may have ``r = x = 0``.
     """
     report: list[Violation] = []
 
@@ -346,10 +347,15 @@ def validate_context(x: H2MGContext) -> list[Violation]:
         for u in x.anchored("svr_unit", "zone", z.ports["zone"]):
             if u.feature("participate", 0.0) <= 0.5:
                 continue
-            if len(x.anchored("generator", "gen", u.ports["gen"])) != 1:
+            gens = x.anchored("generator", "gen", u.ports["gen"])
+            if len(gens) != 1:
                 bad("svr_unit", u.id, "gen port does not match exactly one generator")
             elif slack and u.ports["gen"] == slack[0]:
                 bad("svr_unit", u.id, "participating unit drives the slack generator")
+            elif not -np.inf < gens[0].feature("q_min", np.nan) \
+                    <= gens[0].feature("q_max", np.nan) < np.inf:
+                bad("svr_unit", u.id, "participating unit's generator needs finite "
+                                      "q_min <= q_max")
     for e in x.edges_of("svr_controller"):
         units = [u for u in x.anchored("svr_unit", "zone", e.ports["zone"])
                  if u.feature("participate", 0.0) > 0.5]

@@ -105,6 +105,9 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("latent_dim", "encoder_out"):
             require_integer(name, getattr(self, name), 1)
+        for name in ("encoder_hidden", "message_hidden", "decoder_hidden"):
+            for i, width in enumerate(getattr(self, name)):
+                require_integer(f"{name}[{i}]", width, 1)
         # the leaky ReLU is evaluated as max(z, slope * z)
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must lie in [0, 1]")

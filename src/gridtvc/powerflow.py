@@ -34,15 +34,18 @@ The inner loop is array-native:
   re-assembles its own only when a tap changer moves, the one change to
   branch admittances during a solve.  A solve writes nothing on the model:
   the taps, Ybus, pins and outcome it moves live on its state.
-* The SVR dispatch gets the voltage sensitivities of every zone outside
-  its deadband from one multi-right-hand-side solve of ``J^T`` per round.
-  For the first :data:`JOINT_FROM_ROUND` outer rounds each zone steps
-  alone on its own sensitivity.  Where pilot targets are mutually
-  inconsistent those steps drift without end, so later rounds take one
-  joint, regularized least-squares step over the zones, as in coordinated
-  secondary voltage control (Paul, Léost and Tesseron, IEEE TPWRS 1987);
-  a joint step that moves no unit by more than :data:`SETTLE_STEP` has
-  settled.
+* An SVR zone is one level in [0, 1]: its units all run at that fraction
+  of their reactive ranges, as a zone's units follow one reactive level in
+  French secondary voltage control (Paul, Léost and Tesseron, IEEE TPWRS
+  1987), and the dispatch steps one number per zone.  It gets the voltage
+  sensitivities of every zone outside its deadband from one
+  multi-right-hand-side solve of ``J^T`` per round.  For the first
+  :data:`JOINT_FROM_ROUND` outer rounds each zone steps alone on its own
+  sensitivity.  Where pilot targets are mutually inconsistent those steps
+  drift without end, so later rounds take one joint, regularized
+  least-squares step over the zones, as in coordinated secondary voltage
+  control; a joint step that moves no unit by more than
+  :data:`SETTLE_STEP` has settled.
 
 Two things carry over from one outer round to the next without changing
 a bit.  The PV/PQ split and the indices that follow from it stay on the
@@ -253,9 +256,15 @@ class _GridModel:
     after it is built, so solves may share it.
 
     Buses, generators, branches and tap changers follow the context's
-    canonical edge order.  ``zones`` lists only the SVR zones the dispatch
-    acts on (a target, units, and a positive reactive range); ``svr_gen``
-    marks the units of every zone.
+    canonical edge order.  ``svr_gen`` marks the units of every SVR zone,
+    each of which needs finite ``q_min <= q_max``, and ``svr_q`` holds their
+    clipped starting outputs.  ``zones`` lists only the zones the dispatch
+    acts on (a target, units, and a positive reactive range).  Each is one
+    level in [0, 1], at which every unit of the zone runs at that fraction
+    of its range.  Per zone, ``level`` is the starting level, the fraction
+    of the summed range that the units' summed starting output reaches,
+    ``span`` the summed range and ``widest`` the largest; ``unit_gen`` and
+    ``unit_zone`` list those zones' units and the zone of each.
     """
 
     def __init__(self, x: H2MGContext, opts: SolverOptions):
@@ -302,11 +311,13 @@ class _GridModel:
 
         addr_of_gen_port = {e.ports["gen"]: i for i, e in enumerate(gens)}
 
-        # SVR zones: every zone's participating units are SVR units; the
-        # zones the dispatch can act on keep each unit's share of the zone's
-        # reactive range.
+        # SVR zones: every zone's participating units are SVR units, each
+        # starting at its context's solved q when available.
         self.svr_gen = np.zeros(len(gens), dtype=bool)
-        self.zones = []
+        self.svr_q = np.clip([g.feature("q", g.feature("q_target", 0.0)) for g in gens],
+                             self.gen_qmin, self.gen_qmax)
+        zone_of = np.full(len(gens), -1)
+        self.zones, levels, spans, widest = [], [], [], []
         for z in x.edges_of("svr_zone"):
             unit_gens = []
             for u in x.anchored("svr_unit", "zone", z.ports["zone"]):
@@ -314,6 +325,9 @@ class _GridModel:
                     gi = addr_of_gen_port.get(u.ports["gen"])
                     if gi is None:
                         raise H2MGError(f"svr_unit {u.id!r} references no generator")
+                    if not -np.inf < self.gen_qmin[gi] <= self.gen_qmax[gi] < np.inf:
+                        raise H2MGError(f"svr_unit {u.id!r} drives a generator without "
+                                        "finite q_min <= q_max")
                     unit_gens.append(gi)
             bus = self._bus(z.ports["regulated_bus"], z)
             units = np.array(sorted(unit_gens), dtype=int)
@@ -322,22 +336,21 @@ class _GridModel:
             ranges = reactive_ranges(self.gen_qmin[units], self.gen_qmax[units])
             if target is None or len(units) == 0 or ranges.sum() <= 0:
                 continue
+            span = ranges.sum()
+            zone_of[units] = len(self.zones)
+            levels.append((self.svr_q[units] - self.gen_qmin[units]).sum() / span)
             self.zones.append({"bus": bus,
                                "target": float(min(max(target, lo), hi)),
-                               "units": units, "shares": ranges / ranges.sum(),
-                               "unit_bus": self.gen_bus[units],
-                               "ranges": ranges.tolist(),
-                               "qmin": self.gen_qmin[units].tolist(),
-                               "qmax": self.gen_qmax[units].tolist()})
+                               "units": units, "shares": ranges / span,
+                               "unit_bus": self.gen_bus[units]})
+            spans.append(span)
+            widest.append(ranges.max())
         if self.svr_gen[self.slack_gen]:
             raise H2MGError("slack generator cannot participate in an SVR zone")
-        # Dispatched reactive output per SVR unit, warm-started from the
-        # context's solved q when available.
-        self.svr_q = np.array([
-            gens[i].feature("q", gens[i].feature("q_target", 0.0)) if self.svr_gen[i]
-            else 0.0
-            for i in range(len(gens))])
-        self.svr_q = np.clip(self.svr_q, self.gen_qmin, self.gen_qmax)
+        self.level = np.clip(levels, 0.0, 1.0)
+        self.span, self.widest = np.array(spans), np.array(widest)
+        self.unit_gen = np.flatnonzero(zone_of >= 0)
+        self.unit_zone = zone_of[self.unit_gen]
 
         # Per-bus reactive bookkeeping for the Q-limit loop: the summed
         # limits of the regulating (non-SVR) generators, and the fixed
@@ -445,11 +458,13 @@ class _GridModel:
 class _State:
     """Everything one solve moves, across its outer rounds, and how it ended.
 
-    It starts from the model's voltages, taps, Ybus and SVR outputs.  The
-    tap lists hold one entry per ``m.rtcs`` entry; ``ybus`` is rebound to a
-    fresh assembly when a tap moves, never written in place, so it may
-    start as the model's own.  ``status`` (one of :data:`SOLVE_STATUSES`),
-    ``inner``, ``outer`` and ``moving`` are set by :func:`_solve_all`.
+    It starts from the model's voltages, taps, Ybus and SVR levels.  The
+    tap lists hold one entry per ``m.rtcs`` entry, and ``level`` one per
+    ``m.zones`` entry.  ``ybus`` is rebound to a fresh assembly when a tap
+    moves and ``level`` when the dispatch steps, never written in place, so
+    each may start as the model's own.  ``status`` (one of
+    :data:`SOLVE_STATUSES`), ``inner``, ``outer`` and ``moving`` are set by
+    :func:`_solve_all`.
     """
 
     def __init__(self, m: _GridModel):
@@ -463,7 +478,7 @@ class _State:
         self.pinned = np.zeros(m.n, dtype=int)  # 0 free, +1 at q_max, -1 at q_min
         self.pinned_q = np.zeros(m.n)
         self.switch_budget = np.full(m.n, 6)  # pin/unpin flips allowed per solve
-        self.svr_q = m.svr_q.copy()
+        self.level = m.level
         self.status = None
         self.inner = self.outer = 0
         self.moving: tuple[str, ...] = ()
@@ -508,9 +523,19 @@ def _bus_split(m: _GridModel, st: _State) -> None:
     st.jac_current = False
 
 
+def _svr_outputs(m: _GridModel, st: _State) -> np.ndarray:
+    """Each SVR unit's reactive output, at its generator's entry: a unit of
+    a zone the dispatch acts on at ``(1 − α)·q_min + α·q_max`` for its
+    zone's level ``α``, which lands on each limit exactly, any other at its
+    clipped starting output."""
+    q, a, g = m.svr_q.copy(), st.level[m.unit_zone], m.unit_gen
+    q[g] = (1.0 - a) * m.gen_qmin[g] + a * m.gen_qmax[g]
+    return q
+
+
 def _q_spec(m: _GridModel, st: _State) -> np.ndarray:
     """Specified reactive injection per bus, regulating generators excluded."""
-    return m.q_base + np.bincount(m.gen_bus[m.svr_gen], st.svr_q[m.svr_gen], m.n)
+    return m.q_base + np.bincount(m.gen_bus[m.svr_gen], _svr_outputs(m, st)[m.svr_gen], m.n)
 
 
 def _jacobian_index(n: int, pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -789,122 +814,72 @@ def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _waterfall(zone: dict, q: list, remaining: float) -> bool:
-    """Spread the reactive step ``remaining`` over one zone's units.
-
-    A proportional split with a limit waterfall: saturated units freeze and
-    the remainder redistributes among the others, in up to four passes.
-    ``q`` holds the units' outputs and is updated in place; a zone has a
-    few units, so this runs on Python floats.  Returns whether some pass
-    moved a unit by more than 1e-12.
-    """
-    ranges, qmin, qmax = zone["ranges"], zone["qmin"], zone["qmax"]
-    moved = False
-    for _ in range(4):
-        if abs(remaining) < 1e-14:
-            break
-        if remaining > 0:
-            wt = [r if hi - qj > 1e-12 else 0.0
-                  for r, qj, hi in zip(ranges, q, qmax)]
-        else:
-            wt = [r if qj - lo > 1e-12 else 0.0
-                  for r, qj, lo in zip(ranges, q, qmin)]
-        if not any(wt):
-            break
-        total = sum(wt)
-        applied = []
-        for j, (wj, lo, hi) in enumerate(zip(wt, qmin, qmax)):
-            new = min(max(q[j] + wj / total * remaining, lo), hi)
-            applied.append(new - q[j])
-            q[j] = new
-        if max(map(abs, applied)) > 1e-12:
-            moved = True
-        remaining -= sum(applied)
-    return moved
-
-
 def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
-    """Move the SVR units of every zone whose pilot bus is outside its
-    deadband; returns whether a unit moved.
+    """Step the level of every zone whose pilot bus is outside its
+    deadband; returns whether a unit moved by more than 1e-12 p.u.
 
-    For the first :data:`JOINT_FROM_ROUND` outer rounds of a solve, each
-    zone steps alone on its own sensitivity (a Jacobi step).  From then on
-    the zones take one joint, regularized least-squares step
-    (:func:`_svr_joint_step`), which settles when it moves no unit by more
-    than :data:`SETTLE_STEP`.  Either step is clipped to ±0.5 p.u. per
-    zone and spread over the zone's units by :func:`_waterfall`.
+    ``S[i, j]`` is the change of zone ``i``'s pilot voltage per unit of
+    zone ``j``'s output, spread by ``j``'s shares (a unit on a PV bus
+    contributes 0).  For the first :data:`JOINT_FROM_ROUND` outer rounds of
+    a solve, each zone steps alone on its own sensitivity ``S[j, j]`` (a
+    Jacobi step).  From then on the zones take one joint step
+    (:func:`_svr_joint_step`), written only when it moves some unit by more
+    than :data:`SETTLE_STEP`, so a settled state keeps the ``level`` its
+    voltages were solved with.  Either step is clipped to ±0.5 p.u. per
+    zone and moves the zone's level by the step over its summed range,
+    clamped to [0, 1]; a unit moves by the change of level times its range.
     """
     if st.jac is None or not m.zones:
         return False
     # The split is the one the last Newton converged on: only the Q-limit
     # check, which runs after this, changes it.
-    pq_pos = st.pq_pos
-    vm = st.vm.tolist()
-    moving = []
-    for zone in m.zones:
-        err = zone["target"] - vm[zone["bus"]]
-        if abs(err) > opts.svr_deadband and pq_pos[zone["bus"]] >= 0:
-            moving.append((zone, err))
-    if not moving:
+    pq_pos, vm = st.pq_pos, st.vm.tolist()
+    ks = [k for k, z in enumerate(m.zones)
+          if abs(z["target"] - vm[z["bus"]]) > opts.svr_deadband and pq_pos[z["bus"]] >= 0]
+    if not ks:
         return False
-    # The sensitivities read only st.jac and st.vm, which the zone loop
-    # below leaves alone, so one solve serves every zone of the round.
-    w = _svr_sensitivities(st, np.array([z["bus"] for z, _ in moving]))
+    zones = [m.zones[k] for k in ks]
+    # one J^T solve serves every zone of the round
+    w = _svr_sensitivities(st, np.array([z["bus"] for z in zones]))
     if w is None:
         return False
-    if st.outer > JOINT_FROM_ROUND:
-        return _svr_joint_step(st, moving, w)
-    changed = False
-    for k, (zone, err) in enumerate(moving):
-        units = zone["units"]
+    err = np.array([z["target"] - vm[z["bus"]] for z in zones])
+    sens = np.empty((len(ks), len(ks)))
+    for j, zone in enumerate(zones):
         unit_pos = pq_pos[zone["unit_bus"]]
-        sens = np.where(unit_pos >= 0, w[unit_pos, k], 0.0)
-        denom = float(sens @ zone["shares"])
-        if denom <= 1e-12:
-            continue
-        q = st.svr_q[units].tolist()
-        # Rate-limit each round so a weak sensitivity estimate cannot command
-        # a reactive step large enough to break the next Newton solve.
-        if _waterfall(zone, q, min(max(err / denom, -0.5), 0.5)):
-            changed = True
-        st.svr_q[units] = q
-    return changed
-
-
-def _svr_joint_step(st: _State, moving: list, w: np.ndarray) -> bool:
-    """One joint dispatch step over the ``moving`` ``(zone, err)`` pairs.
-
-    ``S[i, j]`` is the change of zone ``i``'s pilot voltage per unit of
-    zone ``j``'s output, spread by ``j``'s shares (a unit on a PV bus
-    contributes 0).  The step solves ``(SᵀS + μI) dq = Sᵀ err`` with
-    ``μ`` = :data:`JOINT_DAMPING` times the mean diagonal of ``SᵀS``.  It
-    is written only when it moves some unit by more than
-    :data:`SETTLE_STEP`, so a settled state keeps the ``svr_q`` its
-    voltages were solved with.
-    """
-    k = len(moving)
-    sens = np.empty((k, k))
-    for j, (zone, _) in enumerate(moving):
-        unit_pos = st.pq_pos[zone["unit_bus"]]
         sens[:, j] = zone["shares"] @ np.where(unit_pos[:, None] >= 0, w[unit_pos], 0.0)
-    err = np.array([e for _, e in moving])
+    joint = st.outer > JOINT_FROM_ROUND
+    if joint:
+        step = _svr_joint_step(sens, err)
+        if step is None:
+            return False
+    else:
+        denom = np.diag(sens)
+        step = np.divide(err, denom, out=np.zeros(len(ks)), where=denom > 1e-12)
+    # Rate-limit each round so a weak sensitivity estimate cannot command
+    # a reactive step large enough to break the next Newton solve.
+    level = st.level.copy()
+    level[ks] = np.clip(level[ks] + np.clip(step, -0.5, 0.5) / m.span[ks], 0.0, 1.0)
+    moved = np.max(np.abs(level[ks] - st.level[ks]) * m.widest[ks])
+    # NaN compares false, so a joint step that went non-finite counts as settled
+    if joint and not moved > SETTLE_STEP:
+        return False
+    st.level = level
+    return bool(moved > 1e-12)
+
+
+def _svr_joint_step(sens: np.ndarray, err: np.ndarray) -> np.ndarray | None:
+    """The joint, regularized least-squares step of the zones of ``sens``,
+    p.u. of output per zone: it solves ``(SᵀS + μI) dq = Sᵀ err`` with ``μ``
+    = :data:`JOINT_DAMPING` times the mean diagonal of ``SᵀS``; None when
+    that system is singular."""
+    k = len(err)
     gram = sens.T @ sens
     damping = JOINT_DAMPING * np.trace(gram) / k
     try:
-        dq = np.linalg.solve(gram + damping * np.eye(k), sens.T @ err)
+        return np.linalg.solve(gram + damping * np.eye(k), sens.T @ err)
     except np.linalg.LinAlgError:
-        return False
-    q = st.svr_q.copy()
-    for (zone, _), step in zip(moving, np.clip(dq, -0.5, 0.5).tolist()):
-        units = zone["units"]
-        unit_q = q[units].tolist()
-        _waterfall(zone, unit_q, step)
-        q[units] = unit_q
-    # NaN compares false, so a step that went non-finite counts as settled
-    if not np.abs(q - st.svr_q).max() > SETTLE_STEP:
-        return False
-    st.svr_q = q
-    return True
+        return None
 
 
 def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
@@ -988,7 +963,7 @@ def _gen_outputs(m: _GridModel, st: _State) -> tuple[np.ndarray, np.ndarray]:
     q = np.zeros(len(m.gen_bus))
     nonreg = ~m.gen_regulating & ~m.svr_gen
     q[nonreg] = m.gen_qset[nonreg]
-    q[m.svr_gen] = st.svr_q[m.svr_gen]
+    q[m.svr_gen] = _svr_outputs(m, st)[m.svr_gen]
     for b in np.flatnonzero(m.is_pv).tolist():
         idx = np.flatnonzero(m.gen_regulating & ~m.svr_gen & (m.gen_bus == b))
         need = s.imag[b] - q_other[b]
@@ -1050,7 +1025,8 @@ def solve_ac(grid: H2MGContext, opts: SolverOptions = SolverOptions()) -> PowerF
 
     Like MATPOWER's ``runpf``, it returns the case with its solved state
     written in; a solve of that context warm-starts from the bus voltages,
-    SVR unit outputs and tap ratios it reads back."""
+    tap ratios and SVR unit outputs it reads back, the last as the level
+    of each zone's summed output."""
     [(m, st)] = _solve_all([grid], opts)
     converged = st.status == "converged"
     return PowerFlowSolution(converged, _solved_context(grid, m, st) if converged else None,

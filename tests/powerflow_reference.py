@@ -4,7 +4,9 @@ This is the straightforward form of ``gridtvc.powerflow``'s Newton step and
 control loops: the Jacobian from ``np.diag`` matrices and matrix products,
 cut into blocks with ``np.ix_``; a fresh Ybus assembly wherever one is
 needed; one ``J^T`` solve per SVR zone, and per pilot bus in a joint
-dispatch step; and a per-bus Q-limit loop.
+dispatch step; per-unit SVR outputs, which a proportional waterfall moves
+unit by unit where the solver steps one level per zone; and a per-bus
+Q-limit loop.
 ``tests/test_powerflow_reference.py`` checks the array-native solver
 against it.  :func:`swap_in` installs these functions in place of the
 solver's own, so a whole oracle call can run on the reference path.
@@ -37,6 +39,20 @@ def bus_types(m, st):
     pq = np.array(sorted(set(range(m.n)) - set(pv.tolist()) - {m.slack_bus}),
                   dtype=int)
     return pv, pq, np.concatenate([pv, pq]).astype(int)
+
+
+class State(pf._State):
+    """The solver's state, holding the reference's own output per SVR unit
+    in ``svr_q``, from the model's start: the units of a zone the dispatch
+    acts on at its starting level, any other at its clipped starting
+    output."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.svr_q = m.svr_q.copy()
+        for level, zone in zip(m.level, m.zones):
+            for g in zone["units"]:
+                self.svr_q[g] = (1.0 - level) * m.gen_qmin[g] + level * m.gen_qmax[g]
 
 
 def q_spec(m, st):
@@ -256,6 +272,7 @@ def q_limit_switch(m, st, opts):
 
 def swap_in(monkeypatch) -> None:
     """Run every later oracle call of the test on the reference inner loop."""
+    monkeypatch.setattr(pf, "_State", State)
     monkeypatch.setattr(pf, "_newtons",
                         lambda pairs, opts: [newton(m, st, opts) for m, st in pairs])
     monkeypatch.setattr(pf, "_svr_dispatch", svr_dispatch)

@@ -46,6 +46,18 @@ def test_spec_validation_rejects_infeasible_counts():
                        svr_zone_count=5, svr_units_per_zone=1, svr_controller_count=3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("bus_count_max", np.nan), ("bus_count_min", 28.0), ("shunt_count", 2.5),
+    ("shunt_count", True), ("generator_count", np.inf), ("svr_units_per_zone", 1.5),
+    ("hv_load_count", -1), ("optional_line_count", "3"),
+])
+def test_spec_refuses_a_count_that_is_not_an_integer(name, value):
+    # bus_count_max=nan built and then raised ValueError in generate_context;
+    # shunt_count=2.5 raised only "more shunt controllers than shunts"
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 0"):
+        GridFamilySpec(**{name: value})
+
+
 def test_generation_deterministic_per_seed():
     x1 = generate_context(SMALL, grng.stream(42, 0))
     x2 = generate_context(SMALL, grng.stream(42, 0))

@@ -220,11 +220,16 @@ def test_validate_refuses_a_zone_whose_units_have_no_reactive_range():
     inert = one_flat.replace_features({("generator", "gen_3"): flat})
     assert [str(v) for v in validate_context(inert)] == [
         "[svr_controller:vc_0] zone's participating units have no reactive range"]
-    # an idle unit's range does not count; an unbounded one does
+    # an idle unit's range does not count, and a unit without finite limits
+    # has no range to run a fraction of
     idle = inert.replace_features({("svr_unit", "unit_0"): {"participate": 0.0}})
     assert len(validate_context(idle)) == 1
     unbounded = inert.replace_features({("generator", "gen_2"): {"q_max": None}})
-    assert validate_context(unbounded) == []
+    assert [str(v) for v in validate_context(unbounded)] == [
+        "[svr_unit:unit_0] participating unit's generator needs finite q_min <= q_max"]
+    crossed = x.replace_features({("generator", "gen_3"): {"q_min": 0.6}})
+    assert [str(v) for v in validate_context(crossed)] == [
+        "[svr_unit:unit_1] participating unit's generator needs finite q_min <= q_max"]
 
 
 def test_validate_refuses_an_svr_unit_without_exactly_one_generator():

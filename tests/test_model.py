@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -131,12 +132,17 @@ def test_default_steps_and_shapes():
     assert TINY.steps == 20
 
 
-@pytest.mark.parametrize("name", ["latent_dim", "encoder_out"])
+@pytest.mark.parametrize("name", ["latent_dim", "encoder_out", "encoder_hidden",
+                                  "message_hidden", "decoder_hidden"])
 @pytest.mark.parametrize("value", [np.nan, 2.5, 4.0, True, 0])
 def test_config_rejects_a_width_that_is_not_a_positive_integer(name, value):
-    ModelConfig(**{name: 1})
-    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
-        ModelConfig(**{name: value})
+    # a hidden width is one entry of a tuple, named by its index; 2.5, NaN
+    # and True built and then raised TypeError in init_params
+    hidden = name.endswith("_hidden")
+    ModelConfig(**{name: (3, 1) if hidden else 1})
+    entry = f"{name}[1]" if hidden else name
+    with pytest.raises(ValueError, match=re.escape(entry) + " must be an integer of at least 1"):
+        ModelConfig(**{name: (3, value) if hidden else value})
 
 
 @pytest.mark.parametrize("dt", [0.03, 0.3, -0.1, 0.0])

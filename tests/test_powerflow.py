@@ -37,6 +37,7 @@ from gridfixtures import (
     gen,
     line,
     load,
+    meshed_grid,
     scipy_three_bus_solution,
     scipy_two_bus_solution,
     shunt,
@@ -462,6 +463,43 @@ def test_svr_saturates_and_bus_floats():
     assert solved(sol, "bus", "v")["bus_1"] < 1.12
 
 
+def test_an_svr_zone_is_one_level_from_its_summed_starting_output():
+    # gen_2 (range 1) starts at 0.7 of its range and gen_3 (range 2) at
+    # 0.4: the zone starts at the fraction its summed output reaches, 1.5
+    # of 3, and every solve leaves both units at one fraction.
+    x = meshed_grid().replace_features({
+        ("generator", "gen_2"): {"q": 0.2},
+        ("generator", "gen_3"): {"q": -0.2, "q_min": -1.0, "q_max": 1.0}})
+    assert pf._GridModel(x, SolverOptions()).level.tolist() == [0.5]
+    limits = {"gen_2": (-0.5, 0.5), "gen_3": (-1.0, 1.0)}
+
+    def outputs(delta):
+        y = paired_decision(x, {**empty_decision(x), "svr_controller": [delta]})
+        sol = solve_ac(apply_decision(x, y))
+        assert sol.converged
+        q = solved(sol, "generator", "q")
+        return [q[g] for g in limits]
+
+    (a, b), ((lo_a, hi_a), (lo_b, hi_b)) = outputs(0.0), limits.values()
+    fraction = (a - lo_a) / (hi_a - lo_a)
+    assert 0.5 < fraction < 0.6
+    assert (b - lo_b) / (hi_b - lo_b) == pytest.approx(fraction, abs=1e-15)
+    # an unreachable target saturates the zone: each unit on its limit exactly
+    assert outputs(0.3) == [hi_a, hi_b]
+    assert outputs(-0.3) == [lo_a, lo_b]
+
+
+def test_an_svr_unit_without_finite_reactive_limits_is_refused():
+    # a zone's level is a fraction of its units' ranges, so an unbounded
+    # unit has no output to run at
+    base = meshed_grid()
+    assert evaluate_objective(base, empty_decision(base)).converged
+    x = base.replace_features({("generator", "gen_2"): {"q_max": None}})
+    with pytest.raises(H2MGError, match="svr_unit 'unit_0' drives a generator without "
+                                        "finite q_min <= q_max"):
+        evaluate_objective(x, empty_decision(x))
+
+
 def test_gen_q_limit_switching():
     # PV generator with a tight limit gets pinned and the bus deviates
     x = three_bus(0.4, 1.06, 0.9, 0.6)
@@ -538,10 +576,10 @@ def test_objective_carries_the_solve_counts(index, status):
 
 
 @pytest.mark.parametrize("split, index, offset, total, inner, outer, status", [
-    ("val", 0, 0.005, "0x1.0de232d5f6ff2p+0", 41, 14, "converged"),
-    ("val", 0, 0.01, "0x1.2d18e612f8e77p+1", 26, 9, "converged"),
-    ("val", 4, -0.03, "0x1.6d485b26b98e2p+0", 53, 18, "converged"),
-    ("val", 13, -0.015, "0x1.ab8df9804ee1bp-1", 54, 20, "converged"),
+    ("val", 0, 0.005, "0x1.0de232d5f6eeap+0", 41, 14, "converged"),
+    ("val", 0, 0.01, "0x1.2d18e612f8e69p+1", 26, 9, "converged"),
+    ("val", 4, -0.03, "0x1.6d485b26b9446p+0", 53, 18, "converged"),
+    ("val", 13, -0.015, "0x1.ab8df9804f755p-1", 54, 20, "converged"),
     ("train", 15, 0.02, "0x1.9000000000000p+6", 46, 4, "newton_failed"),
 ])
 def test_a_solve_within_the_per_zone_rounds_keeps_its_bits(
@@ -573,9 +611,9 @@ def test_a_settled_joint_step_writes_nothing():
     assert st.status == "converged" and st.outer > pf.JOINT_FROM_ROUND
     off = [abs(z["target"] - st.vm[z["bus"]]) > opts.svr_deadband for z in m.zones]
     assert sum(off) >= 2
-    svr_q, before = st.svr_q, st.svr_q.copy()
+    level, before = st.level, st.level.copy()
     assert pf._svr_dispatch(m, st, opts) is False
-    assert st.svr_q is svr_q and np.array_equal(svr_q, before)
+    assert st.level is level and np.array_equal(level, before)
 
 
 def test_a_grid_with_only_a_slack_bus_converges_at_once():
