@@ -11,6 +11,11 @@ context: a solve and an :class:`ObjectiveBreakdown` of objective terms,
 counts and losses per decision; :func:`evaluate_objective` scores one.
 There is one solver path, and a batch of one runs on it too.
 
+:class:`SolverOptions` holds the operator's objective and the outer-round
+cap that the tests and the benchmark read.  The solve's numerics are module
+constants, so the solver core takes no options and a model depends on its
+context alone.
+
 A batch's solves run round by round (:func:`_solve_all`).  A round's
 Newton solves are one call, in which the states of one PV/PQ split step
 together (:func:`_stacked_newton`); then each solve that converged runs
@@ -69,8 +74,8 @@ from .h2mg import (
     H2MGContext,
     H2MGError,
     RTC_SETPOINT_LADDER,
-    _check_paired,
     in_service,
+    paired_decision,
     reactive_ranges,
     required,
 )
@@ -111,44 +116,40 @@ JOINT_DAMPING = 1e-3
 #: the dispatch is stationary, though some pilot may sit outside its
 #: deadband because no dispatch meets every target.
 SETTLE_STEP = 1e-6
+#: Newton converges when no power mismatch exceeds TOLERANCE, p.u., and
+#: fails when it has not after MAX_INNER iterations.
+TOLERANCE, MAX_INNER = 1e-8, 30
+#: A tap holds within half a tap step of its target, as a fraction of the
+#: regulated bus's nominal voltage; an SVR pilot within SVR_DEADBAND, p.u.
+RTC_DEADBAND, SVR_DEADBAND = TAP_STEP / 2, 1e-5
+#: The plausible range, p.u., that every voltage target is clamped to.
+TARGET_CLAMP = (0.0, 3.0)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tolerance: float = 1e-8          # max power-mismatch residual, p.u.
-    max_inner: int = 30              # Newton iterations per solve
+    """The operator's objective (:func:`_score`): weights of the voltage,
+    current and loss terms and the margins inside the limits where a
+    penalty starts; and the outer-round cap, which the tests and the
+    benchmark set.  The solve's numerics are module constants."""
+
     max_outer: int = 100             # control-adjustment rounds
-    rtc_deadband: float = 0.005      # fraction of regulated-bus nominal (half a tap step)
-    svr_deadband: float = 1e-5       # regulated-bus voltage tolerance, p.u.
     lambda_v: float = 1.0
     lambda_i: float = 1.0
     lambda_j: float = 0.1
     eps_v: float = 0.05
     eps_i: float = 0.05
-    target_clamp: tuple[float, float] = (0.0, 3.0)  # plausible-voltage clamp on targets
 
     def __post_init__(self):
-        # written as `not value > 0` and `not value >= 0` so that NaN fails
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        for name in ("max_inner", "max_outer"):  # a NaN cap never stops a drifting solve
-            require_integer(name, getattr(self, name), 1)
+        require_integer("max_outer", self.max_outer, 1)  # a NaN cap never stops a drifting solve
         # The baseline search prunes on costs that cannot be negative, a NaN
         # weight scores every solve NaN, and a negative margin scores a
-        # violating voltage or current as 0.
-        for name in ("rtc_deadband", "svr_deadband", "lambda_v", "lambda_i", "lambda_j",
-                     "eps_v", "eps_i"):
+        # violating voltage or current as 0 (`not value >= 0` refuses NaN).
+        for name in ("lambda_v", "lambda_i", "lambda_j", "eps_v", "eps_i"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must not be negative or NaN")
-        # An infinite weight or margin scores a converged solve inf or NaN,
-        # and an infinite tolerance accepts Newton's first iterate.
-        require_finite(self, "tolerance", "rtc_deadband", "svr_deadband", "lambda_v",
-                       "lambda_i", "lambda_j", "eps_v", "eps_i")
-        lo, hi = self.target_clamp
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("target_clamp must not have a NaN end")
-        if lo > hi:
-            raise ValueError("target_clamp must not have its low end above its high end")
+        # An infinite weight or margin scores a converged solve inf or NaN.
+        require_finite(self, "lambda_v", "lambda_i", "lambda_j", "eps_v", "eps_i")
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     """Return a copy of ``x`` with the controller actions of ``y`` applied.
 
     Row ``i`` of a class's array in ``y`` is the action of the class's
-    ``i``-th edge in ``x``.  Each controller acts on its device, as
+    ``i``-th edge in ``x``; :func:`~gridtvc.h2mg.paired_decision` checks
+    ``y``, values included.  Each controller acts on its device, as
     :meth:`H2MGContext.device` finds it (an :class:`H2MGError` unless there
     is exactly one).  Binary actions request a change (1 = act, 0 = leave
     as is): line controllers open their line, shunt controllers toggle a
@@ -218,7 +220,7 @@ def apply_decision(x: H2MGContext, y: Decision) -> H2MGContext:
     controllers pick a ladder multiple of their ``v_nom``.  Those three
     features are :func:`~gridtvc.h2mg.required`.
     """
-    _check_paired(y, x)
+    y = paired_decision(x, y)
 
     def acts(cname):
         return zip(x.edges_of(cname), y.get(cname, ()))
@@ -267,8 +269,8 @@ class _GridModel:
     ``unit_zone`` list those zones' units and the zone of each.
     """
 
-    def __init__(self, x: H2MGContext, opts: SolverOptions):
-        lo, hi = opts.target_clamp
+    def __init__(self, x: H2MGContext):
+        lo, hi = TARGET_CLAMP
         buses = x.edges_of("bus")
         if not buses:
             raise H2MGError("context has no buses")
@@ -476,7 +478,6 @@ class _State:
         self.ratio = m.ratio.copy()
         self.ybus = m.ybus
         self.pinned = np.zeros(m.n, dtype=int)  # 0 free, +1 at q_max, -1 at q_min
-        self.pinned_q = np.zeros(m.n)
         self.switch_budget = np.full(m.n, 6)  # pin/unpin flips allowed per solve
         self.level = m.level
         self.status = None
@@ -634,7 +635,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[bool]]:
         return x, singular
 
 
-def _newtons(pairs: list, opts: SolverOptions) -> list:
+def _newtons(pairs: list) -> list:
     """Newton's method on every ``(m, st)`` of ``pairs``; returns each
     state's ``(failure, iterations)``.  The states of one PV/PQ split are
     one :func:`_stacked_newton`."""
@@ -643,11 +644,11 @@ def _newtons(pairs: list, opts: SolverOptions) -> list:
         splits.setdefault((m.n, st.jac_index[0].tobytes()), []).append(k)
     out = {}
     for ks in splits.values():
-        out.update(zip(ks, _stacked_newton([pairs[k] for k in ks], opts)))
+        out.update(zip(ks, _stacked_newton([pairs[k] for k in ks])))
     return [out[k] for k in range(len(pairs))]
 
 
-def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
+def _stacked_newton(pairs: list) -> list:
     """Newton's method on states that share a PV/PQ split, in lockstep.
 
     Returns each state's ``(failure, iterations)``: ``failure`` is None on
@@ -667,8 +668,8 @@ def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
         st.vm[pv] = m.vset[pv]
         x[r, 0], x[r, 1] = st.va, st.vm
         # Pinned buses behave as PQ with the regulating output frozen at a limit.
-        q = _q_spec(m, st)
-        q[st.pinned != 0] += st.pinned_q[st.pinned != 0]
+        q, pins = _q_spec(m, st), st.pinned != 0
+        q[pins] += np.where(st.pinned > 0, m.reg_qmax, m.reg_qmin)[pins]
         # P of pvpq then Q of pq, placed as x_index places the unknowns
         spec.append(np.concatenate((m.p_spec, q)).take(x_index))
     spec, ybus = _stack(spec), _stack([st.ybus for st in sts])
@@ -697,7 +698,7 @@ def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
         x, ybus, spec, *arrays = [a.take(live, 0) for a in (x, ybus, spec, *arrays)]
         return arrays
 
-    for it in range(opts.max_inner + 1):
+    for it in range(MAX_INNER + 1):
         v = x[:, 1] * np.exp(1j * x[:, 0])
         ibus = np.matmul(ybus, v[:, :, None])[:, :, 0]
         s = v * np.conj(ibus)
@@ -705,7 +706,7 @@ def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
         # a state with no unknowns (only a slack bus) converges at once
         norm = np.abs(mis).max(axis=1, initial=0.0)
         failed = {r: "newton_failed" for r, n in enumerate(norm.tolist())
-                  if not math.isfinite(n) or n > opts.tolerance and it == opts.max_inner}
+                  if not math.isfinite(n) or n > TOLERANCE and it == MAX_INNER}
         if failed:
             v, ibus, s, mis, norm = drop(failed, v, ibus, s, mis, norm)
             if not rows:
@@ -718,7 +719,7 @@ def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
             jac = _stack([sts[k].jac if reuse[k] else np.empty((size, size)) for k in rows])
             if fresh:
                 jac[fresh] = _jacobians(ybus[fresh], v[fresh], ibus[fresh], index, layout)
-        done = [r for r, n in enumerate(norm.tolist()) if n <= opts.tolerance]
+        done = [r for r, n in enumerate(norm.tolist()) if n <= TOLERANCE]
         for r in done:
             st = sts[rows[r]]
             st.jac, st.s, st.jac_current = jac[r].copy(), s[r], True
@@ -742,18 +743,18 @@ def _stacked_newton(pairs: list, opts: SolverOptions) -> list:
     return out
 
 
-def _newtons_restarting(pairs: list, opts: SolverOptions) -> list:
+def _newtons_restarting(pairs: list) -> list:
     """:func:`_newtons`, then one flat-start retry of the states that
     failed, so a poor warm start is not fatal; returns each state's
     ``(failure, iterations)`` over both tries."""
-    out = _newtons(pairs, opts)
+    out = _newtons(pairs)
     failed = [k for k, (failure, _) in enumerate(out) if failure is not None]
     if not failed:
         return out
     for m, st in (pairs[k] for k in failed):
         st.restarts += 1
         st.vm, st.va = m.v_nom.copy(), np.zeros(m.n)
-    for k, (failure, it) in zip(failed, _newtons([pairs[k] for k in failed], opts)):
+    for k, (failure, it) in zip(failed, _newtons([pairs[k] for k in failed])):
         out[k] = failure, out[k][1] + it
     return out
 
@@ -761,7 +762,7 @@ def _newtons_restarting(pairs: list, opts: SolverOptions) -> list:
 # ---------------------------------------------------------------------------
 # Outer control loops
 
-def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
+def _rtc_step(m: _GridModel, st: _State) -> bool:
     """Move each regulating tap one position toward its target.
 
     A tap asked to reverse direction within one solve is hunting between
@@ -774,7 +775,7 @@ def _rtc_step(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
             continue
         bus = r["bus"]
         err = r["target"] - st.vm[bus]
-        if abs(err) <= opts.rtc_deadband * m.v_nom[bus]:
+        if abs(err) <= RTC_DEADBAND * m.v_nom[bus]:
             continue
         bi = r["branch"]
         # Raising the non-tap-side voltage takes a lower ratio; flip when the
@@ -814,7 +815,7 @@ def _svr_sensitivities(st: _State, buses: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
+def _svr_dispatch(m: _GridModel, st: _State) -> bool:
     """Step the level of every zone whose pilot bus is outside its
     deadband; returns whether a unit moved by more than 1e-12 p.u.
 
@@ -835,7 +836,7 @@ def _svr_dispatch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     # check, which runs after this, changes it.
     pq_pos, vm = st.pq_pos, st.vm.tolist()
     ks = [k for k, z in enumerate(m.zones)
-          if abs(z["target"] - vm[z["bus"]]) > opts.svr_deadband and pq_pos[z["bus"]] >= 0]
+          if abs(z["target"] - vm[z["bus"]]) > SVR_DEADBAND and pq_pos[z["bus"]] >= 0]
     if not ks:
         return False
     zones = [m.zones[k] for k in ks]
@@ -882,7 +883,7 @@ def _svr_joint_step(sens: np.ndarray, err: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
+def _q_limit_switch(m: _GridModel, st: _State) -> bool:
     """Pin PV buses whose regulating generators exceed reactive limits."""
     if st.jac_current:
         # no tap, pin or voltage has moved since Newton computed st.s
@@ -895,9 +896,9 @@ def _q_limit_switch(m: _GridModel, st: _State, opts: SolverOptions) -> bool:
     for b in np.flatnonzero(m.is_pv & (st.switch_budget > 0)).tolist():
         pin = st.pinned[b]
         if pin == 0 and q_reg[b] > m.reg_qmax[b] + 1e-9:
-            st.pinned[b], st.pinned_q[b] = +1, m.reg_qmax[b]
+            st.pinned[b] = +1
         elif pin == 0 and q_reg[b] < m.reg_qmin[b] - 1e-9:
-            st.pinned[b], st.pinned_q[b] = -1, m.reg_qmin[b]
+            st.pinned[b] = -1
         # Restore regulation once the pin stops binding
         elif (pin == +1 and st.vm[b] > m.vset[b] + 1e-7
               or pin == -1 and st.vm[b] < m.vset[b] - 1e-7):
@@ -921,17 +922,16 @@ def _solve_all(xs: list[H2MGContext], opts: SolverOptions) -> list[tuple[_GridMo
     or it has run ``max_outer`` rounds of control loops; any other runs
     every loop once more, and has converged when none moved.
     """
-    pairs = [(m, _State(m)) for m in (_GridModel(x, opts) for x in xs)]
+    pairs = [(m, _State(m)) for m in map(_GridModel, xs)]
     running = pairs
     while running:
-        for (m, st), (failure, it) in zip(running, _newtons_restarting(running, opts)):
+        for (m, st), (failure, it) in zip(running, _newtons_restarting(running)):
             st.inner += it
             if failure is not None or st.outer >= opts.max_outer:
                 st.status = failure or "outer_cap"
                 continue
             st.outer += 1
-            moved = (_rtc_step(m, st, opts), _svr_dispatch(m, st, opts),
-                     _q_limit_switch(m, st, opts))
+            moved = _rtc_step(m, st), _svr_dispatch(m, st), _q_limit_switch(m, st)
             st.moving = tuple([name for name, mv in zip(MOVING_LOOPS, moved) if mv])
             if not st.moving:
                 st.status = "converged"

@@ -9,11 +9,12 @@ default, 40 contexts).  Hashed, in order:
   the set, and of every context's ``normalize`` output its address count
   and, per class, the class name, feature matrix and port matrix;
 * at baseline offsets 0, -0.02 and +0.02, the ``init_baseline`` decision
-  (per class, its values in the context's edge order), the
-  ``evaluate_objective`` result read as the ten fields ``OBJECTIVE``, and
-  the ``count_metrics`` result read as the thirteen fields ``METRICS``;
-  then the same for the offset-0 decision with its first line controller
-  flipped, and with its first shunt controller flipped.
+  (per class, its values in the context's edge order) and its
+  ``evaluate_objective`` result, solved once and read as the ten fields
+  ``OBJECTIVE`` and then as the thirteen fields ``METRICS``
+  (``count_metrics`` is the same function); then the same for the
+  offset-0 decision with its first line controller flipped, and with its
+  first shunt controller flipped.
 
 Floats are spelled by ``float.hex`` and arrays by dtype, shape and bytes,
 so equal digests mean equal bits.  Only public names are used and the
@@ -35,7 +36,7 @@ import numpy as np
 from gridtvc.baseline import init_baseline
 from gridtvc.gridgen import GridFamilySpec, fit_normalizer, generate_context, normalize
 from gridtvc.h2mg import serialize, validate_context
-from gridtvc.powerflow import count_metrics, evaluate_objective
+from gridtvc.powerflow import evaluate_objective
 from gridtvc.rng import stream
 
 OFFSETS = (0.0, -0.02, 0.02)
@@ -104,9 +105,9 @@ def digest(contexts: list) -> str:
         record("normalize", (xn.address_count, xn.classes))
     for x in contexts:
         for y in _decisions(x):
+            r = evaluate_objective(x, y)
             record("decision", {c: list(v) for c, v in y.items()},
-                   _fields(evaluate_objective(x, y), OBJECTIVE),
-                   _fields(count_metrics(x, y), METRICS))
+                   _fields(r, OBJECTIVE), _fields(r, METRICS))
     return h.hexdigest()
 
 

@@ -1,17 +1,20 @@
 """One JSON line per census baseline solve, to show how far the oracle moved.
 
-The solves are ``tests/convergence_census.py``'s: the ``init_baseline``
-decision of every context of ``oracle_digest.context_set(per_split)`` at
-each offset of ``OFFSETS``.  Each line holds the context's origin
-(``val-003``, ``g-017``), the offset, the status, the inner, outer and
-restart counts, and the total spelled by ``float.hex``.  Only public names
-are used, so the script runs on any checkout that has them::
+The census solves the ``init_baseline`` decision of every context of
+``oracle_digest.context_set(per_split)`` (20 per split by default, the 40
+contexts ROADMAP item 3's gate reads) at each offset of ``OFFSETS``: 0,
+-0.02 and +0.02.  Each line holds the context's origin (``val-003``,
+``g-017``), the offset, the status, the inner, outer and restart counts,
+and the total spelled by ``float.hex``.  Only public names are used, so
+the script runs on any checkout that has them::
 
     PYTHONPATH=<checkout>/src python tests/oracle_records.py [per_split] > records.jsonl
 
-:func:`compare` reads the records of two checkouts, a parent's and a
-change's, and counts the solves whose status or counts changed, with the
-largest relative change of a total that converged on both sides.
+:func:`census` counts, per offset, how many of those solves end in each of
+``SOLVE_STATUSES`` and their outer rounds.  :func:`compare` reads the
+records of two checkouts, a parent's and a change's, and counts the solves
+whose status or counts changed, with the largest relative change of a
+total that converged on both sides.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import sys
 
 from gridtvc.baseline import init_baseline
-from gridtvc.powerflow import evaluate_objective
+from gridtvc.powerflow import SOLVE_STATUSES, evaluate_objective
 
 from oracle_digest import OFFSETS, context_set
 
@@ -39,6 +42,19 @@ def records(per_split: int = 20) -> list[dict]:
                         **{name: getattr(r, name) for name in COUNTS},
                         "total": float(r.total).hex()})
     return out
+
+
+def census(rows: list[dict]) -> dict:
+    """``{"contexts": n, "offsets": {offset: {status: count, ...,
+    "outer_rounds": total}}}`` of the records ``rows``, offsets spelled by
+    ``repr`` in the order the records first name them."""
+    offsets = {}
+    for r in rows:
+        counts = offsets.setdefault(repr(r["offset"]), {
+            **dict.fromkeys(SOLVE_STATUSES, 0), "outer_rounds": 0})
+        counts[r["status"]] += 1
+        counts["outer_rounds"] += r["outer"]
+    return {"contexts": len({r["origin"] for r in rows}), "offsets": offsets}
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:

@@ -45,10 +45,12 @@ class State(pf._State):
     """The solver's state, holding the reference's own output per SVR unit
     in ``svr_q``, from the model's start: the units of a zone the dispatch
     acts on at its starting level, any other at its clipped starting
-    output."""
+    output; and each pinned bus's frozen regulating output in
+    ``pinned_q``."""
 
     def __init__(self, m):
         super().__init__(m)
+        self.pinned_q = np.zeros(m.n)
         self.svr_q = m.svr_q.copy()
         for level, zone in zip(m.level, m.zones):
             for g in zone["units"]:
@@ -63,7 +65,7 @@ def q_spec(m, st):
     return q
 
 
-def newton(m, st, opts):
+def newton(m, st):
     """The solver's Newton loop on the dense Jacobian and a fresh Ybus."""
     ybus = m.assemble_ybus(st.ratio)
     slack = m.slack_bus
@@ -77,7 +79,7 @@ def newton(m, st, opts):
     qs[st.pinned != 0] += st.pinned_q[st.pinned != 0]
 
     npv, npq = len(pv), len(pq)
-    for it in range(opts.max_inner + 1):
+    for it in range(pf.MAX_INNER + 1):
         v = st.vm * np.exp(1j * st.va)
         ibus = ybus @ v
         s = v * np.conj(ibus)
@@ -90,11 +92,11 @@ def newton(m, st, opts):
         norm = np.max(np.abs(mis))
         if not np.isfinite(norm):
             return "newton_failed", it
-        if norm <= opts.tolerance:
+        if norm <= pf.TOLERANCE:
             st.jac_index = (pv, pq, pvpq)
             st.jac = jacobian(ybus, v, ibus, pvpq, pq)
             return None, it
-        if it == opts.max_inner:
+        if it == pf.MAX_INNER:
             return "newton_failed", it
         jac = jacobian(ybus, v, ibus, pvpq, pq)
         try:
@@ -105,7 +107,7 @@ def newton(m, st, opts):
         st.vm[pq] += dx[npv + npq:]
         if np.any(st.vm <= 0) or not np.all(np.isfinite(st.vm)):
             return "newton_failed", it
-    return "newton_failed", opts.max_inner
+    return "newton_failed", pf.MAX_INNER
 
 
 def sensitivity(m, st, bus, units):
@@ -172,16 +174,16 @@ def waterfall(m, q, zone, remaining):
     return changed
 
 
-def svr_dispatch(m, st, opts):
+def svr_dispatch(m, st):
     """Per-zone steps for the first 20 outer rounds, then joint steps."""
     if st.outer > 20:
-        return svr_joint_step(m, st, opts)
+        return svr_joint_step(m, st)
     changed = False
     for zone in m.zones:
         if zone["target"] is None or len(zone["units"]) == 0:
             continue
         err = zone["target"] - st.vm[zone["bus"]]
-        if abs(err) <= opts.svr_deadband:
+        if abs(err) <= pf.SVR_DEADBAND:
             continue
         sens = svr_sensitivity(m, st, zone)
         if sens is None:
@@ -198,14 +200,14 @@ def svr_dispatch(m, st, opts):
     return changed
 
 
-def svr_joint_step(m, st, opts):
+def svr_joint_step(m, st):
     """One regularized least-squares step over the zones outside their
     deadband, with one ``J^T`` solve per pilot bus; written only when it
     moves some unit by more than 1e-6."""
     if st.jac is None:
         return False
     moving = [z for z in m.zones
-              if abs(z["target"] - st.vm[z["bus"]]) > opts.svr_deadband
+              if abs(z["target"] - st.vm[z["bus"]]) > pf.SVR_DEADBAND
               and z["bus"] in st.jac_index[1]]
     if not moving:
         return False
@@ -232,7 +234,7 @@ def svr_joint_step(m, st, opts):
     return True
 
 
-def q_limit_switch(m, st, opts):
+def q_limit_switch(m, st):
     v = st.vm * np.exp(1j * st.va)
     s = v * np.conj(m.assemble_ybus(st.ratio) @ v)
     changed = False
@@ -274,6 +276,6 @@ def swap_in(monkeypatch) -> None:
     """Run every later oracle call of the test on the reference inner loop."""
     monkeypatch.setattr(pf, "_State", State)
     monkeypatch.setattr(pf, "_newtons",
-                        lambda pairs, opts: [newton(m, st, opts) for m, st in pairs])
+                        lambda pairs: [newton(m, st) for m, st in pairs])
     monkeypatch.setattr(pf, "_svr_dispatch", svr_dispatch)
     monkeypatch.setattr(pf, "_q_limit_switch", q_limit_switch)

@@ -3,10 +3,10 @@ import json
 import pytest
 
 from gridtvc.baseline import init_baseline
-from gridtvc.powerflow import evaluate_objective
+from gridtvc.powerflow import SOLVE_STATUSES, evaluate_objective
 
 from oracle_digest import OFFSETS, context_set
-from oracle_records import compare, read, records
+from oracle_records import census, compare, read, records
 
 
 def test_records_hold_every_census_solve(tmp_path):
@@ -37,3 +37,14 @@ def test_compare_counts_changed_solves_and_the_largest_moved_total():
     # b moved a count and e has no parent record; only a and c's totals count
     assert (got["solves"], got["changed"]) == (5, 2)
     assert got["max_rel_total"] == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_the_census_counts_every_baseline_solve_once():
+    got = census(records(1))
+    assert got["contexts"] == 2
+    assert list(got["offsets"]) == ["0.0", "-0.02", "0.02"]
+    for counts in got["offsets"].values():
+        assert list(counts) == [*SOLVE_STATUSES, "outer_rounds"]
+        assert sum(counts[s] for s in SOLVE_STATUSES) == 2
+        assert counts["outer_rounds"] > 0
+    assert census(records(1)) == got

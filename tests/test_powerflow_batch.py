@@ -98,9 +98,9 @@ def test_a_solve_leaves_the_batch_when_it_ends(cases, monkeypatch):
     calls = []
     newtons = pf._newtons
 
-    def counted(pairs, opts):
+    def counted(pairs):
         calls.append([(st, st.restarts) for _, st in pairs])
-        return newtons(pairs, opts)
+        return newtons(pairs)
 
     monkeypatch.setattr(pf, "_newtons", counted)
     evaluate_objectives(x, ys)
@@ -132,13 +132,12 @@ def test_a_state_keeps_its_own_injections_when_another_stops_beside_it():
     # stops at iteration 0 on a non-finite mismatch, the second converges
     # there, after the stack dropped the first row.
     x = generate_context(GridFamilySpec(), stream(0, "val", 0), origin="val-000")
-    opts = pf.SolverOptions()
-    m = pf._GridModel(pf.apply_decision(x, init_baseline(x, 0.0)), opts)
+    m = pf._GridModel(pf.apply_decision(x, init_baseline(x, 0.0)))
     converged, broken = pf._State(m), pf._State(m)
-    pf._newtons([(m, converged)], opts)
+    pf._newtons([(m, converged)])
     broken.va = np.full(m.n, np.nan)
     with np.errstate(invalid="ignore"):
-        got = pf._newtons([(m, broken), (m, converged)], opts)
+        got = pf._newtons([(m, broken), (m, converged)])
     assert got == [("newton_failed", 0), (None, 0)]
     v = converged.vm * np.exp(1j * converged.va)
     assert np.array_equal(converged.s, v * np.conj(converged.ybus @ v))

@@ -32,14 +32,14 @@ def capped():
 def _states(x):
     """(model, state) pairs: the context's own operating point, the same
     point with one PV bus pinned at its Q limit, and a converged solve."""
-    m = pf._GridModel(pf.apply_decision(x, init_baseline(x, 0.0)), OPTS)
+    m = pf._GridModel(pf.apply_decision(x, init_baseline(x, 0.0)))
     initial = pf._State(m)
     pinned = pf._State(m)
     b = int(np.flatnonzero(m.is_pv)[0])
-    pinned.pinned[b], pinned.pinned_q[b] = +1, m.reg_qmax[b]
+    pinned.pinned[b] = +1
     pinned.va = pinned.va + 0.01 * np.sin(np.arange(m.n))
     solved = pf._State(m)
-    [(failure, _)] = pf._newtons([(m, solved)], OPTS)
+    [(failure, _)] = pf._newtons([(m, solved)])
     assert failure is None
     return m, (initial, pinned, solved)
 
@@ -159,12 +159,12 @@ def test_oracle_matches_reference_on_pinned_pairs(contexts, capped, monkeypatch)
 
 
 def test_ybus_rebuilt_after_tap_move(contexts):
-    m = pf._GridModel(contexts[0], OPTS)
+    m = pf._GridModel(contexts[0])
     st = pf._State(m)
     before = st.ybus.copy()
     r = m.rtcs[0]
     r["target"] = st.vm[r["bus"]] + 0.05
-    assert pf._rtc_step(m, st, OPTS)
+    assert pf._rtc_step(m, st)
     assert not np.array_equal(st.ybus, before)
     assert np.array_equal(st.ybus, m.assemble_ybus(st.ratio))
 
@@ -176,7 +176,7 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
     newtons, rtc_step, q_limit_switch = pf._newtons, pf._rtc_step, pf._q_limit_switch
     seen = {"reused": 0, "taps": 0, "flips": 0, "moved": False}
 
-    def checked_newtons(pairs, opts):
+    def checked_newtons(pairs):
         # solve_ac solves one context, so each call holds its one state
         [(m, st)] = pairs
         pv, pq, pvpq = ref.bus_types(m, st)
@@ -203,16 +203,16 @@ def test_reused_newton_setup_matches_a_fresh_build(contexts, capped, monkeypatch
             # and the complex injections the Q-limit check reads from it
             assert np.array_equal(st.s, v * np.conj(ybus @ v))
         seen["moved"] = False
-        return newtons(pairs, opts)
+        return newtons(pairs)
 
-    def counted_rtc_step(m, st, opts):
-        moved = rtc_step(m, st, opts)
+    def counted_rtc_step(m, st):
+        moved = rtc_step(m, st)
         seen["taps"] += moved
         seen["moved"] |= moved
         return moved
 
-    def counted_q_limit_switch(m, st, opts):
-        flipped = q_limit_switch(m, st, opts)
+    def counted_q_limit_switch(m, st):
+        flipped = q_limit_switch(m, st)
         seen["flips"] += flipped
         seen["moved"] |= flipped
         return flipped
@@ -248,7 +248,7 @@ def test_a_solve_leaves_its_model_alone(contexts, monkeypatch):
     # that kept its taps, Ybus or pins on the model would show here.
     x = contexts[0]
     y = init_baseline(x, 0.0)
-    m = pf._GridModel(pf.apply_decision(x, y), OPTS)
+    m = pf._GridModel(pf.apply_decision(x, y))
     before = copy.deepcopy(vars(m))
     monkeypatch.setattr(pf, "_GridModel", lambda *_: m)
     first = pf.evaluate_objective(x, y, OPTS)

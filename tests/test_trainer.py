@@ -54,10 +54,8 @@ def test_config_round_trip_changes_every_field():
         estimator=EstimatorConfig(beta=1e-3, tau=0.2, samples={"line_controller": 2}),
         policy=PolicyConfig(sigma=0.01, binary_offset=-1.0, rtc_offset_scale=1.0,
                             svr_offset=0.01),
-        solver=SolverOptions(tolerance=1e-7, max_inner=20, max_outer=50,
-                             rtc_deadband=0.01, svr_deadband=1e-4, lambda_v=2.0,
-                             lambda_i=3.0, lambda_j=0.2, eps_v=0.1, eps_i=0.2,
-                             target_clamp=(0.5, 2.0)),
+        solver=SolverOptions(max_outer=50, lambda_v=2.0, lambda_i=3.0, lambda_j=0.2,
+                             eps_v=0.1, eps_i=0.2),
         model=ModelConfig(latent_dim=4, encoder_out=5, encoder_hidden=(6,),
                           message_hidden=(7, 3), decoder_hidden=(), dt=0.25,
                           leaky_slope=0.2))
@@ -68,7 +66,7 @@ def test_config_round_trip_changes_every_field():
     assert [k for k in default if changed[k] == default[k]] == []
     back = config_from_json(TrainConfig, json.loads(json.dumps(doc)))
     assert back == cfg
-    assert back.solver.target_clamp == (0.5, 2.0)
+    assert back.model.message_hidden == (7, 3)
 
 
 def test_config_from_json_rejects_unknown_field():
@@ -375,7 +373,7 @@ def test_evaluate_checkpoint_refuses_a_checkpoint_without_a_normalizer(
 def test_evaluate_checkpoint_scores_with_the_solver_it_was_trained_with(run, monkeypatch):
     cfg, _, root = run
     cfg = replace(cfg, iterations=1, eval_every=0, out_dir=str(root / "solver"),
-                  solver=SolverOptions(lambda_j=0.5, target_clamp=(0.5, 2.0)))
+                  solver=SolverOptions(lambda_j=0.5, eps_v=0.1))
     summary = train(cfg)
     _, meta = load_checkpoint(summary["final_checkpoint"])
     assert meta["solver"] == config_to_json(cfg.solver)
@@ -384,6 +382,19 @@ def test_evaluate_checkpoint_scores_with_the_solver_it_was_trained_with(run, mon
     given = SolverOptions(max_outer=7)
     evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir, solver=given)
     assert [solver for _, solver in seen] == [cfg.solver, given]
+
+
+def test_evaluate_checkpoint_refuses_a_solver_field_it_no_longer_has(run, tmp_path):
+    # Saved when the solve's tolerance was an option: the field is refused
+    # by name unless the caller states the solver.
+    cfg, summary, _ = run
+    params, meta = load_checkpoint(summary["final_checkpoint"])
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, extra={**meta, "solver": {**meta["solver"], "tolerance": 1e-8}})
+    with pytest.raises(ValueError, match="tolerance"):
+        evaluate_checkpoint(path, cfg.val_dir)
+    assert evaluate_checkpoint(path, cfg.val_dir, solver=SolverOptions()) == \
+        evaluate_checkpoint(summary["final_checkpoint"], cfg.val_dir)
 
 
 def test_evaluate_checkpoint_decides_with_the_step_it_was_saved_with(run, monkeypatch):
